@@ -13,16 +13,14 @@ two mechanisms separate and composable:
   rebind the arrays zero-copy (``np.ndarray`` views over the mapped
   buffer, marked read-only) from the picklable :class:`SharedDataset`
   descriptor that travels with each task.
-* :class:`PersistentPool` — long-lived fork workers pulling individual
-  cells off one work queue until a sentinel arrives. Workers are forked
+* :class:`PersistentPool` — long-lived fork workers, each handed one
+  cell at a time by the parent over its own pipe. Workers are forked
   once per sweep, so presets, model factories, lookup closures and
   round hooks never need to be picklable (the ``run_one`` closure is
-  inherited through the fork, exactly like the old module-global
-  context). A worker that raises ships the formatted traceback back to
-  the parent and stops; the parent then terminates the remaining
-  workers (poisoning the queue) and raises :class:`PoolWorkerError`
-  carrying the original traceback. A worker that dies without
-  reporting (hard crash) is detected by liveness polling.
+  inherited through the fork). A worker that raises ships the
+  formatted traceback back and stops; one that dies without reporting
+  (hard crash) is seen through its process sentinel. Either way the
+  parent raises :class:`PoolWorkerError` naming the cell at once.
 
 Lifecycle contract: every published segment is unlinked exactly once —
 on :meth:`SharedDatasetCache.close` (invoked by the sweep's ``finally``
@@ -42,10 +40,11 @@ from __future__ import annotations
 import atexit
 import multiprocessing as mp
 import os
-import queue as queue_module
 import traceback
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing import shared_memory
+from multiprocessing.connection import Connection, wait
 from typing import Callable, Hashable, Iterator
 
 import numpy as np
@@ -240,77 +239,78 @@ def bind_data(meta: SharedDataset, preset: ExperimentPreset) -> PreparedData:
     )
 
 
+@dataclass
+class _Worker:
+    """Parent-side handle on one fork worker: its process, the parent
+    end of its private duplex pipe, and the cell it holds ("" = idle)."""
+
+    process: "mp.process.BaseProcess"
+    conn: Connection
+    cell_id: str = ""
+
+
 def _worker_main(
     run_one: Callable[..., bool],
-    task_queue: "mp.queues.Queue",
-    result_queue: "mp.queues.Queue",
+    conn: Connection,
     progress: bool,
+    inherited: list[Connection],
 ) -> None:
-    """Worker loop: pull ``(cell, *extra)`` tasks until the ``None``
-    sentinel. Every message is pid-tagged so the parent can attribute
-    it to a worker: ``("start", pid, cell_id)`` on dequeue (before any
-    work — this is what lets the parent name the lost cell if the
-    worker is killed mid-run), then ``("ok", pid, cell_id, resumed)``
-    per cell, or ``("err", pid, cell_id, traceback)`` once and stop.
+    """Worker loop over this worker's own pipe: receive a ``(cell,
+    *extra)`` task, run it, answer ``("ok", resumed)`` — or ``("err",
+    traceback)`` once, and stop — until the parent closes the channel.
     With ``progress`` enabled, ``run_one`` receives a trailing
-    ``report(done, total)`` callable that ships
-    ``("progress", pid, cell_id, done, total)`` messages.
+    ``report(done, total)`` callable that ships ``("progress", done,
+    total)``. The channel a message arrives on names its worker and
+    cell. ``inherited`` are the parent-side ends the fork copied (this
+    and the sibling channels, the wake pipe): only with them closed here
+    does a closed channel — or a vanished parent — read as EOF.
     """
-    pid = os.getpid()
-    while True:
-        task = task_queue.get()
-        if task is None:
-            return
-        cell, extra = task[0], task[1:]
-        result_queue.put(("start", pid, cell.cell_id))
-        try:
-            if progress:
-                def report(done: int, total: int, _cid=cell.cell_id) -> None:
-                    result_queue.put(("progress", pid, _cid, done, total))
+    for end in inherited:
+        end.close()
 
-                resumed = run_one(cell, *extra, report)
-            else:
-                resumed = run_one(cell, *extra)
-        except BaseException:
-            result_queue.put(("err", pid, cell.cell_id, traceback.format_exc()))
-            return
-        result_queue.put(("ok", pid, cell.cell_id, resumed))
+    def report(done: int, total: int) -> None:
+        conn.send(("progress", done, total))
+
+    try:
+        while True:
+            task = conn.recv()
+            try:
+                resumed = run_one(*task, report) if progress else run_one(*task)
+            except BaseException:
+                conn.send(("err", traceback.format_exc()))
+                return
+            conn.send(("ok", resumed))
+    except (EOFError, OSError):
+        return  # retired: the parent closed this channel, or is gone
 
 
 class PersistentPool:
-    """Long-lived fork workers streaming cells off one work queue.
+    """Long-lived fork workers, each fed over its own duplex pipe.
 
     ``run_one(cell, *extra) -> resumed`` executes a single cell inside
     a worker; it is captured at construction and inherited through the
     fork, so nothing about it needs to be picklable (the ``extra``
     task elements — the shared-dataset descriptor, and for served jobs
-    an inline scenario spec — do travel through the queue and must
+    an inline scenario spec — do travel through the pipe and must
     pickle). Use as a context manager: ``__enter__`` forks the
-    workers, ``__exit__`` joins them (terminating first if the block is
-    leaving on an error, which is what poisons a queue still holding
-    tasks).
+    workers, ``__exit__`` closes their channels and joins them
+    (terminating first if the block is leaving on an error).
 
-    Two consumption styles share one implementation:
+    Tasks are parent-dispatched: :meth:`submit` hands a task to an idle
+    worker or parks it in the parent's backlog, and a worker gets its
+    next task when it reports ``ok`` — so the parent always knows which
+    cell a worker holds, and a worker's death can break no channel but
+    its own. Batch callers use :meth:`run` (the sweep path); streaming
+    callers (``repro serve``) interleave :meth:`submit` with
+    :meth:`next_result`, :meth:`wake` the collector from other threads,
+    and :meth:`revive` workers after a failure.
 
-    * batch — :meth:`run` dispatches a fixed task list and yields
-      completions (the sweep path);
-    * streaming — :meth:`submit` / :meth:`next_result` /
-      :meth:`close_intake`, for long-lived callers (``repro serve``)
-      that interleave submission with collection and may
-      :meth:`revive` workers after a failure.
-
-    Liveness: workers announce each cell with a ``start`` message
-    before running it, so the parent always knows which cell a worker
-    holds. A worker observed dead while holding a cell — or dead with a
-    nonzero exit code while work is outstanding — raises
-    :class:`PoolWorkerError` naming the in-flight cell within about one
-    :data:`POLL_INTERVAL`, instead of hanging until every other worker
-    has drained the queue.
+    Liveness is event-driven: :meth:`next_result` is one blocking wait
+    over every worker's pipe and process sentinel plus the wake pipe, so
+    a worker that dies — holding a cell or idle — raises
+    :class:`PoolWorkerError` (naming the cell, if any) the moment it
+    dies. There is no poll period.
     """
-
-    #: Seconds between result polls; bounds how stale the worker
-    #: liveness check can be, not how fast results arrive.
-    POLL_INTERVAL = 0.2
 
     def __init__(
         self,
@@ -335,183 +335,193 @@ class PersistentPool:
         self._progress = progress
         self._on_start = on_start
         self._on_progress = on_progress
-        self._task_queue: mp.queues.Queue = self._ctx.Queue()
-        self._result_queue: mp.queues.Queue = self._ctx.Queue()
-        self._workers: list = []
-        #: cell currently held by each live worker, keyed by pid —
-        #: populated by ``start`` messages, cleared on ok/err
-        self._in_flight: dict[int, str] = {}
-        self._outstanding = 0
+        self._workers: list[_Worker] = []
+        #: submitted tasks not yet handed to a worker; non-empty only
+        #: while every worker is busy
+        self._backlog: deque[tuple] = deque()
         self._intake_closed = False
+        # non-blocking write end: wake() never stalls its caller, and a
+        # full pipe already means a wake-up is pending
+        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
+        os.set_blocking(self._wake_w.fileno(), False)
 
     def __enter__(self) -> "PersistentPool":
         # fork point: everything run_one closes over is frozen into the
         # workers here, so callers must fully build the closure first
-        self._workers = [self._spawn_worker() for _ in range(self._jobs)]
-        for worker in self._workers:
-            worker.start()
+        for _ in range(self._jobs):
+            self._workers.append(self._spawn_worker())
         return self
 
     def __exit__(self, exc_type: object, *exc: object) -> None:
-        self._shutdown(force=exc_type is not None)
+        for worker in self._workers:
+            if exc_type is not None and worker.process.is_alive():
+                worker.process.terminate()
+            worker.conn.close()  # all at once, so the joins overlap
+        while self._workers:
+            self._retire(self._workers[0])
+        self._wake_r.close()
+        self._wake_w.close()
 
-    def _spawn_worker(self):
-        return self._ctx.Process(
+    def _spawn_worker(self) -> _Worker:
+        conn, child_conn = self._ctx.Pipe()
+        inherited = [conn, self._wake_r, self._wake_w]
+        inherited += [worker.conn for worker in self._workers]
+        process = self._ctx.Process(
             target=_worker_main,
-            args=(
-                self._run_one,
-                self._task_queue,
-                self._result_queue,
-                self._progress,
-            ),
+            args=(self._run_one, child_conn, self._progress, inherited),
             daemon=True,
         )
+        process.start()
+        child_conn.close()  # the worker's death must read as EOF here
+        return _Worker(process, conn)
+
+    def _retire(self, worker: _Worker) -> None:
+        """Drop a worker. Closing its channel is the retirement notice:
+        an idle worker sees EOF and exits, a busy one at its next send
+        (only shutdown retires busy workers)."""
+        self._workers.remove(worker)
+        worker.conn.close()
+        worker.process.join(timeout=10)
+        if worker.process.is_alive():  # refused to die; don't hang
+            worker.process.kill()
+            worker.process.join(timeout=10)
 
     @property
     def outstanding(self) -> int:
-        """Submitted cells not yet completed (queued or running)."""
-        return self._outstanding
+        """Submitted cells not yet completed (backlogged or running)."""
+        return len(self._backlog) + self.busy
 
     @property
     def busy(self) -> int:
         """Cells currently being executed by a worker."""
-        return len(self._in_flight)
+        return sum(1 for worker in self._workers if worker.cell_id)
 
-    @property
-    def workers_alive(self) -> int:
-        return sum(1 for w in self._workers if w.is_alive())
+    def wake(self) -> None:
+        """Make a blocked :meth:`next_result` return ``None`` now. One
+        byte on a pipe: safe from any thread and from a signal handler,
+        and a no-op once the pool has shut down."""
+        try:
+            self._wake_w.send_bytes(b"\0")
+        except OSError:
+            pass
 
     def submit(self, task: tuple) -> None:
-        """Enqueue one ``(cell, *extra)`` task."""
+        """Accept one ``(cell, *extra)`` task; an idle worker gets it
+        at once, otherwise it waits in the backlog."""
         if self._intake_closed:
             raise RuntimeError("pool intake is closed")
-        self._task_queue.put(task)
-        self._outstanding += 1
+        self._backlog.append(task)
+        self._dispatch()
 
     def close_intake(self) -> None:
-        """Stop accepting tasks and let workers exit once the queue
-        drains (one ``None`` sentinel per worker). Idempotent."""
-        if self._intake_closed:
-            return
+        """Stop accepting tasks; retire each worker as it runs dry."""
         self._intake_closed = True
-        for _ in self._workers:
-            self._task_queue.put(None)
+        self._dispatch()
+
+    def _dispatch(self) -> None:
+        """Hand each idle worker the oldest backlogged task or, with
+        the backlog empty and intake closed, retire it."""
+        for worker in [w for w in self._workers if not w.cell_id]:
+            if self._backlog:
+                task = self._backlog.popleft()
+                try:
+                    worker.conn.send(task)
+                except OSError:  # killed while idle; next_result reports it
+                    self._backlog.appendleft(task)
+                    continue
+                worker.cell_id = task[0].cell_id
+                if self._on_start is not None:
+                    self._on_start(worker.cell_id)
+            elif self._intake_closed:
+                self._retire(worker)
 
     def next_result(self, timeout: float | None = None) -> tuple[str, bool] | None:
-        """Wait up to ``timeout`` (default :data:`POLL_INTERVAL`) for
-        the next completed cell; return ``(cell_id, resumed)``, or
-        ``None`` if the wait elapsed with no completion (after a
-        liveness check). ``start``/``progress`` messages are consumed
-        inline and routed to the constructor callbacks.
+        """Block until the next completed cell and return ``(cell_id,
+        resumed)``; return ``None`` if :meth:`wake` was called or
+        ``timeout`` seconds (default: no limit) passed first.
+        ``progress`` messages are routed to the constructor callback.
 
         Raises :class:`PoolWorkerError` when a worker reports a cell
-        failure or is found dead holding one; the failed/lost cell is
-        removed from the outstanding count, so a supervising caller can
-        mark it failed, :meth:`revive` the pool, and keep collecting.
+        failure or dies (holding a cell or idle); the failed/lost cell
+        is no longer outstanding and the worker is gone, so a supervisor
+        can mark the cell failed, :meth:`revive` and keep collecting.
         """
-        wait = self.POLL_INTERVAL if timeout is None else timeout
         while True:
-            try:
-                msg = self._result_queue.get(timeout=wait)
-            except queue_module.Empty:
-                self._check_liveness()
+            if self.outstanding and not self._workers:
+                raise PoolWorkerError(
+                    "", f"no worker left for {self.outstanding} "
+                    f"outstanding cell(s); revive() the pool")
+            ready = wait(
+                [self._wake_r]
+                + [worker.conn for worker in self._workers]
+                + [worker.process.sentinel for worker in self._workers],
+                timeout,
+            )
+            if not ready:
                 return None
-            kind, pid, cell_id = msg[0], msg[1], msg[2]
-            if kind == "start":
-                self._in_flight[pid] = cell_id
-                if self._on_start is not None:
-                    self._on_start(cell_id)
-                continue
-            if kind == "progress":
-                if self._on_progress is not None:
-                    self._on_progress(cell_id, msg[3], msg[4])
-                continue
-            self._in_flight.pop(pid, None)
-            self._outstanding -= 1
-            if kind == "err":
-                raise PoolWorkerError(cell_id, msg[3])
-            return cell_id, msg[3]
-
-    def _check_liveness(self) -> None:
-        """Raise for the first dead worker that matters: one holding an
-        in-flight cell (named in the error), or one that exited nonzero
-        (killed/crashed) while work is outstanding."""
-        for worker in list(self._workers):
-            if worker.is_alive():
-                continue
-            cell_id = self._in_flight.pop(worker.pid, "")
-            if cell_id or (worker.exitcode != 0 and self._outstanding):
-                self._workers.remove(worker)
-                if cell_id:
-                    self._outstanding -= 1
+            worker = next(
+                (w for w in self._workers
+                 if w.conn in ready or w.process.sentinel in ready),
+                None,
+            )
+            if worker is None:  # only the wake pipe fired
+                while self._wake_r.poll():
+                    self._wake_r.recv_bytes()
+                return None
+            try:
+                # what a worker sent before dying is still readable when
+                # its sentinel fires: messages always precede the death
+                msg = worker.conn.recv() if worker.conn.poll() else None
+            except (EOFError, OSError):  # exited, or was killed mid-send
+                msg = None
+            cell_id = worker.cell_id
+            if msg is None:
+                self._retire(worker)
                 raise PoolWorkerError(
                     cell_id,
-                    f"worker pid {worker.pid} died without reporting "
-                    f"(exit code {worker.exitcode} — killed or crashed "
-                    f"hard) while "
-                    + (
-                        f"running cell {cell_id}"
-                        if cell_id
-                        else f"{self._outstanding} cell(s) were outstanding"
-                    ),
+                    f"worker pid {worker.process.pid} died without "
+                    f"reporting (exit code {worker.process.exitcode} — "
+                    f"killed or crashed hard) while "
+                    + (f"running cell {cell_id}" if cell_id else "idle"),
                 )
-        if self._outstanding and not any(w.is_alive() for w in self._workers):
-            raise PoolWorkerError(
-                "",
-                f"all workers exited with {self._outstanding} cell(s) "
-                f"unaccounted for (a worker died without reporting — "
-                f"killed or crashed hard)",
-            )
+            if msg[0] == "progress":
+                if self._on_progress is not None:
+                    self._on_progress(cell_id, msg[1], msg[2])
+                continue
+            worker.cell_id = ""
+            if msg[0] == "err":  # the worker stops after reporting
+                self._retire(worker)
+                raise PoolWorkerError(cell_id, msg[1])
+            self._dispatch()
+            return cell_id, msg[1]
 
     def revive(self) -> int:
-        """Replace dead workers with fresh forks and return how many
-        were respawned. The supervising caller (the serve dispatcher)
-        uses this after handling a :class:`PoolWorkerError` so one
-        crashed cell does not take the daemon down. No-op once intake
-        is closed (the remaining workers will drain and exit)."""
-        dead = [w for w in self._workers if not w.is_alive()]
-        for worker in dead:
-            self._in_flight.pop(worker.pid, None)
-            self._workers.remove(worker)
+        """Replace lost workers with fresh forks, hand them backlogged
+        tasks, and return how many were spawned — what the serve
+        dispatcher does after a :class:`PoolWorkerError`, so one crashed
+        cell does not take the daemon down. A worker found dead while
+        idle is replaced too; one that died holding a cell is left for
+        :meth:`next_result` to report. No-op once intake is closed."""
+        for worker in list(self._workers):
+            if not worker.cell_id and not worker.process.is_alive():
+                self._retire(worker)
         if self._intake_closed:
             return 0
-        spawned = []
-        while len(self._workers) < self._jobs:
-            worker = self._spawn_worker()
-            self._workers.append(worker)
-            spawned.append(worker)
-        for worker in spawned:
-            worker.start()
-        return len(spawned)
+        spawned = self._jobs - len(self._workers)
+        for _ in range(spawned):
+            self._workers.append(self._spawn_worker())
+        self._dispatch()
+        return spawned
 
     def run(self, tasks: list[tuple]) -> Iterator[tuple[str, bool]]:
         """Dispatch all tasks and yield ``(cell_id, resumed)`` as cells
         complete (completion order is nondeterministic; artifacts are
         per-cell and deterministic, so callers never depend on it).
-
-        Raises :class:`PoolWorkerError` as soon as any worker reports a
-        failure or dies while holding a cell — it no longer waits for
-        every other worker to exit before noticing a silent death.
-        """
+        Raises :class:`PoolWorkerError` the moment a worker fails."""
         for task in tasks:
             self.submit(task)
         self.close_intake()
-        while self._outstanding:
-            result = self.next_result(timeout=self.POLL_INTERVAL)
+        while self.outstanding:
+            result = self.next_result()
             if result is not None:
                 yield result
-
-    def _shutdown(self, force: bool) -> None:
-        if force:
-            for worker in self._workers:
-                if worker.is_alive():
-                    worker.terminate()
-        for worker in self._workers:
-            worker.join(timeout=10)
-            if worker.is_alive():  # refused to die; don't hang the sweep
-                worker.kill()
-                worker.join(timeout=10)
-        for q in (self._task_queue, self._result_queue):
-            q.cancel_join_thread()
-            q.close()
-        self._workers = []

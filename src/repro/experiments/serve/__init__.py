@@ -25,12 +25,19 @@ dependencies):
   mix) and its ``repro/loadgen-report/v1`` report.
 """
 
-from .jobs import Job, JobStore, QueueFullError, parse_job_request
+from .jobs import (
+    CellInFlightError,
+    Job,
+    JobStore,
+    QueueFullError,
+    parse_job_request,
+)
 from .loadgen import LOADGEN_SCHEMA, build_schedule, parse_mix, run_loadgen
 from .metrics import MetricsRegistry
 from .server import ServeConfig, ScenarioServer
 
 __all__ = [
+    "CellInFlightError",
     "Job",
     "JobStore",
     "LOADGEN_SCHEMA",

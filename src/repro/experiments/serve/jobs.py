@@ -31,6 +31,7 @@ from ..artifacts import PlanCell, build_plan
 from ..runner import ASYNC_ALGORITHMS
 
 __all__ = [
+    "CellInFlightError",
     "Job",
     "JobStore",
     "QueueFullError",
@@ -41,6 +42,11 @@ __all__ = [
 
 class QueueFullError(RuntimeError):
     """The store's cell backlog bound would be exceeded."""
+
+
+class CellInFlightError(ValueError):
+    """A submitted cell is still in flight under another job (HTTP 409
+    — two jobs would race to write the same artifact)."""
 
 
 @dataclass
@@ -283,6 +289,11 @@ class JobStore:
         self._queued: deque[str] = deque()
         self._by_cell: dict[str, str] = {}
         self._next_id = 0
+        #: cells accepted and not yet done/failed, and jobs with any —
+        #: counters, so admission and drain checks stay O(1) however
+        #: many jobs the daemon has ever accepted
+        self._outstanding_cells = 0
+        self._unfinished_jobs = 0
         #: inline spec definitions seen so far, by name — guards a later
         #: resubmission of the same name with a different body
         self._inline_specs: dict[str, ScenarioSpec] = {}
@@ -299,13 +310,10 @@ class JobStore:
         now: float,
     ) -> Job:
         """Admit one parsed job; raises :class:`QueueFullError` past
-        the backlog bound and ``ValueError`` when a cell is already in
-        flight under another job (HTTP 409 — two jobs racing to write
-        the same artifact)."""
+        the backlog bound and :class:`CellInFlightError` when a cell is
+        already in flight under another job."""
         with self._lock:
-            backlog = sum(
-                job.unfinished_cells for job in self._jobs.values()
-            )
+            backlog = self._outstanding_cells
             if backlog + len(cells) > self.queue_limit:
                 raise QueueFullError(
                     f"queue full: {backlog} cell(s) outstanding + "
@@ -314,7 +322,7 @@ class JobStore:
             for cell in cells:
                 owner = self._by_cell.get(cell.cell_id)
                 if owner is not None:
-                    raise ValueError(
+                    raise CellInFlightError(
                         f"cell {cell.cell_id} is already in flight "
                         f"under job {owner}"
                     )
@@ -326,6 +334,8 @@ class JobStore:
                 submitted_at=now,
             )
             self._next_id += 1
+            self._outstanding_cells += len(cells)
+            self._unfinished_jobs += 1
             self._jobs[job.job_id] = job
             self._queued.append(job.job_id)
             for cell in cells:
@@ -359,10 +369,7 @@ class JobStore:
 
     def all_done(self) -> bool:
         with self._lock:
-            return not self._queued and all(
-                job.state in ("done", "failed")
-                for job in self._jobs.values()
-            )
+            return not self._unfinished_jobs
 
     def cell_for(self, cell_id: str) -> tuple[Job, ServedCell] | None:
         """The (job, cell) pair currently owning ``cell_id``, if any."""
@@ -401,9 +408,16 @@ class JobStore:
             served.done_units = done
             served.total_units = total
 
-    def _maybe_finish(self, job: Job, now: float) -> None:
+    def _settle(
+        self, job: Job, served: ServedCell, state: str, now: float
+    ) -> None:
+        """Move one cell to done/failed, and the job with its last."""
+        if served.state not in ("done", "failed"):
+            self._outstanding_cells -= 1
+        served.state = state
         if job.unfinished_cells:
             return
+        self._unfinished_jobs -= 1
         failed = any(served.state == "failed" for served in job.cells)
         job.state = "failed" if failed else "done"
         job.finished_at = now
@@ -418,11 +432,10 @@ class JobStore:
             if found is None:
                 return None
             job, served = found
-            served.state = "done"
             served.resumed = resumed
             served.done_units = served.total_units or served.done_units
             job.energy_wh += energy_wh
-            self._maybe_finish(job, now)
+            self._settle(job, served, "done", now)
             return job, served
 
     def cell_failed(
@@ -433,8 +446,7 @@ class JobStore:
             if found is None:
                 return None
             job, served = found
-            served.state = "failed"
             served.error = error
             job.error = error
-            self._maybe_finish(job, now)
+            self._settle(job, served, "failed", now)
             return job, served

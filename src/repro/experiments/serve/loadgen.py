@@ -30,10 +30,10 @@ time from the client's — and summary percentiles.
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from dataclasses import dataclass
 from typing import Callable
 
@@ -150,20 +150,32 @@ def _now() -> float:
     return time.monotonic()  # repro: allow[det-wallclock] -- replaying arrival offsets and measuring client-side latency requires a real clock; no engine state derives from it
 
 
-def _http_json(url: str, payload: dict | None = None, timeout: float = 30.0):
-    """One JSON request/response round trip; returns (status, body)."""
-    data = json.dumps(payload).encode() if payload is not None else None
-    request = urllib.request.Request(
-        url,
-        data=data,
-        headers={"Content-Type": "application/json"} if data else {},
-        method="POST" if data is not None else "GET",
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.loads(response.read() or b"null")
-    except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read() or b"null")
+class _Client:
+    """The load generator's one kept-alive connection to the daemon: no
+    TCP handshake (nor a fresh server thread) per status poll."""
+
+    def __init__(self, url: str, timeout: float = 30.0) -> None:
+        parts = urllib.parse.urlsplit(url)
+        self._prefix = parts.path.rstrip("/")
+        self._conn = http.client.HTTPConnection(
+            parts.hostname, parts.port, timeout=timeout
+        )
+
+    def close(self) -> None:
+        self._conn.close()
+
+    def request(self, path: str, payload: dict | None = None):
+        """One JSON request/response round trip (``POST`` when there is
+        a payload); returns (status, body)."""
+        data = json.dumps(payload).encode() if payload is not None else None
+        self._conn.request(
+            "POST" if data is not None else "GET",
+            self._prefix + path,
+            body=data,
+            headers={"Content-Type": "application/json"} if data else {},
+        )
+        response = self._conn.getresponse()
+        return response.status, json.loads(response.read() or b"null")
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -196,7 +208,7 @@ def run_loadgen(
     rounds: int | None = None,
     process: str = "poisson",
     timeout_s: float = 600.0,
-    poll_interval_s: float = 0.2,
+    poll_interval_s: float = 0.02,
     log: Callable[[str], None] | None = None,
 ) -> dict:
     """Replay ``schedule`` against a running serve daemon and return
@@ -210,6 +222,7 @@ def run_loadgen(
     """
     say = log if log is not None else (lambda msg: None)
     clock = _now
+    client = _Client(url)
     jobs: list[dict] = []
     start = clock()
 
@@ -222,7 +235,7 @@ def run_loadgen(
         if rounds is not None:
             body["rounds"] = rounds
         sent = clock()
-        status, response = _http_json(f"{url}/jobs", body)
+        status, response = client.request("/jobs", body)
         record = {
             "index": index,
             "scenario": event.scenario,
@@ -246,7 +259,7 @@ def run_loadgen(
             return
         deadline = clock() + timeout_s
         while True:
-            status, body = _http_json(f"{url}/jobs/{record['job_id']}")
+            status, body = client.request(f"/jobs/{record['job_id']}")
             if status == 200 and body["state"] in ("done", "failed"):
                 record["state"] = body["state"]
                 record["error"] = body.get("error") or None
@@ -272,18 +285,21 @@ def run_loadgen(
                 return
             time.sleep(poll_interval_s)
 
-    for index, event in enumerate(schedule):
-        if process != "closed":
-            delay = event.offset_s - (clock() - start)
-            if delay > 0:
-                time.sleep(delay)
-        record = submit(index, event)
-        jobs.append(record)
-        if process == "closed":
-            await_done(record)
-    for record in jobs:
-        if record["state"] == "submitted":
-            await_done(record)
+    try:
+        for index, event in enumerate(schedule):
+            if process != "closed":
+                delay = event.offset_s - (clock() - start)
+                if delay > 0:
+                    time.sleep(delay)
+            record = submit(index, event)
+            jobs.append(record)
+            if process == "closed":
+                await_done(record)
+        for record in jobs:
+            if record["state"] == "submitted":
+                await_done(record)
+    finally:
+        client.close()
     wall_s = clock() - start
     report = {
         "schema": LOADGEN_SCHEMA,

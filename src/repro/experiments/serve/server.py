@@ -13,12 +13,15 @@ One :class:`ScenarioServer` owns four moving parts:
   SharedDatasetCache` (the exact coordinate a batch sweep would use —
   :func:`~repro.experiments.sweep.cell_data_coords`), feeds cells to
   the :class:`~repro.experiments.pool.PersistentPool`, and folds
-  ``start``/``progress``/completion messages back into the store and
-  the metrics;
+  start/progress/completion events back into the store and the
+  metrics. It blocks in ``pool.next_result()`` with no poll period;
+  every state change it must react to (a submission, the start of a
+  drain, release of the ``pause_dispatch`` hook, ``close``) wakes it
+  through ``pool.wake()``;
 * the pool itself, forked once at :meth:`ScenarioServer.start` — so
   everything ``run_one`` closes over is frozen then, and inline
   scenario specs (which arrive *after* the fork) travel to workers
-  through the task queue instead.
+  with each task instead.
 
 Served cells ride :func:`~repro.experiments.sweep.run_cell` with the
 same prepared-data rebind as the batch persistent pool, which is what
@@ -40,6 +43,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import traceback
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
@@ -49,14 +53,32 @@ from ..pool import PersistentPool, PoolWorkerError, SharedDatasetCache, bind_dat
 from ..presets import get_preset
 from ..runner import prepare_data, prepared_from_data
 from ..sweep import cell_data_coords, resolve_auto_jobs, run_cell
-from .jobs import Job, JobStore, QueueFullError, parse_job_request
+from .jobs import CellInFlightError, QueueFullError
+from .jobs import Job, JobStore, parse_job_request
 from .metrics import MetricsRegistry
 
 __all__ = ["DrainingError", "ServeConfig", "ScenarioServer"]
 
 
+#: largest ``POST /jobs`` body read (413 past it); specs are a few KiB
+MAX_BODY_BYTES = 1 << 20
+
+
 class DrainingError(RuntimeError):
     """The daemon is draining and accepts no new jobs (HTTP 503)."""
+
+
+class _PauseHook(threading.Event):
+    """``pause_dispatch``: while set the dispatcher claims no queued
+    jobs; ``clear()`` also wakes it, since it no longer polls."""
+
+    def __init__(self, on_release: Callable[[], None]) -> None:
+        super().__init__()
+        self._on_release = on_release
+
+    def clear(self) -> None:
+        super().clear()
+        self._on_release()
 
 
 def _wall_now() -> float:
@@ -106,6 +128,11 @@ class _ServeHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY plus a buffered wfile (flushed once per request by
+    # handle_one_request): headers and body leave as one segment, where
+    # two unbuffered writes stall ~40 ms on Nagle x delayed ACK
+    disable_nagle_algorithm = True
+    wbufsize = 1 << 16
 
     @property
     def app(self) -> "ScenarioServer":
@@ -115,18 +142,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.app._say(f"http: {format % args}")
 
     def _send_json(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_text(code, json.dumps(payload), "application/json")
 
     def _send_text(self, code: int, text: str, content_type: str) -> None:
         body = text.encode()
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -139,10 +163,8 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         if self.path == "/healthz":
-            self._send_json(
-                200,
-                {"status": "draining" if app.draining else "ok"},
-            )
+            status = "draining" if app.draining else "ok"
+            self._send_json(200, {"status": status})
             return
         if self.path.startswith("/jobs/"):
             parts = self.path.removeprefix("/jobs/").split("/")
@@ -157,11 +179,9 @@ class _Handler(BaseHTTPRequestHandler):
                 if job.state == "done":
                     self._send_json(200, app.job_result(job))
                 elif job.state == "failed":
-                    self._send_json(
-                        200,
-                        {"job_id": job.job_id, "state": "failed",
-                         "error": job.error},
-                    )
+                    self._send_json(200, {
+                        "job_id": job.job_id, "state": "failed",
+                        "error": job.error})
                 else:
                     self._send_json(202, job.to_json())
                 return
@@ -171,23 +191,32 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/jobs":
             self._send_json(404, {"error": f"no route for {self.path!r}"})
             return
+        length = self.headers.get("Content-Length", "")
+        if not length.isdigit() or int(length) > MAX_BODY_BYTES:
+            # the body stays unread, so the connection cannot be reused
+            self.close_connection = True
+            if length.isdigit():
+                self._send_json(413, {"error": "body too large"})
+            else:
+                self._send_json(400, {"error": "bad Content-Length"})
+            return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            obj = json.loads(self.rfile.read(length) or b"null")
-        except (ValueError, json.JSONDecodeError):
+            obj = json.loads(self.rfile.read(int(length)) or b"null")
+        except ValueError:
             self._send_json(400, {"error": "body must be valid JSON"})
             return
         try:
-            job = self.app.submit_job(obj)
+            accepted = self.app.submit_job(obj)
         except DrainingError as exc:
             self._send_json(503, {"error": str(exc)})
         except QueueFullError as exc:
             self._send_json(429, {"error": str(exc)})
+        except CellInFlightError as exc:
+            self._send_json(409, {"error": str(exc)})
         except ValueError as exc:
-            code = 409 if "already in flight" in str(exc) else 400
-            self._send_json(code, {"error": str(exc)})
+            self._send_json(400, {"error": str(exc)})
         else:
-            self._send_json(202, job.to_json())
+            self._send_json(202, accepted)
 
 
 class ScenarioServer:
@@ -221,16 +250,26 @@ class ScenarioServer:
         self.store = JobStore(config.queue_limit)
         self.metrics = MetricsRegistry()
         self._draining = threading.Event()
-        #: test hook — while set, the dispatcher claims no new queued
-        #: jobs (completions still flow), making 429 tests deterministic
-        self.pause_dispatch = threading.Event()
         self._started = False
         self._closed = False
         self._dispatcher_error: BaseException | None = None
         self._httpd: _ServeHTTPServer | None = None
-        self._pool: PersistentPool | None = None
-        self._cache: SharedDatasetCache | None = None
-        self._threads: list[threading.Thread] = []
+        #: built here, forked at :meth:`start`
+        self._pool = PersistentPool(
+            self.jobs,
+            self._run_one,
+            progress=True,
+            on_start=lambda cell_id: self.store.cell_started(
+                cell_id, _wall_now()),
+            on_progress=self._on_cell_progress,
+        )
+        self._cache = SharedDatasetCache()
+        #: test hook — while set, the dispatcher claims no new queued
+        #: jobs (completions still flow), making 429 tests deterministic
+        self.pause_dispatch = _PauseHook(self._pool.wake)
+        self._dispatcher = threading.Thread(
+            target=self._dispatch_loop, name="serve-dispatch", daemon=True
+        )
         #: last progress count seen per in-flight cell, evicted on
         #: completion — the delta source for the rounds/events counters
         self._progress_seen: dict[str, int] = {}
@@ -270,7 +309,7 @@ class ScenarioServer:
         m.gauge(
             "repro_serve_busy_workers",
             "Pool workers currently executing a cell",
-            fn=lambda: self._pool.busy if self._pool is not None else 0)
+            fn=lambda: self._pool.busy)
         m.gauge(
             "repro_serve_workers",
             "Configured pool worker count",
@@ -300,19 +339,15 @@ class ScenarioServer:
             label="job_id")
 
     def _uptime(self) -> float:
-        if not self._started:
-            return 0.0
-        return _mono_now() - self._start_clock
+        return _mono_now() - self._start_clock if self._started else 0.0
 
     def _rate(self, total: float) -> float:
         uptime = self._uptime()
         return total / uptime if uptime > 0 else 0.0
 
     def _queue_depth(self) -> float:
-        depth = self.store.queued_cells()
-        if self._pool is not None:
-            depth += max(0, self._pool.outstanding - self._pool.busy)
-        return float(depth)
+        backlog = max(0, self._pool.outstanding - self._pool.busy)
+        return float(self.store.queued_cells() + backlog)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -339,46 +374,32 @@ class ScenarioServer:
             raise RuntimeError("server already started")
         self._started = True
         self._start_clock = _mono_now()
-        self._cache = SharedDatasetCache()
-        self._pool = PersistentPool(
-            self.jobs,
-            self._run_one,
-            progress=True,
-            on_start=self._on_cell_start,
-            on_progress=self._on_cell_progress,
-        )
         self._pool.__enter__()
         self._httpd = _ServeHTTPServer(
             (self.config.host, self.config.port), _Handler
         )
         self._httpd.app = self
-        http_thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="serve-http",
-            daemon=True,
-        )
-        dispatch_thread = threading.Thread(
-            target=self._dispatch_loop, name="serve-dispatch", daemon=True
-        )
-        self._threads = [http_thread, dispatch_thread]
-        for thread in self._threads:
-            thread.start()
+        threading.Thread(
+            target=self._httpd.serve_forever, name="serve-http", daemon=True
+        ).start()
+        self._dispatcher.start()
         return self
 
     def begin_drain(self) -> None:
         """Refuse new jobs and let the dispatcher finish accepted
-        ones; :meth:`wait` returns once everything has drained."""
+        ones; :meth:`wait` returns once everything has drained. Safe
+        from a signal handler: a flag and one byte on the wake pipe."""
         if not self._draining.is_set():
             self._say("draining: finishing accepted jobs")
             self._draining.set()
+            self._pool.wake()
 
     def wait(self, timeout: float | None = None) -> bool:
         """Block until the dispatcher exits (drain complete); returns
         whether it did. Re-raises a dispatcher crash."""
-        dispatch = self._threads[1] if len(self._threads) > 1 else None
-        if dispatch is not None:
-            dispatch.join(timeout)
-            if dispatch.is_alive():
+        if self._started:
+            self._dispatcher.join(timeout)
+            if self._dispatcher.is_alive():
                 return False
         if self._dispatcher_error is not None:
             raise self._dispatcher_error
@@ -395,13 +416,13 @@ class ScenarioServer:
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
-        if self._pool is not None:
-            # let workers fall off the (drained) task queue instead of
-            # blocking in get() until the join times out
-            self._pool.close_intake()
-            self._pool.__exit__(None, None, None)
-        if self._cache is not None:
-            self._cache.close()
+        # the dispatcher owns the pool: have it leave (drained or not)
+        # before the pool's channels close under it
+        self._pool.wake()
+        if self._started:
+            self._dispatcher.join(timeout=10)
+        self._pool.__exit__(None, None, None)
+        self._cache.close()
 
     def serve_forever(self) -> int:
         """The CLI entry: install SIGTERM/SIGINT drain handlers, block
@@ -425,7 +446,8 @@ class ScenarioServer:
 
     # -- submission (HTTP threads) ---------------------------------------
 
-    def submit_job(self, obj: object) -> Job:
+    def submit_job(self, obj: object) -> dict:
+        """Admit one job; returns its status document as admitted."""
         if self._draining.is_set():
             raise DrainingError("server is draining; not accepting jobs")
         try:
@@ -442,20 +464,19 @@ class ScenarioServer:
             raise
         self.m_jobs_accepted.inc()
         self._say(f"accepted {job.job_id}: {len(job.cells)} cell(s)")
-        return job
+        accepted = job.to_json()  # before the dispatcher can start it
+        self._pool.wake()
+        return accepted
 
     def job_result(self, job: Job) -> dict:
         """The completed job's artifact summary (``GET .../result``)."""
         artifacts = []
         for served in job.cells:
-            artifact = load_cell_artifact(
-                artifact_path(self.config.results_dir, served.cell)
-            )
+            path = artifact_path(self.config.results_dir, served.cell)
+            artifact = load_cell_artifact(path)
             artifacts.append({
                 "cell_id": served.cell.cell_id,
-                "artifact": str(
-                    artifact_path(self.config.results_dir, served.cell)
-                ),
+                "artifact": str(path),
                 "schema": artifact["schema"],
                 "resumed": served.resumed,
                 "results": artifact["results"],
@@ -479,10 +500,7 @@ class ScenarioServer:
         preset = self._preset_lookup(cell.preset)
         lookup = None
         if cell.scenario:
-            if spec is not None:
-                the_spec = spec
-            else:
-                the_spec = self._scenario_lookup(cell.scenario)
+            the_spec = spec or self._scenario_lookup(cell.scenario)
 
             def lookup(name, _spec=the_spec):
                 if name == _spec.name:
@@ -515,10 +533,7 @@ class ScenarioServer:
     # -- dispatcher thread ------------------------------------------------
 
     def _scenario_for(self, name: str):
-        inline = self.store.inline_specs.get(name)
-        if inline is not None:
-            return inline
-        return self._scenario_lookup(name)
+        return self.store.inline_specs.get(name) or self._scenario_lookup(name)
 
     def _cell_energy(self, cell) -> float:
         artifact = load_cell_artifact(
@@ -528,10 +543,6 @@ class ScenarioServer:
         return float(results["total_train_wh"]) + float(
             results["total_comm_wh"]
         )
-
-    def _on_cell_start(self, cell_id: str) -> None:
-        now = _wall_now()
-        self.store.cell_started(cell_id, now)
 
     def _on_cell_progress(self, cell_id: str, done: int, total: int) -> None:
         seen = self._progress_seen.get(cell_id, 0)
@@ -552,7 +563,6 @@ class ScenarioServer:
         """Publish datasets and enqueue the job's cells (skipping cells
         whose artifact already exists — served resubmissions are
         idempotent, like ``repro sweep`` reruns)."""
-        assert self._pool is not None and self._cache is not None
         now = _wall_now()
         for served in job.cells:
             cell = served.cell
@@ -607,31 +617,20 @@ class ScenarioServer:
         seen = self._progress_seen.pop(cell_id, 0)
         now = _wall_now()
         found = self.store.cell_for(cell_id)
-        if found is not None:
-            served = found[1]
-            # credit the units the throttled progress stream never
-            # reported, so the counters reach total_units exactly
-            if served.total_units > seen:
-                self._count_units(served, served.total_units - seen)
-        result = self.store.cell_done(
-            cell_id, resumed,
-            self._cell_energy_safe(cell_id), now,
-        )
-        if result is None:
-            return
-        job, _ = result
-        self._finish_bookkeeping(job, cell_completed=True)
-
-    def _cell_energy_safe(self, cell_id: str) -> float:
-        found = self.store.cell_for(cell_id)
         if found is None:
-            return 0.0
+            return
+        job, served = found
+        # credit the units the throttled progress stream never
+        # reported, so the counters reach total_units exactly
+        if served.total_units > seen:
+            self._count_units(served, served.total_units - seen)
         try:
-            energy = self._cell_energy(found[1].cell)
+            energy = self._cell_energy(served.cell)
         except (FileNotFoundError, KeyError, ValueError):
-            return 0.0
+            energy = 0.0
         self.m_energy.inc(energy)
-        return energy
+        self.store.cell_done(cell_id, resumed, energy, now)
+        self._finish_bookkeeping(job, cell_completed=True)
 
     def _handle_worker_error(self, exc: PoolWorkerError) -> None:
         now = _wall_now()
@@ -644,51 +643,41 @@ class ScenarioServer:
             )
             if result is not None:
                 self._finish_bookkeeping(result[0], cell_completed=False)
-        assert self._pool is not None
         revived = self._pool.revive()
         if revived:
             self._say(f"revived {revived} worker(s)")
 
     def _dispatch_loop(self) -> None:
-        assert self._pool is not None
         try:
             while True:
-                if not self.pause_dispatch.is_set():
-                    while True:
-                        job = self.store.next_queued()
-                        if job is None:
-                            break
-                        try:
-                            self._submit_job(job)
-                        except BaseException:
-                            import traceback
-
-                            tb = traceback.format_exc()
-                            now = _wall_now()
-                            for served in job.cells:
-                                if served.state == "pending":
-                                    self.store.cell_failed(
-                                        served.cell.cell_id, tb, now
-                                    )
-                            self._finish_bookkeeping(
-                                job, cell_completed=False
-                            )
-                            self._say(f"failed to dispatch {job.job_id}")
-                try:
-                    result = self._pool.next_result(
-                        timeout=PersistentPool.POLL_INTERVAL
-                    )
-                except PoolWorkerError as exc:
-                    self._handle_worker_error(exc)
-                    continue
-                if result is not None:
-                    self._handle_completion(*result)
-                if (
+                while not self.pause_dispatch.is_set() and (
+                    job := self.store.next_queued()
+                ):
+                    try:
+                        self._submit_job(job)
+                    except BaseException:
+                        tb = traceback.format_exc()
+                        now = _wall_now()
+                        for served in job.cells:
+                            if served.state == "pending":
+                                self.store.cell_failed(
+                                    served.cell.cell_id, tb, now
+                                )
+                        self._finish_bookkeeping(job, cell_completed=False)
+                        self._say(f"failed to dispatch {job.job_id}")
+                if self._closed or (
                     self._draining.is_set()
                     and self._pool.outstanding == 0
                     and self.store.all_done()
                 ):
                     return
+                try:
+                    result = self._pool.next_result()
+                except PoolWorkerError as exc:
+                    self._handle_worker_error(exc)
+                    continue
+                if result is not None:
+                    self._handle_completion(*result)
         except BaseException as exc:
             self._dispatcher_error = exc
             self._draining.set()

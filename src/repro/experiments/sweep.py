@@ -605,8 +605,8 @@ def run_sweep(
     ``jobs > 1`` fans the shard's pending cells out to a process pool
     selected by ``pool``:
 
-    * ``"persistent"`` (default) — long-lived fork workers pulling
-      individual cells off a work queue, with each distinct dataset
+    * ``"persistent"`` (default) — long-lived fork workers handed
+      individual cells over per-worker pipes, with each distinct dataset
       prepared once in the parent and published to the workers via
       shared memory (see :mod:`repro.experiments.pool`). A crashed
       worker fails the sweep fast with its original traceback.

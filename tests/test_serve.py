@@ -10,11 +10,14 @@ loopback and no registry pollution. The one subprocess test drives
 """
 
 import dataclasses
+from http.client import HTTPConnection
 import json
 import multiprocessing as mp
 import os
 import re
 import signal
+import socket
+import statistics
 import subprocess
 import sys
 import time
@@ -26,6 +29,9 @@ import pytest
 
 from repro.experiments import build_plan, run_sweep
 from repro.experiments.serve import (
+    CellInFlightError,
+    JobStore,
+    QueueFullError,
     ScenarioServer,
     ServeConfig,
     build_schedule,
@@ -225,6 +231,123 @@ class TestValidation:
         assert status == 202
         assert wait_for_job(server.url, again["job_id"])["state"] == "done"
 
+    @pytest.mark.parametrize("length, expected", [
+        (None, 400),  # missing
+        ("-1", 400),
+        ("12abc", 400),
+        ("1.5", 400),
+        ("", 400),
+        (str((1 << 20) + 1), 413),  # over the fixed 1 MiB cap
+        (str(1 << 40), 413),
+    ])
+    def test_bad_content_length_is_rejected_unread(
+        self, server, length, expected
+    ):
+        """The handler must decide from the header alone: it never
+        reads (or waits for) a body it is about to refuse, and it drops
+        the connection, whose unread bytes would poison keep-alive."""
+        conn = HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            conn.putrequest("POST", "/jobs")
+            if length is not None:
+                conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            assert response.status == expected, body
+            assert body["error"]
+            assert response.getheader("Connection") == "close"
+        finally:
+            conn.close()
+        assert http(f"{server.url}/healthz")[0] == 200
+        assert server.store.jobs() == []
+
+    def test_body_at_the_cap_is_read(self, server):
+        padded = json.dumps(PRESET_JOB).encode().ljust(1 << 20)
+        conn = HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            conn.request("POST", "/jobs", body=padded)
+            response = conn.getresponse()
+            job = json.loads(response.read())
+            assert response.status == 202, job
+        finally:
+            conn.close()
+        assert wait_for_job(server.url, job["job_id"])["state"] == "done"
+
+
+class TestJobStoreCounters:
+    """``JobStore`` admits and drains from O(1) counters instead of
+    walking every job ever accepted; the counters must agree with that
+    walk after every transition, so 429 and drain completion fire at
+    exactly the points they always did."""
+
+    @staticmethod
+    def _cells(*seeds):
+        from repro.experiments.artifacts import PlanCell
+
+        return [
+            PlanCell(preset="servetiny", algorithm="d-psgd", degree=3,
+                     seed=seed, total_rounds=1, kind="sync")
+            for seed in seeds
+        ]
+
+    @staticmethod
+    def _walk(store):
+        """The pre-counter definitions, recomputed from the jobs."""
+        jobs = store.jobs()
+        backlog = sum(job.unfinished_cells for job in jobs)
+        drained = all(job.state in ("done", "failed") for job in jobs)
+        return backlog, drained
+
+    def _check(self, store):
+        backlog, drained = self._walk(store)
+        assert store.all_done() == drained
+        room = store.queue_limit - backlog
+        # admission flips exactly at the bound: room+1 cells never fit
+        with pytest.raises(QueueFullError):
+            store.submit(self._cells(*range(900, 901 + room)), {}, None, 0.0)
+        return backlog
+
+    def test_counters_match_the_walk_through_every_transition(self):
+        store = JobStore(queue_limit=4)
+        assert self._check(store) == 0
+        first = store.submit(self._cells(0, 1), {}, None, 1.0)
+        assert self._check(store) == 2
+        with pytest.raises(QueueFullError):
+            store.submit(self._cells(2, 3, 4), {}, None, 1.0)
+        with pytest.raises(CellInFlightError):
+            store.submit(self._cells(1), {}, None, 1.0)
+        assert self._check(store) == 2  # rejections admit nothing
+        second = store.submit(self._cells(2, 3), {}, None, 2.0)
+        assert self._check(store) == 4
+        assert store.next_queued() is first
+        store.cell_started(first.cell_ids[0], 3.0)
+        assert self._check(store) == 4
+        store.cell_done(first.cell_ids[0], False, 1.0, 4.0)
+        assert self._check(store) == 3
+        # a cell settled twice (dispatch failure, then the pool's own
+        # report) leaves the backlog only once
+        store.cell_failed(first.cell_ids[1], "boom", 5.0)
+        assert first.state == "failed"
+        store.cell_failed(first.cell_ids[1], "boom", 5.0)
+        assert self._check(store) == 2
+        assert store.next_queued() is second
+        store.cell_failed(second.cell_ids[0], "boom", 6.0)
+        store.cell_done(second.cell_ids[0], False, 0.0, 6.5)
+        assert self._check(store) == 1
+        assert not store.all_done()
+        store.cell_done(second.cell_ids[1], False, 1.0, 7.0)
+        assert self._check(store) == 0
+        assert store.all_done()
+        # freed capacity is usable, and finished cells may be resubmitted
+        third = store.submit(self._cells(0, 1, 2, 3), {}, None, 8.0)
+        assert self._check(store) == 4
+        assert not store.all_done()
+        for cell_id in third.cell_ids:
+            store.cell_done(cell_id, False, 0.0, 9.0)
+        assert self._check(store) == 0
+        assert store.all_done()
+
 
 class TestBackpressure:
     def test_queue_overflow_is_429(self, serve_preset, serve_scenario,
@@ -342,6 +465,73 @@ class TestMetrics:
         )
         assert job_sample in samples
         assert samples[job_sample] > 0
+
+
+class TestLatencyAnatomy:
+    """The serve path is event-driven end to end: a reply is one TCP
+    segment, and the dispatcher is woken by the state changes it must
+    react to instead of finding them at its next poll."""
+
+    @staticmethod
+    def _raw_get(sock, path):
+        """One request on a kept-alive raw socket; returns (the bytes
+        of the first ``recv``, round-trip seconds)."""
+        request = f"GET {path} HTTP/1.1\r\nHost: serve\r\n\r\n".encode()
+        started = time.perf_counter()
+        sock.sendall(request)
+        first = sock.recv(1 << 16)
+        return first, time.perf_counter() - started
+
+    def test_reply_is_one_segment_and_round_trips_are_fast(self, server):
+        _, job = http(f"{server.url}/jobs", PRESET_JOB)
+        wait_for_job(server.url, job["job_id"])
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            sock.settimeout(5)
+            trips = []
+            for _ in range(20):
+                first, rtt = self._raw_get(sock, f"/jobs/{job['job_id']}")
+                trips.append(rtt)
+                # headers and body left the server in one send, so one
+                # recv sees the complete response
+                head, sep, body = first.partition(b"\r\n\r\n")
+                assert sep, first
+                length = int(re.search(
+                    rb"(?i)content-length: (\d+)", head).group(1))
+                assert len(body) == length
+                assert json.loads(body)["state"] == "done"
+        # two unbuffered sends without TCP_NODELAY cost ~40 ms each way
+        # round (Nagle x delayed ACK) on a kept-alive connection
+        assert statistics.median(trips) < 0.010, trips
+
+    def test_parked_dispatcher_starts_a_job_at_once(self, server):
+        """With the dataset already published, queue wait is a wake-up
+        and a pipe write — it used to be whatever was left of the 0.2 s
+        poll period (0.1 s on average)."""
+        _, warm = http(f"{server.url}/jobs", dict(PRESET_JOB, seeds=[0]))
+        wait_for_job(server.url, warm["job_id"])
+        time.sleep(0.3)  # the dispatcher is back in its blocking wait
+        _, job = http(f"{server.url}/jobs", dict(
+            PRESET_JOB, seeds=[0], algorithm="skiptrain"))
+        body = wait_for_job(server.url, job["job_id"])
+        assert body["state"] == "done"
+        assert body["started_at"] - body["submitted_at"] < 0.1
+
+    def test_drain_of_an_idle_daemon_returns_at_once(self, server):
+        time.sleep(0.3)  # the dispatcher is parked in its blocking wait
+        started = time.monotonic()
+        server.begin_drain()
+        assert server.wait(timeout=5)
+        assert time.monotonic() - started < 0.1
+
+    def test_releasing_the_pause_hook_wakes_the_dispatcher(self, server):
+        server.pause_dispatch.set()
+        _, job = http(f"{server.url}/jobs", PRESET_JOB)
+        time.sleep(0.3)  # woken by the submission, parked again: paused
+        assert http(f"{server.url}/jobs/{job['job_id']}")[1]["state"] == (
+            "queued"
+        )
+        server.pause_dispatch.clear()
+        assert wait_for_job(server.url, job["job_id"])["state"] == "done"
 
 
 class TestDrain:

@@ -348,9 +348,10 @@ class TestKilledWorkerLiveness:
     """Regression battery for the silent-death liveness bug: the old
     pool only noticed a hard-killed worker once *every* worker had
     exited, so one SIGKILL with siblings still alive hung ``run`` until
-    the queue drained (or forever, with outstanding work). The fixed
-    pool attributes each in-flight cell to its worker via ``start``
-    messages and must raise within about one liveness poll."""
+    the queue drained (or forever, with outstanding work). The pool
+    hands out cells itself, so it knows which one each worker holds,
+    and waits on every worker's process sentinel: the death is an
+    event, raised at once."""
 
     @staticmethod
     def _cells(n):
@@ -375,9 +376,9 @@ class TestKilledWorkerLiveness:
 
     def test_sigkilled_worker_fails_fast_naming_the_cell(self, tmp_path):
         """SIGKILL one of two workers mid-cell: ``PoolWorkerError``
-        names the lost cell and arrives within a few poll intervals
-        (expected ~2×POLL_INTERVAL; the bound is generous for slow
-        CI), not after the surviving worker drains the queue."""
+        names the lost cell and arrives at once (there is no poll
+        period; the bound is generous for slow CI), not after the
+        surviving worker drains the queue."""
         import time
 
         from repro.experiments.pool import PersistentPool
@@ -404,9 +405,9 @@ class TestKilledWorkerLiveness:
         assert err.value.cell_id == victim_id
         assert victim_id in str(err.value)
         assert "died without reporting" in str(err.value)
-        assert elapsed < 20 * PersistentPool.POLL_INTERVAL, (
-            f"liveness detection took {elapsed:.1f}s — the old "
-            f"all-dead-only check is back"
+        assert elapsed < 1.0, (
+            f"liveness detection took {elapsed:.1f}s — a death must "
+            f"arrive as an event, not at a poll"
         )
 
     def test_revive_restores_capacity_after_a_kill(self, tmp_path):
@@ -432,7 +433,7 @@ class TestKilledWorkerLiveness:
             with pytest.raises(PoolWorkerError):
                 while True:
                     pool.next_result()
-            assert pool.workers_alive == 0
+            assert pool.busy == pool.outstanding == 0
             assert pool.revive() == 1
             pool.submit((survivor,))
             pool.close_intake()
@@ -442,6 +443,120 @@ class TestKilledWorkerLiveness:
                 if result is not None:
                     results.append(result)
         assert [cell_id for cell_id, _ in results] == [survivor.cell_id]
+
+
+class TestPerWorkerChannels:
+    """Each worker owns one pipe and the parent dispatches tasks, so a
+    death can break no channel but the dead worker's own. The shared
+    queues this replaced could not promise that: an idle worker blocks
+    in ``task_queue.get()`` *holding the queue's reader lock*, and a
+    worker mid-``put`` holds the result queue's writer lock — SIGKILL
+    either and every sibling (and every revived worker) waits on the
+    dead worker's lock forever."""
+
+    _cells = staticmethod(TestKilledWorkerLiveness._cells)
+
+    @staticmethod
+    def _collect(pool, deadline_s):
+        """Drain the pool; returns (results, errors). Bounded, so a
+        wedged pool fails the test instead of hanging the suite."""
+        import time
+
+        results, errors = [], []
+        deadline = time.monotonic() + deadline_s
+        while pool.outstanding:
+            assert time.monotonic() < deadline, (
+                f"pool wedged with {pool.outstanding} cell(s) outstanding"
+            )
+            try:
+                result = pool.next_result(timeout=0.1)
+            except PoolWorkerError as exc:
+                errors.append(exc)
+                continue
+            if result is not None:
+                results.append(result)
+        return results, errors
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_killing_idle_workers_does_not_wedge_the_pool(self, order):
+        import multiprocessing as mp
+        import signal
+
+        from repro.experiments.pool import PersistentPool
+
+        cells = self._cells(2)
+        before = set(mp.active_children())
+        with PersistentPool(2, lambda cell: False) as pool:
+            workers = sorted(
+                set(mp.active_children()) - before, key=lambda p: p.pid
+            )
+            assert len(workers) == 2
+            for cell, index in zip(cells, order):
+                os.kill(workers[index].pid, signal.SIGKILL)
+                workers[index].join(5)
+                assert pool.revive() == 1
+                pool.submit((cell,))
+                results, errors = self._collect(pool, deadline_s=2.0)
+                assert results == [(cell.cell_id, False)]
+                assert errors == []
+
+    def test_worker_killed_mid_send_names_its_cell(self, tmp_path):
+        """The victim blocks half-way through a 32 MiB progress message
+        (nobody is reading yet) and is SIGKILLed there. The parent must
+        read the torn message as that worker's death — naming its cell
+        — while the sibling's result arrives intact."""
+        import signal
+        import time
+
+        from repro.experiments.pool import PersistentPool
+
+        victim, sibling = self._cells(2)
+
+        def run_one(cell, report):
+            if cell.cell_id == victim.cell_id:
+                (tmp_path / "victim.pid").write_text(str(os.getpid()))
+                report(b"x" * (32 << 20), 1)
+                time.sleep(120)
+            return False
+
+        with PersistentPool(2, run_one, progress=True) as pool:
+            pool.submit((victim,))
+            pool.submit((sibling,))
+            pid_file = tmp_path / "victim.pid"
+            deadline = time.monotonic() + 10
+            while not pid_file.is_file():
+                assert time.monotonic() < deadline, "victim never started"
+                time.sleep(0.02)
+            time.sleep(0.3)  # let the send fill the pipe and block
+            os.kill(int(pid_file.read_text()), signal.SIGKILL)
+            results, errors = self._collect(pool, deadline_s=5.0)
+        assert results == [(sibling.cell_id, False)]
+        assert [exc.cell_id for exc in errors] == [victim.cell_id]
+        assert "died without reporting" in str(errors[0])
+
+    def test_wake_interrupts_a_blocked_wait(self):
+        """``wake()`` from another thread makes an untimed
+        ``next_result`` return ``None`` — how the serve dispatcher
+        learns of submissions and drains without polling."""
+        import threading
+        import time
+
+        from repro.experiments.pool import PersistentPool
+
+        with PersistentPool(1, lambda cell: False) as pool:
+            timer = threading.Timer(0.2, pool.wake)
+            timer.start()
+            started = time.monotonic()
+            assert pool.next_result() is None
+            elapsed = time.monotonic() - started
+            timer.join()
+            assert 0.15 < elapsed < 2.0
+            # a wake-up is consumed by the wait it interrupts
+            assert pool.next_result(timeout=0.05) is None
+            pool.wake()
+            pool.wake()
+            assert pool.next_result() is None
+            assert pool.next_result(timeout=0.05) is None
 
 
 class TestAutoJobs:
