@@ -1,0 +1,116 @@
+"""Raw-artifact byte pins across the node data plane.
+
+``tests/golden/artifact_digests.json`` holds the SHA-256 of four raw
+cell artifacts, recorded from the tree *before* the columnar
+``NodeBank`` replaced the per-node ``Node``/``DataLoader`` objects:
+
+* ``fleet-vectorized`` — ``n1024-fleet`` skiptrain, degree 4, seed 0,
+  vectorized (the cell CI's ``fleet-smoke`` job also runs);
+* ``bench-serial-steps10`` — the 32-node ``cifar10-bench`` preset
+  (``local_steps=10``) cut to 24 rounds, serial engine;
+* ``ragged-serial`` — a cell whose nodes hold 12 or 13 samples against
+  ``batch_size=13``, so some nodes draw ``k_i < batch_size`` and the
+  stacked trainer has to group rows by ``k``;
+* ``churn-async-vectorized`` — the ``churn-async`` scenario on the
+  vectorized event engine.
+
+The batch-stream contract (one ``choice(n_i, k_i, replace=False)`` per
+local step off ``node_stream("batch", i)``, node-major) is what these
+bytes depend on; any change to how batches are drawn or gathered moves
+them. Re-record only for an intentional, documented contract change::
+
+    PYTHONPATH=src python tests/test_artifact_digests.py > tests/golden/artifact_digests.json
+"""
+
+import dataclasses
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from repro.experiments import artifact_path, build_plan, get_preset, run_cell
+from repro.scenarios import build_scenario_plan, get_scenario
+
+GOLDEN = Path(__file__).parent / "golden" / "artifact_digests.json"
+
+
+def ragged_preset():
+    """8 nodes over 100 samples: two array-split shards each gives node
+    sizes 12 and 13, straddling ``batch_size=13``."""
+    return dataclasses.replace(
+        get_preset("n1024-fleet"),
+        name="ragged",
+        n_nodes=8,
+        degrees=(3,),
+        num_train=100,
+        num_test=120,
+        batch_size=13,
+        local_steps=2,
+        total_rounds=12,
+        eval_every=4,
+        eval_node_sample=None,
+        tuned_schedules={3: (2, 2)},
+    )
+
+
+def _fleet(results_dir, **kwargs):
+    preset = get_preset("n1024-fleet")
+    cell = build_plan(preset, ("skiptrain",), degrees=(4,), seeds=(0,))[0]
+    run_cell(preset, cell, results_dir, vectorized=True, **kwargs)
+    return artifact_path(results_dir, cell)
+
+
+def _bench(results_dir, **kwargs):
+    preset = get_preset("cifar10-bench")
+    cell = build_plan(preset, ("skiptrain",), degrees=(3,), seeds=(0,),
+                      total_rounds=24)[0]
+    run_cell(preset, cell, results_dir, **kwargs)
+    return artifact_path(results_dir, cell)
+
+
+def _ragged(results_dir, **kwargs):
+    preset = ragged_preset()
+    cell = build_plan(preset, ("skiptrain",), seeds=(0,))[0]
+    run_cell(preset, cell, results_dir, **kwargs)
+    return artifact_path(results_dir, cell)
+
+
+def _churn_async(results_dir, **kwargs):
+    spec = get_scenario("churn-async")
+    cell = build_scenario_plan(spec, seeds=(0,))[0]
+    run_cell(get_preset(spec.preset), cell, results_dir, vectorized=True,
+             **kwargs)
+    return artifact_path(results_dir, cell)
+
+
+CELLS = {
+    "fleet-vectorized": _fleet,
+    "bench-serial-steps10": _bench,
+    "ragged-serial": _ragged,
+    "churn-async-vectorized": _churn_async,
+}
+
+
+def digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_artifact_bytes_match_the_pre_bank_record(name, tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == sorted(CELLS)
+    assert digest(CELLS[name](tmp_path)) == golden[name], (
+        f"{name}: raw artifact bytes moved — the batch-stream contract "
+        f"(docs/determinism-contracts.md) changed somewhere between "
+        f"partition, index draw and gather"
+    )
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print(json.dumps(
+            {name: digest(run(Path(tmp) / name)) for name, run in sorted(CELLS.items())},
+            indent=1,
+        ))
