@@ -15,7 +15,8 @@ Subpackages
 ``repro.energy``
     Smartphone device profiles, energy traces, accounting (Eq. 2–3).
 ``repro.simulation``
-    Synchronous round engine (serial and process-parallel).
+    Synchronous round engine (serial, vectorized, node-sharded) and
+    asynchronous gossip engine.
 ``repro.experiments``
     Per-figure/table experiment runners and reporting.
 """

@@ -8,6 +8,7 @@ from .dataset import ArrayDataset, DataLoader
 from .partition import (
     dirichlet_partition,
     iid_partition,
+    partition_csr,
     partition_datasets,
     shard_partition,
     writer_partition,
@@ -42,6 +43,7 @@ __all__ = [
     "writer_partition",
     "iid_partition",
     "dirichlet_partition",
+    "partition_csr",
     "partition_datasets",
     "class_distribution_matrix",
     "labels_per_node",

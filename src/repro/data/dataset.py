@@ -59,8 +59,12 @@ class DataLoader:
     """Infinite sampler of mini-batches from an :class:`ArrayDataset`.
 
     D-PSGD samples a fresh mini-batch per local step rather than making
-    epoch passes, so the loader exposes :meth:`sample` (with-replacement
-    shuffled batches) plus an epoch-style iterator for evaluation code.
+    epoch passes, so the loader exposes :meth:`sample` (a fresh batch
+    per call, drawn without replacement within the batch) plus an
+    epoch-style iterator for evaluation code. The engines draw their
+    batches through :class:`repro.simulation.node_bank.NodeBank`, which
+    makes the same per-step draw for all nodes without per-node copies
+    of the data; the loader remains for standalone use.
     """
 
     def __init__(

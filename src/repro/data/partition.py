@@ -13,6 +13,8 @@ IID and Dirichlet partitioners are included as controls/ablations.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .dataset import ArrayDataset
@@ -23,6 +25,7 @@ __all__ = [
     "writer_partition",
     "iid_partition",
     "dirichlet_partition",
+    "partition_csr",
     "partition_datasets",
 ]
 
@@ -126,19 +129,46 @@ def dirichlet_partition(
     )
 
 
+def partition_csr(
+    indices: Sequence[np.ndarray], n_samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate per-node index lists against a dataset of ``n_samples``
+    rows and return them in CSR form: ``(offsets, flat)`` with node
+    ``i`` owning ``flat[offsets[i]:offsets[i + 1]]``.
+
+    Every index must lie in ``[0, n_samples)`` — a negative index would
+    silently alias a sample from the end — and no sample may be
+    assigned twice.
+    """
+    sizes = np.fromiter(
+        (len(idx) for idx in indices), dtype=np.int64, count=len(indices)
+    )
+    offsets = np.zeros(len(indices) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    flat = np.concatenate(
+        [np.asarray(idx, dtype=np.int64) for idx in indices]
+        or [np.empty(0, dtype=np.int64)]
+    )
+    bad = np.flatnonzero((flat < 0) | (flat >= n_samples))
+    if bad.size:
+        node = int(np.searchsorted(offsets, bad[0], side="right")) - 1
+        raise ValueError(
+            f"node {node}: partition index {int(flat[bad[0]])} out of range "
+            f"for a dataset of {n_samples} samples"
+        )
+    repeated = np.flatnonzero(np.bincount(flat, minlength=n_samples) > 1)
+    if repeated.size:
+        raise ValueError(
+            f"partition indices overlap across nodes: sample "
+            f"{int(repeated[0])} is assigned more than once"
+        )
+    return offsets, flat
+
+
 def partition_datasets(
-    dataset: ArrayDataset, indices: list[np.ndarray]
+    dataset: ArrayDataset, indices: Sequence[np.ndarray]
 ) -> list[ArrayDataset]:
     """Materialize per-node datasets from a global dataset + index lists,
-    verifying the index lists form a disjoint family."""
-    seen: set[int] = set()
-    total = 0
-    for idx in indices:
-        total += idx.size
-        s = set(int(i) for i in idx)
-        if seen & s:
-            raise ValueError("partition indices overlap across nodes")
-        seen |= s
-    if total > len(dataset):
-        raise ValueError("partition references more samples than exist")
+    verifying the index lists are in bounds and form a disjoint family."""
+    partition_csr(indices, len(dataset))
     return [dataset.subset(idx) for idx in indices]

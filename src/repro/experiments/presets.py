@@ -206,8 +206,9 @@ def fleet_preset(n_nodes: int) -> ExperimentPreset:
     is O(E + n·dim) — at n=16384 the state matrix is ~22 MiB where a
     single dense n×n intermediate would be 2 GiB. Registered in the
     preset zoo (and therefore as scenarios, so churn/failure axes
-    compose); benchmarked by ``train_rounds_n{1024,4096,16384}`` in
-    BENCH_throughput.json with peak-RSS gating."""
+    compose). The perf record is the ``sync-fleet16384`` workload of
+    ``benchmarks/perf``; ``benchmarks/test_engine_throughput.py`` keeps
+    the 2 GiB peak-RSS cap as a regression test."""
     if n_nodes < 2:
         raise ValueError("fleet presets need at least 2 nodes")
     return ExperimentPreset(

@@ -636,70 +636,60 @@ class BatchedTrainer:
         self.model = vectorize_module(template)
         self.optimizer = BatchedSGD(self.model, lr=lr, weight_decay=weight_decay)
 
-    def train_block(
-        self,
-        block: np.ndarray,
-        batch_lists: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
-    ) -> np.ndarray:
-        """Train ``block[i]`` on ``batch_lists[i]`` (E batches per node),
-        in place. Returns each node's mean loss over its local steps.
-
-        Nodes whose batch sizes differ (smaller-than-batch datasets) are
-        grouped into rectangular sub-blocks so every stack is uniform;
-        grouping never changes any node's arithmetic or RNG stream.
-        """
-        if block.shape[0] != len(batch_lists):
-            raise ValueError("one batch list per block row required")
-        if block.shape[0] == 0:
-            return np.empty(0)
-        sizes = np.array([bl[0][0].shape[0] for bl in batch_lists])
-        if (sizes == sizes[0]).all():
-            return self._train_uniform(block, batch_lists)
-        losses = np.empty(len(batch_lists))
-        for size in np.unique(sizes):
-            pos = np.nonzero(sizes == size)[0]
-            sub = block[pos]  # fancy index: a copy
-            losses[pos] = self._train_uniform(sub, [batch_lists[p] for p in pos])
-            block[pos] = sub
-        return losses
-
     def train_rows(
         self,
         state: np.ndarray,
         ids: np.ndarray,
-        batch_lists: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
+        x: np.ndarray,
+        y: np.ndarray,
+        idx: np.ndarray,
+        k: np.ndarray,
     ) -> np.ndarray:
-        """Gather rows ``ids`` of ``state``, train each on its batch
-        list, and scatter the results back — the arbitrary-subset entry
-        point both engines use (the sync engine trains the round's
-        masked nodes; the async engine one disjoint event batch).
+        """Gather rows ``ids`` of ``state``, train each on its drawn
+        mini-batches, and scatter the results back — the
+        arbitrary-subset entry point both engines use (the sync engine
+        trains the round's masked nodes; the async engine one disjoint
+        event batch).
 
-        ``ids`` may list rows in any order and the order is honoured:
-        ``state[ids[p]]`` trains on ``batch_lists[p]``. The gather is a
-        fancy-index copy, so rows not listed are never touched. Returns
-        per-row mean losses in ``ids`` order.
+        The batches arrive as sample indices, the stacked form
+        :meth:`repro.simulation.node_bank.NodeBank.draw` returns:
+        ``state[ids[p]]`` takes local step ``s`` on samples
+        ``idx[p, s, :k[p]]`` of the global ``x``/``y``, which are
+        gathered here, one ``(rows, k, ...)`` stack per step. ``ids``
+        may list rows in any order. Rows whose batch sizes differ
+        (smaller-than-batch datasets) are grouped into rectangular
+        sub-blocks so every stack is uniform; grouping never changes
+        any row's arithmetic. The row gather is a fancy-index copy, so
+        rows not listed are never touched. Returns per-row mean losses
+        in ``ids`` order.
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
             return np.empty(0)
         block = state[ids]  # fancy index: a copy
-        losses = self.train_block(block, batch_lists)
+        widths = np.unique(k)
+        if widths.size == 1:
+            losses = self._train_uniform(block, x, y, idx[:, :, : widths[0]])
+        else:
+            losses = np.empty(ids.size)
+            for width in widths:
+                pos = np.flatnonzero(k == width)
+                sub = block[pos]  # fancy index: a copy
+                losses[pos] = self._train_uniform(sub, x, y, idx[pos, :, :width])
+                block[pos] = sub
         state[ids] = block
         return losses
 
     def _train_uniform(
-        self,
-        block: np.ndarray,
-        batch_lists: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
+        self, block: np.ndarray, x: np.ndarray, y: np.ndarray, idx: np.ndarray
     ) -> np.ndarray:
         self.model.bind(block)
-        local_steps = len(batch_lists[0])
+        local_steps = idx.shape[1]
         total = np.zeros(block.shape[0])
         for step in range(local_steps):
-            x = np.stack([bl[step][0] for bl in batch_lists])
-            y = np.stack([bl[step][1] for bl in batch_lists])
-            logits = self.model.forward(x)
-            losses, grad = F.batched_cross_entropy(logits, y)
+            sel = idx[:, step]
+            logits = self.model.forward(x[sel])
+            losses, grad = F.batched_cross_entropy(logits, y[sel])
             total += losses
             self.model.backward(grad)
             self.optimizer.step()

@@ -1,7 +1,8 @@
 """``repro.simulation`` — the decentralized-learning simulators
 (substitute for the paper's DecentralizePy cluster deployment):
-synchronous round engine, process-parallel variant, asynchronous gossip
-engine, message-level network, failure injection and fairness metrics."""
+synchronous round engine (optionally node-sharded across fork workers),
+asynchronous gossip engine, the columnar node data plane both train
+from, message-level network, failure injection and fairness metrics."""
 
 from .async_engine import (
     AsyncDPSGD,
@@ -45,9 +46,8 @@ from .metrics import (
     evaluate_state,
 )
 from .network import MessagePassingNetwork, TrafficStats
-from .node import Node
+from .node_bank import NodeBank
 from .node_shard import NodeShardError, NodeShardPool, shard_blocks
-from .parallel import ParallelSimulationEngine
 from .rng import RngFactory, generator_state, restore_generator
 from .state_store import (
     MemoryStateStore,
@@ -59,12 +59,11 @@ from .state_store import (
 
 __all__ = [
     "RngFactory",
-    "Node",
+    "NodeBank",
     "build_nodes",
     "build_engine",
     "EngineConfig",
     "SimulationEngine",
-    "ParallelSimulationEngine",
     "NodeShardPool",
     "NodeShardError",
     "shard_blocks",

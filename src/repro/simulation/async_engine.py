@@ -87,7 +87,7 @@ from ..nn.optim import SGD
 from ..nn.serialization import parameter_vector, set_parameter_vector
 from .event_batch import EventBatch, plan_window
 from .metrics import consensus_distance, evaluate_state, membership_eval_pool
-from .node import Node
+from .node_bank import NodeBank
 from .rng import generator_state, restore_generator
 from .state_store import make_state_store
 
@@ -286,7 +286,7 @@ class AsyncGossipEngine:
     def __init__(
         self,
         model: Module,
-        nodes: list[Node],
+        nodes: NodeBank,
         neighbor_lists: list[np.ndarray],
         test_set: ArrayDataset,
         local_steps: int,
@@ -375,11 +375,11 @@ class AsyncGossipEngine:
 
     def _train_node(self, i: int) -> None:
         set_parameter_vector(self.model, self.state[i])
-        node = self.nodes[i]
-        for _ in range(self.local_steps):
-            xb, yb = node.sample_batch()
-            logits = self.model(xb)
-            self.loss.forward(logits, yb)
+        x, y = self.nodes.x, self.nodes.y
+        idx, k = self.nodes.draw(np.array([i]), self.local_steps)
+        for sel in idx[0, :, : k[0]]:
+            logits = self.model(x[sel])
+            self.loss.forward(logits, y[sel])
             self.model.zero_grad()
             self.model.backward(self.loss.backward())
             self.optimizer.step()
@@ -466,14 +466,10 @@ class AsyncGossipEngine:
             self._advance_churn(batch.churn_t)
         if batch.train_ids:
             assert self._trainer is not None
-            batch_lists = [
-                [self.nodes[i].sample_batch() for _ in range(self.local_steps)]
-                for i in batch.train_ids
-            ]
+            ids = np.asarray(batch.train_ids, dtype=np.int64)
+            idx, k = self.nodes.draw(ids, self.local_steps)
             self._trainer.train_rows(
-                self.state,
-                np.asarray(batch.train_ids, dtype=np.int64),
-                batch_lists,
+                self.state, ids, self.nodes.x, self.nodes.y, idx, k
             )
         for i, j in batch.gossips:
             # same in-place add-then-halve as _gossip: bit-identical
@@ -565,12 +561,7 @@ class AsyncGossipEngine:
                                   dtype=np.int64),
             "rng": generator_state(self.rng),
             "eval_rng": generator_state(self.eval_rng),
-            "node_rngs": [generator_state(node.loader.rng)
-                          for node in self.nodes],
-            "node_steps_done": np.array(
-                [node.local_steps_done for node in self.nodes],
-                dtype=np.int64,
-            ),
+            **self.nodes.state_dict(),
             "churn_round": int(self._churn_round),
         }
 
@@ -591,12 +582,7 @@ class AsyncGossipEngine:
                 f"snapshot has {queue_ids.shape[0]} pending events, "
                 f"expected one per node ({self.n_nodes})"
             )
-        node_rngs = sd["node_rngs"]
-        if len(node_rngs) != self.n_nodes:
-            raise ValueError(
-                f"snapshot has {len(node_rngs)} node rng streams, "
-                f"engine has {self.n_nodes} nodes"
-            )
+        self.nodes.load_state_dict(sd)
         self.state[...] = state
         self.activation_counts[...] = np.asarray(sd["activation_counts"],
                                                  dtype=np.int64)
@@ -611,10 +597,6 @@ class AsyncGossipEngine:
         self.rng = restore_generator(sd["rng"])
         self.eval_rng = restore_generator(sd["eval_rng"])
         self._churn_round = int(sd.get("churn_round", 0))
-        steps_done = np.asarray(sd["node_steps_done"], dtype=np.int64)
-        for node, rng_state, steps in zip(self.nodes, node_rngs, steps_done):
-            node.loader.rng = restore_generator(rng_state)
-            node.local_steps_done = int(steps)
 
     # -- public API -----------------------------------------------------------
 

@@ -6,11 +6,10 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..data.dataset import ArrayDataset, DataLoader
-from ..data.partition import iid_partition, partition_datasets, shard_partition
+from ..data.dataset import ArrayDataset
+from ..data.partition import iid_partition, shard_partition
 from ..energy.devices import DeviceProfile
-from ..energy.traces import assign_devices_round_robin
-from .node import Node
+from .node_bank import NodeBank
 from .rng import RngFactory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -27,23 +26,13 @@ def build_nodes(
     batch_size: int,
     rngs: RngFactory,
     devices: tuple[DeviceProfile, ...] | None = None,
-) -> list[Node]:
-    """Materialize one :class:`Node` per partition cell.
+) -> NodeBank:
+    """The :class:`NodeBank` for one partition of ``global_train``.
 
     Each node gets an independent batch-sampling stream; devices default
     to the paper's round-robin assignment over the four phones.
     """
-    parts = partition_datasets(global_train, partition)
-    n = len(parts)
-    if devices is None:
-        devices = assign_devices_round_robin(n)
-    if len(devices) != n:
-        raise ValueError("one device per node required")
-    nodes = []
-    for i, ds in enumerate(parts):
-        loader = DataLoader(ds, batch_size=batch_size, rng=rngs.node_stream("batch", i))
-        nodes.append(Node(node_id=i, dataset=ds, loader=loader, device=devices[i]))
-    return nodes
+    return NodeBank(global_train, partition, batch_size, rngs, devices)
 
 
 def build_engine(
@@ -59,9 +48,6 @@ def build_engine(
     partition: str = "shard",
     topology: str = "regular",
     degree: int = 3,
-    parallel: bool = False,
-    processes: int | None = None,
-    block_size: int | None = None,
 ) -> "SimulationEngine":
     """One-call simulation setup from a synthetic spec (benchmarks/tests).
 
@@ -69,7 +55,7 @@ def build_engine(
     matrix, engine — with every stochastic component drawn from one
     :class:`RngFactory`, so two calls with the same arguments produce
     engines with identical trajectories regardless of engine flavor
-    (serial, vectorized, parallel). ``topology`` is ``"regular"`` (random
+    (serial or vectorized). ``topology`` is ``"regular"`` (random
     ``degree``-regular) or ``"ring"``; ``partition`` is ``"shard"`` or
     ``"iid"``.
     """
@@ -80,7 +66,6 @@ def build_engine(
         ring_graph,
     )
     from .engine import SimulationEngine
-    from .parallel import ParallelSimulationEngine
 
     rngs = RngFactory(seed)
     if num_train is None:
@@ -103,42 +88,7 @@ def build_engine(
     else:
         raise ValueError(f"unknown topology {topology!r}")
     w = metropolis_hastings_weights(graph)
-    model_rng = rngs.stream("model")
-    if parallel:
-        # A seeded factory closure keeps worker models identical to the
-        # parent's (picklable: references only module-level names).
-        return ParallelSimulationEngine(
-            _SeededModelFactory(model_factory, model_rng),
-            nodes,
-            w,
-            config,
-            test,
-            eval_rng=rngs.stream("eval"),
-            processes=processes,
-            block_size=block_size,
-        )
     return SimulationEngine(
-        model_factory(model_rng), nodes, w, config, test,
+        model_factory(rngs.stream("model")), nodes, w, config, test,
         eval_rng=rngs.stream("eval"),
     )
-
-
-class _SeededModelFactory:
-    """Picklable zero-arg model factory with a frozen rng state.
-
-    Every call replays the same generator state, so the parent engine
-    and each pool worker construct bit-identical models.
-    """
-
-    def __init__(
-        self,
-        model_factory: Callable[[np.random.Generator], "Module"],
-        rng: np.random.Generator,
-    ) -> None:
-        self._factory = model_factory
-        self._state = rng.bit_generator.state
-
-    def __call__(self) -> "Module":
-        bit_gen = getattr(np.random, self._state["bit_generator"])()
-        bit_gen.state = self._state
-        return self._factory(np.random.Generator(bit_gen))

@@ -12,8 +12,11 @@ checkpoint behind:
   caller owns algorithm state and rng streams.
 * :func:`save_run_checkpoint` / :func:`load_run_checkpoint` — the full
   mid-run snapshot the sweep orchestrator uses: everything above plus
-  every node's batch-sampling rng position, the evaluation rng, the
-  algorithm's :meth:`~repro.core.base.Algorithm.state_dict`, and the
+  every node's batch-sampling rng position (the
+  :class:`~repro.simulation.node_bank.NodeBank`'s packed ``node_rng``
+  block — both run-checkpoint flavors store the same
+  ``NodeBank.state_dict``), the evaluation rng, the algorithm's
+  :meth:`~repro.core.base.Algorithm.state_dict`, and the
   :class:`~repro.simulation.metrics.RunHistory` accumulated so far. A
   killed 3000-round cell restored through this pair continues
   bit-for-bit: the resumed run's history and final state are exactly
@@ -116,6 +119,18 @@ def _archived_state(archive: np.lib.npyio.NpzFile) -> np.ndarray:
     return np.concatenate([archive[key] for key in shard_keys], axis=0)
 
 
+def _reject_old_layout(archive: np.lib.npyio.NpzFile) -> None:
+    """Run checkpoints used to hold the node streams as ``node_rng_json``
+    (one JSON dict per node); they now hold the bank's packed
+    ``node_rng`` block. Checkpoints are per-cell scratch, so the old
+    layout is refused rather than read."""
+    if "node_rng_json" in archive:
+        raise ValueError(
+            "checkpoint uses the old per-node node_rng_json layout, which "
+            "this version no longer reads; delete it and rerun the cell"
+        )
+
+
 def _restore_engine(engine: SimulationEngine, archive: np.lib.npyio.NpzFile) -> int:
     state = _archived_state(archive)
     if state.shape != engine.state.shape:
@@ -214,12 +229,7 @@ def save_run_checkpoint(
             "state; use a deterministic compressor"
         )
     payload = _engine_payload(engine, round_index)
-    payload["node_rng_json"] = np.array(
-        json.dumps([generator_state(node.loader.rng) for node in engine.nodes])
-    )
-    payload["node_steps_done"] = np.array(
-        [node.local_steps_done for node in engine.nodes], dtype=np.int64
-    )
+    payload.update(engine.nodes.state_dict())
     payload["eval_rng_json"] = np.array(json.dumps(generator_state(engine.eval_rng)))
     payload["algo_name"] = np.array(algorithm.name)
     payload["algo_json"] = np.array(json.dumps(algorithm.state_dict()))
@@ -250,22 +260,16 @@ def load_run_checkpoint(
     mismatches fail loudly.
     """
     with np.load(path) as archive:
-        if "node_rng_json" not in archive:
+        _reject_old_layout(archive)
+        if "node_rng" not in archive:
             raise ValueError(
                 "not a run checkpoint (engine-only checkpoints restore "
                 "via load_checkpoint)"
             )
         round_index = _restore_engine(engine, archive)
-        node_states = json.loads(str(archive["node_rng_json"]))
-        if len(node_states) != len(engine.nodes):
-            raise ValueError(
-                f"checkpoint has {len(node_states)} node rng streams, "
-                f"engine has {len(engine.nodes)} nodes"
-            )
-        steps_done = archive["node_steps_done"]
-        for node, rng_state, steps in zip(engine.nodes, node_states, steps_done):
-            node.loader.rng = restore_generator(rng_state)
-            node.local_steps_done = int(steps)
+        engine.nodes.load_state_dict(
+            {key: archive[key] for key in ("node_rng", "node_steps_done")}
+        )
         engine.eval_rng = restore_generator(json.loads(str(archive["eval_rng_json"])))
         saved_name = str(archive["algo_name"])
         if saved_name != algorithm.name:
@@ -347,7 +351,7 @@ def save_async_run_checkpoint(
         "queue_ids": sd["queue_ids"],
         "event_rng_json": np.array(json.dumps(sd["rng"])),
         "eval_rng_json": np.array(json.dumps(sd["eval_rng"])),
-        "node_rng_json": np.array(json.dumps(sd["node_rngs"])),
+        "node_rng": sd["node_rng"],
         "node_steps_done": sd["node_steps_done"],
         "policy_name": np.array(policy.name),
         "policy_json": np.array(json.dumps(policy.state_dict())),
@@ -383,6 +387,7 @@ def load_async_run_checkpoint(
                 "not an async run checkpoint (synchronous checkpoints "
                 "restore via load_run_checkpoint)"
             )
+        _reject_old_layout(archive)
         saved_name = str(archive["policy_name"])
         if saved_name != policy.name:
             raise ValueError(
@@ -399,7 +404,7 @@ def load_async_run_checkpoint(
                 "queue_ids": archive["queue_ids"],
                 "rng": json.loads(str(archive["event_rng_json"])),
                 "eval_rng": json.loads(str(archive["eval_rng_json"])),
-                "node_rngs": json.loads(str(archive["node_rng_json"])),
+                "node_rng": archive["node_rng"],
                 "node_steps_done": archive["node_steps_done"],
                 "churn_round": (
                     int(archive["churn_round"])

@@ -76,7 +76,7 @@ from .metrics import (
     evaluate_state,
     membership_eval_pool,
 )
-from .node import Node
+from .node_bank import NodeBank
 from .state_store import STATE_BACKENDS, make_state_store
 
 __all__ = ["EngineConfig", "SimulationEngine"]
@@ -159,7 +159,7 @@ class SimulationEngine:
     def __init__(
         self,
         model: Module,
-        nodes: list[Node],
+        nodes: NodeBank,
         mixing: "sp.spmatrix | Callable[[int], sp.spmatrix]",
         config: EngineConfig,
         test_set: ArrayDataset,
@@ -269,76 +269,67 @@ class SimulationEngine:
 
     # -- internals ------------------------------------------------------------
 
-    def _train_node(self, i: int) -> float:
-        """E local SGD steps on node i, updating ``state[i]`` in place.
-        Returns the node's mean training loss over its local steps."""
-        set_parameter_vector(self.model, self.state[i])
-        node = self.nodes[i]
+    def _train_row(self, row: np.ndarray, idx: np.ndarray) -> float:
+        """E local SGD steps on one parameter ``row``, in place, step
+        ``s`` on samples ``idx[s]`` of the bank's data. Returns the mean
+        training loss over the steps."""
+        x, y = self.nodes.x, self.nodes.y
+        set_parameter_vector(self.model, row)
         total_loss = 0.0
-        for _ in range(self.config.local_steps):
-            xb, yb = node.sample_batch()
-            logits = self.model(xb)
-            total_loss += self.loss.forward(logits, yb)
+        for sel in idx:
+            logits = self.model(x[sel])
+            total_loss += self.loss.forward(logits, y[sel])
             self.model.zero_grad()
             self.model.backward(self.loss.backward())
             self.optimizer.step()
-        parameter_vector(self.model, out=self.state[i])
+        parameter_vector(self.model, out=row)
         return total_loss / self.config.local_steps
 
     def _train_round(self, mask: np.ndarray) -> list[float]:
         """Local-training stage: E SGD steps on every masked node.
 
-        Dispatches to the vectorized block trainer or the serial
-        per-node loop; both consume each node's batch stream in the same
-        order and return per-node mean losses in ascending node order
-        (empty when no node trains this round).
+        Every masked node's E batches are drawn up front as sample
+        indices, then handed to the node-shard pool, the vectorized
+        block trainer or the serial per-row loop; all three train the
+        same rows on the same samples and return per-node mean losses
+        in ascending node order (empty when no node trains this round).
         """
         ids = np.nonzero(mask)[0]
-        if self._node_sharder is not None:
-            return self._node_sharder.train_round(self, ids)
-        if self._trainer is None:
-            return [self._train_node(int(i)) for i in ids]
         if ids.size == 0:
             return []
-        # Sample every node's E batches up front, in ascending node
-        # order — identical RNG stream consumption to the serial loop.
-        batch_lists = [
-            [self.nodes[int(i)].sample_batch() for _ in range(self.config.local_steps)]
-            for i in ids
+        idx, k = self.nodes.draw(ids, self.config.local_steps)
+        if self._node_sharder is not None:
+            return self._node_sharder.train_round(self.state, ids, idx, k)
+        if self._trainer is not None:
+            return self._trainer.train_rows(
+                self.state, ids, self.nodes.x, self.nodes.y, idx, k
+            ).tolist()
+        return [
+            self._train_row(self.state[i], idx[r, :, : k[r]])
+            for r, i in enumerate(ids)
         ]
-        return self._trainer.train_rows(self.state, ids, batch_lists).tolist()
 
     def _train_block(
-        self, block: np.ndarray, batch_lists: list
+        self, block: np.ndarray, idx: np.ndarray, k: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Pure block trainer for node-axis sharding: train ``block``'s
-        rows against pre-sampled ``batch_lists`` (one list of ``(xb,
-        yb)`` pairs per row) and return ``(trained rows, per-row mean
+        rows on the drawn sample indices (``idx[r, s, :k[r]]`` for row
+        ``r``, step ``s``) and return ``(trained rows, per-row mean
         losses)``. Reads no rng stream and touches neither ``state``
-        nor the meter, so a forked worker can run it on shipped rows;
-        both implementations are bit-identical to training the same
-        rows in the parent (the serial branch is :meth:`_train_node`
-        minus the state indexing, the vectorized branch is the same
-        stacked kernels over a smaller row block)."""
+        nor the meter, so a forked worker can run it on shipped rows
+        against its inherited copy of the bank's data; both
+        implementations are bit-identical to training the same rows in
+        the parent."""
         out = np.array(block, dtype=np.float64, copy=True)
-        k = out.shape[0]
+        rows = out.shape[0]
         if self._trainer is not None:
             losses = self._trainer.train_rows(
-                out, np.arange(k, dtype=np.int64), batch_lists
+                out, np.arange(rows), self.nodes.x, self.nodes.y, idx, k
             )
-            return out, np.asarray(losses, dtype=np.float64)
-        losses = np.empty(k, dtype=np.float64)
-        for r in range(k):
-            set_parameter_vector(self.model, out[r])
-            total_loss = 0.0
-            for xb, yb in batch_lists[r]:
-                logits = self.model(xb)
-                total_loss += self.loss.forward(logits, yb)
-                self.model.zero_grad()
-                self.model.backward(self.loss.backward())
-                self.optimizer.step()
-            parameter_vector(self.model, out=out[r])
-            losses[r] = total_loss / self.config.local_steps
+            return out, losses
+        losses = np.array(
+            [self._train_row(out[r], idx[r, :, : k[r]]) for r in range(rows)]
+        )
         return out, losses
 
     def _mixing_for_round(self, t: int) -> sp.csr_matrix:

@@ -5,22 +5,23 @@ cells; at fleet scale a single cell is itself the bottleneck — one
 n=16384 round is 16384 local-training problems that are embarrassingly
 parallel. This module shards the **node axis** of one cell across
 long-lived fork workers: each worker owns a contiguous block of node
-ids, receives ``(state rows, pre-sampled batches)`` per round, runs the
-engine's pure block trainer
-(:meth:`~repro.simulation.engine.SimulationEngine._train_block`), and
-ships the trained rows back; the parent scatters them and runs the
-gossip GEMM over the merged matrix.
+ids, receives three arrays per round — its state rows and the sample
+indices and batch widths the parent drew for them — runs the engine's
+pure block trainer
+(:meth:`~repro.simulation.engine.SimulationEngine._train_block`)
+against the training data it inherited through the fork, and ships the
+trained rows back; the parent scatters them and runs the gossip GEMM
+over the merged matrix.
 
 Bit-identity contract — sharded artifacts are byte-identical to
 unsharded ones:
 
-* Every rng stream stays in the parent. Batches are pre-sampled there
-  in ascending node order, which consumes each node's *independent*
-  batch stream exactly as the serial interleaved loop does (the same
-  argument the vectorized trainer already relies on). Checkpoints
+* Every rng stream stays in the parent: the engine draws the round's
+  sample indices from its :class:`~repro.simulation.node_bank.NodeBank`
+  before dispatching, exactly as it does unsharded. Checkpoints
   therefore capture the true stream positions, and kill/resume works
   across sharded and unsharded processes.
-* Block training is a pure function of (rows, batches): plain SGD has
+* Block training is a pure function of (rows, indices): plain SGD has
   no cross-node state (``momentum > 0`` is rejected at construction,
   the same exclusion the vectorized path makes), so partitioning the
   node loop cannot change any trained row's bits.
@@ -69,15 +70,15 @@ def shard_blocks(n_nodes: int, shards: int) -> tuple[tuple[int, int], ...]:
 
 def _worker_main(engine: "SimulationEngine", conn) -> None:
     """Worker loop: inherit the engine through the fork (model, loss,
-    optimizer — never its live state matrix), then answer pure
-    block-training requests until the ``None`` sentinel."""
+    optimizer, the bank's training data — never its live state matrix
+    or rng streams), then answer pure block-training requests until
+    the ``None`` sentinel."""
     try:
         while True:
             task = conn.recv()
             if task is None:
                 return
-            block, batch_lists = task
-            out, losses = engine._train_block(block, batch_lists)
+            out, losses = engine._train_block(*task)
             conn.send(("ok", out, losses))
     except BaseException:
         try:
@@ -123,40 +124,32 @@ class NodeShardPool:
         return len(self.blocks)
 
     def train_round(
-        self, engine: "SimulationEngine", ids: np.ndarray
+        self, state: np.ndarray, ids: np.ndarray, idx: np.ndarray, k: np.ndarray
     ) -> list[float]:
         """One round's local-training stage over masked node ids
-        (ascending): pre-sample every node's batches parent-side, fan
-        the blocks out, scatter the trained rows back. Returns per-node
-        mean losses in ascending node order."""
-        if ids.size == 0:
-            return []
-        steps = engine.config.local_steps
-        batch_lists = [
-            [engine.nodes[int(i)].sample_batch() for _ in range(steps)]
-            for i in ids
-        ]
-        state = engine.state
+        (ascending) and the sample indices drawn for them: fan the
+        blocks out, scatter the trained rows back into ``state``.
+        Returns per-node mean losses in ascending node order."""
         dispatched: list[tuple[int, np.ndarray]] = []
-        for k, (lo, hi) in enumerate(self.blocks):
+        for shard, (lo, hi) in enumerate(self.blocks):
             a = int(np.searchsorted(ids, lo))
             b = int(np.searchsorted(ids, hi))
             if a == b:
                 continue
             block_ids = ids[a:b]
-            self._conns[k].send((state[block_ids], batch_lists[a:b]))
-            dispatched.append((k, block_ids))
+            self._conns[shard].send((state[block_ids], idx[a:b], k[a:b]))
+            dispatched.append((shard, block_ids))
         losses: list[float] = []
-        for k, block_ids in dispatched:
+        for shard, block_ids in dispatched:
             try:
-                reply = self._conns[k].recv()
+                reply = self._conns[shard].recv()
             except EOFError:
                 raise NodeShardError(
-                    f"node-shard worker {k} died without reporting"
+                    f"node-shard worker {shard} died without reporting"
                 ) from None
             if reply[0] == "err":
                 raise NodeShardError(
-                    f"node-shard worker {k} failed\n"
+                    f"node-shard worker {shard} failed\n"
                     f"--- worker traceback ---\n{reply[1]}"
                 )
             _, out, block_losses = reply

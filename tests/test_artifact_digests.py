@@ -31,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import artifact_path, build_plan, get_preset, run_cell
+from repro.experiments.runner import prepare
 from repro.scenarios import build_scenario_plan, get_scenario
 
 GOLDEN = Path(__file__).parent / "golden" / "artifact_digests.json"
@@ -55,18 +56,18 @@ def ragged_preset():
     )
 
 
-def _fleet(results_dir, **kwargs):
+def _fleet(results_dir):
     preset = get_preset("n1024-fleet")
     cell = build_plan(preset, ("skiptrain",), degrees=(4,), seeds=(0,))[0]
-    run_cell(preset, cell, results_dir, vectorized=True, **kwargs)
+    run_cell(preset, cell, results_dir, vectorized=True)
     return artifact_path(results_dir, cell)
 
 
-def _bench(results_dir, **kwargs):
+def _bench(results_dir):
     preset = get_preset("cifar10-bench")
     cell = build_plan(preset, ("skiptrain",), degrees=(3,), seeds=(0,),
                       total_rounds=24)[0]
-    run_cell(preset, cell, results_dir, **kwargs)
+    run_cell(preset, cell, results_dir)
     return artifact_path(results_dir, cell)
 
 
@@ -77,11 +78,10 @@ def _ragged(results_dir, **kwargs):
     return artifact_path(results_dir, cell)
 
 
-def _churn_async(results_dir, **kwargs):
+def _churn_async(results_dir):
     spec = get_scenario("churn-async")
     cell = build_scenario_plan(spec, seeds=(0,))[0]
-    run_cell(get_preset(spec.preset), cell, results_dir, vectorized=True,
-             **kwargs)
+    run_cell(get_preset(spec.preset), cell, results_dir, vectorized=True)
     return artifact_path(results_dir, cell)
 
 
@@ -106,6 +106,29 @@ def test_artifact_bytes_match_the_pre_bank_record(name, tmp_path):
         f"(docs/determinism-contracts.md) changed somewhere between "
         f"partition, index draw and gather"
     )
+
+
+def test_ragged_cell_serial_vectorized_and_sharded_agree(tmp_path):
+    """Nodes with ``k_i < batch_size`` train in their own stacked
+    sub-block; that grouping must be invisible in the artifact."""
+    preset = ragged_preset()
+    sizes = {len(p) for p in prepare(preset, 3, seed=0).partition}
+    assert min(sizes) < preset.batch_size <= max(sizes)
+    outs = {
+        name: _ragged(tmp_path / name, **kwargs).read_bytes()
+        for name, kwargs in {
+            "serial": {},
+            "vectorized": {"vectorized": True},
+            "sharded": {"node_shards": 2},
+            "sharded-vectorized": {"node_shards": 2, "vectorized": True},
+        }.items()
+    }
+    assert outs["sharded"] == outs["serial"]
+    assert outs["sharded-vectorized"] == outs["vectorized"]
+    serial, vectorized = json.loads(outs["serial"]), json.loads(outs["vectorized"])
+    assert serial.pop("engine") == {"vectorized": False}
+    assert vectorized.pop("engine") == {"vectorized": True}
+    assert serial == vectorized
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from repro.data import (
     heterogeneity_score,
     iid_partition,
     labels_per_node,
+    partition_csr,
     partition_datasets,
     shard_partition,
     synthetic_femnist,
@@ -145,8 +146,20 @@ class TestPartitionDatasets:
 
     def test_excess_indices_rejected(self):
         ds = ArrayDataset(np.zeros((3, 1)), np.zeros(3, dtype=int), 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="node 1: partition index 3 out of range"):
             partition_datasets(ds, [np.array([0, 1]), np.array([2, 3])])
+
+    def test_negative_index_rejected_not_aliased(self):
+        """``-1`` used to pass the disjointness check and silently pick
+        the last sample."""
+        ds = ArrayDataset(np.zeros((4, 1)), np.zeros(4, dtype=int), 1)
+        with pytest.raises(ValueError, match="node 0: partition index -1 out of range"):
+            partition_datasets(ds, [np.array([0, -1]), np.array([2])])
+
+    def test_valid_partition_in_csr_form(self):
+        offsets, flat = partition_csr([np.array([3, 0]), np.array([2])], 4)
+        assert offsets.tolist() == [0, 2, 3]
+        assert flat.tolist() == [3, 0, 2]
 
 
 class TestStats:

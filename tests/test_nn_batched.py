@@ -55,6 +55,22 @@ def _serial_reference(model, rows, batch_lists, lr, weight_decay=0.0):
     return out, losses
 
 
+def _train_rows(trainer, rows, batch_lists):
+    """Train ``rows`` in place on ``batch_lists`` through the trainer's
+    index form: every batch's samples laid end to end in one global
+    ``x``/``y``, ``idx[r, s, :k[r]]`` pointing at row ``r``'s step ``s``."""
+    k = np.array([bl[0][0].shape[0] for bl in batch_lists])
+    x = np.concatenate([xb for bl in batch_lists for xb, _ in bl])
+    y = np.concatenate([yb for bl in batch_lists for _, yb in bl])
+    idx = np.zeros((len(batch_lists), len(batch_lists[0]), k.max()), dtype=np.int64)
+    start = 0
+    for r, batches in enumerate(batch_lists):
+        for s in range(len(batches)):
+            idx[r, s, : k[r]] = np.arange(start, start + k[r])
+            start += k[r]
+    return trainer.train_rows(rows, np.arange(len(rows)), x, y, idx, k)
+
+
 class TestBatchedKernels:
     def test_batched_linear_forward_matches_slices(self):
         k, b, fi, fo = 5, 7, 11, 3
@@ -154,7 +170,7 @@ class TestBatchedTrainerExactness:
         ]
         ref_rows, ref_losses = _serial_reference(model, rows, batch_lists, lr=0.2)
         got = rows.copy()
-        losses = BatchedTrainer(model, lr=0.2).train_block(got, batch_lists)
+        losses = _train_rows(BatchedTrainer(model, lr=0.2), got, batch_lists)
         np.testing.assert_array_equal(got, ref_rows)
         np.testing.assert_array_equal(losses, ref_losses)
 
@@ -172,7 +188,7 @@ class TestBatchedTrainerExactness:
         ]
         ref_rows, ref_losses = _serial_reference(model, rows, batch_lists, lr=0.1)
         got = rows.copy()
-        losses = BatchedTrainer(model, lr=0.1).train_block(got, batch_lists)
+        losses = _train_rows(BatchedTrainer(model, lr=0.1), got, batch_lists)
         np.testing.assert_array_equal(got, ref_rows)
         np.testing.assert_array_equal(losses, ref_losses)
 
@@ -187,7 +203,7 @@ class TestBatchedTrainerExactness:
             model, rows, batch_lists, lr=0.3, weight_decay=0.05
         )
         got = rows.copy()
-        BatchedTrainer(model, lr=0.3, weight_decay=0.05).train_block(got, batch_lists)
+        _train_rows(BatchedTrainer(model, lr=0.3, weight_decay=0.05), got, batch_lists)
         np.testing.assert_array_equal(got, ref_rows)
 
     def test_ragged_batch_sizes_grouped_exactly(self):
@@ -202,13 +218,15 @@ class TestBatchedTrainerExactness:
         ]
         ref_rows, ref_losses = _serial_reference(model, rows, batch_lists, lr=0.2)
         got = rows.copy()
-        losses = BatchedTrainer(model, lr=0.2).train_block(got, batch_lists)
+        losses = _train_rows(BatchedTrainer(model, lr=0.2), got, batch_lists)
         np.testing.assert_array_equal(got, ref_rows)
         np.testing.assert_array_equal(losses, ref_losses)
 
     def test_empty_block_is_noop(self):
         model = small_mlp(8, 3, hidden=4)
-        out = BatchedTrainer(model, lr=0.1).train_block(
-            np.empty((0, model.num_parameters())), []
+        none = np.empty(0, dtype=np.int64)
+        out = BatchedTrainer(model, lr=0.1).train_rows(
+            np.empty((0, model.num_parameters())), none,
+            np.empty((0, 8)), none, np.empty((0, 1, 0), dtype=np.int64), none,
         )
         assert out.shape == (0,)

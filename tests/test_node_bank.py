@@ -1,0 +1,256 @@
+"""The columnar node data plane (``repro.simulation.node_bank``).
+
+The bank replaced one ``Node`` + ``DataLoader`` + ``ArrayDataset``
+object triple per node. What must survive that is the batch-stream
+contract: node ``i`` draws one ``choice(n_i, k_i, replace=False)`` per
+local step off ``node_stream("batch", i)``, over its own slice of the
+data. The legacy per-node ``DataLoader.sample()`` sequence is kept
+here as the oracle.
+"""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.data import ArrayDataset, DataLoader
+from repro.experiments import artifact_path, build_plan, get_preset, run_cell
+from repro.experiments.artifacts import checkpoint_path
+from repro.scenarios import build_scenario_plan, get_scenario
+from repro.simulation import NodeBank, RngFactory, build_nodes
+
+
+def _dataset(n_samples, rng, features=3):
+    return ArrayDataset(
+        rng.normal(size=(n_samples, features)), rng.integers(0, 4, size=n_samples), 4
+    )
+
+
+def _ragged_partition(n_samples, n_nodes, rng):
+    """Disjoint, non-empty, unevenly sized cells covering only part of
+    the dataset, in shuffled sample order."""
+    perm = rng.permutation(n_samples)[: n_samples - n_samples // 5]
+    cuts = np.sort(rng.choice(np.arange(1, perm.size), size=n_nodes - 1, replace=False))
+    return np.split(perm, cuts)
+
+
+class TestDrawsMatchLegacyLoaders:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_nodes=st.integers(1, 9),
+        batch_size=st.integers(1, 12),
+        steps=st.sampled_from([1, 3]),
+        data=st.data(),
+    )
+    def test_index_draws_equal_per_node_loader_samples(
+        self, seed, n_nodes, batch_size, steps, data
+    ):
+        rng = np.random.default_rng(seed)
+        train = _dataset(60, rng)
+        partition = _ragged_partition(60, n_nodes, rng)
+        bank = build_nodes(train, partition, batch_size, RngFactory(seed))
+        oracle = [
+            DataLoader(train.subset(part), batch_size,
+                       RngFactory(seed).node_stream("batch", i))
+            for i, part in enumerate(partition)
+        ]
+        for _ in range(3):  # the streams must continue, not restart
+            ids = np.array(sorted(data.draw(
+                st.sets(st.integers(0, n_nodes - 1), min_size=1))))
+            idx, k = bank.draw(ids, steps)
+            assert idx.shape[:2] == (ids.size, steps)
+            for r, i in enumerate(ids):
+                assert k[r] == min(len(partition[i]), batch_size)
+                for s in range(steps):
+                    xb, yb = oracle[i].sample()
+                    sel = idx[r, s, : k[r]]
+                    np.testing.assert_array_equal(train.x[sel], xb)
+                    np.testing.assert_array_equal(train.y[sel], yb)
+        assert bank.local_steps_done.sum() > 0
+
+    def test_steps_are_counted_per_node(self):
+        rng = np.random.default_rng(0)
+        bank = build_nodes(_dataset(40, rng), _ragged_partition(40, 4, rng), 5,
+                           RngFactory(0))
+        bank.draw(np.array([1, 3]), 3)
+        bank.draw(np.array([3]), 2)
+        assert bank.local_steps_done.tolist() == [0, 3, 0, 5]
+
+
+class TestNoCopies:
+    def test_bank_shares_the_dataset_arrays(self):
+        rng = np.random.default_rng(1)
+        train = _dataset(64, rng)
+        bank = build_nodes(train, _ragged_partition(64, 8, rng), 4, RngFactory(1))
+        assert np.shares_memory(bank.x, train.x)
+        assert np.shares_memory(bank.y, train.y)
+
+    def test_build_allocates_for_the_partition_not_the_dataset(self):
+        """A bank costs index arrays and generators — O(samples) int64
+        plus O(n) — never a second copy of the features."""
+        rng = np.random.default_rng(2)
+        train = _dataset(20_000, rng, features=256)  # 39 MiB of features
+        partition = np.array_split(rng.permutation(20_000), 50)
+        rngs = RngFactory(2)
+        tracemalloc.start()
+        try:
+            bank = build_nodes(train, partition, 8, rngs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(bank) == 50
+        assert peak < train.x.nbytes / 16
+
+
+class TestPartitionValidation:
+    def _build(self, partition, n_samples=10):
+        rng = np.random.default_rng(3)
+        return NodeBank(_dataset(n_samples, rng), partition, 4, RngFactory(3))
+
+    def test_negative_index_names_the_node(self):
+        with pytest.raises(ValueError, match=r"node 1: partition index -1 out of range"):
+            self._build([np.array([0, 1]), np.array([2, -1])])
+
+    def test_index_past_the_end_names_the_node(self):
+        with pytest.raises(ValueError, match=r"node 2: partition index 10 out of range"):
+            self._build([np.array([0]), np.array([1]), np.array([9, 10])])
+
+    def test_overlap_rejected(self):
+        with pytest.raises(ValueError, match="overlap"):
+            self._build([np.array([0, 1]), np.array([1, 2])])
+
+    def test_empty_node_rejected(self):
+        with pytest.raises(ValueError, match="node 1 has an empty dataset"):
+            self._build([np.array([0, 1]), np.array([], dtype=np.int64)])
+
+    def test_device_count_must_match(self):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="one device per node"):
+            NodeBank(_dataset(10, rng), [np.arange(5), np.arange(5, 10)], 4,
+                     RngFactory(3), devices=())
+
+    def test_nonpositive_batch_size_rejected(self):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="batch_size"):
+            NodeBank(_dataset(10, rng), [np.arange(10)], 0, RngFactory(3))
+
+
+class TestPackedStateCodec:
+    def _bank(self, seed=4):
+        rng = np.random.default_rng(seed)
+        return build_nodes(_dataset(50, rng), _ragged_partition(50, 6, rng), 4,
+                           RngFactory(seed))
+
+    def test_round_trip_continues_every_stream(self):
+        bank = self._bank()
+        ids = np.arange(6)
+        bank.draw(ids[::2], 3)  # leave the streams at different positions
+        saved = bank.state_dict()
+        assert saved["node_rng"].shape == (6, 13)
+        assert saved["node_rng"].dtype == np.uint64
+        expected_idx, _ = bank.draw(ids, 2)
+
+        fresh = self._bank()
+        fresh.load_state_dict(saved)
+        got_idx, _ = fresh.draw(ids, 2)
+        np.testing.assert_array_equal(got_idx, expected_idx)
+        np.testing.assert_array_equal(fresh.local_steps_done, bank.local_steps_done)
+
+    def test_snapshot_is_detached_from_the_live_counters(self):
+        bank = self._bank()
+        saved = bank.state_dict()
+        bank.draw(np.arange(6), 1)
+        assert saved["node_steps_done"].sum() == 0
+
+    def test_wrong_node_count_rejected(self):
+        saved = self._bank().state_dict()
+        saved["node_rng"] = saved["node_rng"][:-1]
+        with pytest.raises(ValueError, match="node rng block"):
+            self._bank().load_state_dict(saved)
+
+
+class Kill(Exception):
+    pass
+
+
+def _killer(at):
+    def hook(engine, t, history, last):
+        if t == at:
+            raise Kill
+
+    return hook
+
+
+#: kill points drawn once, from a seeded stream, so the "random round"
+#: is random across the horizon yet the same on every run
+_KILL_RNG = np.random.default_rng(20240)
+
+
+class TestKillAtRandomPointResumesThroughThePackedCodec:
+    @pytest.mark.parametrize(
+        "kill_round", sorted({int(t) for t in _KILL_RNG.integers(3, 24, size=3)})
+    )
+    def test_sync_cell(self, tiny_preset, tmp_path, kill_round):
+        cell = build_plan(tiny_preset, ("skiptrain-constrained",), seeds=(0,))[0]
+        ref, killed = tmp_path / "ref", tmp_path / "killed"
+        run_cell(tiny_preset, cell, ref)
+        with pytest.raises(Kill):
+            run_cell(tiny_preset, cell, killed, checkpoint_every=1,
+                     round_hook=_killer(kill_round))
+        # a kill before the first evaluation round leaves no checkpoint
+        # and the rerun starts over; past it, the rerun must resume
+        had_checkpoint = checkpoint_path(killed, cell).is_file()
+        if had_checkpoint:
+            with np.load(checkpoint_path(killed, cell)) as archive:
+                assert archive["node_rng"].shape == (tiny_preset.n_nodes, 13)
+                assert "node_rng_json" not in archive.files
+        _, resumed = run_cell(tiny_preset, cell, killed, checkpoint_every=1)
+        assert resumed == had_checkpoint
+        assert (artifact_path(killed, cell).read_bytes()
+                == artifact_path(ref, cell).read_bytes())
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize(
+        "kill_event", sorted({int(e) for e in _KILL_RNG.integers(40, 280, size=2)})
+    )
+    def test_async_churn_cell(self, tmp_path, kill_event, vectorized):
+        spec = get_scenario("churn-async")
+        preset = get_preset(spec.preset)
+        cell = build_scenario_plan(spec, seeds=(0,))[0]
+        ref, killed = tmp_path / "ref", tmp_path / "killed"
+        run_cell(preset, cell, ref, vectorized=vectorized)
+
+        def killer(engine, event, history, last):
+            # the vectorized engine's hook fires per window: kill at the
+            # first boundary at or past the drawn event
+            if event >= kill_event:
+                raise Kill
+
+        with pytest.raises(Kill):
+            run_cell(preset, cell, killed, checkpoint_every=1,
+                     vectorized=vectorized, round_hook=killer)
+        if checkpoint_path(killed, cell).is_file():
+            with np.load(checkpoint_path(killed, cell)) as archive:
+                assert archive["node_rng"].dtype == np.uint64
+        run_cell(preset, cell, killed, checkpoint_every=1, vectorized=vectorized)
+        assert (artifact_path(killed, cell).read_bytes()
+                == artifact_path(ref, cell).read_bytes())
+
+    def test_old_layout_checkpoint_is_refused(self, tiny_preset, tmp_path):
+        cell = build_plan(tiny_preset, ("skiptrain",), seeds=(0,))[0]
+        with pytest.raises(Kill):
+            run_cell(tiny_preset, cell, tmp_path, checkpoint_every=1,
+                     round_hook=_killer(17))
+        ckpt = checkpoint_path(tmp_path, cell)
+        with np.load(ckpt) as archive:
+            forged = {key: archive[key] for key in archive.files}
+        del forged["node_rng"]
+        forged["node_rng_json"] = np.array(json.dumps([{}] * tiny_preset.n_nodes))
+        with open(ckpt, "wb") as fh:
+            np.savez(fh, **forged)
+        with pytest.raises(ValueError, match="old per-node node_rng_json layout"):
+            run_cell(tiny_preset, cell, tmp_path, checkpoint_every=1)

@@ -163,7 +163,7 @@ class TestValidation:
         prepared = prepare(micro_preset, 3, seed=0)
         engine, _ = build_run(prepared, "skiptrain")
 
-        def boom(block, batch_lists):
+        def boom(block, idx, k):
             raise RuntimeError("worker boom")
 
         # forked workers inherit the broken trainer; the parent must
@@ -172,8 +172,10 @@ class TestValidation:
         pool = NodeShardPool(engine, 2)
         try:
             with pytest.raises(NodeShardError, match="worker boom"):
+                ids = np.arange(engine.n_nodes)
                 pool.train_round(
-                    engine, np.arange(engine.n_nodes, dtype=np.int64)
+                    engine.state, ids,
+                    *engine.nodes.draw(ids, engine.config.local_steps),
                 )
         finally:
             pool.close()

@@ -4,8 +4,11 @@ The contract under test (see ``repro.simulation.engine``): with plain
 SGD the vectorized path produces a ``state`` matrix and ``RunHistory``
 **bit-identical** to the serial engine — same RNG batch streams, same
 arithmetic, reordered from per-node loops into stacked kernels — and
-the block-parallel engine matches both.
+the node-sharded engine (blocks of nodes trained in fork workers)
+matches both.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from repro.nn import small_cnn, small_mlp
 from repro.nn.batched import UnsupportedLayerError
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Sequential
-from repro.simulation import EngineConfig, build_engine
+from repro.simulation import EngineConfig, NodeShardPool, build_engine
 
 N = 16
 SPEC = SyntheticSpec(num_classes=4, channels=1, image_size=4,
@@ -39,12 +42,24 @@ def _cfg(vectorized, total_rounds=8, weight_decay=0.0):
 
 
 def _engine(vectorized, *, seed=7, model_factory=_mlp, topology="ring",
-            parallel=False, n_nodes=N, **cfg_kw):
+            n_nodes=N, **cfg_kw):
     return build_engine(
         SPEC, n_nodes, _cfg(vectorized, **cfg_kw), model_factory,
         seed=seed, num_train=25 * n_nodes, num_test=64, batch_size=8,
-        topology=topology, parallel=parallel, processes=3,
+        topology=topology,
     )
+
+
+@contextmanager
+def _sharded(engine, shards=3):
+    """``engine`` with its local-training stage fanned out to ``shards``
+    fork workers for the duration of the block."""
+    with NodeShardPool(engine, shards) as pool:
+        engine.set_node_sharder(pool)
+        try:
+            yield engine
+        finally:
+            engine.set_node_sharder(None)
 
 
 def _assert_history_equal(a, b):
@@ -124,67 +139,42 @@ class TestParallelBlockEquivalence:
     def test_vectorized_parallel_matches_serial(self):
         serial = _engine(False)
         h_s = serial.run(DPSGD(N))
-        with _engine(True, parallel=True) as par:
+        with _sharded(_engine(True)) as par:
             h_p = par.run(DPSGD(N))
         np.testing.assert_array_equal(serial.state, par.state)
         _assert_history_equal(h_s, h_p)
 
     def test_block_size_does_not_change_results(self):
-        with _engine(True, parallel=True) as a:
-            a.block_size = 3
+        with _sharded(_engine(True), shards=2) as a:
             h_a = a.run(DPSGD(N))
-        with _engine(True, parallel=True) as b:
-            b.block_size = 16
+        with _sharded(_engine(True), shards=5) as b:
             h_b = b.run(DPSGD(N))
         np.testing.assert_array_equal(a.state, b.state)
         _assert_history_equal(h_a, h_b)
 
-    def test_momentum_velocity_does_not_leak_across_block_rows(self):
-        """Regression: the block worker must build a fresh optimizer per
-        row, or one node's momentum velocity seeds the next row's first
-        step and results depend on how ids were split into blocks."""
-
-        def run_with_block_size(block_size):
-            eng = build_engine(
-                SPEC, N,
-                EngineConfig(local_steps=2, learning_rate=0.2, total_rounds=4,
-                             eval_every=4, momentum=0.9),
-                _mlp, seed=7, num_train=25 * N, num_test=64, batch_size=8,
-                topology="ring", parallel=True, processes=3,
-                block_size=block_size,
-            )
-            with eng:
-                eng.run(DPSGD(N))
-            return eng.state
-
-        np.testing.assert_array_equal(
-            run_with_block_size(1), run_with_block_size(N)
-        )
-
     def test_serial_worker_blocks_match_too(self):
-        """Non-vectorized parallel engine (per-row loops inside block
+        """Non-vectorized sharded engine (per-row loops inside block
         tasks) must still match the serial engine bit for bit."""
         serial = _engine(False)
         h_s = serial.run(DPSGD(N))
-        with _engine(False, parallel=True) as par:
+        with _sharded(_engine(False)) as par:
             h_p = par.run(DPSGD(N))
         np.testing.assert_array_equal(serial.state, par.state)
         _assert_history_equal(h_s, h_p)
 
     def test_failure_model_respected_by_parallel_engine(self):
-        """The parallel engine inherits the serial round skeleton, so a
-        failure model masks training there too (regression: the old
-        hand-copied run loop silently ignored it)."""
+        """Sharding replaces only the local-training stage of the serial
+        round skeleton, so a failure model masks training there too."""
         from repro.simulation.failures import CrashWindow
 
-        def with_failures(vectorized, parallel):
-            eng = _engine(vectorized, parallel=parallel)
+        def with_failures(vectorized):
+            eng = _engine(vectorized)
             eng.failure_model = CrashWindow(N, [0, 3, 5], start=2, end=6)
             return eng
 
-        serial = with_failures(False, False)
+        serial = with_failures(False)
         h_s = serial.run(DPSGD(N))
-        with with_failures(True, True) as par:
+        with _sharded(with_failures(True)) as par:
             h_p = par.run(DPSGD(N))
         np.testing.assert_array_equal(serial.state, par.state)
         _assert_history_equal(h_s, h_p)
@@ -217,7 +207,7 @@ class TestMaskEmptyRegression:
         self._check(eng.run(NoTraining(N)))
 
     def test_parallel(self):
-        with _engine(True, parallel=True, total_rounds=4) as eng:
+        with _sharded(_engine(True, total_rounds=4)) as eng:
             self._check(eng.run(NoTraining(N)))
 
     def test_states_identical_across_flavors(self):
