@@ -1,7 +1,7 @@
 """Raw-artifact byte pins across the node data plane.
 
-``tests/golden/artifact_digests.json`` holds the SHA-256 of four raw
-cell artifacts, recorded from the tree *before* the columnar
+``tests/golden/artifact_digests.json`` holds the SHA-256 of raw cell
+artifacts. Four were recorded from the tree *before* the columnar
 ``NodeBank`` replaced the per-node ``Node``/``DataLoader`` objects:
 
 * ``fleet-vectorized`` — ``n1024-fleet`` skiptrain, degree 4, seed 0,
@@ -13,6 +13,16 @@ cell artifacts, recorded from the tree *before* the columnar
   stacked trainer has to group rows by ``k``;
 * ``churn-async-vectorized`` — the ``churn-async`` scenario on the
   vectorized event engine.
+
+Two more were recorded from the tree *before* the bank's per-node
+``Generator.choice`` calls were replaced by the vectorized sampler:
+
+* ``fleet16384-vectorized`` — ``n16384-fleet`` skiptrain, degree 4,
+  seed 0, 12 rounds, vectorized (the cell of the ``sync-fleet16384``
+  benchmark workload, and of CI's ``fleet-smoke`` job);
+* ``femnist-writer-vectorized`` — the 32-node ``femnist-bench`` preset
+  (writer partition: every node holds a different ``n_i``, 149–180
+  samples; ``local_steps=7``) cut to 32 rounds, vectorized.
 
 The batch-stream contract (one ``choice(n_i, k_i, replace=False)`` per
 local step off ``node_stream("batch", i)``, node-major) is what these
@@ -63,6 +73,22 @@ def _fleet(results_dir):
     return artifact_path(results_dir, cell)
 
 
+def _fleet16384(results_dir):
+    preset = get_preset("n16384-fleet")
+    cell = build_plan(preset, ("skiptrain",), degrees=(4,), seeds=(0,),
+                      total_rounds=12)[0]
+    run_cell(preset, cell, results_dir, vectorized=True)
+    return artifact_path(results_dir, cell)
+
+
+def _femnist_writer(results_dir):
+    preset = get_preset("femnist-bench")
+    cell = build_plan(preset, ("skiptrain",), degrees=(3,), seeds=(0,),
+                      total_rounds=32)[0]
+    run_cell(preset, cell, results_dir, vectorized=True)
+    return artifact_path(results_dir, cell)
+
+
 def _bench(results_dir):
     preset = get_preset("cifar10-bench")
     cell = build_plan(preset, ("skiptrain",), degrees=(3,), seeds=(0,),
@@ -87,6 +113,8 @@ def _churn_async(results_dir):
 
 CELLS = {
     "fleet-vectorized": _fleet,
+    "fleet16384-vectorized": _fleet16384,
+    "femnist-writer-vectorized": _femnist_writer,
     "bench-serial-steps10": _bench,
     "ragged-serial": _ragged,
     "churn-async-vectorized": _churn_async,
