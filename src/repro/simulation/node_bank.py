@@ -5,9 +5,10 @@ matrix; what a node owns besides its row is a slice of the training
 set, a private batch-sampling stream and a step counter. A
 :class:`NodeBank` holds all ``n`` of those columnar: the global
 ``x``/``y`` once and by reference (in a pool worker they stay views of
-the shared-memory segment), the partition in CSR form, and one Philox
-generator per node. Building it is O(n + partition size), never
-O(dataset): no per-node copy of the samples is made.
+the shared-memory segment), the partition in CSR form, and every node's
+batch stream as a Philox key and a position — two arrays, no generator
+objects. Building it is O(n + partition size), never O(dataset): no
+per-node copy of the samples is made.
 
 Batch-stream contract (what every artifact byte rests on; stated for
 users in ``docs/determinism-contracts.md``): node ``i`` draws from
@@ -17,7 +18,8 @@ is exactly one ``choice(n_i, size=k_i, replace=False)`` over the node's
 node's steps are drawn in order. Streams are private, so the order in
 which *different* nodes draw cannot change any value — serial,
 vectorized, sharded and event-batched execution all see the same
-batches.
+batches. :mod:`~repro.simulation.batch_stream` computes those draws for
+many nodes at once, bit for bit what the numpy generators return.
 """
 
 from __future__ import annotations
@@ -30,13 +32,16 @@ from ..data.dataset import ArrayDataset
 from ..data.partition import partition_csr
 from ..energy.devices import DeviceProfile
 from ..energy.traces import assign_devices_round_robin
+from . import batch_stream
 from .rng import RngFactory
 
 __all__ = ["NodeBank"]
 
-#: columns of one packed Philox state row: counter 4, key 2, buffer 4,
-#: buffer_pos, has_uint32, uinteger
-_RNG_WORDS = 13
+#: read-ahead budget, in pre-drawn local steps over the whole bank: a
+#: draw of one or two rows (the async engine's) costs the same fixed
+#: numpy overhead as a draw of thousands, so a small bank pre-draws up
+#: to 64 steps per node and a fleet none
+_AHEAD_STEPS = 4096
 
 
 class NodeBank:
@@ -45,9 +50,15 @@ class NodeBank:
     ``x``/``y`` are the global training arrays (shared, never copied);
     node ``i`` owns samples ``indices[offsets[i]:offsets[i + 1]]``.
     ``k[i]`` is the node's mini-batch size, ``local_steps_done[i]`` the
-    number of local steps it has drawn so far, ``gens[i]`` its batch
-    stream, ``devices[i]`` its device identity.
+    number of local steps it has drawn so far, ``devices[i]`` its device
+    identity. Its batch stream is ``keys[i]``, the Philox key of
+    ``rngs.node_stream("batch", i)``, and ``consumed[i]``, the number of
+    32-bit words of that stream the steps handed out so far have used.
     """
+
+    # the read-ahead is a cache of what (keys, consumed) determine: a
+    # restored bank refills it from the checkpointed cursor
+    _CHECKPOINT_EXEMPT = ("_ahead_idx", "_ahead_end", "_ahead_at")
 
     def __init__(
         self,
@@ -74,7 +85,14 @@ class NodeBank:
         self.devices = devices
         self.k = np.minimum(self.sizes, batch_size)
         self.local_steps_done = np.zeros(n, dtype=np.int64)
-        self.gens = [rngs.node_stream("batch", i) for i in range(n)]
+        self.keys = batch_stream.philox_keys(rngs.seed, "batch", n)
+        self.consumed = np.zeros(n, dtype=np.int64)
+        # read-ahead: node i's next pre-drawn steps are slots
+        # _ahead_at[i].. of _ahead_idx[i] (dataset rows) and _ahead_end[i]
+        # (stream position after each); sized on first draw
+        self._ahead_idx = np.zeros((n, 0, int(self.k.max())), dtype=np.int64)
+        self._ahead_end = np.zeros((n, 0), dtype=np.int64)
+        self._ahead_at = np.zeros(n, dtype=np.int64)
 
     def __len__(self) -> int:
         return self.sizes.shape[0]
@@ -88,64 +106,90 @@ class NodeBank:
         ``k[r]`` — nodes holding fewer samples than ``batch_size`` draw
         smaller batches, the padding is never read. The caller gathers
         ``x[idx[r, s, :k[r]]]``; nothing is copied here.
+
+        Steps are independent ``choice`` calls, so a node's next few may
+        be drawn before they are asked for: requests are served from a
+        read-ahead refilled at the node's cursor. ``consumed`` only ever
+        counts the steps handed out.
         """
         ids = np.asarray(ids, dtype=np.int64)
+        if steps < 1:
+            raise ValueError("steps must be positive")
+        if ids.size > 1 and np.unique(ids).size != ids.size:
+            raise ValueError(
+                f"node ids drawn together must be distinct, got {ids.tolist()}"
+            )
+        width = steps * max(1, min(64, _AHEAD_STEPS // len(self)) // steps)
+        if self._ahead_end.shape[1] != width:
+            self._ahead_idx = np.zeros(
+                (len(self), width, self._ahead_idx.shape[2]), dtype=np.int64
+            )
+            self._ahead_end = np.zeros((len(self), width), dtype=np.int64)
+            self._ahead_at[:] = width
+        if (self._ahead_at[ids] + steps > width).any():
+            # one pass for every node that has run dry, asked for or not
+            self._read_ahead(np.flatnonzero(self._ahead_at + steps > width))
+        at = self._ahead_at[ids]
         k = self.k[ids]
-        idx = np.zeros((ids.size, steps, int(k.max(initial=0))), dtype=np.int64)
-        gens = self.gens
-        rows = zip(idx, ids.tolist(), self.sizes[ids].tolist(), k.tolist())
-        for out, i, n_i, k_i in rows:
-            choice = gens[i].choice
-            for s in range(steps):
-                out[s, :k_i] = choice(n_i, size=k_i, replace=False)
+        idx = self._ahead_idx[
+            ids[:, None], at[:, None] + np.arange(steps), : int(k.max(initial=0))
+        ]
+        at += steps
+        self.consumed[ids] = self._ahead_end[ids, at - 1]
+        self._ahead_at[ids] = at
+        self.local_steps_done[ids] += steps
+        return idx, k
+
+    def _read_ahead(self, ids: np.ndarray) -> None:
+        """Fill ``ids``' read-ahead with the steps that follow their
+        cursors."""
+        picks, ends = batch_stream.sample(
+            self.keys[ids], self.consumed[ids], self.sizes[ids], self.k[ids],
+            self._ahead_end.shape[1],
+        )
         # local positions -> dataset rows, through the CSR (padding
         # columns land on the node's first sample: in range, unread)
-        idx += self.offsets[ids][:, None, None]
-        self.local_steps_done[ids] += steps
-        return self.indices[idx], k
+        picks += self.offsets[ids][:, None, None]
+        self._ahead_idx[ids, :, : picks.shape[2]] = self.indices[picks]
+        self._ahead_end[ids] = ends
+        self._ahead_at[ids] = 0
 
     # -- checkpointing --------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Everything a run mutates: each node's stream position, packed
-        into one ``(n, 13)`` uint64 block (Philox counter 4 · key 2 ·
-        buffer 4 · buffer_pos · has_uint32 · uinteger), and the step
-        counters."""
-        packed = np.empty((len(self), _RNG_WORDS), dtype=np.uint64)
-        for row, gen in zip(packed, self.gens):
-            state = gen.bit_generator.state
-            row[0:4] = state["state"]["counter"]
-            row[4:6] = state["state"]["key"]
-            row[6:10] = state["buffer"]
-            row[10:] = (state["buffer_pos"], state["has_uint32"], state["uinteger"])
+        """Everything a run mutates: each node's stream position, as the
+        ``(n, 13)`` uint64 block of numpy ``Philox`` states standing
+        there (counter 4 · key 2 · buffer 4 · buffer_pos · has_uint32 ·
+        uinteger), and the step counters. Steps read ahead but not yet
+        handed out are not part of it."""
         return {
-            "node_rng": packed,
+            "node_rng": batch_stream.pack_states(self.keys, self.consumed),
             "node_steps_done": self.local_steps_done.copy(),
         }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot in place; the bank must
-        have been built exactly as for the original run."""
+        have been built exactly as for the original run (a snapshot of
+        other streams — another seed — is refused)."""
         packed = np.asarray(state["node_rng"])
         steps = np.asarray(state["node_steps_done"], dtype=np.int64)
-        n = len(self)
-        if packed.shape != (n, _RNG_WORDS) or packed.dtype != np.uint64:
+        n, words = len(self), batch_stream.RNG_WORDS
+        if packed.shape != (n, words) or packed.dtype != np.uint64:
             raise ValueError(
                 f"snapshot holds a {packed.dtype} {packed.shape} node rng "
-                f"block, expected uint64 ({n}, {_RNG_WORDS})"
+                f"block, expected uint64 ({n}, {words})"
             )
         if steps.shape != (n,):
             raise ValueError(
                 f"snapshot has {steps.shape[0]} node step counters, "
                 f"bank has {n} nodes"
             )
-        for row, gen in zip(packed, self.gens):
-            gen.bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": row[0:4], "key": row[4:6]},
-                "buffer": row[6:10],
-                "buffer_pos": int(row[10]),
-                "has_uint32": int(row[11]),
-                "uinteger": int(row[12]),
-            }
+        foreign = np.flatnonzero((packed[:, 4:6] != self.keys).any(axis=1))
+        if foreign.size:
+            raise ValueError(
+                f"snapshot's batch stream of node {int(foreign[0])} is keyed "
+                f"differently from this run's: it was taken under another seed"
+            )
+        self.consumed[:] = batch_stream.unpack_positions(packed)
+        self._ahead_at[:] = self._ahead_end.shape[1]
         self.local_steps_done[:] = steps

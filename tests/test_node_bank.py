@@ -1,11 +1,14 @@
 """The columnar node data plane (``repro.simulation.node_bank``).
 
 The bank replaced one ``Node`` + ``DataLoader`` + ``ArrayDataset``
-object triple per node. What must survive that is the batch-stream
-contract: node ``i`` draws one ``choice(n_i, k_i, replace=False)`` per
-local step off ``node_stream("batch", i)``, over its own slice of the
-data. The legacy per-node ``DataLoader.sample()`` sequence is kept
-here as the oracle.
+object triple per node, and then the per-node numpy generators by a
+vectorized replay of their streams
+(``repro.simulation.batch_stream``). What must survive both is the
+batch-stream contract: node ``i`` draws one ``choice(n_i, k_i,
+replace=False)`` per local step off ``node_stream("batch", i)``, over
+its own slice of the data. numpy stays the oracle here: the legacy
+per-node ``DataLoader.sample()`` sequence, and real generators whose
+draws and ``bit_generator.state`` the bank must reproduce bit for bit.
 """
 
 import json
@@ -13,14 +16,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import ArrayDataset, DataLoader
 from repro.experiments import artifact_path, build_plan, get_preset, run_cell
 from repro.experiments.artifacts import checkpoint_path
 from repro.scenarios import build_scenario_plan, get_scenario
-from repro.simulation import NodeBank, RngFactory, build_nodes
+from repro.simulation import NodeBank, RngFactory, batch_stream, build_nodes
 
 
 def _dataset(n_samples, rng, features=3):
@@ -79,6 +82,173 @@ class TestDrawsMatchLegacyLoaders:
         bank.draw(np.array([1, 3]), 3)
         bank.draw(np.array([3]), 2)
         assert bank.local_steps_done.tolist() == [0, 3, 0, 5]
+
+
+def _oracle(seed, n_nodes):
+    return [RngFactory(seed).node_stream("batch", i) for i in range(n_nodes)]
+
+
+def _packed(gens):
+    """The ``node_rng`` block as the parent commit wrote it: one row per
+    real generator, read off ``bit_generator.state``."""
+    packed = np.empty((len(gens), 13), dtype=np.uint64)
+    for row, gen in zip(packed, gens):
+        state = gen.bit_generator.state
+        row[0:4] = state["state"]["counter"]
+        row[4:6] = state["state"]["key"]
+        row[6:10] = state["buffer"]
+        row[10:] = (state["buffer_pos"], state["has_uint32"], state["uinteger"])
+    return packed
+
+
+def _bank_of(sizes, batch_size, seed, features=1):
+    """A bank whose node ``i`` holds ``sizes[i]`` samples, in shuffled
+    sample order; returns it with the partition."""
+    rng = np.random.default_rng(0)
+    total = int(np.sum(sizes))
+    partition = np.split(rng.permutation(total), np.cumsum(sizes)[:-1])
+    bank = build_nodes(_dataset(total, rng, features), partition, batch_size,
+                       RngFactory(seed))
+    return bank, partition
+
+
+_SEEDS = st.one_of(
+    st.integers(0, 2**16),
+    st.integers(2**32, 2**34),  # two entropy words
+    st.integers(2**128, 2**130),  # more words than the SeedSequence pool
+)
+
+
+class TestSamplerMatchesNumpy:
+    """The vectorized sampler against real generators: same keys, same
+    batches, same ``bit_generator.state`` after every call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=_SEEDS,
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=7),
+        batch_size=st.integers(1, 12),
+        data=st.data(),
+    )
+    @example(seed=0, sizes=[1], batch_size=1, data=None)  # n_i == k_i == 1
+    @example(seed=2**128 + 3, sizes=[5, 1, 9, 5], batch_size=5, data=None)
+    @example(seed=2**32, sizes=[30, 2, 17], batch_size=1, data=None)  # k_i == 1
+    def test_draws_keys_and_states(self, seed, sizes, batch_size, data):
+        n = len(sizes)
+        bank, partition = _bank_of(sizes, batch_size, seed)
+        gens = _oracle(seed, n)
+        for i, gen in enumerate(gens):
+            np.testing.assert_array_equal(
+                bank.keys[i], gen.bit_generator.state["state"]["key"])
+        np.testing.assert_array_equal(bank.state_dict()["node_rng"], _packed(gens))
+        calls = [(list(range(n)), 2), (list(range(0, n, 2)), 1), (list(range(n)), 3)]
+        if data is not None:
+            calls = [
+                (sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))),
+                 data.draw(st.integers(1, 4)))
+                for _ in range(4)
+            ]
+        for ids, steps in calls:
+            idx, k = bank.draw(np.array(ids), steps)
+            for r, i in enumerate(ids):
+                assert k[r] == min(sizes[i], batch_size)
+                for s in range(steps):
+                    want = gens[i].choice(sizes[i], size=k[r], replace=False)
+                    np.testing.assert_array_equal(idx[r, s, : k[r]], partition[i][want])
+            # the snapshot is the cursor, whatever was read ahead
+            np.testing.assert_array_equal(
+                bank.state_dict()["node_rng"], _packed(gens))
+        # a block written by real generators (a checkpoint of the parent
+        # commit) loads and continues the same streams
+        fresh, _ = _bank_of(sizes, batch_size, seed)
+        fresh.load_state_dict(
+            {"node_rng": _packed(gens), "node_steps_done": bank.local_steps_done})
+        everyone = np.arange(n)
+        np.testing.assert_array_equal(fresh.draw(everyone, 2)[0],
+                                      bank.draw(everyone, 2)[0])
+        np.testing.assert_array_equal(fresh.consumed, bank.consumed)
+
+    def test_lemire_rejection_is_replayed_by_numpy(self, monkeypatch):
+        """A bounded draw whose low product half falls under
+        ``2**32 % bound`` makes numpy take another word. Find such a
+        word in a node's stream, stand the node on it, and draw."""
+        size = 9973  # one draw on [0, size) per step when k == 1
+        bank, partition = _bank_of([3, size], 1, seed=5)
+        key, threshold = bank.keys[1:2], (1 << 32) % size
+        at, chunk = None, 1 << 19
+        for base in range(0, 1 << 24, chunk):
+            words = batch_stream.stream_words(
+                key, np.array([base]), np.arange(chunk)[None, :])[0]
+            hits = np.flatnonzero((words * np.uint64(size)) & np.uint64(0xFFFFFFFF)
+                                  < np.uint64(threshold))
+            if hits.size:
+                at = base + int(hits[0])
+                break
+        assert at is not None, "no rejecting word in 2**24: pick another seed"
+        state = bank.state_dict()
+        state["node_rng"] = batch_stream.pack_states(bank.keys, np.array([0, at]))
+        bank.load_state_dict(state)
+        gen = batch_stream._generator(state["node_rng"][1])
+        replayed = []
+        replay = batch_stream.replay
+        monkeypatch.setattr(
+            batch_stream, "replay",
+            lambda key, start, *rest: replayed.append(start) or replay(key, start, *rest),
+        )
+        idx, _ = bank.draw(np.array([1]), 3)
+        assert replayed == [at]
+        want = [gen.choice(size, size=1, replace=False) for _ in range(3)]
+        np.testing.assert_array_equal(idx[0], partition[1][np.array(want)])
+        # step 0 took the rejected word and its redraw
+        assert bank.consumed[1] == at + 4
+        np.testing.assert_array_equal(
+            bank.state_dict()["node_rng"][1], _packed([gen])[0])
+
+    def test_tail_shuffle_population_is_drawn_by_numpy(self):
+        """Past 10000 samples with ``k > n // 50`` numpy shuffles the
+        tail of an ``arange`` instead of running Floyd's algorithm."""
+        sizes = [20001, 7, 12000]  # 12000 // 50 == 240 >= k: Floyd
+        bank, partition = _bank_of(sizes, 500, seed=11)
+        gens = _oracle(11, 3)
+        for steps in (2, 1):
+            idx, k = bank.draw(np.arange(3), steps)
+            assert k.tolist() == [500, 7, 500]
+            for i in range(3):
+                for s in range(steps):
+                    want = gens[i].choice(sizes[i], size=k[i], replace=False)
+                    np.testing.assert_array_equal(idx[i, s, : k[i]], partition[i][want])
+        np.testing.assert_array_equal(bank.state_dict()["node_rng"], _packed(gens))
+
+    def test_no_generator_object_is_built(self, monkeypatch):
+        """Build, draw, snapshot and restore without constructing one
+        ``SeedSequence``, ``Philox`` or ``Generator``."""
+        bank, _ = _bank_of([8] * 40, 4, seed=3)
+        twin, _ = _bank_of([8] * 40, 4, seed=3)
+        rng = np.random.default_rng(1)
+        train, partition = _dataset(40, rng), np.split(np.arange(40), 8)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a numpy generator object was constructed")
+
+        for name in ("SeedSequence", "Philox", "Generator"):
+            monkeypatch.setattr(np.random, name, forbidden)
+        build_nodes(train, partition, 4, RngFactory(3))
+        bank.draw(np.arange(40), 2)
+        bank.draw(np.array([3, 5]), 1)
+        twin.load_state_dict(bank.state_dict())
+        np.testing.assert_array_equal(twin.draw(np.arange(40), 1)[0],
+                                      bank.draw(np.arange(40), 1)[0])
+
+    def test_duplicate_ids_rejected(self):
+        bank, _ = _bank_of([8] * 5, 4, seed=0)
+        with pytest.raises(ValueError, match="must be distinct"):
+            bank.draw(np.array([0, 3, 3]), 1)
+        assert bank.consumed.sum() == 0 and bank.local_steps_done.sum() == 0
+
+    def test_nonpositive_steps_rejected(self):
+        bank, _ = _bank_of([8] * 5, 4, seed=0)
+        with pytest.raises(ValueError, match="steps"):
+            bank.draw(np.array([0]), 0)
 
 
 class TestNoCopies:
@@ -172,6 +342,22 @@ class TestPackedStateCodec:
         with pytest.raises(ValueError, match="node rng block"):
             self._bank().load_state_dict(saved)
 
+    def test_snapshot_of_another_seed_rejected(self):
+        """The keys are the run's identity: streams of seed 7 must not
+        resume silently inside a seed 8 run."""
+        taken, bank = self._bank(seed=7), self._bank(seed=8)
+        taken.draw(np.arange(6), 2)
+        before = bank.state_dict()
+        with pytest.raises(ValueError, match=r"node 0 is keyed differently"):
+            bank.load_state_dict(taken.state_dict())
+        # one foreign row is enough, and it is the one named
+        mixed = bank.state_dict()
+        mixed["node_rng"][4] = taken.state_dict()["node_rng"][4]
+        with pytest.raises(ValueError, match=r"node 4 is keyed differently"):
+            bank.load_state_dict(mixed)
+        np.testing.assert_array_equal(bank.state_dict()["node_rng"],
+                                      before["node_rng"])
+
 
 class Kill(Exception):
     pass
@@ -228,6 +414,10 @@ class TestKillAtRandomPointResumesThroughThePackedCodec:
             # the vectorized engine's hook fires per window: kill at the
             # first boundary at or past the drawn event
             if event >= kill_event:
+                # the checkpoint just written holds cursors that stand
+                # mid-way through the bank's read-ahead
+                at, width = engine.nodes._ahead_at, engine.nodes._ahead_end.shape[1]
+                assert ((at > 0) & (at < width)).any()
                 raise Kill
 
         with pytest.raises(Kill):
