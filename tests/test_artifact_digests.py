@@ -24,10 +24,26 @@ Two more were recorded from the tree *before* the bank's per-node
   (writer partition: every node holds a different ``n_i``, 149–180
   samples; ``local_steps=7``) cut to 32 rounds, vectorized.
 
+Three more were recorded from the tree *before* the stacked local step
+got its gradient plane, fused optimizer pass and in-place rows — each
+reaches a part of :class:`~repro.nn.batched.BatchedTrainer` no other
+pinned cell does:
+
+* ``conv-groupnorm-vectorized`` — 8 nodes training a two-stage
+  conv + GroupNorm net (conv/GN gradients, and a first conv whose
+  input gradient nothing reads);
+* ``weight-decay-vectorized`` — a ``cifar10-bench`` d-psgd cell with
+  ``weight_decay=0.01`` (every row trains every round);
+* ``constrained-scattered-vectorized`` — ``cifar10-bench``
+  ``skiptrain-constrained``, whose budget-driven masks train a
+  scattered subset of 15–28 of the 32 rows each training round.
+
 The batch-stream contract (one ``choice(n_i, k_i, replace=False)`` per
-local step off ``node_stream("batch", i)``, node-major) is what these
-bytes depend on; any change to how batches are drawn or gathered moves
-them. Re-record only for an intentional, documented contract change::
+local step off ``node_stream("batch", i)``, node-major) and the
+slice-for-slice arithmetic of the stacked step are what these bytes
+depend on; any change to how batches are drawn, gathered or trained on
+moves them. Re-record only for an intentional, documented contract
+change::
 
     PYTHONPATH=src python tests/test_artifact_digests.py > tests/golden/artifact_digests.json
 """
@@ -40,9 +56,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.dpsgd import DPSGD
+from repro.energy.accounting import EnergyMeter
 from repro.experiments import artifact_path, build_plan, get_preset, run_cell
-from repro.experiments.runner import prepare
+from repro.experiments.artifacts import write_cell_artifact
+from repro.experiments.runner import ExperimentResult, prepare
+from repro.nn.layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU
+from repro.nn.layers.normalization import GroupNorm
+from repro.nn.module import Sequential
 from repro.scenarios import build_scenario_plan, get_scenario
+from repro.simulation import EngineConfig, RngFactory, SimulationEngine, build_nodes
 
 GOLDEN = Path(__file__).parent / "golden" / "artifact_digests.json"
 
@@ -64,6 +87,86 @@ def ragged_preset():
         eval_node_sample=None,
         tuned_schedules={3: (2, 2)},
     )
+
+
+def _conv_gn_net(rng):
+    return Sequential(
+        Conv2d(1, 4, 3, padding=1, rng=rng),
+        GroupNorm(2, 4),
+        ReLU(),
+        MaxPool2d(2),
+        Conv2d(4, 6, 3, padding=1, rng=rng),
+        GroupNorm(3, 6),
+        ReLU(),
+        Flatten(),
+        Linear(6 * 4 * 4, 10, rng=rng),
+    )
+
+
+def conv_gn_preset():
+    """8 nodes of ``cifar10-bench``'s 1x8x8 data under a two-stage
+    conv + GroupNorm net instead of the bench MLP."""
+    return dataclasses.replace(
+        get_preset("cifar10-bench"),
+        name="conv-gn",
+        n_nodes=8,
+        degrees=(3,),
+        num_train=48 * 8,
+        num_test=120,
+        model_factory=_conv_gn_net,
+        learning_rate=0.1,
+        batch_size=4,
+        local_steps=2,
+        total_rounds=8,
+        eval_every=4,
+        eval_node_sample=None,
+        tuned_schedules={3: (2, 2)},
+    )
+
+
+def _conv_gn(results_dir):
+    preset = conv_gn_preset()
+    cell = build_plan(preset, ("skiptrain",), seeds=(0,))[0]
+    run_cell(preset, cell, results_dir, vectorized=True)
+    return artifact_path(results_dir, cell)
+
+
+def _weight_decay(results_dir):
+    """``run_cell`` has no weight-decay knob (no preset sets one), so
+    this wires ``build_run``'s engine by hand around an
+    ``EngineConfig(weight_decay=0.01)``."""
+    preset = get_preset("cifar10-bench")
+    cell = build_plan(preset, ("d-psgd",), degrees=(3,), seeds=(0,),
+                      total_rounds=16)[0]
+    prepared = prepare(preset, cell.degree, seed=cell.seed)
+    rngs = RngFactory(cell.seed)
+    model = preset.model_factory(rngs.stream("model"))
+    nodes = build_nodes(prepared.train, prepared.partition, preset.batch_size, rngs)
+    config = EngineConfig(
+        local_steps=preset.local_steps,
+        learning_rate=preset.learning_rate,
+        weight_decay=0.01,
+        total_rounds=cell.total_rounds,
+        eval_every=preset.eval_every,
+        eval_node_sample=preset.eval_node_sample,
+        vectorized=True,
+    )
+    engine = SimulationEngine(
+        model, nodes, prepared.mixing, config, prepared.test,
+        meter=EnergyMeter(prepared.trace), eval_rng=rngs.stream("eval"),
+    )
+    history = engine.run(DPSGD(preset.n_nodes))
+    result = ExperimentResult(history=history, meter=engine.meter,
+                              trace=prepared.trace)
+    return write_cell_artifact(results_dir, cell, result, vectorized=True)
+
+
+def _constrained(results_dir):
+    preset = get_preset("cifar10-bench")
+    cell = build_plan(preset, ("skiptrain-constrained",), degrees=(3,),
+                      seeds=(0,))[0]
+    run_cell(preset, cell, results_dir, vectorized=True)
+    return artifact_path(results_dir, cell)
 
 
 def _fleet(results_dir):
@@ -118,6 +221,9 @@ CELLS = {
     "bench-serial-steps10": _bench,
     "ragged-serial": _ragged,
     "churn-async-vectorized": _churn_async,
+    "conv-groupnorm-vectorized": _conv_gn,
+    "weight-decay-vectorized": _weight_decay,
+    "constrained-scattered-vectorized": _constrained,
 }
 
 
