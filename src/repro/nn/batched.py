@@ -16,12 +16,57 @@ same (contiguous, trailing) axes as their serial counterparts. Slice
 ``i`` of every batched kernel is therefore *bit-identical* to running
 the serial layer on node ``i`` alone. The engine relies on this: with
 plain SGD (no momentum) the vectorized path reproduces the serial
-trajectory exactly, not just approximately.
+trajectory exactly, not just approximately. Where a kernel writes —
+a fresh array, a reused buffer, a strided view — is not part of that
+arithmetic; everything below that saves memory traffic moves only
+destinations, never an operation or a reduction order.
 
-Parameters are *views* into the engine's ``(k, dim)`` state-row block
+Parameter block and gradient plane
+----------------------------------
+Parameters are *views* into the caller's ``(k, dim)`` state-row block
 (see :meth:`BatchedModel.bind`), laid out in the same order as
 :func:`repro.nn.serialization.parameter_vector`, so training updates
-land directly in the simulation state matrix with no scatter step.
+land directly in the simulation state matrix with no scatter step. A
+trainer binds, next to the block, one C-contiguous ``(k, dim)``
+*gradient plane* with the identical layout: every parameterized layer
+holds views into it and its backward writes there with
+``np.matmul(..., out=view)`` / ``np.sum(..., out=view)``. Each node's
+slice of such a view is C-contiguous (only the node axis is strided, by
+``dim``), which is what keeps ``matmul`` on the BLAS call it would make
+into a fresh array. Because block and plane are both flat and aligned
+element for element, the optimizer is two passes over contiguous memory
+(:class:`~repro.nn.optim.BatchedSGD`) instead of a loop over parameter
+tensors. Only :class:`BatchedTrainer` binds a plane: inference-only
+binds (:class:`BatchedEvaluator`) cost no grad memory.
+
+Workspace
+---------
+The trainer owns one :class:`Workspace` and lends it to its model's
+layers: layer outputs, input gradients, ReLU masks, the im2col columns,
+the per-step batch gathers and the gradient plane itself are named flat
+buffers that grow to the largest request ever made and are sliced to
+the shape of the current call. Callers vary ``k`` from call to call
+(the async engine trains 1–3 rows at a time, ragged batch widths split
+a call into sub-blocks), so buffers are keyed by *what they hold*, not
+by shape, and a smaller call is a prefix of a larger call's memory —
+safe because every buffer is fully overwritten before it is read. The
+workspace is scratch, not state: nothing in it survives into a
+checkpoint or influences the next call. Layers bound without a
+workspace (the evaluator's) allocate fresh arrays instead, and so does
+an elementwise kernel whose input is strided — behind a convolution,
+whose output is a transposed view — because there the result's memory
+layout, which a fresh array inherits and a buffer would not, decides
+which BLAS call the next ``matmul`` makes
+(:meth:`BatchedLayer.scratch_like`).
+
+Backward ends at the first parameterized layer
+----------------------------------------------
+The gradient with respect to a model's *input* has no reader, so
+:meth:`BatchedModel.backward` stops at the first layer that has
+parameters and tells it not to compute its input gradient — one GEMM
+per step for an MLP, a GEMM plus the ``np.add.at`` col2im scatter for a
+conv-first model — and never visits the parameter-free layers in front
+of it.
 
 Unsupported layers: ``Dropout`` (per-node RNG draws cannot be replayed
 in stacked order) and ``BatchNorm2d`` (running statistics live in the
@@ -32,7 +77,8 @@ for these so callers can fall back to the serial engine explicitly.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+import math
+from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,6 +100,7 @@ from .optim import BatchedSGD
 
 __all__ = [
     "UnsupportedLayerError",
+    "Workspace",
     "BatchedLayer",
     "BatchedLinear",
     "BatchedConv2d",
@@ -73,13 +120,45 @@ class UnsupportedLayerError(ValueError):
     """Raised when a model contains a layer with no batched mirror."""
 
 
+class Workspace:
+    """Named scratch arrays that outlive a call.
+
+    :meth:`take` hands out a C-contiguous array of the requested shape
+    carved from the front of a flat buffer kept per ``key``; the buffer
+    is replaced only when a request outgrows it, so after the largest
+    call has been seen no request allocates. Contents are whatever the
+    last user left: callers must write every element before reading.
+    """
+
+    def __init__(self) -> None:
+        self._flat: dict[Hashable, np.ndarray] = {}
+
+    def take(
+        self, key: Hashable, shape: tuple[int, ...], dtype=np.float64
+    ) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(key)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._flat[key] = np.empty(size, dtype=dtype)
+        return flat[:size].reshape(shape)
+
+
+def _plane_view(
+    plane: np.ndarray | None, offset: int, shape: tuple[int, ...]
+) -> np.ndarray | None:
+    """``plane[:, offset:offset + prod(shape[1:])]`` viewed as ``shape``
+    (``None`` stays ``None``: a bind without a gradient plane)."""
+    if plane is None:
+        return None
+    return plane[:, offset : offset + math.prod(shape[1:])].reshape(shape)
+
+
 class BatchedLayer:
     """Base class: parameter-free by default.
 
     Parameterized subclasses override :meth:`bind` to install stacked
-    parameter views into the caller's ``(k, dim)`` block and
-    :meth:`param_grad_pairs` to expose ``(stacked_param, stacked_grad)``
-    for the optimizer.
+    parameter (and gradient) views into the caller's ``(k, dim)`` planes
+    and :meth:`param_grad_pairs` to expose them.
     """
 
     #: Whether the layer's output depends only on its input, not on any
@@ -87,13 +166,55 @@ class BatchedLayer:
     #: ``(B, ...)`` batch shared by all nodes (see :meth:`forward_shared`).
     node_independent = False
 
-    def bind(self, block: np.ndarray, offset: int) -> int:
-        """Install parameter views from ``block[:, offset:...]``; return
-        the offset past this layer's parameters."""
+    #: Lent by a :class:`BatchedTrainer`; ``None`` means allocate.
+    workspace: Workspace | None = None
+
+    #: Whether :meth:`backward` must return the gradient with respect to
+    #: the layer's input. :class:`BatchedModel` clears it on the first
+    #: parameterized layer, whose input gradient nothing reads.
+    input_grad = True
+
+    def bind(
+        self, block: np.ndarray, offset: int, grads: np.ndarray | None = None
+    ) -> int:
+        """Install parameter views from ``block[:, offset:...]`` and,
+        when a gradient plane is given, gradient views from the same
+        columns of ``grads``; return the offset past this layer's
+        parameters."""
         return offset
 
-    def param_grad_pairs(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def param_grad_pairs(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+        """``(stacked_param, stacked_grad)`` views, in layout order —
+        a read-only accessor over the bound planes (``stacked_grad`` is
+        ``None`` under a bind without a gradient plane)."""
         return iter(())
+
+    def scratch(
+        self, name: str, shape: tuple[int, ...], dtype=np.float64
+    ) -> np.ndarray:
+        """An uninitialized ``shape`` array: this layer's ``name``
+        buffer of the lent workspace, or a fresh one without it."""
+        if self.workspace is None:
+            return np.empty(shape, dtype=dtype)
+        # keyed by id, not by the layer: a key holding the layer would
+        # tie layer and workspace into a reference cycle, and a dropped
+        # trainer's buffers would then wait for the cycle collector
+        return self.workspace.take((id(self), name), shape, dtype)
+
+    def scratch_like(
+        self, name: str, like: np.ndarray, dtype=np.float64
+    ) -> np.ndarray | None:
+        """The ``out=`` for an elementwise kernel over ``like``: a
+        scratch array when ``like`` is C-contiguous, else ``None`` so
+        the kernel allocates. A ufunc's fresh result copies its input's
+        memory layout, and a later ``matmul`` picks its BLAS call from
+        that layout (a conv's output is a transposed view, and stays
+        one through every elementwise layer behind it), so handing a
+        C-contiguous buffer to a strided input would change bits
+        downstream."""
+        if not like.flags.c_contiguous:
+            return None
+        return self.scratch(name, like.shape, dtype)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -121,7 +242,10 @@ class BatchedLayer:
         """
         return self.forward(x)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
+        """Write this layer's parameter gradients into its plane views
+        and return the gradient with respect to its input (``None``
+        when :attr:`input_grad` is false)."""
         raise NotImplementedError
 
 
@@ -143,15 +267,18 @@ class BatchedLinear(BatchedLayer):
         self.bias_grad: np.ndarray | None = None
         self._x: np.ndarray | None = None
 
-    def bind(self, block: np.ndarray, offset: int) -> int:
+    def bind(
+        self, block: np.ndarray, offset: int, grads: np.ndarray | None = None
+    ) -> int:
         k = block.shape[0]
         fi, fo = self.in_features, self.out_features
         if self.has_bias:
-            self.bias = block[:, offset : offset + fo]
+            self.bias = _plane_view(block, offset, (k, fo))
+            self.bias_grad = _plane_view(grads, offset, (k, fo))
             offset += fo
-        self.weight = block[:, offset : offset + fi * fo].reshape(k, fi, fo)
-        offset += fi * fo
-        return offset
+        self.weight = _plane_view(block, offset, (k, fi, fo))
+        self.weight_grad = _plane_view(grads, offset, (k, fi, fo))
+        return offset + fi * fo
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.in_features:
@@ -160,23 +287,23 @@ class BatchedLinear(BatchedLayer):
             )
         self._x = x
         return F.batched_linear_forward(
-            x, self.weight, self.bias if self.has_bias else None
+            x,
+            self.weight,
+            self.bias,
+            out=self.scratch("out", (*x.shape[:2], self.out_features)),
         )
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        # Gradients are the kernels' freshly allocated outputs, adopted
-        # by reference — nothing preallocates grad mirrors, so
-        # inference-only binds (BatchedEvaluator) cost no grad memory.
-        grad_x, self.weight_grad, grad_b = F.batched_linear_backward(
-            self._x, self.weight, grad_out, bias=self.has_bias
+        grad_x = self.scratch("grad_x", self._x.shape) if self.input_grad else None
+        F.batched_linear_backward(
+            self._x, self.weight, grad_out,
+            grad_w=self.weight_grad, grad_b=self.bias_grad, grad_x=grad_x,
         )
-        if self.has_bias:
-            self.bias_grad = grad_b
         return grad_x
 
-    def param_grad_pairs(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def param_grad_pairs(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
         if self.has_bias:
             yield self.bias, self.bias_grad
         yield self.weight, self.weight_grad
@@ -197,19 +324,25 @@ class BatchedConv2d(BatchedLayer):
         self.bias: np.ndarray | None = None  # (k, out_c)
         self.weight_grad: np.ndarray | None = None
         self.bias_grad: np.ndarray | None = None
+        self._w_mat: np.ndarray | None = None  # weight as (k, out_c, C*kh*kw)
+        self._w_mat_grad: np.ndarray | None = None
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
 
-    def bind(self, block: np.ndarray, offset: int) -> int:
+    def bind(
+        self, block: np.ndarray, offset: int, grads: np.ndarray | None = None
+    ) -> int:
         k = block.shape[0]
         oc, ic, ks = self.out_channels, self.in_channels, self.kernel_size
-        wsize = oc * ic * ks * ks
         if self.has_bias:
-            self.bias = block[:, offset : offset + oc]
+            self.bias = _plane_view(block, offset, (k, oc))
+            self.bias_grad = _plane_view(grads, offset, (k, oc))
             offset += oc
-        self.weight = block[:, offset : offset + wsize].reshape(k, oc, ic, ks, ks)
-        offset += wsize
-        return offset
+        self.weight = _plane_view(block, offset, (k, oc, ic, ks, ks))
+        self.weight_grad = _plane_view(grads, offset, (k, oc, ic, ks, ks))
+        self._w_mat = _plane_view(block, offset, (k, oc, ic * ks * ks))
+        self._w_mat_grad = _plane_view(grads, offset, (k, oc, ic * ks * ks))
+        return offset + oc * ic * ks * ks
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 5 or x.shape[2] != self.in_channels:
@@ -217,23 +350,28 @@ class BatchedConv2d(BatchedLayer):
                 f"BatchedConv2d expects (k, B, {self.in_channels}, H, W), "
                 f"got {x.shape}"
             )
-        kn, n, _, h, w = x.shape
+        kn, n, c, h, w = x.shape
         ks, s, p = self.kernel_size, self.stride, self.padding
         out_h = F.conv_output_size(h, ks, s, p)
         out_w = F.conv_output_size(w, ks, s, p)
 
-        cols = F.batched_im2col(x, ks, ks, s, p)  # (k, C*ks*ks, B*oh*ow)
+        cols = F.batched_im2col(
+            x, ks, ks, s, p,
+            out=self.scratch("cols", (kn, c * ks * ks, out_h * out_w * n)),
+        )
         self._cols = cols
         self._x_shape = x.shape
 
-        w_mat = self.weight.reshape(kn, self.out_channels, -1)
-        out = np.matmul(w_mat, cols)  # (k, out_c, B*oh*ow)
+        out = np.matmul(
+            self._w_mat, cols,
+            out=self.scratch("out", (kn, self.out_channels, out_h * out_w * n)),
+        )
         if self.has_bias:
             out += self.bias[:, :, None]
         out = out.reshape(kn, self.out_channels, out_h, out_w, n)
         return out.transpose(0, 4, 1, 2, 3)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called before forward")
         kn = self._x_shape[0]
@@ -242,17 +380,19 @@ class BatchedConv2d(BatchedLayer):
         # (k, B, O, oh, ow) -> (k, O, B*oh*ow) matching the column layout
         grad_mat = grad_out.transpose(0, 2, 3, 4, 1).reshape(kn, self.out_channels, -1)
 
-        self.weight_grad = np.matmul(
-            grad_mat, self._cols.transpose(0, 2, 1)
-        ).reshape(self.weight.shape)
+        np.matmul(grad_mat, self._cols.transpose(0, 2, 1), out=self._w_mat_grad)
         if self.has_bias:
-            self.bias_grad = grad_mat.sum(axis=2)
+            np.sum(grad_mat, axis=2, out=self.bias_grad)
+        if not self.input_grad:
+            return None
 
-        w_mat = self.weight.reshape(kn, self.out_channels, -1)
-        grad_cols = np.matmul(w_mat.transpose(0, 2, 1), grad_mat)
+        grad_cols = np.matmul(
+            self._w_mat.transpose(0, 2, 1), grad_mat,
+            out=self.scratch("grad_cols", self._cols.shape),
+        )
         return F.batched_col2im(grad_cols, self._x_shape, ks, ks, s, p)
 
-    def param_grad_pairs(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def param_grad_pairs(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
         if self.has_bias:
             yield self.bias, self.bias_grad
         yield self.weight, self.weight_grad
@@ -272,13 +412,16 @@ class BatchedGroupNorm(BatchedLayer):
         self.beta_grad: np.ndarray | None = None
         self._cache: tuple | None = None
 
-    def bind(self, block: np.ndarray, offset: int) -> int:
-        c = self.num_channels
-        self.beta = block[:, offset : offset + c]
+    def bind(
+        self, block: np.ndarray, offset: int, grads: np.ndarray | None = None
+    ) -> int:
+        k, c = block.shape[0], self.num_channels
+        self.beta = _plane_view(block, offset, (k, c))
+        self.beta_grad = _plane_view(grads, offset, (k, c))
         offset += c
-        self.gamma = block[:, offset : offset + c]
-        offset += c
-        return offset
+        self.gamma = _plane_view(block, offset, (k, c))
+        self.gamma_grad = _plane_view(grads, offset, (k, c))
+        return offset + c
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 5 or x.shape[2] != self.num_channels:
@@ -300,15 +443,20 @@ class BatchedGroupNorm(BatchedLayer):
             + self.beta[:, None, :, None, None]
         )
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         xhat, inv_std, shape = self._cache
         kn, n, c, h, w = shape
         g = self.num_groups
 
-        self.gamma_grad = (grad_out * xhat).sum(axis=(1, 3, 4))
-        self.beta_grad = grad_out.sum(axis=(1, 3, 4))
+        # assigned, not reduced with out=: the activations here may be
+        # strided (see scratch_like), and only the allocate-then-reduce
+        # form is known to keep the serial layer's reduction order then
+        self.gamma_grad[...] = (grad_out * xhat).sum(axis=(1, 3, 4))
+        self.beta_grad[...] = grad_out.sum(axis=(1, 3, 4))
+        if not self.input_grad:
+            return None
 
         dxhat = (grad_out * self.gamma[:, None, :, None, None]).reshape(
             kn, n, g, c // g * h * w
@@ -320,7 +468,7 @@ class BatchedGroupNorm(BatchedLayer):
         dx = (inv_std / m) * (m * dxhat - sum_dxhat - xhat_g * sum_dxhat_xhat)
         return dx.reshape(kn, n, c, h, w)
 
-    def param_grad_pairs(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def param_grad_pairs(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
         yield self.beta, self.beta_grad
         yield self.gamma, self.gamma_grad
 
@@ -370,9 +518,27 @@ class BatchedPool2d(BatchedLayer):
         return grad_in.reshape(kn, n, *grad_in.shape[1:])
 
 
+def _relu(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``np.where(x > 0, x, 0.0)`` (into ``out`` when given), bit for
+    bit on every input — NaN and ``-inf`` map to ``0.0``, zeros come out
+    positive — as two fast passes: ``fmax`` ignores NaN and yields
+    ``+0.0`` below zero but may keep the sign of an exact ``-0.0``,
+    which adding ``+0.0`` clears (``-0.0 + 0.0 == +0.0``,
+    ``v + 0.0 == v`` otherwise). ``np.where`` takes no ``out=`` and is
+    several times slower."""
+    out = np.fmax(x, 0.0, out=out)
+    out += 0.0
+    return out
+
+
 class BatchedElementwise(BatchedLayer):
     """Activations are shape-agnostic elementwise maps; a fresh instance
     of the serial layer runs unchanged on ``(k, B, ...)`` stacks.
+
+    The rectifier — the one activation every preset uses — trains here
+    instead, on reused buffers: the output is the serial layer's
+    ``np.where(x > 0, x, 0.0)`` bit for bit (:func:`_relu`), the mask is
+    kept for backward.
 
     Inference skips the training forward's backward bookkeeping: the
     rectifiers drop the cached mask and the ``np.where`` select in
@@ -389,9 +555,13 @@ class BatchedElementwise(BatchedLayer):
 
     def __init__(self, layer: Module) -> None:
         self.layer = layer
+        self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.layer.forward(x)
+        if not isinstance(self.layer, ReLU):
+            return self.layer.forward(x)
+        self._mask = np.greater(x, 0.0, out=self.scratch_like("mask", x, np.bool_))
+        return _relu(x, out=self.scratch_like("out", x))
 
     def forward_shared(self, x: np.ndarray) -> np.ndarray:
         if isinstance(self.layer, ReLU):
@@ -408,7 +578,14 @@ class BatchedElementwise(BatchedLayer):
         return self.layer.forward(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return self.layer.backward(grad_out)
+        if not isinstance(self.layer, ReLU):
+            return self.layer.backward(grad_out)
+        if self._mask is None:
+            raise RuntimeError("backward called before forward")
+        out = None
+        if self._mask.flags.c_contiguous:
+            out = self.scratch_like("grad_x", grad_out)
+        return np.multiply(grad_out, self._mask, out=out)
 
 
 def _vectorize_layer(layer: Module) -> BatchedLayer:
@@ -442,37 +619,61 @@ class BatchedModel:
     Built from a serial template by :func:`vectorize_module`. Call
     :meth:`bind` with the block of node parameter rows before
     forward/backward; parameter views alias the block, so optimizer
-    updates mutate the rows in place.
+    updates mutate the rows in place. Training additionally binds a
+    gradient plane (module docstring) that :meth:`backward` fills.
     """
 
     def __init__(self, layers: Sequence[BatchedLayer], dim: int) -> None:
         self.layers = list(layers)
         self.dim = dim
+        self.block: np.ndarray | None = None
+        self.grads: np.ndarray | None = None
+        # backward runs from the last layer down to the first one that
+        # has parameters; that layer's input gradient has no reader
+        self._head = 0
+        for at, layer in enumerate(self.layers):
+            if not layer.node_independent:
+                layer.input_grad = False
+                self._head = at
+                break
 
-    def bind(self, block: np.ndarray) -> None:
+    def lend(self, workspace: Workspace) -> None:
+        """Have every layer take its scratch arrays from ``workspace``."""
+        for layer in self.layers:
+            layer.workspace = workspace
+
+    def bind(self, block: np.ndarray, grads: np.ndarray | None = None) -> None:
         if block.ndim != 2 or block.shape[1] != self.dim:
             raise ValueError(
                 f"expected a (k, {self.dim}) parameter block, got {block.shape}"
             )
+        if grads is not None and grads.shape != block.shape:
+            raise ValueError(
+                f"gradient plane {grads.shape} does not match the "
+                f"parameter block {block.shape}"
+            )
         offset = 0
         for layer in self.layers:
-            offset = layer.bind(block, offset)
+            offset = layer.bind(block, offset, grads)
         if offset != self.dim:
             raise RuntimeError(
                 f"parameter layout mismatch: bound {offset} of {self.dim} entries"
             )
+        self.block, self.grads = block, grads
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x)
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad_out: np.ndarray) -> None:
+        """Fill the gradient plane from ``dL/dlogits``."""
+        if self.grads is None:
+            raise RuntimeError("backward needs a gradient plane: bind(block, grads)")
+        for layer in reversed(self.layers[self._head :]):
             grad_out = layer.backward(grad_out)
-        return grad_out
 
-    def param_grad_pairs(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def param_grad_pairs(self) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
         for layer in self.layers:
             yield from layer.param_grad_pairs()
 
@@ -564,12 +765,11 @@ class BatchedEvaluator:
                 f"expected an (n, {self.model.dim}) state matrix, "
                 f"got {state.shape}"
             )
-        ids = (
-            np.arange(state.shape[0])
-            if node_ids is None
-            else np.asarray(node_ids)
+        # every row: bind the matrix itself (no copy when it already is
+        # C-contiguous, which every state store's is)
+        block = np.ascontiguousarray(
+            state if node_ids is None else state[np.asarray(node_ids)]
         )
-        block = np.ascontiguousarray(state[ids])
         k = block.shape[0]
         chunk = self.node_chunk if self.node_chunk is not None else max(k, 1)
         n = len(dataset)
@@ -614,6 +814,26 @@ def make_evaluator(
         return None
 
 
+def _contiguous_run(state: np.ndarray, ids: np.ndarray) -> np.ndarray | None:
+    """``state[ids]`` as a writable *view* when ``ids`` is one ascending
+    run ``lo, lo+1, ...`` and those rows are a C-contiguous float64
+    block — what a slice of a memory or mmap state store is — else
+    ``None``."""
+    lo = int(ids[0])
+    if lo < 0 or (ids.size > 1 and not (np.diff(ids) == 1).all()):
+        return None
+    rows = state[lo : lo + ids.size]
+    if (
+        isinstance(rows, np.ndarray)
+        and rows.shape[0] == ids.size
+        and rows.dtype == np.float64
+        and rows.flags.c_contiguous
+        and rows.flags.writeable
+    ):
+        return np.asarray(rows)  # base-class view of an np.memmap
+    return None
+
+
 class BatchedTrainer:
     """Runs E stacked SGD steps on a block of node parameter rows.
 
@@ -623,6 +843,12 @@ class BatchedTrainer:
     same arithmetic as the serial loop, reordered from
     ``for node: for step`` into ``for step: all nodes``, which is valid
     because nodes do not interact between aggregation rounds.
+
+    The trainer owns the :class:`Workspace` its model's layers, the
+    batch gathers and the gradient plane live in (module docstring), so
+    a second call of the same size allocates nothing proportional to
+    ``k * dim``; a trainer is therefore not safe to share between
+    threads.
 
     Momentum is rejected: the serial engine's momentum buffer lives in
     the shared workspace model and leaks across nodes (a serial-path
@@ -634,6 +860,8 @@ class BatchedTrainer:
         self, template: Module, lr: float, weight_decay: float = 0.0
     ) -> None:
         self.model = vectorize_module(template)
+        self.workspace = Workspace()
+        self.model.lend(self.workspace)
         self.optimizer = BatchedSGD(self.model, lr=lr, weight_decay=weight_decay)
 
     def train_rows(
@@ -645,51 +873,87 @@ class BatchedTrainer:
         idx: np.ndarray,
         k: np.ndarray,
     ) -> np.ndarray:
-        """Gather rows ``ids`` of ``state``, train each on its drawn
-        mini-batches, and scatter the results back — the
-        arbitrary-subset entry point both engines use (the sync engine
-        trains the round's masked nodes; the async engine one disjoint
-        event batch).
+        """Train rows ``ids`` of ``state``, each on its drawn
+        mini-batches — the arbitrary-subset entry point both engines use
+        (the sync engine trains the round's masked nodes; the async
+        engine one disjoint event batch).
 
         The batches arrive as sample indices, the stacked form
         :meth:`repro.simulation.node_bank.NodeBank.draw` returns:
         ``state[ids[p]]`` takes local step ``s`` on samples
         ``idx[p, s, :k[p]]`` of the global ``x``/``y``, which are
         gathered here, one ``(rows, k, ...)`` stack per step. ``ids``
-        may list rows in any order. Rows whose batch sizes differ
-        (smaller-than-batch datasets) are grouped into rectangular
-        sub-blocks so every stack is uniform; grouping never changes
-        any row's arithmetic. The row gather is a fancy-index copy, so
-        rows not listed are never touched. Returns per-row mean losses
-        in ``ids`` order.
+        may list distinct rows in any order; a repeated row
+        (``ValueError``) or a sample index outside ``x``, padding
+        columns included (``IndexError``), is rejected before anything
+        is touched. Rows whose batch
+        sizes differ (smaller-than-batch datasets) are grouped into
+        rectangular sub-blocks so every stack is uniform; grouping never
+        changes any row's arithmetic. Rows that form one ascending run
+        of a C-contiguous float64 ``state`` are trained where they lie;
+        any other selection is gathered into a copy and scattered back.
+        Either way rows not listed are never touched. Returns per-row
+        mean losses in ``ids`` order.
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
             return np.empty(0)
-        block = state[ids]  # fancy index: a copy
+        if ids.size > 1 and np.unique(ids).size != ids.size:
+            raise ValueError(
+                f"rows trained together must be distinct, got {ids.tolist()}"
+            )
+        if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
+            raise IndexError(
+                f"batch indices (padding included) must lie in "
+                f"[0, {x.shape[0]}), got [{idx.min()}, {idx.max()}]"
+            )
         widths = np.unique(k)
         if widths.size == 1:
-            losses = self._train_uniform(block, x, y, idx[:, :, : widths[0]])
-        else:
-            losses = np.empty(ids.size)
-            for width in widths:
-                pos = np.flatnonzero(k == width)
-                sub = block[pos]  # fancy index: a copy
-                losses[pos] = self._train_uniform(sub, x, y, idx[pos, :, :width])
-                block[pos] = sub
-        state[ids] = block
+            return self._train_uniform(state, ids, x, y, idx[:, :, : widths[0]])
+        losses = np.empty(ids.size)
+        for width in widths:
+            pos = np.flatnonzero(k == width)
+            losses[pos] = self._train_uniform(
+                state, ids[pos], x, y, idx[pos, :, :width]
+            )
         return losses
 
     def _train_uniform(
+        self,
+        state: np.ndarray,
+        ids: np.ndarray,
+        x: np.ndarray,
+        y: np.ndarray,
+        idx: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`train_rows` for rows that share one batch width."""
+        block = _contiguous_run(state, ids)
+        if block is not None:
+            return self._run_steps(block, x, y, idx)
+        block = state[ids]  # fancy index: a copy
+        losses = self._run_steps(block, x, y, idx)
+        state[ids] = block
+        return losses
+
+    def _run_steps(
         self, block: np.ndarray, x: np.ndarray, y: np.ndarray, idx: np.ndarray
     ) -> np.ndarray:
-        self.model.bind(block)
-        local_steps = idx.shape[1]
-        total = np.zeros(block.shape[0])
+        """Bind ``block`` and take its rows through ``idx.shape[1]``
+        local steps in place; per-row mean losses."""
+        rows, local_steps, width = idx.shape
+        take = self.workspace.take
+        self.model.bind(block, take("grads", block.shape))
+        xb = take("x", (rows, width, *x.shape[1:]), x.dtype)
+        yb = take("y", (rows, width), y.dtype)
+        total = np.zeros(rows)
         for step in range(local_steps):
             sel = idx[:, step]
-            logits = self.model.forward(x[sel])
-            losses, grad = F.batched_cross_entropy(logits, y[sel])
+            # train_rows range-checked the indices; mode="clip" only
+            # skips the defensive copy of ``out`` mode="raise" makes
+            np.take(x, sel, axis=0, out=xb, mode="clip")
+            np.take(y, sel, axis=0, out=yb, mode="clip")
+            logits = self.model.forward(xb)
+            losses, grad = F.batched_cross_entropy(logits, yb)
             total += losses
             self.model.backward(grad)
             self.optimizer.step()

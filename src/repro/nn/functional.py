@@ -178,27 +178,41 @@ def col2im(
 
 
 def batched_linear_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None
+    x: np.ndarray,
+    w: np.ndarray,
+    b: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Affine map per node: ``(k, B, in) @ (k, in, out) [+ (k, out)]``."""
-    out = np.matmul(x, w)
+    """Affine map per node: ``(k, B, in) @ (k, in, out) [+ (k, out)]``,
+    written into ``out`` when given."""
+    out = np.matmul(x, w, out=out)
     if b is not None:
         out += b[:, None, :]
     return out
 
 
 def batched_linear_backward(
-    x: np.ndarray, w: np.ndarray, grad_out: np.ndarray, bias: bool = True
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Gradients of :func:`batched_linear_forward`.
-
-    Returns ``(grad_x, grad_w, grad_b)`` with shapes matching the inputs
-    (``grad_b`` is ``None`` when ``bias`` is false).
+    x: np.ndarray,
+    w: np.ndarray,
+    grad_out: np.ndarray,
+    grad_w: np.ndarray,
+    grad_b: np.ndarray | None = None,
+    grad_x: np.ndarray | None = None,
+) -> None:
+    """Gradients of :func:`batched_linear_forward`, written into the
+    caller's arrays: ``grad_w`` ``(k, in, out)`` always, ``grad_b``
+    ``(k, out)`` and ``grad_x`` ``(k, B, in)`` only when given (a layer
+    without a bias has no ``grad_b``; the first parameterized layer of a
+    model has no reader for ``grad_x``). The destinations may be strided
+    along the node axis as long as each node's slice is C-contiguous —
+    ``matmul`` then runs the same BLAS call per slice as it would into a
+    fresh array.
     """
-    grad_w = np.matmul(x.transpose(0, 2, 1), grad_out)
-    grad_b = grad_out.sum(axis=1) if bias else None
-    grad_x = np.matmul(grad_out, w.transpose(0, 2, 1))
-    return grad_x, grad_w, grad_b
+    np.matmul(x.transpose(0, 2, 1), grad_out, out=grad_w)
+    if grad_b is not None:
+        np.sum(grad_out, axis=1, out=grad_b)
+    if grad_x is not None:
+        np.matmul(grad_out, w.transpose(0, 2, 1), out=grad_x)
 
 
 def batched_cross_entropy(
@@ -231,9 +245,15 @@ def batched_cross_entropy(
 
 
 def batched_im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0
+    x: np.ndarray,
+    kh: int,
+    kw: int,
+    stride: int = 1,
+    padding: int = 0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Unfold ``(k, B, C, H, W)`` into ``(k, C*kh*kw, B*oh*ow)`` columns.
+    """Unfold ``(k, B, C, H, W)`` into ``(k, C*kh*kw, B*oh*ow)`` columns
+    (into ``out`` when given).
 
     Per-slice layout matches :func:`im2col` applied to one node's
     ``(B, C, H, W)`` batch, so a stacked ``(k, out_c, C*kh*kw)`` weight
@@ -249,7 +269,11 @@ def batched_im2col(
     k, i, j = im2col_indices(c, h, w, kh, kw, stride, padding)
     cols = x[:, :, k, i, j]  # (k, B, C*kh*kw, oh*ow)
     # match im2col's (ckk, ohow, B) -> (ckk, ohow*B) column ordering
-    return cols.transpose(0, 2, 3, 1).reshape(k_nodes, c * kh * kw, -1)
+    cols = cols.transpose(0, 2, 3, 1)
+    if out is None:
+        return cols.reshape(k_nodes, c * kh * kw, -1)
+    np.copyto(out.reshape(cols.shape), cols)
+    return out
 
 
 def batched_col2im(

@@ -67,13 +67,22 @@ class SGD:
 
 
 class BatchedSGD:
-    """SGD over stacked node-axis parameters (the vectorized engine).
+    """SGD over the stacked parameter block (the vectorized engine).
 
-    ``model`` is anything exposing ``param_grad_pairs() ->
-    (stacked_param, stacked_grad)`` views (see
-    :class:`repro.nn.batched.BatchedModel`). Updates are elementwise and
-    in place, so slice ``i`` of every stacked parameter receives exactly
-    the arithmetic the serial :class:`SGD` would apply to node ``i``.
+    ``model`` is a bound :class:`repro.nn.batched.BatchedModel`: its
+    ``block`` is the ``(k, dim)`` parameter rows and its ``grads`` the
+    gradient plane of the same shape and layout, both C-contiguous, so
+    one update is two passes over flat memory whatever the model's
+    layer structure — ``grads *= lr; block -= grads``. Per element that
+    is the serial :class:`SGD`'s ``p -= lr * g``: one rounding for the
+    product, one for the difference, in the same order (``lr * g`` and
+    ``g * lr`` are the same IEEE product), so row ``i`` receives exactly
+    the bits the serial optimizer would give node ``i``. Weight decay
+    adds ``grads += weight_decay * block`` first — again the serial
+    ``g + weight_decay * p``, product rounded, then sum rounded — with
+    the product staged in a scratch plane the optimizer keeps and grows
+    to the largest block it has seen. The step consumes the gradient
+    plane: after it, ``grads`` holds the applied update, not gradients.
 
     Momentum is deliberately absent: the serial engine's momentum buffer
     lives in the shared workspace model and carries over from node to
@@ -88,13 +97,19 @@ class BatchedSGD:
         self.model = model
         self.lr = lr
         self.weight_decay = weight_decay
+        self._decay = np.empty(0)
 
     def step(self) -> None:
-        """Apply one in-place update to every node slice at once."""
-        for p, g in self.model.param_grad_pairs():
-            if self.weight_decay > 0.0:
-                g = g + self.weight_decay * p
-            p -= self.lr * g
+        """Apply one in-place update to every node row at once."""
+        block, grads = self.model.block, self.model.grads
+        if self.weight_decay > 0.0:
+            if self._decay.size < block.size:
+                self._decay = np.empty(block.size)
+            decay = self._decay[: block.size].reshape(block.shape)
+            np.multiply(block, self.weight_decay, out=decay)
+            grads += decay
+        grads *= self.lr
+        block -= grads
 
 
 class ConstantLR:

@@ -6,9 +6,16 @@ counterpart — these tests pin that property layer by layer, so an
 engine-level equality failure localizes immediately.
 """
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.data.dataset import ArrayDataset
 from repro.nn import (
     CrossEntropyLoss,
     SGD,
@@ -17,11 +24,25 @@ from repro.nn import (
 )
 from repro.nn import functional as F
 from repro.nn.batched import (
+    BatchedElementwise,
+    BatchedEvaluator,
     BatchedTrainer,
     UnsupportedLayerError,
+    Workspace,
     vectorize_module,
 )
-from repro.nn.layers import Dropout, Linear
+from repro.nn.layers import (
+    Conv2d,
+    Dropout,
+    Flatten,
+    LeakyReLU,
+    Linear,
+    MaxPool2d,
+    ReLU,
+    Sigmoid,
+    Tanh,
+)
+from repro.nn.layers.normalization import GroupNorm
 from repro.nn.models import gn_lenet_cifar10
 from repro.nn.module import Sequential
 from repro.nn.serialization import parameter_vector, set_parameter_vector
@@ -86,7 +107,14 @@ class TestBatchedKernels:
         x = RNG.normal(size=(k, b, fi))
         w = RNG.normal(size=(k, fi, fo))
         g = RNG.normal(size=(k, b, fo))
-        gx, gw, gb = F.batched_linear_backward(x, w, g)
+        # destinations laid out as the layers bind them: columns of a
+        # wider (k, dim) plane, so only each node's slice is contiguous
+        plane = np.full((k, 3 + fo + fi * fo), np.nan)
+        gb = plane[:, 3 : 3 + fo]
+        gw = plane[:, 3 + fo :].reshape(k, fi, fo)
+        gx = np.full(x.shape, np.nan)
+        F.batched_linear_backward(x, w, g, grad_w=gw, grad_b=gb, grad_x=gx)
+        assert np.isnan(plane[:, :3]).all()
         for s in range(k):
             np.testing.assert_array_equal(gw[s], x[s].T @ g[s])
             np.testing.assert_array_equal(gb[s], g[s].sum(axis=0))
@@ -230,3 +258,401 @@ class TestBatchedTrainerExactness:
             np.empty((0, 8)), none, np.empty((0, 1, 0), dtype=np.int64), none,
         )
         assert out.shape == (0,)
+
+    def test_repeated_ids_raise_before_state_is_touched(self):
+        model = small_mlp(16, 4, hidden=8, rng=np.random.default_rng(7))
+        state = _rows_for(model, 4)
+        before = state.copy()
+        x, y = RNG.normal(size=(12, 16)), RNG.integers(0, 4, size=12)
+        idx = RNG.integers(0, 12, size=(3, 2, 4))
+        with pytest.raises(ValueError, match="distinct"):
+            BatchedTrainer(model, lr=0.1).train_rows(
+                state, np.array([2, 0, 2]), x, y, idx, np.full(3, 4)
+            )
+        assert state.tobytes() == before.tobytes()
+
+    def test_out_of_range_batch_indices_raise_before_state_is_touched(self):
+        model = small_mlp(16, 4, hidden=8, rng=np.random.default_rng(7))
+        state = _rows_for(model, 2)
+        x, y = RNG.normal(size=(12, 16)), RNG.integers(0, 4, size=12)
+        before = state.copy()
+        for bad in (12, -1):
+            idx = RNG.integers(0, 12, size=(2, 2, 4))
+            idx[1, 1, 2] = bad  # the last step of the last row
+            with pytest.raises(IndexError):
+                BatchedTrainer(model, lr=0.1).train_rows(
+                    state, np.arange(2), x, y, idx, np.full(2, 4)
+                )
+            assert state.tobytes() == before.tobytes()
+
+
+# -- the stacked step against the serial loop, over everything it branches on --
+
+FEATURES = (1, 4, 4)
+CLASSES = 4
+SAMPLES = 40
+
+
+def _mlp(rng):
+    return small_mlp(16, CLASSES, hidden=8, rng=rng)
+
+
+def _conv(rng):
+    return small_cnn(1, 4, CLASSES, channels=3, rng=rng)
+
+
+def _conv_groupnorm(rng):
+    return Sequential(
+        Conv2d(1, 4, 3, padding=1, rng=rng),
+        GroupNorm(2, 4),
+        ReLU(),
+        MaxPool2d(2),
+        Conv2d(4, 6, 3, padding=1, rng=rng),
+        GroupNorm(3, 6),
+        ReLU(),
+        Flatten(),
+        Linear(6 * 2 * 2, CLASSES, rng=rng),
+    )
+
+
+def _leaky_tanh(rng):
+    return Sequential(
+        Flatten(),
+        Linear(16, 8, rng=rng),
+        LeakyReLU(0.1),
+        Linear(8, 6, rng=rng, bias=False),
+        Tanh(),
+        Linear(6, CLASSES, rng=rng),
+    )
+
+
+def _sigmoid_no_bias(rng):
+    return Sequential(
+        Conv2d(1, 2, 3, padding=1, rng=rng, bias=False),
+        Sigmoid(),
+        MaxPool2d(2),
+        Flatten(),
+        Linear(2 * 2 * 2, CLASSES, rng=rng),
+    )
+
+
+FAMILIES = {
+    "mlp": _mlp,
+    "conv": _conv,
+    "conv-groupnorm": _conv_groupnorm,
+    "leaky-tanh": _leaky_tanh,
+    "sigmoid-no-bias": _sigmoid_no_bias,
+}
+
+
+def _serial_train_rows(model, state, ids, x, y, idx, k, lr, weight_decay=0.0):
+    """``train_rows``'s contract spelled as the serial per-node loop:
+    returns ``(expected state, per-row mean losses)``."""
+    out = state.copy()
+    loss = CrossEntropyLoss()
+    opt = SGD(model.parameters(), lr=lr, weight_decay=weight_decay)
+    losses = np.empty(len(ids))
+    for pos, row in enumerate(ids):
+        set_parameter_vector(model, out[row])
+        total = 0.0
+        for step in range(idx.shape[1]):
+            sel = idx[pos, step, : k[pos]]
+            total += loss.forward(model(x[sel]), y[sel])
+            model.zero_grad()
+            model.backward(loss.backward())
+            opt.step()
+        parameter_vector(model, out=out[row])
+        losses[pos] = total / idx.shape[1]
+    return out, losses
+
+
+@st.composite
+def _calls(draw, n_rows):
+    """A sequence of ``train_rows`` calls against an ``n_rows`` state:
+    each picks its rows (full range / interior run / single row /
+    shuffled subset), every row's batch width, and the local steps."""
+    calls = []
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(["full", "run", "single", "subset"]))
+        if kind == "full":
+            ids = np.arange(n_rows)
+        elif kind == "run":
+            lo = draw(st.integers(1, n_rows - 3))
+            ids = np.arange(lo, draw(st.integers(lo + 2, n_rows - 1)))
+        elif kind == "single":
+            ids = np.array([draw(st.integers(0, n_rows - 1))])
+        else:
+            ids = np.array(draw(st.permutations(range(n_rows))))[
+                : draw(st.integers(2, n_rows - 1))
+            ]
+        widths = draw(st.sampled_from([(5,), (5, 2), (3, 1, 4)]))
+        k = np.array([draw(st.sampled_from(widths)) for _ in ids])
+        steps = draw(st.integers(1, 3))
+        seed = draw(st.integers(0, 2**16))
+        idx = np.random.default_rng(seed).integers(
+            0, SAMPLES, size=(ids.size, steps, int(k.max()))
+        )
+        calls.append((ids, k, idx))
+    return calls
+
+
+class TestStackedStepAgainstSerialLoop:
+    N_ROWS = 7
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_one_trainer_many_calls_bitwise(self, family, data):
+        """One trainer instance serves calls of growing and shrinking
+        size; after each, the whole state — trained rows and every row
+        not listed, both neighbours of an in-place run included — and
+        the losses equal the serial loop's."""
+        weight_decay = data.draw(st.sampled_from([0.0, 0.03]))
+        calls = data.draw(_calls(self.N_ROWS))
+        rng = np.random.default_rng(11)
+        model = FAMILIES[family](rng)
+        x = rng.normal(size=(SAMPLES, *FEATURES))
+        y = rng.integers(0, CLASSES, size=SAMPLES)
+        base = parameter_vector(model)
+        state = np.tile(base, (self.N_ROWS, 1)) + 0.05 * rng.normal(
+            size=(self.N_ROWS, base.size)
+        )
+        trainer = BatchedTrainer(model, lr=0.2, weight_decay=weight_decay)
+        for ids, k, idx in calls:
+            expected, expected_losses = _serial_train_rows(
+                model, state, ids, x, y, idx, k, lr=0.2, weight_decay=weight_decay
+            )
+            losses = trainer.train_rows(state, ids, x, y, idx, k)
+            np.testing.assert_array_equal(state, expected)
+            np.testing.assert_array_equal(losses, expected_losses)
+            untouched = np.setdiff1d(np.arange(self.N_ROWS), ids)
+            assert state[untouched].tobytes() == expected[untouched].tobytes()
+
+    def test_run_trains_where_it_lies_and_other_selections_are_copies(self):
+        model = _mlp(np.random.default_rng(12))
+        state = _rows_for(model, 6)
+        x, y = RNG.normal(size=(SAMPLES, *FEATURES)), RNG.integers(0, CLASSES, size=SAMPLES)
+        trainer = BatchedTrainer(model, lr=0.1)
+
+        def trained_in_place(st_, ids):
+            ids = np.asarray(ids)
+            idx = RNG.integers(0, SAMPLES, size=(ids.size, 1, 3))
+            trainer.train_rows(st_, ids, x, y, idx, np.full(ids.size, 3))
+            return np.shares_memory(trainer.model.block, st_)
+
+        assert trained_in_place(state, np.arange(6))
+        assert trained_in_place(state, [2, 3, 4])
+        assert trained_in_place(state, [5])
+        assert not trained_in_place(state, [3, 2])
+        assert not trained_in_place(state, [0, 2, 3])
+
+    @pytest.mark.parametrize("how", ["strided", "float32", "readonly-run"])
+    def test_unsuitable_slice_falls_back_to_the_gather(self, how):
+        """A run whose rows are not a C-contiguous float64 block is not
+        an error: it takes the gather/scatter path any subset takes."""
+        model = _mlp(np.random.default_rng(13))
+        dense = _rows_for(model, 5)
+        if how == "strided":
+            wide = np.zeros((5, dense.shape[1] + 3))
+            state = wide[:, : dense.shape[1]]
+            state[:] = dense
+        elif how == "float32":
+            state = dense.astype(np.float32)
+        else:
+            state = dense.copy()
+        x, y = RNG.normal(size=(SAMPLES, *FEATURES)), RNG.integers(0, CLASSES, size=SAMPLES)
+        ids, k = np.arange(1, 4), np.full(3, 4)
+        idx = RNG.integers(0, SAMPLES, size=(3, 2, 4))
+        trainer = BatchedTrainer(model, lr=0.1)
+        if how == "readonly-run":
+            state.flags.writeable = False
+            with pytest.raises(ValueError, match="read-only"):
+                trainer.train_rows(state, ids, x, y, idx, k)
+            return
+        # the same rows listed backwards are no run: the gather path
+        gathered = state.copy()
+        BatchedTrainer(model, lr=0.1).train_rows(
+            gathered, ids[::-1], x, y, idx[::-1], k
+        )
+        trainer.train_rows(state, ids, x, y, idx, k)
+        assert not np.shares_memory(trainer.model.block, state)
+        assert state.tobytes() == gathered.tobytes()
+        if how == "strided":
+            expected, _ = _serial_train_rows(model, dense, ids, x, y, idx, k, lr=0.1)
+            np.testing.assert_array_equal(state, expected)
+            assert not wide[:, dense.shape[1] :].any()
+
+    def test_memmap_state_trains_in_place_to_the_same_bytes(self, tmp_path):
+        model = _mlp(np.random.default_rng(14))
+        memory = _rows_for(model, 6)
+        mapped = np.memmap(
+            tmp_path / "state.bin", dtype=np.float64, mode="w+", shape=memory.shape
+        )
+        mapped[:] = memory
+        x, y = RNG.normal(size=(SAMPLES, *FEATURES)), RNG.integers(0, CLASSES, size=SAMPLES)
+        trainers = [BatchedTrainer(model, lr=0.1) for _ in range(2)]
+        for ids in (np.arange(6), np.arange(2, 5), np.array([4, 0, 3])):
+            idx = RNG.integers(0, SAMPLES, size=(ids.size, 2, 4))
+            k = np.full(ids.size, 4)
+            for trainer, state in zip(trainers, (memory, mapped)):
+                trainer.train_rows(state, ids, x, y, idx, k)
+            in_place = ids.size == 1 or bool((np.diff(ids) == 1).all())
+            assert np.shares_memory(trainers[1].model.block, mapped) == in_place
+            assert mapped.tobytes() == memory.tobytes()
+        mapped.flush()
+        assert np.fromfile(tmp_path / "state.bin").tobytes() == memory.tobytes()
+
+    def test_second_call_allocates_activations_not_parameter_planes(self):
+        """Steady state: the gradient plane, the layer buffers and the
+        batch gathers are reused, so what a repeat call still allocates
+        is loss-sized — far below one ``k * dim`` plane."""
+        model = small_mlp(256, CLASSES, hidden=32, rng=np.random.default_rng(15))
+        rows, batch = 32, 2
+        state = _rows_for(model, rows)
+        plane_bytes = state.nbytes
+        x = RNG.normal(size=(SAMPLES, 256))
+        y = RNG.integers(0, CLASSES, size=SAMPLES)
+        ids, k = np.arange(rows), np.full(rows, batch)
+        idx = RNG.integers(0, SAMPLES, size=(rows, 3, batch))
+        for weight_decay in (0.0, 0.01):
+            trainer = BatchedTrainer(model, lr=0.1, weight_decay=weight_decay)
+            trainer.train_rows(state, ids, x, y, idx, k)
+            tracemalloc.start()
+            try:
+                trainer.train_rows(state, ids, x, y, idx, k)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            activations = rows * batch * 256 * 8
+            assert peak < activations < plane_bytes / 8
+
+    def test_dropped_trainer_frees_its_planes_without_the_cycle_collector(self):
+        """Engines come and go inside one process (a sweep worker, the
+        serve daemon); a trainer's k * dim buffers must die with it, not
+        wait for a gc pass."""
+        model = _conv_groupnorm(np.random.default_rng(18))
+        x, y = RNG.normal(size=(SAMPLES, *FEATURES)), RNG.integers(0, CLASSES, size=SAMPLES)
+        trainer = BatchedTrainer(model, lr=0.1, weight_decay=0.01)
+        trainer.train_rows(
+            _rows_for(model, 3), np.arange(3), x, y,
+            RNG.integers(0, SAMPLES, size=(3, 1, 4)), np.full(3, 4),
+        )
+        planes = [weakref.ref(trainer.model.grads.base), weakref.ref(trainer.workspace)]
+        gc.disable()
+        try:
+            del trainer
+            assert all(ref() is None for ref in planes)
+        finally:
+            gc.enable()
+
+    def test_backward_without_a_gradient_plane_is_an_error(self):
+        bmodel = vectorize_module(_mlp(np.random.default_rng(19)))
+        bmodel.bind(np.zeros((2, bmodel.dim)))
+        logits = bmodel.forward(RNG.normal(size=(2, 3, *FEATURES)))
+        with pytest.raises(RuntimeError, match="gradient plane"):
+            bmodel.backward(np.zeros_like(logits))
+
+    def test_backward_ends_at_the_first_parameterized_layer(self, monkeypatch):
+        """The input gradient of the first layer with parameters has no
+        reader: a conv-first model never runs that conv's col2im, an
+        MLP never runs its first layer's grad_x GEMM."""
+        col2im_shapes = []
+        real_col2im = F.batched_col2im
+        monkeypatch.setattr(
+            F, "batched_col2im",
+            lambda cols, x_shape, *a, **kw: (
+                col2im_shapes.append(x_shape), real_col2im(cols, x_shape, *a, **kw)
+            )[1],
+        )
+        wanted_grad_x = []
+        real_linear_backward = F.batched_linear_backward
+        monkeypatch.setattr(
+            F, "batched_linear_backward",
+            lambda *a, **kw: (
+                wanted_grad_x.append(kw["grad_x"] is not None),
+                real_linear_backward(*a, **kw),
+            )[1],
+        )
+        x, y = RNG.normal(size=(SAMPLES, *FEATURES)), RNG.integers(0, CLASSES, size=SAMPLES)
+        ids, k = np.arange(3), np.full(3, 4)
+        idx = RNG.integers(0, SAMPLES, size=(3, 2, 4))
+
+        def train(factory):
+            model = factory(np.random.default_rng(16))
+            BatchedTrainer(model, lr=0.1).train_rows(
+                _rows_for(model, 3), ids, x, y, idx, k
+            )
+
+        train(_conv)  # one conv, in front
+        assert col2im_shapes == []
+        train(_conv_groupnorm)  # second conv's input gradient only, per step
+        assert col2im_shapes == [(3, 4, 4, 2, 2)] * 2
+        del wanted_grad_x[:]
+        train(_leaky_tanh)  # per step: last, middle, first linear
+        assert wanted_grad_x == [True, True, False] * 2
+
+
+class TestReluKernel:
+    SPECIALS = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.5, -2.5]
+
+    @pytest.mark.parametrize("lent", [False, True], ids=["allocating", "workspace"])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_bitwise_the_serial_where_with_the_serial_layout(self, lent, layout):
+        """Values, zero signs, NaN handling *and* memory layout of the
+        training rectifier match the serial layer: a strided input (a
+        conv's output) must come out strided the same way."""
+        x = RNG.normal(size=(3, 4, 5, 2))
+        x.flat[: len(self.SPECIALS)] = self.SPECIALS
+        if layout == "transposed":
+            x = x.transpose(0, 3, 1, 2)
+        grad = RNG.normal(size=x.shape)
+        serial, batched = ReLU(), BatchedElementwise(ReLU())
+        if lent:
+            batched.workspace = Workspace()
+        for _ in range(2):  # second pass reuses the buffers
+            want, got = serial.forward(x), batched.forward(x)
+            assert got.tobytes() == want.tobytes()
+            assert got.strides == want.strides
+            want, got = serial.backward(grad), batched.backward(grad)
+            assert got.tobytes() == want.tobytes()
+            assert got.strides == want.strides
+
+
+class TestBatchedEvaluatorBinds:
+    ROWS = 16
+
+    def _setup(self):
+        """A model whose parameter rows dwarf its activations, so one
+        copy of the state (or a plane shaped like it) would show."""
+        model = small_mlp(256, CLASSES, hidden=32, rng=np.random.default_rng(17))
+        state = _rows_for(model, self.ROWS)
+        data = ArrayDataset(
+            RNG.normal(size=(30, 256)), RNG.integers(0, CLASSES, size=30),
+            num_classes=CLASSES,
+        )
+        return model, state, data
+
+    def test_evaluating_binds_no_gradient_plane(self):
+        """Inference-only binds cost no grad memory: no plane, no views,
+        no workspace — and nothing plane-sized is allocated."""
+        model, state, data = self._setup()
+        evaluator = BatchedEvaluator(model)
+        tracemalloc.start()
+        try:
+            evaluator.evaluate(state, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert evaluator.model.grads is None
+        assert all(g is None for _, g in evaluator.model.param_grad_pairs())
+        assert all(layer.workspace is None for layer in evaluator.model.layers)
+        assert peak < state.nbytes / 4
+
+    def test_all_rows_bind_the_state_itself(self):
+        model, state, data = self._setup()
+        evaluator = BatchedEvaluator(model)
+        everyone = evaluator.evaluate(state, data)
+        assert np.shares_memory(evaluator.model.block, state)
+        listed = evaluator.evaluate(state, data, node_ids=np.arange(self.ROWS))
+        assert not np.shares_memory(evaluator.model.block, state)
+        np.testing.assert_array_equal(everyone, listed)
