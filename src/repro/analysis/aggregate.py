@@ -3,10 +3,10 @@
 The sweep orchestrator writes one raw JSON artifact per (preset,
 algorithm, degree, seed) cell; this module provides the statistics the
 raw→CSV step applies to each group of seeds: mean ± population std
-(matching :class:`repro.experiments.sweep.SweepCell`) and coverage
-checks that make aggregation honest on *partial* sweeps — a shard farm
-mid-run has ragged seed sets, and the CSV must say so rather than
-silently compare a 3-seed mean against a 1-seed one.
+(what :class:`repro.experiments.artifacts.SummaryRow` carries) and
+coverage checks that make aggregation honest on *partial* sweeps — a
+shard farm mid-run has ragged seed sets, and the CSV must say so
+rather than silently compare a 3-seed mean against a 1-seed one.
 """
 
 from __future__ import annotations

@@ -237,12 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "os.cpu_count()) — artifacts byte-identical "
                               "to --jobs 1; composes with --shard and "
                               "--checkpoint-every")
-    p_sweep.add_argument("--pool", choices=["persistent", "fork"],
-                         default="persistent",
-                         help="parallel backend for --jobs N: 'persistent' "
-                              "streams cells through long-lived workers fed "
-                              "from a shared-memory dataset cache; 'fork' "
-                              "is the legacy per-group process pool")
     p_sweep.add_argument("--node-shards", type=int, default=1, metavar="K",
                          help="shard each synchronous cell's node axis "
                               "across K fork workers (fleet-scale presets "
@@ -645,7 +639,6 @@ def _execute_sweep_plan(args: argparse.Namespace, plan, shard,
         node_shards=args.node_shards,
         state_backend=args.state_backend,
         jobs=args.jobs,
-        pool=args.pool,
         log=print,
     )
     jobs_note = (f" [--jobs auto -> {stats.jobs_resolved}]"

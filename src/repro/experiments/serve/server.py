@@ -10,8 +10,8 @@ One :class:`ScenarioServer` owns four moving parts:
 * the :class:`~.jobs.JobStore` FIFO, bounded in cells (full → 429);
 * a single *dispatcher* thread that claims queued jobs, publishes each
   distinct dataset once to the :class:`~repro.experiments.pool.
-  SharedDatasetCache` (the exact coordinate a batch sweep would use —
-  :func:`~repro.experiments.sweep.cell_data_coords`), feeds cells to
+  SharedDatasetCache` (through the batch sweep's own
+  :func:`~repro.experiments.sweep.cell_dataset`), feeds cells to
   the :class:`~repro.experiments.pool.PersistentPool`, and folds
   start/progress/completion events back into the store and the
   metrics. It blocks in ``pool.next_result()`` with no poll period;
@@ -23,9 +23,11 @@ One :class:`ScenarioServer` owns four moving parts:
   scenario specs (which arrive *after* the fork) travel to workers
   with each task instead.
 
-Served cells ride :func:`~repro.experiments.sweep.run_cell` with the
-same prepared-data rebind as the batch persistent pool, which is what
-makes a served artifact byte-identical to its ``repro sweep`` twin.
+A served cell runs :func:`~repro.experiments.sweep.run_cell_from_data`
+— the very function ``repro sweep``'s workers (and its ``--jobs 1``
+loop) run — which is what makes a served artifact byte-identical to
+its ``repro sweep`` twin. The daemon adds only what is its own: the
+inline-spec lookup and the progress throttle.
 
 Graceful drain: SIGTERM/SIGINT (or :meth:`ScenarioServer.begin_drain`)
 flips the daemon into draining — new submissions get 503, every
@@ -49,10 +51,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 from ..artifacts import artifact_path, load_cell_artifact
-from ..pool import PersistentPool, PoolWorkerError, SharedDatasetCache, bind_data
+from ..pool import PersistentPool, PoolWorkerError, SharedDatasetCache
 from ..presets import get_preset
-from ..runner import prepare_data, prepared_from_data
-from ..sweep import cell_data_coords, resolve_auto_jobs, run_cell
+from ..sweep import cell_dataset, resolve_auto_jobs, run_cell_from_data
 from .jobs import CellInFlightError, QueueFullError
 from .jobs import Job, JobStore, parse_job_request
 from .metrics import MetricsRegistry
@@ -495,40 +496,29 @@ class ScenarioServer:
         inline scenario spec (or ``None`` for registered scenarios and
         plain cells); everything else resolves through the closures
         frozen at the fork."""
-        from ...scenarios.compile import scenario_base
+        lookup = self._scenario_lookup
+        if spec is not None:
 
-        preset = self._preset_lookup(cell.preset)
-        lookup = None
-        if cell.scenario:
-            the_spec = spec or self._scenario_lookup(cell.scenario)
+            def lookup(name):
+                return spec if name == spec.name else self._scenario_lookup(name)
 
-            def lookup(name, _spec=the_spec):
-                if name == _spec.name:
-                    return _spec
-                return self._scenario_lookup(name)
-
-            base, degree = scenario_base(the_spec, preset)
-        else:
-            base, degree = preset, cell.degree
-        prepared = prepared_from_data(bind_data(meta, base), degree)
-        total = _total_units(cell, preset.n_nodes)
+        total = _total_units(cell, self._preset_lookup(cell.preset).n_nodes)
         step = max(1, total // max(1, self.config.progress_updates))
 
         def progress(done: int, total_units: int) -> None:
             if done % step == 0 or done >= total_units:
                 report(done, total_units)
 
-        _, resumed = run_cell(
-            preset,
+        return run_cell_from_data(
             cell,
+            meta,
             self.config.results_dir,
-            prepared=prepared,
+            preset_lookup=self._preset_lookup,
+            scenario_lookup=lookup,
             checkpoint_every=self.config.checkpoint_every,
             vectorized=self.config.vectorized,
-            scenario_lookup=lookup,
             progress=progress,
         )
-        return resumed
 
     # -- dispatcher thread ------------------------------------------------
 
@@ -574,26 +564,13 @@ class ScenarioServer:
                 self._finish_bookkeeping(job, cell_completed=False)
                 self._say(f"skip {cell.cell_id} (artifact exists)")
                 continue
-            key, base, override, alpha = cell_data_coords(
+            meta = cell_dataset(
                 cell,
+                self._cache,
                 preset_lookup=self._preset_lookup,
                 scenario_lookup=self._scenario_for,
+                log=self._say,
             )
-            meta = self._cache.get(key)
-            if meta is None:
-                self._say(
-                    f"prep {cell.preset} seed={cell.seed}"
-                    + (f" data={override}" if override else "")
-                )
-                meta = self._cache.publish(
-                    key,
-                    prepare_data(
-                        base,
-                        seed=cell.seed,
-                        partition_override=override,
-                        dirichlet_alpha=alpha,
-                    ),
-                )
             preset = self._preset_lookup(cell.preset)
             served.total_units = _total_units(cell, preset.n_nodes)
             self._pool.submit((cell, meta, job.inline_spec))

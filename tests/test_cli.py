@@ -208,6 +208,14 @@ class TestArtifactPipeline:
         assert main(["sweep", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
+    def test_pool_flag_is_gone(self, capsys):
+        """``--jobs N`` is the persistent pool; there is no backend to
+        pick, so argparse rejects the old selector."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--jobs", "2", "--pool", "fork", "--dry-run"])
+        assert exit_info.value.code == 2
+        assert "--pool" in capsys.readouterr().err
+
     def test_sweep_jobs_pool(self, micro, tmp_path, capsys):
         """The --jobs pool through the CLI: same artifacts, resumable."""
         res = str(tmp_path / "results")

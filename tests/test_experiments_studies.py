@@ -1,17 +1,22 @@
 """Tests for the study-level experiments: convergence, fairness, sweep,
 and the validation-split protocol."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import RoundSchedule
 from repro.experiments import (
-    compare_algorithms,
+    aggregate_results,
+    artifact_path,
+    build_plan,
     convergence_study,
     fairness_study,
     prepare,
     run_algorithm,
-    seed_sweep,
+    run_sweep,
+    write_summary_csv,
 )
 
 
@@ -87,27 +92,51 @@ class TestFairnessStudy:
 
 
 class TestSeedSweep:
-    def test_cell_aggregation(self, tiny_preset):
-        cell = seed_sweep(tiny_preset, "d-psgd", seeds=(0, 1))
-        assert cell.n_seeds == 2
-        assert 0.0 <= cell.mean_accuracy <= 1.0
-        assert cell.std_accuracy >= 0.0
-        assert cell.mean_energy_wh > 0.0
+    """Mean ± std over seeds is ``run_sweep`` + ``aggregate_results``:
+    data, partition, topology and model init are all re-drawn per
+    seed."""
 
-    def test_seeds_actually_vary(self, tiny_preset):
-        cell = seed_sweep(tiny_preset, "d-psgd", seeds=(0, 1, 2))
-        assert len(set(cell.accuracies)) > 1
+    @pytest.fixture
+    def swept(self, tiny_preset, tmp_path):
+        plan = build_plan(tiny_preset, ("d-psgd", "skiptrain"),
+                          seeds=(0, 1, 2))
+        run_sweep(plan, tmp_path, preset_lookup=lambda name: tiny_preset)
+        return plan, tmp_path
 
-    def test_compare_and_render(self, tiny_preset):
-        res = compare_algorithms(
-            tiny_preset, ("d-psgd", "skiptrain"), seeds=(0, 1)
-        )
-        assert set(res.cells) == {"d-psgd", "skiptrain"}
-        text = res.render()
-        assert "Seed sweep" in text
-        # significance check runs (outcome is data-dependent)
-        res.significant_gap("skiptrain", "d-psgd")
+    def test_cell_aggregation(self, swept):
+        _, results_dir = swept
+        rows, gaps = aggregate_results(results_dir)
+        row = next(r for r in rows if r.algorithm == "d-psgd")
+        assert row.n_seeds == 3 and not gaps
+        assert 0.0 <= row.final_accuracy_mean <= 1.0
+        assert row.final_accuracy_std >= 0.0
+        assert row.train_wh_mean > 0.0
+
+    def test_seeds_actually_vary(self, swept):
+        plan, results_dir = swept
+        accuracies = {
+            json.loads(artifact_path(results_dir, cell).read_text())
+            ["results"]["final_accuracy"]
+            for cell in plan if cell.algorithm == "d-psgd"
+        }
+        assert len(accuracies) > 1
+
+    def test_compare_and_render(self, swept):
+        _, results_dir = swept
+        rows, _ = aggregate_results(results_dir)
+        assert {r.algorithm for r in rows} == {"d-psgd", "skiptrain"}
+        text = write_summary_csv(rows, results_dir / "summary.csv").read_text()
+        assert "final_accuracy_mean" in text and "skiptrain" in text
 
     def test_empty_seeds_rejected(self, tiny_preset):
         with pytest.raises(ValueError):
-            seed_sweep(tiny_preset, "d-psgd", seeds=())
+            build_plan(tiny_preset, ("d-psgd",), seeds=())
+
+    def test_in_memory_api_is_gone(self):
+        import repro.experiments as experiments
+
+        for name in ("seed_sweep", "compare_algorithms", "SweepCell",
+                     "SweepResult", "sweep_result_from_artifacts"):
+            assert not hasattr(experiments, name)
+        with pytest.raises(ImportError):
+            from repro.experiments import seed_sweep  # noqa: F401

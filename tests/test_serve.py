@@ -386,6 +386,18 @@ class TestBackpressure:
 
 
 class TestByteIdentity:
+    def test_daemon_and_sweep_share_the_worker_body(self):
+        """Served ≡ swept by construction: the daemon imports the very
+        functions ``run_sweep`` is made of and re-implements neither."""
+        from repro.experiments import sweep
+        from repro.experiments.serve import server
+
+        assert server.run_cell_from_data is sweep.run_cell_from_data
+        assert server.cell_dataset is sweep.cell_dataset
+        for name in ("bind_data", "prepare_data", "prepared_from_data",
+                     "run_cell"):
+            assert not hasattr(server, name)
+
     def test_served_artifacts_identical_to_batch_sweep(
         self, server, serve_preset, serve_scenario, tmp_path
     ):

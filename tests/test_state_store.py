@@ -194,7 +194,7 @@ class TestMmapLifecycle:
         assert not path.exists()
 
     def test_sweep_failure_path_closes_store(self, tiny_preset):
-        """_execute_sync_cell's finally clause must close the engine —
+        """The cell executor's finally clause must close the engine —
         and with it the mmap store — when the run raises."""
         prepared = prepare(tiny_preset, 3, seed=0)
         engine, algo = build_run(prepared, "skiptrain", total_rounds=8,

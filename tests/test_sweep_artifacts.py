@@ -17,7 +17,6 @@ from repro.experiments import (
     run_cell,
     run_sweep,
     shard_cells,
-    sweep_result_from_artifacts,
     write_summary_csv,
 )
 from repro.experiments.artifacts import (
@@ -292,6 +291,78 @@ class TestSweepExecution:
             run_cell(other, cell, tmp_path)
 
 
+class TestOneExecutor:
+    """Sync and async, plain and scenario cells all go through the one
+    checkpointed executor: killed past a checkpoint they resume into
+    the uninterrupted run's bytes, and a finished cell leaves nothing
+    under ``checkpoints/`` — not even the ``.tmp`` of a save that a
+    kill interrupted."""
+
+    CASES = {
+        "sync-plain": ("sync", None, 9),
+        "sync-scenario": ("sync", "skiptrain", 9),
+        # events, off the evaluation cadence: any boundary resumes
+        "async-plain": ("async", None, 51),
+        "async-scenario": ("async", "async-skiptrain", 51),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_kill_and_resume_leaves_only_the_artifact(
+        self, micro_preset, micro_async, tmp_path, case
+    ):
+        from repro.scenarios import (
+            AlgorithmSpec, ChurnEventSpec, ChurnSpec, ScenarioSpec,
+        )
+        from repro.scenarios.compile import build_scenario_plan
+
+        kind, scenario_algorithm, kill_at = self.CASES[case]
+        options = {}
+        if scenario_algorithm:
+            preset = micro_preset
+            spec = ScenarioSpec(
+                name=f"one-executor-{kind}", preset="micro",
+                total_rounds=12, eval_every=2,
+                churn=ChurnSpec(events=(
+                    ChurnEventSpec(round=4, node=2, action="leave"),
+                )),
+                algorithm=AlgorithmSpec(name=scenario_algorithm),
+            )
+            [cell] = build_scenario_plan(spec, seeds=(0,), preset=preset)
+            options["scenario_lookup"] = {spec.name: spec}.__getitem__
+        elif kind == "async":
+            preset = micro_async
+            [cell] = build_plan(preset, ("async-skiptrain",), seeds=(0,),
+                                kind="async")
+        else:
+            preset = micro_preset
+            [cell] = build_plan(preset, ("skiptrain",), seeds=(0,))
+        assert cell.kind == kind
+        ref, killed = tmp_path / "ref", tmp_path / "killed"
+        run_cell(preset, cell, ref, checkpoint_every=2, **options)
+
+        class Kill(Exception):
+            pass
+
+        def killer(engine, at, history, last_eval):
+            if at == kill_at:
+                raise Kill
+
+        with pytest.raises(Kill):
+            run_cell(preset, cell, killed, checkpoint_every=2,
+                     round_hook=killer, **options)
+        ckpt = checkpoint_path(killed, cell)
+        assert ckpt.is_file() and not artifact_path(killed, cell).exists()
+        # what a process killed inside its next save leaves behind; the
+        # resume saves nothing, so no later os.replace consumes it
+        ckpt.with_name(ckpt.name + ".tmp").write_bytes(b"torn")
+
+        _, resumed = run_cell(preset, cell, killed, **options)
+        assert resumed
+        assert list(ckpt.parent.iterdir()) == []
+        assert (artifact_path(killed, cell).read_bytes()
+                == artifact_path(ref, cell).read_bytes())
+
+
 class TestArtifactsAndAggregation:
     @pytest.fixture
     def filled(self, micro_preset, tmp_path):
@@ -329,15 +400,6 @@ class TestArtifactsAndAggregation:
         assert short.n_seeds == 1
         assert list(gaps.values()) == [[plan[0].seed]]
 
-    def test_sweep_result_from_artifacts(self, filled):
-        _, results_dir = filled
-        result = sweep_result_from_artifacts(results_dir, "micro", 3)
-        assert set(result.cells) == {"skiptrain", "d-psgd"}
-        assert result.cells["skiptrain"].n_seeds == 2
-        assert "Seed sweep" in result.render()
-        with pytest.raises(FileNotFoundError):
-            sweep_result_from_artifacts(results_dir, "nope", 3)
-
     def test_resolve_cell_discovers_rounds(self, filled, micro_preset):
         plan, results_dir = filled
         cell = resolve_cell(results_dir, "micro", "skiptrain", 3, 0)
@@ -355,16 +417,15 @@ class TestArtifactsAndAggregation:
     ):
         """A smoke sweep next to the full one must not silently enter
         the same mean twice or compare algorithms at different round
-        counts — the artifact readers demand an explicit rounds."""
+        counts: aggregation groups by ``total_rounds``."""
         plan, results_dir = filled
         run_cell(micro_preset,
                  dataclasses.replace(plan[0], total_rounds=6), results_dir)
-        with pytest.raises(ValueError, match="mix total_rounds"):
-            sweep_result_from_artifacts(results_dir, "micro", 3)
-        # explicit rounds disambiguates
-        result = sweep_result_from_artifacts(results_dir, "micro", 3,
-                                             total_rounds=12)
-        assert result.cells["skiptrain"].n_seeds == 2
+        rows, _ = aggregate_results(results_dir)
+        mine = [r for r in rows if r.algorithm == plan[0].algorithm]
+        assert sorted((r.total_rounds, r.seeds) for r in mine) == [
+            (6, (plan[0].seed,)), (12, (0, 1)),
+        ]
 
 
 class TestAsyncOrchestration:

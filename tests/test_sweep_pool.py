@@ -5,30 +5,36 @@ The contract under test: a ``jobs=N`` sweep through the persistent pool
 produces an artifact tree byte-identical to ``jobs=1`` — across sync,
 async, and scenario cells, under sharding, skip-finished reruns,
 mid-cell checkpoints, and any dispatch/completion order — while every
-distinct dataset is prepared exactly once, a crashed worker fails the
-sweep fast with its original traceback, and no shared-memory segment
-ever outlives the sweep (success, failure, or KeyboardInterrupt).
+distinct dataset is prepared exactly once (for every ``jobs``), a
+crashed worker fails the sweep fast with its original traceback, and no
+shared-memory segment ever outlives the sweep (success, failure, or
+KeyboardInterrupt).
 """
 
 import dataclasses
+import gc
 import multiprocessing as mp
 import os
 import random
+import weakref
 from pathlib import Path
 
 import pytest
 
 from repro.experiments import (
+    PersistentPool,
     PoolWorkerError,
+    SharedDatasetCache,
     aggregate_results,
     artifact_path,
     async_variant,
     build_plan,
+    cell_dataset,
+    run_cell_from_data,
     run_sweep,
     write_summary_csv,
 )
-from repro.experiments.artifacts import checkpoint_path
-from repro.experiments.sweep import SweepRunStats, _run_sweep_persistent
+from repro.experiments.artifacts import checkpoint_dir, checkpoint_path
 from repro.scenarios import (
     AlgorithmSpec,
     ChurnEventSpec,
@@ -215,13 +221,22 @@ class TestQueueOrderProperty:
             shuffled = list(plan)
             random.Random(trial).shuffle(shuffled)
             out = tmp_path / f"shuffled{trial}"
-            stats = _run_sweep_persistent(
-                shuffled, out, SweepRunStats(), lambda msg: None,
-                checkpoint_every=0, vectorized=False, jobs=3,
-                preset_lookup=lookup, round_hook=None,
-                scenario_lookup=SPECS.__getitem__,
-            )
-            assert len(stats.ran) == len(plan)
+            lookups = dict(preset_lookup=lookup,
+                           scenario_lookup=SPECS.__getitem__)
+            # run_sweep orders its pending cells; the two functions it
+            # is made of take them in any order
+            with SharedDatasetCache() as shared:
+                tasks = [
+                    (cell, cell_dataset(cell, shared, log=lambda msg: None,
+                                        **lookups))
+                    for cell in shuffled
+                ]
+                with PersistentPool(
+                    3, lambda cell, data: run_cell_from_data(
+                        cell, data, out, **lookups)
+                ) as workers:
+                    ran = list(workers.run(tasks))
+            assert len(ran) == len(plan)
             assert_trees_identical(plan, serial, out)
 
 
@@ -246,6 +261,46 @@ class TestPrepCache:
             ("micro", 1, None, None),        # seed 1: 4 plain cells
         }
         assert len(stats.prepped) == 3  # exactly once each, no repeats
+
+    def test_serial_sweep_preps_each_key_once_and_holds_one_dataset(
+        self, micro_preset, tmp_path, monkeypatch
+    ):
+        """``jobs=1`` keys data exactly as the pool does: two
+        no-override scenario cells and the plain cell of the same
+        (preset, seed) train on one ``prepare_data`` result, and moving
+        on to the next key drops it before its successor is built."""
+        from repro.experiments import runner, sweep
+
+        twin = dataclasses.replace(
+            PLAIN_SCENARIO, name="pool-plain-twin",
+            algorithm=AlgorithmSpec(name="skiptrain"),
+        )
+        specs = {**SPECS, twin.name: twin}
+        plan = build_plan(micro_preset, ("d-psgd",), degrees=(3,),
+                          seeds=(0, 1))
+        plan += build_scenario_plan(PLAIN_SCENARIO, seeds=(0,),
+                                    preset=micro_preset)
+        plan += build_scenario_plan(twin, seeds=(0,), preset=micro_preset)
+        built: list = []  # (seed, weakref) per prepare_data call
+        real = runner.prepare_data
+
+        def spy(preset, seed=0, **kwargs):
+            gc.collect()
+            assert [ref() for _, ref in built] == [None] * len(built), (
+                "a dataset of an earlier key is still alive"
+            )
+            data = real(preset, seed=seed, **kwargs)
+            built.append((seed, weakref.ref(data)))
+            return data
+
+        monkeypatch.setattr(runner, "prepare_data", spy)
+        monkeypatch.setattr(sweep, "prepare_data", spy)
+        stats = run_sweep(plan, tmp_path,
+                          preset_lookup=lookup_for(micro_preset),
+                          scenario_lookup=specs.__getitem__)
+        assert len(stats.ran) == 4
+        assert [seed for seed, _ in built] == [0, 1]
+        assert stats.prepped == []  # nothing went to shared memory
 
 
 class TestFailureAndTeardown:
@@ -300,14 +355,18 @@ class TestFailureAndTeardown:
                   preset_lookup=lookup_for(micro_preset))
         assert shm_segments() - before == set()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_segments_unlinked_on_keyboard_interrupt(
-        self, micro_preset, tmp_path
+        self, micro_preset, tmp_path, jobs
     ):
         """A parent-side Ctrl-C mid-sweep (raised from the progress
         logger, i.e. between cell completions) still unlinks every
-        segment on the way out."""
+        segment on the way out — and, for every ``jobs``, leaves a
+        results dir with no half-written checkpoint that a rerun
+        completes."""
         plan = build_plan(micro_preset, ("skiptrain", "d-psgd"),
                           degrees=(3,), seeds=(0, 1))
+        lookup = lookup_for(micro_preset)
 
         def interrupting_log(msg):
             if "] ran " in msg:
@@ -315,33 +374,26 @@ class TestFailureAndTeardown:
 
         before = shm_segments()
         with pytest.raises(KeyboardInterrupt):
-            run_sweep(plan, tmp_path, jobs=2,
-                      preset_lookup=lookup_for(micro_preset),
-                      log=interrupting_log)
+            run_sweep(plan, tmp_path, jobs=jobs, checkpoint_every=2,
+                      preset_lookup=lookup, log=interrupting_log)
         assert shm_segments() - before == set()
+        if jobs == 1:  # the cell had returned: engine closed, save done
+            assert not list(checkpoint_dir(tmp_path).glob("*"))
+        stats = run_sweep(plan, tmp_path, jobs=jobs, checkpoint_every=2,
+                          preset_lookup=lookup)
+        assert stats.skipped and len(stats.ran) + len(stats.skipped) == len(plan)
+        assert not list(checkpoint_dir(tmp_path).glob("*"))
 
     def test_unknown_pool_backend_rejected(self, micro_preset, tmp_path):
+        """There is one backend: ``pool=`` names nothing selectable, so
+        the legacy ``"fork"`` (or anything else) is a ``TypeError``."""
         plan = build_plan(micro_preset, ("skiptrain",), degrees=(3,),
                           seeds=(0,))
-        with pytest.raises(ValueError, match="pool"):
-            run_sweep(plan, tmp_path, jobs=2, pool="threads",
-                      preset_lookup=lookup_for(micro_preset))
-
-
-class TestLegacyForkBackendConformance:
-    def test_fork_backend_still_byte_identical(self, micro_preset, tmp_path):
-        """The legacy per-group pool stays available behind
-        ``pool="fork"`` and keeps the same byte contract."""
-        plan = build_plan(micro_preset, ("skiptrain", "d-psgd"),
-                          degrees=(3,), seeds=(0, 1))
-        lookup = lookup_for(micro_preset)
-        serial, forked = tmp_path / "serial", tmp_path / "forked"
-        run_sweep(plan, serial, preset_lookup=lookup)
-        stats = run_sweep(plan, forked, jobs=2, pool="fork",
-                          preset_lookup=lookup)
-        assert len(stats.ran) == len(plan)
-        assert stats.prepped == []  # shm publication is persistent-only
-        assert_trees_identical(plan, serial, forked)
+        for backend in ("fork", "threads"):
+            with pytest.raises(TypeError, match="pool"):
+                run_sweep(plan, tmp_path, jobs=2, pool=backend,
+                          preset_lookup=lookup_for(micro_preset))
+        assert not artifact_path(tmp_path, plan[0]).exists()
 
 
 class TestKilledWorkerLiveness:
