@@ -382,24 +382,31 @@ def _cmd_presets() -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _schedule_from_args(args: argparse.Namespace):
+    """The ``--gamma-train``/``--gamma-sync`` override: a schedule when
+    both are given, ``None`` when neither is, ``ValueError`` for one."""
     from .core.schedule import RoundSchedule
-    from .experiments import get_preset, prepare, run_algorithm
 
-    preset = get_preset(args.preset)
-    degree = args.degree if args.degree is not None else preset.degrees[0]
-    schedule = None
-    if args.gamma_train is not None or args.gamma_sync is not None:
-        if args.gamma_train is None or args.gamma_sync is None:
-            print("error: provide both --gamma-train and --gamma-sync",
-                  file=sys.stderr)
-            return 2
-        schedule = RoundSchedule(args.gamma_train, args.gamma_sync)
+    if args.gamma_train is None and args.gamma_sync is None:
+        return None
+    if args.gamma_train is None or args.gamma_sync is None:
+        raise ValueError("provide both --gamma-train and --gamma-sync")
+    return RoundSchedule(args.gamma_train, args.gamma_sync)
 
-    prepared = prepare(preset, degree, seed=args.seed)
-    result = run_algorithm(prepared, args.algorithm, schedule=schedule,
-                           total_rounds=args.rounds)
-    print(f"preset={preset.name} degree={degree} algorithm={args.algorithm}")
+
+def _print_result(result) -> None:
+    """One line per evaluation record, then the energy totals, for a
+    sync or an async result."""
+    from .experiments import AsyncExperimentResult
+
+    if isinstance(result, AsyncExperimentResult):
+        for record in result.history.records:
+            print(f"t={record.time:8.2f} (event {record.activations:7d}): "
+                  f"accuracy {record.mean_accuracy * 100:6.2f}% "
+                  f"(±{record.std_accuracy * 100:5.2f}) "
+                  f"train energy {record.train_energy_wh:8.2f} Wh")
+        print(f"total training energy: {result.train_energy_wh:.2f} Wh")
+        return
     for record in result.history.records:
         print(f"round {record.round:5d}: "
               f"accuracy {record.mean_accuracy * 100:6.2f}% "
@@ -407,23 +414,36 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"energy {record.cumulative_energy_wh:8.2f} Wh")
     print(f"total training energy: {result.meter.total_train_wh:.2f} Wh, "
           f"communication: {result.meter.total_comm_wh:.4f} Wh")
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from .experiments import get_preset, prepare, run_algorithm
+
+    preset = get_preset(args.preset)
+    degree = args.degree if args.degree is not None else preset.degrees[0]
+    try:
+        schedule = _schedule_from_args(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    prepared = prepare(preset, degree, seed=args.seed)
+    result = run_algorithm(prepared, args.algorithm, schedule=schedule,
+                           total_rounds=args.rounds)
+    print(f"preset={preset.name} degree={degree} algorithm={args.algorithm}")
+    _print_result(result)
     return 0
 
 
 def _cmd_async_run(args: argparse.Namespace) -> int:
-    from .core.schedule import RoundSchedule
     from .experiments import get_preset, prepare, run_async_algorithm
 
     preset = get_preset(args.preset)
     degree = args.degree if args.degree is not None else preset.degrees[0]
-    schedule = None
-    if args.gamma_train is not None or args.gamma_sync is not None:
-        if args.gamma_train is None or args.gamma_sync is None:
-            print("error: provide both --gamma-train and --gamma-sync",
-                  file=sys.stderr)
-            return 2
-        schedule = RoundSchedule(args.gamma_train, args.gamma_sync)
-
+    try:
+        schedule = _schedule_from_args(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     prepared = prepare(preset, degree, seed=args.seed)
     result = run_async_algorithm(
         prepared, args.algorithm, schedule=schedule,
@@ -431,12 +451,7 @@ def _cmd_async_run(args: argparse.Namespace) -> int:
         enforce_budgets=args.enforce_budgets, vectorized=args.vectorized,
     )
     print(f"preset={preset.name} degree={degree} algorithm={args.algorithm}")
-    for record in result.history.records:
-        print(f"t={record.time:8.2f} (event {record.activations:7d}): "
-              f"accuracy {record.mean_accuracy * 100:6.2f}% "
-              f"(±{record.std_accuracy * 100:5.2f}) "
-              f"train energy {record.train_energy_wh:8.2f} Wh")
-    print(f"total training energy: {result.train_energy_wh:.2f} Wh")
+    _print_result(result)
     return 0
 
 
@@ -762,21 +777,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     print(f"scenario={spec.name} preset={spec.preset} "
           f"algorithm={spec.algorithm.name} kind={compiled.kind} "
           f"seed={compiled.seed} rounds={compiled.total_rounds}")
-    if compiled.kind == "sync":
-        for record in result.history.records:
-            print(f"round {record.round:5d}: "
-                  f"accuracy {record.mean_accuracy * 100:6.2f}% "
-                  f"(±{record.std_accuracy * 100:5.2f}) "
-                  f"energy {record.cumulative_energy_wh:8.2f} Wh")
-        print(f"total training energy: {result.meter.total_train_wh:.2f} Wh, "
-              f"communication: {result.meter.total_comm_wh:.4f} Wh")
-    else:
-        for record in result.history.records:
-            print(f"t={record.time:8.2f} (event {record.activations:7d}): "
-                  f"accuracy {record.mean_accuracy * 100:6.2f}% "
-                  f"(±{record.std_accuracy * 100:5.2f}) "
-                  f"train energy {record.train_energy_wh:8.2f} Wh")
-        print(f"total training energy: {result.train_energy_wh:.2f} Wh")
+    _print_result(result)
     return 0
 
 
@@ -805,8 +806,6 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from .statics import (
         all_rules,
         check_paths,

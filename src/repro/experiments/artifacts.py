@@ -29,19 +29,16 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..analysis.aggregate import group_by, mean_std, missing_seeds
 from ..simulation.async_engine import AsyncHistory, AsyncRecord
 from ..simulation.metrics import RoundRecord, RunHistory
 from .presets import ExperimentPreset
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .runner import AsyncExperimentResult, ExperimentResult
+from .runner import AsyncExperimentResult, ExperimentResult
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -56,7 +53,6 @@ __all__ = [
     "artifact_path",
     "checkpoint_path",
     "write_cell_artifact",
-    "write_async_cell_artifact",
     "write_json_report",
     "load_cell_artifact",
     "list_cell_artifacts",
@@ -132,6 +128,13 @@ class PlanCell:
             f"{self.preset}__{self.algorithm}__deg{self.degree}"
             f"__seed{self.seed}__r{self.total_rounds}{scn}{suffix}"
         )
+
+    def units_per_round(self, n_nodes: int) -> int:
+        """How many units of work one of the cell's ``total_rounds`` is:
+        a round for sync cells, ``n_nodes`` events for async cells (one
+        expected activation per node). Progress, ``checkpoint_every``
+        and the async artifact's event count all scale by it."""
+        return n_nodes if self.kind == "async" else 1
 
 
 def build_plan(
@@ -215,36 +218,6 @@ def checkpoint_path(results_dir: str | os.PathLike, cell: PlanCell) -> Path:
     return checkpoint_dir(results_dir) / f"{cell.cell_id}.npz"
 
 
-def _record_to_json(record: RoundRecord) -> dict:
-    """RoundRecord → JSON object. NaN (no node trained in the evaluated
-    round) is encoded as ``null`` to stay strict-JSON portable."""
-    loss = record.train_loss
-    return {
-        "round": record.round,
-        "mean_accuracy": record.mean_accuracy,
-        "std_accuracy": record.std_accuracy,
-        "consensus": record.consensus,
-        "cumulative_energy_wh": record.cumulative_energy_wh,
-        "trained_nodes": record.trained_nodes,
-        "is_training_round": record.is_training_round,
-        "train_loss": None if math.isnan(loss) else loss,
-    }
-
-
-def _record_from_json(obj: dict) -> RoundRecord:
-    loss = obj["train_loss"]
-    return RoundRecord(
-        round=int(obj["round"]),
-        mean_accuracy=float(obj["mean_accuracy"]),
-        std_accuracy=float(obj["std_accuracy"]),
-        consensus=float(obj["consensus"]),
-        cumulative_energy_wh=float(obj["cumulative_energy_wh"]),
-        trained_nodes=int(obj["trained_nodes"]),
-        is_training_round=bool(obj["is_training_round"]),
-        train_loss=float("nan") if loss is None else float(loss),
-    )
-
-
 def _cell_to_json(cell: PlanCell) -> dict:
     return {
         "preset": cell.preset,
@@ -257,15 +230,23 @@ def _cell_to_json(cell: PlanCell) -> dict:
     }
 
 
-def _write_artifact_json(
-    results_dir: str | os.PathLike, cell: PlanCell, payload: dict
+def _atomic_write(
+    path: str | os.PathLike, write: Callable[[Path], None]
 ) -> Path:
-    path = artifact_path(results_dir, cell)
+    """Create ``path`` (and its directory) by having ``write`` fill a
+    tmp file beside it, then ``os.replace``: readers see the old file
+    or the whole new one."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
+    write(tmp)
     os.replace(tmp, path)
     return path
+
+
+def _atomic_write_json(path: str | os.PathLike, payload: dict) -> Path:
+    text = json.dumps(payload, indent=1, allow_nan=False) + "\n"
+    return _atomic_write(path, lambda tmp: tmp.write_text(text))
 
 
 def write_json_report(path: str | os.PathLike, payload: dict) -> Path:
@@ -276,104 +257,62 @@ def write_json_report(path: str | os.PathLike, payload: dict) -> Path:
     tag in ``payload`` themselves."""
     if "schema" not in payload:
         raise ValueError("report payload must carry a 'schema' tag")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=1, allow_nan=False) + "\n")
-    os.replace(tmp, path)
-    return path
+    return _atomic_write_json(path, payload)
 
 
 def write_cell_artifact(
     results_dir: str | os.PathLike,
     cell: PlanCell,
-    result: "ExperimentResult",
+    result: ExperimentResult | AsyncExperimentResult,
     vectorized: bool = False,
 ) -> Path:
     """Atomically write ``<results>/raw/<cell_id>.json`` and return its
     path. The artifact is self-describing (schema tag + full cell
-    coordinates) and deterministic (no timestamps, ``repr`` floats)."""
-    payload = {
-        "schema": ARTIFACT_SCHEMA,
-        "cell": _cell_to_json(cell),
-        "engine": {"vectorized": vectorized},
-        "results": {
-            "final_accuracy": result.history.final_accuracy(),
-            "best_accuracy": result.history.best_accuracy(),
-            "total_train_wh": result.meter.total_train_wh,
-            "total_comm_wh": result.meter.total_comm_wh,
-        },
-        "history": {
-            "algorithm": result.history.algorithm,
-            "records": [_record_to_json(r) for r in result.history.records],
-        },
-    }
-    return _write_artifact_json(results_dir, cell, payload)
+    coordinates) and deterministic (no timestamps, ``repr`` floats).
 
-
-def _async_record_to_json(record: AsyncRecord) -> dict:
-    return {
-        "time": record.time,
-        "activations": record.activations,
-        "mean_accuracy": record.mean_accuracy,
-        "std_accuracy": record.std_accuracy,
-        "consensus": record.consensus,
-        "train_energy_wh": record.train_energy_wh,
-    }
-
-
-def _async_record_from_json(obj: dict) -> AsyncRecord:
-    return AsyncRecord(
-        time=float(obj["time"]),
-        activations=int(obj["activations"]),
-        mean_accuracy=float(obj["mean_accuracy"]),
-        std_accuracy=float(obj["std_accuracy"]),
-        consensus=float(obj["consensus"]),
-        train_energy_wh=float(obj["train_energy_wh"]),
-    )
-
-
-def write_async_cell_artifact(
-    results_dir: str | os.PathLike,
-    cell: PlanCell,
-    result: "AsyncExperimentResult",
-    vectorized: bool = False,
-) -> Path:
-    """Atomically write one async cell's artifact: the same
-    self-describing shape as :func:`write_cell_artifact`, with history
-    records keyed by simulated time instead of round index. The
-    ``results`` block carries the same keys as sync artifacts (the
-    async engine meters no communication energy, so ``total_comm_wh``
-    is 0.0), so :func:`aggregate_results` folds sync and async cells
+    Which of the two schemas it is follows from the result handed in.
+    An async result's history records are keyed by simulated time
+    instead of round index and its ``engine`` block carries the event
+    budget; its ``results`` block has the same keys as a sync artifact
+    (the async engine meters no communication energy, so
+    ``total_comm_wh`` is 0.0), so :func:`aggregate_results` folds both
     through one code path. ``vectorized`` records the engine flavor as
-    provenance, like sync artifacts — the results and history blocks
-    are bit-identical either way."""
-    if cell.kind != "async":
+    provenance — the results and history blocks are bit-identical
+    either way."""
+    history = result.history
+    if isinstance(result, AsyncExperimentResult):
+        kind = "async"
+        events = cell.total_rounds * cell.units_per_round(result.trace.n_nodes)
+        engine = {"events": events, "vectorized": vectorized}
+        train_wh, comm_wh = result.train_energy_wh, 0.0
+        label = ("policy", result.history.policy)
+    else:
+        kind = "sync"
+        engine = {"vectorized": vectorized}
+        train_wh = result.meter.total_train_wh
+        comm_wh = result.meter.total_comm_wh
+        label = ("algorithm", result.history.algorithm)
+    if kind != cell.kind:
         raise ValueError(
-            f"cell {cell.cell_id} has kind {cell.kind!r}; async artifacts "
-            f'require kind "async"'
+            f"cell {cell.cell_id} has kind {cell.kind!r} but was handed "
+            f"the result of a {kind} run"
         )
     payload = {
-        "schema": ASYNC_ARTIFACT_SCHEMA,
+        "schema": _KIND_SCHEMAS[kind],
         "cell": _cell_to_json(cell),
-        "engine": {
-            "events": cell.total_rounds * result.trace.n_nodes,
-            "vectorized": vectorized,
-        },
+        "engine": engine,
         "results": {
-            "final_accuracy": result.history.final_accuracy(),
-            "best_accuracy": result.history.best_accuracy(),
-            "total_train_wh": result.train_energy_wh,
-            "total_comm_wh": 0.0,
+            "final_accuracy": history.final_accuracy(),
+            "best_accuracy": history.best_accuracy(),
+            "total_train_wh": train_wh,
+            "total_comm_wh": comm_wh,
         },
         "history": {
-            "policy": result.history.policy,
-            "records": [
-                _async_record_to_json(r) for r in result.history.records
-            ],
+            label[0]: label[1],
+            "records": [r.to_json() for r in history.records],
         },
     }
-    return _write_artifact_json(results_dir, cell, payload)
+    return _atomic_write_json(artifact_path(results_dir, cell), payload)
 
 
 def load_cell_artifact(path: str | os.PathLike) -> dict:
@@ -433,7 +372,9 @@ def result_from_artifact(payload: dict) -> ArtifactResult:
     cell = PlanCell(**payload["cell"])
     history = RunHistory(
         algorithm=payload["history"]["algorithm"],
-        records=[_record_from_json(r) for r in payload["history"]["records"]],
+        records=[
+            RoundRecord.from_json(r) for r in payload["history"]["records"]
+        ],
     )
     meter = ArtifactMeter(
         total_train_wh=float(payload["results"]["total_train_wh"]),
@@ -452,7 +393,7 @@ def async_history_from_artifact(payload: dict) -> AsyncHistory:
     return AsyncHistory(
         policy=payload["history"]["policy"],
         records=[
-            _async_record_from_json(r) for r in payload["history"]["records"]
+            AsyncRecord.from_json(r) for r in payload["history"]["records"]
         ],
     )
 
@@ -620,34 +561,32 @@ def write_summary_csv(
 ) -> Path:
     """Write aggregated rows as a deterministic CSV (``repr`` floats,
     ``\\n`` newlines, atomic replace)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.preset,
-                    row.algorithm,
-                    row.scenario,
-                    row.degree,
-                    row.total_rounds,
-                    row.n_seeds,
-                    ";".join(str(s) for s in row.seeds),
-                    repr(row.final_accuracy_mean),
-                    repr(row.final_accuracy_std),
-                    repr(row.best_accuracy_mean),
-                    repr(row.best_accuracy_std),
-                    repr(row.train_wh_mean),
-                    repr(row.train_wh_std),
-                    repr(row.comm_wh_mean),
-                    repr(row.comm_wh_std),
-                ]
-            )
-    os.replace(tmp, path)
-    return path
+    def write(tmp: Path) -> None:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(SUMMARY_COLUMNS)
+            for row in rows:
+                writer.writerow(
+                    [
+                        row.preset,
+                        row.algorithm,
+                        row.scenario,
+                        row.degree,
+                        row.total_rounds,
+                        row.n_seeds,
+                        ";".join(str(s) for s in row.seeds),
+                        repr(row.final_accuracy_mean),
+                        repr(row.final_accuracy_std),
+                        repr(row.best_accuracy_mean),
+                        repr(row.best_accuracy_std),
+                        repr(row.train_wh_mean),
+                        repr(row.train_wh_std),
+                        repr(row.comm_wh_mean),
+                        repr(row.comm_wh_std),
+                    ]
+                )
+
+    return _atomic_write(path, write)
 
 
 def read_summary_csv(path: str | os.PathLike) -> list[SummaryRow]:

@@ -16,11 +16,17 @@ data, partition, and regular graph), wired into an
 policy. Construction is deterministic in ``prepared`` and the
 overrides, which is what lets the sweep orchestrator rebuild a killed
 async cell and restore its checkpoint into it.
+
+:func:`execute_run` is the one step from a wired pair of either kind to
+its result — the only place that knows the two engines' ``run``
+spellings — so ``run_algorithm``, ``run_async_algorithm``, a compiled
+scenario and a checkpointed sweep cell all run an engine the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -67,6 +73,7 @@ __all__ = [
     "run_algorithm",
     "build_async_run",
     "run_async_algorithm",
+    "execute_run",
 ]
 
 #: Algorithm names that run on the asynchronous gossip engine.
@@ -421,11 +428,7 @@ def run_algorithm(
         vectorized=vectorized,
         eval_mode=eval_mode,
     )
-    history = engine.run(algo)
-    assert engine.meter is not None
-    return ExperimentResult(
-        history=history, meter=engine.meter, trace=prepared.trace
-    )
+    return execute_run(engine, algo, prepared.trace)
 
 
 # --------------------------------------------------------------------------
@@ -577,19 +580,66 @@ def run_async_algorithm(
         vectorized=vectorized,
     )
     preset = prepared.preset
-    activations = (
-        activations_per_node
-        if activations_per_node is not None
-        else preset.total_rounds
-    )
-    cadence = eval_every if eval_every is not None else preset.eval_every
-    history = engine.run(
+    return execute_run(
+        engine,
         policy,
-        activations_per_node=activations,
-        eval_every=async_eval_cadence(cadence, engine.n_nodes),
+        prepared.trace,
+        total_rounds=(
+            activations_per_node
+            if activations_per_node is not None
+            else preset.total_rounds
+        ),
+        eval_every=eval_every if eval_every is not None else preset.eval_every,
     )
-    return AsyncExperimentResult(
-        history=history,
-        train_energy_wh=engine.train_energy_wh,
-        trace=prepared.trace,
+
+
+def execute_run(
+    engine: SimulationEngine | AsyncGossipEngine,
+    algorithm: Any,
+    trace: EnergyTrace,
+    *,
+    total_rounds: int | None = None,
+    eval_every: int | None = None,
+    start: int = 0,
+    history: Any = None,
+    hook: Callable | None = None,
+) -> ExperimentResult | AsyncExperimentResult:
+    """Run a wired (engine, algorithm) pair of either kind to its
+    result: an :class:`~repro.core.base.Algorithm` and a
+    :class:`RunHistory` go with a sync engine, an :class:`AsyncPolicy`
+    and an :class:`AsyncHistory` with an async one.
+
+    A sync engine carries its horizon and evaluation cadence in its
+    config (:func:`build_run` wired them), so ``total_rounds`` and
+    ``eval_every`` are the async engine's: expected activations per
+    node, and the cadence in that same round-equivalent unit, scaled
+    here by :func:`async_eval_cadence` into events. ``start`` and
+    ``history`` continue a run restored from a checkpoint — completed
+    rounds for a sync engine, completed events for an async one.
+    ``hook`` is the engine's own: ``hook(engine, t, history,
+    last_eval)`` after every sync round, ``hook(engine, event,
+    history)`` after every async event (per batch window when
+    vectorized).
+    """
+    if isinstance(engine, AsyncGossipEngine):
+        if total_rounds is None or eval_every is None:
+            raise ValueError(
+                "an async run needs total_rounds (activations per node) "
+                "and eval_every"
+            )
+        history = engine.run(
+            algorithm,
+            activations_per_node=total_rounds,
+            eval_every=async_eval_cadence(eval_every, engine.n_nodes),
+            start_event=start,
+            history=history,
+            event_hook=hook,
+        )
+        return AsyncExperimentResult(
+            history=history, train_energy_wh=engine.train_energy_wh, trace=trace
+        )
+    history = engine.run(
+        algorithm, start_round=start, history=history, round_hook=hook
     )
+    assert engine.meter is not None
+    return ExperimentResult(history=history, meter=engine.meter, trace=trace)

@@ -117,10 +117,6 @@ class ServeConfig:
     log: Callable[[str], None] | None = None
 
 
-def _total_units(cell, n_nodes: int) -> int:
-    return cell.total_rounds * (n_nodes if cell.kind == "async" else 1)
-
-
 class _ServeHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
     app: "ScenarioServer"
@@ -502,7 +498,8 @@ class ScenarioServer:
             def lookup(name):
                 return spec if name == spec.name else self._scenario_lookup(name)
 
-        total = _total_units(cell, self._preset_lookup(cell.preset).n_nodes)
+        n_nodes = self._preset_lookup(cell.preset).n_nodes
+        total = cell.total_rounds * cell.units_per_round(n_nodes)
         step = max(1, total // max(1, self.config.progress_updates))
 
         def progress(done: int, total_units: int) -> None:
@@ -571,8 +568,8 @@ class ScenarioServer:
                 scenario_lookup=self._scenario_for,
                 log=self._say,
             )
-            preset = self._preset_lookup(cell.preset)
-            served.total_units = _total_units(cell, preset.n_nodes)
+            n_nodes = self._preset_lookup(cell.preset).n_nodes
+            served.total_units = cell.total_rounds * cell.units_per_round(n_nodes)
             self._pool.submit((cell, meta, job.inline_spec))
 
     def _finish_bookkeeping(self, job: Job, *, cell_completed: bool) -> None:

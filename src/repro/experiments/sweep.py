@@ -21,12 +21,15 @@ binds the cell's topology onto that data and hands over to
 :func:`run_cell`. Served ≡ swept ≡ serial holds because it is the same
 function each time, not three that agree.
 
-:func:`run_cell` wires the engine and runs it through the checkpointed
-cell protocol (``_execute_cell``: restore → run with hook → write
-artifact → drop checkpoint), the same for both engine kinds. What
-differs per kind — the checkpoint codec, the artifact writer, whether
-work is counted in rounds or events, how the engine's ``run`` is
-called — is one small table (``_kind_ops``) selected from ``cell.kind``.
+:func:`run_cell` wires the engine — the one place a cell's kind picks
+between :func:`~repro.experiments.runner.build_run` and
+:func:`~repro.experiments.runner.build_async_run` — and runs it through
+the checkpointed cell protocol (``_execute_cell``: restore → run with
+hook → write artifact → drop checkpoint). That protocol does not know
+the kind: the checkpoint pair, the artifact writer and
+:func:`~repro.experiments.runner.execute_run` each take either engine,
+and whether work counts in rounds or events is the cell's own
+:meth:`~repro.experiments.artifacts.PlanCell.units_per_round`.
 """
 
 from __future__ import annotations
@@ -34,20 +37,14 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
-from ..simulation.checkpoint import (
-    load_async_run_checkpoint,
-    load_run_checkpoint,
-    save_async_run_checkpoint,
-    save_run_checkpoint,
-)
+from ..simulation.checkpoint import load_run_checkpoint, save_run_checkpoint
 from .artifacts import (
     PlanCell,
     artifact_path,
     checkpoint_path,
     shard_cells,
-    write_async_cell_artifact,
     write_cell_artifact,
 )
 from .pool import PersistentPool, SharedDataset, SharedDatasetCache, bind_data
@@ -56,9 +53,9 @@ from .runner import (
     AsyncExperimentResult,
     ExperimentResult,
     PreparedData,
-    async_eval_cadence,
     build_async_run,
     build_run,
+    execute_run,
     prepare,
     prepare_data,
     prepared_from_data,
@@ -286,52 +283,6 @@ def _compile_scenario_cell(
     return compiled
 
 
-class _KindOps(NamedTuple):
-    """Everything :func:`_execute_cell` does differently for a sync and
-    an async cell."""
-
-    load_checkpoint: Callable  # (engine, algo, path) -> (start, history)
-    save_checkpoint: Callable  # (engine, algo, history, at, path)
-    write_artifact: Callable  # (results_dir, cell, result, vectorized=)
-    #: whether ``progress`` and ``checkpoint_every`` count events (n per
-    #: round-equivalent) instead of rounds
-    counts_events: bool
-    run: Callable  # (engine, algo, cell, trace, eval_every, start, history, hook) -> result
-
-
-def _run_sync(engine, algo, cell, trace, eval_every, start, history, hook):
-    # build_run already wired the evaluation cadence into the engine
-    history = engine.run(algo, start_round=start, history=history,
-                         round_hook=hook)
-    assert engine.meter is not None
-    return ExperimentResult(history=history, meter=engine.meter, trace=trace)
-
-
-def _run_async(engine, policy, cell, trace, eval_every, start, history, hook):
-    history = engine.run(
-        policy,
-        activations_per_node=cell.total_rounds,
-        eval_every=async_eval_cadence(eval_every, engine.n_nodes),
-        start_event=start,
-        history=history,
-        event_hook=hook,
-    )
-    return AsyncExperimentResult(
-        history=history, train_energy_wh=engine.train_energy_wh, trace=trace
-    )
-
-
-def _kind_ops(kind: str) -> _KindOps:
-    """The per-kind table. Built per call, so the checkpoint and
-    artifact functions are looked up by their module-global names when a
-    cell runs (the perf tracer patches those names)."""
-    if kind == "async":
-        return _KindOps(load_async_run_checkpoint, save_async_run_checkpoint,
-                        write_async_cell_artifact, True, _run_async)
-    return _KindOps(load_run_checkpoint, save_run_checkpoint,
-                    write_cell_artifact, False, _run_sync)
-
-
 def _execute_cell(
     engine,
     algo,
@@ -348,26 +299,27 @@ def _execute_cell(
 ) -> "tuple[ExperimentResult | AsyncExperimentResult, bool]":
     """Run a wired engine of either kind through the checkpointed cell
     protocol: restore any mid-run checkpoint, run with periodic
-    checkpointing, write the artifact, drop the checkpoint.
+    checkpointing, write the artifact, drop the checkpoint. Nothing
+    here asks which kind the cell is.
 
-    Sync cells checkpoint only at evaluation rounds (only those resume
-    exactly); for async cells any event boundary resumes exactly, so
-    every hook call may checkpoint — under ``vectorized=True`` the async
-    hook only fires at evaluation boundaries, so checkpoints land on
-    those while resume stays boundary-free. With ``node_shards > 1`` a
+    A checkpoint is written wherever the engine says a run resumes
+    exactly: a sync engine's hook names its last evaluation round (only
+    those resume exactly); an async engine's names nothing, because any
+    event boundary does — under ``vectorized=True`` the async hook only
+    fires at evaluation boundaries, so checkpoints land on those while
+    resume stays boundary-free. With ``node_shards > 1`` a
     :class:`~repro.simulation.node_shard.NodeShardPool` fans the
     local-training stage out for the duration of the run (sync only,
     :func:`run_cell` has checked). The engine (and its state backing,
     mmap or not) is always released on the way out, success or crash.
     """
-    ops = _kind_ops(cell.kind)
-    unit = engine.n_nodes if ops.counts_events else 1
+    unit = cell.units_per_round(engine.n_nodes)
     total, interval = cell.total_rounds * unit, checkpoint_every * unit
     ckpt = checkpoint_path(results_dir, cell)
     start, history = 0, None
     resumed = ckpt.is_file()
     if resumed:
-        start, history = ops.load_checkpoint(engine, algo, ckpt)
+        start, history = load_run_checkpoint(engine, algo, ckpt)
     last_ckpt = start
 
     def hook(eng, at, hist, last_eval=None):
@@ -382,7 +334,7 @@ def _execute_cell(
             and at - last_ckpt >= interval
         ):
             ckpt.parent.mkdir(parents=True, exist_ok=True)
-            ops.save_checkpoint(eng, algo, hist, at, ckpt)
+            save_run_checkpoint(eng, algo, hist, at, ckpt)
             last_ckpt = at
         if round_hook is not None:
             round_hook(eng, at, hist, boundary)
@@ -396,9 +348,11 @@ def _execute_cell(
 
             sharder = NodeShardPool(engine, node_shards)
             engine.set_node_sharder(sharder)
-        result = ops.run(engine, algo, cell, trace, eval_every, start, history,
-                         hook)
-        ops.write_artifact(results_dir, cell, result, vectorized=vectorized)
+        result = execute_run(
+            engine, algo, trace, total_rounds=cell.total_rounds,
+            eval_every=eval_every, start=start, history=history, hook=hook,
+        )
+        write_cell_artifact(results_dir, cell, result, vectorized=vectorized)
         # the artifact is on disk: drop the checkpoint, and the temp
         # file a process killed mid-save left beside it
         ckpt.unlink(missing_ok=True)

@@ -44,9 +44,9 @@ from ..experiments.runner import (
     AsyncExperimentResult,
     ExperimentResult,
     PreparedExperiment,
-    async_eval_cadence,
     build_async_run,
     build_run,
+    execute_run,
     prepare,
 )
 from ..simulation.failures import (
@@ -69,7 +69,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import networkx as nx
     import scipy.sparse as sp
 
+    from ..core.base import Algorithm
     from ..experiments.artifacts import PlanCell
+    from ..simulation.async_engine import AsyncGossipEngine, AsyncPolicy
+    from ..simulation.engine import SimulationEngine
     from ..topology.sparse import NeighborList
 
     class DynamicGraph(Protocol):
@@ -249,8 +252,8 @@ class CompiledRun:
     kind: str
     preset: ExperimentPreset
     prepared: PreparedExperiment
-    engine: object  # SimulationEngine | AsyncGossipEngine
-    algorithm: object  # Algorithm | AsyncPolicy
+    engine: "SimulationEngine | AsyncGossipEngine"
+    algorithm: "Algorithm | AsyncPolicy"
     seed: int
     total_rounds: int
     eval_every: int
@@ -260,24 +263,13 @@ class CompiledRun:
     def execute(
         self, round_hook: Callable | None = None
     ) -> "ExperimentResult | AsyncExperimentResult":
-        if self.kind == "sync":
-            history = self.engine.run(self.algorithm, round_hook=round_hook)
-            assert self.engine.meter is not None
-            return ExperimentResult(
-                history=history,
-                meter=self.engine.meter,
-                trace=self.prepared.trace,
-            )
-        history = self.engine.run(
+        return execute_run(
+            self.engine,
             self.algorithm,
-            activations_per_node=self.total_rounds,
-            eval_every=async_eval_cadence(self.eval_every, self.engine.n_nodes),
-            event_hook=round_hook,
-        )
-        return AsyncExperimentResult(
-            history=history,
-            train_energy_wh=self.engine.train_energy_wh,
-            trace=self.prepared.trace,
+            self.prepared.trace,
+            total_rounds=self.total_rounds,
+            eval_every=self.eval_every,
+            hook=round_hook,
         )
 
 

@@ -14,14 +14,7 @@ from .async_engine import (
     AsyncSkipTrainConstrained,
 )
 from .builder import build_engine, build_nodes
-from .checkpoint import (
-    load_async_run_checkpoint,
-    load_checkpoint,
-    load_run_checkpoint,
-    save_async_run_checkpoint,
-    save_checkpoint,
-    save_run_checkpoint,
-)
+from .checkpoint import load_run_checkpoint, save_run_checkpoint
 from .engine import EngineConfig, SimulationEngine
 from .failures import (
     CrashWindow,
@@ -92,12 +85,8 @@ __all__ = [
     "local_test_sets",
     "participation_gini",
     "per_node_accuracy",
-    "save_checkpoint",
-    "load_checkpoint",
     "save_run_checkpoint",
     "load_run_checkpoint",
-    "save_async_run_checkpoint",
-    "load_async_run_checkpoint",
     "generator_state",
     "restore_generator",
     "StateStore",

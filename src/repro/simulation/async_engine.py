@@ -43,8 +43,8 @@ partner choice), the evaluation stream (node subsampling — changing
 and each node's batch stream. All of them — plus the event heap,
 counters, and policy state — round-trip through
 :meth:`AsyncGossipEngine.state_dict`, so a killed run restored via
-:func:`~repro.simulation.checkpoint.load_async_run_checkpoint`
-continues bit-for-bit from any event boundary.
+:func:`~repro.simulation.checkpoint.load_run_checkpoint` continues
+bit-for-bit from any event boundary.
 
 Serial vs vectorized event execution
 ------------------------------------
@@ -86,7 +86,12 @@ from ..nn.module import Module
 from ..nn.optim import SGD
 from ..nn.serialization import parameter_vector, set_parameter_vector
 from .event_batch import EventBatch, plan_window
-from .metrics import consensus_distance, evaluate_state, membership_eval_pool
+from .metrics import (
+    _RecordCodec,
+    consensus_distance,
+    evaluate_state,
+    membership_eval_pool,
+)
 from .node_bank import NodeBank
 from .rng import generator_state, restore_generator
 from .state_store import make_state_store
@@ -223,7 +228,7 @@ class AsyncSkipTrainConstrained(AsyncSkipTrain):
 
 
 @dataclass(frozen=True)
-class AsyncRecord:
+class AsyncRecord(_RecordCodec):
     """Metrics snapshot at one evaluation time."""
 
     time: float
@@ -544,14 +549,25 @@ class AsyncGossipEngine:
         heap, and every rng stream (events, evaluation, per-node batch
         sampling). Restoring it into a freshly constructed engine and
         continuing with ``run(start_event=...)`` is bit-identical to an
-        uninterrupted run from any event boundary."""
+        uninterrupted run from any event boundary.
+
+        ``state`` is the engine's own matrix, not a copy: write the
+        snapshot out before the run goes on. A failure model that holds
+        its own rng (``IndependentCrashes``) cannot round-trip and is
+        refused; stateless window models are fine."""
         if self._queue is None:
             raise ValueError(
                 "no event state to snapshot yet; state_dict captures a "
                 "run in progress (run() initializes the event heap)"
             )
+        if getattr(self.failure_model, "rng", None) is not None:
+            raise ValueError(
+                "async run checkpoints do not capture failure-model rng "
+                "state; use a stateless failure model (CrashWindow) for "
+                "checkpointed runs"
+            )
         return {
-            "state": self.state.copy(),
+            "state": self.state,
             "activation_counts": self.activation_counts.copy(),
             "train_counts": self.train_counts.copy(),
             "train_energy_wh": float(self.train_energy_wh),
@@ -614,7 +630,7 @@ class AsyncGossipEngine:
 
         Non-zero ``start_event`` resumes a run whose state was restored
         via :meth:`load_state_dict` (or
-        :func:`~repro.simulation.checkpoint.load_async_run_checkpoint`);
+        :func:`~repro.simulation.checkpoint.load_run_checkpoint`);
         ``history`` appends to the interrupted record list. Every event
         boundary resumes exactly — the evaluation cadence is absolute in
         the event index and all randomness round-trips — so checkpoints

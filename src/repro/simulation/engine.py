@@ -77,6 +77,7 @@ from .metrics import (
     membership_eval_pool,
 )
 from .node_bank import NodeBank
+from .rng import generator_state, restore_generator
 from .state_store import STATE_BACKENDS, make_state_store
 
 __all__ = ["EngineConfig", "SimulationEngine"]
@@ -155,6 +156,11 @@ class SimulationEngine:
     Joiners are seeded with the mean of their eligible neighbors'
     states before the join round's training (see
     :func:`~repro.scenarios.churn.apply_join_handoff`)."""
+
+    # the node-shard pool is a process handle the orchestrator attaches
+    # for the length of a run; it holds no run state (sharded and
+    # unsharded runs are byte-identical), so a resumed cell builds its own
+    _CHECKPOINT_EXEMPT = ("_node_sharder",)
 
     def __init__(
         self,
@@ -257,6 +263,78 @@ class SimulationEngine:
         Idempotent; the orchestrator calls it when a cell finishes
         either way, and a finalizer covers abandoned engines."""
         self._store.close()
+
+    # -- checkpointing --------------------------------------------------------
+
+    def state_dict(self) -> dict:
+        """Everything a run mutates: the state matrix, the meter's
+        accumulators, every node's batch-stream position, the evaluation
+        rng and, under a compressor, the error-feedback public copies.
+        Restoring it into a freshly constructed engine and continuing
+        with ``run(start_round=...)`` from an evaluation round is
+        bit-identical to an uninterrupted run.
+
+        ``state`` (and ``public``) are the engine's own arrays, not
+        copies: write the snapshot out before the run goes on.
+
+        State this snapshot cannot capture is refused rather than
+        resumed divergently: momentum (the serial velocity buffer lives
+        in the shared workspace optimizer), stochastic compressors and
+        rng-backed failure models (each holds its own rng). Their
+        deterministic counterparts, and churn schedules, are pure
+        functions of the round index and need no entry."""
+        if self.config.momentum > 0.0:
+            raise ValueError(
+                "run checkpoints do not capture the shared momentum velocity "
+                "buffer; use momentum=0 for checkpointed runs"
+            )
+        if getattr(self.failure_model, "rng", None) is not None:
+            raise ValueError(
+                "run checkpoints do not capture stochastic failure-model rng "
+                "state; use a deterministic failure model (CrashWindow) for "
+                "checkpointed runs"
+            )
+        if getattr(self.compressor, "rng", None) is not None:
+            raise ValueError(
+                "run checkpoints do not capture stochastic compressor rng "
+                "state; use a deterministic compressor"
+            )
+        sd = {
+            "state": self.state,
+            **self.nodes.state_dict(),
+            "eval_rng": generator_state(self.eval_rng),
+        }
+        if self.meter is not None:
+            sd.update(self.meter.state_dict())
+        if self._public is not None:
+            sd["public"] = self._public
+        return sd
+
+    def load_state_dict(self, sd: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot in place. The engine
+        must have been constructed exactly as for the original run; a
+        snapshot of another shape, without the meter's arrays or (the
+        bank's own check) taken under another seed is refused before
+        anything is touched."""
+        state = np.asarray(sd["state"])
+        public = sd.get("public")
+        for name, arr in (("state", state), ("public", public)):
+            if arr is not None and arr.shape != self.state.shape:
+                raise ValueError(
+                    f"snapshot {name} shape {arr.shape} does not match "
+                    f"engine {self.state.shape}"
+                )
+        if self.meter is not None and "train_wh" not in sd:
+            raise ValueError("snapshot lacks energy-meter arrays")
+        eval_rng = restore_generator(sd["eval_rng"])
+        # first to move, because it can still refuse (a snapshot taken
+        # under another seed) and checks before it moves a cursor
+        self.nodes.load_state_dict(sd)
+        if self.meter is not None:
+            self.meter.load_state_dict(sd)
+        self.state[...] = state
+        self.eval_rng = eval_rng
+        self._public = None if public is None else np.array(public)
 
     def set_node_sharder(self, sharder) -> None:
         """Attach (or detach, with ``None``) a
@@ -452,10 +530,9 @@ class SimulationEngine:
     ) -> RunHistory:
         """Execute ``algorithm`` for rounds ``start_round+1 ..
         config.total_rounds``. Non-zero ``start_round`` resumes a run
-        whose state was restored via
-        :func:`repro.simulation.checkpoint.load_checkpoint` (stateless
-        algorithms resume exactly; stateful ones restore via
-        :func:`~repro.simulation.checkpoint.load_run_checkpoint`).
+        whose state was restored via :meth:`load_state_dict` (or
+        :func:`~repro.simulation.checkpoint.load_run_checkpoint`, which
+        also restores the algorithm's state and the history so far).
 
         ``history`` appends to an existing record list (a resumed run
         continues the interrupted history); ``round_hook(engine, t,

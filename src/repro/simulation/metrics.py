@@ -11,8 +11,9 @@ predictions directly, so their per-node accuracies are exactly equal —
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+import math
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -123,8 +124,70 @@ def consensus_distance(state: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", diff, diff) / state.shape[0])
 
 
+#: annotation → (python cast, numpy column dtype); both record modules
+#: import annotations from ``__future__``, so a field's type is a string
+_CASTS = {"int": (int, np.int64), "float": (float, np.float64),
+          "bool": (bool, np.bool_)}
+
+
+class _RecordCodec:
+    """The stored forms of a record dataclass, derived from its fields
+    so that a field is declared once, in the dataclass: the JSON object
+    of a cell artifact and the npz columns of a run checkpoint. Keys
+    and columns come in field order; the ``int``/``float``/``bool``
+    casts come from the annotations. A float field whose default is NaN
+    may be absent, and is stored as JSON ``null``; a NaN anywhere else
+    is passed through and fails the artifact's strict-JSON write.
+
+    (``cls: Any`` below: the methods run on the dataclasses this is a
+    base of, not on this class.)
+    """
+
+    @classmethod
+    def _layout(cls: Any) -> list[tuple[Any, ...]]:
+        """``(name, python cast, numpy dtype, nullable)`` per field."""
+        return [
+            (
+                f.name,
+                *_CASTS[f.type],
+                isinstance(f.default, float) and math.isnan(f.default),
+            )
+            for f in fields(cls)
+        ]
+
+    def to_json(self) -> dict[str, Any]:
+        out = {}
+        for name, _, _, nullable in self._layout():
+            value = getattr(self, name)
+            out[name] = None if nullable and math.isnan(value) else value
+        return out
+
+    @classmethod
+    def from_json(cls: Any, obj: dict[str, Any]) -> Any:
+        return cls(**{
+            name: float("nan") if nullable and obj[name] is None
+            else cast(obj[name])
+            for name, cast, _, nullable in cls._layout()
+        })
+
+    @classmethod
+    def to_columns(cls: Any, records: list[Any]) -> dict[str, np.ndarray]:
+        return {
+            name: np.array([getattr(r, name) for r in records], dtype=dtype)
+            for name, _, dtype, _ in cls._layout()
+        }
+
+    @classmethod
+    def from_columns(cls: Any, columns: dict[str, np.ndarray]) -> list[Any]:
+        layout = cls._layout()
+        return [
+            cls(**{name: cast(v) for (name, cast, _, _), v in zip(layout, row)})
+            for row in zip(*(columns[name] for name, _, _, _ in layout))
+        ]
+
+
 @dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(_RecordCodec):
     """Metrics snapshot after one evaluated round.
 
     ``train_loss`` is the mean local training loss over the nodes that

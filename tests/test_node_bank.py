@@ -438,9 +438,11 @@ class TestKillAtRandomPointResumesThroughThePackedCodec:
         ckpt = checkpoint_path(tmp_path, cell)
         with np.load(ckpt) as archive:
             forged = {key: archive[key] for key in archive.files}
-        del forged["node_rng"]
+        # what a tree before the packed block wrote: per-node JSON
+        # streams and, like every layout before the envelope, no stamp
+        del forged["node_rng"], forged["format"]
         forged["node_rng_json"] = np.array(json.dumps([{}] * tiny_preset.n_nodes))
         with open(ckpt, "wb") as fh:
             np.savez(fh, **forged)
-        with pytest.raises(ValueError, match="old per-node node_rng_json layout"):
+        with pytest.raises(ValueError, match="delete it and rerun the cell"):
             run_cell(tiny_preset, cell, tmp_path, checkpoint_every=1)

@@ -10,18 +10,18 @@ from repro.data import make_classification_images, shard_partition
 from repro.data.synthetic import SyntheticSpec
 from repro.energy import CIFAR10_WORKLOAD, EnergyMeter, build_trace
 from repro.nn import small_mlp
+from repro.experiments.runner import build_async_run, build_run, execute_run, prepare
 from repro.simulation import (
     EngineConfig,
     RngFactory,
     SimulationEngine,
     build_nodes,
     generator_state,
-    load_checkpoint,
     load_run_checkpoint,
     restore_generator,
-    save_checkpoint,
     save_run_checkpoint,
 )
+from repro.simulation.metrics import RunHistory
 from repro.topology import metropolis_hastings_weights, regular_graph
 
 N = 8
@@ -45,69 +45,86 @@ def make_engine(seed=0, total_rounds=16):
                             eval_rng=rngs.stream("eval"))
 
 
+def assert_untouched(engine, fresh):
+    """``engine`` is bit-equal to the freshly built ``fresh``: state
+    matrix, every node's batch-stream position, meter totals."""
+    np.testing.assert_array_equal(engine.state, fresh.state)
+    got, want = engine.nodes.state_dict(), fresh.nodes.state_dict()
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key])
+    if getattr(engine, "meter", None) is not None:
+        assert engine.meter.total_wh == fresh.meter.total_wh == 0.0
+        np.testing.assert_array_equal(engine.meter.train_rounds,
+                                      fresh.meter.train_rounds)
+
+
 class TestCheckpoint:
+    """The engine half of a run checkpoint (these were the cases of the
+    engine-only ``save_checkpoint`` pair, which is gone)."""
+
     def test_roundtrip_restores_state_and_meter(self, tmp_path):
         eng = make_engine()
-        eng.run(DPSGD(N))
+        history = eng.run(DPSGD(N))
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(eng, 16, path)
+        save_run_checkpoint(eng, DPSGD(N), history, 16, path)
 
         fresh = make_engine()
         assert not np.allclose(fresh.state, eng.state)
-        resumed_round = load_checkpoint(fresh, path)
+        resumed_round, restored = load_run_checkpoint(fresh, DPSGD(N), path)
         assert resumed_round == 16
+        assert_histories_equal(restored, history)
         np.testing.assert_array_equal(fresh.state, eng.state)
         np.testing.assert_array_equal(fresh.meter.train_wh, eng.meter.train_wh)
         np.testing.assert_array_equal(fresh.meter.train_rounds,
                                       eng.meter.train_rounds)
         assert fresh.meter.total_wh == eng.meter.total_wh
+        with np.load(path) as archive:
+            assert str(archive["format"]) == "repro/run-checkpoint/v1"
+            assert str(archive["kind"]) == "sync"
 
     def test_in_process_resume_matches_straight_run(self, tmp_path):
-        """8 rounds + resume for 8 more ≡ 16 straight rounds (stateless
-        algorithm, same engine object so rng streams continue)."""
+        """8 rounds + resume for 8 more ≡ 16 straight rounds, exactly:
+        the snapshot of an 8-round engine restores into a fresh
+        16-round one, node batch streams included."""
         straight = make_engine(seed=3, total_rounds=16)
         h_straight = straight.run(DPSGD(N))
 
-        split = make_engine(seed=3, total_rounds=16)
-        split.config = EngineConfig(local_steps=2, learning_rate=0.2,
-                                    total_rounds=16, eval_every=4)
-        # first half: run rounds 1..8 by treating 8 as the horizon
         first_half = make_engine(seed=3, total_rounds=8)
-        first_half.run(DPSGD(N))
+        h_half = first_half.run(DPSGD(N))
         path = tmp_path / "half.npz"
-        save_checkpoint(first_half, 8, path)
+        save_run_checkpoint(first_half, DPSGD(N), h_half, 8, path)
 
-        # emulate a restart: fresh 16-round engine, restore, resume.
-        # Note: node batch streams restart in a fresh process; to keep
-        # this test exact we resume with the SAME engine object instead.
-        resumed_round = load_checkpoint(split, path)
-        # fast-forward split's node rng streams to match first_half's
-        split.nodes = first_half.nodes
-        h_rest = split.run(DPSGD(N), start_round=resumed_round)
+        split = make_engine(seed=3, total_rounds=16)
+        resumed_round, history = load_run_checkpoint(split, DPSGD(N), path)
+        h_rest = split.run(DPSGD(N), start_round=resumed_round,
+                           history=history)
 
-        np.testing.assert_allclose(split.state, straight.state, atol=1e-12)
-        assert h_rest.records[-1].round == 16
-        assert h_rest.records[-1].mean_accuracy == pytest.approx(
-            h_straight.records[-1].mean_accuracy
-        )
+        np.testing.assert_array_equal(split.state, straight.state)
+        assert_histories_equal(h_rest, h_straight)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         eng = make_engine()
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(eng, 4, path)
+        save_run_checkpoint(eng, DPSGD(N), RunHistory("D-PSGD"), 4, path)
         other = make_engine()
         # forge a wrong-shape backing: state assignment itself rejects
         # shape changes, so swap the store wholesale
         from repro.simulation.state_store import MemoryStateStore
 
         other._store = MemoryStateStore(np.zeros((N, 5)))
-        with pytest.raises(ValueError):
-            load_checkpoint(other, path)
+        with pytest.raises(ValueError, match="shape"):
+            load_run_checkpoint(other, DPSGD(N), path)
+        # refused before the bank or the meter moved
+        fresh = make_engine()
+        fresh._store = MemoryStateStore(np.zeros((N, 5)))
+        assert_untouched(other, fresh)
 
     def test_negative_round_rejected(self, tmp_path):
         eng = make_engine()
         with pytest.raises(ValueError):
-            save_checkpoint(eng, -1, tmp_path / "x.npz")
+            save_run_checkpoint(eng, DPSGD(N), RunHistory("D-PSGD"), -1,
+                                tmp_path / "x.npz")
+        assert not list(tmp_path.iterdir())
 
     def test_start_round_validation(self):
         eng = make_engine(total_rounds=8)
@@ -231,12 +248,16 @@ class TestRunCheckpoint:
         np.testing.assert_array_equal(fresh.meter.cumulative_total_wh(),
                                       straight.meter.cumulative_total_wh())
 
-    def test_rejects_engine_only_checkpoint(self, tmp_path):
+    def test_rejects_unstamped_checkpoint(self, tmp_path):
+        """A file without the format stamp — every layout older trees
+        wrote — is per-cell scratch this version does not read."""
         eng = make_engine()
         path = tmp_path / "plain.npz"
-        save_checkpoint(eng, 4, path)
-        with pytest.raises(ValueError, match="not a run checkpoint"):
-            load_run_checkpoint(make_engine(), DPSGD(N), path)
+        np.savez(path, state=eng.state, round_index=np.array(4))
+        victim = make_engine()
+        with pytest.raises(ValueError, match="delete it and rerun the cell"):
+            load_run_checkpoint(victim, DPSGD(N), path)
+        assert_untouched(victim, make_engine())
 
     def test_rejects_algorithm_mismatch(self, tmp_path):
         eng = make_engine()
@@ -244,8 +265,11 @@ class TestRunCheckpoint:
         history = eng.run(algo)
         path = tmp_path / "run.npz"
         save_run_checkpoint(eng, algo, history, 16, path)
+        victim = make_engine()
         with pytest.raises(ValueError, match="algorithm"):
-            load_run_checkpoint(make_engine(), DPSGD(N), path)
+            load_run_checkpoint(victim, DPSGD(N), path)
+        # refused before anything was restored, not halfway through
+        assert_untouched(victim, make_engine())
 
     def test_rejects_uncapturable_engine_state(self, tmp_path):
         """Momentum velocity lives in the shared workspace optimizer
@@ -256,8 +280,6 @@ class TestRunCheckpoint:
                                   total_rounds=16, eval_every=4,
                                   momentum=0.5)
         algo = DPSGD(N)
-        from repro.simulation.metrics import RunHistory
-
         with pytest.raises(ValueError, match="momentum"):
             save_run_checkpoint(eng, algo, RunHistory(algorithm=algo.name),
                                 4, tmp_path / "x.npz")
@@ -277,3 +299,94 @@ class TestRunCheckpoint:
         for t in range(9, 17):
             np.testing.assert_array_equal(clone.train_mask(t),
                                           algo.train_mask(t))
+
+
+class Kill(Exception):
+    pass
+
+
+def build(prepared, kind, vectorized):
+    if kind == "async":
+        return build_async_run(prepared, "async-skiptrain-constrained",
+                               activations_per_node=6, vectorized=vectorized)
+    return build_run(prepared, "skiptrain-constrained", total_rounds=12,
+                     eval_every=2, vectorized=vectorized)
+
+
+def run(pair, trace, **kwargs):
+    # the horizon and cadence are the async engine's; build_run wired
+    # the sync engine's into its config
+    return execute_run(*pair, trace, total_rounds=6, eval_every=1, **kwargs)
+
+
+class TestOnePairBothEngines:
+    """The same two functions checkpoint a sync and an async run."""
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize("kind", ["sync", "async"])
+    def test_kill_and_resume(self, tiny_preset, tmp_path, kind, vectorized):
+        prepared = prepare(tiny_preset, 3, seed=2)
+        path = tmp_path / "run.npz"
+        straight = build(prepared, kind, vectorized)
+        want = run(straight, prepared.trace)
+
+        doomed = build(prepared, kind, vectorized)
+        saved = []
+
+        def hook(engine, at, history, last_eval=None):
+            # sync resumes exactly from evaluation rounds only
+            if not saved and at >= 4 and last_eval in (None, at):
+                save_run_checkpoint(engine, doomed[1], history, at, path)
+                saved.append(at)
+                raise Kill
+
+        with pytest.raises(Kill):
+            run(doomed, prepared.trace, hook=hook)
+
+        fresh = build(prepared, kind, vectorized)
+        start, history = load_run_checkpoint(*fresh, path)
+        assert [start] == saved
+        got = run(fresh, prepared.trace, start=start, history=history)
+
+        np.testing.assert_array_equal(fresh[0].state, straight[0].state)
+        assert_histories_equal(got.history, want.history)
+        assert type(got.history) is type(want.history)
+        with np.load(path) as archive:
+            assert str(archive["kind"]) == kind
+
+    @pytest.mark.parametrize("saved_kind,offered", [("sync", "async"),
+                                                    ("async", "sync")])
+    def test_other_kind_refused_untouched(
+        self, tiny_preset, tmp_path, saved_kind, offered
+    ):
+        prepared = prepare(tiny_preset, 3, seed=2)
+        path = tmp_path / "run.npz"
+        donor = build(prepared, saved_kind, False)
+        result = run(donor, prepared.trace)
+        save_run_checkpoint(*donor, result.history, 1, path)
+
+        victim = build(prepared, offered, False)
+        with pytest.raises(ValueError) as err:
+            load_run_checkpoint(*victim, path)
+        assert "sync" in str(err.value) and "async" in str(err.value)
+        assert "delete it and rerun the cell" in str(err.value)
+        assert_untouched(victim[0], build(prepared, offered, False)[0])
+
+    def test_deleted_pairs_stay_deleted(self):
+        import repro.simulation as simulation
+        from repro.simulation import checkpoint
+
+        assert checkpoint.__all__ == ["save_run_checkpoint",
+                                      "load_run_checkpoint"]
+        for name in ("save_checkpoint", "load_checkpoint",
+                     "save_async_run_checkpoint", "load_async_run_checkpoint"):
+            assert not hasattr(simulation, name)
+            assert not hasattr(checkpoint, name)
+        with pytest.raises(ImportError):
+            from repro.simulation import save_async_run_checkpoint  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.simulation import save_checkpoint  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.experiments.artifacts import (  # noqa: F401
+                write_async_cell_artifact,
+            )

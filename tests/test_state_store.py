@@ -122,6 +122,48 @@ class TestBackendBitIdentity:
         fresh.close()
 
 
+    @pytest.mark.parametrize("save_backend,load_backend", [
+        ("memory", "mmap"), ("mmap", "memory"),
+    ])
+    def test_async_checkpoint_portable_across_backends(
+        self, tiny_preset, tmp_path, save_backend, load_backend
+    ):
+        """The same pair, an async run: snapshotted mid-window under
+        one backing, resumed bit-exactly under the other."""
+        prepared = prepare(tiny_preset, 3, seed=1)
+        path = tmp_path / "run.npz"
+
+        def build(backend):
+            return build_async_run(prepared, "async-skiptrain",
+                                   activations_per_node=4,
+                                   state_backend=backend)
+
+        straight, policy_s = build(save_backend)
+        h_straight = straight.run(policy_s, 4, eval_every=16)
+
+        doomed, policy_d = build(save_backend)
+
+        def hook(engine, event, history):
+            if event == 13:  # off the evaluation cadence
+                save_run_checkpoint(engine, policy_d, history, event, path)
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            doomed.run(policy_d, 4, eval_every=16, event_hook=hook)
+        doomed.close()
+
+        fresh, policy_f = build(load_backend)
+        start, history = load_run_checkpoint(fresh, policy_f, path)
+        assert start == 13
+        h_resumed = fresh.run(policy_f, 4, eval_every=16, start_event=start,
+                              history=history)
+
+        np.testing.assert_array_equal(fresh.state, straight.state)
+        assert h_resumed.records == h_straight.records
+        straight.close()
+        fresh.close()
+
+
 class TestResolveAndMake:
     def test_explicit_backends_pass_through(self):
         assert resolve_state_backend("memory", 10**6, 10**6) == "memory"

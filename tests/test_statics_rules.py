@@ -194,6 +194,34 @@ def test_checkpoint_exempt_allowlist(tmp_path):
     assert check_paths([path], tmp_path).findings == []
 
 
+def test_checkpoint_fields_rule_sees_the_sync_engine(tmp_path):
+    """``SimulationEngine`` has the ``state_dict`` pair, so the rule
+    polices it: the shipped file is clean, and a copy whose
+    ``state_dict`` forgets the error-feedback public copies is not."""
+    import ast
+
+    import repro.simulation.engine as engine_module
+
+    engine_path = Path(engine_module.__file__)
+    shipped = check_paths([engine_path], root=engine_path.parents[2],
+                          select=["checkpoint-fields"])
+    assert shipped.findings == [] and shipped.suppressed == []
+
+    tree = ast.parse(engine_path.read_text())
+    (cls,) = [n for n in ast.walk(tree)
+              if isinstance(n, ast.ClassDef) and n.name == "SimulationEngine"]
+    (state_dict,) = [n for n in cls.body if isinstance(n, ast.FunctionDef)
+                     and n.name == "state_dict"]
+    kept = [n for n in state_dict.body if "_public" not in ast.unparse(n)]
+    assert len(kept) == len(state_dict.body) - 1
+    state_dict.body = kept
+    path = tmp_path / "engine.py"
+    path.write_text(ast.unparse(tree))
+    (finding,) = check_paths([path], tmp_path,
+                             select=["checkpoint-fields"]).findings
+    assert "SimulationEngine._public" in finding.message
+
+
 def test_syntax_error_is_reported_not_raised(tmp_path):
     path = tmp_path / "broken.py"
     path.write_text("def f(:\n")

@@ -428,6 +428,96 @@ class TestArtifactsAndAggregation:
         ]
 
 
+def _record_case(record_cls):
+    """A record with a distinct value in every field, and the stub
+    result + cell :func:`write_cell_artifact` needs to write it."""
+    from types import SimpleNamespace
+
+    from repro.experiments import AsyncExperimentResult, ExperimentResult
+    from repro.experiments.artifacts import PlanCell
+    from repro.simulation import AsyncHistory, AsyncRecord, RunHistory
+
+    values = {}
+    for i, f in enumerate(dataclasses.fields(record_cls), start=1):
+        values[f.name] = {"int": i, "float": i + 0.25, "bool": True}[f.type]
+    if record_cls is AsyncRecord:
+        def result(record):
+            return AsyncExperimentResult(
+                history=AsyncHistory("p", [record]), train_energy_wh=0.0,
+                trace=SimpleNamespace(n_nodes=8))
+        cell = PlanCell("micro-async", "async-d-psgd", 3, 0, 12, kind="async")
+    else:
+        def result(record):
+            return ExperimentResult(
+                history=RunHistory("a", [record]), trace=None,
+                meter=SimpleNamespace(total_train_wh=0.0, total_comm_wh=0.0))
+        cell = PlanCell("micro", "d-psgd", 3, 0, 12)
+    return record_cls(**values), result, cell
+
+
+def _records():
+    from repro.simulation import AsyncRecord, RoundRecord
+
+    return [RoundRecord, AsyncRecord]
+
+
+@pytest.mark.parametrize("record_cls", _records())
+class TestRecordCodec:
+    """A record's JSON object (artifacts) and npz columns (checkpoints)
+    both come from the dataclass fields, so a field added to the
+    dataclass is in every form or in none."""
+
+    def test_every_field_round_trips_in_field_order(self, record_cls):
+        record, _, _ = _record_case(record_cls)
+        names = [f.name for f in dataclasses.fields(record_cls)]
+        obj = json.loads(json.dumps(record.to_json(), allow_nan=False))
+        assert list(obj) == names
+        assert record_cls.from_json(obj) == record
+        columns = record_cls.to_columns([record, record])
+        assert list(columns) == names
+        assert record_cls.from_columns(columns) == [record, record]
+        for got, want in zip(dataclasses.astuple(record_cls.from_json(obj)),
+                             dataclasses.astuple(record)):
+            assert type(got) is type(want)
+        assert record_cls.from_columns(record_cls.to_columns([])) == []
+
+    def test_nan_policy(self, record_cls, tmp_path):
+        """NaN ↔ ``null`` exactly for a float field whose default is
+        NaN (``train_loss``: nobody trained); a NaN in any other float
+        field still fails the artifact write, and leaves no file."""
+        import math
+
+        from repro.experiments.artifacts import write_cell_artifact
+
+        record, result, cell = _record_case(record_cls)
+        for f in dataclasses.fields(record_cls):
+            if f.type != "float":
+                continue
+            broken = dataclasses.replace(record, **{f.name: float("nan")})
+            if f.name == "train_loss":
+                assert broken.to_json()[f.name] is None
+                back = record_cls.from_json(broken.to_json())
+                assert math.isnan(back.train_loss)
+                (col,) = record_cls.from_columns(record_cls.to_columns([broken]))
+                assert math.isnan(col.train_loss)
+                write_cell_artifact(tmp_path / "ok", cell, result(broken))
+            else:
+                assert math.isnan(broken.to_json()[f.name])
+                with pytest.raises(ValueError):
+                    write_cell_artifact(tmp_path / "bad", cell, result(broken))
+        assert not (tmp_path / "bad").exists()
+
+    def test_writer_refuses_a_result_of_the_other_kind(self, record_cls, tmp_path):
+        from repro.experiments.artifacts import write_cell_artifact
+
+        record, result, cell = _record_case(record_cls)
+        other = "sync" if cell.kind == "async" else "async"
+        with pytest.raises(ValueError, match=f"{cell.kind} run"):
+            write_cell_artifact(tmp_path, dataclasses.replace(cell, kind=other),
+                                result(record))
+        assert not list(tmp_path.iterdir())
+
+
 class TestAsyncOrchestration:
     """Async cells ride the same plan → raw artifact → CSV pipeline:
     resumable, shardable, pool-parallel, and mid-cell-kill safe, all
