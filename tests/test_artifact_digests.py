@@ -42,8 +42,21 @@ The batch-stream contract (one ``choice(n_i, k_i, replace=False)`` per
 local step off ``node_stream("batch", i)``, node-major) and the
 slice-for-slice arithmetic of the stacked step are what these bytes
 depend on; any change to how batches are drawn, gathered or trained on
-moves them. Re-record only for an intentional, documented contract
-change::
+moves them.
+
+Two more were recorded from the tree *before* ``NeighborList`` became
+the only topology representation and the masked mixing providers took
+their graph from the prepared experiment — the sync cells whose mixing
+goes through ``scenario_mixing_provider``/``masked_mixing``:
+
+* ``churn-crash-vectorized`` — the registered ``churn-crash`` scenario
+  (leaves, a re-enrollment and a crash window over the static graph);
+* ``dynamic-periodic-churn-vectorized`` — ``churn-ramp``'s joins over a
+  graph rewired every 4 rounds (a ``dataclasses.replace`` of its
+  ``TopologySpec``; masked weights re-derived per round from a
+  ``RegularGraphEachRound``).
+
+Re-record only for an intentional, documented contract change::
 
     PYTHONPATH=src python tests/test_artifact_digests.py > tests/golden/artifact_digests.json
 """
@@ -64,7 +77,7 @@ from repro.experiments.runner import ExperimentResult, prepare
 from repro.nn.layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU
 from repro.nn.layers.normalization import GroupNorm
 from repro.nn.module import Sequential
-from repro.scenarios import build_scenario_plan, get_scenario
+from repro.scenarios import TopologySpec, build_scenario_plan, get_scenario
 from repro.simulation import EngineConfig, RngFactory, SimulationEngine, build_nodes
 
 GOLDEN = Path(__file__).parent / "golden" / "artifact_digests.json"
@@ -207,11 +220,27 @@ def _ragged(results_dir, **kwargs):
     return artifact_path(results_dir, cell)
 
 
-def _churn_async(results_dir):
-    spec = get_scenario("churn-async")
+def _scenario(results_dir, spec):
     cell = build_scenario_plan(spec, seeds=(0,))[0]
-    run_cell(get_preset(spec.preset), cell, results_dir, vectorized=True)
+    run_cell(get_preset(spec.preset), cell, results_dir, vectorized=True,
+             scenario_lookup=lambda name: spec)
     return artifact_path(results_dir, cell)
+
+
+def _churn_async(results_dir):
+    return _scenario(results_dir, get_scenario("churn-async"))
+
+
+def _churn_crash(results_dir):
+    return _scenario(results_dir, get_scenario("churn-crash"))
+
+
+def _dynamic_churn(results_dir):
+    return _scenario(results_dir, dataclasses.replace(
+        get_scenario("churn-ramp"),
+        name="churn-ramp-rewired",
+        topology=TopologySpec(kind="dynamic-periodic", period=4),
+    ))
 
 
 CELLS = {
@@ -221,6 +250,8 @@ CELLS = {
     "bench-serial-steps10": _bench,
     "ragged-serial": _ragged,
     "churn-async-vectorized": _churn_async,
+    "churn-crash-vectorized": _churn_crash,
+    "dynamic-periodic-churn-vectorized": _dynamic_churn,
     "conv-groupnorm-vectorized": _conv_gn,
     "weight-decay-vectorized": _weight_decay,
     "constrained-scattered-vectorized": _constrained,

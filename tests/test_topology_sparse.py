@@ -3,6 +3,10 @@ contract: generators edge-identical to the networkx constructions,
 mixing weights bit-identical, and full engine trajectories unchanged
 when a NeighborList replaces the nx.Graph it mirrors."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,8 +29,47 @@ from repro.topology.graphs import barbell_graph, neighbor_lists
 from repro.topology.sparse import regular_edge_arrays, validate_regular_params
 
 
+MIXING_GOLDEN = Path(__file__).parent / "golden" / "mixing_digests.json"
+
+
 def edge_set(graph):
     return {tuple(sorted(e)) for e in graph.edges}
+
+
+def csr_digest(w) -> str:
+    """SHA-256 over a CSR matrix's structure and values, widths fixed
+    so the index dtype scipy happens to pick cannot move it."""
+    h = hashlib.sha256()
+    for part, dtype in ((w.indptr, np.int64), (w.indices, np.int64),
+                        (w.data, np.float64)):
+        h.update(np.ascontiguousarray(part, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+def _masked_20():
+    alive = np.ones(20, dtype=bool)
+    alive[[2, 7, 11, 19]] = False
+    return masked_mixing(regular_graph(20, 4, seed=0), alive)
+
+
+#: Every mixing matrix this file used to compare across the two
+#: representations, recorded in ``golden/mixing_digests.json`` from the
+#: ``nx.Graph`` generators of the tree that still had them.
+MIXING_CASES = {
+    **{
+        f"mh-regular-{n}-{d}-{s}": (
+            lambda n=n, d=d, s=s: metropolis_hastings_weights(
+                regular_graph(n, d, seed=s))
+        )
+        for n, d, s in [(16, 3, 0), (32, 4, 1), (64, 6, 7), (31, 4, 2),
+                        (40, 4, 3), (24, 3, 1), (20, 4, 0), (12, 4, 2)]
+    },
+    "mh-ring-13": lambda: metropolis_hastings_weights(ring_graph(13)),
+    "mh-torus-3x5": lambda: metropolis_hastings_weights(torus_graph(3, 5)),
+    "uniform-regular-24-3-1": lambda: uniform_neighbor_weights(
+        regular_graph(24, 3, seed=1)),
+    "masked-regular-20-4-0": _masked_20,
+}
 
 
 class TestNeighborList:
@@ -151,6 +194,12 @@ class TestWeightBitIdentity:
             masked_mixing(nbl, alive), masked_mixing(g, alive)
         )
 
+    @pytest.mark.parametrize("name", sorted(MIXING_CASES))
+    def test_mixing_digest_matches_the_nx_graph_record(self, name):
+        golden = json.loads(MIXING_GOLDEN.read_text())
+        assert sorted(golden) == sorted(MIXING_CASES)
+        assert csr_digest(MIXING_CASES[name]()) == golden[name]
+
     def test_neighbor_lists_adapter(self):
         nbl, g = regular_neighbors(12, 4, seed=2), regular_graph(12, 4, seed=2)
         for a, b in zip(neighbor_lists(nbl), neighbor_lists(g)):
@@ -194,3 +243,10 @@ class TestTrajectoryBitIdentity:
         )
         np.testing.assert_array_equal(s_nx, s_sp)
         assert repr(h_nx.records) == repr(h_sp.records)
+
+
+if __name__ == "__main__":
+    print(json.dumps(
+        {name: csr_digest(build()) for name, build in sorted(MIXING_CASES.items())},
+        indent=1,
+    ))
