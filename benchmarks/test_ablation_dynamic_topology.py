@@ -20,7 +20,7 @@ from repro.simulation import (
     build_nodes,
     consensus_distance,
 )
-from repro.topology import RandomRegularEachRound, metropolis_hastings_weights, regular_graph
+from repro.topology import RandomRegularEachRound, metropolis_hastings_weights, regular_neighbors
 
 from .conftest import run_once
 
@@ -31,7 +31,7 @@ def test_dynamic_topology_ablation(benchmark, bench16_cifar):
         n, d, rounds = 24, 3, 15
         rng = np.random.default_rng(0)
         x0 = rng.normal(size=(n, 64))
-        static_w = metropolis_hastings_weights(regular_graph(n, d, seed=0))
+        static_w = metropolis_hastings_weights(regular_neighbors(n, d, seed=0))
         x = x0.copy()
         for _ in range(rounds):
             x = static_w @ x

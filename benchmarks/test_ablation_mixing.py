@@ -17,7 +17,7 @@ from repro.topology import (
     erdos_renyi_graph,
     is_doubly_stochastic,
     metropolis_hastings_weights,
-    regular_graph,
+    regular_neighbors,
     uniform_neighbor_weights,
 )
 
@@ -32,7 +32,7 @@ def state():
 
 @pytest.fixture(scope="module")
 def mixing_sparse():
-    return metropolis_hastings_weights(regular_graph(N_NODES, 6, seed=0))
+    return metropolis_hastings_weights(regular_neighbors(N_NODES, 6, seed=0))
 
 
 def test_mixing_sparse_matmul(benchmark, state, mixing_sparse):

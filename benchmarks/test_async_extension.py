@@ -16,7 +16,7 @@ from repro.simulation import (
     RngFactory,
     build_nodes,
 )
-from repro.topology import neighbor_lists, regular_graph
+from repro.topology import neighbor_lists, regular_neighbors
 
 from .conftest import run_once
 
@@ -27,7 +27,7 @@ def _engine(prepared, seed=11):
     model = preset.model_factory(rngs.stream("model"))
     nodes = build_nodes(prepared.train, prepared.partition,
                         preset.batch_size, rngs)
-    graph = regular_graph(preset.n_nodes, 3, seed=seed)
+    graph = regular_neighbors(preset.n_nodes, 3, seed=seed)
     return AsyncGossipEngine(
         model, nodes, neighbor_lists(graph), prepared.test,
         local_steps=preset.local_steps,

@@ -303,7 +303,7 @@ def _async_engine(n_nodes: int, *, vectorized: bool = False):
     """Bench-model async engine: same MLP/data scale as the sync
     throughput benches, tiny test set so evaluation stays negligible."""
     from repro.simulation import AsyncGossipEngine, RngFactory, build_nodes
-    from repro.topology import neighbor_lists, regular_graph
+    from repro.topology import neighbor_lists, regular_neighbors
 
     from repro.data import shard_partition
 
@@ -314,7 +314,7 @@ def _async_engine(n_nodes: int, *, vectorized: bool = False):
                                          prototypes=protos)
     parts = shard_partition(train.y, n_nodes, rng=rngs.stream("partition"))
     nodes = build_nodes(train, parts, 8, rngs)
-    graph = regular_graph(n_nodes, 4, seed=0)
+    graph = regular_neighbors(n_nodes, 4, seed=0)
     model = _mlp_factory(rngs.stream("model"))
     return AsyncGossipEngine(
         model, nodes, neighbor_lists(graph), test,

@@ -21,7 +21,7 @@ from repro.simulation import (
     RngFactory,
     build_nodes,
 )
-from repro.topology import neighbor_lists, regular_graph
+from repro.topology import neighbor_lists, regular_neighbors
 
 N_NODES = 16
 ACTIVATIONS = 80
@@ -39,7 +39,7 @@ def build_engine(rngs: RngFactory) -> AsyncGossipEngine:
     )
     partition = shard_partition(train.y, N_NODES, rng=rngs.stream("partition"))
     nodes = build_nodes(train, partition, batch_size=8, rngs=rngs)
-    graph = regular_graph(N_NODES, 3, seed=SEED)
+    graph = regular_neighbors(N_NODES, 3, seed=SEED)
     model = small_mlp(64, 10, hidden=16, rng=rngs.stream("model"))
     trace = build_trace(N_NODES, CIFAR10_WORKLOAD, 0.10, degree=3)
     return AsyncGossipEngine(

@@ -28,7 +28,7 @@ from repro.data.synthetic import SyntheticSpec
 from repro.energy import CIFAR10_WORKLOAD, EnergyMeter, build_trace
 from repro.nn import small_mlp
 from repro.simulation import EngineConfig, RngFactory, SimulationEngine, build_nodes
-from repro.topology import metropolis_hastings_weights, regular_graph
+from repro.topology import metropolis_hastings_weights, regular_neighbors
 
 N_NODES = 16
 TOTAL_ROUNDS = 80
@@ -46,7 +46,7 @@ def build_engine(rngs: RngFactory, compressor=None) -> SimulationEngine:
     )
     partition = shard_partition(train.y, N_NODES, rng=rngs.stream("partition"))
     nodes = build_nodes(train, partition, batch_size=8, rngs=rngs)
-    mixing = metropolis_hastings_weights(regular_graph(N_NODES, 3, seed=SEED))
+    mixing = metropolis_hastings_weights(regular_neighbors(N_NODES, 3, seed=SEED))
     config = EngineConfig(local_steps=8, learning_rate=0.4,
                           total_rounds=TOTAL_ROUNDS, eval_every=16)
     model = small_mlp(64, 10, hidden=16, rng=rngs.stream("model"))
@@ -75,7 +75,7 @@ def main() -> None:
               f"{eng.meter.total_comm_wh * 1000:9.2f}")
 
     # privacy: how much of the injected noise survives the sync batch?
-    mixing = metropolis_hastings_weights(regular_graph(N_NODES, 3, seed=SEED))
+    mixing = metropolis_hastings_weights(regular_neighbors(N_NODES, 3, seed=SEED))
     mech = GaussianMechanism(sigma=0.1, rng=np.random.default_rng(SEED))
     print(f"\nprivacy mechanism: σ = {mech.sigma} Gaussian noise on every "
           f"shared model")

@@ -14,7 +14,7 @@ from repro.data.synthetic import SyntheticSpec
 from repro.energy import CIFAR10_WORKLOAD, EnergyMeter, build_trace
 from repro.nn import small_mlp
 from repro.simulation import EngineConfig, RngFactory, SimulationEngine, build_nodes
-from repro.topology import metropolis_hastings_weights, regular_graph
+from repro.topology import metropolis_hastings_weights, regular_neighbors
 
 N_NODES = 16
 TOTAL_ROUNDS = 80
@@ -36,7 +36,7 @@ def build_engine(rngs: RngFactory) -> SimulationEngine:
     partition = shard_partition(train.y, N_NODES, rng=rngs.stream("partition"))
     nodes = build_nodes(train, partition, batch_size=8, rngs=rngs)
 
-    graph = regular_graph(N_NODES, 3, seed=SEED)
+    graph = regular_neighbors(N_NODES, 3, seed=SEED)
     mixing = metropolis_hastings_weights(graph)
 
     # vectorized=True batches all nodes' local SGD steps into stacked

@@ -18,19 +18,19 @@ from repro.topology import (
     fully_connected_graph,
     metropolis_hastings_weights,
     mixing_time_estimate,
-    regular_graph,
-    ring_graph,
+    regular_neighbors,
+    ring_neighbors,
     spectral_gap,
-    torus_graph,
+    torus_neighbors,
 )
 
 N_NODES = 16
 SEED = 7
 
 TOPOLOGIES = {
-    "ring (deg 2)": lambda: ring_graph(N_NODES),
-    "torus 4x4 (deg 4)": lambda: torus_graph(4, 4),
-    "random 6-regular": lambda: regular_graph(N_NODES, 6, seed=SEED),
+    "ring (deg 2)": lambda: ring_neighbors(N_NODES),
+    "torus 4x4 (deg 4)": lambda: torus_neighbors(4, 4),
+    "random 6-regular": lambda: regular_neighbors(N_NODES, 6, seed=SEED),
     "fully connected": lambda: fully_connected_graph(N_NODES),
 }
 

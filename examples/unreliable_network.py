@@ -29,7 +29,7 @@ from repro.simulation import (
     build_nodes,
     failure_mixing_provider,
 )
-from repro.topology import regular_graph
+from repro.topology import regular_neighbors
 
 N_NODES = 16
 TOTAL_ROUNDS = 80
@@ -48,7 +48,7 @@ def run(failure_model, label: str) -> None:
     )
     partition = shard_partition(train.y, N_NODES, rng=rngs.stream("partition"))
     nodes = build_nodes(train, partition, batch_size=8, rngs=rngs)
-    graph = regular_graph(N_NODES, 4, seed=SEED)
+    graph = regular_neighbors(N_NODES, 4, seed=SEED)
     config = EngineConfig(local_steps=8, learning_rate=0.4,
                           total_rounds=TOTAL_ROUNDS, eval_every=16)
     model = small_mlp(64, 10, hidden=16, rng=rngs.stream("model"))

@@ -21,9 +21,15 @@ Subpackages
     Per-figure/table experiment runners and reporting.
 """
 
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING
+
 __version__ = "1.0.0"
 
-from . import analysis, core, data, energy, nn, simulation, topology
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from . import analysis, core, data, energy, nn, simulation, topology
 
 __all__ = [
     "analysis",
@@ -35,3 +41,16 @@ __all__ = [
     "topology",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Import a subpackage on first attribute access (PEP 562), so
+    ``repro check`` and ``repro --help`` start without numpy and
+    ``import repro`` costs only what the caller goes on to use."""
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -58,6 +58,8 @@ from ..simulation.engine import EngineConfig, SimulationEngine
 from ..simulation.failures import FailureModel
 from ..simulation.metrics import RunHistory
 from ..simulation.rng import RngFactory
+from ..topology.mixing import metropolis_hastings_weights
+from ..topology.sparse import NeighborList, neighbor_lists, regular_neighbors
 from .presets import ExperimentPreset
 
 __all__ = [
@@ -149,6 +151,7 @@ class PreparedExperiment:
     test: ArrayDataset
     validation: ArrayDataset
     partition: list[np.ndarray]
+    topology: NeighborList
     mixing: "object"  # scipy sparse matrix
     trace: EnergyTrace
 
@@ -242,9 +245,6 @@ def prepared_from_data(
     ``(data, degree)``, so pool workers re-derive it per cell from the
     shared-memory datasets instead of shipping sparse matrices around.
     """
-    from ..topology.mixing import metropolis_hastings_weights
-    from ..topology.sparse import regular_neighbors
-
     preset = data.preset
     graph = regular_neighbors(preset.n_nodes, degree, seed=data.seed)
     mixing = metropolis_hastings_weights(graph)
@@ -259,6 +259,7 @@ def prepared_from_data(
         test=data.test,
         validation=data.validation,
         partition=data.partition,
+        topology=graph,
         mixing=mixing,
         trace=trace,
     )
@@ -492,8 +493,8 @@ def build_async_run(
     running it.
 
     The cell shares the prepared experiment's dataset, partition, and
-    the *same* ``regular_graph(n, degree, seed)`` the synchronous
-    mixing matrix was derived from, expressed as neighbor lists.
+    the very ``prepared.topology`` the synchronous mixing matrix was
+    derived from, expressed as per-node neighbor arrays.
     Construction is deterministic in ``prepared`` and the overrides;
     two calls yield engines whose runs are bit-identical, which the
     sweep orchestrator relies on to restore mid-run checkpoints.
@@ -503,9 +504,6 @@ def build_async_run(
     the serial event loop (see
     :mod:`repro.simulation.event_batch`).
     """
-    from ..topology.graphs import neighbor_lists
-    from ..topology.sparse import regular_neighbors
-
     if eval_on not in ("test", "validation"):
         raise ValueError('eval_on must be "test" or "validation"')
     preset = prepared.preset
@@ -517,13 +515,11 @@ def build_async_run(
     )
     if activations <= 0:
         raise ValueError("activations_per_node must be positive")
-    graph = regular_neighbors(preset.n_nodes, prepared.degree,
-                              seed=prepared.seed)
     model, nodes = _wire_model_nodes(prepared, rngs)
     engine = AsyncGossipEngine(
         model,
         nodes,
-        neighbor_lists(graph),
+        neighbor_lists(prepared.topology),
         prepared.test if eval_on == "test" else prepared.validation,
         local_steps=preset.local_steps,
         learning_rate=preset.learning_rate,

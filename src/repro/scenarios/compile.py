@@ -61,27 +61,25 @@ from ..topology.dynamic import (
     RandomRegularEachRound,
     RegularGraphEachRound,
 )
-from ..topology.sparse import regular_neighbors
+from ..topology.sparse import NeighborList
 from .churn import ChurnSchedule
 from .spec import ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import networkx as nx
     import scipy.sparse as sp
 
     from ..core.base import Algorithm
     from ..experiments.artifacts import PlanCell
     from ..simulation.async_engine import AsyncGossipEngine, AsyncPolicy
     from ..simulation.engine import SimulationEngine
-    from ..topology.sparse import NeighborList
 
     class DynamicGraph(Protocol):
-        """A ``t -> Graph`` generator that knows its node count
+        """A ``t -> NeighborList`` generator that knows its node count
         (:class:`~repro.topology.dynamic.RegularGraphEachRound` shape)."""
 
         n_nodes: int
 
-        def __call__(self, t: int) -> nx.Graph: ...
+        def __call__(self, t: int) -> NeighborList: ...
 
 __all__ = [
     "CompiledRun",
@@ -153,7 +151,7 @@ def scenario_base(
 
 
 def scenario_mixing_provider(
-    graph: "nx.Graph | NeighborList | DynamicGraph",
+    graph: "NeighborList | DynamicGraph",
     churn: ChurnSchedule | None = None,
     failure_model: FailureModel | None = None,
     cache_size: int = 64,
@@ -161,9 +159,9 @@ def scenario_mixing_provider(
     """Per-round mixing provider over the eligible (member ∧ alive)
     subgraph of ``graph``.
 
-    ``graph`` is a fixed topology (either an ``nx.Graph`` or a
-    :class:`~repro.topology.sparse.NeighborList`) or a callable
-    ``t → Graph`` (a :class:`~repro.topology.dynamic.RegularGraphEachRound`).
+    ``graph`` is a fixed :class:`~repro.topology.sparse.NeighborList`
+    or a callable ``t → NeighborList`` (a
+    :class:`~repro.topology.dynamic.RegularGraphEachRound`).
     Static graphs memoize by eligibility mask (masked weights repeat
     across rounds with the same membership); dynamic graphs memoize by
     round. Both memos are bounded to ``cache_size`` entries with
@@ -180,7 +178,7 @@ def scenario_mixing_provider(
         )
     if cache_size <= 0:
         raise ValueError("cache_size must be positive")
-    n = graph.n_nodes if callable(graph) else graph.number_of_nodes()
+    n = graph.n_nodes
     all_on = np.ones(n, dtype=bool)
 
     def eligible(t: int) -> np.ndarray:
@@ -191,7 +189,7 @@ def scenario_mixing_provider(
             mask = mask & failure_model.alive(t)
         return mask
 
-    if not callable(graph):
+    if isinstance(graph, NeighborList):
         static_graph = graph
         cache: dict[bytes, sp.csr_matrix] = {}
 
@@ -327,7 +325,7 @@ def compile_run(
         )
 
     if resolved_kind == "sync":
-        mixing = _sync_mixing(spec, n, degree, run_seed, churn, failure_model)
+        mixing = _sync_mixing(spec, prepared, churn, failure_model)
         engine, algo = build_run(
             prepared,
             spec.algorithm.name,
@@ -373,23 +371,22 @@ def compile_run(
 
 def _sync_mixing(
     spec: ScenarioSpec,
-    n: int,
-    degree: int,
-    seed: int,
+    prepared: PreparedExperiment,
     churn: ChurnSchedule | None,
     failure_model: FailureModel | None,
 ) -> Callable[[int], sp.csr_matrix] | None:
     """The sync engine's mixing argument for a scenario: ``None``
     (prepared static matrix), a plain dynamic provider, or a
-    churn/failure-masked provider over the scenario graph."""
+    churn/failure-masked provider over the scenario graph — for a
+    static scenario the very ``prepared.topology`` the unmasked matrix
+    came from, for a dynamic one graphs of the same (n, degree, seed)."""
     topo = spec.topology
     masked = churn is not None or failure_model is not None
     if not topo.is_dynamic:
         if not masked:
             return None  # the prepared static MH matrix
-        return scenario_mixing_provider(
-            regular_neighbors(n, degree, seed=seed), churn, failure_model
-        )
+        return scenario_mixing_provider(prepared.topology, churn, failure_model)
+    n, degree, seed = prepared.preset.n_nodes, prepared.degree, prepared.seed
     period = topo.period if topo.kind == "dynamic-periodic" else 1
     if not masked:
         if period == 1:

@@ -62,8 +62,8 @@ def build_engine(
     from ..data.synthetic import make_classification_images
     from ..topology import (
         metropolis_hastings_weights,
-        regular_graph,
-        ring_graph,
+        regular_neighbors,
+        ring_neighbors,
     )
     from .engine import SimulationEngine
 
@@ -82,9 +82,9 @@ def build_engine(
         raise ValueError(f"unknown partition {partition!r}")
     nodes = build_nodes(train, parts, batch_size, rngs)
     if topology == "regular":
-        graph = regular_graph(n_nodes, degree, seed=seed)
+        graph = regular_neighbors(n_nodes, degree, seed=seed)
     elif topology == "ring":
-        graph = ring_graph(n_nodes)
+        graph = ring_neighbors(n_nodes)
     else:
         raise ValueError(f"unknown topology {topology!r}")
     w = metropolis_hastings_weights(graph)

@@ -11,18 +11,13 @@ conditions round by round.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..topology.mixing import metropolis_hastings_weights
-from ..topology.sparse import NeighborList, as_neighbor_list
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import networkx as nx
-
-    Topology = Union[nx.Graph, NeighborList]
+from ..topology.sparse import NeighborList
 
 __all__ = ["FailureModel", "NoFailures", "IndependentCrashes",
            "CrashWindow", "masked_mixing", "failure_mixing_provider"]
@@ -104,7 +99,7 @@ class CrashWindow(FailureModel):
 
 
 def masked_mixing(
-    graph: "Topology", alive: np.ndarray,
+    graph: NeighborList, alive: np.ndarray,
     cache: dict[bytes, sp.csr_matrix] | None = None,
 ) -> sp.csr_matrix:
     """Mixing matrix with dead nodes isolated.
@@ -114,13 +109,11 @@ def masked_mixing(
     an identity row, freezing their state until they recover. The result
     is always symmetric and doubly stochastic.
 
-    Accepts either topology representation; the alive-subgraph weights
-    are computed per-edge from the masked CSR arrays — O(E) work, no
-    ``nx.subgraph`` object and no n×n intermediate — and the bits are
-    identical to the historical per-edge subgraph loop.
+    The alive-subgraph weights are computed per-edge from the masked
+    CSR arrays — O(E) work, no subgraph object and no n×n intermediate.
     """
     alive = np.asarray(alive, dtype=bool)
-    n = graph.number_of_nodes()
+    n = graph.n_nodes
     if alive.shape != (n,):
         raise ValueError("alive mask size mismatch")
     key = alive.tobytes()
@@ -130,9 +123,8 @@ def masked_mixing(
     if alive.all():
         out = metropolis_hastings_weights(graph)
     else:
-        nbl = as_neighbor_list(graph)
-        rows = np.repeat(np.arange(n, dtype=np.int64), nbl.degrees)
-        cols = nbl.indices
+        rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+        cols = graph.indices
         keep = alive[rows] & alive[cols]
         rows, cols = rows[keep], cols[keep]
         subdeg = np.bincount(rows, minlength=n).astype(np.float64)
@@ -147,8 +139,8 @@ def masked_mixing(
 
 
 def failure_mixing_provider(
-    graph: nx.Graph, model: FailureModel, cache_size: int = 64
-) -> "callable":
+    graph: NeighborList, model: FailureModel, cache_size: int = 64
+) -> Callable[[int], sp.csr_matrix]:
     """Per-round mixing provider for the engine: Metropolis–Hastings on
     the alive subgraph of ``graph``, with memoization across repeated
     alive patterns. Pass the result as the engine's ``mixing`` argument

@@ -14,6 +14,9 @@ Current inventory (``repro check --list-rules`` prints it live):
   path (reachable ``.unlink()`` or a registered finalizer).
 * ``no-dense-topology`` — no ``.toarray()``/``.todense()``/``np.outer``
   where topology-sized matrices live (simulation/topology/scenarios).
+* ``heavy-import`` — no module-level import of ``networkx``,
+  ``scipy.sparse.linalg``, ``scipy.linalg``, ``scipy.stats`` or
+  ``matplotlib`` (function bodies and ``TYPE_CHECKING`` are exempt).
 """
 
 from . import (  # noqa: F401  (import side effect: rule registration)
@@ -21,6 +24,7 @@ from . import (  # noqa: F401  (import side effect: rule registration)
     caches,
     checkpoint,
     determinism,
+    heavy_import,
     resources,
     rng,
     state_contract,

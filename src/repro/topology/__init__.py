@@ -2,17 +2,11 @@
 
 from .dynamic import PeriodicRewiring, RandomRegularEachRound, static_provider
 from .graphs import (
-    adjacency_matrix,
     barbell_graph,
     erdos_renyi_graph,
     fully_connected_graph,
-    neighbor_lists,
-    regular_graph,
-    ring_graph,
     small_world_graph,
     star_graph,
-    torus_graph,
-    validate_topology,
 )
 from .mixing import (
     consensus_contraction,
@@ -25,11 +19,14 @@ from .mixing import (
 )
 from .sparse import (
     NeighborList,
+    adjacency_matrix,
     as_neighbor_list,
     csr_connected,
+    neighbor_lists,
     regular_neighbors,
     ring_neighbors,
     torus_neighbors,
+    validate_topology,
 )
 
 __all__ = [
@@ -39,9 +36,6 @@ __all__ = [
     "ring_neighbors",
     "torus_neighbors",
     "regular_neighbors",
-    "regular_graph",
-    "ring_graph",
-    "torus_graph",
     "fully_connected_graph",
     "erdos_renyi_graph",
     "star_graph",

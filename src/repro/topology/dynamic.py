@@ -44,9 +44,7 @@ class RegularGraphEachRound:
     graph sequence whichever layer provides it.
 
     Graphs come back as CSR-native
-    :class:`~repro.topology.sparse.NeighborList` objects —
-    edge-identical to ``graphs.regular_graph`` for the same arguments,
-    but built without materializing an ``nx.Graph``, so per-round
+    :class:`~repro.topology.sparse.NeighborList` objects, so per-round
     rewiring stays O(E) at fleet sizes.
     """
 

@@ -1,115 +1,50 @@
-"""Communication topologies.
+"""Ablation topologies generated by networkx.
 
-The paper evaluates on random ``d``-regular graphs with ``d`` in
-{6, 8, 10} over 256 nodes; ring/torus/fully-connected/Erdős–Rényi are
-provided for ablations and the all-reduce comparison of Fig. 1.
+The paper evaluates on random ``d``-regular graphs (``d`` in {6, 8, 10}
+over 256 nodes); those, the ring and the torus are built natively in
+:mod:`repro.topology.sparse`. The families here — complete, star,
+Erdős–Rényi, small-world, barbell — serve the mixing ablations and the
+all-reduce comparison of Fig. 1 only, so ``networkx`` is imported when
+one of them is called: no preset, scenario or sweep cell pays for it.
 
-All constructors return an undirected :class:`networkx.Graph` with nodes
-labelled ``0..n-1``; adjacency helpers convert to the array forms the
-simulator consumes.
+Every constructor returns a connected
+:class:`~repro.topology.sparse.NeighborList` with nodes ``0..n-1``.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Any, Callable
 
-import networkx as nx
-import numpy as np
-import scipy.sparse as sp
-
-from .sparse import NeighborList, csr_connected, regular_edge_arrays
+from .sparse import NeighborList, csr_connected
 
 __all__ = [
-    "regular_graph",
-    "ring_graph",
-    "torus_graph",
     "fully_connected_graph",
     "erdos_renyi_graph",
     "star_graph",
     "small_world_graph",
     "barbell_graph",
-    "adjacency_matrix",
-    "neighbor_lists",
-    "validate_topology",
 ]
 
 
-def validate_topology(graph: "nx.Graph | NeighborList") -> None:
-    """Reject graphs the synchronous round model cannot run on:
-    self-loops, non-contiguous labels, or a disconnected graph
-    (convergence to global consensus requires connectivity).
+def _from_networkx(build: Callable[[Any], Any]) -> NeighborList:
+    """``build(networkx)`` as a :class:`NeighborList` — the module's one
+    import site. ``from_graph`` rejects anything but labels ``0..n-1``
+    and simple edges; consumers check connectivity
+    (:func:`~repro.topology.sparse.validate_topology`)."""
+    import networkx as nx
 
-    Accepts either representation; connectivity runs through the
-    O(V+E) CSR breadth-first search
-    (:func:`repro.topology.sparse.csr_connected`), not
-    ``nx.is_connected``. A :class:`NeighborList` checks labels and
-    self-loops structurally at construction, so only connectivity
-    remains here."""
-    if isinstance(graph, NeighborList):
-        if graph.n_nodes == 0:
-            raise ValueError("empty graph")
-        if not csr_connected(graph):
-            raise ValueError("graph must be connected")
-        return
-    n = graph.number_of_nodes()
-    if n == 0:
-        raise ValueError("empty graph")
-    if sorted(graph.nodes) != list(range(n)):
-        raise ValueError("graph nodes must be labelled 0..n-1")
-    if any(graph.has_edge(u, u) for u in graph.nodes):
-        raise ValueError("self-loops are not allowed")
-    if n > 1 and not csr_connected(graph):
-        raise ValueError("graph must be connected")
+    return NeighborList.from_graph(build(nx))
 
 
-def regular_graph(n: int, degree: int, seed: int = 0) -> nx.Graph:
-    """Random connected ``degree``-regular graph on ``n`` nodes (the
-    paper's topology family), as an ``nx.Graph``.
-
-    Delegates to :func:`repro.topology.sparse.regular_edge_arrays`:
-    the stub-pairing model retried on the bounded seed-stable schedule
-    ``seed .. seed+99`` until the CSR BFS accepts a connected
-    instance, with infeasible ``(n, degree)`` pairs rejected up front.
-    Returns the same edge set as
-    :func:`~repro.topology.sparse.regular_neighbors` — the fleet-scale
-    CSR twin — for identical arguments."""
-    u, v = regular_edge_arrays(n, degree, seed)
-    g = nx.empty_graph(n)
-    g.add_edges_from(zip(u.tolist(), v.tolist()))
-    validate_topology(g)
-    return g
-
-
-def ring_graph(n: int) -> nx.Graph:
-    """Cycle over ``n`` nodes (degree 2): the sparsest connected regular
-    topology, with the worst mixing time — useful as a stress case."""
-    if n < 3:
-        raise ValueError("ring needs at least 3 nodes")
-    g = nx.cycle_graph(n)
-    validate_topology(g)
-    return g
-
-
-def torus_graph(rows: int, cols: int) -> nx.Graph:
-    """2-D periodic grid (degree 4)."""
-    if rows < 3 or cols < 3:
-        raise ValueError("torus needs at least 3x3")
-    g = nx.grid_2d_graph(rows, cols, periodic=True)
-    g = nx.convert_node_labels_to_integers(g, ordering="sorted")
-    validate_topology(g)
-    return g
-
-
-def fully_connected_graph(n: int) -> nx.Graph:
+def fully_connected_graph(n: int) -> NeighborList:
     """Complete graph: one mixing step equals an exact all-reduce."""
     if n < 2:
         raise ValueError("need at least 2 nodes")
-    g = nx.complete_graph(n)
-    validate_topology(g)
-    return g
+    return _from_networkx(lambda nx: nx.complete_graph(n))
 
 
-def erdos_renyi_graph(n: int, p: float | None = None, seed: int = 0) -> nx.Graph:
+def erdos_renyi_graph(n: int, p: float | None = None, seed: int = 0) -> NeighborList:
     """Connected G(n, p); defaults to p slightly above the connectivity
     threshold ``ln(n)/n``."""
     if p is None:
@@ -117,25 +52,24 @@ def erdos_renyi_graph(n: int, p: float | None = None, seed: int = 0) -> nx.Graph
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
     for attempt in range(100):
-        g = nx.erdos_renyi_graph(n, p, seed=seed + attempt)
-        if n == 1 or csr_connected(g):
-            validate_topology(g)
-            return g
+        graph = _from_networkx(
+            lambda nx: nx.erdos_renyi_graph(n, p, seed=seed + attempt)
+        )
+        if csr_connected(graph):
+            return graph
     raise RuntimeError("no connected Erdős–Rényi instance found in 100 tries")
 
 
-def star_graph(n: int) -> nx.Graph:
+def star_graph(n: int) -> NeighborList:
     """Hub-and-spoke graph: the decentralized degenerate case closest to
     federated learning's central server."""
     if n < 2:
         raise ValueError("need at least 2 nodes")
-    g = nx.star_graph(n - 1)
-    validate_topology(g)
-    return g
+    return _from_networkx(lambda nx: nx.star_graph(n - 1))
 
 
 def small_world_graph(n: int, k: int = 4, p: float = 0.3,
-                      seed: int = 0) -> nx.Graph:
+                      seed: int = 0) -> NeighborList:
     """Connected Watts–Strogatz small-world graph: a ring lattice with
     each edge rewired with probability ``p`` — interpolates between the
     slow-mixing ring (p=0) and a random graph (p=1)."""
@@ -143,43 +77,16 @@ def small_world_graph(n: int, k: int = 4, p: float = 0.3,
         raise ValueError("k must be < n")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    g = nx.connected_watts_strogatz_graph(n, k, p, tries=200, seed=seed)
-    g = nx.convert_node_labels_to_integers(g)
-    validate_topology(g)
-    return g
+    return _from_networkx(
+        lambda nx: nx.connected_watts_strogatz_graph(n, k, p, tries=200, seed=seed)
+    )
 
 
-def barbell_graph(clique: int, path: int = 0) -> nx.Graph:
+def barbell_graph(clique: int, path: int = 0) -> NeighborList:
     """Two cliques joined by a path: the classic worst-case mixing
     topology (bottleneck edge), used to stress-test sync scheduling."""
     if clique < 3:
         raise ValueError("cliques need at least 3 nodes")
     if path < 0:
         raise ValueError("path length must be non-negative")
-    g = nx.barbell_graph(clique, path)
-    validate_topology(g)
-    return g
-
-
-def adjacency_matrix(graph: "nx.Graph | NeighborList") -> sp.csr_matrix:
-    """Sparse 0/1 adjacency in CSR form (node order 0..n-1)."""
-    validate_topology(graph)
-    if isinstance(graph, NeighborList):
-        n = graph.n_nodes
-        data = np.ones(graph.indices.size, dtype=np.float64)
-        return sp.csr_matrix((data, graph.indices, graph.indptr), shape=(n, n))
-    return nx.to_scipy_sparse_array(graph, nodelist=range(graph.number_of_nodes()),
-                                    format="csr", dtype=np.float64)
-
-
-def neighbor_lists(graph: "nx.Graph | NeighborList") -> list[np.ndarray]:
-    """Per-node sorted neighbor index arrays."""
-    validate_topology(graph)
-    if isinstance(graph, NeighborList):
-        return [
-            graph.neighbors(i).copy() for i in range(graph.n_nodes)
-        ]
-    return [
-        np.array(sorted(graph.neighbors(i)), dtype=np.int64)
-        for i in range(graph.number_of_nodes())
-    ]
+    return _from_networkx(lambda nx: nx.barbell_graph(clique, path))

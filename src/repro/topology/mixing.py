@@ -9,19 +9,10 @@ diagnostics (spectral gap, mixing-time estimate) used in tests.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Union
-
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .graphs import validate_topology
-from .sparse import NeighborList, as_neighbor_list
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import networkx as nx
-
-    Topology = Union[nx.Graph, NeighborList]
+from .sparse import NeighborList, validate_topology
 
 __all__ = [
     "metropolis_hastings_weights",
@@ -34,9 +25,8 @@ __all__ = [
 ]
 
 
-def metropolis_hastings_weights(graph: "Topology") -> sp.csr_matrix:
-    """Metropolis–Hastings mixing matrix of ``graph`` (either an
-    ``nx.Graph`` or a :class:`~repro.topology.sparse.NeighborList`).
+def metropolis_hastings_weights(graph: NeighborList) -> sp.csr_matrix:
+    """Metropolis–Hastings mixing matrix of a topology.
 
     ``W[i, j] = 1 / (max(deg(i), deg(j)) + 1)`` for edges, diagonal set
     so rows sum to one. The result is symmetric and doubly stochastic
@@ -44,40 +34,36 @@ def metropolis_hastings_weights(graph: "Topology") -> sp.csr_matrix:
     D-PSGD (Lian et al. 2017).
 
     The weights are computed per-edge from the degree arrays — O(E)
-    work and memory, no n×n intermediate — and the bits are identical
-    whichever representation carried the same edge set: both paths
-    canonicalize to the same sorted-CSR structure, and every value is
-    the same IEEE-754 expression of the same degrees.
+    work and memory, no n×n intermediate — and are a pure function of
+    the edge set: the sorted-CSR structure is canonical, and every value
+    is one IEEE-754 expression of two degrees.
     """
     validate_topology(graph)
-    nbl = as_neighbor_list(graph)
-    n = nbl.n_nodes
-    deg = nbl.degrees.astype(np.float64)
-    rows = np.repeat(np.arange(n, dtype=np.int64), nbl.degrees)
-    cols = nbl.indices
+    n = graph.n_nodes
+    deg = graph.degrees.astype(np.float64)
+    rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    cols = graph.indices
     vals = 1.0 / (np.maximum(deg[rows], deg[cols]) + 1.0)
-    w_off = sp.csr_matrix((vals, cols, nbl.indptr), shape=(n, n))
+    w_off = sp.csr_matrix((vals, cols, graph.indptr), shape=(n, n))
     diag = 1.0 - np.asarray(w_off.sum(axis=1)).ravel()
     w = w_off + sp.diags(diag, format="csr")
     return w.tocsr()
 
 
-def uniform_neighbor_weights(graph: "Topology") -> sp.csr_matrix:
+def uniform_neighbor_weights(graph: NeighborList) -> sp.csr_matrix:
     """Row-stochastic uniform averaging over the closed neighborhood:
     ``W[i, j] = 1/(deg(i)+1)`` for j in N(i) ∪ {i}.
 
     Symmetric and doubly stochastic only on regular graphs — the
     ablation bench contrasts it with Metropolis–Hastings on irregular
-    topologies. Accepts either topology representation; per-edge O(E)
-    construction, bit-identical across representations.
+    topologies. Per-edge O(E) construction.
     """
     validate_topology(graph)
-    nbl = as_neighbor_list(graph)
-    n = nbl.n_nodes
+    n = graph.n_nodes
     self_ids = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([np.repeat(self_ids, nbl.degrees), self_ids])
-    cols = np.concatenate([nbl.indices, self_ids])
-    wrow = 1.0 / (nbl.degrees + 1.0)
+    rows = np.concatenate([np.repeat(self_ids, graph.degrees), self_ids])
+    cols = np.concatenate([graph.indices, self_ids])
+    wrow = 1.0 / (graph.degrees + 1.0)
     return sp.csr_matrix(
         (wrow[rows], (rows, cols)), shape=(n, n), dtype=np.float64
     )
@@ -114,6 +100,9 @@ def spectral_gap(w: sp.spmatrix) -> float:
         eig = np.linalg.eigvalsh(w.toarray())  # repro: allow[no-dense-topology] -- exact dense eigensolve, diagnostic-only and capped at n<=64
         lam2 = np.sort(np.abs(eig))[-2]
     else:
+        # no cell reaches this branch: Lanczos (and scipy.linalg) load here
+        import scipy.sparse.linalg as spla
+
         # |λ₂| via the two extreme eigenvalues of the symmetric matrix
         vals = spla.eigsh(w.tocsc().astype(np.float64), k=2, which="LA",
                           return_eigenvectors=False)

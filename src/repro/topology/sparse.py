@@ -1,57 +1,53 @@
-"""CSR-native sparse topologies: the fleet-scale representation.
+"""CSR-native sparse topologies: the one graph representation.
 
 :class:`NeighborList` stores an undirected graph as the classic CSR
 pair (``indptr``, ``indices``) — two integer arrays totalling
-``O(V + E)`` memory — and is the representation every fleet-scale path
-(``*-fleet`` presets, n=1024..16384) runs on. The generators here build
-the arrays directly from edge lists and never construct an
-``networkx.Graph``; connectivity is a vectorized O(V+E) breadth-first
-search instead of ``nx.is_connected``.
+``O(V + E)`` memory — and is what every consumer (mixing weights,
+masked providers, both engines, n=16..16384) takes. The generators here
+build the arrays directly from edge lists; connectivity is a vectorized
+O(V+E) breadth-first search. Nothing in this module imports
+``networkx``: a caller who holds an ``nx.Graph`` converts it once at
+the boundary with :func:`as_neighbor_list`, and the ablation generators
+in :mod:`repro.topology.graphs` do exactly that.
 
-Compatibility contract
+Edge-identity contract
 ----------------------
-``regular_neighbors(n, d, seed)`` reproduces the *exact edge set* of
-:func:`repro.topology.graphs.regular_graph` for the same arguments:
-both run the same stub-pairing model (Steger–Wormald, the algorithm
-behind ``nx.random_regular_graph``) driven by ``random.Random(seed)``
-and the same bounded ``seed + attempt`` connectivity retry schedule.
-Likewise ``ring_neighbors``/``torus_neighbors`` match the relabeled
-networkx constructions edge-for-edge. Mixing matrices derived from
-either representation are therefore bit-identical (see
-:mod:`repro.topology.mixing`), which is what lets the engines switch
-representation without changing a single artifact byte.
-
-``NeighborList`` also quacks like the slice of the ``nx.Graph`` API the
-simulator consumes (``number_of_nodes``, ``degree``, ``neighbors``,
-``edges``, ``has_edge``), so adapters downstream are one
-``isinstance`` check, not a parallel code path.
+``regular_neighbors(n, d, seed)`` is the *exact edge set* of
+``nx.random_regular_graph(d, n, seed=random.Random(seed + k))`` for the
+first ``k`` on the bounded retry schedule that yields a connected
+graph: it runs the same stub-pairing model (Steger–Wormald) driven by
+the same ``random.Random``. ``ring_neighbors``/``torus_neighbors`` are
+``nx.cycle_graph``/``nx.grid_2d_graph(periodic=True)`` (row-major
+labels) edge-for-edge. ``tests/test_topology_sparse.py`` asserts all
+three against networkx itself and pins the resulting mixing matrices
+by digest, because every artifact byte downstream depends on them.
 """
 
 from __future__ import annotations
 
 import random  # repro: allow[rng-module-import] -- replicates networkx's random.Random-seeded pairing model bit-for-bit; graph structure is seed-derived, never ambient
 from collections import defaultdict
-from typing import TYPE_CHECKING, Iterator
+from typing import Any, Iterator
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import networkx as nx
+import scipy.sparse as sp
 
 __all__ = [
     "NeighborList",
     "as_neighbor_list",
     "csr_connected",
+    "validate_topology",
+    "adjacency_matrix",
+    "neighbor_lists",
     "ring_neighbors",
     "torus_neighbors",
     "regular_neighbors",
     "REGULAR_MAX_TRIES",
 ]
 
-#: Bounded, seed-stable retry schedule shared by ``regular_neighbors``
-#: and ``graphs.regular_graph``: attempt ``seed + k`` for k in
-#: ``range(REGULAR_MAX_TRIES)``, keeping the accepted instance a pure
-#: function of (n, degree, seed).
+#: Bounded, seed-stable retry schedule of ``regular_neighbors``:
+#: attempt ``seed + k`` for k in ``range(REGULAR_MAX_TRIES)``, keeping
+#: the accepted instance a pure function of (n, degree, seed).
 REGULAR_MAX_TRIES = 100
 
 
@@ -59,11 +55,11 @@ class NeighborList:
     """An undirected graph with nodes ``0..n-1`` in CSR form.
 
     ``indices[indptr[i]:indptr[i+1]]`` are node ``i``'s neighbors in
-    ascending order. Construction validates shape invariants (sorted,
-    symmetric input edges, no self-loops or duplicates); connectivity
-    is checked separately via :func:`csr_connected` because some
-    consumers (masked subgraphs under failures) are legitimately
-    disconnected.
+    ascending order. :meth:`from_edges` guarantees that structure
+    (sorted rows, symmetric, no self-loops or duplicates); the bare
+    constructor checks only array shapes and index ranges, so arrays
+    assembled by hand are vetted by :func:`validate_topology`, which
+    every weight constructor calls.
     """
 
     __slots__ = ("indptr", "indices")
@@ -117,24 +113,19 @@ class NeighborList:
         return cls(indptr, cols)
 
     @classmethod
-    def from_graph(cls, graph: "nx.Graph") -> "NeighborList":
-        """Adapter from a validated ``nx.Graph`` (nodes ``0..n-1``)."""
-        n = graph.number_of_nodes()
-        if n == 0:
-            raise ValueError("empty graph")
-        edges = np.asarray(list(graph.edges), dtype=np.int64)
-        if edges.size == 0:
-            edges = edges.reshape(0, 2)
-        return cls.from_edges(n, edges[:, 0], edges[:, 1])
+    def from_graph(cls, graph: Any) -> "NeighborList":
+        """Adapter from an ``nx.Graph`` labelled ``0..n-1`` (duck-typed
+        on ``number_of_nodes()`` and ``edges``; any other labelling, a
+        self-loop or a parallel edge is rejected by :meth:`from_edges`)."""
+        pairs = list(graph.edges)  # tuple labels must fail, not reshape into edges
+        edges = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+        return cls.from_edges(graph.number_of_nodes(), edges[:, 0], edges[:, 1])
 
-    # -- nx-compatible surface ---------------------------------------------
+    # -- queries -----------------------------------------------------------
 
     @property
     def n_nodes(self) -> int:
         return self.indptr.size - 1
-
-    def number_of_nodes(self) -> int:
-        return self.n_nodes
 
     def number_of_edges(self) -> int:
         return self.indices.size // 2
@@ -143,9 +134,6 @@ class NeighborList:
     def degrees(self) -> np.ndarray:
         """Per-node degree array (int64, length n)."""
         return np.diff(self.indptr)
-
-    def degree(self, i: int) -> int:
-        return int(self.indptr[i + 1] - self.indptr[i])
 
     def neighbors(self, i: int) -> np.ndarray:
         """Node ``i``'s neighbors, ascending (a view, do not mutate)."""
@@ -173,18 +161,16 @@ class NeighborList:
         return rows[keep], self.indices[keep]
 
 
-def as_neighbor_list(topology: "NeighborList | nx.Graph") -> NeighborList:
-    """The one adapter every consumer funnels through: pass a
-    :class:`NeighborList` straight through, convert an ``nx.Graph``."""
+def as_neighbor_list(topology: Any) -> NeighborList:
+    """The boundary adapter for callers who hold an ``nx.Graph``: pass
+    a :class:`NeighborList` straight through, convert anything else."""
     if isinstance(topology, NeighborList):
         return topology
     return NeighborList.from_graph(topology)
 
 
-def csr_connected(topology: "NeighborList | nx.Graph") -> bool:
-    """O(V+E) connectivity via vectorized breadth-first search — the
-    replacement for ``nx.is_connected`` on both representations."""
-    nbl = as_neighbor_list(topology)
+def csr_connected(nbl: NeighborList) -> bool:
+    """O(V+E) connectivity via vectorized breadth-first search."""
     n = nbl.n_nodes
     if n <= 1:
         return True
@@ -210,14 +196,70 @@ def csr_connected(topology: "NeighborList | nx.Graph") -> bool:
     return reached == n
 
 
+def _adjacency(graph: NeighborList) -> sp.csr_matrix:
+    n = graph.n_nodes
+    data = np.ones(graph.indices.size, dtype=np.float64)
+    return sp.csr_matrix((data, graph.indices, graph.indptr), shape=(n, n))
+
+
+def validate_topology(graph: NeighborList) -> None:
+    """Reject graphs the synchronous round model cannot run on.
+
+    Arrays built any other way than :meth:`NeighborList.from_edges` get
+    its guarantees checked here — strictly ascending rows (no duplicate
+    edge, and ``has_edge``'s binary search is sound), no self-loop,
+    symmetric adjacency (a one-ended edge would make Metropolis–Hastings
+    weights neither symmetric nor doubly stochastic) — then connectivity,
+    which consensus requires. All O(V+E), vectorized."""
+    if not isinstance(graph, NeighborList):
+        raise TypeError(
+            f"expected a NeighborList, got {type(graph).__name__}; convert "
+            f"an nx.Graph once with as_neighbor_list()"
+        )
+    n = graph.n_nodes
+    if n == 0:
+        raise ValueError("empty graph")
+    rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    cols = graph.indices
+    if np.any(rows == cols):
+        raise ValueError("self-loops are not allowed")
+    if np.any((cols[1:] <= cols[:-1]) & (rows[1:] == rows[:-1])):
+        raise ValueError(
+            "neighbor rows must be strictly ascending (unsorted row or "
+            "duplicate edge)"
+        )
+    # the CSC form of A is the CSR form of A.T; scipy's conversion is a
+    # counting sort, and sorted rows in give sorted columns out
+    transpose = _adjacency(graph).tocsc()
+    if not (np.array_equal(transpose.indptr, graph.indptr)
+            and np.array_equal(transpose.indices, cols)):
+        raise ValueError(
+            "adjacency must be symmetric: every edge listed from both ends"
+        )
+    if not csr_connected(graph):
+        raise ValueError("graph must be connected")
+
+
+def adjacency_matrix(graph: NeighborList) -> sp.csr_matrix:
+    """Sparse 0/1 adjacency in CSR form (node order 0..n-1)."""
+    validate_topology(graph)
+    return _adjacency(graph)
+
+
+def neighbor_lists(graph: NeighborList) -> list[np.ndarray]:
+    """Per-node sorted neighbor index arrays."""
+    validate_topology(graph)
+    return [graph.neighbors(i).copy() for i in range(graph.n_nodes)]
+
+
 # --------------------------------------------------------------------------
-# Generators: ring / torus / random regular, never via nx.Graph
+# Generators: ring / torus / random regular
 # --------------------------------------------------------------------------
 
 
 def ring_neighbors(n: int) -> NeighborList:
-    """Cycle over ``n`` nodes — edge-identical to
-    :func:`repro.topology.graphs.ring_graph`."""
+    """Cycle over ``n`` nodes (degree 2): the sparsest connected
+    regular topology, with the worst mixing time — a stress case."""
     if n < 3:
         raise ValueError("ring needs at least 3 nodes")
     u = np.arange(n, dtype=np.int64)
@@ -225,8 +267,7 @@ def ring_neighbors(n: int) -> NeighborList:
 
 
 def torus_neighbors(rows: int, cols: int) -> NeighborList:
-    """2-D periodic grid (degree 4), row-major labels — edge-identical
-    to :func:`repro.topology.graphs.torus_graph`."""
+    """2-D periodic grid (degree 4), row-major labels."""
     if rows < 3 or cols < 3:
         raise ValueError("torus needs at least 3x3")
     idx = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
@@ -288,8 +329,8 @@ def _pairing_model_edges(
 
 
 def validate_regular_params(n: int, degree: int) -> None:
-    """The feasibility screen shared by both regular-graph entry
-    points, with actionable messages: parameter combinations that can
+    """The feasibility screen of :func:`regular_neighbors`, with
+    actionable messages: parameter combinations that can
     never yield a *connected* ``degree``-regular graph fail here, not
     after a futile 100-attempt retry loop."""
     if degree >= n:
@@ -308,32 +349,20 @@ def validate_regular_params(n: int, degree: int) -> None:
         )
 
 
-def regular_edge_arrays(
-    n: int, degree: int, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Edge arrays of a *connected* random ``degree``-regular graph:
-    the pairing model retried on the bounded, seed-stable schedule
-    ``seed, seed+1, .. seed+{REGULAR_MAX_TRIES}-1`` until the O(V+E)
-    BFS accepts an instance. Shared by :func:`regular_neighbors` and
-    the legacy ``graphs.regular_graph`` so both return the same graph.
-    """
+def regular_neighbors(n: int, degree: int, seed: int = 0) -> NeighborList:
+    """Random *connected* ``degree``-regular graph on ``n`` nodes (the
+    paper's topology family): the pairing model retried on the bounded,
+    seed-stable schedule ``seed, seed+1, .. seed+{REGULAR_MAX_TRIES}-1``
+    until the O(V+E) BFS accepts an instance."""
     validate_regular_params(n, degree)
     for attempt in range(REGULAR_MAX_TRIES):
         edges = _pairing_model_edges(n, degree, random.Random(seed + attempt))
         arr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-        u, v = arr[:, 0], arr[:, 1]
-        if csr_connected(NeighborList.from_edges(n, u, v)):
-            return u, v
+        graph = NeighborList.from_edges(n, arr[:, 0], arr[:, 1])
+        if csr_connected(graph):
+            return graph
     raise RuntimeError(
         f"no connected {degree}-regular graph on n={n} nodes in "
         f"{REGULAR_MAX_TRIES} tries (seeds {seed}..{seed + REGULAR_MAX_TRIES - 1}); "
         f"for sparse degrees try a denser degree or another base seed"
     )
-
-
-def regular_neighbors(n: int, degree: int, seed: int = 0) -> NeighborList:
-    """Random connected ``degree``-regular graph in CSR form —
-    edge-identical to ``graphs.regular_graph(n, degree, seed)``, built
-    without an ``nx.Graph``."""
-    u, v = regular_edge_arrays(n, degree, seed)
-    return NeighborList.from_edges(n, u, v)

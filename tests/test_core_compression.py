@@ -196,7 +196,7 @@ class TestEngineIntegration:
         from repro.simulation import (
             EngineConfig, RngFactory, SimulationEngine, build_nodes,
         )
-        from repro.topology import metropolis_hastings_weights, regular_graph
+        from repro.topology import metropolis_hastings_weights, regular_neighbors
 
         def run(compressor):
             rngs = RngFactory(3)
@@ -209,7 +209,7 @@ class TestEngineIntegration:
                                                  prototypes=protos)
             parts = shard_partition(train.y, 8, rng=rngs.stream("p"))
             nodes = build_nodes(train, parts, 8, rngs)
-            w = metropolis_hastings_weights(regular_graph(8, 3, seed=0))
+            w = metropolis_hastings_weights(regular_neighbors(8, 3, seed=0))
             cfg = EngineConfig(local_steps=2, learning_rate=0.2,
                                total_rounds=20, eval_every=20)
             model = small_mlp(16, 4, hidden=8, rng=rngs.stream("model"))
@@ -235,7 +235,7 @@ class TestEngineIntegration:
         from repro.simulation import (
             EngineConfig, RngFactory, SimulationEngine, build_nodes,
         )
-        from repro.topology import metropolis_hastings_weights, regular_graph
+        from repro.topology import metropolis_hastings_weights, regular_neighbors
 
         class LoopTopK(TopKCompressor):
             compress_block = Compressor.compress_block
@@ -251,7 +251,7 @@ class TestEngineIntegration:
                                                  prototypes=protos)
             parts = shard_partition(train.y, 6, rng=rngs.stream("p"))
             nodes = build_nodes(train, parts, 8, rngs)
-            w = metropolis_hastings_weights(regular_graph(6, 3, seed=0))
+            w = metropolis_hastings_weights(regular_neighbors(6, 3, seed=0))
             cfg = EngineConfig(local_steps=2, learning_rate=0.2,
                                total_rounds=8, eval_every=4)
             model = small_mlp(16, 4, hidden=8, rng=rngs.stream("model"))

@@ -9,7 +9,7 @@ from repro.core import (
     noise_after_mixing,
     registry,
 )
-from repro.topology import fully_connected_graph, metropolis_hastings_weights, ring_graph
+from repro.topology import fully_connected_graph, metropolis_hastings_weights, ring_neighbors
 
 
 class TestClientSampling:
@@ -67,7 +67,7 @@ class TestGaussianMechanism:
 
 class TestNoiseAfterMixing:
     def test_mixing_attenuates_noise(self):
-        w = metropolis_hastings_weights(ring_graph(16))
+        w = metropolis_hastings_weights(ring_neighbors(16))
         rng = np.random.default_rng(0)
         raw = noise_after_mixing(w, 0, sigma=1.0, rng=rng)
         mixed = noise_after_mixing(w, 10, sigma=1.0, rng=rng)
@@ -85,12 +85,12 @@ class TestNoiseAfterMixing:
     def test_more_sync_rounds_more_attenuation(self):
         """The SkipTrain synergy: its sync batches attenuate injected
         noise monotonically — extra privacy amplification for free."""
-        w = metropolis_hastings_weights(ring_graph(24))
+        w = metropolis_hastings_weights(ring_neighbors(24))
         rng = np.random.default_rng(2)
         levels = [noise_after_mixing(w, k, 1.0, rng) for k in (0, 2, 4, 8)]
         assert all(a > b for a, b in zip(levels, levels[1:]))
 
     def test_validation(self, rng):
-        w = metropolis_hastings_weights(ring_graph(8))
+        w = metropolis_hastings_weights(ring_neighbors(8))
         with pytest.raises(ValueError):
             noise_after_mixing(w, -1, 1.0, rng)

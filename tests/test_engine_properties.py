@@ -19,7 +19,7 @@ from repro.core import (
     SkipTrainConstrained,
 )
 from repro.energy import CIFAR10_WORKLOAD, EnergyMeter, build_trace
-from repro.topology import metropolis_hastings_weights, regular_graph
+from repro.topology import metropolis_hastings_weights, regular_neighbors
 
 schedules = st.tuples(st.integers(1, 5), st.integers(0, 5))
 budget_lists = st.lists(st.integers(0, 60), min_size=4, max_size=4)
@@ -107,7 +107,7 @@ class TestEnergyInvariants:
     @settings(max_examples=15, deadline=None)
     def test_mixing_conserves_mean_for_random_states(self, seed):
         rng = np.random.default_rng(seed)
-        w = metropolis_hastings_weights(regular_graph(12, 4, seed=seed % 100))
+        w = metropolis_hastings_weights(regular_neighbors(12, 4, seed=seed % 100))
         x = rng.normal(size=(12, 9)) * rng.uniform(0.1, 10)
         y = w @ x
         np.testing.assert_allclose(y.mean(axis=0), x.mean(axis=0),
@@ -119,7 +119,7 @@ class TestEnergyInvariants:
         from repro.simulation import consensus_distance
 
         rng = np.random.default_rng(seed)
-        w = metropolis_hastings_weights(regular_graph(10, 3, seed=seed % 50))
+        w = metropolis_hastings_weights(regular_neighbors(10, 3, seed=seed % 50))
         x = rng.normal(size=(10, 6))
         prev = consensus_distance(x)
         for _ in range(k):

@@ -16,7 +16,7 @@ from repro.simulation import (
     SimulationEngine,
     build_nodes,
 )
-from repro.topology import metropolis_hastings_weights, neighbor_lists, regular_graph
+from repro.topology import metropolis_hastings_weights, neighbor_lists, regular_neighbors
 
 N = 8
 SPEC = SyntheticSpec(num_classes=4, channels=1, image_size=4,
@@ -43,7 +43,7 @@ def build(seed, message_level):
                                          prototypes=protos)
     parts = shard_partition(train.y, N, rng=rngs.stream("partition"))
     nodes = build_nodes(train, parts, 8, rngs)
-    graph = regular_graph(N, 3, seed=0)
+    graph = regular_neighbors(N, 3, seed=0)
     w = metropolis_hastings_weights(graph)
     cfg = EngineConfig(local_steps=2, learning_rate=0.2,
                        total_rounds=12, eval_every=4)

@@ -538,9 +538,9 @@ class TestMixingProviderBounds:
         caching one matrix per round forever."""
         from repro.scenarios.compile import scenario_mixing_provider
         from repro.simulation.failures import IndependentCrashes
-        from repro.topology.graphs import regular_graph
+        from repro.topology import regular_neighbors
 
-        graph = regular_graph(8, 3, seed=0)
+        graph = regular_neighbors(8, 3, seed=0)
         model = IndependentCrashes(
             8, 0.4, rng=np.random.default_rng(0), cache_size=512
         )
@@ -555,9 +555,9 @@ class TestMixingProviderBounds:
 
     def test_provider_requires_an_axis_and_valid_cache(self):
         from repro.scenarios.compile import scenario_mixing_provider
-        from repro.topology.graphs import regular_graph
+        from repro.topology import regular_neighbors
 
-        graph = regular_graph(8, 3, seed=0)
+        graph = regular_neighbors(8, 3, seed=0)
         with pytest.raises(ValueError, match="churn schedule or failure"):
             scenario_mixing_provider(graph)
         with pytest.raises(ValueError, match="cache_size"):

@@ -19,7 +19,7 @@ from repro.simulation import (
     RngFactory,
     build_nodes,
 )
-from repro.topology import neighbor_lists, regular_graph
+from repro.topology import neighbor_lists, regular_neighbors
 
 N = 8
 SPEC = SyntheticSpec(num_classes=4, channels=1, image_size=4,
@@ -36,7 +36,7 @@ def make_engine(seed=0, with_trace=True, n=N, eval_node_sample=None,
                                          prototypes=protos)
     parts = shard_partition(train.y, n, rng=rngs.stream("partition"))
     nodes = build_nodes(train, parts, 8, rngs)
-    graph = regular_graph(n, degree, seed=0)
+    graph = regular_neighbors(n, degree, seed=0)
     model = small_mlp(16, 4, hidden=8, rng=rngs.stream("model"))
     trace = (build_trace(n, CIFAR10_WORKLOAD, battery_fraction)
              if with_trace else None)

@@ -22,7 +22,7 @@ from repro.simulation import (
     save_run_checkpoint,
 )
 from repro.simulation.metrics import RunHistory
-from repro.topology import metropolis_hastings_weights, regular_graph
+from repro.topology import metropolis_hastings_weights, regular_neighbors
 
 N = 8
 SPEC = SyntheticSpec(num_classes=4, channels=1, image_size=4,
@@ -36,7 +36,7 @@ def make_engine(seed=0, total_rounds=16):
                                          prototypes=protos)
     parts = shard_partition(train.y, N, rng=rngs.stream("partition"))
     nodes = build_nodes(train, parts, 8, rngs)
-    w = metropolis_hastings_weights(regular_graph(N, 3, seed=0))
+    w = metropolis_hastings_weights(regular_neighbors(N, 3, seed=0))
     cfg = EngineConfig(local_steps=2, learning_rate=0.2,
                        total_rounds=total_rounds, eval_every=4)
     model = small_mlp(16, 4, hidden=8, rng=rngs.stream("model"))

@@ -16,7 +16,7 @@ from repro.simulation import (
     build_nodes,
     consensus_distance,
 )
-from repro.topology import metropolis_hastings_weights, regular_graph
+from repro.topology import metropolis_hastings_weights, regular_neighbors
 
 N = 8
 SPEC = SyntheticSpec(num_classes=4, channels=1, image_size=4,
@@ -31,7 +31,7 @@ def make_engine(seed=0, total_rounds=12, with_meter=True, eval_every=4,
                                          prototypes=protos)
     parts = shard_partition(train.y, N, rng=rngs.stream("partition"))
     nodes = build_nodes(train, parts, 8, rngs)
-    w = metropolis_hastings_weights(regular_graph(N, 3, seed=0))
+    w = metropolis_hastings_weights(regular_neighbors(N, 3, seed=0))
     cfg = EngineConfig(local_steps=local_steps, learning_rate=lr,
                        total_rounds=total_rounds, eval_every=eval_every)
     model = small_mlp(16, 4, hidden=8, rng=rngs.stream("model"))

@@ -15,8 +15,8 @@ from repro.simulation import (
 from repro.topology import (
     is_doubly_stochastic,
     is_symmetric,
-    regular_graph,
-    ring_graph,
+    regular_neighbors,
+    ring_neighbors,
 )
 
 
@@ -73,7 +73,7 @@ class TestFailureModels:
 
 class TestMaskedMixing:
     def test_all_alive_is_plain_mh(self):
-        g = regular_graph(10, 3, seed=0)
+        g = regular_neighbors(10, 3, seed=0)
         from repro.topology import metropolis_hastings_weights
 
         w = masked_mixing(g, np.ones(10, dtype=bool))
@@ -81,7 +81,7 @@ class TestMaskedMixing:
         assert (w != expected).nnz == 0
 
     def test_dead_nodes_frozen(self, rng):
-        g = regular_graph(10, 3, seed=0)
+        g = regular_neighbors(10, 3, seed=0)
         alive = np.ones(10, dtype=bool)
         alive[[2, 7]] = False
         w = masked_mixing(g, alive)
@@ -91,7 +91,7 @@ class TestMaskedMixing:
         np.testing.assert_array_equal(y[7], x[7])
 
     def test_remains_symmetric_doubly_stochastic(self, rng):
-        g = regular_graph(12, 4, seed=1)
+        g = regular_neighbors(12, 4, seed=1)
         for _ in range(5):
             alive = rng.random(12) > 0.3
             w = masked_mixing(g, alive)
@@ -99,7 +99,7 @@ class TestMaskedMixing:
             assert is_doubly_stochastic(w)
 
     def test_cache_used(self):
-        g = ring_graph(6)
+        g = ring_neighbors(6)
         cache = {}
         alive = np.array([True] * 5 + [False])
         w1 = masked_mixing(g, alive, cache)
@@ -108,7 +108,7 @@ class TestMaskedMixing:
 
     def test_mask_size_mismatch(self):
         with pytest.raises(ValueError):
-            masked_mixing(ring_graph(5), np.ones(4, dtype=bool))
+            masked_mixing(ring_neighbors(5), np.ones(4, dtype=bool))
 
 
 class TestEngineUnderChurn:
@@ -121,7 +121,7 @@ class TestEngineUnderChurn:
             EngineConfig, RngFactory, SimulationEngine, build_nodes,
         )
 
-        n = graph.number_of_nodes()
+        n = graph.n_nodes
         rngs = RngFactory(seed)
         spec = SyntheticSpec(num_classes=4, channels=1, image_size=4,
                              noise_std=1.0, prototype_resolution=2)
@@ -141,7 +141,7 @@ class TestEngineUnderChurn:
         )
 
     def test_dead_nodes_pay_no_energy(self):
-        g = regular_graph(8, 3, seed=0)
+        g = regular_neighbors(8, 3, seed=0)
         model = CrashWindow(8, [0], start=1, end=16)
         eng = self.make_engine(model, g)
         eng.run(DPSGD(8))
@@ -151,14 +151,14 @@ class TestEngineUnderChurn:
         assert eng.meter.train_rounds[1] == 16
 
     def test_training_survives_moderate_churn(self):
-        g = regular_graph(8, 4, seed=0)
+        g = regular_neighbors(8, 4, seed=0)
         model = IndependentCrashes(8, 0.2, np.random.default_rng(5))
         eng = self.make_engine(model, g)
         h = eng.run(DPSGD(8))
         assert h.final_accuracy() > 0.4  # chance = 0.25
 
     def test_churn_run_deterministic(self):
-        g = regular_graph(8, 4, seed=0)
+        g = regular_neighbors(8, 4, seed=0)
         accs = []
         for _ in range(2):
             model = IndependentCrashes(8, 0.2, np.random.default_rng(5))
@@ -171,9 +171,9 @@ class TestFailureProviderBounds:
     def test_mask_memo_bounded_under_random_crashes(self):
         import numpy as np
 
-        from repro.topology.graphs import regular_graph
+        from repro.topology import regular_neighbors
 
-        graph = regular_graph(8, 3, seed=0)
+        graph = regular_neighbors(8, 3, seed=0)
         model = IndependentCrashes(8, 0.4, rng=np.random.default_rng(0),
                                    cache_size=512)
         provider = failure_mixing_provider(graph, model, cache_size=16)
@@ -185,8 +185,8 @@ class TestFailureProviderBounds:
     def test_cache_size_validated(self):
         import pytest
 
-        from repro.topology.graphs import regular_graph
+        from repro.topology import regular_neighbors
 
-        graph = regular_graph(8, 3, seed=0)
+        graph = regular_neighbors(8, 3, seed=0)
         with pytest.raises(ValueError):
             failure_mixing_provider(graph, NoFailures(8), cache_size=0)

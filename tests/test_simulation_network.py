@@ -7,8 +7,8 @@ from repro.simulation import MessagePassingNetwork
 from repro.topology import (
     metropolis_hastings_weights,
     neighbor_lists,
-    regular_graph,
-    ring_graph,
+    regular_neighbors,
+    ring_neighbors,
     star_graph,
 )
 
@@ -21,26 +21,26 @@ def make_network(graph):
 
 class TestExchangeEquivalence:
     @pytest.mark.parametrize("make_graph", [
-        lambda: regular_graph(12, 4, seed=0),
-        lambda: ring_graph(9),
+        lambda: regular_neighbors(12, 4, seed=0),
+        lambda: ring_neighbors(9),
         lambda: star_graph(7),
     ])
     def test_exchange_equals_matrix_product(self, make_graph, rng):
         graph = make_graph()
         net = make_network(graph)
         w = metropolis_hastings_weights(graph)
-        state = rng.normal(size=(graph.number_of_nodes(), 17))
+        state = rng.normal(size=(graph.n_nodes, 17))
         np.testing.assert_allclose(net.exchange(state), w @ state, atol=1e-12)
 
     def test_caller_buffer_untouched(self, rng):
-        net = make_network(ring_graph(5))
+        net = make_network(ring_neighbors(5))
         state = rng.normal(size=(5, 3))
         before = state.copy()
         net.exchange(state)
         np.testing.assert_array_equal(state, before)
 
     def test_repeated_exchange_converges(self, rng):
-        net = make_network(regular_graph(10, 3, seed=1))
+        net = make_network(regular_neighbors(10, 3, seed=1))
         state = rng.normal(size=(10, 4))
         target = state.mean(axis=0)
         for _ in range(300):
@@ -50,14 +50,14 @@ class TestExchangeEquivalence:
 
 class TestTrafficAccounting:
     def test_message_count_is_directed_edges(self, rng):
-        graph = regular_graph(12, 4, seed=0)
+        graph = regular_neighbors(12, 4, seed=0)
         net = make_network(graph)
         net.exchange(rng.normal(size=(12, 5)))
         assert net.stats.messages_sent == 12 * 4
         assert net.stats.rounds == 1
 
     def test_bytes_match_closed_form(self, rng):
-        graph = ring_graph(6)
+        graph = ring_neighbors(6)
         net = make_network(graph)
         dim = 11
         net.exchange(rng.normal(size=(6, dim)))
@@ -71,7 +71,7 @@ class TestTrafficAccounting:
         assert per_node[0] == 4 * per_node[1]
 
     def test_accumulates_over_rounds(self, rng):
-        net = make_network(ring_graph(5))
+        net = make_network(ring_neighbors(5))
         state = rng.normal(size=(5, 3))
         for _ in range(4):
             state = net.exchange(state)
@@ -81,20 +81,20 @@ class TestTrafficAccounting:
 
 class TestValidation:
     def test_mismatched_mixing_support(self):
-        g1 = ring_graph(6)
-        g2 = regular_graph(6, 4, seed=0)
+        g1 = ring_neighbors(6)
+        g2 = regular_neighbors(6, 4, seed=0)
         with pytest.raises(ValueError):
             MessagePassingNetwork(
                 neighbor_lists(g1), metropolis_hastings_weights(g2)
             )
 
     def test_wrong_state_size(self, rng):
-        net = make_network(ring_graph(5))
+        net = make_network(ring_neighbors(5))
         with pytest.raises(ValueError):
             net.exchange(rng.normal(size=(6, 3)))
 
     def test_bad_bytes_per_value(self):
-        g = ring_graph(5)
+        g = ring_neighbors(5)
         with pytest.raises(ValueError):
             MessagePassingNetwork(
                 neighbor_lists(g), metropolis_hastings_weights(g),

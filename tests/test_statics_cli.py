@@ -55,6 +55,7 @@ SEEDS = {
         "topology/d.py",
         "def f(w):\n    return w.toarray()\n",
     ),
+    "heavy-import": ("topology/g.py", "import networkx as nx\n"),
 }
 
 

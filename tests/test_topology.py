@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.topology import (
+    NeighborList,
     adjacency_matrix,
+    as_neighbor_list,
     consensus_contraction,
     erdos_renyi_graph,
     fully_connected_graph,
@@ -16,14 +18,21 @@ from repro.topology import (
     metropolis_hastings_weights,
     mixing_time_estimate,
     neighbor_lists,
-    regular_graph,
-    ring_graph,
+    regular_neighbors,
+    ring_neighbors,
     spectral_gap,
     star_graph,
-    torus_graph,
+    torus_neighbors,
     uniform_neighbor_weights,
     validate_topology,
 )
+
+
+def nx_connected(g: NeighborList) -> bool:
+    """networkx's verdict on the same edge set (the oracle)."""
+    h = nx.empty_graph(g.n_nodes)
+    h.add_edges_from(g.edges)
+    return nx.is_connected(h)
 
 
 class TestGraphConstructors:
@@ -32,29 +41,29 @@ class TestGraphConstructors:
     @settings(max_examples=20, deadline=None)
     def test_regular_graph_properties(self, nd, seed):
         n, d = nd
-        g = regular_graph(n, d, seed=seed)
-        assert g.number_of_nodes() == n
-        assert all(deg == d for _, deg in g.degree)
-        assert nx.is_connected(g)
+        g = regular_neighbors(n, d, seed=seed)
+        assert g.n_nodes == n
+        assert np.all(g.degrees == d)
+        assert nx_connected(g)
 
     def test_regular_graph_validation(self):
         with pytest.raises(ValueError):
-            regular_graph(10, 10)
+            regular_neighbors(10, 10)
         with pytest.raises(ValueError):
-            regular_graph(9, 3)  # odd n*d
+            regular_neighbors(9, 3)  # odd n*d
         with pytest.raises(ValueError):
-            regular_graph(10, 0)
+            regular_neighbors(10, 0)
 
     def test_ring(self):
-        g = ring_graph(8)
-        assert all(deg == 2 for _, deg in g.degree)
+        g = ring_neighbors(8)
+        assert np.all(g.degrees == 2)
         with pytest.raises(ValueError):
-            ring_graph(2)
+            ring_neighbors(2)
 
     def test_torus(self):
-        g = torus_graph(3, 4)
-        assert g.number_of_nodes() == 12
-        assert all(deg == 4 for _, deg in g.degree)
+        g = torus_neighbors(3, 4)
+        assert g.n_nodes == 12
+        assert np.all(g.degrees == 4)
 
     def test_fully_connected(self):
         g = fully_connected_graph(6)
@@ -62,29 +71,64 @@ class TestGraphConstructors:
 
     def test_star(self):
         g = star_graph(7)
-        degs = sorted(d for _, d in g.degree)
-        assert degs == [1] * 6 + [6]
+        assert sorted(g.degrees) == [1] * 6 + [6]
 
     def test_erdos_renyi_connected(self):
         g = erdos_renyi_graph(30, seed=3)
-        assert nx.is_connected(g)
+        assert nx_connected(g)
 
     def test_validate_rejects_disconnected(self):
         g = nx.Graph()
         g.add_nodes_from(range(4))
         g.add_edge(0, 1)
         g.add_edge(2, 3)
-        with pytest.raises(ValueError):
-            validate_topology(g)
+        with pytest.raises(ValueError, match="connected"):
+            validate_topology(as_neighbor_list(g))
 
     def test_validate_rejects_self_loop(self):
         g = nx.complete_graph(3)
         g.add_edge(1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="self-loops"):
+            validate_topology(as_neighbor_list(g))
+
+    def test_validate_rejects_an_nx_graph_with_the_way_out(self):
+        with pytest.raises(TypeError, match="as_neighbor_list"):
+            metropolis_hastings_weights(nx.cycle_graph(5))
+
+    # -- arrays assembled by hand get the structure from_edges guarantees --
+
+    def test_validate_rejects_one_sided_edge(self):
+        # edge 0->2 without 2->0: MH weights would be neither symmetric
+        # nor doubly stochastic
+        g = NeighborList([0, 2, 3, 4], [1, 2, 0, 1])
+        with pytest.raises(ValueError, match="symmetric"):
+            validate_topology(g)
+        with pytest.raises(ValueError, match="symmetric"):
+            metropolis_hastings_weights(g)
+
+    def test_validate_rejects_hand_built_self_loop(self):
+        g = NeighborList([0, 2, 4, 5], [0, 1, 0, 2, 1])
+        with pytest.raises(ValueError, match="self-loops"):
+            validate_topology(g)
+
+    def test_validate_rejects_unsorted_and_duplicated_rows(self):
+        # a triangle with row 0 listed descending: has_edge's binary
+        # search misses an edge the graph has
+        unsorted = NeighborList([0, 2, 4, 6], [2, 1, 0, 2, 0, 1])
+        assert not unsorted.has_edge(0, 1)
+        with pytest.raises(ValueError, match="ascending"):
+            validate_topology(unsorted)
+        duplicated = NeighborList([0, 2, 4], [1, 1, 0, 0])
+        with pytest.raises(ValueError, match="ascending"):
+            uniform_neighbor_weights(duplicated)
+
+    def test_validate_accepts_every_generator(self):
+        for g in (ring_neighbors(7), torus_neighbors(3, 4),
+                  regular_neighbors(16, 3, seed=2), NeighborList([0, 0], [])):
             validate_topology(g)
 
     def test_adjacency_and_neighbors(self):
-        g = ring_graph(5)
+        g = ring_neighbors(5)
         adj = adjacency_matrix(g)
         assert adj.shape == (5, 5)
         assert adj.nnz == 10
@@ -93,10 +137,10 @@ class TestGraphConstructors:
 
 
 GRAPHS = [
-    lambda: regular_graph(16, 4, seed=0),
-    lambda: regular_graph(20, 6, seed=1),
-    lambda: ring_graph(11),
-    lambda: torus_graph(3, 3),
+    lambda: regular_neighbors(16, 4, seed=0),
+    lambda: regular_neighbors(20, 6, seed=1),
+    lambda: ring_neighbors(11),
+    lambda: torus_neighbors(3, 3),
     lambda: fully_connected_graph(8),
     lambda: erdos_renyi_graph(15, seed=2),
     lambda: star_graph(9),
@@ -122,13 +166,13 @@ class TestMetropolisHastings:
         assert offdiag.nnz == 2 * g.number_of_edges()
 
     def test_known_values_on_ring(self):
-        w = metropolis_hastings_weights(ring_graph(4)).toarray()
+        w = metropolis_hastings_weights(ring_neighbors(4)).toarray()
         # all degrees 2: edge weight 1/3, diagonal 1/3
         assert w[0, 1] == pytest.approx(1 / 3)
         assert w[0, 0] == pytest.approx(1 / 3)
 
     def test_preserves_average(self, rng):
-        w = metropolis_hastings_weights(regular_graph(12, 4, seed=0))
+        w = metropolis_hastings_weights(regular_neighbors(12, 4, seed=0))
         x = rng.normal(size=(12, 5))
         np.testing.assert_allclose((w @ x).mean(axis=0), x.mean(axis=0),
                                    atol=1e-12)
@@ -147,7 +191,7 @@ class TestUniformWeights:
         np.testing.assert_allclose(np.asarray(w.sum(axis=1)).ravel(), 1.0)
 
     def test_doubly_stochastic_on_regular(self):
-        w = uniform_neighbor_weights(regular_graph(12, 4, seed=0))
+        w = uniform_neighbor_weights(regular_neighbors(12, 4, seed=0))
         assert is_doubly_stochastic(w)
 
     def test_not_doubly_stochastic_on_star(self):
@@ -161,18 +205,18 @@ class TestSpectral:
         assert spectral_gap(w) == pytest.approx(1.0, abs=1e-9)
 
     def test_denser_graph_larger_gap(self):
-        w3 = metropolis_hastings_weights(regular_graph(24, 3, seed=0))
-        w8 = metropolis_hastings_weights(regular_graph(24, 8, seed=0))
+        w3 = metropolis_hastings_weights(regular_neighbors(24, 3, seed=0))
+        w8 = metropolis_hastings_weights(regular_neighbors(24, 8, seed=0))
         assert spectral_gap(w8) > spectral_gap(w3)
 
     def test_large_graph_sparse_path(self):
-        w = metropolis_hastings_weights(regular_graph(100, 4, seed=0))
+        w = metropolis_hastings_weights(regular_neighbors(100, 4, seed=0))
         gap = spectral_gap(w)
         assert 0.0 < gap < 1.0
 
     def test_mixing_time_monotone_in_gap(self):
-        ring = metropolis_hastings_weights(ring_graph(24))
-        dense = metropolis_hastings_weights(regular_graph(24, 8, seed=0))
+        ring = metropolis_hastings_weights(ring_neighbors(24))
+        dense = metropolis_hastings_weights(regular_neighbors(24, 8, seed=0))
         assert mixing_time_estimate(ring) > mixing_time_estimate(dense)
 
     def test_mixing_time_complete(self):
@@ -182,7 +226,7 @@ class TestSpectral:
     def test_repeated_mixing_converges_to_mean(self, rng):
         """W^k x → column-wise mean: the consensus property SkipTrain's
         sync rounds exploit."""
-        w = metropolis_hastings_weights(regular_graph(16, 4, seed=0))
+        w = metropolis_hastings_weights(regular_neighbors(16, 4, seed=0))
         x = rng.normal(size=(16, 3))
         target = np.tile(x.mean(axis=0), (16, 1))
         y = x.copy()

@@ -1,12 +1,15 @@
-"""The sparse NeighborList representation and its nx-equivalence
-contract: generators edge-identical to the networkx constructions,
-mixing weights bit-identical, and full engine trajectories unchanged
-when a NeighborList replaces the nx.Graph it mirrors."""
+"""The sparse NeighborList representation and its edge-identity
+contract: generators edge-identical to the networkx constructions
+(networkx itself is the oracle here), mixing weights pinned by digest to
+what the deleted ``nx.Graph`` generators produced, and full engine
+trajectories unchanged when the graph arrives through the
+``as_neighbor_list`` boundary adapter."""
 
 import hashlib
 import json
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -15,25 +18,39 @@ from repro.simulation import EngineConfig, build_engine, masked_mixing
 from repro.topology import (
     NeighborList,
     as_neighbor_list,
+    barbell_graph,
     csr_connected,
     metropolis_hastings_weights,
-    regular_graph,
+    neighbor_lists,
     regular_neighbors,
-    ring_graph,
     ring_neighbors,
-    torus_graph,
     torus_neighbors,
     uniform_neighbor_weights,
 )
-from repro.topology.graphs import barbell_graph, neighbor_lists
-from repro.topology.sparse import regular_edge_arrays, validate_regular_params
-
+from repro.topology.sparse import REGULAR_MAX_TRIES, validate_regular_params
 
 MIXING_GOLDEN = Path(__file__).parent / "golden" / "mixing_digests.json"
 
 
 def edge_set(graph):
     return {tuple(sorted(e)) for e in graph.edges}
+
+
+def nx_regular(n, degree, seed):
+    """networkx's own pairing model on the retry schedule
+    ``regular_neighbors`` documents: the first connected instance of
+    seeds ``seed, seed+1, ..``."""
+    for attempt in range(REGULAR_MAX_TRIES):
+        g = nx.random_regular_graph(degree, n, seed=seed + attempt)
+        if nx.is_connected(g):
+            return g
+    raise AssertionError("no connected instance")
+
+
+def nx_torus(rows, cols):
+    return nx.convert_node_labels_to_integers(
+        nx.grid_2d_graph(rows, cols, periodic=True), ordering="sorted"
+    )
 
 
 def csr_digest(w) -> str:
@@ -49,25 +66,26 @@ def csr_digest(w) -> str:
 def _masked_20():
     alive = np.ones(20, dtype=bool)
     alive[[2, 7, 11, 19]] = False
-    return masked_mixing(regular_graph(20, 4, seed=0), alive)
+    return masked_mixing(regular_neighbors(20, 4, seed=0), alive)
 
 
 #: Every mixing matrix this file used to compare across the two
-#: representations, recorded in ``golden/mixing_digests.json`` from the
-#: ``nx.Graph`` generators of the tree that still had them.
+#: representations. ``golden/mixing_digests.json`` was recorded from
+#: the ``nx.Graph`` generators (``regular_graph``/``ring_graph``/
+#: ``torus_graph``) of the last tree that had them.
 MIXING_CASES = {
     **{
         f"mh-regular-{n}-{d}-{s}": (
             lambda n=n, d=d, s=s: metropolis_hastings_weights(
-                regular_graph(n, d, seed=s))
+                regular_neighbors(n, d, seed=s))
         )
         for n, d, s in [(16, 3, 0), (32, 4, 1), (64, 6, 7), (31, 4, 2),
                         (40, 4, 3), (24, 3, 1), (20, 4, 0), (12, 4, 2)]
     },
-    "mh-ring-13": lambda: metropolis_hastings_weights(ring_graph(13)),
-    "mh-torus-3x5": lambda: metropolis_hastings_weights(torus_graph(3, 5)),
+    "mh-ring-13": lambda: metropolis_hastings_weights(ring_neighbors(13)),
+    "mh-torus-3x5": lambda: metropolis_hastings_weights(torus_neighbors(3, 5)),
     "uniform-regular-24-3-1": lambda: uniform_neighbor_weights(
-        regular_graph(24, 3, seed=1)),
+        regular_neighbors(24, 3, seed=1)),
     "masked-regular-20-4-0": _masked_20,
 }
 
@@ -78,7 +96,6 @@ class TestNeighborList:
         assert nbl.n_nodes == 4
         assert nbl.number_of_edges() == 3
         assert list(nbl.neighbors(1)) == [0, 2]
-        assert nbl.degree(0) == 1 and nbl.degree(1) == 2
         np.testing.assert_array_equal(nbl.degrees, [1, 2, 2, 1])
         assert nbl.has_edge(2, 3) and not nbl.has_edge(0, 3)
         u, v = nbl.edge_arrays()
@@ -98,10 +115,12 @@ class TestNeighborList:
             NeighborList.from_edges(3, [0], [3])
 
     def test_from_graph_matches_edges(self):
-        g = torus_graph(3, 4)
+        g = nx_torus(3, 4)
         nbl = NeighborList.from_graph(g)
         assert edge_set(nbl) == edge_set(g)
         assert as_neighbor_list(nbl) is nbl
+        with pytest.raises(ValueError):  # tuple labels, not 0..n-1
+            NeighborList.from_graph(nx.grid_2d_graph(3, 4))
 
 
 class TestConnectivity:
@@ -118,10 +137,11 @@ class TestConnectivity:
         assert not csr_connected(nbl)
 
     def test_matches_networkx_on_barbell(self):
-        import networkx as nx
-
-        g = barbell_graph(4, 2)
-        assert csr_connected(g) == nx.is_connected(g)
+        g = nx.barbell_graph(4, 2)
+        assert csr_connected(as_neighbor_list(g)) == nx.is_connected(g)
+        assert edge_set(barbell_graph(4, 2)) == edge_set(g)
+        g.remove_edge(4, 5)  # cut the path between the cliques
+        assert csr_connected(as_neighbor_list(g)) == nx.is_connected(g)
 
     def test_infeasible_regular_params_rejected(self):
         with pytest.raises(ValueError, match="must be < n"):
@@ -131,26 +151,26 @@ class TestConnectivity:
         with pytest.raises(ValueError, match="perfect matching"):
             validate_regular_params(6, 1)
         with pytest.raises(ValueError, match="even"):
-            regular_edge_arrays(7, 3)
+            regular_neighbors(7, 3)
 
 
 class TestGeneratorEquivalence:
-    """regular/ring/torus NeighborLists carry the exact edge set of
-    their networkx twins — the structural half of the bit-identity
+    """regular/ring/torus NeighborLists carry the exact edge set of the
+    networkx constructions — the structural half of the bit-identity
     contract."""
 
     def test_ring_matches_nx(self):
-        assert edge_set(ring_neighbors(11)) == edge_set(ring_graph(11))
+        assert edge_set(ring_neighbors(11)) == edge_set(nx.cycle_graph(11))
 
     def test_torus_matches_nx(self):
-        assert edge_set(torus_neighbors(4, 6)) == edge_set(torus_graph(4, 6))
+        assert edge_set(torus_neighbors(4, 6)) == edge_set(nx_torus(4, 6))
 
     @pytest.mark.parametrize("n,degree,seed", [
         (16, 3, 0), (32, 4, 1), (64, 6, 7), (31, 4, 2),
     ])
     def test_regular_matches_nx(self, n, degree, seed):
         assert edge_set(regular_neighbors(n, degree, seed=seed)) == edge_set(
-            regular_graph(n, degree, seed=seed)
+            nx_regular(n, degree, seed)
         )
 
     def test_regular_is_seed_stable(self):
@@ -161,8 +181,9 @@ class TestGeneratorEquivalence:
 
 
 class TestWeightBitIdentity:
-    """Mixing matrices derived from either representation are equal to
-    the last bit — values AND sparsity structure."""
+    """Mixing matrices are a pure function of the edge set — values AND
+    sparsity structure — whether the graph was generated natively or
+    came in as an ``nx.Graph`` through the boundary adapter."""
 
     def assert_csr_identical(self, a, b):
         np.testing.assert_array_equal(a.indptr, b.indptr)
@@ -170,28 +191,30 @@ class TestWeightBitIdentity:
         np.testing.assert_array_equal(a.data, b.data)
 
     @pytest.mark.parametrize("pair", [
-        lambda: (ring_neighbors(13), ring_graph(13)),
-        lambda: (torus_neighbors(3, 5), torus_graph(3, 5)),
-        lambda: (regular_neighbors(40, 4, seed=3), regular_graph(40, 4, seed=3)),
+        lambda: (ring_neighbors(13), nx.cycle_graph(13)),
+        lambda: (torus_neighbors(3, 5), nx_torus(3, 5)),
+        lambda: (regular_neighbors(40, 4, seed=3), nx_regular(40, 4, 3)),
     ])
     def test_mh_weights(self, pair):
         nbl, g = pair()
         self.assert_csr_identical(
-            metropolis_hastings_weights(nbl), metropolis_hastings_weights(g)
+            metropolis_hastings_weights(nbl),
+            metropolis_hastings_weights(as_neighbor_list(g)),
         )
 
     def test_uniform_weights(self):
-        nbl, g = regular_neighbors(24, 3, seed=1), regular_graph(24, 3, seed=1)
+        nbl, g = regular_neighbors(24, 3, seed=1), nx_regular(24, 3, 1)
         self.assert_csr_identical(
-            uniform_neighbor_weights(nbl), uniform_neighbor_weights(g)
+            uniform_neighbor_weights(nbl),
+            uniform_neighbor_weights(as_neighbor_list(g)),
         )
 
     def test_masked_mixing(self):
-        nbl, g = regular_neighbors(20, 4, seed=0), regular_graph(20, 4, seed=0)
+        nbl, g = regular_neighbors(20, 4, seed=0), nx_regular(20, 4, 0)
         alive = np.ones(20, dtype=bool)
         alive[[2, 7, 11, 19]] = False
         self.assert_csr_identical(
-            masked_mixing(nbl, alive), masked_mixing(g, alive)
+            masked_mixing(nbl, alive), masked_mixing(as_neighbor_list(g), alive)
         )
 
     @pytest.mark.parametrize("name", sorted(MIXING_CASES))
@@ -201,15 +224,18 @@ class TestWeightBitIdentity:
         assert csr_digest(MIXING_CASES[name]()) == golden[name]
 
     def test_neighbor_lists_adapter(self):
-        nbl, g = regular_neighbors(12, 4, seed=2), regular_graph(12, 4, seed=2)
-        for a, b in zip(neighbor_lists(nbl), neighbor_lists(g)):
+        nbl, g = regular_neighbors(12, 4, seed=2), nx_regular(12, 4, 2)
+        for i, (a, b) in enumerate(
+            zip(neighbor_lists(nbl), neighbor_lists(as_neighbor_list(g)))
+        ):
             np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, sorted(g.neighbors(i)))
 
 
 class TestTrajectoryBitIdentity:
-    """The end-to-end acceptance check: an engine wired from a
-    NeighborList produces the exact trajectory of one wired from the
-    equivalent nx.Graph."""
+    """The end-to-end acceptance check: an engine wired from the native
+    generator produces the exact trajectory of one wired from networkx's
+    own graph brought in through ``as_neighbor_list``."""
 
     def test_full_run_identical(self, monkeypatch):
         import repro.topology as topo
@@ -227,7 +253,7 @@ class TestTrajectoryBitIdentity:
 
         def run(generator):
             with monkeypatch.context() as m:
-                m.setattr(topo, "regular_graph", generator)
+                m.setattr(topo, "regular_neighbors", generator)
                 eng = build_engine(spec, 16, cfg, factory, seed=0,
                                    num_train=128, num_test=64, batch_size=4,
                                    degree=4)
@@ -237,10 +263,10 @@ class TestTrajectoryBitIdentity:
             finally:
                 eng.close()
 
-        s_nx, h_nx = run(regular_graph)
-        s_sp, h_sp = run(
-            lambda n, d, seed=0: regular_neighbors(n, d, seed=seed)
+        s_nx, h_nx = run(
+            lambda n, d, seed=0: as_neighbor_list(nx_regular(n, d, seed))
         )
+        s_sp, h_sp = run(regular_neighbors)
         np.testing.assert_array_equal(s_nx, s_sp)
         assert repr(h_nx.records) == repr(h_sp.records)
 
