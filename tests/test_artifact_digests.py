@@ -56,6 +56,18 @@ goes through ``scenario_mixing_provider``/``masked_mixing``:
   ``TopologySpec``; masked weights re-derived per round from a
   ``RegularGraphEachRound``).
 
+Two more were recorded from the tree *before* the stacked loss kernel
+started writing into lent buffers and picking through one flat index —
+the async engine's event batches (1–3 scattered rows per call) reach
+the trainer's small-block paths no sync cell does:
+
+* ``ragged-async-vectorized`` — the ragged preset's async twin: event
+  batches of scattered ids whose widths are 12 and 13, so the width
+  split *and* the gather/scatter path run under the async engine;
+* ``femnist-async-vectorized`` — ``femnist-bench-async`` (16-class
+  head, ``local_steps=7``, writer partition) cut to 8 activations per
+  node.
+
 Re-record only for an intentional, documented contract change::
 
     PYTHONPATH=src python tests/test_artifact_digests.py > tests/golden/artifact_digests.json
@@ -71,7 +83,13 @@ import pytest
 
 from repro.core.dpsgd import DPSGD
 from repro.energy.accounting import EnergyMeter
-from repro.experiments import artifact_path, build_plan, get_preset, run_cell
+from repro.experiments import (
+    artifact_path,
+    async_variant,
+    build_plan,
+    get_preset,
+    run_cell,
+)
 from repro.experiments.artifacts import write_cell_artifact
 from repro.experiments.runner import ExperimentResult, prepare
 from repro.nn.layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU
@@ -220,6 +238,22 @@ def _ragged(results_dir, **kwargs):
     return artifact_path(results_dir, cell)
 
 
+def _async(results_dir, preset, **plan_kwargs):
+    cell = build_plan(preset, ("async-skiptrain",), seeds=(0,), kind="async",
+                      **plan_kwargs)[0]
+    run_cell(preset, cell, results_dir, vectorized=True)
+    return artifact_path(results_dir, cell)
+
+
+def _ragged_async(results_dir):
+    return _async(results_dir, async_variant(ragged_preset()))
+
+
+def _femnist_async(results_dir):
+    return _async(results_dir, get_preset("femnist-bench-async"),
+                  degrees=(3,), total_rounds=8)
+
+
 def _scenario(results_dir, spec):
     cell = build_scenario_plan(spec, seeds=(0,))[0]
     run_cell(get_preset(spec.preset), cell, results_dir, vectorized=True,
@@ -249,6 +283,8 @@ CELLS = {
     "femnist-writer-vectorized": _femnist_writer,
     "bench-serial-steps10": _bench,
     "ragged-serial": _ragged,
+    "ragged-async-vectorized": _ragged_async,
+    "femnist-async-vectorized": _femnist_async,
     "churn-async-vectorized": _churn_async,
     "churn-crash-vectorized": _churn_crash,
     "dynamic-periodic-churn-vectorized": _dynamic_churn,
