@@ -30,7 +30,7 @@ land directly in the simulation state matrix with no scatter step. A
 trainer binds, next to the block, one C-contiguous ``(k, dim)``
 *gradient plane* with the identical layout: every parameterized layer
 holds views into it and its backward writes there with
-``np.matmul(..., out=view)`` / ``np.sum(..., out=view)``. Each node's
+``np.matmul(..., out=view)`` / ``np.add.reduce(..., out=view)``. Each node's
 slice of such a view is C-contiguous (only the node axis is strided, by
 ``dim``), which is what keeps ``matmul`` on the BLAS call it would make
 into a fresh array. Because block and plane are both flat and aligned
@@ -126,21 +126,32 @@ class Workspace:
     :meth:`take` hands out a C-contiguous array of the requested shape
     carved from the front of a flat buffer kept per ``key``; the buffer
     is replaced only when a request outgrows it, so after the largest
-    call has been seen no request allocates. Contents are whatever the
-    last user left: callers must write every element before reading.
+    call has been seen no request allocates. The shaped view is kept
+    too: asking again for the same ``(key, shape, dtype)`` is one dict
+    hit and returns the identical object. A key's views die with the
+    buffer they alias, so no outgrown buffer is kept alive. Contents
+    are whatever the last user left: callers must write every element
+    before reading.
     """
 
     def __init__(self) -> None:
         self._flat: dict[Hashable, np.ndarray] = {}
+        self._views: dict[tuple, np.ndarray] = {}
 
     def take(
         self, key: Hashable, shape: tuple[int, ...], dtype=np.float64
     ) -> np.ndarray:
+        view = self._views.get((key, shape, dtype))
+        if view is not None:
+            return view
         size = math.prod(shape)
         flat = self._flat.get(key)
         if flat is None or flat.size < size or flat.dtype != dtype:
             flat = self._flat[key] = np.empty(size, dtype=dtype)
-        return flat[:size].reshape(shape)
+            for stale in [at for at in self._views if at[0] == key]:
+                del self._views[stale]
+        view = self._views[key, shape, dtype] = flat[:size].reshape(shape)
+        return view
 
 
 def _plane_view(
@@ -382,7 +393,7 @@ class BatchedConv2d(BatchedLayer):
 
         np.matmul(grad_mat, self._cols.transpose(0, 2, 1), out=self._w_mat_grad)
         if self.has_bias:
-            np.sum(grad_mat, axis=2, out=self.bias_grad)
+            np.add.reduce(grad_mat, axis=2, out=self.bias_grad)
         if not self.input_grad:
             return None
 
@@ -636,6 +647,14 @@ class BatchedModel:
                 layer.input_grad = False
                 self._head = at
                 break
+        #: Width of the logits when the model ends in a ``Linear`` head
+        #: (elementwise layers may follow it), else ``None``.
+        self.out_features: int | None = None
+        for layer in reversed(self.layers):
+            if isinstance(layer, BatchedLinear):
+                self.out_features = layer.out_features
+            if not isinstance(layer, BatchedElementwise):
+                break
 
     def lend(self, workspace: Workspace) -> None:
         """Have every layer take its scratch arrays from ``workspace``."""
@@ -860,6 +879,12 @@ class BatchedTrainer:
         self, template: Module, lr: float, weight_decay: float = 0.0
     ) -> None:
         self.model = vectorize_module(template)
+        if self.model.out_features is None:
+            raise UnsupportedLayerError(
+                "the stacked trainer checks labels against a Linear "
+                "classification head, which this model does not end in; "
+                "run it with the serial engine (vectorized=False)"
+            )
         self.workspace = Workspace()
         self.model.lend(self.workspace)
         self.optimizer = BatchedSGD(self.model, lr=lr, weight_decay=weight_decay)
@@ -884,8 +909,9 @@ class BatchedTrainer:
         ``idx[p, s, :k[p]]`` of the global ``x``/``y``, which are
         gathered here, one ``(rows, k, ...)`` stack per step. ``ids``
         may list distinct rows in any order; a repeated row
-        (``ValueError``) or a sample index outside ``x``, padding
-        columns included (``IndexError``), is rejected before anything
+        (``ValueError``), a sample index outside ``x``, padding columns
+        included, or a label about to be used that lies outside the
+        model's head (both ``IndexError``) is rejected before anything
         is touched. Rows whose batch
         sizes differ (smaller-than-batch datasets) are grouped into
         rectangular sub-blocks so every stack is uniform; grouping never
@@ -898,7 +924,8 @@ class BatchedTrainer:
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size == 0:
             return np.empty(0)
-        if ids.size > 1 and np.unique(ids).size != ids.size:
+        ordered = np.sort(ids)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError(
                 f"rows trained together must be distinct, got {ids.tolist()}"
             )
@@ -907,53 +934,72 @@ class BatchedTrainer:
                 f"batch indices (padding included) must lie in "
                 f"[0, {x.shape[0]}), got [{idx.min()}, {idx.max()}]"
             )
-        widths = np.unique(k)
-        if widths.size == 1:
-            return self._train_uniform(state, ids, x, y, idx[:, :, : widths[0]])
-        losses = np.empty(ids.size)
-        for width in widths:
+        if (k == k[0]).all():
+            idx = idx[:, :, : k[0]]
+            return self._train_uniform(state, ids, x, self._labels(y, idx), idx)
+        # every group's labels are checked before any group trains
+        groups = []
+        for width in np.unique(k):
             pos = np.flatnonzero(k == width)
-            losses[pos] = self._train_uniform(
-                state, ids[pos], x, y, idx[pos, :, :width]
-            )
+            sub = idx[pos, :, :width]
+            groups.append((pos, sub, self._labels(y, sub)))
+        losses = np.empty(ids.size)
+        for pos, sub, labels in groups:
+            losses[pos] = self._train_uniform(state, ids[pos], x, labels, sub)
         return losses
+
+    def _labels(self, y: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """``y[idx]``, gathered once for all of a call's steps and
+        range-checked against the model's head: the loss kernel picks
+        through a flat index, which would turn an out-of-range label
+        into a silent read of another sample's logits."""
+        labels = y.take(idx)
+        F.check_labels(labels, self.model.out_features)
+        return labels
 
     def _train_uniform(
         self,
         state: np.ndarray,
         ids: np.ndarray,
         x: np.ndarray,
-        y: np.ndarray,
+        labels: np.ndarray,
         idx: np.ndarray,
     ) -> np.ndarray:
         """:meth:`train_rows` for rows that share one batch width."""
         block = _contiguous_run(state, ids)
         if block is not None:
-            return self._run_steps(block, x, y, idx)
+            return self._run_steps(block, x, labels, idx)
         block = state[ids]  # fancy index: a copy
-        losses = self._run_steps(block, x, y, idx)
+        losses = self._run_steps(block, x, labels, idx)
         state[ids] = block
         return losses
 
     def _run_steps(
-        self, block: np.ndarray, x: np.ndarray, y: np.ndarray, idx: np.ndarray
+        self, block: np.ndarray, x: np.ndarray, labels: np.ndarray, idx: np.ndarray
     ) -> np.ndarray:
         """Bind ``block`` and take its rows through ``idx.shape[1]``
-        local steps in place; per-row mean losses."""
+        local steps in place, step ``s`` on samples ``x[idx[:, s]]``
+        with targets ``labels[:, s]``; per-row mean losses."""
         rows, local_steps, width = idx.shape
         take = self.workspace.take
         self.model.bind(block, take("grads", block.shape))
         xb = take("x", (rows, width, *x.shape[1:]), x.dtype)
-        yb = take("y", (rows, width), y.dtype)
         total = np.zeros(rows)
+        buffers = None
         for step in range(local_steps):
-            sel = idx[:, step]
             # train_rows range-checked the indices; mode="clip" only
             # skips the defensive copy of ``out`` mode="raise" makes
-            np.take(x, sel, axis=0, out=xb, mode="clip")
-            np.take(y, sel, axis=0, out=yb, mode="clip")
+            x.take(idx[:, step], axis=0, out=xb, mode="clip")
             logits = self.model.forward(xb)
-            losses, grad = F.batched_cross_entropy(logits, yb)
+            if buffers is None:  # same shape and layout every step
+                buffers = (
+                    (take("log_probs", logits.shape), take("loss_grad", logits.shape))
+                    if logits.flags.c_contiguous
+                    else ()
+                )
+            losses, grad = F.batched_cross_entropy_into(
+                logits, labels[:, step], *buffers
+            )
             total += losses
             self.model.backward(grad)
             self.optimizer.step()

@@ -26,6 +26,8 @@ __all__ = [
     "batched_linear_forward",
     "batched_linear_backward",
     "batched_cross_entropy",
+    "batched_cross_entropy_into",
+    "check_labels",
     "batched_im2col",
     "batched_col2im",
 ]
@@ -210,9 +212,80 @@ def batched_linear_backward(
     """
     np.matmul(x.transpose(0, 2, 1), grad_out, out=grad_w)
     if grad_b is not None:
-        np.sum(grad_out, axis=1, out=grad_b)
+        np.add.reduce(grad_out, axis=1, out=grad_b)
     if grad_x is not None:
         np.matmul(grad_out, w.transpose(0, 2, 1), out=grad_x)
+
+
+#: ``(b, classes) -> (k_max, b)`` int64: entry ``[r, j]`` is the flat
+#: position of logit ``[r, j, 0]`` in a C-ordered ``(k, b, classes)``
+#: stack. One array per ``(b, classes)``, as tall as the tallest stack
+#: seen; a shorter stack reads a prefix.
+_ROW_OFFSETS: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _row_offsets(k: int, b: int, classes: int) -> np.ndarray:
+    offsets = _ROW_OFFSETS.get((b, classes))
+    if offsets is None or offsets.shape[0] < k:
+        offsets = (np.arange(k * b) * classes).reshape(k, b)
+        offsets.flags.writeable = False  # shared by every caller
+        _ROW_OFFSETS[b, classes] = offsets
+    return offsets[:k]
+
+
+def batched_cross_entropy_into(
+    logits: np.ndarray,
+    targets: np.ndarray,
+    log_probs: np.ndarray | None = None,
+    grad: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel of :func:`batched_cross_entropy`, unchecked: the
+    caller vouches for the shapes and for ``0 <= targets < K``. An
+    out-of-range target is *not* caught here — the picks go through one
+    flat index, where it silently lands on another sample's logits.
+
+    ``log_probs`` and ``grad`` are ``(k, B, K)`` scratch arrays to
+    write into (both are overwritten; ``grad`` is returned) or ``None``
+    to allocate. Lend them only for C-contiguous ``logits``: a fresh
+    result inherits a strided input's memory layout, the reductions
+    below take their order from that layout, and a C-contiguous buffer
+    would change it (the ``scratch_like`` rule of
+    :mod:`repro.nn.batched`).
+
+    Every line is the ufunc call its serial counterpart ends in, so
+    each slice carries the serial loss's bits: ``np.max`` / ``np.sum``
+    / ``.mean`` are ``maximum.reduce`` / ``add.reduce`` /
+    ``add.reduce`` then ``true_divide`` by the item count; a ufunc
+    writes the same values into ``out=`` as into a fresh array; and the
+    flat index names exactly the elements ``[r, j, targets[r, j]]``,
+    each once.
+    """
+    k, b, classes = logits.shape
+    peak = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    log_probs = np.subtract(logits, peak, out=log_probs)
+    grad = np.exp(log_probs, out=grad)  # softmax numerators, for now
+    norm = np.add.reduce(grad, axis=-1, keepdims=True)
+    np.log(norm, out=norm)
+    np.subtract(log_probs, norm, out=log_probs)
+    flat = _row_offsets(k, b, classes) + targets
+    losses = np.add.reduce(log_probs.take(flat), axis=-1)
+    losses /= b
+    np.negative(losses, out=losses)
+    np.exp(log_probs, out=grad)
+    picked = grad.take(flat)
+    picked -= 1.0
+    grad.put(flat, picked)
+    grad /= b
+    return losses, grad
+
+
+def check_labels(labels: np.ndarray, classes: int) -> None:
+    """``IndexError`` unless every label lies in ``[0, classes)``."""
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        raise IndexError(
+            f"labels must lie in [0, {classes}), "
+            f"got [{labels.min()}, {labels.max()}]"
+        )
 
 
 def batched_cross_entropy(
@@ -220,11 +293,12 @@ def batched_cross_entropy(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Softmax cross-entropy per node slice.
 
-    ``logits`` is ``(k, B, K)``, ``targets`` ``(k, B)`` ints. Returns
-    ``(losses, grad)`` where ``losses`` is ``(k,)`` (each node's mean
-    loss over its batch) and ``grad`` is ``dL/dlogits`` already divided
-    by ``B`` — the same contract as
-    :class:`~repro.nn.losses.CrossEntropyLoss` applied slice by slice.
+    ``logits`` is ``(k, B, K)``, ``targets`` ``(k, B)`` ints in
+    ``[0, K)`` (``IndexError`` otherwise). Returns ``(losses, grad)``
+    where ``losses`` is ``(k,)`` (each node's mean loss over its batch)
+    and ``grad`` is ``dL/dlogits`` already divided by ``B`` — the same
+    contract as :class:`~repro.nn.losses.CrossEntropyLoss` applied slice
+    by slice.
     """
     if logits.ndim != 3:
         raise ValueError(f"logits must be (k, B, K), got {logits.shape}")
@@ -233,15 +307,8 @@ def batched_cross_entropy(
         raise ValueError(
             f"targets shape {targets.shape} incompatible with logits {logits.shape}"
         )
-    log_probs = log_softmax(logits, axis=-1)
-    picked = np.take_along_axis(log_probs, targets[..., None], axis=-1)[..., 0]
-    losses = -picked.mean(axis=-1)
-    grad = np.exp(log_probs)
-    ki = np.arange(grad.shape[0])[:, None]
-    bi = np.arange(grad.shape[1])[None, :]
-    grad[ki, bi, targets] -= 1.0
-    grad /= grad.shape[1]
-    return losses, grad
+    check_labels(targets, logits.shape[2])
+    return batched_cross_entropy_into(logits, targets)
 
 
 def batched_im2col(

@@ -50,8 +50,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .async_engine import AsyncGossipEngine, AsyncPolicy
 
@@ -104,8 +102,9 @@ def plan_window(
         raise ValueError("plan_window requires an initialized event heap")
     batches: list[EventBatch] = []
     # batch index of the last event that touched each node's row, -1 for
-    # untouched rows; the level-scheduling conflict ledger
-    last_batch = np.full(engine.n_nodes, -1, dtype=np.int64)
+    # untouched rows; the level-scheduling conflict ledger (a plain list:
+    # it is read and written one or two entries at a time)
+    last_batch = [-1] * engine.n_nodes
     barrier = 0
     planned_churn = engine._churn_round
     time = 0.0
@@ -150,7 +149,7 @@ def plan_window(
             engine._queue, (time + float(engine.rng.exponential()), i)
         )
 
-        touched = [i, partner] if partner is not None else [i]
+        touched = (i, partner) if partner is not None else (i,)
         if churn_t is not None:
             # churn rounds are barriers: the handoff reads/writes rows,
             # so it opens a fresh batch that no later event may precede
@@ -158,7 +157,10 @@ def plan_window(
             batches.append(EventBatch(churn_t=churn_t))
             barrier = b
         elif trains or partner is not None:
-            b = max(barrier, int(last_batch[touched].max()) + 1)
+            last = last_batch[i]
+            if partner is not None and last_batch[partner] > last:
+                last = last_batch[partner]
+            b = max(barrier, last + 1)
             while len(batches) <= b:
                 batches.append(EventBatch())
         else:

@@ -7,8 +7,12 @@ engine-level equality failure localizes immediately.
 """
 
 import gc
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +141,15 @@ class TestBatchedKernels:
             F.batched_cross_entropy(
                 np.zeros((3, 4, 2)), np.zeros((3, 5), dtype=int)
             )
+
+    @pytest.mark.parametrize("bad", [-1, 4, 16])
+    def test_batched_cross_entropy_rejects_labels_outside_the_head(self, bad):
+        """The picks go through one flat index, where an out-of-range
+        label would read another sample's logits instead of failing."""
+        targets = RNG.integers(0, 4, size=(3, 5))
+        targets[2, 4] = bad
+        with pytest.raises(IndexError, match=r"\[0, 4\)"):
+            F.batched_cross_entropy(RNG.normal(size=(3, 5, 4)), targets)
 
     def test_batched_im2col_matches_serial_per_slice(self):
         k, b, c, h, w = 3, 4, 2, 6, 6
@@ -284,6 +297,36 @@ class TestBatchedTrainerExactness:
                     state, np.arange(2), x, y, idx, np.full(2, 4)
                 )
             assert state.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, 10, 15])
+    def test_labels_outside_the_head_raise_before_state_is_touched(self, bad):
+        """A 16-class label array against the 10-output bench MLP: a
+        negative label used to wrap onto the last class silently, one
+        past the head failed mid-call from inside fancy indexing."""
+        model = small_mlp(64, 10, hidden=24, rng=np.random.default_rng(7))
+        state = _rows_for(model, 4)
+        before = state.copy()
+        x = RNG.normal(size=(40, 64))
+        y = RNG.integers(0, 16, size=40)
+        y[:20] = RNG.integers(0, 10, size=20)
+        y[33] = bad
+        idx = RNG.integers(0, 20, size=(3, 2, 4))
+        trainer = BatchedTrainer(model, lr=0.1)
+        ragged = np.array([4, 4, 3])
+        idx[2, 1, 2] = 33  # the last step of the last row
+        for ids in (np.arange(3), np.array([3, 0, 2])):
+            for k in (np.full(3, 4), ragged):
+                with pytest.raises(IndexError, match=r"\[0, 10\)"):
+                    trainer.train_rows(state, ids, x, y, idx, k)
+                assert state.tobytes() == before.tobytes()
+        # a label only a padding column points at is never used
+        idx[2, 1, 2:] = 0, 33
+        trainer.train_rows(state, np.arange(3), x, y, idx, ragged)
+
+    def test_a_model_without_a_linear_head_is_rejected(self):
+        model = Sequential(Conv2d(1, 2, 3, padding=1, rng=RNG), Flatten())
+        with pytest.raises(UnsupportedLayerError, match="head"):
+            BatchedTrainer(model, lr=0.1)
 
 
 # -- the stacked step against the serial loop, over everything it branches on --
@@ -526,6 +569,56 @@ class TestStackedStepAgainstSerialLoop:
             activations = rows * batch * 256 * 8
             assert peak < activations < plane_bytes / 8
 
+    def test_fixed_cost_of_a_local_step_stays_counted(self):
+        """The small-block regime is all fixed cost, so the guard is a
+        count, not a time: builtin calls (``sys.setprofile`` ``c_call``
+        events) per local step of the bench MLP, 3 scattered rows x 10
+        steps. 73.6 per step before the lean loss kernel, the memoised
+        workspace views and the once-per-call label gather (101
+        ``reshape``, 71 ``math.prod``, 50 ``arange`` ... per call);
+        32.5 after. And a second same-shape call allocates no
+        ``rows x B x K`` array: the loss writes into lent buffers."""
+        model = small_mlp(64, 10, hidden=24, rng=np.random.default_rng(21))
+        rows, steps, batch = 3, 10, 8
+        state = _rows_for(model, 8)
+        x, y = RNG.normal(size=(100, 64)), RNG.integers(0, 10, size=100)
+        ids, k = np.array([1, 4, 6]), np.full(rows, batch)
+        idx = RNG.integers(0, 100, size=(rows, steps, batch))
+        trainer = BatchedTrainer(model, lr=0.1)
+        trainer.train_rows(state, ids, x, y, idx, k)
+
+        c_calls = 0
+
+        def count(frame, event, arg):
+            nonlocal c_calls
+            c_calls += event == "c_call"
+
+        sys.setprofile(count)
+        try:
+            trainer.train_rows(state, ids, x, y, idx, k)
+        finally:
+            sys.setprofile(None)
+        assert c_calls / steps <= 36
+
+        # what is still allocated is bounded (ufunc iteration buffers
+        # of 64 KiB) or rows x B sized (labels, flat index, picks), so
+        # a wide head tells it apart
+        rows, classes = 128, 64
+        model = small_mlp(64, classes, hidden=24, rng=np.random.default_rng(22))
+        state = _rows_for(model, rows)
+        y = RNG.integers(0, classes, size=100)
+        ids, k = np.arange(rows), np.full(rows, batch)
+        idx = RNG.integers(0, 100, size=(rows, 2, batch))
+        trainer = BatchedTrainer(model, lr=0.1)
+        trainer.train_rows(state, ids, x, y, idx, k)
+        tracemalloc.start()
+        try:
+            trainer.train_rows(state, ids, x, y, idx, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * batch * classes * 8 / 2
+
     def test_dropped_trainer_frees_its_planes_without_the_cycle_collector(self):
         """Engines come and go inside one process (a sweep worker, the
         serve daemon); a trainer's k * dim buffers must die with it, not
@@ -616,6 +709,138 @@ class TestReluKernel:
             want, got = serial.backward(grad), batched.backward(grad)
             assert got.tobytes() == want.tobytes()
             assert got.strides == want.strides
+
+
+class TestLossKernel:
+    """:func:`F.batched_cross_entropy_into` against the serial
+    :class:`CrossEntropyLoss`, bit for bit, slice by slice."""
+
+    SPECIALS = TestReluKernel.SPECIALS + [1e308, -1e308, 1.5, 1.5]
+
+    @staticmethod
+    def _logits(k, b, classes, values, layout):
+        """``(k, b, classes)`` logits, C-contiguous or with every
+        slice transposed in memory (the node axis stays outermost: a
+        slice is then laid out as the serial loss would be handed it)."""
+        shape = (k, b, classes) if layout == "contiguous" else (k, classes, b)
+        base = RNG.normal(size=shape)
+        if values == "specials":
+            specials = np.resize(TestLossKernel.SPECIALS, base.size)
+            base.flat[:] = RNG.permutation(specials)
+        return base if layout == "contiguous" else base.transpose(0, 2, 1)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    @pytest.mark.parametrize("values", ["random", "specials"])
+    @pytest.mark.parametrize("classes", [2, 10])
+    @pytest.mark.parametrize("b", [1, 8])
+    @pytest.mark.parametrize("k", [1, 3, 32])
+    def test_bitwise_the_serial_loss(self, k, b, classes, values, layout):
+        logits = self._logits(k, b, classes, values, layout)
+        targets = RNG.integers(0, classes, size=(k, b))
+        ref = CrossEntropyLoss()
+        with np.errstate(all="ignore"):
+            want = [
+                (ref.forward(logits[s], targets[s]), ref.backward()) for s in range(k)
+            ]
+            got = [F.batched_cross_entropy(logits, targets)]
+            if layout == "contiguous":
+                log_probs, lent = np.full((2, k, b, classes), np.nan)
+                for _ in range(2):  # second pass reuses the buffers
+                    losses, grad = F.batched_cross_entropy_into(
+                        logits, targets, log_probs, lent
+                    )
+                    assert grad is lent
+                    got.append((losses, grad.copy()))
+        for losses, grad in got:
+            for s, (loss, slice_grad) in enumerate(want):
+                assert losses[s].tobytes() == np.float64(loss).tobytes()
+                assert grad[s].tobytes() == slice_grad.tobytes()
+
+    def test_ci_guard_passes_here_and_catches_a_relapse(self, tmp_path):
+        """CI's "Loss kernel stays lean" step (stdlib ``ast``, no
+        numpy), run as CI runs it: green on this tree, red once a
+        per-call ``np.arange`` is back in the kernel."""
+        root = Path(__file__).parent.parent
+        step = (root / ".github/workflows/ci.yml").read_text()
+        step = step[step.index("name: Loss kernel stays lean") :]
+        opener = "python - <<'EOF'\n"
+        script = textwrap.dedent(
+            step[step.index(opener) + len(opener) : step.index("          EOF\n")]
+        )
+
+        def run(cwd):
+            return subprocess.run(
+                [sys.executable, "-"], input=script, cwd=cwd,
+                capture_output=True, text=True,
+            )
+
+        assert run(root).returncode == 0
+        source = (root / "src/repro/nn/functional.py").read_text()
+        relapse = tmp_path / "src/repro/nn/functional.py"
+        relapse.parent.mkdir(parents=True)
+        relapse.write_text(source.replace(
+            "    k, b, classes = logits.shape\n",
+            "    k, b, classes = logits.shape\n    ki = np.arange(k)\n",
+        ))
+        failed = run(tmp_path)
+        assert failed.returncode == 1
+        assert "batched_cross_entropy_into" in failed.stderr
+        assert "arange" in failed.stderr
+
+    def test_trainer_lends_buffers_only_to_contiguous_logits(self, monkeypatch):
+        """A strided result must come from the allocating path (the
+        ``scratch_like`` rule): the trainer lends its two loss buffers
+        when the model's logits are C-contiguous and nothing otherwise."""
+        lent = []
+        real = F.batched_cross_entropy_into
+        monkeypatch.setattr(
+            F, "batched_cross_entropy_into",
+            lambda logits, targets, *buffers: (
+                lent.append(len(buffers)), real(logits, targets, *buffers)
+            )[1],
+        )
+        model = _mlp(np.random.default_rng(20))
+        x, y = RNG.normal(size=(SAMPLES, *FEATURES)), RNG.integers(0, CLASSES, size=SAMPLES)
+        ids, k = np.arange(3), np.full(3, 4)
+        idx = RNG.integers(0, SAMPLES, size=(3, 2, 4))
+        trainer = BatchedTrainer(model, lr=0.1)
+        trainer.train_rows(_rows_for(model, 3), ids, x, y, idx, k)
+        assert lent == [2, 2]
+        del lent[:]
+        forward = trainer.model.forward
+        trainer.model.forward = lambda xb: np.asfortranarray(forward(xb))
+        trainer.train_rows(_rows_for(model, 3), ids, x, y, idx, k)
+        assert lent == [0, 0]
+
+
+class TestWorkspace:
+    def test_a_repeated_take_is_the_identical_object(self):
+        ws = Workspace()
+        a = ws.take("a", (3, 4))
+        assert ws.take("a", (3, 4)) is a
+        assert a.shape == (3, 4) and a.flags.c_contiguous
+        assert ws.take("a", (2, 4)) is not a
+        assert np.shares_memory(ws.take("a", (2, 4)), a)
+        assert not np.shares_memory(ws.take("b", (3, 4)), a)
+        assert ws.take("a", (3, 4), np.int64).dtype == np.int64
+
+    def test_an_outgrown_buffer_is_replaced_and_freed(self):
+        """A larger request replaces the key's buffer; the smaller
+        shape then aliases the new one, and nothing — no memoised view
+        — keeps the old one alive."""
+        ws = Workspace()
+        small = ws.take("a", (2, 3))
+        old = weakref.ref(small.base)
+        gc.disable()
+        try:
+            del small
+            big = ws.take("a", (4, 3))
+            assert old() is None
+            small = ws.take("a", (2, 3))
+            assert np.shares_memory(small, big)
+            assert ws.take("a", (4, 3)) is big
+        finally:
+            gc.enable()
 
 
 class TestBatchedEvaluatorBinds:
