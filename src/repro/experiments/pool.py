@@ -7,12 +7,13 @@ two mechanisms separate and composable:
 
 * :class:`SharedDatasetCache` — the parent process synthesizes each
   distinct dataset (one per (preset, seed, partition-override, α) key)
-  exactly once via :func:`~repro.experiments.runner.prepare_data` and
-  publishes its arrays into one
-  :class:`multiprocessing.shared_memory.SharedMemory` segment. Workers
-  rebind the arrays zero-copy (``np.ndarray`` views over the mapped
-  buffer, marked read-only) from the picklable :class:`SharedDataset`
-  descriptor that travels with each task.
+  via :func:`~repro.experiments.runner.prepare_data` and publishes its
+  arrays into one :class:`multiprocessing.shared_memory.SharedMemory`
+  segment. Workers rebind the arrays zero-copy (``np.ndarray`` views
+  over the mapped buffer, marked read-only) from the picklable
+  :class:`SharedDataset` descriptor that travels with each task. The
+  parent is the only process that ever creates, owns or unlinks a
+  segment.
 * :class:`PersistentPool` — long-lived fork workers, each handed one
   cell at a time by the parent over its own pipe. Workers are forked
   once per sweep, so presets, model factories, lookup closures and
@@ -22,11 +23,21 @@ two mechanisms separate and composable:
   (hard crash) is seen through its process sentinel. Either way the
   parent raises :class:`PoolWorkerError` naming the cell at once.
 
-Lifecycle contract: every published segment is unlinked exactly once —
-on :meth:`SharedDatasetCache.close` (invoked by the sweep's ``finally``
-whether the sweep succeeded, failed, or was interrupted) with an
-``atexit`` hook as the last-resort backstop. The ``shm-unlink`` rule of
-``repro check`` enforces the same contract statically on any future
+Lifecycle contract: a segment lives only while a cell needs it.
+Callers :meth:`~SharedDatasetCache.pin` a data key once per cell that
+will train on it and :meth:`~SharedDatasetCache.unpin` it as each cell
+ends; a dataset no cell is waiting for is unlinked
+(:meth:`~SharedDatasetCache.release`) — at once in a sweep, which knows
+its whole plan, and past a byte budget of least-recently-used idle
+datasets in the daemon (:data:`IDLE_DATASET_BUDGET`), which cannot know
+what will be resubmitted. Worker side, :func:`bind_data` keeps only
+the segment of the cell in hand attached. So parent and workers each
+map O(jobs) datasets, not the whole sweep.
+:meth:`SharedDatasetCache.close` (the sweep's ``finally``, whether it
+succeeded, failed, or was interrupted) unlinks whatever is still
+published, with an ``atexit`` hook as the last-resort backstop; every
+segment is unlinked exactly once. The ``shm-unlink`` rule of ``repro
+check`` enforces the same contract statically on any future
 ``SharedMemory(create=True)`` call site.
 
 Platform constraint: the pool requires the ``fork`` start method
@@ -38,14 +49,15 @@ run ``jobs=1`` per shard and split work with ``--shard`` instead.
 from __future__ import annotations
 
 import atexit
+import math
 import multiprocessing as mp
 import os
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from multiprocessing.connection import Connection, wait
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -55,6 +67,7 @@ from .presets import ExperimentPreset
 from .runner import PreparedData
 
 __all__ = [
+    "IDLE_DATASET_BUDGET",
     "PoolWorkerError",
     "SharedDataset",
     "SharedDatasetCache",
@@ -117,25 +130,56 @@ def _data_arrays(data: PreparedData) -> list[tuple[str, np.ndarray]]:
     return [(name, np.ascontiguousarray(arr)) for name, arr in items]
 
 
+#: Bytes of published datasets that no accepted cell is waiting for
+#: which ``repro serve`` keeps, least recently used first out, so a
+#: resubmitted seed starts without a ``prepare_data``. Eight
+#: ``cifar10-bench`` datasets; a paper-scale dataset (~1.2 GB) exceeds
+#: it on its own and is released with its last cell.
+IDLE_DATASET_BUDGET = 32 << 20
+
+
 class SharedDatasetCache:
     """Parent-side registry of published dataset segments, keyed by the
-    sweep's data key. Owns every segment it creates and unlinks all of
-    them on :meth:`close` (idempotent; also registered with ``atexit``
-    as a backstop, and guarded by pid so a forked child inheriting the
-    object can never unlink segments from under its siblings)."""
+    sweep's data key. Owns every segment it creates.
 
-    def __init__(self) -> None:
+    A dataset's life is publish → release → (backstop) close. Between
+    the first two it is *pinned* while cells wait for it — one
+    :meth:`pin` per cell, one :meth:`unpin` as the cell ends — and
+    turns *idle* with its last unpin. Idle datasets stay published,
+    least recently unpinned first out, up to ``idle_budget`` bytes: 0
+    (a sweep counts its plan's cells per key up front, so an idle
+    dataset is a finished one) or :data:`IDLE_DATASET_BUDGET` (the
+    daemon). A dataset nobody ever pinned stays until :meth:`release`
+    or :meth:`close`, which unlinks whatever is left (idempotent; also
+    registered with ``atexit`` as a backstop). Unlinking is guarded by
+    pid, so a forked child inheriting the object can never unlink
+    segments from under its siblings.
+    """
+
+    def __init__(self, idle_budget: int = 0) -> None:
         self._owner_pid = os.getpid()
+        self._idle_budget = idle_budget
         self._segments: dict[Hashable, shared_memory.SharedMemory] = {}
         self._published: dict[Hashable, SharedDataset] = {}
+        self._keys: list[Hashable] = []
+        self._pins: dict[Hashable, int] = {}
+        #: published, unpinned keys, least recently unpinned first
+        self._idle: dict[Hashable, None] = {}
         atexit.register(self.close)
 
     def get(self, key: Hashable) -> SharedDataset | None:
+        """The live descriptor of ``key`` (``None`` once released)."""
         return self._published.get(key)
 
     @property
     def keys(self) -> tuple[Hashable, ...]:
-        """Keys published so far, in publication order."""
+        """Every key published so far, in publication order — released
+        ones included (a few dozen bytes each)."""
+        return tuple(self._keys)
+
+    @property
+    def live(self) -> tuple[Hashable, ...]:
+        """Keys whose segment exists right now."""
         return tuple(self._published)
 
     def publish(self, key: Hashable, data: PreparedData) -> SharedDataset:
@@ -174,20 +218,57 @@ class SharedDatasetCache:
             raise
         self._segments[key] = shm
         self._published[key] = meta
+        self._keys.append(key)
         return meta
 
-    def close(self) -> None:
-        """Unlink every published segment (idempotent, fork-safe)."""
+    def pin(self, key: Hashable) -> None:
+        """One more cell will train on ``key`` (published or not yet)."""
+        self._pins[key] = self._pins.get(key, 0) + 1
+        self._idle.pop(key, None)
+
+    def unpin(self, key: Hashable) -> None:
+        """A cell pinned on ``key`` ended (done, failed or lost). With
+        its last cell the dataset turns idle, and idle datasets past
+        the budget are released, oldest first."""
+        left = self._pins[key] - 1
+        if left:
+            self._pins[key] = left
+            return
+        del self._pins[key]
+        if key in self._published:
+            self._idle[key] = None
+        while self._idle and self._idle_budget < sum(
+            self._segments[idle].size for idle in self._idle
+        ):
+            self.release(next(iter(self._idle)))
+
+    def release(self, key: Hashable) -> None:
+        """Unmap and unlink ``key``'s segment now (a no-op for a key
+        that is not published, and in a forked child). Workers still
+        attached keep their mapping until they drop it; no new cell can
+        bind it."""
         if os.getpid() != self._owner_pid:
             return  # a forked child inherited this object; not ours
-        while self._segments:
-            _, shm = self._segments.popitem()
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-        self._published.clear()
+        shm = self._segments.pop(key, None)
+        if shm is None:
+            return
+        del self._published[key]
+        self._idle.pop(key, None)
+        shm.close()
+        try:
+            shm.unlink()
+        except FileNotFoundError:
+            pass
+
+    def close(self) -> None:
+        """Unlink every segment still published (idempotent,
+        fork-safe)."""
+        if os.getpid() != self._owner_pid:
+            return  # a forked child inherited this object; not ours
+        for key in list(self._segments):
+            self.release(key)
+        self._keys.clear()
+        self._pins.clear()
         atexit.unregister(self.close)
 
     def __enter__(self) -> "SharedDatasetCache":
@@ -197,32 +278,56 @@ class SharedDatasetCache:
         self.close()
 
 
-#: Worker-side segment attachments, keyed by segment name. Bounded by
-#: the number of distinct datasets a single sweep publishes; attachments
-#: are released wholesale when the worker process exits.
+#: Worker-side: the attachment of the cell in hand, by segment name.
 _BINDINGS: dict[str, shared_memory.SharedMemory] = {}
+#: Worker-side: attachments dropped by :func:`bind_data` that a live
+#: array view has so far kept from unmapping; retried at every bind.
+_DEFERRED: list[shared_memory.SharedMemory] = []
+
+
+def _unmapped(shm: shared_memory.SharedMemory) -> bool:
+    """Close one attachment; ``False`` if an array over it is alive
+    (the views hold a buffer export, so the mapping cannot go from
+    under them — the close is refused and can be repeated)."""
+    try:
+        shm.close()
+    except BufferError:
+        return False
+    return True
 
 
 def bind_data(meta: SharedDataset, preset: ExperimentPreset) -> PreparedData:
     """Rebind one published dataset inside a worker, zero-copy.
 
-    Attaches to the segment on first use (per process) and builds
-    read-only ``np.ndarray`` views over the mapped buffer — no pixel is
-    copied on the feature arrays, which is what makes a cell's marginal
-    cost independent of dataset size. ``preset`` is the worker-resolved
-    preset the rebound :class:`PreparedData` should carry (for scenario
-    cells it is the battery-adjusted base, which never affects the
-    array bytes).
+    Attaches to the segment (once per run of cells sharing it) and
+    builds read-only ``np.ndarray`` views over the mapped buffer — no
+    pixel is copied on the feature arrays, which is what makes a cell's
+    marginal cost independent of dataset size. Every *other* segment
+    this process had attached is dropped first, so a worker maps the
+    dataset of the cell in hand and nothing else. A segment some view
+    still exports (a finished cell's garbage not yet collected) refuses
+    to unmap; that one close is retried at the next bind and never
+    fails the cell. ``preset`` is the worker-resolved preset the
+    rebound :class:`PreparedData` should carry (for scenario cells it
+    is the battery-adjusted base, which never affects the array bytes).
     """
+    dropped = [
+        _BINDINGS.pop(name) for name in list(_BINDINGS) if name != meta.segment
+    ]
+    _DEFERRED[:] = [shm for shm in _DEFERRED + dropped if not _unmapped(shm)]
     shm = _BINDINGS.get(meta.segment)
     if shm is None:
         shm = shared_memory.SharedMemory(name=meta.segment)
         _BINDINGS[meta.segment] = shm
     views: dict[str, np.ndarray] = {}
     for name, shape, dtype, offset in meta.arrays:
-        arr = np.ndarray(
-            shape, dtype=np.dtype(dtype), buffer=shm.buf, offset=offset
-        )
+        # frombuffer, not ndarray(buffer=...): its arrays (and every
+        # view derived from them) hold the buffer export that makes
+        # unmapping under a live view an error instead of a crash
+        arr = np.frombuffer(
+            shm.buf, dtype=np.dtype(dtype), count=math.prod(shape),
+            offset=offset,
+        ).reshape(shape)
         arr.flags.writeable = False  # published data is immutable
         views[name] = arr
     n_parts = sum(1 for name, *_ in meta.arrays if name.startswith("partition."))
@@ -300,9 +405,9 @@ class PersistentPool:
     worker or parks it in the parent's backlog, and a worker gets its
     next task when it reports ``ok`` — so the parent always knows which
     cell a worker holds, and a worker's death can break no channel but
-    its own. Batch callers use :meth:`run` (the sweep path); streaming
-    callers (``repro serve``) interleave :meth:`submit` with
-    :meth:`next_result`, :meth:`wake` the collector from other threads,
+    its own. Callers interleave :meth:`submit` with :meth:`next_result`
+    and :meth:`close_intake` after the last task (``run_sweep``);
+    ``repro serve`` also has other threads :meth:`wake` the collector,
     and :meth:`revive` workers after a failure.
 
     Liveness is event-driven: :meth:`next_result` is one blocking wait
@@ -363,6 +468,11 @@ class PersistentPool:
         self._wake_w.close()
 
     def _spawn_worker(self) -> _Worker:
+        # attaching a segment registers it with the resource tracker; a
+        # worker forked before the parent's tracker is up would start
+        # its own, which "cleans up" — unlinks from under the parent —
+        # every segment that worker attached when the worker exits
+        resource_tracker.ensure_running()
         conn, child_conn = self._ctx.Pipe()
         inherited = [conn, self._wake_r, self._wake_w]
         inherited += [worker.conn for worker in self._workers]
@@ -512,16 +622,3 @@ class PersistentPool:
             self._workers.append(self._spawn_worker())
         self._dispatch()
         return spawned
-
-    def run(self, tasks: list[tuple]) -> Iterator[tuple[str, bool]]:
-        """Dispatch all tasks and yield ``(cell_id, resumed)`` as cells
-        complete (completion order is nondeterministic; artifacts are
-        per-cell and deterministic, so callers never depend on it).
-        Raises :class:`PoolWorkerError` the moment a worker fails."""
-        for task in tasks:
-            self.submit(task)
-        self.close_intake()
-        while self.outstanding:
-            result = self.next_result()
-            if result is not None:
-                yield result

@@ -8,10 +8,13 @@ One :class:`ScenarioServer` owns four moving parts:
   thread-safe :class:`~.jobs.JobStore` and
   :class:`~.metrics.MetricsRegistry`;
 * the :class:`~.jobs.JobStore` FIFO, bounded in cells (full → 429);
-* a single *dispatcher* thread that claims queued jobs, publishes each
-  distinct dataset once to the :class:`~repro.experiments.pool.
+* a single *dispatcher* thread that claims queued jobs, gets each
+  cell's dataset from the :class:`~repro.experiments.pool.
   SharedDatasetCache` (through the batch sweep's own
-  :func:`~repro.experiments.sweep.cell_dataset`), feeds cells to
+  :func:`~repro.experiments.sweep.cell_dataset`: published on a miss,
+  pinned while an accepted cell is unfinished, then kept least recently
+  used up to :data:`~repro.experiments.pool.IDLE_DATASET_BUDGET` bytes
+  and released past it), feeds cells to
   the :class:`~repro.experiments.pool.PersistentPool`, and folds
   start/progress/completion events back into the store and the
   metrics. It blocks in ``pool.next_result()`` with no poll period;
@@ -51,9 +54,19 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 from ..artifacts import artifact_path, load_cell_artifact
-from ..pool import PersistentPool, PoolWorkerError, SharedDatasetCache
+from ..pool import (
+    IDLE_DATASET_BUDGET,
+    PersistentPool,
+    PoolWorkerError,
+    SharedDatasetCache,
+)
 from ..presets import get_preset
-from ..sweep import cell_dataset, resolve_auto_jobs, run_cell_from_data
+from ..sweep import (
+    cell_data_coords,
+    cell_dataset,
+    resolve_auto_jobs,
+    run_cell_from_data,
+)
 from .jobs import CellInFlightError, QueueFullError
 from .jobs import Job, JobStore, parse_job_request
 from .metrics import MetricsRegistry
@@ -260,7 +273,9 @@ class ScenarioServer:
                 cell_id, _wall_now()),
             on_progress=self._on_cell_progress,
         )
-        self._cache = SharedDatasetCache()
+        self._cache = SharedDatasetCache(idle_budget=IDLE_DATASET_BUDGET)
+        #: data key each dispatched, unfinished cell pins in the cache
+        self._data_keys: dict[str, tuple] = {}
         #: test hook — while set, the dispatcher claims no new queued
         #: jobs (completions still flow), making 429 tests deterministic
         self.pause_dispatch = _PauseHook(self._pool.wake)
@@ -561,16 +576,18 @@ class ScenarioServer:
                 self._finish_bookkeeping(job, cell_completed=False)
                 self._say(f"skip {cell.cell_id} (artifact exists)")
                 continue
-            meta = cell_dataset(
-                cell,
-                self._cache,
+            lookups = dict(
                 preset_lookup=self._preset_lookup,
                 scenario_lookup=self._scenario_for,
-                log=self._say,
             )
+            meta = cell_dataset(cell, self._cache, log=self._say, **lookups)
             n_nodes = self._preset_lookup(cell.preset).n_nodes
             served.total_units = cell.total_rounds * cell.units_per_round(n_nodes)
             self._pool.submit((cell, meta, job.inline_spec))
+            # the dataset stays published at least until this cell ends
+            key = cell_data_coords(cell, **lookups)[0]
+            self._cache.pin(key)
+            self._data_keys[cell.cell_id] = key
 
     def _finish_bookkeeping(self, job: Job, *, cell_completed: bool) -> None:
         """Roll job/cell completion into the counters (store already
@@ -587,11 +604,20 @@ class ScenarioServer:
             self.m_jobs_failed.inc()
             self._say(f"failed {job.job_id}: {job.error.splitlines()[-1] if job.error else ''}")
 
+    def _unpin_data(self, cell_id: str) -> None:
+        """The cell ended (done, failed or lost with its worker): its
+        dataset turns idle with its last unfinished cell, and the cache
+        releases idle datasets past its budget."""
+        key = self._data_keys.pop(cell_id, None)
+        if key is not None:
+            self._cache.unpin(key)
+
     def _handle_completion(self, cell_id: str, resumed: bool) -> None:
         seen = self._progress_seen.pop(cell_id, 0)
         now = _wall_now()
         found = self.store.cell_for(cell_id)
         if found is None:
+            self._unpin_data(cell_id)
             return
         job, served = found
         # credit the units the throttled progress stream never
@@ -605,11 +631,15 @@ class ScenarioServer:
         self.m_energy.inc(energy)
         self.store.cell_done(cell_id, resumed, energy, now)
         self._finish_bookkeeping(job, cell_completed=True)
+        # last, with the job already reading done: releasing a dataset
+        # is a munmap + unlink no client needs to wait for
+        self._unpin_data(cell_id)
 
     def _handle_worker_error(self, exc: PoolWorkerError) -> None:
         now = _wall_now()
         self._say(f"worker failure: {exc.cell_id or '<unattributed>'}")
         if exc.cell_id:
+            self._unpin_data(exc.cell_id)
             self._progress_seen.pop(exc.cell_id, None)
             self.m_cells_failed.inc()
             result = self.store.cell_failed(

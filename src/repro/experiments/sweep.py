@@ -519,18 +519,28 @@ def run_sweep(
     through :func:`cell_dataset` → :func:`run_cell_from_data`.
 
     ``jobs`` only selects where that call runs. ``jobs=1`` runs it
-    inline, holding one dataset at a time. ``jobs > 1`` prepares every
-    dataset in the parent, publishes it to shared memory and streams
-    the cells through that many long-lived fork workers
-    (:mod:`repro.experiments.pool`); a crashed worker fails the sweep
-    fast with its original traceback, and ``round_hook`` runs inside
-    the workers. The artifact directory is byte-identical for every
-    ``jobs`` — only wall-clock and completion order change — and
-    sharding, skipping and mid-cell checkpointing compose unchanged
-    (each cell owns its private checkpoint file). The pool requires the
-    ``fork`` start method (Linux; presets and hooks need not be
-    picklable) — elsewhere, run ``jobs=1`` per shard and split work
-    with ``shard`` instead.
+    inline, holding one dataset at a time. ``jobs > 1`` forks that many
+    long-lived workers (:mod:`repro.experiments.pool`) and then runs a
+    producer/consumer pipeline in the parent: cell by cell in data-key
+    order it gets the dataset — preparing and publishing it to shared
+    memory if the key is new — and submits the cell, taking in whatever
+    cells have finished before it prepares the next dataset. So
+    preparation overlaps execution instead of preceding it. A dataset
+    is unlinked when the last pending cell of its key completes, and
+    the parent stops preparing (and waits for a completion) while one
+    dataset per worker plus one are still published: at most
+    ``jobs + 1`` datasets exist at any moment, and a worker maps only
+    the one its cell trains on. The parent alone creates and unlinks
+    segments; none outlives the sweep, whether it succeeds, a worker
+    crashes (which fails the sweep fast with the worker's original
+    traceback), preparation itself raises, or Ctrl-C arrives.
+    ``round_hook`` runs inside the workers. The artifact directory is
+    byte-identical for every ``jobs`` — only wall-clock and completion
+    order change — and sharding, skipping and mid-cell checkpointing
+    compose unchanged (each cell owns its private checkpoint file). The
+    pool requires the ``fork`` start method (Linux; presets and hooks
+    need not be picklable) — elsewhere, run ``jobs=1`` per shard and
+    split work with ``shard`` instead.
 
     ``jobs="auto"`` resolves the worker count via
     :func:`resolve_auto_jobs` — the scheduler affinity mask when the
@@ -593,8 +603,12 @@ def run_sweep(
     if not pending:
         return stats
 
+    data_key = {
+        cell.cell_id: cell_data_coords(cell, **lookups)[0] for cell in pending
+    }
+
     def data_order(cell: PlanCell) -> tuple:
-        preset, seed, override, alpha = cell_data_coords(cell, **lookups)[0]
+        preset, seed, override, alpha = data_key[cell.cell_id]
         return preset, seed, override or "", alpha or 0.0
 
     pending.sort(key=data_order)  # equal data keys adjacent
@@ -622,13 +636,39 @@ def run_sweep(
                 cell, cell_dataset(cell, resident, log=say, **lookups)))
     else:
         by_id = {cell.cell_id: cell for cell in pending}
-        with SharedDatasetCache() as shared:
-            tasks = [
-                (cell, cell_dataset(cell, shared, log=say, **lookups))
-                for cell in pending
-            ]
+        n_workers = min(jobs, len(pending))
+        with (
+            SharedDatasetCache() as shared,
+            PersistentPool(n_workers, run_one) as workers,
+        ):
+            for key in data_key.values():
+                shared.pin(key)  # one per pending cell; its unpin below
+
+            def collect(timeout: float | None) -> bool:
+                """Take in one finished cell, waiting up to ``timeout``
+                (``None``: until there is one); whether one came."""
+                result = workers.next_result(timeout)
+                if result is None:
+                    return False
+                cell_id, resumed = result
+                finished(by_id[cell_id], resumed)
+                shared.unpin(data_key[cell_id])  # the last one releases
+                return True
+
+            for cell in pending:
+                if shared.get(data_key[cell.cell_id]) is None:
+                    # a new dataset is due. First take in every cell
+                    # that has finished meanwhile — waiting for one
+                    # while a dataset per worker plus the one run ahead
+                    # are still published
+                    while workers.outstanding:
+                        full = len(shared.live) > n_workers
+                        if not collect(None if full else 0) and not full:
+                            break
+                workers.submit(
+                    (cell, cell_dataset(cell, shared, log=say, **lookups)))
+            workers.close_intake()
+            while workers.outstanding:
+                collect(None)
             stats.prepped.extend(shared.keys)
-            with PersistentPool(min(jobs, len(pending)), run_one) as workers:
-                for cell_id, resumed in workers.run(tasks):
-                    finished(by_id[cell_id], resumed)
     return stats

@@ -36,6 +36,21 @@ class TestGenerator:
         ds, _ = make_classification_images(spec, 5, rng, labels=labels)
         np.testing.assert_array_equal(ds.y, labels)
 
+    def test_out_of_range_labels_rejected(self, rng):
+        """The prototype gather is an unchecked ``take``; labels from
+        outside are checked once up front instead."""
+        spec = SyntheticSpec(num_classes=3, channels=1, image_size=4,
+                             prototype_resolution=2)
+        for bad in ([0, 1, 3], [-1, 0, 1]):
+            with pytest.raises(ValueError, match="labels must lie in"):
+                make_classification_images(spec, 3, rng, labels=np.array(bad))
+
+    def test_empty_dataset(self, rng):
+        spec = SyntheticSpec(num_classes=3, channels=1, image_size=4,
+                             prototype_resolution=2)
+        ds, _ = make_classification_images(spec, 0, rng)
+        assert ds.x.shape == (0, 1, 4, 4)
+
     def test_shared_prototypes_align_train_test(self, rng):
         """Samples of the same class correlate more with their own
         prototype than with others — the class signal is real."""

@@ -17,7 +17,7 @@ one preallocated array with the noise drawn in sample chunks:
   ``prototype_resolution=7``), 25 writers.
 
 The paper-scale pairs are longer than one noise chunk, so a chunk
-boundary falls inside them: drawing the noise field
+boundary falls inside them (asserted below): drawing the noise field
 in pieces must leave the generator's stream — and with it every later
 draw — where one whole-array draw left it.
 
@@ -34,7 +34,11 @@ import numpy as np
 import pytest
 
 from repro.data import synthetic_cifar10, synthetic_femnist
-from repro.data.synthetic import CIFAR10_SPEC, FEMNIST_SPEC
+from repro.data.synthetic import (
+    _NOISE_CHUNK_BYTES,
+    CIFAR10_SPEC,
+    FEMNIST_SPEC,
+)
 from repro.experiments import get_preset
 from repro.experiments.runner import prepare_data
 
@@ -99,6 +103,12 @@ def test_dataset_bytes_match_the_record(name):
         f"{name}: synthesized dataset bytes moved — the generator's "
         f"draw order or its arithmetic changed"
     )
+
+
+@pytest.mark.parametrize("spec", [CIFAR10_SPEC, FEMNIST_SPEC])
+def test_a_noise_chunk_boundary_falls_inside_the_paper_scale_pairs(spec):
+    sample_bytes = 8 * spec.channels * spec.image_size ** 2
+    assert _NOISE_CHUNK_BYTES // sample_bytes < PAIR_SAMPLES
 
 
 if __name__ == "__main__":

@@ -432,6 +432,69 @@ class TestByteIdentity:
             assert served == batch, f"artifact differs for {cell.cell_id}"
 
 
+class TestDatasetResidency:
+    """The daemon's half of the dataset lifecycle: a dataset is pinned
+    while an accepted cell is unfinished, then kept least recently used
+    inside a byte budget and released past it — in the daemon and, at
+    their next bind, in its workers."""
+
+    @staticmethod
+    def _segments():
+        return {p.name for p in Path("/dev/shm").glob("psm_*")}
+
+    def test_idle_datasets_are_kept_to_the_budget_and_reused(
+        self, serve_preset, serve_scenario, tmp_path, monkeypatch
+    ):
+        from repro.experiments import SharedDatasetCache
+        from repro.experiments.runner import prepare_data
+        from repro.experiments.serve import server as server_module
+
+        with SharedDatasetCache() as probe:
+            meta = probe.publish("probe", prepare_data(serve_preset, seed=0))
+            one = Path("/dev/shm", meta.segment).stat().st_size
+        # room for two idle datasets, not three
+        monkeypatch.setattr(server_module, "IDLE_DATASET_BUDGET", 2 * one + 1)
+        lines: list[str] = []
+        before = self._segments()
+        srv = ScenarioServer(
+            ServeConfig(results_dir=str(tmp_path / "served"), port=0,
+                        jobs=1, log=lines.append),
+            preset_lookup={serve_preset.name: serve_preset}.__getitem__,
+            scenario_lookup={serve_scenario.name: serve_scenario}.__getitem__,
+        )
+        srv.start()
+
+        def run(seed, algorithm="d-psgd"):
+            _, job = http(f"{srv.url}/jobs", {
+                **PRESET_JOB, "seeds": [seed], "algorithm": algorithm})
+            assert wait_for_job(srv.url, job["job_id"])["state"] == "done"
+
+        def preps():
+            return [line for line in lines if line.startswith("prep")]
+
+        try:
+            for seed in range(6):
+                run(seed)
+                # nothing is pinned between jobs: what is published is
+                # the idle set, and it never outgrows the budget
+                assert len(self._segments() - before) == min(seed + 1, 2)
+            assert {key[1] for key in srv._cache.live} == {4, 5}
+            assert len(preps()) == 6
+            # a seed inside the budget starts without a prepare_data ...
+            run(4, algorithm="skiptrain")
+            assert len(preps()) == 6
+            # ... one past it is prepared again, and the dataset that
+            # goes is the least recently used one, not the oldest
+            run(0, algorithm="skiptrain")
+            assert len(preps()) == 7
+            assert {key[1] for key in srv._cache.live} == {4, 0}
+            assert srv._data_keys == {}
+        finally:
+            srv.begin_drain()
+            srv.close()
+        assert self._segments() - before == set()
+
+
 SAMPLE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [0-9.e+-]+(inf|nan)?$"
 )

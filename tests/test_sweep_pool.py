@@ -6,8 +6,10 @@ produces an artifact tree byte-identical to ``jobs=1`` — across sync,
 async, and scenario cells, under sharding, skip-finished reruns,
 mid-cell checkpoints, and any dispatch/completion order — while every
 distinct dataset is prepared exactly once (for every ``jobs``), a
-crashed worker fails the sweep fast with its original traceback, and no
-shared-memory segment ever outlives the sweep (success, failure, or
+crashed worker fails the sweep fast with its original traceback, at
+most ``jobs + 1`` datasets are published at any moment of a sweep (a
+worker attached to one), and no shared-memory segment ever outlives the
+sweep (success, worker failure, producer failure, or
 KeyboardInterrupt).
 """
 
@@ -16,6 +18,7 @@ import gc
 import multiprocessing as mp
 import os
 import random
+import time
 import weakref
 from pathlib import Path
 
@@ -34,7 +37,9 @@ from repro.experiments import (
     run_sweep,
     write_summary_csv,
 )
+from repro.experiments import pool as pool_module
 from repro.experiments.artifacts import checkpoint_dir, checkpoint_path
+from repro.experiments.runner import prepare_data
 from repro.scenarios import (
     AlgorithmSpec,
     ChurnEventSpec,
@@ -205,37 +210,55 @@ class TestByteIdentity:
         assert_trees_identical(plan, serial, killed)
 
 
+def drain(pool):
+    """Collect every outstanding result of a pool whose intake is
+    closed."""
+    results = []
+    while pool.outstanding:
+        result = pool.next_result()
+        if result is not None:
+            results.append(result)
+    return results
+
+
 class TestQueueOrderProperty:
     def test_shuffled_dispatch_orders_byte_identical(
         self, micro_preset, micro_async, tmp_path
     ):
         """Property: whatever order cells are queued (and whatever order
         workers finish them), every artifact and the summary CSV are
-        byte-identical."""
+        byte-identical — the streaming sweep on the plan as built and on
+        a shuffled one, and the two functions it is made of fed by hand
+        in shuffled order, all against ``jobs=1``."""
         plan = mixed_plan(micro_preset, micro_async)
         lookup = lookup_for(micro_preset, micro_async)
+        lookups = dict(preset_lookup=lookup,
+                       scenario_lookup=SPECS.__getitem__)
         serial = tmp_path / "serial"
-        run_sweep(plan, serial, preset_lookup=lookup,
-                  scenario_lookup=SPECS.__getitem__)
+        run_sweep(plan, serial, **lookups)
+        streamed = tmp_path / "streamed"
+        run_sweep(plan, streamed, jobs=2, **lookups)
+        assert_trees_identical(plan, serial, streamed)
         for trial in range(2):
             shuffled = list(plan)
             random.Random(trial).shuffle(shuffled)
-            out = tmp_path / f"shuffled{trial}"
-            lookups = dict(preset_lookup=lookup,
-                           scenario_lookup=SPECS.__getitem__)
+            swept = tmp_path / f"swept{trial}"
+            stats = run_sweep(tuple(shuffled), swept, jobs=2, **lookups)
+            assert len(stats.ran) == len(plan)
+            assert_trees_identical(plan, serial, swept)
             # run_sweep orders its pending cells; the two functions it
             # is made of take them in any order
+            out = tmp_path / f"shuffled{trial}"
             with SharedDatasetCache() as shared:
-                tasks = [
-                    (cell, cell_dataset(cell, shared, log=lambda msg: None,
-                                        **lookups))
-                    for cell in shuffled
-                ]
                 with PersistentPool(
                     3, lambda cell, data: run_cell_from_data(
                         cell, data, out, **lookups)
                 ) as workers:
-                    ran = list(workers.run(tasks))
+                    for cell in shuffled:
+                        workers.submit((cell, cell_dataset(
+                            cell, shared, log=lambda msg: None, **lookups)))
+                    workers.close_intake()
+                    ran = drain(workers)
             assert len(ran) == len(plan)
             assert_trees_identical(plan, serial, out)
 
@@ -301,6 +324,185 @@ class TestPrepCache:
         assert len(stats.ran) == 4
         assert [seed for seed, _ in built] == [0, 1]
         assert stats.prepped == []  # nothing went to shared memory
+
+
+def many_key_plan(preset, seeds=7):
+    """``seeds`` distinct data keys, two cells each."""
+    return build_plan(preset, ("skiptrain", "d-psgd"), degrees=(3,),
+                      seeds=tuple(range(seeds)))
+
+
+class TestResidency:
+    """A shared dataset lives only while a cell needs it: the parent
+    publishes at most one per worker plus one ahead and unlinks each
+    with the last cell of its key; a worker maps the one in hand."""
+
+    def test_live_segments_bounded_by_workers_plus_one(
+        self, micro_preset, tmp_path
+    ):
+        plan = many_key_plan(micro_preset)
+        before = shm_segments()
+        marks = tmp_path / "marks"
+        marks.mkdir()
+
+        def hook(engine, t, history, last_eval):  # runs in the workers
+            with open(marks / f"{os.getpid()}.log", "a") as fh:
+                fh.write(f"{len(shm_segments() - before)} "
+                         f"{len(pool_module._BINDINGS)} "
+                         f"{len(pool_module._DEFERRED)}\n")
+
+        seen: list[tuple[str, int]] = []  # parent side: (log line, alive)
+
+        def log(msg):
+            seen.append((msg, len(shm_segments() - before)))
+
+        stats = run_sweep(plan, tmp_path / "out", jobs=2,
+                          preset_lookup=lookup_for(micro_preset),
+                          round_hook=hook, log=log)
+        assert shm_segments() - before == set()
+        rows = [
+            tuple(map(int, line.split()))
+            for path in marks.glob("*.log")
+            for line in path.read_text().splitlines()
+        ]
+        assert len(rows) == len(plan) * micro_preset.total_rounds
+        assert max(alive for alive, _, _ in rows) <= 3
+        assert max(alive for _, alive in seen) <= 3
+        # whatever run of keys a worker went through, one attachment
+        assert {(bound, deferred) for _, bound, deferred in rows} == {(1, 0)}
+        # and the bound is what paced the producer: with 7 keys it had
+        # to wait for completions before it could prepare the fourth
+        lines = [msg for msg, _ in seen]
+        first_ran = next(i for i, m in enumerate(lines) if "] ran " in m)
+        last_prep = max(i for i, m in enumerate(lines) if m.startswith("prep"))
+        assert first_ran < last_prep
+        assert len(stats.ran) == len(plan)
+
+    def test_prepped_lists_released_keys_in_publication_order(
+        self, micro_preset, tmp_path
+    ):
+        plan = many_key_plan(micro_preset)
+        before = shm_segments()
+        alive_at_last_ran = []
+
+        def log(msg):
+            if "] ran " in msg:
+                alive_at_last_ran[:] = [len(shm_segments() - before)]
+
+        stats = run_sweep(plan, tmp_path, jobs=2, log=log,
+                          preset_lookup=lookup_for(micro_preset))
+        # most keys were unlinked long before the sweep returned ...
+        assert alive_at_last_ran[0] <= 1
+        # ... and are reported all the same, once each, in order
+        assert stats.prepped == [("micro", seed, None, None)
+                                 for seed in range(7)]
+
+    def test_release_unlinks_one_segment_in_the_owner_only(self, micro_preset):
+        with SharedDatasetCache() as shared:
+            first, second = (
+                shared.publish(seed, prepare_data(micro_preset, seed=seed))
+                for seed in (0, 1)
+            )
+            assert {first.segment, second.segment} <= shm_segments()
+            shared.release(0)
+            shared.release(0)  # idempotent
+            assert first.segment not in shm_segments()
+            assert shared.get(0) is None and shared.get(1) is second
+            assert shared.live == (1,) and shared.keys == (0, 1)
+            # a forked child inherits the object but owns nothing
+            child = mp.get_context("fork").Process(
+                target=lambda: (shared.release(1), shared.close()))
+            child.start()
+            child.join(10)
+            assert child.exitcode == 0
+            assert second.segment in shm_segments()
+            # a released key may be published again (the daemon's
+            # evicted-then-resubmitted seed)
+            again = shared.publish(0, prepare_data(micro_preset, seed=0))
+            assert shared.keys == (0, 1, 0)
+        assert {second.segment, again.segment} & shm_segments() == set()
+
+    def test_worker_binding_table_holds_the_dataset_in_hand(
+        self, micro_preset
+    ):
+        """``bind_data`` as a worker runs it, here in-process: binding
+        the next key drops the previous attachment. One whose views are
+        still alive refuses to unmap — an error a view would otherwise
+        pay with a crash — and is retried, not leaked: a later bind
+        closes it once the views are gone."""
+        bindings, deferred = pool_module._BINDINGS, pool_module._DEFERRED
+        assert bindings == {} and deferred == []
+        with SharedDatasetCache() as shared:
+            metas = [
+                shared.publish(seed, prepare_data(micro_preset, seed=seed))
+                for seed in range(4)
+            ]
+            first = pool_module.bind_data(metas[0], micro_preset)
+            assert list(bindings) == [metas[0].segment]
+            pool_module.bind_data(metas[1], micro_preset)
+            assert list(bindings) == [metas[1].segment]
+            # ``first`` still exports the old mapping: close deferred
+            assert [shm.name for shm in deferred] == [metas[0].segment]
+            held = first.train.x[:1]
+            expected = prepare_data(micro_preset, seed=0).train.x[:1]
+            del first
+            pool_module.bind_data(metas[2], micro_preset)
+            # a single derived view is enough to defer it again; the
+            # second attachment, unreferenced, went at once
+            assert list(bindings) == [metas[2].segment]
+            assert [shm.name for shm in deferred] == [metas[0].segment]
+            assert (held == expected).all()  # and stays readable
+            # its key coming round again gets a fresh attachment
+            again = pool_module.bind_data(metas[0], micro_preset)
+            assert (again.train.x[:1] == expected).all()
+            del held, again
+            gc.collect()
+            last = pool_module.bind_data(metas[3], micro_preset)
+            assert list(bindings) == [metas[3].segment]
+            assert deferred == []
+            del last
+            gc.collect()
+            bindings.popitem()[1].close()
+        assert bindings == {}
+
+    def test_worker_exit_does_not_unlink_what_it_attached(
+        self, micro_preset, tmp_path
+    ):
+        """Workers are forked before anything is published. A worker
+        that started its own resource tracker then would have it unlink
+        every segment the worker attached when the worker exits — from
+        under the parent and every sibling still to bind it."""
+        import signal
+
+        lookup = lookup_for(micro_preset)
+        plan = many_key_plan(micro_preset, seeds=1)
+
+        def run_one(cell, data):
+            (tmp_path / f"{cell.cell_id}.pid").write_text(str(os.getpid()))
+            return run_cell_from_data(cell, data, tmp_path,
+                                      preset_lookup=lookup)
+
+        with PersistentPool(1, run_one) as workers:
+            with SharedDatasetCache() as shared:
+                tasks = [
+                    (cell, cell_dataset(cell, shared, preset_lookup=lookup,
+                                        log=lambda msg: None))
+                    for cell in plan
+                ]
+                segment = tasks[0][1].segment
+                workers.submit(tasks[0])
+                assert workers.next_result() == (plan[0].cell_id, False)
+                victim = int((tmp_path / f"{plan[0].cell_id}.pid").read_text())
+                os.kill(victim, signal.SIGKILL)
+                with pytest.raises(PoolWorkerError):
+                    workers.next_result()
+                assert workers.revive() == 1
+                time.sleep(0.3)  # a private tracker would have struck by now
+                assert segment in shm_segments()
+                workers.submit(tasks[1])
+                workers.close_intake()
+                assert drain(workers) == [(plan[1].cell_id, False)]
+        assert segment not in shm_segments()
 
 
 class TestFailureAndTeardown:
@@ -383,6 +585,121 @@ class TestFailureAndTeardown:
                           preset_lookup=lookup)
         assert stats.skipped and len(stats.ran) + len(stats.skipped) == len(plan)
         assert not list(checkpoint_dir(tmp_path).glob("*"))
+
+    @pytest.mark.parametrize("failure", ["prepare_data", "log"])
+    def test_producer_failure_leaves_a_worker_failures_state(
+        self, micro_preset, tmp_path, monkeypatch, failure
+    ):
+        """The parent's own half of the pipeline fails — preparing the
+        fourth dataset raises, or Ctrl-C lands in the ``log`` callback
+        announcing it — while both workers are mid-cell on the second
+        key, the first key is finished and released and the third is
+        published with its cells still queued. (The fourth is the first
+        dataset the run-ahead bound makes wait for completions, which
+        is what hands the workers their second cells.) Same state as
+        after a worker failure: workers gone, no segment left, finished
+        artifacts intact, a rerun completing the rest (resuming the
+        interrupted cells from their checkpoints) into bytes identical
+        to serial."""
+        from repro.experiments import sweep
+
+        plan = many_key_plan(micro_preset, seeds=5)
+        lookup = lookup_for(micro_preset)
+        serial, broken = tmp_path / "serial", tmp_path / "broken"
+        run_sweep(plan, serial, preset_lookup=lookup, checkpoint_every=2)
+        held = tmp_path / "held"
+        held.mkdir()
+        rounds_seen = []  # each forked worker counts its own
+
+        def hold_second_cell(engine, t, history, last_eval):
+            rounds_seen.append(t)
+            if len(rounds_seen) == micro_preset.total_rounds + 5:
+                # round 5 of this worker's second cell, a checkpoint
+                # behind it: stay until the parent's failure kills us
+                (held / str(os.getpid())).touch()
+                time.sleep(30)
+
+        def both_workers_held():
+            deadline = time.monotonic() + 20
+            while len(list(held.iterdir())) < 2:
+                assert time.monotonic() < deadline, "workers never got there"
+                time.sleep(0.01)
+
+        preps = []
+        real = sweep.prepare_data
+
+        def failing_prepare(preset, seed=0, **kwargs):
+            preps.append(seed)
+            if failure == "prepare_data" and len(preps) == 4:
+                both_workers_held()
+                raise RuntimeError("producer-test-detonation")
+            return real(preset, seed=seed, **kwargs)
+
+        def log(msg):
+            if failure == "log" and msg.startswith("prep") and len(preps) == 3:
+                both_workers_held()
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(sweep, "prepare_data", failing_prepare)
+        before = shm_segments()
+        children = set(mp.active_children())
+        raised = RuntimeError if failure == "prepare_data" else KeyboardInterrupt
+        with pytest.raises(raised):
+            run_sweep(plan, broken, jobs=2, preset_lookup=lookup,
+                      checkpoint_every=2, round_hook=hold_second_cell, log=log)
+        monkeypatch.undo()
+        assert shm_segments() - before == set()
+        assert set(mp.active_children()) - children == set()
+        done = [c for c in plan if artifact_path(broken, c).is_file()]
+        assert [c.seed for c in done] == [0, 0]
+        for cell in done:
+            assert (artifact_path(broken, cell).read_bytes()
+                    == artifact_path(serial, cell).read_bytes())
+        stats = run_sweep(plan, broken, jobs=2, preset_lookup=lookup,
+                          checkpoint_every=2)
+        assert stats.skipped == done
+        assert sorted(c.seed for c in stats.resumed) == [1, 1]
+        assert shm_segments() - before == set()
+        assert_trees_identical(plan, serial, broken)
+
+    def test_sharded_partly_finished_checkpointed_sweep_resumes(
+        self, micro_preset, tmp_path
+    ):
+        """Everything a rerun composes, through the pipeline at once: a
+        shard of the plan killed with some cells finished and a mid-cell
+        checkpoint on disk, rerun, then the other shard."""
+        plan = many_key_plan(micro_preset, seeds=4)
+        lookup = lookup_for(micro_preset)
+        serial, split = tmp_path / "serial", tmp_path / "split"
+        run_sweep(plan, serial, preset_lookup=lookup, checkpoint_every=2)
+        mine = plan[0::2]
+        rounds_seen = []  # each forked worker counts its own
+
+        class Kill(Exception):
+            pass
+
+        def killer(engine, t, history, last_eval):
+            rounds_seen.append(t)
+            if len(rounds_seen) == micro_preset.total_rounds + 9:
+                raise Kill  # round 9 of this worker's second cell
+
+        with pytest.raises(PoolWorkerError) as err:
+            run_sweep(plan, split, shard=(1, 2), jobs=2, preset_lookup=lookup,
+                      checkpoint_every=2, round_hook=killer)
+        victim = err.value.cell_id
+        finished = [c for c in mine if artifact_path(split, c).is_file()]
+        assert 2 <= len(finished) < len(mine)
+        assert (checkpoint_dir(split) / f"{victim}.npz").is_file()
+        again = run_sweep(plan, split, shard=(1, 2), jobs=2,
+                          preset_lookup=lookup, checkpoint_every=2)
+        assert again.skipped == finished
+        assert len(again.ran) == len(mine) - len(finished)
+        assert victim in [c.cell_id for c in again.resumed]
+        other = run_sweep(plan, split, shard=(2, 2), jobs=2,
+                          preset_lookup=lookup, checkpoint_every=2)
+        assert len(other.ran) == len(plan) - len(mine) and not other.skipped
+        assert not list(checkpoint_dir(split).glob("*"))
+        assert_trees_identical(plan, serial, split)
 
     def test_unknown_pool_backend_rejected(self, micro_preset, tmp_path):
         """There is one backend: ``pool=`` names nothing selectable, so
