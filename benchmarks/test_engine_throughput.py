@@ -3,8 +3,8 @@ the simulator scales (these are true multi-round pytest benchmarks, not
 one-shot experiment regenerations).
 
 The ``test_rounds_*`` family measures whole-engine throughput
-(rounds/sec) for the serial, vectorized and node-sharded engines at
-16/64/256 nodes — the speedup the batched multi-node path exists to
+(rounds/sec) for the serial and vectorized engines at 16/64/256
+nodes — the speedup the batched multi-node path exists to
 deliver. ``test_vectorized_speedup_at_64_nodes`` turns the headline
 claim into an assertion rather than a printout.
 
@@ -37,7 +37,7 @@ from repro.data.synthetic import SyntheticSpec
 from repro.nn import CrossEntropyLoss, SGD, gn_lenet_cifar10, small_mlp
 from repro.nn.batched import BatchedEvaluator
 from repro.nn.serialization import parameter_vector, set_parameter_vector
-from repro.simulation import EngineConfig, NodeShardPool, build_engine
+from repro.simulation import EngineConfig, build_engine
 from repro.simulation.metrics import evaluate_state
 
 from .conftest import record_bench, run_once
@@ -103,7 +103,7 @@ def test_parameter_vector_roundtrip(benchmark):
     benchmark(roundtrip)
 
 
-# -- whole-engine throughput: serial vs vectorized vs node-sharded ------------
+# -- whole-engine throughput: serial vs vectorized ----------------------------
 
 ENGINE_ROUNDS = 10
 
@@ -135,19 +135,6 @@ def test_rounds_vectorized(benchmark, n_nodes):
     """Batched multi-node engine: stacked GEMMs over all masked nodes."""
     eng = _throughput_engine(n_nodes, vectorized=True)
     run_once(benchmark, lambda: eng.run(DPSGD(n_nodes)))
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("n_nodes", [16, 64, 256])
-def test_rounds_parallel_vectorized(benchmark, n_nodes):
-    """Node-sharded engine with vectorized workers: the two speedups
-    compose (4 fork workers × stacked blocks). For these tiny bench
-    models IPC dominates — the case exists to track the composition
-    overhead, not to win."""
-    eng = _throughput_engine(n_nodes, vectorized=True)
-    with NodeShardPool(eng, 4) as pool:
-        eng.set_node_sharder(pool)
-        run_once(benchmark, lambda: eng.run(DPSGD(n_nodes)))
 
 
 @pytest.mark.slow

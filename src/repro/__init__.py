@@ -15,7 +15,7 @@ Subpackages
 ``repro.energy``
     Smartphone device profiles, energy traces, accounting (Eq. 2–3).
 ``repro.simulation``
-    Synchronous round engine (serial, vectorized, node-sharded) and
+    Synchronous round engine (serial, vectorized) and
     asynchronous gossip engine.
 ``repro.experiments``
     Per-figure/table experiment runners and reporting.

@@ -237,12 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "os.cpu_count()) — artifacts byte-identical "
                               "to --jobs 1; composes with --shard and "
                               "--checkpoint-every")
-    p_sweep.add_argument("--node-shards", type=int, default=1, metavar="K",
-                         help="shard each synchronous cell's node axis "
-                              "across K fork workers (fleet-scale presets "
-                              "have few, huge cells); requires --jobs 1; "
-                              "artifacts and checkpoints byte-identical "
-                              "to unsharded runs")
     p_sweep.add_argument("--state-backend",
                          choices=["memory", "mmap", "auto"],
                          default="memory",
@@ -637,21 +631,12 @@ def _execute_sweep_plan(args: argparse.Namespace, plan, shard,
     if args.jobs != "auto" and args.jobs <= 0:
         print("error: --jobs must be positive (or 'auto')", file=sys.stderr)
         return 2
-    if args.node_shards < 1:
-        print("error: --node-shards must be >= 1", file=sys.stderr)
-        return 2
-    if args.node_shards > 1 and args.jobs != 1:
-        print("error: --node-shards > 1 requires --jobs 1 (node sharding "
-              "parallelizes within cells; the pools do not nest)",
-              file=sys.stderr)
-        return 2
     stats = run_sweep(
         plan,
         args.results_dir,
         shard=shard,
         checkpoint_every=args.checkpoint_every,
         vectorized=args.vectorized,
-        node_shards=args.node_shards,
         state_backend=args.state_backend,
         jobs=args.jobs,
         log=print,

@@ -131,7 +131,6 @@ def run_cell(
     prepared=None,
     checkpoint_every: int = 0,
     vectorized: bool = False,
-    node_shards: int = 1,
     state_backend: str = "memory",
     round_hook: Callable | None = None,
     scenario_lookup: Callable | None = None,
@@ -163,13 +162,9 @@ def run_cell(
     overrides the registry lookup (tests inject specs the registry
     does not know).
 
-    ``node_shards > 1`` shards the cell's *node axis* across fork
-    workers (synchronous cells only — the async engine trains one node
-    per event, so there is no node loop to shard); artifacts and
-    checkpoints stay byte-identical to an unsharded run. The
     ``state_backend`` selects where the ``(n, dim)`` state matrix lives
-    (see :mod:`repro.simulation.state_store`) and likewise never
-    changes any bit of the output.
+    (see :mod:`repro.simulation.state_store`) and never changes any bit
+    of the output.
 
     ``progress`` is a pure observability hook, called as
     ``progress(done, total)`` after every completed unit of work —
@@ -185,14 +180,6 @@ def run_cell(
         raise ValueError(
             f"cell {cell.cell_id} belongs to preset {cell.preset!r}, "
             f"got {preset.name!r}"
-        )
-    if node_shards < 1:
-        raise ValueError("node_shards must be >= 1")
-    if node_shards > 1 and cell.kind == "async":
-        raise ValueError(
-            f"cell {cell.cell_id} is async: node sharding applies to "
-            f"synchronous cells only (the event loop trains one node at "
-            f"a time)"
         )
     if cell.scenario:
         compiled = _compile_scenario_cell(
@@ -220,7 +207,7 @@ def run_cell(
     return _execute_cell(
         engine, algo, cell, results_dir, trace, eval_every=eval_every,
         checkpoint_every=checkpoint_every, vectorized=vectorized,
-        node_shards=node_shards, round_hook=round_hook, progress=progress,
+        round_hook=round_hook, progress=progress,
     )
 
 
@@ -293,7 +280,6 @@ def _execute_cell(
     eval_every: int,
     checkpoint_every: int,
     vectorized: bool,
-    node_shards: int,
     round_hook: Callable | None,
     progress: Callable[[int, int], None] | None,
 ) -> "tuple[ExperimentResult | AsyncExperimentResult, bool]":
@@ -307,11 +293,8 @@ def _execute_cell(
     those resume exactly); an async engine's names nothing, because any
     event boundary does — under ``vectorized=True`` the async hook only
     fires at evaluation boundaries, so checkpoints land on those while
-    resume stays boundary-free. With ``node_shards > 1`` a
-    :class:`~repro.simulation.node_shard.NodeShardPool` fans the
-    local-training stage out for the duration of the run (sync only,
-    :func:`run_cell` has checked). The engine (and its state backing,
-    mmap or not) is always released on the way out, success or crash.
+    resume stays boundary-free. The engine (and its state backing, mmap
+    or not) is always released on the way out, success or crash.
     """
     unit = cell.units_per_round(engine.n_nodes)
     total, interval = cell.total_rounds * unit, checkpoint_every * unit
@@ -341,13 +324,7 @@ def _execute_cell(
         if progress is not None:
             progress(at, total)
 
-    sharder = None
     try:
-        if node_shards > 1:
-            from ..simulation.node_shard import NodeShardPool
-
-            sharder = NodeShardPool(engine, node_shards)
-            engine.set_node_sharder(sharder)
         result = execute_run(
             engine, algo, trace, total_rounds=cell.total_rounds,
             eval_every=eval_every, start=start, history=history, hook=hook,
@@ -358,9 +335,6 @@ def _execute_cell(
         ckpt.unlink(missing_ok=True)
         ckpt.with_name(ckpt.name + ".tmp").unlink(missing_ok=True)
     finally:
-        if sharder is not None:
-            engine.set_node_sharder(None)
-            sharder.close()
         engine.close()
     return result, resumed
 
@@ -499,7 +473,6 @@ def run_sweep(
     shard: tuple[int, int] = (1, 1),
     checkpoint_every: int = 0,
     vectorized: bool = False,
-    node_shards: int = 1,
     state_backend: str = "memory",
     jobs: int | str = 1,
     pool: str = "persistent",
@@ -550,12 +523,9 @@ def run_sweep(
     method is unavailable); the resolved value and its source are
     recorded in ``SweepRunStats.jobs_resolved`` / ``.jobs_source``.
 
-    ``node_shards > 1`` parallelizes *within* each synchronous cell
-    instead of across cells (fleet-scale presets have few, huge cells);
-    it requires ``jobs=1`` — the two pool layers do not nest.
     ``state_backend`` selects the state-matrix backing for every cell
-    (see :mod:`repro.simulation.state_store`); neither knob changes a
-    byte of any artifact.
+    (see :mod:`repro.simulation.state_store`); it changes no byte of
+    any artifact.
 
     ``pool`` selects nothing: the persistent pool is the only backend.
     The keyword survives, accepting only ``"persistent"``, because the
@@ -567,8 +537,6 @@ def run_sweep(
             f"run_sweep() got an unexpected backend pool={pool!r}: the "
             f"persistent pool is the only one"
         )
-    if node_shards < 1:
-        raise ValueError("node_shards must be >= 1")
     jobs_source = "explicit"
     if jobs == "auto":
         jobs, jobs_source = resolve_auto_jobs()
@@ -583,11 +551,6 @@ def run_sweep(
             "jobs > 1 requires the fork start method (unavailable on "
             "this platform); use jobs=1 and split work across machines "
             "with shard=I/N instead"
-        )
-    if node_shards > 1 and jobs > 1:
-        raise ValueError(
-            "node_shards > 1 requires jobs=1: node sharding parallelizes "
-            "within cells and does not nest inside the cell-level pool"
         )
     stats = SweepRunStats(jobs_resolved=jobs, jobs_source=jobs_source)
     say = log if log is not None else (lambda msg: None)
@@ -616,8 +579,8 @@ def run_sweep(
     def run_one(cell: PlanCell, dataset) -> bool:
         return run_cell_from_data(
             cell, dataset, results_dir, checkpoint_every=checkpoint_every,
-            vectorized=vectorized, node_shards=node_shards,
-            state_backend=state_backend, round_hook=round_hook, **lookups,
+            vectorized=vectorized, state_backend=state_backend,
+            round_hook=round_hook, **lookups,
         )
 
     def finished(cell: PlanCell, resumed: bool) -> None:

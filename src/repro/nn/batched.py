@@ -14,8 +14,8 @@ Bit-compatibility contract
 the 2-D call, and all other kernels are elementwise or reduce along the
 same (contiguous, trailing) axes as their serial counterparts. Slice
 ``i`` of every batched kernel is therefore *bit-identical* to running
-the serial layer on node ``i`` alone. The engine relies on this: with
-plain SGD (no momentum) the vectorized path reproduces the serial
+the serial layer on node ``i`` alone. The engines rely on this: both
+train with plain SGD, so the vectorized path reproduces the serial
 trajectory exactly, not just approximately. Where a kernel writes —
 a fresh array, a reused buffer, a strided view — is not part of that
 arithmetic; everything below that saves memory traffic moves only
@@ -863,16 +863,16 @@ class BatchedTrainer:
     ``for node: for step`` into ``for step: all nodes``, which is valid
     because nodes do not interact between aggregation rounds.
 
-    The trainer owns the :class:`Workspace` its model's layers, the
-    batch gathers and the gradient plane live in (module docstring), so
-    a second call of the same size allocates nothing proportional to
-    ``k * dim``; a trainer is therefore not safe to share between
-    threads.
+    Each trainer owns exactly one :class:`Workspace`, the one its
+    model's layers, the batch gathers and the gradient plane live in
+    (module docstring), so a second call of the same size allocates
+    nothing proportional to ``k * dim``. The workspace is scratch: it is
+    never checkpointed (it holds no run state between calls) and never
+    shared — not between trainers, and not between threads, so a trainer
+    is not safe to call from two threads at once.
 
-    Momentum is rejected: the serial engine's momentum buffer lives in
-    the shared workspace model and leaks across nodes (a serial-path
-    quirk), so no batched execution order can reproduce it. Weight decay
-    is supported and exact.
+    The update is plain SGD, the paper's local step: learning rate and
+    weight decay, both exact, and no per-node optimizer state.
     """
 
     def __init__(

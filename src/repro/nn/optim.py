@@ -1,7 +1,9 @@
 """Optimizers and learning-rate schedules.
 
-The paper trains with plain SGD (Table 1, η = 0.1); momentum and weight
-decay are provided for completeness and ablations.
+The paper trains with plain SGD (Table 1, η = 0.1), and so do both
+simulation engines: learning rate and weight decay only.
+:class:`SGD`'s momentum is for the layer library (a standalone model
+trained on its own); the engines never set it.
 """
 
 from __future__ import annotations
@@ -84,9 +86,8 @@ class BatchedSGD:
     to the largest block it has seen. The step consumes the gradient
     plane: after it, ``grads`` holds the applied update, not gradients.
 
-    Momentum is deliberately absent: the serial engine's momentum buffer
-    lives in the shared workspace model and carries over from node to
-    node, a sequential-execution artifact with no batched equivalent.
+    This is the engines' plain SGD: there is no momentum, so no row
+    carries optimizer state from one step or round to the next.
     """
 
     def __init__(self, model, lr: float, weight_decay: float = 0.0) -> None:

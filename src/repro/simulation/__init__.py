@@ -1,7 +1,6 @@
 """``repro.simulation`` — the decentralized-learning simulators
 (substitute for the paper's DecentralizePy cluster deployment):
-synchronous round engine (optionally node-sharded across fork workers),
-asynchronous gossip engine, the columnar node data plane both train
+synchronous round engine, asynchronous gossip engine, the columnar node data plane both train
 from, message-level network, failure injection and fairness metrics."""
 
 from .async_engine import (
@@ -40,7 +39,6 @@ from .metrics import (
 )
 from .network import MessagePassingNetwork, TrafficStats
 from .node_bank import NodeBank
-from .node_shard import NodeShardError, NodeShardPool, shard_blocks
 from .rng import RngFactory, generator_state, restore_generator
 from .state_store import (
     MemoryStateStore,
@@ -57,9 +55,6 @@ __all__ = [
     "build_engine",
     "EngineConfig",
     "SimulationEngine",
-    "NodeShardPool",
-    "NodeShardError",
-    "shard_blocks",
     "RoundRecord",
     "RunHistory",
     "consensus_distance",

@@ -12,8 +12,8 @@ holds:
 * the stamp — ``format`` (this layout's version) and ``kind`` (which
   engine wrote it);
 * the engine's own ``state_dict()``: its arrays under their own names
-  (``state`` is always the one whole matrix — a node-sharded cell and
-  an mmap-backed one write the same key, so any layout resumes any
+  (``state`` is always the one whole matrix — serial, vectorized and
+  mmap-backed cells write the same key, so any layout resumes any
   other) and everything else as one JSON object;
 * the algorithm's (or async policy's) name and JSON ``state_dict()``;
 * the history so far, one column per record field
@@ -36,9 +36,9 @@ cell; finished artifacts are unaffected.
 
 What a snapshot cannot capture is refused at save time, by the engine's
 ``state_dict`` and before anything is written, rather than resumed
-divergently: momentum (the serial velocity buffer lives in the shared
-workspace optimizer), stochastic compressors and rng-backed failure
-models (``IndependentCrashes``), which hold rng state of their own.
+divergently: stochastic compressors and rng-backed failure models
+(``IndependentCrashes``), which hold rng state of their own. The
+engines train with plain SGD, so there is no optimizer state to save.
 Deterministic compressors (their error-feedback public copies are part
 of the snapshot), window failure models and churn schedules are pure
 functions of the round index and checkpoint fine.

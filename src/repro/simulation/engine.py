@@ -29,16 +29,16 @@ The local-training stage comes in two implementations selected by
   runs every local step as stacked ``(k, B, ...)`` GEMM/elementwise
   kernels, one kernel per layer regardless of ``k``.
 
+Both train with plain SGD (learning rate and ``weight_decay``, the
+paper's local step), which carries no per-node optimizer state.
+
 Bit-compatibility contract: the vectorized path consumes each node's
 batch RNG stream in the same order as the serial path and every batched
 kernel is slice-for-slice bit-identical to its serial counterpart, so
-for plain SGD (any ``weight_decay``, ``momentum == 0``) the resulting
-``state`` matrix and :class:`RunHistory` are **exactly equal** — not
-merely close — to the serial engine's. Momentum is rejected under
-``vectorized=True`` because the serial momentum buffer lives in the
-shared workspace model and leaks across nodes (see
-:class:`repro.nn.optim.BatchedSGD`). Models containing layers without a
-batched mirror (``Dropout``, ``BatchNorm2d``) raise
+the resulting ``state`` matrix and :class:`RunHistory` are **exactly
+equal** — not merely close — to the serial engine's. The serial loop is
+the reference the bit-identity tests compare against. Models containing
+layers without a batched mirror (``Dropout``, ``BatchNorm2d``) raise
 :class:`repro.nn.batched.UnsupportedLayerError` at engine construction.
 
 Evaluation rounds come in the same two flavors, selected by
@@ -105,7 +105,6 @@ class EngineConfig:
     total_rounds: int
     eval_every: int = 10
     eval_node_sample: int | None = None
-    momentum: float = 0.0
     weight_decay: float = 0.0
     vectorized: bool = False
     eval_mode: str = "auto"
@@ -132,15 +131,8 @@ class EngineConfig:
             raise ValueError("eval_every must be positive")
         if self.eval_node_sample is not None and self.eval_node_sample <= 0:
             raise ValueError("eval_node_sample must be positive when given")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
-        if self.vectorized and self.momentum > 0.0:
-            raise ValueError(
-                "vectorized=True requires momentum=0: the serial momentum "
-                "buffer is shared across nodes and has no batched equivalent"
-            )
 
 
 class SimulationEngine:
@@ -156,11 +148,6 @@ class SimulationEngine:
     Joiners are seeded with the mean of their eligible neighbors'
     states before the join round's training (see
     :func:`~repro.scenarios.churn.apply_join_handoff`)."""
-
-    # the node-shard pool is a process handle the orchestrator attaches
-    # for the length of a run; it holds no run state (sharded and
-    # unsharded runs are byte-identical), so a resumed cell builds its own
-    _CHECKPOINT_EXEMPT = ("_node_sharder",)
 
     def __init__(
         self,
@@ -212,7 +199,6 @@ class SimulationEngine:
         self.optimizer = SGD(
             model.parameters(),
             lr=config.learning_rate,
-            momentum=config.momentum,
             weight_decay=config.weight_decay,
         )
 
@@ -239,9 +225,6 @@ class SimulationEngine:
         )
         # error-feedback public copies (lazy; only with a compressor)
         self._public: np.ndarray | None = None
-        # node-axis sharder (see simulation.node_shard); attached by the
-        # sweep orchestrator for --node-shards > 1 cells
-        self._node_sharder = None
 
     @property
     def n_nodes(self) -> int:
@@ -278,16 +261,10 @@ class SimulationEngine:
         copies: write the snapshot out before the run goes on.
 
         State this snapshot cannot capture is refused rather than
-        resumed divergently: momentum (the serial velocity buffer lives
-        in the shared workspace optimizer), stochastic compressors and
-        rng-backed failure models (each holds its own rng). Their
-        deterministic counterparts, and churn schedules, are pure
-        functions of the round index and need no entry."""
-        if self.config.momentum > 0.0:
-            raise ValueError(
-                "run checkpoints do not capture the shared momentum velocity "
-                "buffer; use momentum=0 for checkpointed runs"
-            )
+        resumed divergently: stochastic compressors and rng-backed
+        failure models (each holds its own rng). Their deterministic
+        counterparts, and churn schedules, are pure functions of the
+        round index and need no entry."""
         if getattr(self.failure_model, "rng", None) is not None:
             raise ValueError(
                 "run checkpoints do not capture stochastic failure-model rng "
@@ -336,15 +313,6 @@ class SimulationEngine:
         self.eval_rng = eval_rng
         self._public = None if public is None else np.array(public)
 
-    def set_node_sharder(self, sharder) -> None:
-        """Attach (or detach, with ``None``) a
-        :class:`~repro.simulation.node_shard.NodeShardPool`. While
-        attached, the local-training stage fans node blocks out to the
-        pool's fork workers; everything else — rng streams, gossip,
-        energy, evaluation, checkpoints — stays in this process, which
-        is what keeps sharded runs byte-identical to unsharded ones."""
-        self._node_sharder = sharder
-
     # -- internals ------------------------------------------------------------
 
     def _train_row(self, row: np.ndarray, idx: np.ndarray) -> float:
@@ -367,17 +335,15 @@ class SimulationEngine:
         """Local-training stage: E SGD steps on every masked node.
 
         Every masked node's E batches are drawn up front as sample
-        indices, then handed to the node-shard pool, the vectorized
-        block trainer or the serial per-row loop; all three train the
-        same rows on the same samples and return per-node mean losses
-        in ascending node order (empty when no node trains this round).
+        indices, then handed to the vectorized block trainer or the
+        serial per-row loop; both train the same rows on the same
+        samples and return per-node mean losses in ascending node order
+        (empty when no node trains this round).
         """
         ids = np.nonzero(mask)[0]
         if ids.size == 0:
             return []
         idx, k = self.nodes.draw(ids, self.config.local_steps)
-        if self._node_sharder is not None:
-            return self._node_sharder.train_round(self.state, ids, idx, k)
         if self._trainer is not None:
             return self._trainer.train_rows(
                 self.state, ids, self.nodes.x, self.nodes.y, idx, k
@@ -386,29 +352,6 @@ class SimulationEngine:
             self._train_row(self.state[i], idx[r, :, : k[r]])
             for r, i in enumerate(ids)
         ]
-
-    def _train_block(
-        self, block: np.ndarray, idx: np.ndarray, k: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Pure block trainer for node-axis sharding: train ``block``'s
-        rows on the drawn sample indices (``idx[r, s, :k[r]]`` for row
-        ``r``, step ``s``) and return ``(trained rows, per-row mean
-        losses)``. Reads no rng stream and touches neither ``state``
-        nor the meter, so a forked worker can run it on shipped rows
-        against its inherited copy of the bank's data; both
-        implementations are bit-identical to training the same rows in
-        the parent."""
-        out = np.array(block, dtype=np.float64, copy=True)
-        rows = out.shape[0]
-        if self._trainer is not None:
-            losses = self._trainer.train_rows(
-                out, np.arange(rows), self.nodes.x, self.nodes.y, idx, k
-            )
-            return out, losses
-        losses = np.array(
-            [self._train_row(out[r], idx[r, :, : k[r]]) for r in range(rows)]
-        )
-        return out, losses
 
     def _mixing_for_round(self, t: int) -> sp.csr_matrix:
         """The round's mixing matrix: static, provided per round, or

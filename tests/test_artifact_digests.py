@@ -311,22 +311,15 @@ def test_artifact_bytes_match_the_pre_bank_record(name, tmp_path):
 
 def test_ragged_cell_serial_vectorized_and_sharded_agree(tmp_path):
     """Nodes with ``k_i < batch_size`` train in their own stacked
-    sub-block; that grouping must be invisible in the artifact."""
+    sub-block; that grouping must be invisible in the artifact (the
+    name predates the removal of node sharding)."""
     preset = ragged_preset()
     sizes = {len(p) for p in prepare(preset, 3, seed=0).partition}
     assert min(sizes) < preset.batch_size <= max(sizes)
-    outs = {
-        name: _ragged(tmp_path / name, **kwargs).read_bytes()
-        for name, kwargs in {
-            "serial": {},
-            "vectorized": {"vectorized": True},
-            "sharded": {"node_shards": 2},
-            "sharded-vectorized": {"node_shards": 2, "vectorized": True},
-        }.items()
-    }
-    assert outs["sharded"] == outs["serial"]
-    assert outs["sharded-vectorized"] == outs["vectorized"]
-    serial, vectorized = json.loads(outs["serial"]), json.loads(outs["vectorized"])
+    serial = json.loads(_ragged(tmp_path / "serial").read_bytes())
+    vectorized = json.loads(
+        _ragged(tmp_path / "vectorized", vectorized=True).read_bytes()
+    )
     assert serial.pop("engine") == {"vectorized": False}
     assert vectorized.pop("engine") == {"vectorized": True}
     assert serial == vectorized

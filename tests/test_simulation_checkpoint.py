@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import DPSGD
+from repro.core.compression import RandomKCompressor
 from repro.core.schedule import RoundSchedule
 from repro.core.skiptrain import SkipTrainConstrained
 from repro.data import make_classification_images, shard_partition
@@ -13,6 +14,7 @@ from repro.nn import small_mlp
 from repro.experiments.runner import build_async_run, build_run, execute_run, prepare
 from repro.simulation import (
     EngineConfig,
+    IndependentCrashes,
     RngFactory,
     SimulationEngine,
     build_nodes,
@@ -271,18 +273,23 @@ class TestRunCheckpoint:
         # refused before anything was restored, not halfway through
         assert_untouched(victim, make_engine())
 
-    def test_rejects_uncapturable_engine_state(self, tmp_path):
-        """Momentum velocity lives in the shared workspace optimizer
-        and is not snapshotted — saving must fail fast, not resume
-        divergently."""
+    @pytest.mark.parametrize("part", ["compressor", "failure_model"])
+    def test_rejects_uncapturable_engine_state(self, tmp_path, part):
+        """A stochastic compressor and ``IndependentCrashes`` each hold
+        an rng the snapshot does not capture — saving must fail fast,
+        before a file exists, not resume divergently."""
         eng = make_engine()
-        eng.config = EngineConfig(local_steps=2, learning_rate=0.2,
-                                  total_rounds=16, eval_every=4,
-                                  momentum=0.5)
+        rng = np.random.default_rng(0)
+        if part == "compressor":
+            eng.compressor = RandomKCompressor(0.5, rng)
+        else:
+            eng.failure_model = IndependentCrashes(N, 0.2, rng)
         algo = DPSGD(N)
-        with pytest.raises(ValueError, match="momentum"):
+        path = tmp_path / "x.npz"
+        with pytest.raises(ValueError, match="rng"):
             save_run_checkpoint(eng, algo, RunHistory(algorithm=algo.name),
-                                4, tmp_path / "x.npz")
+                                4, path)
+        assert not path.exists()
 
     def test_stateless_algorithm_rejects_foreign_state(self):
         with pytest.raises(ValueError, match="no checkpointable state"):

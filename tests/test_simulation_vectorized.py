@@ -3,12 +3,10 @@
 The contract under test (see ``repro.simulation.engine``): with plain
 SGD the vectorized path produces a ``state`` matrix and ``RunHistory``
 **bit-identical** to the serial engine — same RNG batch streams, same
-arithmetic, reordered from per-node loops into stacked kernels — and
-the node-sharded engine (blocks of nodes trained in fork workers)
-matches both.
+arithmetic, reordered from per-node loops into stacked kernels — over
+either state backend, and however the trained rows are split into
+blocks.
 """
-
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -20,7 +18,7 @@ from repro.nn import small_cnn, small_mlp
 from repro.nn.batched import UnsupportedLayerError
 from repro.nn.layers import Dropout, Linear
 from repro.nn.module import Sequential
-from repro.simulation import EngineConfig, NodeShardPool, build_engine
+from repro.simulation import EngineConfig, build_engine
 
 N = 16
 SPEC = SyntheticSpec(num_classes=4, channels=1, image_size=4,
@@ -35,10 +33,11 @@ def _cnn(rng):
     return small_cnn(1, 4, 4, channels=4, rng=rng)
 
 
-def _cfg(vectorized, total_rounds=8, weight_decay=0.0):
+def _cfg(vectorized, total_rounds=8, weight_decay=0.0, state_backend="memory"):
     return EngineConfig(local_steps=2, learning_rate=0.2,
                         total_rounds=total_rounds, eval_every=4,
-                        weight_decay=weight_decay, vectorized=vectorized)
+                        weight_decay=weight_decay, vectorized=vectorized,
+                        state_backend=state_backend)
 
 
 def _engine(vectorized, *, seed=7, model_factory=_mlp, topology="ring",
@@ -48,18 +47,6 @@ def _engine(vectorized, *, seed=7, model_factory=_mlp, topology="ring",
         seed=seed, num_train=25 * n_nodes, num_test=64, batch_size=8,
         topology=topology,
     )
-
-
-@contextmanager
-def _sharded(engine, shards=3):
-    """``engine`` with its local-training stage fanned out to ``shards``
-    fork workers for the duration of the block."""
-    with NodeShardPool(engine, shards) as pool:
-        engine.set_node_sharder(pool)
-        try:
-            yield engine
-        finally:
-            engine.set_node_sharder(None)
 
 
 def _assert_history_equal(a, b):
@@ -135,36 +122,64 @@ class TestSerialVectorizedEquivalence:
         _assert_history_equal(h_s, h_v)
 
 
+def _drawn_round(engine):
+    """One round's drawn batches for every node of ``engine``."""
+    ids = np.arange(engine.n_nodes)
+    return (ids, *engine.nodes.draw(ids, engine.config.local_steps))
+
+
 class TestParallelBlockEquivalence:
+    """The stacked trainer trains a block of nodes side by side; the
+    block's layout, size and backing never change a row's bits."""
+
     def test_vectorized_parallel_matches_serial(self):
+        """The stacked block trained in place over an mmap-backed state
+        matrix still matches the serial engine over memory."""
         serial = _engine(False)
         h_s = serial.run(DPSGD(N))
-        with _sharded(_engine(True)) as par:
+        par = _engine(True, state_backend="mmap")
+        try:
             h_p = par.run(DPSGD(N))
-        np.testing.assert_array_equal(serial.state, par.state)
+            np.testing.assert_array_equal(serial.state, par.state)
+        finally:
+            par.close()
         _assert_history_equal(h_s, h_p)
 
     def test_block_size_does_not_change_results(self):
-        with _sharded(_engine(True), shards=2) as a:
-            h_a = a.run(DPSGD(N))
-        with _sharded(_engine(True), shards=5) as b:
-            h_b = b.run(DPSGD(N))
-        np.testing.assert_array_equal(a.state, b.state)
-        _assert_history_equal(h_a, h_b)
+        """Rows are independent: one stacked call over all nodes equals
+        the same rows trained in blocks of 2 or 5, state and losses."""
+        eng = _engine(True)
+        ids, idx, k = _drawn_round(eng)
+        x, y = eng.nodes.x, eng.nodes.y
+        whole = eng.state.copy()
+        want = eng._trainer.train_rows(whole, ids, x, y, idx, k)
+        for size in (2, 5):
+            blocks = eng.state.copy()
+            got = np.concatenate([
+                eng._trainer.train_rows(blocks, ids[lo:lo + size], x, y,
+                                        idx[lo:lo + size], k[lo:lo + size])
+                for lo in range(0, ids.size, size)
+            ])
+            np.testing.assert_array_equal(blocks, whole)
+            np.testing.assert_array_equal(got, want)
 
     def test_serial_worker_blocks_match_too(self):
-        """Non-vectorized sharded engine (per-row loops inside block
-        tasks) must still match the serial engine bit for bit."""
-        serial = _engine(False)
-        h_s = serial.run(DPSGD(N))
-        with _sharded(_engine(False)) as par:
-            h_p = par.run(DPSGD(N))
-        np.testing.assert_array_equal(serial.state, par.state)
-        _assert_history_equal(h_s, h_p)
+        """The serial per-row loop and the stacked trainer, fed the same
+        drawn batches, give every row and every loss the same bits."""
+        serial, vectorized = _engine(False), _engine(True)
+        ids, idx, k = _drawn_round(serial)
+        rows = serial.state.copy()
+        loop = [serial._train_row(rows[i], idx[i, :, : k[i]]) for i in ids]
+        block = vectorized.state.copy()
+        stacked = vectorized._trainer.train_rows(
+            block, ids, vectorized.nodes.x, vectorized.nodes.y, idx, k
+        )
+        np.testing.assert_array_equal(rows, block)
+        np.testing.assert_array_equal(np.array(loop), stacked)
 
     def test_failure_model_respected_by_parallel_engine(self):
-        """Sharding replaces only the local-training stage of the serial
-        round skeleton, so a failure model masks training there too."""
+        """A failure model masks the stacked trainer's block exactly as
+        it masks the serial loop."""
         from repro.simulation.failures import CrashWindow
 
         def with_failures(vectorized):
@@ -174,8 +189,8 @@ class TestParallelBlockEquivalence:
 
         serial = with_failures(False)
         h_s = serial.run(DPSGD(N))
-        with _sharded(with_failures(True)) as par:
-            h_p = par.run(DPSGD(N))
+        par = with_failures(True)
+        h_p = par.run(DPSGD(N))
         np.testing.assert_array_equal(serial.state, par.state)
         _assert_history_equal(h_s, h_p)
 
@@ -207,8 +222,11 @@ class TestMaskEmptyRegression:
         self._check(eng.run(NoTraining(N)))
 
     def test_parallel(self):
-        with _sharded(_engine(True, total_rounds=4)) as eng:
+        eng = _engine(True, total_rounds=4, state_backend="mmap")
+        try:
             self._check(eng.run(NoTraining(N)))
+        finally:
+            eng.close()
 
     def test_states_identical_across_flavors(self):
         serial = _engine(False, total_rounds=4)
@@ -219,13 +237,15 @@ class TestMaskEmptyRegression:
 
 
 class TestConfigValidation:
+    # the engines train with plain SGD: momentum is no config field at
+    # all, for either engine flavor
     def test_momentum_rejected_when_vectorized(self):
-        with pytest.raises(ValueError, match="momentum"):
+        with pytest.raises(TypeError, match="momentum"):
             EngineConfig(local_steps=1, learning_rate=0.1, total_rounds=1,
                          momentum=0.9, vectorized=True)
 
     def test_momentum_bounds_audited(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="momentum"):
             EngineConfig(local_steps=1, learning_rate=0.1, total_rounds=1,
                          momentum=1.0)
 
