@@ -113,11 +113,13 @@ def _mlp_factory(rng: np.random.Generator):
 
 
 def _throughput_engine(n_nodes: int, *, vectorized: bool = False,
+                       state_backend: str = "memory",
                        rounds: int = ENGINE_ROUNDS):
     """Bench-model engine sized so per-round training dominates: a tiny
     test set keeps the (identical-cost) final evaluation negligible."""
     cfg = EngineConfig(local_steps=8, learning_rate=0.2, total_rounds=rounds,
-                       eval_every=10_000, vectorized=vectorized)
+                       eval_every=10_000, vectorized=vectorized,
+                       state_backend=state_backend)
     return build_engine(SPEC, n_nodes, cfg, _mlp_factory, seed=0,
                         num_train=40 * n_nodes, num_test=32, batch_size=8)
 
@@ -135,6 +137,19 @@ def test_rounds_vectorized(benchmark, n_nodes):
     """Batched multi-node engine: stacked GEMMs over all masked nodes."""
     eng = _throughput_engine(n_nodes, vectorized=True)
     run_once(benchmark, lambda: eng.run(DPSGD(n_nodes)))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n_nodes", [16, 64, 256])
+def test_rounds_vectorized_mmap(benchmark, n_nodes):
+    """Batched engine training in place over an mmap-backed state
+    matrix: the two fleet axes composed. Tracks what the file-backed
+    store costs against ``test_rounds_vectorized``."""
+    eng = _throughput_engine(n_nodes, vectorized=True, state_backend="mmap")
+    try:
+        run_once(benchmark, lambda: eng.run(DPSGD(n_nodes)))
+    finally:
+        eng.close()
 
 
 @pytest.mark.slow

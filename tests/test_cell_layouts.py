@@ -47,12 +47,14 @@ def lookup_for(preset):
 def assert_same_run(path, ref, layout):
     """``path`` holds the reference run: the same bytes when both were
     written by the same engine flavor, else the same payload with only
-    the ``engine`` stamp differing."""
+    the ``engine`` stamp's ``vectorized`` flag differing."""
     got, want = path.read_bytes(), ref.read_bytes()
     if LAYOUTS[layout].get("vectorized", False):
         got, want = json.loads(got), json.loads(want)
-        assert got.pop("engine") == {"vectorized": True}
-        assert want.pop("engine") == {"vectorized": False}
+        got_engine, want_engine = got.pop("engine"), want.pop("engine")
+        assert got_engine.pop("vectorized") is True
+        assert want_engine.pop("vectorized") is False
+        assert got_engine == want_engine
     assert got == want
 
 
@@ -76,6 +78,22 @@ class TestLayoutArtifacts:
         run_cell(micro_preset, cell, fleet, **LAYOUTS["vectorized-mmap"])
         assert (artifact_path(ref, cell).read_bytes()
                 == artifact_path(fleet, cell).read_bytes())
+
+    @pytest.mark.parametrize("layout", ["mmap", "vectorized", "vectorized-mmap"])
+    def test_async_layout_cell_byte_identical(self, micro_preset, tmp_path,
+                                              layout):
+        """Async cells take every layout a sync cell does, to the same
+        bytes as a serial in-memory async run."""
+        from repro.experiments import async_variant
+
+        micro_async = async_variant(micro_preset)
+        cell = build_plan(micro_async, ("async-skiptrain",), seeds=(0,),
+                          kind="async")[0]
+        ref, out = tmp_path / "ref", tmp_path / layout
+        run_cell(micro_async, cell, ref)
+        run_cell(micro_async, cell, out, **LAYOUTS[layout])
+        assert_same_run(artifact_path(out, cell), artifact_path(ref, cell),
+                        layout)
 
     @pytest.mark.parametrize("layout", ["mmap", "vectorized"])
     def test_sweep_layouts_byte_identical(self, micro_preset, tmp_path, layout):
