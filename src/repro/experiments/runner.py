@@ -341,7 +341,6 @@ def build_run(
     eval_every: int | None = None,
     eval_on: str = "test",
     vectorized: bool = False,
-    eval_mode: str = "auto",
     mixing=None,
     failure_model: "FailureModel | None" = None,
     churn=None,
@@ -352,10 +351,9 @@ def build_run(
     Construction is deterministic in ``prepared`` and the overrides:
     two calls yield engines whose runs are bit-identical. The sweep
     orchestrator relies on this to rebuild a killed cell's engine and
-    restore a mid-run checkpoint into it. ``eval_mode`` selects the
-    evaluation implementation (``"auto"`` follows ``vectorized``; both
-    paths return bit-identical accuracies, so artifacts never depend on
-    the choice).
+    restore a mid-run checkpoint into it. ``vectorized`` selects the
+    stacked training and evaluation path (bit-identical to the serial
+    one, so artifacts never depend on the choice).
 
     The scenario axes ride through here: ``mixing`` overrides the
     prepared static matrix with a per-round provider (dynamic
@@ -376,7 +374,6 @@ def build_run(
         eval_every=eval_every if eval_every is not None else preset.eval_every,
         eval_node_sample=preset.eval_node_sample,
         vectorized=vectorized,
-        eval_mode=eval_mode,
         state_backend=state_backend,
     )
     model, nodes = _wire_model_nodes(prepared, rngs)
@@ -407,7 +404,6 @@ def run_algorithm(
     eval_every: int | None = None,
     eval_on: str = "test",
     vectorized: bool = False,
-    eval_mode: str = "auto",
 ) -> ExperimentResult:
     """Run one algorithm on a prepared experiment cell.
 
@@ -416,8 +412,8 @@ def run_algorithm(
     cadence). ``eval_on`` selects the evaluation split: ``"test"`` for
     result experiments, ``"validation"`` for hyperparameter tuning
     (the paper's grid search uses the validation set, §4.2–4.3).
-    ``vectorized`` runs local training on the batched multi-node
-    engine; ``eval_mode`` selects the (bit-identical) evaluation path.
+    ``vectorized`` runs local training and evaluation on the batched
+    multi-node path (bit-identical to the serial one).
     """
     engine, algo = build_run(
         prepared,
@@ -427,7 +423,6 @@ def run_algorithm(
         eval_every=eval_every,
         eval_on=eval_on,
         vectorized=vectorized,
-        eval_mode=eval_mode,
     )
     return execute_run(engine, algo, prepared.trace)
 
@@ -482,7 +477,6 @@ def build_async_run(
     schedule: RoundSchedule | None = None,
     activations_per_node: int | None = None,
     eval_on: str = "test",
-    eval_mode: str = "auto",
     failure_model: "FailureModel | None" = None,
     enforce_budgets: bool = False,
     churn=None,
@@ -526,7 +520,6 @@ def build_async_run(
         rng=rngs.stream("events"),
         trace=prepared.trace,
         eval_node_sample=preset.eval_node_sample,
-        eval_mode=eval_mode,
         eval_rng=rngs.stream("async-eval"),
         failure_model=failure_model,
         enforce_budgets=enforce_budgets,
@@ -550,7 +543,6 @@ def run_async_algorithm(
     activations_per_node: int | None = None,
     eval_every: int | None = None,
     eval_on: str = "test",
-    eval_mode: str = "auto",
     failure_model: "FailureModel | None" = None,
     enforce_budgets: bool = False,
     vectorized: bool = False,
@@ -570,7 +562,6 @@ def run_async_algorithm(
         schedule=schedule,
         activations_per_node=activations_per_node,
         eval_on=eval_on,
-        eval_mode=eval_mode,
         failure_model=failure_model,
         enforce_budgets=enforce_budgets,
         vectorized=vectorized,

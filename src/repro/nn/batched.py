@@ -112,7 +112,6 @@ __all__ = [
     "BatchedTrainer",
     "BatchedEvaluator",
     "vectorize_module",
-    "make_evaluator",
 ]
 
 
@@ -506,27 +505,25 @@ class BatchedFlatten(BatchedLayer):
 
 
 class BatchedPool2d(BatchedLayer):
-    """Pooling is parameter-free and per-sample, so the node axis folds
-    into the batch axis: ``(k, B, C, H, W) -> (k*B, C, H, W)`` through a
-    fresh serial pooling layer and back."""
+    """Pooling is parameter-free and per-sample, and the serial layers
+    treat every axis before the spatial two as a batch axis, so a fresh
+    serial pooling layer runs unchanged on the ``(k, B, C, H, W)``
+    stack. The stack is pooled where it lies: folding the node axis into
+    the batch axis would copy a strided input (a conv's transposed
+    output) into C order, and the window mean sums in memory order."""
 
     node_independent = True
 
     def __init__(self, template: MaxPool2d | AvgPool2d) -> None:
         self.pool = type(template)(template.kernel_size, template.stride)
 
-    def forward_shared(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         return self.pool.forward(x)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        kn, n = x.shape[:2]
-        out = self.pool.forward(x.reshape(kn * n, *x.shape[2:]))
-        return out.reshape(kn, n, *out.shape[1:])
+    forward_shared = forward
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        kn, n = grad_out.shape[:2]
-        grad_in = self.pool.backward(grad_out.reshape(kn * n, *grad_out.shape[2:]))
-        return grad_in.reshape(kn, n, *grad_in.shape[1:])
+        return self.pool.backward(grad_out)
 
 
 def _relu(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -801,36 +798,6 @@ class BatchedEvaluator:
                 yb = dataset.y[start : start + batch_size]
                 correct[lo : lo + chunk] += self.correct_counts(sub, xb, yb)
         return correct / n
-
-
-def make_evaluator(
-    template: Module, eval_mode: str, auto: bool = True
-) -> BatchedEvaluator | None:
-    """Resolve an ``eval_mode`` flag into an evaluator (or ``None`` for
-    the serial path) — the one place the mode set lives.
-
-    ``"serial"`` → ``None``. ``"batched"`` → an evaluator, raising
-    :class:`UnsupportedLayerError` for models without a batched mirror.
-    ``"auto"`` → what ``auto`` says: callers with a stronger signal pass
-    it (the engine forwards ``vectorized``); callers without one keep
-    the default and get the batched path whenever the model supports it
-    (safe either way — both paths return exactly equal accuracies).
-    """
-    if eval_mode not in ("serial", "batched", "auto"):
-        raise ValueError(
-            f'eval_mode must be "serial", "batched" or "auto", '
-            f"got {eval_mode!r}"
-        )
-    if eval_mode == "serial":
-        return None
-    if eval_mode == "batched":
-        return BatchedEvaluator(template)
-    if not auto:
-        return None
-    try:
-        return BatchedEvaluator(template)
-    except UnsupportedLayerError:
-        return None
 
 
 def _contiguous_run(state: np.ndarray, ids: np.ndarray) -> np.ndarray | None:

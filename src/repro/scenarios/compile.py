@@ -280,7 +280,6 @@ def compile_run(
     preset: ExperimentPreset | None = None,
     prepared: PreparedExperiment | None = None,
     vectorized: bool = False,
-    eval_mode: str = "auto",
     eval_on: str = "test",
     state_backend: str = "memory",
 ) -> CompiledRun:
@@ -334,7 +333,6 @@ def compile_run(
             eval_every=eval_every,
             eval_on=eval_on,
             vectorized=vectorized,
-            eval_mode=eval_mode,
             mixing=mixing,
             failure_model=failure_model,
             churn=churn,
@@ -347,7 +345,6 @@ def compile_run(
             schedule=schedule,
             activations_per_node=rounds,
             eval_on=eval_on,
-            eval_mode=eval_mode,
             failure_model=failure_model,
             enforce_budgets=spec.energy.enforce_budgets,
             churn=churn,

@@ -48,6 +48,12 @@ bit-for-bit from any event boundary.
 
 Serial vs vectorized event execution
 ------------------------------------
+Local training and evaluation come from the sync engine's executor,
+:class:`~repro.simulation.local_step.LocalTrainer`: one activation
+trains one row through it, an event batch all its activators' rows,
+and its evaluator follows ``vectorized`` — node by node on a serial
+engine, one stacked forward pass per test batch on a vectorized one.
+
 ``vectorized=True`` selects disjoint event batching
 (:mod:`repro.simulation.event_batch`): between evaluation boundaries,
 events whose (activator, partner) node sets are pairwise disjoint are
@@ -80,12 +86,10 @@ import numpy as np
 from ..core.schedule import RoundSchedule
 from ..data.dataset import ArrayDataset
 from ..energy.traces import EnergyTrace
-from ..nn.batched import BatchedTrainer, make_evaluator
-from ..nn.losses import CrossEntropyLoss
 from ..nn.module import Module
-from ..nn.optim import SGD
-from ..nn.serialization import parameter_vector, set_parameter_vector
+from ..nn.serialization import parameter_vector
 from .event_batch import EventBatch, plan_window
+from .local_step import LocalTrainer
 from .metrics import (
     _RecordCodec,
     consensus_distance,
@@ -266,14 +270,6 @@ class AsyncGossipEngine:
     ``n × activations_per_node``), evaluating every ``eval_every``
     events.
 
-    ``eval_mode`` mirrors :class:`~repro.simulation.engine.EngineConfig`:
-    ``"auto"`` (default) uses the batched cross-node evaluator whenever
-    the model has a batched mirror and falls back to the serial per-node
-    loop otherwise — safe because both paths count correct predictions
-    identically and return bit-equal accuracies. ``"batched"`` forces
-    the stacked path (raising for unsupported layers), ``"serial"``
-    forces the loop.
-
     ``eval_rng`` drives evaluation-time node subsampling only. It
     defaults to a child spawned off ``rng``'s seed sequence — spawning
     never advances the parent's bit stream, so the gossip/clock
@@ -282,10 +278,11 @@ class AsyncGossipEngine:
     :class:`~repro.simulation.rng.RngFactory` (restored generators
     cannot spawn).
 
-    ``vectorized`` selects disjoint event batching (bit-identical to
-    the serial loop; see the module docstring), raising
-    :class:`~repro.nn.batched.UnsupportedLayerError` at construction
-    for models without a batched mirror.
+    ``vectorized`` selects disjoint event batching and stacked
+    evaluation (bit-identical to the serial loop; see the module
+    docstring), raising :class:`~repro.nn.batched.UnsupportedLayerError`
+    at construction for models without a batched mirror. Local steps
+    are plain SGD without weight decay.
     """
 
     def __init__(
@@ -299,7 +296,6 @@ class AsyncGossipEngine:
         rng: np.random.Generator,
         trace: EnergyTrace | None = None,
         eval_node_sample: int | None = None,
-        eval_mode: str = "auto",
         eval_rng: np.random.Generator | None = None,
         failure_model: "FailureModel | None" = None,
         enforce_budgets: bool = False,
@@ -326,7 +322,6 @@ class AsyncGossipEngine:
         self.nodes = nodes
         self.neighbors = neighbor_lists
         self.test_set = test_set
-        self.local_steps = local_steps
         self.rng = rng
         self.eval_rng = eval_rng if eval_rng is not None else _spawn_child(rng)
         self.trace = trace
@@ -338,16 +333,10 @@ class AsyncGossipEngine:
         #: the one piece of churn state that must checkpoint (membership
         #: itself is a pure function of the round index)
         self._churn_round = 0
-        self._evaluator = make_evaluator(model, eval_mode)
         self.vectorized = vectorized
-        #: stacked-kernel trainer for event batches — constructed
-        #: eagerly so unsupported layers fail at construction, exactly
-        #: like the sync engine's vectorized flag
-        self._trainer = (
-            BatchedTrainer(model, lr=learning_rate) if vectorized else None
+        self.local_trainer = LocalTrainer(
+            model, nodes, local_steps, learning_rate, 0.0, vectorized
         )
-        self.loss = CrossEntropyLoss()
-        self.optimizer = SGD(model.parameters(), lr=learning_rate)
         init = parameter_vector(model)
         self._store = make_state_store(state_backend, init, n_rows=n)
         self.activation_counts = np.zeros(n, dtype=np.int64)
@@ -378,21 +367,6 @@ class AsyncGossipEngine:
         either way, and a finalizer covers abandoned engines."""
         self._store.close()
 
-    def _train_node(self, i: int) -> None:
-        set_parameter_vector(self.model, self.state[i])
-        x, y = self.nodes.x, self.nodes.y
-        idx, k = self.nodes.draw(np.array([i]), self.local_steps)
-        for sel in idx[0, :, : k[0]]:
-            logits = self.model(x[sel])
-            self.loss.forward(logits, y[sel])
-            self.model.zero_grad()
-            self.model.backward(self.loss.backward())
-            self.optimizer.step()
-        parameter_vector(self.model, out=self.state[i])
-        self.train_counts[i] += 1
-        if self.trace is not None:
-            self.train_energy_wh += self.trace.train_energy_wh[i]
-
     def _may_train(self, i: int) -> bool:
         """Battery gate, checked *before* the policy so an exhausted
         node consumes no policy randomness."""
@@ -412,14 +386,18 @@ class AsyncGossipEngine:
             if candidates.size == 0:
                 return None  # whole neighborhood down/absent: train-only
         j = int(self.rng.choice(candidates))
-        # In-place pairwise average — the per-event hot path. Same
-        # add-then-halve operation order as ``0.5 * (s_i + s_j)``, so
-        # the result is bit-identical to the allocating form.
+        self._average(i, j)
+        return j
+
+    def _average(self, i: int, j: int) -> None:
+        """Pairwise gossip average of rows ``i`` and ``j``, in place —
+        the per-event hot path. Same add-then-halve operation order as
+        ``0.5 * (s_i + s_j)``, so the result is bit-identical to the
+        allocating form."""
         si, sj = self.state[i], self.state[j]
         np.add(si, sj, out=si)
         si *= 0.5
         sj[:] = si
-        return j
 
     def _alive_at(self, time: float) -> np.ndarray | None:
         """Alive mask for the event at simulated ``time``: unit-rate
@@ -469,19 +447,9 @@ class AsyncGossipEngine:
         """
         if batch.churn_t is not None:
             self._advance_churn(batch.churn_t)
-        if batch.train_ids:
-            assert self._trainer is not None
-            ids = np.asarray(batch.train_ids, dtype=np.int64)
-            idx, k = self.nodes.draw(ids, self.local_steps)
-            self._trainer.train_rows(
-                self.state, ids, self.nodes.x, self.nodes.y, idx, k
-            )
+        self.local_trainer.train(self.state, batch.train_ids)
         for i, j in batch.gossips:
-            # same in-place add-then-halve as _gossip: bit-identical
-            si, sj = self.state[i], self.state[j]
-            np.add(si, sj, out=si)
-            si *= 0.5
-            sj[:] = si
+            self._average(i, j)
 
     def _run_batched(
         self,
@@ -512,26 +480,15 @@ class AsyncGossipEngine:
         return history
 
     def _evaluate(self, time: float, events: int) -> AsyncRecord:
-        node_ids = None
-        if self.churn is not None:
-            # members only — shared helper, identical in both engines
-            node_ids, consensus_rows = membership_eval_pool(
-                self.state, self.churn.present(int(time) + 1),
-                self.eval_node_sample, self.eval_rng,
-            )
-        elif (
-            self.eval_node_sample is not None
-            and self.eval_node_sample < self.n_nodes
-        ):
-            node_ids = self.eval_rng.choice(
-                self.n_nodes, size=self.eval_node_sample, replace=False
-            )
-            consensus_rows = self.state
-        else:
-            consensus_rows = self.state
+        node_ids, consensus_rows = membership_eval_pool(
+            self.state,
+            self.churn.present(int(time) + 1) if self.churn is not None else None,
+            self.eval_node_sample,
+            self.eval_rng,
+        )
         mean_acc, std_acc = evaluate_state(
             self.model, self.state, self.test_set, node_ids=node_ids,
-            evaluator=self._evaluator,
+            evaluator=self.local_trainer.evaluator,
         )
         return AsyncRecord(
             time=time,
@@ -690,7 +647,10 @@ class AsyncGossipEngine:
                 if self._may_train(i) and policy.should_train(
                     i, int(self.activation_counts[i])
                 ):
-                    self._train_node(i)
+                    self.local_trainer.train(self.state, [i])
+                    self.train_counts[i] += 1
+                    if self.trace is not None:
+                        self.train_energy_wh += self.trace.train_energy_wh[i]
                 self._gossip(i, eligible)
             # dead/absent nodes stay silent but their clock keeps ticking
             heapq.heappush(self._queue, (time + float(self.rng.exponential()), i))

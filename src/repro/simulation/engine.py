@@ -10,24 +10,26 @@ Executes the common skeleton of every algorithm in the paper:
 
 Model state lives in one ``(n, dim)`` float64 matrix ``X`` so the
 aggregation step is a single sparse GEMM per round (hpc-parallel guide:
-vectorize the hot loop, avoid per-node Python overhead). A single
-workspace model object is re-used for all nodes' local training — plain
-SGD carries no optimizer state, so swapping parameter vectors in and
-out is semantically identical to per-node models at 1/n the memory.
+vectorize the hot loop, avoid per-node Python overhead).
 
 Serial vs vectorized local training
 -----------------------------------
-The local-training stage comes in two implementations selected by
+The local step and the evaluator come from one executor, the
+:class:`~repro.simulation.local_step.LocalTrainer` the async engine
+uses too, in two implementations selected by
 ``EngineConfig.vectorized``:
 
-* **Serial** (default): loop over masked nodes, E SGD steps each on the
-  shared workspace model. Simple, supports every layer type, but pays
-  Python/BLAS-dispatch overhead per node per layer per step — the
-  dominant cost at paper scale (256 nodes × small models).
+* **Serial** (default): loop over masked nodes, E SGD steps each on one
+  workspace model, and evaluate node by node. Simple, supports every
+  layer type, but pays Python/BLAS-dispatch overhead per node per layer
+  per step — the dominant cost at paper scale (256 nodes × small
+  models).
 * **Vectorized**: all masked nodes' rows are gathered into one
   ``(k, dim)`` block and a :class:`repro.nn.batched.BatchedTrainer`
   runs every local step as stacked ``(k, B, ...)`` GEMM/elementwise
-  kernels, one kernel per layer regardless of ``k``.
+  kernels, one kernel per layer regardless of ``k``; evaluation rounds
+  run one stacked forward pass per test batch for all evaluated nodes
+  (:class:`repro.nn.batched.BatchedEvaluator`).
 
 Both train with plain SGD (learning rate and ``weight_decay``, the
 paper's local step), which carries no per-node optimizer state.
@@ -36,16 +38,11 @@ Bit-compatibility contract: the vectorized path consumes each node's
 batch RNG stream in the same order as the serial path and every batched
 kernel is slice-for-slice bit-identical to its serial counterpart, so
 the resulting ``state`` matrix and :class:`RunHistory` are **exactly
-equal** — not merely close — to the serial engine's. The serial loop is
-the reference the bit-identity tests compare against. Models containing
-layers without a batched mirror (``Dropout``, ``BatchNorm2d``) raise
-:class:`repro.nn.batched.UnsupportedLayerError` at engine construction.
-
-Evaluation rounds come in the same two flavors, selected by
-``EngineConfig.eval_mode`` (``"auto"`` follows ``vectorized``): the
-serial per-node loop, or one stacked forward pass per test batch for
-all evaluated nodes (:class:`repro.nn.batched.BatchedEvaluator`) —
-per-node accuracies exactly equal either way, ~3-4x faster batched.
+equal** — not merely close — to the serial engine's. The serial row
+loop is the reference the bit-identity tests compare against. Models
+containing layers without a batched mirror (``Dropout``,
+``BatchNorm2d``) raise :class:`repro.nn.batched.UnsupportedLayerError`
+at engine construction.
 """
 
 from __future__ import annotations
@@ -64,11 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .failures import FailureModel
 from ..data.dataset import ArrayDataset
 from ..energy.accounting import EnergyMeter
-from ..nn.batched import BatchedTrainer, make_evaluator
-from ..nn.losses import CrossEntropyLoss
 from ..nn.module import Module
-from ..nn.optim import SGD
-from ..nn.serialization import parameter_vector, set_parameter_vector
+from ..nn.serialization import parameter_vector
+from .local_step import LocalTrainer
 from .metrics import (
     RoundRecord,
     RunHistory,
@@ -87,17 +82,9 @@ __all__ = ["EngineConfig", "SimulationEngine"]
 class EngineConfig:
     """Training-loop hyperparameters (Table 1 of the paper).
 
-    ``vectorized`` selects the batched multi-node training path (see the
-    module docstring for the bit-compatibility contract).
-
-    ``eval_mode`` selects the evaluation implementation: ``"serial"``
-    loops nodes through the workspace model, ``"batched"`` forces the
-    stacked cross-node evaluator (raises
-    :class:`~repro.nn.batched.UnsupportedLayerError` for models without
-    a batched mirror), and ``"auto"`` (default) follows ``vectorized``.
-    Both paths count correct predictions identically, so per-node
-    accuracies — and every :class:`RoundRecord` field — are exactly
-    equal whichever mode runs.
+    ``vectorized`` selects the stacked multi-node training and
+    evaluation path (see the module docstring for the bit-compatibility
+    contract).
     """
 
     local_steps: int
@@ -107,15 +94,9 @@ class EngineConfig:
     eval_node_sample: int | None = None
     weight_decay: float = 0.0
     vectorized: bool = False
-    eval_mode: str = "auto"
     state_backend: str = "memory"
 
     def __post_init__(self) -> None:
-        if self.eval_mode not in ("serial", "batched", "auto"):
-            raise ValueError(
-                f'eval_mode must be "serial", "batched" or "auto", '
-                f"got {self.eval_mode!r}"
-            )
         if self.state_backend not in STATE_BACKENDS:
             raise ValueError(
                 f"state_backend must be one of {STATE_BACKENDS}, "
@@ -186,6 +167,10 @@ class SimulationEngine:
             )
         if meter is not None and meter.n_nodes != n:
             raise ValueError("energy meter node count mismatch")
+        if failure_model is not None and getattr(
+            failure_model, "n_nodes", n
+        ) != n:
+            raise ValueError("failure model node count mismatch")
         self.model = model
         self.nodes = nodes
         self.config = config
@@ -195,24 +180,9 @@ class SimulationEngine:
         self.compressor = compressor
         self.failure_model = failure_model
         self.churn = churn
-        self.loss = CrossEntropyLoss()
-        self.optimizer = SGD(
-            model.parameters(),
-            lr=config.learning_rate,
-            weight_decay=config.weight_decay,
-        )
-
-        # The batched trainer raises UnsupportedLayerError here, at
-        # construction, rather than rounds into a run.
-        self._trainer = (
-            BatchedTrainer(
-                model, lr=config.learning_rate, weight_decay=config.weight_decay
-            )
-            if config.vectorized
-            else None
-        )
-        self._evaluator = make_evaluator(
-            model, config.eval_mode, auto=config.vectorized
+        self.local_trainer = LocalTrainer(
+            model, nodes, config.local_steps, config.learning_rate,
+            config.weight_decay, config.vectorized,
         )
 
         dim = model.num_parameters()
@@ -315,44 +285,6 @@ class SimulationEngine:
 
     # -- internals ------------------------------------------------------------
 
-    def _train_row(self, row: np.ndarray, idx: np.ndarray) -> float:
-        """E local SGD steps on one parameter ``row``, in place, step
-        ``s`` on samples ``idx[s]`` of the bank's data. Returns the mean
-        training loss over the steps."""
-        x, y = self.nodes.x, self.nodes.y
-        set_parameter_vector(self.model, row)
-        total_loss = 0.0
-        for sel in idx:
-            logits = self.model(x[sel])
-            total_loss += self.loss.forward(logits, y[sel])
-            self.model.zero_grad()
-            self.model.backward(self.loss.backward())
-            self.optimizer.step()
-        parameter_vector(self.model, out=row)
-        return total_loss / self.config.local_steps
-
-    def _train_round(self, mask: np.ndarray) -> list[float]:
-        """Local-training stage: E SGD steps on every masked node.
-
-        Every masked node's E batches are drawn up front as sample
-        indices, then handed to the vectorized block trainer or the
-        serial per-row loop; both train the same rows on the same
-        samples and return per-node mean losses in ascending node order
-        (empty when no node trains this round).
-        """
-        ids = np.nonzero(mask)[0]
-        if ids.size == 0:
-            return []
-        idx, k = self.nodes.draw(ids, self.config.local_steps)
-        if self._trainer is not None:
-            return self._trainer.train_rows(
-                self.state, ids, self.nodes.x, self.nodes.y, idx, k
-            ).tolist()
-        return [
-            self._train_row(self.state[i], idx[r, :, : k[r]])
-            for r, i in enumerate(ids)
-        ]
-
     def _mixing_for_round(self, t: int) -> sp.csr_matrix:
         """The round's mixing matrix: static, provided per round, or
         restricted to the alive subgraph under the failure model."""
@@ -433,21 +365,15 @@ class SimulationEngine:
         is_training_round: bool,
         train_loss: float = float("nan"),
     ) -> RoundRecord:
-        sample = self.config.eval_node_sample
-        node_ids = None
-        if self.churn is not None:
-            # members only — shared helper, identical in both engines
-            node_ids, consensus_rows = membership_eval_pool(
-                self.state, self.churn.present(t), sample, self.eval_rng
-            )
-        elif sample is not None and sample < self.n_nodes:
-            node_ids = self.eval_rng.choice(self.n_nodes, size=sample, replace=False)
-            consensus_rows = self.state
-        else:
-            consensus_rows = self.state
+        node_ids, consensus_rows = membership_eval_pool(
+            self.state,
+            self.churn.present(t) if self.churn is not None else None,
+            self.config.eval_node_sample,
+            self.eval_rng,
+        )
         mean_acc, std_acc = evaluate_state(
             self.model, self.state, self.test_set, node_ids=node_ids,
-            evaluator=self._evaluator,
+            evaluator=self.local_trainer.evaluator,
         )
         energy = self.meter.total_wh if self.meter is not None else 0.0
         return RoundRecord(
@@ -509,14 +435,14 @@ class SimulationEngine:
                 communicated = present if alive is None else present & alive
             else:
                 communicated = alive
-            losses = self._train_round(mask)
+            losses = self.local_trainer.train(self.state, np.nonzero(mask)[0])
             self._aggregate(algorithm.use_allreduce, t)
             if self.meter is not None:
                 self.meter.record_round(
                     mask, communicated=communicated, comm_scale=self._comm_scale
                 )
             if self._should_eval(algorithm, t, last_eval):
-                train_loss = float(np.mean(losses)) if losses else float("nan")
+                train_loss = float(np.mean(losses)) if losses.size else float("nan")
                 history.append(
                     self._evaluate(t, mask, bool(mask.any()), train_loss)
                 )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.dataset import ArrayDataset
-from ..nn.batched import make_evaluator
+from ..nn.batched import BatchedEvaluator, UnsupportedLayerError
 from ..nn.module import Module
 from .metrics import evaluate_model_vector
 
@@ -27,23 +27,22 @@ __all__ = [
 
 
 def per_node_accuracy(
-    model: Module, state: np.ndarray, test_set: ArrayDataset,
-    eval_mode: str = "auto",
+    model: Module, state: np.ndarray, test_set: ArrayDataset
 ) -> np.ndarray:
     """Accuracy of every node's model on the common test set.
 
-    ``eval_mode="auto"`` runs the stacked cross-node evaluator when the
-    model has a batched mirror (bit-identical to the loop, one forward
-    pass per test batch for all nodes) and falls back to the serial
-    per-node loop otherwise; ``"serial"``/``"batched"`` force a path.
+    Runs the stacked cross-node evaluator when the model has a batched
+    mirror (bit-identical to the loop, one forward pass per test batch
+    for all nodes) and falls back to the serial per-node loop otherwise.
     """
-    evaluator = make_evaluator(model, eval_mode)
-    if evaluator is not None:
-        return evaluator.evaluate(state, test_set)
-    return np.array(
-        [evaluate_model_vector(model, state[i], test_set)
-         for i in range(state.shape[0])]
-    )
+    try:
+        evaluator = BatchedEvaluator(model)
+    except UnsupportedLayerError:
+        return np.array(
+            [evaluate_model_vector(model, state[i], test_set)
+             for i in range(state.shape[0])]
+        )
+    return evaluator.evaluate(state, test_set)
 
 
 def local_test_sets(

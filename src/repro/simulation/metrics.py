@@ -36,24 +36,29 @@ __all__ = [
 
 def membership_eval_pool(
     state: np.ndarray,
-    present: np.ndarray,
+    present: np.ndarray | None,
     eval_node_sample: int | None,
     eval_rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Members-only evaluation coordinates under churn, shared by both
+    """Evaluation coordinates of one evaluation point, shared by both
     engines so the semantics cannot drift apart: returns ``(node_ids,
     consensus_rows)`` where ``node_ids`` is the (possibly subsampled)
-    set of present nodes to evaluate and ``consensus_rows`` the present
-    rows the consensus distance is computed over. A departed (or
-    not-yet-joined) node's stale row enters neither."""
-    pool = np.nonzero(np.asarray(present, dtype=bool))[0]
+    set of member nodes to evaluate and ``consensus_rows`` the member
+    rows the consensus distance is computed over. Under churn
+    ``present`` is the membership mask, and a departed (or
+    not-yet-joined) node's stale row enters neither; ``None`` makes
+    every node a member."""
+    if present is None:
+        pool = np.arange(state.shape[0])
+    else:
+        pool = np.nonzero(np.asarray(present, dtype=bool))[0]
     if eval_node_sample is not None and eval_node_sample < pool.size:
         node_ids = pool[
             eval_rng.choice(pool.size, size=eval_node_sample, replace=False)
         ]
     else:
         node_ids = pool
-    return node_ids, state[pool]
+    return node_ids, state if present is None else state[pool]
 
 
 def evaluate_model_vector(

@@ -156,6 +156,10 @@ class TestModelZooEquality:
 
 
 class TestPerNodeAccuracyModes:
+    """``per_node_accuracy`` takes the stacked evaluator whenever the
+    model has a batched mirror and the per-node loop otherwise; no
+    keyword chooses."""
+
     def _setup(self):
         rng = np.random.default_rng(4)
         model = small_mlp(16, 4, hidden=8, rng=rng)
@@ -165,7 +169,7 @@ class TestPerNodeAccuracyModes:
     def test_auto_equals_serial(self):
         model, state, ds = self._setup()
         np.testing.assert_array_equal(
-            per_node_accuracy(model, state, ds, eval_mode="serial"),
+            _serial_accuracies(model, state, ds),
             per_node_accuracy(model, state, ds),
         )
 
@@ -174,29 +178,35 @@ class TestPerNodeAccuracyModes:
         model = Sequential(Flatten(), Linear(16, 4, rng=rng), Dropout(0.0))
         ds, _ = make_classification_images(SPEC, 40, rng)
         state = _state_for(model, 4, rng)
-        auto = per_node_accuracy(model, state, ds)
-        serial = per_node_accuracy(model, state, ds, eval_mode="serial")
-        np.testing.assert_array_equal(auto, serial)
         with pytest.raises(UnsupportedLayerError):
-            per_node_accuracy(model, state, ds, eval_mode="batched")
+            BatchedEvaluator(model)
+        np.testing.assert_array_equal(
+            per_node_accuracy(model, state, ds),
+            _serial_accuracies(model, state, ds),
+        )
 
     def test_bad_mode_rejected(self):
         model, state, ds = self._setup()
-        with pytest.raises(ValueError, match="eval_mode"):
-            per_node_accuracy(model, state, ds, eval_mode="gpu")
+        with pytest.raises(TypeError, match="eval_mode"):
+            per_node_accuracy(model, state, ds, eval_mode="serial")
 
 
 N = 12
 
 
-def _engine(eval_mode, *, vectorized=False, sample=None, rounds=8):
+def _engine(*, vectorized=False, batched_eval=False, sample=None, rounds=8):
+    """A 12-node engine; ``batched_eval`` gives a serial engine the
+    stacked evaluator, so the evaluator is the only thing that differs."""
     cfg = EngineConfig(local_steps=2, learning_rate=0.2, total_rounds=rounds,
                        eval_every=2, eval_node_sample=sample,
-                       vectorized=vectorized, eval_mode=eval_mode)
-    return build_engine(
+                       vectorized=vectorized)
+    engine = build_engine(
         SPEC, N, cfg, lambda rng: small_mlp(16, 4, hidden=8, rng=rng),
         seed=11, num_train=25 * N, num_test=64, batch_size=8, topology="ring",
     )
+    if batched_eval:
+        engine.local_trainer.evaluator = BatchedEvaluator(engine.model)
+    return engine
 
 
 def _assert_history_equal(a, b):
@@ -215,40 +225,74 @@ class TestEngineEvalModes:
     must be consumed identically) and failure-masked rounds."""
 
     def test_forced_batched_equals_serial(self):
-        h_s = _engine("serial").run(DPSGD(N))
-        h_b = _engine("batched").run(DPSGD(N))
+        h_s = _engine().run(DPSGD(N))
+        h_b = _engine(batched_eval=True).run(DPSGD(N))
         _assert_history_equal(h_s, h_b)
 
     def test_eval_node_sample_rounds_equal(self):
-        h_s = _engine("serial", sample=4).run(DPSGD(N))
-        h_b = _engine("batched", sample=4).run(DPSGD(N))
+        h_s = _engine(sample=4).run(DPSGD(N))
+        h_b = _engine(batched_eval=True, sample=4).run(DPSGD(N))
         _assert_history_equal(h_s, h_b)
 
     def test_failure_masked_rounds_equal(self):
         from repro.simulation.failures import CrashWindow
 
-        def run(mode):
-            eng = _engine(mode, sample=5)
+        def run(batched_eval):
+            eng = _engine(batched_eval=batched_eval, sample=5)
             eng.failure_model = CrashWindow(N, [1, 4, 6], start=2, end=6)
             return eng.run(DPSGD(N))
 
-        _assert_history_equal(run("serial"), run("batched"))
+        _assert_history_equal(run(False), run(True))
 
     def test_auto_follows_vectorized(self):
-        assert _engine("auto")._evaluator is None
-        assert _engine("auto", vectorized=True)._evaluator is not None
-        assert _engine("serial", vectorized=True)._evaluator is None
-        assert _engine("batched")._evaluator is not None
+        """The evaluator is stacked exactly when training is."""
+        assert _engine().local_trainer.evaluator is None
+        assert isinstance(
+            _engine(vectorized=True).local_trainer.evaluator, BatchedEvaluator
+        )
 
     def test_bad_eval_mode_rejected(self):
-        with pytest.raises(ValueError, match="eval_mode"):
+        with pytest.raises(TypeError, match="eval_mode"):
             EngineConfig(local_steps=1, learning_rate=0.1, total_rounds=1,
-                         eval_mode="fast")
+                         eval_mode="batched")
 
     def test_global_average_accuracy_unchanged(self):
         """The consensus-model evaluation stays on the (single-vector)
-        serial path regardless of eval_mode."""
-        a = _engine("serial")
-        b = _engine("batched")
+        serial path whichever evaluator the rounds use."""
+        a = _engine()
+        b = _engine(batched_eval=True)
         a.run(DPSGD(N)), b.run(DPSGD(N))
         assert a.global_average_accuracy() == b.global_average_accuracy()
+
+
+class TestEvalModeStaysDeleted:
+    """One rule picks the evaluator — stacked iff ``vectorized`` — and
+    no keyword, config field or factory chooses another."""
+
+    def test_no_eval_mode_keyword_anywhere(self, tiny_preset):
+        from repro.experiments import build_async_run, build_run, prepare
+        from repro.scenarios import compile_run, get_scenario
+
+        prepared = prepare(tiny_preset, 3, seed=0)
+        for build in (build_run, build_async_run):
+            algorithm = "skiptrain" if build is build_run else "async-skiptrain"
+            with pytest.raises(TypeError, match="eval_mode"):
+                build(prepared, algorithm, eval_mode="batched")
+        with pytest.raises(TypeError, match="eval_mode"):
+            compile_run(get_scenario("churn-async"), eval_mode="batched")
+
+    def test_async_engine_takes_no_eval_mode(self):
+        from repro.simulation import AsyncGossipEngine
+
+        engine = _engine()
+        ring = [np.array([(i - 1) % N, (i + 1) % N]) for i in range(N)]
+        with pytest.raises(TypeError, match="eval_mode"):
+            AsyncGossipEngine(
+                engine.model, engine.nodes, ring, engine.test_set,
+                local_steps=1, learning_rate=0.1,
+                rng=np.random.default_rng(0), eval_mode="batched",
+            )
+
+    def test_make_evaluator_is_not_importable(self):
+        with pytest.raises(ImportError):
+            from repro.nn.batched import make_evaluator  # noqa: F401

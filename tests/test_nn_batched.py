@@ -36,6 +36,7 @@ from repro.nn.batched import (
     vectorize_module,
 )
 from repro.nn.layers import (
+    AvgPool2d,
     Conv2d,
     Dropout,
     Flatten,
@@ -323,6 +324,35 @@ class TestBatchedTrainerExactness:
         idx[2, 1, 2:] = 0, 33
         trainer.train_rows(state, np.arange(3), x, y, idx, ragged)
 
+    @pytest.mark.parametrize(
+        "pool,pooled",
+        [(MaxPool2d(2), 3), (AvgPool2d(2), 3), (AvgPool2d(3, 2), 2)],
+        ids=["max", "avg", "avg-overlapping"],
+    )
+    def test_pooling_behind_a_conv_bitwise_equal(self, pool, pooled):
+        """A conv's output is a transposed view, and a window mean sums
+        in memory order: pooling the stack with the node axis folded into
+        the batch axis copied it into C order, which moved average
+        pooling's bits by an ulp (max pooling only picks, so it never
+        showed)."""
+        rng = np.random.default_rng(14)
+        model = Sequential(
+            Conv2d(3, 4, 3, rng=rng), ReLU(), pool, Flatten(),
+            Linear(4 * pooled * pooled, 5, rng=rng),
+        )
+        k, steps, batch = 4, 2, 6
+        rows = _rows_for(model, k, jitter=0.3)
+        batch_lists = [
+            [(RNG.normal(size=(batch, 3, 8, 8)), RNG.integers(0, 5, size=batch))
+             for _ in range(steps)]
+            for _ in range(k)
+        ]
+        ref_rows, ref_losses = _serial_reference(model, rows, batch_lists, lr=0.1)
+        got = rows.copy()
+        losses = _train_rows(BatchedTrainer(model, lr=0.1), got, batch_lists)
+        np.testing.assert_array_equal(got, ref_rows)
+        np.testing.assert_array_equal(losses, ref_losses)
+
     def test_a_model_without_a_linear_head_is_rejected(self):
         model = Sequential(Conv2d(1, 2, 3, padding=1, rng=RNG), Flatten())
         with pytest.raises(UnsupportedLayerError, match="head"):
@@ -379,8 +409,19 @@ def _sigmoid_no_bias(rng):
     )
 
 
+def _conv_avgpool(rng):
+    return Sequential(
+        Conv2d(1, 4, 3, padding=1, rng=rng),
+        ReLU(),
+        AvgPool2d(2),
+        Flatten(),
+        Linear(4 * 2 * 2, CLASSES, rng=rng),
+    )
+
+
 FAMILIES = {
     "mlp": _mlp,
+    "conv-avgpool": _conv_avgpool,
     "conv": _conv,
     "conv-groupnorm": _conv_groupnorm,
     "leaky-tanh": _leaky_tanh,

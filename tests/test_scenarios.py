@@ -461,16 +461,16 @@ class TestEngineChurnBehavior:
         compiled = compile_run(self.churn_spec(), preset=scn_preset)
         engine, algo = compiled.engine, compiled.algorithm
         seen = {}
-        orig = engine._train_round
+        orig = engine.local_trainer.train
 
-        def spy_train(mask):
+        def spy_train(state, ids):
             # called after _apply_churn within the same round
             t = seen.get("t")
             if t == 4 and "handoff" not in seen:
                 seen["handoff"] = engine.state[2].copy()
-            return orig(mask)
+            return orig(state, ids)
 
-        engine._train_round = spy_train
+        engine.local_trainer.train = spy_train
 
         def hook(eng, t, hist, last_eval):
             if t == 3:

@@ -419,8 +419,18 @@ class TestVectorizedEventBatching:
             return orig(self, batch)
 
         eng._execute_batch = types.MethodType(spy, eng)
+        trained = []
+        train = eng.local_trainer.train
+
+        def spy_train(state, ids):
+            trained.append(list(ids))
+            return train(state, ids)
+
+        eng.local_trainer.train = spy_train
         eng.run(AsyncDPSGD(), activations_per_node=8, eval_every=16)
         assert executed
+        # each batch's activators reach the executor as one call
+        assert [list(b.train_ids) for b in executed] == trained
         for batch in executed:
             # an event that trains AND gossips lists its activator in
             # both train_ids and gossips — fold it to one touched set
@@ -474,5 +484,25 @@ class TestVectorizedEventBatching:
         self._assert_trajectories_equal(ref, resumed, h_ref, h_res)
 
     def test_trainer_built_eagerly(self):
-        assert make_engine(vectorized=True)._trainer is not None
-        assert make_engine()._trainer is None
+        assert make_engine(vectorized=True).local_trainer.stacked is not None
+        assert make_engine().local_trainer.stacked is None
+
+    def test_evaluator_follows_vectorized(self):
+        """The serial engine evaluates node by node, as the serial sync
+        engine does; only a vectorized engine stacks the evaluation."""
+        from repro.nn.batched import BatchedEvaluator
+
+        assert make_engine().local_trainer.evaluator is None
+        assert isinstance(
+            make_engine(vectorized=True).local_trainer.evaluator,
+            BatchedEvaluator,
+        )
+
+    def test_serial_and_vectorized_engines_share_one_executor(self):
+        """Both engines train through the same executor class; the
+        async one without weight decay."""
+        from repro.simulation.local_step import LocalTrainer
+
+        for engine in (make_engine(), make_engine(vectorized=True)):
+            assert type(engine.local_trainer) is LocalTrainer
+            assert engine.local_trainer.optimizer.weight_decay == 0.0

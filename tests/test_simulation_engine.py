@@ -10,7 +10,9 @@ from repro.data.synthetic import SyntheticSpec
 from repro.energy import CIFAR10_WORKLOAD, EnergyMeter, build_trace
 from repro.nn import small_mlp
 from repro.simulation import (
+    CrashWindow,
     EngineConfig,
+    NoFailures,
     RngFactory,
     SimulationEngine,
     build_nodes,
@@ -24,7 +26,7 @@ SPEC = SyntheticSpec(num_classes=4, channels=1, image_size=4,
 
 
 def make_engine(seed=0, total_rounds=12, with_meter=True, eval_every=4,
-                lr=0.2, local_steps=2):
+                lr=0.2, local_steps=2, failure_model=None):
     rngs = RngFactory(seed)
     train, protos = make_classification_images(SPEC, 400, rngs.stream("data"))
     test, _ = make_classification_images(SPEC, 100, rngs.stream("test"),
@@ -37,7 +39,8 @@ def make_engine(seed=0, total_rounds=12, with_meter=True, eval_every=4,
     model = small_mlp(16, 4, hidden=8, rng=rngs.stream("model"))
     meter = EnergyMeter(build_trace(N, CIFAR10_WORKLOAD, 0.1)) if with_meter else None
     return SimulationEngine(model, nodes, w, cfg, test, meter=meter,
-                            eval_rng=rngs.stream("eval"))
+                            eval_rng=rngs.stream("eval"),
+                            failure_model=failure_model)
 
 
 class TestEngineBasics:
@@ -67,6 +70,16 @@ class TestEngineBasics:
         eng = make_engine()
         with pytest.raises(ValueError):
             eng.run(DPSGD(N + 1))
+
+    @pytest.mark.parametrize("failure_model", [
+        NoFailures(1), NoFailures(N + 1), CrashWindow(8 * N, [0], 1, 2),
+    ], ids=["one", "one-more", "larger-window"])
+    def test_failure_model_of_another_node_count_rejected(self, failure_model):
+        """Refused at construction, as the async engine refuses it — not
+        in round 1 with a mask-shape or broadcast error."""
+        with pytest.raises(ValueError, match="failure model node count"):
+            make_engine(failure_model=failure_model)
+        make_engine(failure_model=NoFailures(N))
 
 
 class TestAggregationInvariants:

@@ -151,13 +151,14 @@ class TestParallelBlockEquivalence:
         eng = _engine(True)
         ids, idx, k = _drawn_round(eng)
         x, y = eng.nodes.x, eng.nodes.y
+        stacked = eng.local_trainer.stacked
         whole = eng.state.copy()
-        want = eng._trainer.train_rows(whole, ids, x, y, idx, k)
+        want = stacked.train_rows(whole, ids, x, y, idx, k)
         for size in (2, 5):
             blocks = eng.state.copy()
             got = np.concatenate([
-                eng._trainer.train_rows(blocks, ids[lo:lo + size], x, y,
-                                        idx[lo:lo + size], k[lo:lo + size])
+                stacked.train_rows(blocks, ids[lo:lo + size], x, y,
+                                   idx[lo:lo + size], k[lo:lo + size])
                 for lo in range(0, ids.size, size)
             ])
             np.testing.assert_array_equal(blocks, whole)
@@ -169,9 +170,10 @@ class TestParallelBlockEquivalence:
         serial, vectorized = _engine(False), _engine(True)
         ids, idx, k = _drawn_round(serial)
         rows = serial.state.copy()
-        loop = [serial._train_row(rows[i], idx[i, :, : k[i]]) for i in ids]
+        loop = [serial.local_trainer.train_row(rows[i], idx[i, :, : k[i]])
+                for i in ids]
         block = vectorized.state.copy()
-        stacked = vectorized._trainer.train_rows(
+        stacked = vectorized.local_trainer.stacked.train_rows(
             block, ids, vectorized.nodes.x, vectorized.nodes.y, idx, k
         )
         np.testing.assert_array_equal(rows, block)
