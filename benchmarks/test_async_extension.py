@@ -33,6 +33,7 @@ def _engine(prepared, seed=11):
         local_steps=preset.local_steps,
         learning_rate=preset.learning_rate,
         rng=rngs.stream("events"),
+        activations_per_node=preset.total_rounds,
         trace=prepared.trace,
     )
 
@@ -40,15 +41,11 @@ def _engine(prepared, seed=11):
 def test_async_skiptrain_extension(benchmark, bench16_cifar):
     def compute():
         prepared = prepare(bench16_cifar, 3, seed=11)
-        activations = bench16_cifar.total_rounds
-
         dpsgd_engine = _engine(prepared)
-        dpsgd_hist = dpsgd_engine.run(AsyncDPSGD(),
-                                      activations_per_node=activations)
+        dpsgd_hist = dpsgd_engine.run(AsyncDPSGD())
 
         skip_engine = _engine(prepared)
-        skip_hist = skip_engine.run(AsyncSkipTrain(RoundSchedule(4, 4)),
-                                    activations_per_node=activations)
+        skip_hist = skip_engine.run(AsyncSkipTrain(RoundSchedule(4, 4)))
         return dpsgd_engine, dpsgd_hist, skip_engine, skip_hist
 
     dpsgd_engine, dpsgd_hist, skip_engine, skip_hist = run_once(

@@ -301,9 +301,11 @@ def test_batched_eval_speedup_at_64_nodes():
 # -- async gossip engine: events/sec (tracked baseline) -----------------------
 
 
-def _async_engine(n_nodes: int, *, vectorized: bool = False):
+def _async_engine(n_nodes: int, *, activations: int,
+                  vectorized: bool = False):
     """Bench-model async engine: same MLP/data scale as the sync
-    throughput benches, tiny test set so evaluation stays negligible."""
+    throughput benches, tiny test set so evaluation stays negligible
+    (once, at the end of the ``activations``-per-node horizon)."""
     from repro.simulation import AsyncGossipEngine, RngFactory, build_nodes
     from repro.topology import neighbor_lists, regular_neighbors
 
@@ -321,6 +323,7 @@ def _async_engine(n_nodes: int, *, vectorized: bool = False):
     return AsyncGossipEngine(
         model, nodes, neighbor_lists(graph), test,
         local_steps=8, learning_rate=0.2, rng=rngs.stream("events"),
+        activations_per_node=activations, eval_every=n_nodes * activations,
         eval_rng=rngs.stream("async-eval"), vectorized=vectorized,
     )
 
@@ -336,9 +339,8 @@ def test_async_events_throughput():
     events = 64 * activations
 
     def run():
-        eng = _async_engine(64)
-        eng.run(AsyncDPSGD(), activations_per_node=activations,
-                eval_every=events)
+        eng = _async_engine(64, activations=activations)
+        eng.run(AsyncDPSGD())
         return eng
 
     best = _best_of(run)
@@ -361,9 +363,9 @@ def _measure_async_events(n_nodes: int = 64, activations: int = 4):
     events = n_nodes * activations
 
     def run(vectorized: bool):
-        eng = _async_engine(n_nodes, vectorized=vectorized)
-        hist = eng.run(AsyncDPSGD(), activations_per_node=activations,
-                       eval_every=events)
+        eng = _async_engine(n_nodes, activations=activations,
+                            vectorized=vectorized)
+        hist = eng.run(AsyncDPSGD())
         return eng, hist
 
     eng_s, hist_s = run(False)

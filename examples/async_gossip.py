@@ -45,7 +45,8 @@ def build_engine(rngs: RngFactory) -> AsyncGossipEngine:
     return AsyncGossipEngine(
         model, nodes, neighbor_lists(graph), test,
         local_steps=8, learning_rate=0.4,
-        rng=rngs.stream("events"), trace=trace,
+        rng=rngs.stream("events"), activations_per_node=ACTIVATIONS,
+        trace=trace,
     )
 
 
@@ -58,7 +59,7 @@ def main() -> None:
         ("async-SkipTrain (4,4)", AsyncSkipTrain(RoundSchedule(4, 4))),
     ]:
         engine = build_engine(RngFactory(SEED))
-        history = engine.run(policy, activations_per_node=ACTIVATIONS)
+        history = engine.run(policy)
         print(f"{name}:")
         for record in history.records:
             print(f"  t={record.time:6.1f} (event {record.activations:5d}): "

@@ -54,6 +54,8 @@ import argparse
 import sys
 from pathlib import Path
 
+from .algorithm_names import algorithm_kind, algorithms_of_kind
+
 __all__ = ["main", "build_parser"]
 
 
@@ -84,8 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--algorithm",
         default="skiptrain",
-        choices=["d-psgd", "d-psgd-allreduce", "skiptrain",
-                 "skiptrain-constrained", "greedy"],
+        choices=algorithms_of_kind("sync"),
     )
     p_run.add_argument("--degree", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=0)
@@ -103,8 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_arun.add_argument(
         "--algorithm",
         default="async-skiptrain",
-        choices=["async-d-psgd", "async-skiptrain",
-                 "async-skiptrain-constrained"],
+        choices=algorithms_of_kind("async"),
     )
     p_arun.add_argument("--degree", type=int, default=None)
     p_arun.add_argument("--seed", type=int, default=0)
@@ -410,7 +410,10 @@ def _print_result(result) -> None:
           f"communication: {result.meter.total_comm_wh:.4f} Wh")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace, **options) -> int:
+    """``repro run`` and ``repro async-run``: one algorithm of either
+    kind through :func:`~repro.experiments.runner.run_algorithm`;
+    ``options`` are the subcommand's own builder keywords."""
     from .experiments import get_preset, prepare, run_algorithm
 
     preset = get_preset(args.preset)
@@ -422,28 +425,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     prepared = prepare(preset, degree, seed=args.seed)
     result = run_algorithm(prepared, args.algorithm, schedule=schedule,
-                           total_rounds=args.rounds)
-    print(f"preset={preset.name} degree={degree} algorithm={args.algorithm}")
-    _print_result(result)
-    return 0
-
-
-def _cmd_async_run(args: argparse.Namespace) -> int:
-    from .experiments import get_preset, prepare, run_async_algorithm
-
-    preset = get_preset(args.preset)
-    degree = args.degree if args.degree is not None else preset.degrees[0]
-    try:
-        schedule = _schedule_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    prepared = prepare(preset, degree, seed=args.seed)
-    result = run_async_algorithm(
-        prepared, args.algorithm, schedule=schedule,
-        activations_per_node=args.activations, eval_every=args.eval_every,
-        enforce_budgets=args.enforce_budgets, vectorized=args.vectorized,
-    )
+                           **options)
     print(f"preset={preset.name} degree={degree} algorithm={args.algorithm}")
     _print_result(result)
     return 0
@@ -571,9 +553,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             ["async-skiptrain", "async-d-psgd"] if kind == "async"
             else ["skiptrain", "d-psgd"]
         )
-    # fail fast on kind/preset/algorithm mismatches instead of a
-    # KeyError deep inside the first cell (possibly in a pool worker)
-    from .experiments import ASYNC_ALGORITHMS, ASYNC_PRESETS
+    # fail fast on kind/preset/algorithm mismatches and unknown names,
+    # before any dataset is prepared, instead of deep inside the first
+    # cell (possibly in a pool worker)
+    from .experiments import ASYNC_PRESETS
 
     if kind == "async" and not preset_name.endswith("-async"):
         print(f"error: --kind async expects an -async preset so sync and "
@@ -584,20 +567,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: preset {preset_name!r} is an async preset; add "
               f"--kind async", file=sys.stderr)
         return 2
-    if kind == "async":
-        unknown = [a for a in algorithms if a.lower() not in ASYNC_ALGORITHMS]
-        if unknown:
-            print(f"error: --kind async supports algorithms "
-                  f"{list(ASYNC_ALGORITHMS)}, got {unknown}",
-                  file=sys.stderr)
-            return 2
-    else:
-        async_named = [a for a in algorithms
-                       if a.lower() in ASYNC_ALGORITHMS]
-        if async_named:
-            print(f"error: {async_named} run on the async engine; add "
-                  f"--kind async", file=sys.stderr)
-            return 2
+    try:
+        other = [a for a in algorithms if algorithm_kind(a) != kind]
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    if other:
+        other_kind = "sync" if kind == "async" else "async"
+        print(f"error: --kind {kind} supports algorithms "
+              f"{algorithms_of_kind(kind)}, got {other}, which run under "
+              f"--kind {other_kind}", file=sys.stderr)
+        return 2
     try:
         shard = parse_shard(args.shard)
         plan = build_plan(
@@ -938,9 +918,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "presets":
         return _cmd_presets()
     if args.command == "run":
-        return _cmd_run(args)
+        return _cmd_run(args, total_rounds=args.rounds)
     if args.command == "async-run":
-        return _cmd_async_run(args)
+        return _cmd_run(
+            args, total_rounds=args.activations, eval_every=args.eval_every,
+            enforce_budgets=args.enforce_budgets, vectorized=args.vectorized,
+        )
     if args.command == "table":
         return _cmd_table(args)
     if args.command == "figure":

@@ -9,18 +9,16 @@ mid-cell checkpoint before running; ``vectorized=True`` selects the
 batched multi-node engine (bit-compatible with serial for plain SGD,
 so artifacts are identical whichever engine produced them).
 
-:func:`build_async_run` / :func:`run_async_algorithm` are the
-event-driven twins: the same :class:`PreparedExperiment` (identical
-data, partition, and regular graph), wired into an
-:class:`~repro.simulation.async_engine.AsyncGossipEngine` plus an async
-policy. Construction is deterministic in ``prepared`` and the
-overrides, which is what lets the sweep orchestrator rebuild a killed
-async cell and restore its checkpoint into it.
-
-:func:`execute_run` is the one step from a wired pair of either kind to
-its result — the only place that knows the two engines' ``run``
-spellings — so ``run_algorithm``, ``run_async_algorithm``, a compiled
-scenario and a checkpointed sweep cell all run an engine the same way.
+The algorithm's kind picks the engine, in :func:`build_run` and
+nowhere else: a sync algorithm gets a
+:class:`~repro.simulation.engine.SimulationEngine`, an async policy an
+:class:`~repro.simulation.async_engine.AsyncGossipEngine` over the
+same :class:`PreparedExperiment` (identical data, partition, and the
+regular graph as neighbor lists). Both engines hold their horizon and
+share one run contract, ``run(algorithm, *, start, history, hook)``,
+so :func:`execute_run` is run-then-wrap and :func:`run_algorithm`, a
+compiled scenario and a checkpointed sweep cell all run either kind
+the same way.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from ..algorithm_names import algorithm_kind, algorithms_of_kind
 from ..core.base import Algorithm
 from ..core.dpsgd import DPSGD, AllReduceDPSGD
 from ..core.greedy import Greedy
@@ -73,25 +72,19 @@ __all__ = [
     "prepared_from_data",
     "build_run",
     "run_algorithm",
-    "build_async_run",
-    "run_async_algorithm",
     "execute_run",
 ]
 
 #: Algorithm names that run on the asynchronous gossip engine.
-ASYNC_ALGORITHMS = (
-    "async-d-psgd",
-    "async-skiptrain",
-    "async-skiptrain-constrained",
-)
+ASYNC_ALGORITHMS = tuple(algorithms_of_kind("async"))
 
 
 def async_eval_cadence(eval_every_rounds: int, n_nodes: int) -> int:
     """Async evaluation cadence in *events* from a round-equivalent
     ``eval_every``: one expected activation per node ≈ one round, so
-    the cadence scales by ``n``. The single home of this formula —
-    ``repro async-run`` and the sweep orchestrator must agree on it,
-    or the same cell would evaluate at different simulated times."""
+    the cadence scales by ``n``. The single home of this formula, and
+    :func:`build_run` its one caller, so ``repro async-run``, scenarios
+    and sweep cells evaluate the same cell at the same simulated times."""
     return max(1, eval_every_rounds * n_nodes)
 
 
@@ -110,6 +103,19 @@ class ExperimentResult:
     @property
     def total_train_energy_wh(self) -> float:
         return self.meter.total_train_wh
+
+
+@dataclass
+class AsyncExperimentResult:
+    """Async run history plus its training-energy total and trace."""
+
+    history: AsyncHistory
+    train_energy_wh: float
+    trace: EnergyTrace
+
+    @property
+    def final_accuracy(self) -> float:
+        return self.history.final_accuracy()
 
 
 @dataclass
@@ -289,53 +295,59 @@ def prepare(
     return prepared_from_data(data, degree)
 
 
+#: algorithm name → factory ``(n, schedule, budgets, total, rngs)``:
+#: ``total`` is the horizon (rounds, or expected activations per node
+#: for the async policies) and ``rngs`` the cell's stream factory, whose
+#: ``"participation"`` stream only the constrained variants draw. One
+#: entry per name of :data:`~repro.algorithm_names.ALGORITHM_KINDS`.
+_FACTORIES: dict[str, Callable[..., Algorithm | AsyncPolicy]] = {
+    "d-psgd": lambda n, schedule, budgets, total, rngs: DPSGD(n),
+    "d-psgd-allreduce": lambda n, schedule, budgets, total, rngs: (
+        AllReduceDPSGD(n)
+    ),
+    "skiptrain": lambda n, schedule, budgets, total, rngs: (
+        SkipTrain(n, schedule)
+    ),
+    "skiptrain-constrained": lambda n, schedule, budgets, total, rngs: (
+        SkipTrainConstrained(
+            n, schedule, budgets=budgets, total_rounds=total,
+            rng=rngs.stream("participation"),
+        )
+    ),
+    "greedy": lambda n, schedule, budgets, total, rngs: (
+        Greedy(n, budgets=budgets)
+    ),
+    "async-d-psgd": lambda n, schedule, budgets, total, rngs: AsyncDPSGD(),
+    "async-skiptrain": lambda n, schedule, budgets, total, rngs: (
+        AsyncSkipTrain(schedule)
+    ),
+    "async-skiptrain-constrained": lambda n, schedule, budgets, total, rngs: (
+        AsyncSkipTrainConstrained(
+            schedule, budgets=budgets, expected_activations=total,
+            rng=rngs.stream("participation"),
+        )
+    ),
+}
+
+
 def _make_algorithm(
     name: str,
     prepared: PreparedExperiment,
     schedule: RoundSchedule | None,
-    total_rounds: int,
+    total: int,
     rngs: RngFactory,
-) -> Algorithm:
-    n = prepared.preset.n_nodes
+) -> Algorithm | AsyncPolicy:
     if schedule is None:
         schedule = prepared.preset.schedule_for_degree(prepared.degree)
-    key = name.lower()
-    if key == "d-psgd":
-        return DPSGD(n)
-    if key == "d-psgd-allreduce":
-        return AllReduceDPSGD(n)
-    if key == "skiptrain":
-        return SkipTrain(n, schedule)
-    if key == "skiptrain-constrained":
-        return SkipTrainConstrained(
-            n,
-            schedule,
-            budgets=prepared.trace.budget_rounds,
-            total_rounds=total_rounds,
-            rng=rngs.stream("participation"),
-        )
-    if key == "greedy":
-        return Greedy(n, budgets=prepared.trace.budget_rounds)
-    raise KeyError(f"unknown algorithm {name!r}")
-
-
-def _wire_model_nodes(prepared: PreparedExperiment, rngs: RngFactory):
-    """The wiring both engines share: the model drawn from the
-    ``"model"`` stream and one node (with its own batch stream) per
-    partition cell. The single home of this plumbing — sync and async
-    cells of one prepared experiment start from bit-identical models
-    and data loaders."""
-    preset = prepared.preset
-    model = preset.model_factory(rngs.stream("model"))
-    nodes = build_nodes(
-        prepared.train, prepared.partition, preset.batch_size, rngs
+    return _FACTORIES[name](
+        prepared.preset.n_nodes, schedule, prepared.trace.budget_rounds,
+        total, rngs,
     )
-    return model, nodes
 
 
 def build_run(
     prepared: PreparedExperiment,
-    algorithm: str | Algorithm,
+    algorithm: str | Algorithm | AsyncPolicy,
     schedule: RoundSchedule | None = None,
     total_rounds: int | None = None,
     eval_every: int | None = None,
@@ -345,288 +357,146 @@ def build_run(
     failure_model: "FailureModel | None" = None,
     churn=None,
     state_backend: str = "memory",
-) -> tuple[SimulationEngine, Algorithm]:
+    enforce_budgets: bool = False,
+) -> tuple[SimulationEngine | AsyncGossipEngine, Algorithm | AsyncPolicy]:
     """Wire the (engine, algorithm) pair for one cell without running.
+
+    The algorithm picks the engine: a name by its kind in
+    :data:`~repro.algorithm_names.ALGORITHM_KINDS` (``KeyError`` for an
+    unknown one), an instance by its type (an :class:`AsyncPolicy` or an
+    :class:`~repro.core.base.Algorithm`). ``total_rounds`` and
+    ``eval_every`` (both default to the preset's) are the horizon and
+    the evaluation cadence in rounds; an async engine reads them as
+    expected activations per node and gets the cadence in events from
+    :func:`async_eval_cadence`. Both engines hold their horizon, so the
+    pair runs with ``engine.run(algorithm)``.
 
     Construction is deterministic in ``prepared`` and the overrides:
     two calls yield engines whose runs are bit-identical. The sweep
     orchestrator relies on this to rebuild a killed cell's engine and
     restore a mid-run checkpoint into it. ``vectorized`` selects the
-    stacked training and evaluation path (bit-identical to the serial
-    one, so artifacts never depend on the choice).
+    stacked training and evaluation path, and for an async engine
+    disjoint event batching — bit-identical to the serial one, so
+    artifacts never depend on the choice.
 
-    The scenario axes ride through here: ``mixing`` overrides the
-    prepared static matrix with a per-round provider (dynamic
-    topologies, churn/failure-masked subgraphs), ``failure_model``
-    injects transient outages, and ``churn`` a
-    :class:`~repro.scenarios.churn.ChurnSchedule` — all three default
-    off, leaving non-scenario cells byte-identical to before.
+    The scenario axes ride through here: ``failure_model`` injects
+    transient outages and ``churn`` a
+    :class:`~repro.scenarios.churn.ChurnSchedule`. ``mixing`` is the
+    sync engine's own: a per-round provider in place of the prepared
+    static matrix (dynamic topologies, churn/failure-masked subgraphs);
+    an async engine gossips over ``prepared.topology``'s neighbor lists
+    and masks partners itself. ``enforce_budgets`` is the async
+    engine's battery gate. Either one on the other kind raises
+    ``ValueError``. All default off, leaving non-scenario cells
+    byte-identical.
     """
     if eval_on not in ("test", "validation"):
         raise ValueError('eval_on must be "test" or "validation"')
+    if isinstance(algorithm, str):
+        kind = algorithm_kind(algorithm)
+    else:
+        kind = "async" if isinstance(algorithm, AsyncPolicy) else "sync"
+    if kind == "async" and mixing is not None:
+        raise ValueError("mixing overrides the sync engine's gossip matrix")
+    if kind == "sync" and enforce_budgets:
+        raise ValueError("enforce_budgets is the async engine's battery gate")
     preset = prepared.preset
     rngs = RngFactory(prepared.seed)
-    rounds = total_rounds if total_rounds is not None else preset.total_rounds
-    cfg = EngineConfig(
-        local_steps=preset.local_steps,
-        learning_rate=preset.learning_rate,
-        total_rounds=rounds,
-        eval_every=eval_every if eval_every is not None else preset.eval_every,
-        eval_node_sample=preset.eval_node_sample,
-        vectorized=vectorized,
-        state_backend=state_backend,
+    total = total_rounds if total_rounds is not None else preset.total_rounds
+    every = eval_every if eval_every is not None else preset.eval_every
+    test_set = prepared.test if eval_on == "test" else prepared.validation
+    # both kinds draw the model and every node's batch stream alike, so
+    # sync and async cells of one prepared experiment start from
+    # bit-identical models and data loaders
+    model = preset.model_factory(rngs.stream("model"))
+    nodes = build_nodes(
+        prepared.train, prepared.partition, preset.batch_size, rngs
     )
-    model, nodes = _wire_model_nodes(prepared, rngs)
-    meter = EnergyMeter(prepared.trace)
-    engine = SimulationEngine(
-        model,
-        nodes,
-        mixing if mixing is not None else prepared.mixing,
-        cfg,
-        prepared.test if eval_on == "test" else prepared.validation,
-        meter=meter,
-        eval_rng=rngs.stream("eval"),
-        failure_model=failure_model,
-        churn=churn,
-    )
-    if isinstance(algorithm, str):
-        algo = _make_algorithm(algorithm, prepared, schedule, rounds, rngs)
+    engine: SimulationEngine | AsyncGossipEngine
+    if kind == "sync":
+        engine = SimulationEngine(
+            model,
+            nodes,
+            mixing if mixing is not None else prepared.mixing,
+            EngineConfig(
+                local_steps=preset.local_steps,
+                learning_rate=preset.learning_rate,
+                total_rounds=total,
+                eval_every=every,
+                eval_node_sample=preset.eval_node_sample,
+                vectorized=vectorized,
+                state_backend=state_backend,
+            ),
+            test_set,
+            meter=EnergyMeter(prepared.trace),
+            eval_rng=rngs.stream("eval"),
+            failure_model=failure_model,
+            churn=churn,
+        )
     else:
-        algo = algorithm
-    return engine, algo
+        engine = AsyncGossipEngine(
+            model,
+            nodes,
+            neighbor_lists(prepared.topology),
+            test_set,
+            local_steps=preset.local_steps,
+            learning_rate=preset.learning_rate,
+            rng=rngs.stream("events"),
+            activations_per_node=total,
+            eval_every=async_eval_cadence(every, preset.n_nodes),
+            trace=prepared.trace,
+            eval_node_sample=preset.eval_node_sample,
+            eval_rng=rngs.stream("async-eval"),
+            failure_model=failure_model,
+            enforce_budgets=enforce_budgets,
+            churn=churn,
+            vectorized=vectorized,
+            state_backend=state_backend,
+        )
+    if isinstance(algorithm, str):
+        algorithm = _make_algorithm(algorithm, prepared, schedule, total, rngs)
+    return engine, algorithm
 
 
 def run_algorithm(
     prepared: PreparedExperiment,
-    algorithm: str | Algorithm,
-    schedule: RoundSchedule | None = None,
-    total_rounds: int | None = None,
-    eval_every: int | None = None,
-    eval_on: str = "test",
-    vectorized: bool = False,
-) -> ExperimentResult:
-    """Run one algorithm on a prepared experiment cell.
-
+    algorithm: str | Algorithm | AsyncPolicy,
+    **options: Any,
+) -> ExperimentResult | AsyncExperimentResult:
+    """Run one algorithm — sync or async — on a prepared experiment
+    cell. ``options`` are :func:`build_run`'s keywords:
     ``schedule``/``total_rounds``/``eval_every`` override the preset
     (the grid search varies the schedule; Fig. 4 shortens the eval
-    cadence). ``eval_on`` selects the evaluation split: ``"test"`` for
-    result experiments, ``"validation"`` for hyperparameter tuning
-    (the paper's grid search uses the validation set, §4.2–4.3).
-    ``vectorized`` runs local training and evaluation on the batched
-    multi-node path (bit-identical to the serial one).
-    """
-    engine, algo = build_run(
-        prepared,
-        algorithm,
-        schedule=schedule,
-        total_rounds=total_rounds,
-        eval_every=eval_every,
-        eval_on=eval_on,
-        vectorized=vectorized,
-    )
+    cadence), and ``eval_on="validation"`` evaluates on the tuning
+    split (the paper's grid search, §4.2–4.3)."""
+    engine, algo = build_run(prepared, algorithm, **options)
     return execute_run(engine, algo, prepared.trace)
 
 
-# --------------------------------------------------------------------------
-# Asynchronous gossip cells
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class AsyncExperimentResult:
-    """Async run history plus its training-energy total and trace."""
-
-    history: AsyncHistory
-    train_energy_wh: float
-    trace: EnergyTrace
-
-    @property
-    def final_accuracy(self) -> float:
-        return self.history.final_accuracy()
-
-
-def _make_async_policy(
-    name: str,
-    prepared: PreparedExperiment,
-    schedule: RoundSchedule | None,
-    activations_per_node: int,
-    rngs: RngFactory,
-) -> AsyncPolicy:
-    if schedule is None:
-        schedule = prepared.preset.schedule_for_degree(prepared.degree)
-    key = name.lower()
-    if key == "async-d-psgd":
-        return AsyncDPSGD()
-    if key == "async-skiptrain":
-        return AsyncSkipTrain(schedule)
-    if key == "async-skiptrain-constrained":
-        return AsyncSkipTrainConstrained(
-            schedule,
-            budgets=prepared.trace.budget_rounds,
-            expected_activations=activations_per_node,
-            rng=rngs.stream("participation"),
-        )
-    raise KeyError(
-        f"unknown async algorithm {name!r}; available: {ASYNC_ALGORITHMS}"
-    )
-
-
-def build_async_run(
-    prepared: PreparedExperiment,
-    algorithm: str | AsyncPolicy,
-    schedule: RoundSchedule | None = None,
-    activations_per_node: int | None = None,
-    eval_on: str = "test",
-    failure_model: "FailureModel | None" = None,
-    enforce_budgets: bool = False,
-    churn=None,
-    vectorized: bool = False,
-    state_backend: str = "memory",
-) -> tuple[AsyncGossipEngine, AsyncPolicy]:
-    """Wire the (engine, policy) pair for one async cell without
-    running it.
-
-    The cell shares the prepared experiment's dataset, partition, and
-    the very ``prepared.topology`` the synchronous mixing matrix was
-    derived from, expressed as per-node neighbor arrays.
-    Construction is deterministic in ``prepared`` and the overrides;
-    two calls yield engines whose runs are bit-identical, which the
-    sweep orchestrator relies on to restore mid-run checkpoints.
-    ``activations_per_node`` defaults to the preset's ``total_rounds``
-    (one expected activation ≈ one round at unit clock rate).
-    ``vectorized`` selects disjoint event batching — bit-identical to
-    the serial event loop (see
-    :mod:`repro.simulation.event_batch`).
-    """
-    if eval_on not in ("test", "validation"):
-        raise ValueError('eval_on must be "test" or "validation"')
-    preset = prepared.preset
-    rngs = RngFactory(prepared.seed)
-    activations = (
-        activations_per_node
-        if activations_per_node is not None
-        else preset.total_rounds
-    )
-    if activations <= 0:
-        raise ValueError("activations_per_node must be positive")
-    model, nodes = _wire_model_nodes(prepared, rngs)
-    engine = AsyncGossipEngine(
-        model,
-        nodes,
-        neighbor_lists(prepared.topology),
-        prepared.test if eval_on == "test" else prepared.validation,
-        local_steps=preset.local_steps,
-        learning_rate=preset.learning_rate,
-        rng=rngs.stream("events"),
-        trace=prepared.trace,
-        eval_node_sample=preset.eval_node_sample,
-        eval_rng=rngs.stream("async-eval"),
-        failure_model=failure_model,
-        enforce_budgets=enforce_budgets,
-        churn=churn,
-        vectorized=vectorized,
-        state_backend=state_backend,
-    )
-    if isinstance(algorithm, str):
-        policy = _make_async_policy(
-            algorithm, prepared, schedule, activations, rngs
-        )
-    else:
-        policy = algorithm
-    return engine, policy
-
-
-def run_async_algorithm(
-    prepared: PreparedExperiment,
-    algorithm: str | AsyncPolicy,
-    schedule: RoundSchedule | None = None,
-    activations_per_node: int | None = None,
-    eval_every: int | None = None,
-    eval_on: str = "test",
-    failure_model: "FailureModel | None" = None,
-    enforce_budgets: bool = False,
-    vectorized: bool = False,
-) -> AsyncExperimentResult:
-    """Run one async gossip policy on a prepared experiment cell.
-
-    ``eval_every`` is in the preset's round-equivalent units (expected
-    activations per node); it is scaled by ``n`` into an event cadence,
-    so async histories carry about as many records as a sync run of the
-    same preset. Defaults to the preset's ``eval_every``.
-    ``vectorized`` batches disjoint events through the stacked kernels
-    (results bit-identical to the serial event loop).
-    """
-    engine, policy = build_async_run(
-        prepared,
-        algorithm,
-        schedule=schedule,
-        activations_per_node=activations_per_node,
-        eval_on=eval_on,
-        failure_model=failure_model,
-        enforce_budgets=enforce_budgets,
-        vectorized=vectorized,
-    )
-    preset = prepared.preset
-    return execute_run(
-        engine,
-        policy,
-        prepared.trace,
-        total_rounds=(
-            activations_per_node
-            if activations_per_node is not None
-            else preset.total_rounds
-        ),
-        eval_every=eval_every if eval_every is not None else preset.eval_every,
-    )
+#: engine type → the result it runs to: what differs by kind, as data
+_RESULT_OF: dict[type, Callable[..., ExperimentResult | AsyncExperimentResult]] = {
+    SimulationEngine: lambda engine, history, trace: ExperimentResult(
+        history=history, meter=engine.meter, trace=trace
+    ),
+    AsyncGossipEngine: lambda engine, history, trace: AsyncExperimentResult(
+        history=history, train_energy_wh=engine.train_energy_wh, trace=trace
+    ),
+}
 
 
 def execute_run(
     engine: SimulationEngine | AsyncGossipEngine,
-    algorithm: Any,
+    algorithm: Algorithm | AsyncPolicy,
     trace: EnergyTrace,
     *,
-    total_rounds: int | None = None,
-    eval_every: int | None = None,
     start: int = 0,
-    history: Any = None,
+    history: RunHistory | AsyncHistory | None = None,
     hook: Callable | None = None,
 ) -> ExperimentResult | AsyncExperimentResult:
-    """Run a wired (engine, algorithm) pair of either kind to its
-    result: an :class:`~repro.core.base.Algorithm` and a
-    :class:`RunHistory` go with a sync engine, an :class:`AsyncPolicy`
-    and an :class:`AsyncHistory` with an async one.
-
-    A sync engine carries its horizon and evaluation cadence in its
-    config (:func:`build_run` wired them), so ``total_rounds`` and
-    ``eval_every`` are the async engine's: expected activations per
-    node, and the cadence in that same round-equivalent unit, scaled
-    here by :func:`async_eval_cadence` into events. ``start`` and
-    ``history`` continue a run restored from a checkpoint — completed
-    rounds for a sync engine, completed events for an async one.
-    ``hook`` is the engine's own: ``hook(engine, t, history,
-    last_eval)`` after every sync round, ``hook(engine, event,
-    history)`` after every async event (per batch window when
-    vectorized).
-    """
-    if isinstance(engine, AsyncGossipEngine):
-        if total_rounds is None or eval_every is None:
-            raise ValueError(
-                "an async run needs total_rounds (activations per node) "
-                "and eval_every"
-            )
-        history = engine.run(
-            algorithm,
-            activations_per_node=total_rounds,
-            eval_every=async_eval_cadence(eval_every, engine.n_nodes),
-            start_event=start,
-            history=history,
-            event_hook=hook,
-        )
-        return AsyncExperimentResult(
-            history=history, train_energy_wh=engine.train_energy_wh, trace=trace
-        )
-    history = engine.run(
-        algorithm, start_round=start, history=history, round_hook=hook
-    )
-    assert engine.meter is not None
-    return ExperimentResult(history=history, meter=engine.meter, trace=trace)
+    """Run a wired pair of either kind through the one run contract,
+    ``engine.run(algorithm, start=, history=, hook=)``, and wrap its
+    history: an :class:`ExperimentResult` for a sync engine, an
+    :class:`AsyncExperimentResult` for an async one. ``start`` and
+    ``history`` continue a run restored from a checkpoint."""
+    history = engine.run(algorithm, start=start, history=history, hook=hook)
+    return _RESULT_OF[type(engine)](engine, history, trace)

@@ -25,10 +25,10 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 
+from ...algorithm_names import algorithm_kind
 from ...scenarios.compile import build_scenario_plan, validate_composition
 from ...scenarios.spec import ScenarioSpec
 from ..artifacts import PlanCell, build_plan
-from ..runner import ASYNC_ALGORITHMS
 
 __all__ = [
     "CellInFlightError",
@@ -240,12 +240,13 @@ def parse_job_request(
         raise ValueError('"algorithm" is required with "preset"')
     try:
         preset = preset_lookup(preset_name)
+        algorithm_runs_on = algorithm_kind(algorithm)
     except KeyError as exc:
-        raise ValueError(str(exc)) from exc
-    kind = obj.get("kind", "async" if algorithm in ASYNC_ALGORITHMS else "sync")
+        raise ValueError(exc.args[0]) from exc
+    kind = obj.get("kind", algorithm_runs_on)
     if kind not in ("sync", "async"):
         raise ValueError('"kind" must be "sync" or "async"')
-    if (kind == "async") != (algorithm in ASYNC_ALGORITHMS):
+    if kind != algorithm_runs_on:
         raise ValueError(
             f"algorithm {algorithm!r} does not run under kind={kind!r}"
         )

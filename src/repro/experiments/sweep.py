@@ -21,14 +21,15 @@ binds the cell's topology onto that data and hands over to
 :func:`run_cell`. Served ≡ swept ≡ serial holds because it is the same
 function each time, not three that agree.
 
-:func:`run_cell` wires the engine — the one place a cell's kind picks
-between :func:`~repro.experiments.runner.build_run` and
-:func:`~repro.experiments.runner.build_async_run` — and runs it through
-the checkpointed cell protocol (``_execute_cell``: restore → run with
-hook → write artifact → drop checkpoint). That protocol does not know
-the kind: the checkpoint pair, the artifact writer and
-:func:`~repro.experiments.runner.execute_run` each take either engine,
-and whether work counts in rounds or events is the cell's own
+:func:`run_cell` wires the engine with
+:func:`~repro.experiments.runner.build_run` (a scenario cell through
+:func:`~repro.scenarios.compile.compile_run`, which calls it too) and
+runs it through the checkpointed cell protocol (``_execute_cell``:
+restore → run with hook → write artifact → drop checkpoint). Neither
+asks which kind the cell is: the builder picks the engine from the
+algorithm, both engines share one run contract and one hook, the
+checkpoint pair and the artifact writer take either engine, and
+whether work counts in rounds or events is the cell's own
 :meth:`~repro.experiments.artifacts.PlanCell.units_per_round`.
 """
 
@@ -53,7 +54,6 @@ from .runner import (
     AsyncExperimentResult,
     ExperimentResult,
     PreparedData,
-    build_async_run,
     build_run,
     execute_run,
     prepare,
@@ -143,17 +143,18 @@ def run_cell(
     partial history are restored from it and the run continues from the
     checkpointed round — bit-identical to an uninterrupted run. With
     ``checkpoint_every > 0``, a fresh checkpoint is written at the
-    first evaluation round at least that many rounds after the last
-    one (checkpoints land on evaluation rounds because only those
-    resume exactly; see :meth:`SimulationEngine.run`). The checkpoint
-    is deleted once the artifact is safely on disk.
+    first point at least that many rounds after the last one where the
+    engine's hook says a run resumes exactly (``resumable_at == at``):
+    an evaluation round for a sync cell (see
+    :meth:`SimulationEngine.run`), any event boundary for an async one.
+    The checkpoint is deleted once the artifact is safely on disk.
 
-    ``kind="async"`` cells dispatch to the event-driven engine: the
-    same skip/resume/checkpoint contract, with ``checkpoint_every``
-    counted in the cell's round-equivalent unit (expected activations
-    per node — ``checkpoint_every × n`` events) and the hook invoked as
-    ``round_hook(engine, event, history, event)`` after every event.
-    Async resume is exact from *any* event boundary.
+    ``round_hook(engine, at, history, resumable_at)`` is the engines'
+    one hook, called after every round or event (per batch window for
+    a vectorized async cell). For ``kind="async"`` cells ``at`` counts
+    events and ``checkpoint_every`` stays in the cell's round-equivalent
+    unit (expected activations per node — ``checkpoint_every × n``
+    events).
 
     Cells referencing a scenario (``cell.scenario``) are compiled via
     :func:`repro.scenarios.compile_run` — churn, failures, dynamic
@@ -188,24 +189,16 @@ def run_cell(
             scenario_lookup=scenario_lookup,
         )
         engine, algo = compiled.engine, compiled.algorithm
-        trace, eval_every = compiled.prepared.trace, compiled.eval_every
+        prepared = compiled.prepared
     else:
         if prepared is None:
             prepared = prepare(preset, cell.degree, seed=cell.seed)
-        if cell.kind == "async":
-            engine, algo = build_async_run(
-                prepared, cell.algorithm,
-                activations_per_node=cell.total_rounds,
-                vectorized=vectorized, state_backend=state_backend,
-            )
-        else:
-            engine, algo = build_run(
-                prepared, cell.algorithm, total_rounds=cell.total_rounds,
-                vectorized=vectorized, state_backend=state_backend,
-            )
-        trace, eval_every = prepared.trace, preset.eval_every
+        engine, algo = build_run(
+            prepared, cell.algorithm, total_rounds=cell.total_rounds,
+            vectorized=vectorized, state_backend=state_backend,
+        )
     return _execute_cell(
-        engine, algo, cell, results_dir, trace, eval_every=eval_every,
+        engine, algo, cell, results_dir, prepared.trace,
         checkpoint_every=checkpoint_every, vectorized=vectorized,
         round_hook=round_hook, progress=progress,
     )
@@ -277,7 +270,6 @@ def _execute_cell(
     results_dir: str | os.PathLike,
     trace,
     *,
-    eval_every: int,
     checkpoint_every: int,
     vectorized: bool,
     round_hook: Callable | None,
@@ -288,13 +280,13 @@ def _execute_cell(
     checkpointing, write the artifact, drop the checkpoint. Nothing
     here asks which kind the cell is.
 
-    A checkpoint is written wherever the engine says a run resumes
-    exactly: a sync engine's hook names its last evaluation round (only
-    those resume exactly); an async engine's names nothing, because any
-    event boundary does — under ``vectorized=True`` the async hook only
-    fires at evaluation boundaries, so checkpoints land on those while
-    resume stays boundary-free. The engine (and its state backing, mmap
-    or not) is always released on the way out, success or crash.
+    A checkpoint is written where the engine's hook says a run resumes
+    exactly, ``resumable_at == at``: a sync engine names its last
+    evaluation round, an async one every event boundary — under
+    ``vectorized=True`` the async hook only fires at evaluation
+    boundaries, so checkpoints land on those while resume stays
+    boundary-free. The engine (and its state backing, mmap or not) is
+    always released on the way out, success or crash.
     """
     unit = cell.units_per_round(engine.n_nodes)
     total, interval = cell.total_rounds * unit, checkpoint_every * unit
@@ -305,14 +297,11 @@ def _execute_cell(
         start, history = load_run_checkpoint(engine, algo, ckpt)
     last_ckpt = start
 
-    def hook(eng, at, hist, last_eval=None):
-        # the async engine reports no evaluation mark: every event is
-        # a boundary it can resume from
+    def hook(eng, at, hist, resumable_at):
         nonlocal last_ckpt
-        boundary = at if last_eval is None else last_eval
         if (
             checkpoint_every > 0
-            and at == boundary
+            and at == resumable_at
             and at < total
             and at - last_ckpt >= interval
         ):
@@ -320,14 +309,13 @@ def _execute_cell(
             save_run_checkpoint(eng, algo, hist, at, ckpt)
             last_ckpt = at
         if round_hook is not None:
-            round_hook(eng, at, hist, boundary)
+            round_hook(eng, at, hist, resumable_at)
         if progress is not None:
             progress(at, total)
 
     try:
         result = execute_run(
-            engine, algo, trace, total_rounds=cell.total_rounds,
-            eval_every=eval_every, start=start, history=history, hook=hook,
+            engine, algo, trace, start=start, history=history, hook=hook
         )
         write_cell_artifact(results_dir, cell, result, vectorized=vectorized)
         # the artifact is on disk: drop the checkpoint, and the temp

@@ -4,10 +4,11 @@ runnable (engine, algorithm) pair.
 This is the single place scenario axes meet the execution stack: the
 spec's topology/churn/failure/energy/data/algorithm blocks are resolved
 against the named preset and wired through
-:func:`repro.experiments.runner.build_run` /
-:func:`~repro.experiments.runner.build_async_run` — the same plumbing
-every non-scenario cell uses, so a scenario with all axes at their
-defaults is *byte-identical* to the plain preset cell.
+:func:`repro.experiments.runner.build_run` — the same plumbing every
+non-scenario cell uses, so a scenario with all axes at their defaults
+is *byte-identical* to the plain preset cell. The builder picks the
+engine from the algorithm's kind, so compilation has one path for
+both.
 
 Compilation is deterministic in ``(spec, seed, total_rounds)``: the
 sweep orchestrator rebuilds a killed scenario cell by re-compiling and
@@ -44,7 +45,6 @@ from ..experiments.runner import (
     AsyncExperimentResult,
     ExperimentResult,
     PreparedExperiment,
-    build_async_run,
     build_run,
     execute_run,
     prepare,
@@ -239,8 +239,8 @@ class CompiledRun:
     """A scenario wired into a concrete engine, ready to execute.
 
     ``total_rounds`` is the resolved horizon (expected activations per
-    node for async scenarios); ``eval_every`` the resolved cadence in
-    round-equivalent units. ``execute()`` runs to completion and
+    node for async scenarios), which the engine holds along with the
+    resolved evaluation cadence. ``execute()`` runs to completion and
     returns the same result type the plain runner produces, so every
     downstream consumer (artifacts, figures, aggregation) is oblivious
     to whether a scenario produced the run.
@@ -254,7 +254,6 @@ class CompiledRun:
     algorithm: "Algorithm | AsyncPolicy"
     seed: int
     total_rounds: int
-    eval_every: int
     churn: ChurnSchedule | None
     failure_model: FailureModel | None
 
@@ -262,12 +261,7 @@ class CompiledRun:
         self, round_hook: Callable | None = None
     ) -> "ExperimentResult | AsyncExperimentResult":
         return execute_run(
-            self.engine,
-            self.algorithm,
-            self.prepared.trace,
-            total_rounds=self.total_rounds,
-            eval_every=self.eval_every,
-            hook=round_hook,
+            self.engine, self.algorithm, self.prepared.trace, hook=round_hook
         )
 
 
@@ -323,34 +317,20 @@ def compile_run(
             spec.algorithm.gamma_train, spec.algorithm.gamma_sync
         )
 
-    if resolved_kind == "sync":
-        mixing = _sync_mixing(spec, prepared, churn, failure_model)
-        engine, algo = build_run(
-            prepared,
-            spec.algorithm.name,
-            schedule=schedule,
-            total_rounds=rounds,
-            eval_every=eval_every,
-            eval_on=eval_on,
-            vectorized=vectorized,
-            mixing=mixing,
-            failure_model=failure_model,
-            churn=churn,
-            state_backend=state_backend,
-        )
-    else:
-        engine, algo = build_async_run(
-            prepared,
-            spec.algorithm.name,
-            schedule=schedule,
-            activations_per_node=rounds,
-            eval_on=eval_on,
-            failure_model=failure_model,
-            enforce_budgets=spec.energy.enforce_budgets,
-            churn=churn,
-            vectorized=vectorized,
-            state_backend=state_backend,
-        )
+    engine, algo = build_run(
+        prepared,
+        spec.algorithm.name,
+        schedule=schedule,
+        total_rounds=rounds,
+        eval_every=eval_every,
+        eval_on=eval_on,
+        vectorized=vectorized,
+        mixing=_scenario_mixing(spec, prepared, churn, failure_model),
+        failure_model=failure_model,
+        enforce_budgets=spec.energy.enforce_budgets,
+        churn=churn,
+        state_backend=state_backend,
+    )
     return CompiledRun(
         spec=spec,
         kind=resolved_kind,
@@ -360,23 +340,27 @@ def compile_run(
         algorithm=algo,
         seed=run_seed,
         total_rounds=rounds,
-        eval_every=eval_every,
         churn=churn,
         failure_model=failure_model,
     )
 
 
-def _sync_mixing(
+def _scenario_mixing(
     spec: ScenarioSpec,
     prepared: PreparedExperiment,
     churn: ChurnSchedule | None,
     failure_model: FailureModel | None,
 ) -> Callable[[int], sp.csr_matrix] | None:
-    """The sync engine's mixing argument for a scenario: ``None``
+    """The scenario's ``mixing`` for :func:`build_run`: ``None``
     (prepared static matrix), a plain dynamic provider, or a
     churn/failure-masked provider over the scenario graph — for a
     static scenario the very ``prepared.topology`` the unmasked matrix
-    came from, for a dynamic one graphs of the same (n, degree, seed)."""
+    came from, for a dynamic one graphs of the same (n, degree, seed).
+    Always ``None`` for an async scenario: that engine gossips over
+    ``prepared.topology``'s neighbor lists and masks partners per
+    event itself."""
+    if spec.kind == "async":
+        return None
     topo = spec.topology
     masked = churn is not None or failure_model is not None
     if not topo.is_dynamic:

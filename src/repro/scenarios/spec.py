@@ -20,6 +20,8 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from ..algorithm_names import algorithm_kind
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .churn import ChurnSchedule
 
@@ -209,8 +211,10 @@ class DataSpec:
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """The training algorithm (sync names) or async policy (the
-    ``async-*`` names); optional (Γ_train, Γ_sync) schedule override."""
+    """The training algorithm or async policy, by a name of
+    :data:`~repro.algorithm_names.ALGORITHM_KINDS` (which also decides
+    the scenario's kind); optional (Γ_train, Γ_sync) schedule
+    override."""
 
     name: str = "skiptrain"
     gamma_train: int | None = None
@@ -219,6 +223,10 @@ class AlgorithmSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("algorithm name must be non-empty")
+        try:
+            algorithm_kind(self.name)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
         if (self.gamma_train is None) != (self.gamma_sync is None):
             raise ValueError(
                 "gamma_train and gamma_sync must be set together"
@@ -230,7 +238,7 @@ class AlgorithmSpec:
 
     @property
     def is_async(self) -> bool:
-        return self.name.lower().startswith("async-")
+        return algorithm_kind(self.name) == "async"
 
 
 @dataclass(frozen=True)

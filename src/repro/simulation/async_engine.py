@@ -65,7 +65,7 @@ serial event loop (the same contract the sync engine's ``vectorized``
 flag keeps), because batched events touch disjoint state rows, each
 node's batch rng stream is private, and all shared randomness is
 consumed in serial event order at planning time. Two observable
-differences remain: ``event_hook`` fires once per completed window
+differences remain: the run's ``hook`` fires once per completed window
 (always an evaluation boundary) instead of once per event, and models
 without a batched mirror raise
 :class:`~repro.nn.batched.UnsupportedLayerError` at construction.
@@ -265,10 +265,11 @@ class AsyncGossipEngine:
     """Event-driven pairwise-gossip simulator.
 
     ``neighbor_lists`` defines the topology; every node activates at
-    unit rate. The engine runs until each node has activated
+    unit rate. The horizon is wired here, as the sync engine's is in
+    its config: a run lasts until each node has activated
     ``activations_per_node`` times in expectation (total event budget
     ``n × activations_per_node``), evaluating every ``eval_every``
-    events.
+    events (default: a tenth of the budget).
 
     ``eval_rng`` drives evaluation-time node subsampling only. It
     defaults to a child spawned off ``rng``'s seed sequence — spawning
@@ -294,6 +295,8 @@ class AsyncGossipEngine:
         local_steps: int,
         learning_rate: float,
         rng: np.random.Generator,
+        activations_per_node: int,
+        eval_every: int | None = None,
         trace: EnergyTrace | None = None,
         eval_node_sample: int | None = None,
         eval_rng: np.random.Generator | None = None,
@@ -318,6 +321,15 @@ class AsyncGossipEngine:
             raise ValueError("failure model node count mismatch")
         if churn is not None and churn.n_nodes != n:
             raise ValueError("churn schedule node count mismatch")
+        if activations_per_node <= 0:
+            raise ValueError("activations_per_node must be positive")
+        if eval_every is not None and eval_every <= 0:
+            raise ValueError("eval_every must be positive")
+        self.total_events = n * activations_per_node
+        self.eval_every = (
+            eval_every if eval_every is not None
+            else max(1, self.total_events // 10)
+        )
         self.model = model
         self.nodes = nodes
         self.neighbors = neighbor_lists
@@ -454,28 +466,27 @@ class AsyncGossipEngine:
     def _run_batched(
         self,
         policy: AsyncPolicy,
-        total_events: int,
-        eval_every: int,
-        start_event: int,
+        start: int,
         history: AsyncHistory,
-        event_hook: "Callable[[AsyncGossipEngine, int, AsyncHistory], None] | None",
+        hook: "Callable[[AsyncGossipEngine, int, AsyncHistory, int], None] | None",
     ) -> AsyncHistory:
         """The ``vectorized=True`` event loop: plan one window per
         evaluation boundary, execute its disjoint batches, evaluate,
-        fire the hook. ``start_event`` may be *any* serial event
-        boundary (a checkpoint from a serial run or a killed batched
-        run) — the boundaries are absolute in the event index, so the
-        first window after a mid-window resume is simply shorter."""
-        event = start_event
-        while event < total_events:
-            end = min((event // eval_every + 1) * eval_every, total_events)
+        fire the hook. ``start`` may be *any* serial event boundary (a
+        checkpoint from a serial run or a killed batched run) — the
+        boundaries are absolute in the event index, so the first window
+        after a mid-window resume is simply shorter."""
+        total, eval_every = self.total_events, self.eval_every
+        event = start
+        while event < total:
+            end = min((event // eval_every + 1) * eval_every, total)
             plan = plan_window(self, policy, event, end)
             for batch in plan.batches:
                 self._execute_batch(batch)
             # window ends are exactly the serial loop's eval events
             history.records.append(self._evaluate(plan.final_time, end))
-            if event_hook is not None:
-                event_hook(self, end, history)
+            if hook is not None:
+                hook(self, end, history, end)
             event = end
         return history
 
@@ -505,7 +516,7 @@ class AsyncGossipEngine:
         """Complete mid-run snapshot: state matrix, counters, the event
         heap, and every rng stream (events, evaluation, per-node batch
         sampling). Restoring it into a freshly constructed engine and
-        continuing with ``run(start_event=...)`` is bit-identical to an
+        continuing with ``run(start=...)`` is bit-identical to an
         uninterrupted run from any event boundary.
 
         ``state`` is the engine's own matrix, not a copy: write the
@@ -575,42 +586,35 @@ class AsyncGossipEngine:
 
     def run(
         self,
-        policy: AsyncPolicy,
-        activations_per_node: int,
-        eval_every: int | None = None,
+        algorithm: AsyncPolicy,
         *,
-        start_event: int = 0,
+        start: int = 0,
         history: AsyncHistory | None = None,
-        event_hook: "Callable[[AsyncGossipEngine, int, AsyncHistory], None] | None" = None,
+        hook: "Callable[[AsyncGossipEngine, int, AsyncHistory, int], None] | None" = None,
     ) -> AsyncHistory:
-        """Simulate ``n × activations_per_node`` activation events.
+        """Simulate events ``start+1 .. total_events`` under the policy
+        ``algorithm`` — the sync engine's contract, counted in events.
 
-        Non-zero ``start_event`` resumes a run whose state was restored
-        via :meth:`load_state_dict` (or
+        Non-zero ``start`` resumes a run whose state was restored via
+        :meth:`load_state_dict` (or
         :func:`~repro.simulation.checkpoint.load_run_checkpoint`);
         ``history`` appends to the interrupted record list. Every event
         boundary resumes exactly — the evaluation cadence is absolute in
         the event index and all randomness round-trips — so checkpoints
-        need no alignment with evaluation events. ``event_hook(engine,
-        event, history)`` runs after every completed event in serial
-        mode, and once per completed batch window (always an evaluation
-        boundary, with ``event`` the window's final event index) under
-        ``vectorized=True``; the sweep orchestrator checkpoints from
-        it. Either mode resumes a checkpoint the other wrote: the
+        need no alignment with evaluation events, and the hook's
+        ``resumable_at`` is always its ``at``. ``hook(engine, at,
+        history, resumable_at)`` runs after every completed event in
+        serial mode, and once per completed batch window (always an
+        evaluation boundary, with ``at`` the window's final event index)
+        under ``vectorized=True``; the sweep orchestrator checkpoints
+        from it. Either mode resumes a checkpoint the other wrote: the
         trajectory is bit-identical and boundaries are absolute.
         """
-        if activations_per_node <= 0:
-            raise ValueError("activations_per_node must be positive")
-        n = self.n_nodes
-        total_events = n * activations_per_node
-        if not 0 <= start_event <= total_events:
-            raise ValueError("start_event out of range")
-        if eval_every is None:
-            eval_every = max(1, total_events // 10)
-        if eval_every <= 0:
-            raise ValueError("eval_every must be positive")
+        n, total_events = self.n_nodes, self.total_events
+        if not 0 <= start <= total_events:
+            raise ValueError("start out of range")
 
-        if start_event == 0:
+        if start == 0:
             # Poisson clocks: next activation time per node
             self._queue = [
                 (float(self.rng.exponential()), i) for i in range(n)
@@ -618,18 +622,15 @@ class AsyncGossipEngine:
             heapq.heapify(self._queue)
         elif self._queue is None:
             raise ValueError(
-                "start_event > 0 requires restored engine state "
-                "(load_state_dict)"
+                "start > 0 requires restored engine state (load_state_dict)"
             )
 
         if history is None:
-            history = AsyncHistory(policy=policy.name, records=[])
+            history = AsyncHistory(policy=algorithm.name, records=[])
         if self.vectorized:
-            return self._run_batched(
-                policy, total_events, eval_every, start_event, history,
-                event_hook,
-            )
-        for event in range(start_event + 1, total_events + 1):
+            return self._run_batched(algorithm, start, history, hook)
+        eval_every = self.eval_every
+        for event in range(start + 1, total_events + 1):
             time, i = heapq.heappop(self._queue)
             t = int(time) + 1
             if self.churn is not None and t > self._churn_round:
@@ -644,7 +645,7 @@ class AsyncGossipEngine:
                 eligible = present & alive
             if eligible is None or eligible[i]:
                 self.activation_counts[i] += 1
-                if self._may_train(i) and policy.should_train(
+                if self._may_train(i) and algorithm.should_train(
                     i, int(self.activation_counts[i])
                 ):
                     self.local_trainer.train(self.state, [i])
@@ -656,6 +657,6 @@ class AsyncGossipEngine:
             heapq.heappush(self._queue, (time + float(self.rng.exponential()), i))
             if event % eval_every == 0 or event == total_events:
                 history.records.append(self._evaluate(time, event))
-            if event_hook is not None:
-                event_hook(self, event, history)
+            if hook is not None:
+                hook(self, event, history, event)
         return history

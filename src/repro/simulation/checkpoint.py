@@ -134,12 +134,10 @@ def load_run_checkpoint(
 ) -> tuple[int, Any]:
     """Restore a :func:`save_run_checkpoint` snapshot into ``engine``
     and ``algorithm`` (both in place) and return ``(at, history so
-    far)``. Resume with::
+    far)``. Resume either engine with::
 
         at, history = load_run_checkpoint(engine, algo, path)
-        engine.run(algo, start_round=at, history=history)       # sync
-        engine.run(policy, activations_per_node,
-                   start_event=at, history=history)             # async
+        engine.run(algo, start=at, history=history)
 
     ``engine`` and ``algorithm`` must be freshly constructed exactly as
     for the original run (same preset/seed wiring). An unstamped file,

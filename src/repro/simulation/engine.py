@@ -224,7 +224,7 @@ class SimulationEngine:
         accumulators, every node's batch-stream position, the evaluation
         rng and, under a compressor, the error-feedback public copies.
         Restoring it into a freshly constructed engine and continuing
-        with ``run(start_round=...)`` from an evaluation round is
+        with ``run(start=...)`` from an evaluation round is
         bit-identical to an uninterrupted run.
 
         ``state`` (and ``public``) are the engine's own arrays, not
@@ -392,35 +392,35 @@ class SimulationEngine:
     def run(
         self,
         algorithm: Algorithm,
-        start_round: int = 0,
         *,
+        start: int = 0,
         history: RunHistory | None = None,
-        round_hook: "Callable[[SimulationEngine, int, RunHistory, int], None] | None" = None,
+        hook: "Callable[[SimulationEngine, int, RunHistory, int], None] | None" = None,
     ) -> RunHistory:
-        """Execute ``algorithm`` for rounds ``start_round+1 ..
-        config.total_rounds``. Non-zero ``start_round`` resumes a run
-        whose state was restored via :meth:`load_state_dict` (or
+        """Execute ``algorithm`` for rounds ``start+1 ..
+        config.total_rounds``. Non-zero ``start`` resumes a run whose
+        state was restored via :meth:`load_state_dict` (or
         :func:`~repro.simulation.checkpoint.load_run_checkpoint`, which
         also restores the algorithm's state and the history so far).
 
         ``history`` appends to an existing record list (a resumed run
-        continues the interrupted history); ``round_hook(engine, t,
-        history, last_eval)`` is called after every completed round —
-        the sweep orchestrator checkpoints from it. Resuming is exact
-        only from a round that was an evaluation point (``last_eval ==
-        t`` in the hook): ``run`` re-seeds its evaluation cadence from
-        ``start_round``, so a checkpoint taken between evaluations
-        would shift later evaluation rounds.
+        continues the interrupted history); ``hook(engine, at, history,
+        resumable_at)`` is called after every completed round ``at`` —
+        the sweep orchestrator checkpoints from it. ``resumable_at`` is
+        the last evaluation round, because resuming is exact only from
+        an evaluation point: ``run`` re-seeds its evaluation cadence
+        from ``start``, so a checkpoint taken between evaluations would
+        shift later evaluation rounds.
         """
         if algorithm.n_nodes != self.n_nodes:
             raise ValueError("algorithm node count mismatch")
-        if not 0 <= start_round <= self.config.total_rounds:
-            raise ValueError("start_round out of range")
+        if not 0 <= start <= self.config.total_rounds:
+            raise ValueError("start out of range")
         if history is None:
             history = RunHistory(algorithm=algorithm.name)
         cfg = self.config
-        last_eval = start_round
-        for t in range(start_round + 1, cfg.total_rounds + 1):
+        last_eval = start
+        for t in range(start + 1, cfg.total_rounds + 1):
             mask = np.asarray(algorithm.train_mask(t), dtype=bool)
             if mask.shape != (self.n_nodes,):
                 raise ValueError("train_mask returned wrong shape")
@@ -447,8 +447,8 @@ class SimulationEngine:
                     self._evaluate(t, mask, bool(mask.any()), train_loss)
                 )
                 last_eval = t
-            if round_hook is not None:
-                round_hook(self, t, history, last_eval)
+            if hook is not None:
+                hook(self, t, history, last_eval)
         return history
 
     def _should_eval(self, algorithm: Algorithm, t: int, last_eval: int) -> bool:

@@ -139,6 +139,24 @@ class TestCommands:
                      "--dry-run"]) == 2
         assert "--kind async" in capsys.readouterr().err
 
+    def test_sweep_unknown_algorithm_exits_before_any_preparation(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import repro.experiments.sweep as sweep
+
+        def no_prep(*args, **kwargs):
+            raise AssertionError("a dataset was prepared for a bad name")
+
+        monkeypatch.setattr(sweep, "prepare_data", no_prep)
+        for argv in (["--algorithms", "skiptrain", "nope"],
+                     ["--algorithms", "SkipTrain"],
+                     ["--kind", "async", "--preset", "cifar10-bench-async",
+                      "--algorithms", "nope"]):
+            assert main(["sweep", *argv, "--rounds", "2",
+                         "--results-dir", str(tmp_path)]) == 2
+            assert "unknown algorithm" in capsys.readouterr().err
+        assert not (tmp_path / "raw").exists()
+
     def test_sweep_kind_preset_mismatch_fails_fast(self, capsys):
         assert main(["sweep", "--kind", "async", "--dry-run"]) == 2
         assert "-async preset" in capsys.readouterr().err

@@ -270,14 +270,13 @@ class TestEvalModeStaysDeleted:
     no keyword, config field or factory chooses another."""
 
     def test_no_eval_mode_keyword_anywhere(self, tiny_preset):
-        from repro.experiments import build_async_run, build_run, prepare
+        from repro.experiments import build_run, prepare
         from repro.scenarios import compile_run, get_scenario
 
         prepared = prepare(tiny_preset, 3, seed=0)
-        for build in (build_run, build_async_run):
-            algorithm = "skiptrain" if build is build_run else "async-skiptrain"
+        for algorithm in ("skiptrain", "async-skiptrain"):
             with pytest.raises(TypeError, match="eval_mode"):
-                build(prepared, algorithm, eval_mode="batched")
+                build_run(prepared, algorithm, eval_mode="batched")
         with pytest.raises(TypeError, match="eval_mode"):
             compile_run(get_scenario("churn-async"), eval_mode="batched")
 
@@ -290,7 +289,8 @@ class TestEvalModeStaysDeleted:
             AsyncGossipEngine(
                 engine.model, engine.nodes, ring, engine.test_set,
                 local_steps=1, learning_rate=0.1,
-                rng=np.random.default_rng(0), eval_mode="batched",
+                rng=np.random.default_rng(0), activations_per_node=1,
+                eval_mode="batched",
             )
 
     def test_make_evaluator_is_not_importable(self):

@@ -441,7 +441,7 @@ class TestEngineChurnBehavior:
                 assert w[5, 5] == 1.0 and np.all(w[5, others] == 0)
                 assert np.all(w[others, 5] == 0)
 
-        engine.run(algo, round_hook=hook)
+        engine.run(algo, hook=hook)
         assert "left" in rows
 
     def test_sync_absent_node_never_trains_before_join(self, scn_preset):
@@ -453,7 +453,7 @@ class TestEngineChurnBehavior:
             if t < 4:
                 np.testing.assert_array_equal(eng.state[2], init_row)
 
-        engine.run(algo, round_hook=hook)
+        engine.run(algo, hook=hook)
         # after joining at round 4 the node trains and drifts
         assert not np.array_equal(engine.state[2], init_row)
 
@@ -481,19 +481,19 @@ class TestEngineChurnBehavior:
             seen["t"] = t + 1
 
         seen["t"] = 1
-        engine.run(algo, round_hook=hook)
+        engine.run(algo, hook=hook)
         np.testing.assert_array_equal(seen["handoff"], seen["expected"])
 
     def test_async_absent_and_departed_rows_frozen(self, scn_preset):
         spec = self.churn_spec().replace(
             algorithm=AlgorithmSpec(name="async-d-psgd")
         )
-        compiled = compile_run(spec, preset=scn_preset)
+        compiled = compile_run(spec, preset=scn_preset, total_rounds=10)
         engine, policy = compiled.engine, compiled.algorithm
         init_row2 = engine.state[2].copy()
         snap = {}
 
-        def hook(eng, event, hist):
+        def hook(eng, event, hist, resumable_at):
             if eng._churn_round < 4:
                 # node 2 has not joined: row must still be the init
                 np.testing.assert_array_equal(eng.state[2], init_row2)
@@ -502,7 +502,7 @@ class TestEngineChurnBehavior:
             elif "left" in snap:
                 np.testing.assert_array_equal(eng.state[5], snap["left"])
 
-        engine.run(policy, activations_per_node=10, event_hook=hook)
+        engine.run(policy, hook=hook)
         assert "left" in snap
         assert not np.array_equal(engine.state[2], init_row2)
 
@@ -511,7 +511,7 @@ class TestEngineChurnBehavior:
             algorithm=AlgorithmSpec(name="async-d-psgd"),
             failures=FailureSpec(kind="window", nodes=(1,), start=3, end=8),
         )
-        compiled = compile_run(spec, preset=scn_preset)
+        compiled = compile_run(spec, preset=scn_preset, total_rounds=10)
         engine, policy = compiled.engine, compiled.algorithm
         chosen = []
         orig = type(engine)._gossip
@@ -522,7 +522,7 @@ class TestEngineChurnBehavior:
             return j
 
         engine._gossip = spy
-        engine.run(policy, activations_per_node=10)
+        engine.run(policy)
         assert chosen
         for j, eligible in chosen:
             if j is not None and eligible is not None:

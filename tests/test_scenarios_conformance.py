@@ -299,21 +299,21 @@ class TestDeadJoinerRule:
             if t <= 7:  # absent, then enrolled-but-dead: frozen
                 np.testing.assert_array_equal(eng.state[3], init_row)
 
-        engine.run(algo, round_hook=hook)
+        engine.run(algo, hook=hook)
         # once the window lifts the node participates and drifts
         assert not np.array_equal(engine.state[3], init_row)
 
     def test_async_no_handoff_while_dead(self, grid_preset):
         compiled = compile_run(self._spec("async-d-psgd"),
-                               preset=grid_preset)
+                               preset=grid_preset, total_rounds=12)
         engine, policy = compiled.engine, compiled.algorithm
         init_row = engine.state[3].copy()
 
-        def hook(eng, event, hist):
+        def hook(eng, event, hist, resumable_at):
             if eng._churn_round <= 7:
                 np.testing.assert_array_equal(eng.state[3], init_row)
 
-        engine.run(policy, activations_per_node=12, event_hook=hook)
+        engine.run(policy, hook=hook)
         assert not np.array_equal(engine.state[3], init_row)
 
 
@@ -361,7 +361,7 @@ class TestPartnerExclusion:
         """Spy on every pairwise gossip: the chosen partner must be
         eligible under the engine's mask, and that mask must match the
         spec-derived membership/alive sets."""
-        compiled = compile_run(spec, preset=grid_preset)
+        compiled = compile_run(spec, preset=grid_preset, total_rounds=12)
         engine, policy = compiled.engine, compiled.algorithm
         n = grid_preset.n_nodes
         chosen = []
@@ -376,7 +376,7 @@ class TestPartnerExclusion:
             return j
 
         engine._gossip = spy
-        engine.run(policy, activations_per_node=12)
+        engine.run(policy)
         assert chosen
         for j, eligible, t in chosen:
             if eligible is not None:
@@ -390,12 +390,12 @@ class TestPartnerExclusion:
         """Complementary behavioral check: while a node is dead or
         departed its state row never changes — proving it neither
         activated nor was overwritten as a gossip partner."""
-        compiled = compile_run(spec, preset=grid_preset)
+        compiled = compile_run(spec, preset=grid_preset, total_rounds=12)
         engine, policy = compiled.engine, compiled.algorithm
         n = grid_preset.n_nodes
         snapshots = {}
 
-        def hook(eng, event, hist):
+        def hook(eng, event, hist, resumable_at):
             t = eng._churn_round if eng.churn is not None else 0
             mask = self._eligible(spec, n, max(t, 1))
             for i in np.nonzero(~mask)[0]:
@@ -409,5 +409,5 @@ class TestPartnerExclusion:
                 if mask[i]:
                     del snapshots[i]  # recovered/rejoined: may change
 
-        engine.run(policy, activations_per_node=12, event_hook=hook)
+        engine.run(policy, hook=hook)
         assert True  # assertions live in the hook

@@ -208,6 +208,13 @@ class TestValidation:
         {"scenario": "servesc", "seeds": [0, 0]},
         {"scenario": "servesc", "seeds": [0], "rounds": 0},
         {"scenario": "servesc", "seeds": [0], "bogus_key": 1},
+        # unknown names are refused at submission, not in the worker
+        {"preset": "servetiny", "algorithm": "nope", "degree": 3,
+         "seeds": [0]},
+        {"preset": "servetiny", "algorithm": "Async-D-PSGD", "degree": 3,
+         "seeds": [0]},  # names are exact: not a sync cell
+        {"spec": {"name": "bad-algo", "preset": "servetiny",
+                  "algorithm": {"name": "nope"}}, "seeds": [0]},
     ])
     def test_bad_requests_are_400(self, server, bad):
         status, body = http(f"{server.url}/jobs", bad)

@@ -28,7 +28,8 @@ SPEC = SyntheticSpec(num_classes=4, channels=1, image_size=4,
 
 def make_engine(seed=0, with_trace=True, n=N, eval_node_sample=None,
                 failure_model=None, enforce_budgets=False, degree=3,
-                battery_fraction=0.1, vectorized=False):
+                battery_fraction=0.1, vectorized=False,
+                activations_per_node=24, eval_every=None):
     rngs = RngFactory(seed)
     train, protos = make_classification_images(SPEC, 50 * n,
                                                rngs.stream("data"))
@@ -43,6 +44,7 @@ def make_engine(seed=0, with_trace=True, n=N, eval_node_sample=None,
     return AsyncGossipEngine(
         model, nodes, neighbor_lists(graph), test,
         local_steps=2, learning_rate=0.2, rng=rngs.stream("events"),
+        activations_per_node=activations_per_node, eval_every=eval_every,
         trace=trace, eval_node_sample=eval_node_sample,
         eval_rng=rngs.stream("async-eval"),
         failure_model=failure_model, enforce_budgets=enforce_budgets,
@@ -52,14 +54,14 @@ def make_engine(seed=0, with_trace=True, n=N, eval_node_sample=None,
 
 class TestAsyncEngine:
     def test_runs_and_learns(self):
-        eng = make_engine()
-        h = eng.run(AsyncDPSGD(), activations_per_node=24)
+        eng = make_engine(activations_per_node=24)
+        h = eng.run(AsyncDPSGD())
         assert h.final_accuracy() > 0.4  # chance = 0.25
         assert len(h.records) >= 1
 
     def test_activation_counts_balanced(self):
-        eng = make_engine()
-        eng.run(AsyncDPSGD(), activations_per_node=30)
+        eng = make_engine(activations_per_node=30)
+        eng.run(AsyncDPSGD())
         counts = eng.activation_counts
         assert counts.sum() == N * 30
         # Poisson clocks at equal rate: roughly equal activation shares
@@ -74,35 +76,36 @@ class TestAsyncEngine:
         np.testing.assert_allclose(eng.state.mean(axis=0), mean, atol=1e-12)
 
     def test_deterministic(self):
-        h1 = make_engine(seed=4).run(AsyncDPSGD(), activations_per_node=16)
-        h2 = make_engine(seed=4).run(AsyncDPSGD(), activations_per_node=16)
+        h1 = make_engine(seed=4, activations_per_node=16).run(AsyncDPSGD())
+        h2 = make_engine(seed=4, activations_per_node=16).run(AsyncDPSGD())
         assert h1.final_accuracy() == h2.final_accuracy()
 
     def test_event_times_increase(self):
-        eng = make_engine()
-        h = eng.run(AsyncDPSGD(), activations_per_node=20, eval_every=40)
+        eng = make_engine(activations_per_node=20, eval_every=40)
+        h = eng.run(AsyncDPSGD())
         times = [r.time for r in h.records]
         assert all(a <= b for a, b in zip(times, times[1:]))
 
     def test_validation(self):
-        eng = make_engine()
-        with pytest.raises(ValueError):
-            eng.run(AsyncDPSGD(), activations_per_node=0)
+        with pytest.raises(ValueError, match="activations_per_node"):
+            make_engine(activations_per_node=0)
+        with pytest.raises(ValueError, match="eval_every"):
+            make_engine(eval_every=0)
 
 
 class TestAsyncPolicies:
     def test_async_skiptrain_halves_training(self):
-        e1 = make_engine(seed=2)
-        e1.run(AsyncDPSGD(), activations_per_node=32)
-        e2 = make_engine(seed=2)
-        e2.run(AsyncSkipTrain(RoundSchedule(2, 2)), activations_per_node=32)
+        e1 = make_engine(seed=2, activations_per_node=32)
+        e1.run(AsyncDPSGD())
+        e2 = make_engine(seed=2, activations_per_node=32)
+        e2.run(AsyncSkipTrain(RoundSchedule(2, 2)))
         ratio = e1.train_counts.sum() / e2.train_counts.sum()
         assert ratio == pytest.approx(2.0, rel=0.15)
         assert e1.train_energy_wh > e2.train_energy_wh
 
     def test_async_skiptrain_energy_tracks_counts(self):
-        eng = make_engine(seed=3)
-        eng.run(AsyncSkipTrain(RoundSchedule(1, 1)), activations_per_node=20)
+        eng = make_engine(seed=3, activations_per_node=20)
+        eng.run(AsyncSkipTrain(RoundSchedule(1, 1)))
         expected = (eng.train_counts * eng.trace.train_energy_wh).sum()
         assert eng.train_energy_wh == pytest.approx(expected)
 
@@ -112,8 +115,8 @@ class TestAsyncPolicies:
             RoundSchedule(1, 1), budgets, expected_activations=40,
             rng=np.random.default_rng(0),
         )
-        eng = make_engine(seed=5)
-        eng.run(policy, activations_per_node=40)
+        eng = make_engine(seed=5, activations_per_node=40)
+        eng.run(policy)
         assert (eng.train_counts <= budgets).all()
         assert eng.train_counts[3] == 0 and eng.train_counts[7] == 0
 
@@ -130,11 +133,10 @@ class TestAsyncPolicies:
         """The async analogue preserves the paper's headline shape:
         SkipTrain-style skipping costs little accuracy at half the
         training energy."""
-        e_dpsgd = make_engine(seed=6)
-        h_dpsgd = e_dpsgd.run(AsyncDPSGD(), activations_per_node=32)
-        e_skip = make_engine(seed=6)
-        h_skip = e_skip.run(AsyncSkipTrain(RoundSchedule(2, 2)),
-                            activations_per_node=32)
+        e_dpsgd = make_engine(seed=6, activations_per_node=32)
+        h_dpsgd = e_dpsgd.run(AsyncDPSGD())
+        e_skip = make_engine(seed=6, activations_per_node=32)
+        h_skip = e_skip.run(AsyncSkipTrain(RoundSchedule(2, 2)))
         assert e_skip.train_energy_wh < 0.6 * e_dpsgd.train_energy_wh
         assert h_skip.final_accuracy() > h_dpsgd.final_accuracy() - 0.1
 
@@ -145,19 +147,23 @@ class TestEvalRngIsolation:
 
     def test_trajectory_independent_of_eval_cadence(self):
         total = N * 16
-        dense = make_engine(seed=9, eval_node_sample=4)
-        dense.run(AsyncDPSGD(), activations_per_node=16, eval_every=1)
-        sparse = make_engine(seed=9, eval_node_sample=4)
-        sparse.run(AsyncDPSGD(), activations_per_node=16, eval_every=total)
+        dense = make_engine(seed=9, eval_node_sample=4,
+                            activations_per_node=16, eval_every=1)
+        dense.run(AsyncDPSGD())
+        sparse = make_engine(seed=9, eval_node_sample=4,
+                             activations_per_node=16, eval_every=total)
+        sparse.run(AsyncDPSGD())
         np.testing.assert_array_equal(dense.state, sparse.state)
         np.testing.assert_array_equal(dense.train_counts,
                                       sparse.train_counts)
 
     def test_eval_sample_size_does_not_change_trajectory(self):
-        sampled = make_engine(seed=9, eval_node_sample=2)
-        sampled.run(AsyncDPSGD(), activations_per_node=16, eval_every=8)
-        full = make_engine(seed=9, eval_node_sample=None)
-        full.run(AsyncDPSGD(), activations_per_node=16, eval_every=8)
+        sampled = make_engine(seed=9, eval_node_sample=2,
+                              activations_per_node=16, eval_every=8)
+        sampled.run(AsyncDPSGD())
+        full = make_engine(seed=9, eval_node_sample=None,
+                           activations_per_node=16, eval_every=8)
+        full.run(AsyncDPSGD())
         np.testing.assert_array_equal(sampled.state, full.state)
 
     def test_default_eval_rng_spawned_off_event_stream(self):
@@ -167,6 +173,7 @@ class TestEvalRngIsolation:
         eng2 = AsyncGossipEngine(
             eng.model, eng.nodes, eng.neighbors, eng.test_set,
             local_steps=2, learning_rate=0.2, rng=rngs.stream("events"),
+            activations_per_node=4,
         )
         assert eng2.eval_rng is not eng2.rng
 
@@ -187,11 +194,11 @@ class TestGossipInPlace:
             self.state[i] = avg
             self.state[j] = avg
 
-        fast = make_engine(seed=5, n=64, degree=4)
-        slow = make_engine(seed=5, n=64, degree=4)
+        fast = make_engine(seed=5, n=64, degree=4, activations_per_node=4)
+        slow = make_engine(seed=5, n=64, degree=4, activations_per_node=4)
         slow._gossip = types.MethodType(old_gossip, slow)
-        h_fast = fast.run(AsyncDPSGD(), activations_per_node=4)
-        h_slow = slow.run(AsyncDPSGD(), activations_per_node=4)
+        h_fast = fast.run(AsyncDPSGD())
+        h_slow = slow.run(AsyncDPSGD())
         np.testing.assert_array_equal(fast.state, slow.state)
         assert h_fast.records == h_slow.records
 
@@ -204,7 +211,7 @@ class TestAsyncFailures:
         window = CrashWindow(N, [2], start=1, end=10_000)
         eng = make_engine(seed=1, failure_model=window)
         init_row = eng.state[2].copy()
-        eng.run(AsyncDPSGD(), activations_per_node=24)
+        eng.run(AsyncDPSGD())
         assert eng.activation_counts[2] == 0
         assert eng.train_counts[2] == 0
         # frozen row ⇒ no gossip touched it, as initiator or partner
@@ -219,7 +226,7 @@ class TestAsyncFailures:
         window = CrashWindow(N, [2], start=1, end=4)
         eng = make_engine(seed=1, failure_model=window)
         init_row = eng.state[2].copy()
-        eng.run(AsyncDPSGD(), activations_per_node=24)
+        eng.run(AsyncDPSGD())
         assert eng.activation_counts[2] > 0
         assert not np.array_equal(eng.state[2], init_row)
 
@@ -230,9 +237,10 @@ class TestAsyncFailures:
         nbrs_of_0 = set(int(j) for j in eng_probe.neighbors[0])
         dead = sorted(nbrs_of_0)
         window = CrashWindow(N, dead, start=1, end=10_000)
-        eng = make_engine(seed=1, failure_model=window)
+        eng = make_engine(seed=1, failure_model=window,
+                          activations_per_node=12)
         init = eng.state.copy()
-        eng.run(AsyncDPSGD(), activations_per_node=12)
+        eng.run(AsyncDPSGD())
         for j in dead:
             np.testing.assert_array_equal(eng.state[j], init[j])
         assert eng.train_counts[0] > 0  # node 0 kept training
@@ -250,18 +258,18 @@ class TestBatteryDepletion:
     def test_nodes_stop_training_at_budget(self):
         # fraction chosen so τᵢ ≈ 8–20 rounds binds well below 64
         eng = make_engine(seed=2, enforce_budgets=True,
-                          battery_fraction=0.003)
+                          battery_fraction=0.003, activations_per_node=64)
         budgets = eng.trace.budget_rounds
         assert (budgets < 64).all()
-        eng.run(AsyncDPSGD(), activations_per_node=64)
+        eng.run(AsyncDPSGD())
         np.testing.assert_array_equal(eng.train_counts, budgets)
         assert eng.train_counts.sum() < eng.activation_counts.sum()
 
     def test_depleted_node_keeps_gossiping(self):
         eng = make_engine(seed=2, enforce_budgets=True,
-                          battery_fraction=0.003)
+                          battery_fraction=0.003, activations_per_node=64)
         init = eng.state.copy()
-        eng.run(AsyncDPSGD(), activations_per_node=64)
+        eng.run(AsyncDPSGD())
         # every node's row moved even after depletion (gossip continues)
         assert all(
             not np.array_equal(eng.state[i], init[i]) for i in range(N)
@@ -277,33 +285,34 @@ class TestAsyncStateDict:
         """Snapshot at an arbitrary (non-eval) event boundary, restore
         into a fresh engine, continue: final state, counters, and
         records equal the uninterrupted run exactly."""
-        ref = make_engine(seed=7, eval_node_sample=4)
-        h_ref = ref.run(AsyncDPSGD(), activations_per_node=16, eval_every=8)
+        horizon = dict(eval_node_sample=4, activations_per_node=16,
+                       eval_every=8)
+        ref = make_engine(seed=7, **horizon)
+        h_ref = ref.run(AsyncDPSGD())
 
         snap = {}
 
         class Stop(Exception):
             pass
 
-        def snapshot(eng, event, history):
+        def snapshot(eng, event, history, resumable_at):
+            assert resumable_at == event  # every event boundary resumes
             if event == 37:  # deliberately not on the eval cadence
                 snap["sd"] = eng.state_dict()
                 snap["records"] = list(history.records)
                 raise Stop
 
-        killed = make_engine(seed=7, eval_node_sample=4)
+        killed = make_engine(seed=7, **horizon)
         with pytest.raises(Stop):
-            killed.run(AsyncDPSGD(), activations_per_node=16, eval_every=8,
-                       event_hook=snapshot)
+            killed.run(AsyncDPSGD(), hook=snapshot)
 
-        fresh = make_engine(seed=7, eval_node_sample=4)
+        fresh = make_engine(seed=7, **horizon)
         fresh.load_state_dict(snap["sd"])
         from repro.simulation.async_engine import AsyncHistory
 
         history = AsyncHistory(policy="async-D-PSGD",
                                records=snap["records"])
-        h_res = fresh.run(AsyncDPSGD(), activations_per_node=16,
-                          eval_every=8, start_event=37, history=history)
+        h_res = fresh.run(AsyncDPSGD(), start=37, history=history)
         np.testing.assert_array_equal(ref.state, fresh.state)
         assert h_ref.records == h_res.records
         np.testing.assert_array_equal(ref.activation_counts,
@@ -315,8 +324,8 @@ class TestAsyncStateDict:
             eng.state_dict()
 
     def test_load_rejects_shape_mismatch(self):
-        eng = make_engine(seed=0)
-        eng.run(AsyncDPSGD(), activations_per_node=2)
+        eng = make_engine(seed=0, activations_per_node=2)
+        eng.run(AsyncDPSGD())
         sd = eng.state_dict()
         sd["state"] = sd["state"][:, :-1]
         fresh = make_engine(seed=0)
@@ -346,11 +355,11 @@ class TestAsyncStateDict:
         assert AsyncDPSGD().state_dict() == {}
 
     def test_run_start_event_validation(self):
-        eng = make_engine()
-        with pytest.raises(ValueError, match="start_event"):
-            eng.run(AsyncDPSGD(), activations_per_node=2, start_event=99)
+        eng = make_engine(activations_per_node=2)
+        with pytest.raises(ValueError, match="start"):
+            eng.run(AsyncDPSGD(), start=99)
         with pytest.raises(ValueError, match="restored"):
-            eng.run(AsyncDPSGD(), activations_per_node=2, start_event=1)
+            eng.run(AsyncDPSGD(), start=1)
 
 
 def _policies():
@@ -389,20 +398,22 @@ class TestVectorizedEventBatching:
     @pytest.mark.parametrize("name", sorted(_policies()))
     def test_bit_identical_per_policy(self, name):
         make = _policies()[name]
-        serial = make_engine(seed=3)
-        batched = make_engine(seed=3, vectorized=True)
-        h_s = serial.run(make(), activations_per_node=6, eval_every=16)
-        h_b = batched.run(make(), activations_per_node=6, eval_every=16)
+        horizon = dict(seed=3, activations_per_node=6, eval_every=16)
+        serial = make_engine(**horizon)
+        batched = make_engine(vectorized=True, **horizon)
+        h_s = serial.run(make())
+        h_b = batched.run(make())
         self._assert_trajectories_equal(serial, batched, h_s, h_b)
 
     def test_bit_identical_under_failures_and_budgets(self):
         window = CrashWindow(N, [1, 5], 1.0, 3.0)
         kw = dict(seed=4, failure_model=window, enforce_budgets=True,
-                  battery_fraction=0.05)
+                  battery_fraction=0.05, activations_per_node=8,
+                  eval_every=16)
         serial = make_engine(**kw)
         batched = make_engine(vectorized=True, **kw)
-        h_s = serial.run(AsyncDPSGD(), activations_per_node=8, eval_every=16)
-        h_b = batched.run(AsyncDPSGD(), activations_per_node=8, eval_every=16)
+        h_s = serial.run(AsyncDPSGD())
+        h_b = batched.run(AsyncDPSGD())
         self._assert_trajectories_equal(serial, batched, h_s, h_b)
 
     def test_batches_are_disjoint_and_actually_batch(self):
@@ -410,7 +421,8 @@ class TestVectorizedEventBatching:
         each batch every (activator, partner) node set is pairwise
         disjoint, and at least one batch stacks multiple trainings
         (otherwise the mode silently degenerated to serial)."""
-        eng = make_engine(seed=0, vectorized=True)
+        eng = make_engine(seed=0, vectorized=True, activations_per_node=8,
+                          eval_every=16)
         executed = []
         orig = AsyncGossipEngine._execute_batch
 
@@ -427,7 +439,7 @@ class TestVectorizedEventBatching:
             return train(state, ids)
 
         eng.local_trainer.train = spy_train
-        eng.run(AsyncDPSGD(), activations_per_node=8, eval_every=16)
+        eng.run(AsyncDPSGD())
         assert executed
         # each batch's activators reach the executor as one call
         assert [list(b.train_ids) for b in executed] == trained
@@ -445,10 +457,11 @@ class TestVectorizedEventBatching:
 
     def test_hook_fires_once_per_window(self):
         events = []
-        eng = make_engine(seed=0, vectorized=True)
-        eng.run(AsyncDPSGD(), activations_per_node=6, eval_every=16,
-                event_hook=lambda e, ev, h: events.append(ev))
-        assert events == [16, 32, 48]
+        eng = make_engine(seed=0, vectorized=True, activations_per_node=6,
+                          eval_every=16)
+        eng.run(AsyncDPSGD(), hook=lambda e, at, h, resumable_at:
+                events.append((at, resumable_at)))
+        assert events == [(16, 16), (32, 32), (48, 48)]
 
     def test_resume_inside_batch_window_crosses_engine_flavors(self):
         """A serial checkpoint taken at an event boundary *inside* a
@@ -458,28 +471,25 @@ class TestVectorizedEventBatching:
         class Stop(Exception):
             pass
 
-        total, eval_every = 48, 16
-        ref = make_engine(seed=6, vectorized=True)
-        h_ref = ref.run(AsyncDPSGD(), activations_per_node=total // N,
-                        eval_every=eval_every)
+        horizon = dict(seed=6, activations_per_node=48 // N, eval_every=16)
+        ref = make_engine(vectorized=True, **horizon)
+        h_ref = ref.run(AsyncDPSGD())
 
-        donor = make_engine(seed=6)  # serial
+        donor = make_engine(**horizon)  # serial
         captured = {}
 
-        def stopper(engine, event, history):
+        def stopper(engine, event, history, resumable_at):
             if event == 21:  # mid-window, off the eval cadence
                 captured["history"] = history
                 raise Stop
 
         with pytest.raises(Stop):
-            donor.run(AsyncDPSGD(), activations_per_node=total // N,
-                      eval_every=eval_every, event_hook=stopper)
+            donor.run(AsyncDPSGD(), hook=stopper)
         sd = donor.state_dict()
 
-        resumed = make_engine(seed=6, vectorized=True)
+        resumed = make_engine(vectorized=True, **horizon)
         resumed.load_state_dict(sd)
-        h_res = resumed.run(AsyncDPSGD(), activations_per_node=total // N,
-                            eval_every=eval_every, start_event=21,
+        h_res = resumed.run(AsyncDPSGD(), start=21,
                             history=captured["history"])
         self._assert_trajectories_equal(ref, resumed, h_ref, h_res)
 

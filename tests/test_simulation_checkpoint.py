@@ -11,7 +11,7 @@ from repro.data import make_classification_images, shard_partition
 from repro.data.synthetic import SyntheticSpec
 from repro.energy import CIFAR10_WORKLOAD, EnergyMeter, build_trace
 from repro.nn import small_mlp
-from repro.experiments.runner import build_async_run, build_run, execute_run, prepare
+from repro.experiments.runner import build_run, execute_run, prepare
 from repro.simulation import (
     EngineConfig,
     IndependentCrashes,
@@ -98,8 +98,7 @@ class TestCheckpoint:
 
         split = make_engine(seed=3, total_rounds=16)
         resumed_round, history = load_run_checkpoint(split, DPSGD(N), path)
-        h_rest = split.run(DPSGD(N), start_round=resumed_round,
-                           history=history)
+        h_rest = split.run(DPSGD(N), start=resumed_round, history=history)
 
         np.testing.assert_array_equal(split.state, straight.state)
         assert_histories_equal(h_rest, h_straight)
@@ -131,7 +130,7 @@ class TestCheckpoint:
     def test_start_round_validation(self):
         eng = make_engine(total_rounds=8)
         with pytest.raises(ValueError):
-            eng.run(DPSGD(N), start_round=9)
+            eng.run(DPSGD(N), start=9)
 
 
 class TestMeterStateDict:
@@ -226,22 +225,22 @@ class TestRunCheckpoint:
         class Die(Exception):
             pass
 
-        def hook(engine, t, history, last_eval):
+        def hook(engine, t, history, resumable_at):
             if t == 7:
-                assert last_eval == t  # only eval rounds resume exactly
+                assert resumable_at == t  # only eval rounds resume exactly
                 save_run_checkpoint(engine, doomed_algo, history, t, path)
             if t == 10:
                 raise Die
 
         with pytest.raises(Die):
-            doomed.run(doomed_algo, round_hook=hook)
+            doomed.run(doomed_algo, hook=hook)
 
         # the restarted process: everything rebuilt from scratch.
         fresh = make_engine(seed=5, total_rounds=16)
         fresh_algo = make_constrained()
         start, history = load_run_checkpoint(fresh, fresh_algo, path)
         assert start == 7
-        h_resumed = fresh.run(fresh_algo, start_round=start, history=history)
+        h_resumed = fresh.run(fresh_algo, start=start, history=history)
 
         np.testing.assert_array_equal(fresh.state, straight.state)
         assert_histories_equal(h_resumed, h_straight)
@@ -314,16 +313,14 @@ class Kill(Exception):
 
 def build(prepared, kind, vectorized):
     if kind == "async":
-        return build_async_run(prepared, "async-skiptrain-constrained",
-                               activations_per_node=6, vectorized=vectorized)
+        return build_run(prepared, "async-skiptrain-constrained",
+                         total_rounds=6, eval_every=1, vectorized=vectorized)
     return build_run(prepared, "skiptrain-constrained", total_rounds=12,
                      eval_every=2, vectorized=vectorized)
 
 
 def run(pair, trace, **kwargs):
-    # the horizon and cadence are the async engine's; build_run wired
-    # the sync engine's into its config
-    return execute_run(*pair, trace, total_rounds=6, eval_every=1, **kwargs)
+    return execute_run(*pair, trace, **kwargs)
 
 
 class TestOnePairBothEngines:
@@ -340,9 +337,9 @@ class TestOnePairBothEngines:
         doomed = build(prepared, kind, vectorized)
         saved = []
 
-        def hook(engine, at, history, last_eval=None):
+        def hook(engine, at, history, resumable_at):
             # sync resumes exactly from evaluation rounds only
-            if not saved and at >= 4 and last_eval in (None, at):
+            if not saved and at >= 4 and resumable_at == at:
                 save_run_checkpoint(engine, doomed[1], history, at, path)
                 saved.append(at)
                 raise Kill

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.experiments.runner import build_async_run, build_run, prepare
+from repro.experiments.runner import build_run, prepare
 from repro.simulation import (
     MemoryStateStore,
     MmapStateStore,
@@ -54,11 +54,11 @@ def run_sync(prepared, backend):
 
 
 def run_async(prepared, backend):
-    engine, policy = build_async_run(prepared, "async-skiptrain",
-                                     activations_per_node=4,
-                                     state_backend=backend)
+    # 2 expected activations per node x 8 nodes: every 16 events
+    engine, policy = build_run(prepared, "async-skiptrain", total_rounds=4,
+                               eval_every=2, state_backend=backend)
     try:
-        history = engine.run(policy, 4, eval_every=16)
+        history = engine.run(policy)
         return engine.state.copy(), history
     finally:
         engine.close()
@@ -99,22 +99,22 @@ class TestBackendBitIdentity:
                                    state_backend=save_backend)
         saved = {}
 
-        def hook(engine, t, history, last_eval):
+        def hook(engine, t, history, resumable_at):
             # resume is exact only from an evaluation round
-            if not saved and last_eval == t and t < 12:
+            if not saved and resumable_at == t and t < 12:
                 save_run_checkpoint(engine, algo_d, history, t, path)
                 saved["t"] = t
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            doomed.run(algo_d, round_hook=hook)
+            doomed.run(algo_d, hook=hook)
         doomed.close()
 
         fresh, algo_f = build_run(prepared, "skiptrain", total_rounds=12,
                                   state_backend=load_backend)
         start, history = load_run_checkpoint(fresh, algo_f, path)
         assert start == saved["t"]
-        h_resumed = fresh.run(algo_f, start_round=start, history=history)
+        h_resumed = fresh.run(algo_f, start=start, history=history)
 
         np.testing.assert_array_equal(fresh.state, straight.state)
         assert_histories_equal(h_resumed, h_straight)
@@ -134,29 +134,27 @@ class TestBackendBitIdentity:
         path = tmp_path / "run.npz"
 
         def build(backend):
-            return build_async_run(prepared, "async-skiptrain",
-                                   activations_per_node=4,
-                                   state_backend=backend)
+            return build_run(prepared, "async-skiptrain", total_rounds=4,
+                             eval_every=2, state_backend=backend)
 
         straight, policy_s = build(save_backend)
-        h_straight = straight.run(policy_s, 4, eval_every=16)
+        h_straight = straight.run(policy_s)
 
         doomed, policy_d = build(save_backend)
 
-        def hook(engine, event, history):
+        def hook(engine, event, history, resumable_at):
             if event == 13:  # off the evaluation cadence
                 save_run_checkpoint(engine, policy_d, history, event, path)
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            doomed.run(policy_d, 4, eval_every=16, event_hook=hook)
+            doomed.run(policy_d, hook=hook)
         doomed.close()
 
         fresh, policy_f = build(load_backend)
         start, history = load_run_checkpoint(fresh, policy_f, path)
         assert start == 13
-        h_resumed = fresh.run(policy_f, 4, eval_every=16, start_event=start,
-                              history=history)
+        h_resumed = fresh.run(policy_f, start=start, history=history)
 
         np.testing.assert_array_equal(fresh.state, straight.state)
         assert h_resumed.records == h_straight.records
@@ -253,7 +251,7 @@ class TestMmapLifecycle:
 
         with pytest.raises(Die):
             try:
-                engine.run(algo, round_hook=hook)
+                engine.run(algo, hook=hook)
             finally:
                 engine.close()
         assert not path.exists()
