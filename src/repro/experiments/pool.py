@@ -62,6 +62,7 @@ from typing import Callable, Hashable
 import numpy as np
 
 from ..data.dataset import ArrayDataset
+from ..nn.batched import share_cpus
 from .artifacts import PlanCell
 from .presets import ExperimentPreset
 from .runner import PreparedData
@@ -359,6 +360,7 @@ def _worker_main(
     conn: Connection,
     progress: bool,
     inherited: list[Connection],
+    jobs: int,
 ) -> None:
     """Worker loop over this worker's own pipe: receive a ``(cell,
     *extra)`` task, run it, answer ``("ok", resumed)`` — or ``("err",
@@ -369,9 +371,12 @@ def _worker_main(
     cell. ``inherited`` are the parent-side ends the fork copied (this
     and the sibling channels, the wake pipe): only with them closed here
     does a closed channel — or a vanished parent — read as EOF.
+    ``jobs`` is the pool's size: the worker's cells train on their
+    ``1/jobs`` share of the CPUs (:func:`~repro.nn.batched.share_cpus`).
     """
     for end in inherited:
         end.close()
+    share_cpus(jobs)
 
     def report(done: int, total: int) -> None:
         conn.send(("progress", done, total))
@@ -478,7 +483,7 @@ class PersistentPool:
         inherited += [worker.conn for worker in self._workers]
         process = self._ctx.Process(
             target=_worker_main,
-            args=(self._run_one, child_conn, self._progress, inherited),
+            args=(self._run_one, child_conn, self._progress, inherited, self._jobs),
             daemon=True,
         )
         process.start()

@@ -40,6 +40,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
+from ..nn.batched import affinity_cpus
 from ..simulation.checkpoint import load_run_checkpoint, save_run_checkpoint
 from .artifacts import (
     PlanCell,
@@ -100,18 +101,13 @@ class SweepRunStats:
 
 
 def resolve_auto_jobs() -> tuple[int, str]:
-    """Resolve ``jobs="auto"`` to ``(worker_count, source)``.
-
-    Prefers the scheduler affinity mask — ``len(os.sched_getaffinity(
-    0))`` — which reflects cgroup cpusets and ``taskset`` restrictions
-    in containers, where ``os.cpu_count()`` reports the host's full
-    core count and over-subscribes the pool. Falls back to
-    ``os.cpu_count()`` on platforms without affinity support (macOS).
+    """Resolve ``jobs="auto"`` to ``(worker_count, source)``: one
+    worker per CPU of :func:`~repro.nn.batched.affinity_cpus`, the probe
+    the stacked trainer's lane count reads too — the scheduler affinity
+    mask, which respects cgroup cpusets where ``os.cpu_count()``
+    over-subscribes the pool, else ``os.cpu_count()``.
     """
-    try:
-        return max(1, len(os.sched_getaffinity(0))), "sched_getaffinity"
-    except (AttributeError, OSError):
-        return max(1, os.cpu_count() or 1), "cpu_count"
+    return affinity_cpus()
 
 
 def _scenario_spec(cell: PlanCell, scenario_lookup: Callable | None):

@@ -41,23 +41,37 @@ binds (:class:`BatchedEvaluator`) cost no grad memory.
 
 Workspace
 ---------
-The trainer owns one :class:`Workspace` and lends it to its model's
-layers: layer outputs, input gradients, ReLU masks, the im2col columns,
-the per-step batch gathers and the gradient plane itself are named flat
-buffers that grow to the largest request ever made and are sliced to
-the shape of the current call. Callers vary ``k`` from call to call
-(the async engine trains 1–3 rows at a time, ragged batch widths split
-a call into sub-blocks), so buffers are keyed by *what they hold*, not
-by shape, and a smaller call is a prefix of a larger call's memory —
-safe because every buffer is fully overwritten before it is read. The
-workspace is scratch, not state: nothing in it survives into a
-checkpoint or influences the next call. Layers bound without a
-workspace (the evaluator's) allocate fresh arrays instead, and so does
+Each trainer *lane* (below) owns one :class:`Workspace` and lends it
+to its model's layers: layer outputs, input gradients, ReLU masks, the
+im2col columns, the per-step batch gathers and the gradient plane
+itself are named flat buffers that grow to the largest request ever
+made and are sliced to the shape of the current call. Callers vary
+``k`` from call to call (the async engine trains 1–3 rows at a time,
+ragged batch widths split a call into sub-blocks), so buffers are
+keyed by *what they hold*, not by shape, and a smaller call is a
+prefix of a larger call's memory — safe because every buffer is fully
+overwritten before it is read. The workspace is scratch, not state:
+nothing in it survives into a checkpoint or influences the next call,
+and it is never shared between threads — two lanes never touch one
+workspace. Layers bound without a workspace (the evaluator's) allocate
+fresh arrays instead, and so does
 an elementwise kernel whose input is strided — behind a convolution,
 whose output is a transposed view — because there the result's memory
 layout, which a fresh array inherits and a buffer would not, decides
 which BLAS call the next ``matmul`` makes
 (:meth:`BatchedLayer.scratch_like`).
+
+Row tiles and lanes
+-------------------
+Rows do not interact inside a call, so a call's rows may train
+anywhere. :class:`BatchedTrainer` cuts each uniform-width row group
+into contiguous tiles (:func:`_tile_bounds`) and trains them at the
+same time: tile 0 on the calling thread, the others on *lanes* — each
+a model, workspace and optimizer of its own, run by the process's lane
+threads while numpy holds no GIL inside its kernels. Every row still
+gets its own GEMM slices, reductions and SGD passes, so the bytes are
+the untiled call's; the number of lanes (:func:`lane_count`) and the
+work floor (:data:`_MIN_TILE_WORK`) only decide where a row trains.
 
 Backward ends at the first parameterized layer
 ----------------------------------------------
@@ -78,7 +92,8 @@ for these so callers can fall back to the serial engine explicitly.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterator, Sequence
+import os
+from typing import TYPE_CHECKING, Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -98,6 +113,9 @@ from .layers.normalization import GroupNorm
 from .module import Module, Sequential
 from .optim import BatchedSGD
 
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
 __all__ = [
     "UnsupportedLayerError",
     "Workspace",
@@ -111,6 +129,9 @@ __all__ = [
     "BatchedModel",
     "BatchedTrainer",
     "BatchedEvaluator",
+    "affinity_cpus",
+    "lane_count",
+    "share_cpus",
     "vectorize_module",
 ]
 
@@ -806,7 +827,7 @@ def _contiguous_run(state: np.ndarray, ids: np.ndarray) -> np.ndarray | None:
     block — what a slice of a memory or mmap state store is — else
     ``None``."""
     lo = int(ids[0])
-    if lo < 0 or (ids.size > 1 and not (np.diff(ids) == 1).all()):
+    if ids.size > 1 and not (np.diff(ids) == 1).all():
         return None
     rows = state[lo : lo + ids.size]
     if (
@@ -820,6 +841,134 @@ def _contiguous_run(state: np.ndarray, ids: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def affinity_cpus() -> tuple[int, str]:
+    """``(cpus, source)``: how many CPUs this process may run on.
+
+    The scheduler affinity mask — ``len(os.sched_getaffinity(0))`` —
+    reflects cgroup cpusets and ``taskset`` restrictions in containers,
+    where ``os.cpu_count()`` reports the host's full core count; the
+    latter is the fallback on platforms without affinity support
+    (macOS). One probe for the sweep's worker count and the trainer's
+    lanes alike.
+    """
+    try:
+        return max(1, len(os.sched_getaffinity(0))), "sched_getaffinity"
+    except (AttributeError, OSError):
+        return max(1, os.cpu_count() or 1), "cpu_count"
+
+
+#: Cell processes sharing this process's CPUs: 1 unless a worker pool
+#: forked this process (:func:`share_cpus`).
+_cell_processes = 1
+
+
+def share_cpus(processes: int) -> None:
+    """Declare that ``processes`` cell processes — this one included —
+    run at once on this process's CPUs, so :func:`lane_count` takes
+    only its share. A persistent pool calls it in each forked worker."""
+    global _cell_processes
+    _cell_processes = processes
+
+
+def lane_count() -> int:
+    """How many row tiles one stacked call may train at once: this
+    process's share of the CPUs in its affinity mask."""
+    return max(1, affinity_cpus()[0] // _cell_processes)
+
+
+#: Least work one tile must get, in rows x ``dim`` x batch width, for a
+#: call to be split at all. Measured on a 2-CPU Intel Xeon host as one
+#: call's unsplit time over its time on two lanes: the bench MLP (dim
+#: 1810, width 8, E=10) at 64 rows (0.46 M per tile) 0.99x, 96 rows
+#: (0.70 M) 1.39x; the fleet MLP (dim 172, width 4, E=1) at 512 rows
+#: (0.18 M) 0.92x, 1024 rows (0.35 M) 1.39x. Two tiles break even
+#: at 0.2-0.5 M each, so 1 M is a floor with margin: the bench MLP
+#: splits from 145 rows, the fleet MLP from 3,049.
+_MIN_TILE_WORK = 1 << 20
+
+
+def _tile_bounds(rows: int, row_work: int) -> list[int]:
+    """Bounds ``0 = b_0 < b_1 < ... < b_W = rows`` of the contiguous,
+    near-equal tiles a uniform-width group of ``rows`` rows trains as:
+    one per lane, but no more than gives each tile
+    :data:`_MIN_TILE_WORK` (``row_work`` = ``dim`` x batch width). A
+    call below two tiles' work never probes the CPUs."""
+    work = rows * row_work
+    if work < 2 * _MIN_TILE_WORK:
+        return [0, rows]
+    tiles = min(rows, lane_count(), work // max(_MIN_TILE_WORK, 1))
+    return [rows * t // tiles for t in range(tiles + 1)]
+
+
+#: The process's lane threads, created on the first split. The executor
+#: starts a thread only when a task finds none idle, and its default
+#: cap (CPUs + 4) is above any lane count. A forked child forgets them.
+_lane_threads: ThreadPoolExecutor | None = None
+
+
+def _lane_executor() -> ThreadPoolExecutor:
+    global _lane_threads
+    if _lane_threads is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _lane_threads = ThreadPoolExecutor(thread_name_prefix="lane")
+    return _lane_threads
+
+
+def _forget_lane_threads() -> None:
+    # threads do not survive a fork, but the executor's bookkeeping
+    # does: a child that submitted to it would wait on them forever
+    global _lane_threads
+    _lane_threads = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_lane_threads)
+
+
+class _Lane:
+    """What one tile trains with: a model, the workspace its layers,
+    batch gathers and gradient plane live in, and the optimizer over
+    them. A lane is used by one thread at a time."""
+
+    def __init__(self, template: Module, lr: float, weight_decay: float) -> None:
+        self.model = vectorize_module(template)
+        self.workspace = Workspace()
+        self.model.lend(self.workspace)
+        self.optimizer = BatchedSGD(self.model, lr=lr, weight_decay=weight_decay)
+
+    def run_steps(
+        self, block: np.ndarray, x: np.ndarray, labels: np.ndarray, idx: np.ndarray
+    ) -> np.ndarray:
+        """Bind ``block`` and take its rows through ``idx.shape[1]``
+        local steps in place, step ``s`` on samples ``x[idx[:, s]]``
+        with targets ``labels[:, s]``; per-row mean losses."""
+        rows, local_steps, width = idx.shape
+        take = self.workspace.take
+        self.model.bind(block, take("grads", block.shape))
+        xb = take("x", (rows, width, *x.shape[1:]), x.dtype)
+        total = np.zeros(rows)
+        buffers = None
+        for step in range(local_steps):
+            # train_rows range-checked the indices; mode="clip" only
+            # skips the defensive copy of ``out`` mode="raise" makes
+            x.take(idx[:, step], axis=0, out=xb, mode="clip")
+            logits = self.model.forward(xb)
+            if buffers is None:  # same shape and layout every step
+                buffers = (
+                    (take("log_probs", logits.shape), take("loss_grad", logits.shape))
+                    if logits.flags.c_contiguous
+                    else ()
+                )
+            losses, grad = F.batched_cross_entropy_into(
+                logits, labels[:, step], *buffers
+            )
+            total += losses
+            self.model.backward(grad)
+            self.optimizer.step()
+        return total / local_steps
+
+
 class BatchedTrainer:
     """Runs E stacked SGD steps on a block of node parameter rows.
 
@@ -830,13 +979,18 @@ class BatchedTrainer:
     ``for node: for step`` into ``for step: all nodes``, which is valid
     because nodes do not interact between aggregation rounds.
 
-    Each trainer owns exactly one :class:`Workspace`, the one its
-    model's layers, the batch gathers and the gradient plane live in
-    (module docstring), so a second call of the same size allocates
-    nothing proportional to ``k * dim``. The workspace is scratch: it is
-    never checkpointed (it holds no run state between calls) and never
-    shared — not between trainers, and not between threads, so a trainer
-    is not safe to call from two threads at once.
+    A call's rows train on one or more *lanes* at once (module
+    docstring, "Row tiles and lanes"). The first lane's ``model``,
+    ``workspace`` and ``optimizer`` are the trainer's own attributes;
+    the others are built from the same template, lr and weight decay the
+    first time a call splits that far. Each lane owns exactly one
+    :class:`Workspace`, the one its model's layers, the batch gathers
+    and the gradient plane live in, so a second call of the same size
+    allocates nothing proportional to ``k * dim``. A workspace is
+    scratch: it is never checkpointed (it holds no run state between
+    calls) and never shared — not between lanes, not between trainers,
+    and not between threads, so a trainer is not safe to call from two
+    threads at once.
 
     The update is plain SGD, the paper's local step: learning rate and
     weight decay, both exact, and no per-node optimizer state.
@@ -845,16 +999,18 @@ class BatchedTrainer:
     def __init__(
         self, template: Module, lr: float, weight_decay: float = 0.0
     ) -> None:
-        self.model = vectorize_module(template)
-        if self.model.out_features is None:
+        own = _Lane(template, lr, weight_decay)
+        if own.model.out_features is None:
             raise UnsupportedLayerError(
                 "the stacked trainer checks labels against a Linear "
                 "classification head, which this model does not end in; "
                 "run it with the serial engine (vectorized=False)"
             )
-        self.workspace = Workspace()
-        self.model.lend(self.workspace)
-        self.optimizer = BatchedSGD(self.model, lr=lr, weight_decay=weight_decay)
+        self.model, self.workspace, self.optimizer = (
+            own.model, own.workspace, own.optimizer
+        )
+        self._lanes = [own]
+        self._template, self._lr, self._weight_decay = template, lr, weight_decay
 
     def train_rows(
         self,
@@ -875,14 +1031,16 @@ class BatchedTrainer:
         ``state[ids[p]]`` takes local step ``s`` on samples
         ``idx[p, s, :k[p]]`` of the global ``x``/``y``, which are
         gathered here, one ``(rows, k, ...)`` stack per step. ``ids``
-        may list distinct rows in any order; a repeated row
-        (``ValueError``), a sample index outside ``x``, padding columns
-        included, or a label about to be used that lies outside the
-        model's head (both ``IndexError``) is rejected before anything
-        is touched. Rows whose batch
-        sizes differ (smaller-than-batch datasets) are grouped into
-        rectangular sub-blocks so every stack is uniform; grouping never
-        changes any row's arithmetic. Rows that form one ascending run
+        may list distinct rows of ``state`` in any order. A row id
+        outside ``[0, len(state))`` (``IndexError``; a negative id is
+        not read from the end), a repeated row (``ValueError``), a
+        sample index outside ``x``, padding columns included, or a label
+        about to be used that lies outside the model's head (both
+        ``IndexError``) is rejected before anything is touched. Rows
+        whose batch sizes differ (smaller-than-batch datasets) are
+        grouped into rectangular sub-blocks so every stack is uniform;
+        grouping never changes any row's arithmetic, and neither does
+        tiling a group across lanes. Rows that form one ascending run
         of a C-contiguous float64 ``state`` are trained where they lie;
         any other selection is gathered into a copy and scattered back.
         Either way rows not listed are never touched. Returns per-row
@@ -892,6 +1050,11 @@ class BatchedTrainer:
         if ids.size == 0:
             return np.empty(0)
         ordered = np.sort(ids)
+        if ordered[0] < 0 or ordered[-1] >= len(state):
+            raise IndexError(
+                f"row ids must lie in [0, {len(state)}), "
+                f"got [{ordered[0]}, {ordered[-1]}]"
+            )
         if (ordered[1:] == ordered[:-1]).any():
             raise ValueError(
                 f"rows trained together must be distinct, got {ids.tolist()}"
@@ -935,39 +1098,35 @@ class BatchedTrainer:
         """:meth:`train_rows` for rows that share one batch width."""
         block = _contiguous_run(state, ids)
         if block is not None:
-            return self._run_steps(block, x, labels, idx)
+            return self._train_tiles(block, x, labels, idx)
         block = state[ids]  # fancy index: a copy
-        losses = self._run_steps(block, x, labels, idx)
+        losses = self._train_tiles(block, x, labels, idx)
         state[ids] = block
         return losses
 
-    def _run_steps(
+    def _train_tiles(
         self, block: np.ndarray, x: np.ndarray, labels: np.ndarray, idx: np.ndarray
     ) -> np.ndarray:
-        """Bind ``block`` and take its rows through ``idx.shape[1]``
-        local steps in place, step ``s`` on samples ``x[idx[:, s]]``
-        with targets ``labels[:, s]``; per-row mean losses."""
-        rows, local_steps, width = idx.shape
-        take = self.workspace.take
-        self.model.bind(block, take("grads", block.shape))
-        xb = take("x", (rows, width, *x.shape[1:]), x.dtype)
-        total = np.zeros(rows)
-        buffers = None
-        for step in range(local_steps):
-            # train_rows range-checked the indices; mode="clip" only
-            # skips the defensive copy of ``out`` mode="raise" makes
-            x.take(idx[:, step], axis=0, out=xb, mode="clip")
-            logits = self.model.forward(xb)
-            if buffers is None:  # same shape and layout every step
-                buffers = (
-                    (take("log_probs", logits.shape), take("loss_grad", logits.shape))
-                    if logits.flags.c_contiguous
-                    else ()
-                )
-            losses, grad = F.batched_cross_entropy_into(
-                logits, labels[:, step], *buffers
-            )
-            total += losses
-            self.model.backward(grad)
-            self.optimizer.step()
-        return total / local_steps
+        """Train ``block`` in place as :func:`_tile_bounds` cuts it:
+        tile 0 on this thread, tiles 1… on further lanes at the same
+        time. Tiles own disjoint rows, so no two threads write one
+        byte; per-row mean losses in block order."""
+        bounds = _tile_bounds(idx.shape[0], self.model.dim * idx.shape[2])
+        if len(bounds) == 2:
+            return self._lanes[0].run_steps(block, x, labels, idx)
+        tiles = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        while len(self._lanes) < len(tiles):
+            self._lanes.append(_Lane(self._template, self._lr, self._weight_decay))
+        threads = _lane_executor()
+        futures = [
+            threads.submit(lane.run_steps, block[t], x, labels[t], idx[t])
+            for lane, t in zip(self._lanes[1:], tiles[1:])
+        ]
+        from concurrent.futures import wait
+
+        try:
+            t = tiles[0]
+            head = self._lanes[0].run_steps(block[t], x, labels[t], idx[t])
+        finally:
+            wait(futures)  # no lane writes into ``block`` once this returns
+        return np.concatenate([head, *(future.result() for future in futures)])

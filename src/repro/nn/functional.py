@@ -220,7 +220,8 @@ def batched_linear_backward(
 #: ``(b, classes) -> (k_max, b)`` int64: entry ``[r, j]`` is the flat
 #: position of logit ``[r, j, 0]`` in a C-ordered ``(k, b, classes)``
 #: stack. One array per ``(b, classes)``, as tall as the tallest stack
-#: seen; a shorter stack reads a prefix.
+#: seen; a shorter stack reads a prefix. Lane threads share it: a
+#: replacement is a taller array of the same values, never a write.
 _ROW_OFFSETS: dict[tuple[int, int], np.ndarray] = {}
 
 

@@ -13,6 +13,7 @@ import textwrap
 import tracemalloc
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.nn import (
     small_cnn,
     small_mlp,
 )
+from repro.nn import batched
 from repro.nn import functional as F
 from repro.nn.batched import (
     BatchedElementwise,
@@ -51,6 +53,7 @@ from repro.nn.layers.normalization import GroupNorm
 from repro.nn.models import gn_lenet_cifar10
 from repro.nn.module import Sequential
 from repro.nn.serialization import parameter_vector, set_parameter_vector
+from repro.simulation.local_step import LocalTrainer
 
 RNG = np.random.default_rng(0)
 
@@ -282,6 +285,26 @@ class TestBatchedTrainerExactness:
         with pytest.raises(ValueError, match="distinct"):
             BatchedTrainer(model, lr=0.1).train_rows(
                 state, np.array([2, 0, 2]), x, y, idx, np.full(3, 4)
+            )
+        assert state.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize(
+        "ids,k",
+        [([-1, 3], [4, 4]), ([4], [4]), ([9, 1], [8, 4]), ([1, -2], [4, 3])],
+        ids=["negative", "one-past", "ragged-far", "ragged-negative"],
+    )
+    def test_row_ids_outside_the_state_raise_before_state_is_touched(self, ids, k):
+        """``-1`` used to pass the distinct check beside ``3`` — both
+        name row 3, which then trained twice in one block — and a ragged
+        call trained its in-range group before failing on the other."""
+        model = small_mlp(16, 4, hidden=8, rng=np.random.default_rng(7))
+        state = _rows_for(model, 4)
+        before = state.copy()
+        x, y = RNG.normal(size=(12, 16)), RNG.integers(0, 4, size=12)
+        idx = RNG.integers(0, 12, size=(len(ids), 2, max(k)))
+        with pytest.raises(IndexError, match=r"row ids must lie in \[0, 4\)"):
+            BatchedTrainer(model, lr=0.1).train_rows(
+                state, np.array(ids), x, y, idx, np.array(k)
             )
         assert state.tobytes() == before.tobytes()
 
@@ -724,6 +747,157 @@ class TestStackedStepAgainstSerialLoop:
         del wanted_grad_x[:]
         train(_leaky_tanh)  # per step: last, middle, first linear
         assert wanted_grad_x == [True, True, False] * 2
+
+
+def _bench_mlp(rng):
+    """The ``cifar10-bench`` model: 64 inputs, 10 classes, dim 1810."""
+    return small_mlp(64, 10, hidden=24, rng=rng)
+
+
+class TestLanes:
+    """Row tiles on lanes, forced onto calls far below the real work
+    floor: laned ≡ unlaned ≡ the serial row loop
+    (``LocalTrainer.train_row``), byte for byte, with 7-row groups that
+    neither 2 nor 3 tiles divide."""
+
+    N_ROWS = 7
+    STEPS = 3
+    LR = 0.2
+
+    @staticmethod
+    def _force(monkeypatch, lanes):
+        """Split every call ``lanes`` ways; return the tile counts
+        each uniform-width group was cut into."""
+        cuts = []
+        real = batched._tile_bounds
+
+        def spy(rows, row_work):
+            bounds = real(rows, row_work)
+            cuts.append(len(bounds) - 1)
+            return bounds
+
+        monkeypatch.setattr(batched, "_MIN_TILE_WORK", 0)
+        monkeypatch.setattr(batched, "lane_count", lambda: lanes)
+        monkeypatch.setattr(batched, "_tile_bounds", spy)
+        return cuts
+
+    def _case(self, case, tmp_path):
+        """``(model, features, classes, state, ids, k, weight_decay)``."""
+        rng = np.random.default_rng(30)
+        if case == "conv-groupnorm":
+            model, features, classes = _conv_groupnorm(rng), FEATURES, CLASSES
+        else:
+            model, features, classes = _bench_mlp(rng), (64,), 10
+        state = _rows_for(model, self.N_ROWS, jitter=0.05)
+        ids = np.arange(self.N_ROWS)
+        k = np.full(self.N_ROWS, 5)
+        weight_decay = 0.0
+        if case == "weight-decay":
+            weight_decay = 0.03
+        elif case == "ragged":
+            k = np.array([5, 2, 5, 5, 2, 2, 5])
+        elif case == "scattered":
+            ids = np.array([5, 0, 3, 6, 1, 2])
+            k = np.full(ids.size, 5)
+        elif case == "memmap":
+            mapped = np.memmap(
+                tmp_path / "state.bin", dtype=np.float64, mode="w+", shape=state.shape
+            )
+            mapped[:] = state
+            state = mapped
+        return model, features, classes, state, ids, k, weight_decay
+
+    @pytest.mark.parametrize("lanes", [2, 3])
+    @pytest.mark.parametrize(
+        "case",
+        ["bench-mlp", "conv-groupnorm", "weight-decay", "ragged", "scattered", "memmap"],
+    )
+    def test_laned_unlaned_and_the_row_loop_agree(self, case, lanes, monkeypatch, tmp_path):
+        model, features, classes, state, ids, k, wd = self._case(case, tmp_path)
+        x = RNG.normal(size=(SAMPLES, *features))
+        y = RNG.integers(0, classes, size=SAMPLES)
+        idx = RNG.integers(0, SAMPLES, size=(ids.size, self.STEPS, int(k.max())))
+
+        unlaned = np.array(state)
+        unlaned_losses = BatchedTrainer(model, lr=self.LR, weight_decay=wd).train_rows(
+            unlaned, ids, x, y, idx, k
+        )
+        serial = np.array(state)
+        rows = LocalTrainer(
+            model, SimpleNamespace(x=x, y=y), self.STEPS, self.LR, wd, vectorized=False
+        )
+        serial_losses = np.array(
+            [rows.train_row(serial[i], idx[p, :, : k[p]]) for p, i in enumerate(ids)]
+        )
+
+        cuts = self._force(monkeypatch, lanes)
+        losses = BatchedTrainer(model, lr=self.LR, weight_decay=wd).train_rows(
+            state, ids, x, y, idx, k
+        )
+        groups = [np.sum(k == width) for width in np.unique(k)]
+        assert cuts == [min(lanes, size) for size in groups]
+        assert np.asarray(state).tobytes() == unlaned.tobytes() == serial.tobytes()
+        assert losses.tobytes() == unlaned_losses.tobytes() == serial_losses.tobytes()
+        if case == "memmap":
+            state.flush()
+            assert np.fromfile(tmp_path / "state.bin").tobytes() == serial.tobytes()
+
+    def test_one_trainer_unlaned_then_on_more_and_more_lanes(self, monkeypatch):
+        """Lanes are built the first time a call splits that far, and
+        the process's lane threads grow with them."""
+        model = _conv_groupnorm(np.random.default_rng(31))
+        state = _rows_for(model, self.N_ROWS, jitter=0.05)
+        x, y = RNG.normal(size=(SAMPLES, *FEATURES)), RNG.integers(0, CLASSES, size=SAMPLES)
+        ids, k = np.arange(self.N_ROWS), np.full(self.N_ROWS, 4)
+        trainer = BatchedTrainer(model, lr=self.LR)
+        expected = state.copy()
+        for lanes in (1, 2, 3, 2):
+            idx = RNG.integers(0, SAMPLES, size=(self.N_ROWS, 2, 4))
+            expected, expected_losses = _serial_train_rows(
+                model, expected, ids, x, y, idx, k, lr=self.LR
+            )
+            self._force(monkeypatch, lanes)
+            losses = trainer.train_rows(state, ids, x, y, idx, k)
+            assert state.tobytes() == expected.tobytes()
+            assert losses.tobytes() == expected_losses.tobytes()
+        assert len(trainer._lanes) == 3
+
+    def test_more_lanes_than_cpus_under_a_short_switch_interval(self, monkeypatch):
+        """Five lanes thread-switching every microsecond: tiles of one
+        and two rows race to grow the loss kernel's shared row-offset
+        table, and no row may see another's bytes."""
+        model = _bench_mlp(np.random.default_rng(32))
+        x, y = RNG.normal(size=(SAMPLES, 64)), RNG.integers(0, 10, size=SAMPLES)
+        state = _rows_for(model, self.N_ROWS, jitter=0.05)
+        ids = np.array([6, 2, 0, 5, 3, 1, 4])
+        trainer = BatchedTrainer(model, lr=self.LR)
+        self._force(monkeypatch, 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for width in (3, 7, 5, 9):
+                F._ROW_OFFSETS.clear()
+                k = np.full(ids.size, width)
+                idx = RNG.integers(0, SAMPLES, size=(ids.size, 2, width))
+                expected, expected_losses = _serial_train_rows(
+                    model, state, ids, x, y, idx, k, lr=self.LR
+                )
+                losses = trainer.train_rows(state, ids, x, y, idx, k)
+                assert state.tobytes() == expected.tobytes()
+                assert losses.tobytes() == expected_losses.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_floor_keeps_small_calls_whole(self, monkeypatch):
+        """Below two tiles' work a call is one tile and the CPUs are not
+        even probed; the bench MLP splits from 145 rows of width 8."""
+        monkeypatch.setattr(batched, "lane_count", lambda: pytest.fail("probed"))
+        assert batched._tile_bounds(32, 1810 * 8) == [0, 32]
+        assert batched._tile_bounds(144, 1810 * 8) == [0, 144]
+        monkeypatch.setattr(batched, "lane_count", lambda: 2)
+        assert batched._tile_bounds(145, 1810 * 8) == [0, 72, 145]
+        monkeypatch.setattr(batched, "lane_count", lambda: 64)
+        assert batched._tile_bounds(256, 1810 * 8) == [0, 85, 170, 256]
 
 
 class TestReluKernel:
