@@ -68,6 +68,18 @@ the trainer's small-block paths no sync cell does:
   head, ``local_steps=7``, writer partition) cut to 8 activations per
   node.
 
+Two more were recorded from the tree *before* the gossip product and
+the bank's read-ahead were cut into row tiles — cells large enough for
+both to split on a multi-CPU host, through the two products the sync
+engine's aggregation makes:
+
+* ``churn-crash-fleet4096-vectorized`` — the ``churn-crash`` scenario
+  moved onto ``n4096-fleet``: per-round masked mixing, with the rows of
+  departed and crashed nodes left without neighbors inside the tiles;
+* ``topk-bench256-vectorized`` — a d-psgd cell of ``cifar10-bench``
+  re-scaled to n=256 at degree 6, gossiping through a top-k compressor
+  (the CHOCO product ``off @ public``).
+
 Re-record only for an intentional, documented contract change::
 
     PYTHONPATH=src python tests/test_artifact_digests.py > tests/golden/artifact_digests.json
@@ -81,6 +93,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.compression import TopKCompressor
 from repro.core.dpsgd import DPSGD
 from repro.energy.accounting import EnergyMeter
 from repro.experiments import (
@@ -277,6 +290,47 @@ def _dynamic_churn(results_dir):
     ))
 
 
+def _churn_crash_fleet(results_dir):
+    return _scenario(results_dir, dataclasses.replace(
+        get_scenario("churn-crash"),
+        name="churn-crash-fleet4096",
+        preset="n4096-fleet",
+    ))
+
+
+def _topk_bench256(results_dir):
+    """No preset or scenario gossips through a compressor, so this wires
+    ``build_run``'s engine by hand, as :func:`_weight_decay` does."""
+    n = 256
+    preset = dataclasses.replace(
+        get_preset("cifar10-bench"), name=f"cifar10-bench-n{n}", n_nodes=n,
+        degrees=(6,), num_train=192 * n, eval_every=4, eval_node_sample=32,
+    )
+    cell = build_plan(preset, ("d-psgd",), degrees=(6,), seeds=(0,),
+                      total_rounds=8)[0]
+    prepared = prepare(preset, cell.degree, seed=cell.seed)
+    rngs = RngFactory(cell.seed)
+    model = preset.model_factory(rngs.stream("model"))
+    nodes = build_nodes(prepared.train, prepared.partition, preset.batch_size, rngs)
+    config = EngineConfig(
+        local_steps=preset.local_steps,
+        learning_rate=preset.learning_rate,
+        total_rounds=cell.total_rounds,
+        eval_every=preset.eval_every,
+        eval_node_sample=preset.eval_node_sample,
+        vectorized=True,
+    )
+    engine = SimulationEngine(
+        model, nodes, prepared.mixing, config, prepared.test,
+        meter=EnergyMeter(prepared.trace), eval_rng=rngs.stream("eval"),
+        compressor=TopKCompressor(0.1),
+    )
+    history = engine.run(DPSGD(preset.n_nodes))
+    result = ExperimentResult(history=history, meter=engine.meter,
+                              trace=prepared.trace)
+    return write_cell_artifact(results_dir, cell, result, vectorized=True)
+
+
 CELLS = {
     "fleet-vectorized": _fleet,
     "fleet16384-vectorized": _fleet16384,
@@ -288,6 +342,8 @@ CELLS = {
     "churn-async-vectorized": _churn_async,
     "churn-crash-vectorized": _churn_crash,
     "dynamic-periodic-churn-vectorized": _dynamic_churn,
+    "churn-crash-fleet4096-vectorized": _churn_crash_fleet,
+    "topk-bench256-vectorized": _topk_bench256,
     "conv-groupnorm-vectorized": _conv_gn,
     "weight-decay-vectorized": _weight_decay,
     "constrained-scattered-vectorized": _constrained,
