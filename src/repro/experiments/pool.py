@@ -62,7 +62,7 @@ from typing import Callable, Hashable
 import numpy as np
 
 from ..data.dataset import ArrayDataset
-from ..nn.batched import share_cpus
+from ..lanes import share_cpus
 from .artifacts import PlanCell
 from .presets import ExperimentPreset
 from .runner import PreparedData
@@ -372,7 +372,7 @@ def _worker_main(
     and the sibling channels, the wake pipe): only with them closed here
     does a closed channel — or a vanished parent — read as EOF.
     ``jobs`` is the pool's size: the worker's cells train on their
-    ``1/jobs`` share of the CPUs (:func:`~repro.nn.batched.share_cpus`).
+    ``1/jobs`` share of the CPUs (:func:`~repro.lanes.share_cpus`).
     """
     for end in inherited:
         end.close()

@@ -40,7 +40,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from ..nn.batched import affinity_cpus
+from ..lanes import affinity_cpus
 from ..simulation.checkpoint import load_run_checkpoint, save_run_checkpoint
 from .artifacts import (
     PlanCell,
@@ -102,8 +102,8 @@ class SweepRunStats:
 
 def resolve_auto_jobs() -> tuple[int, str]:
     """Resolve ``jobs="auto"`` to ``(worker_count, source)``: one
-    worker per CPU of :func:`~repro.nn.batched.affinity_cpus`, the probe
-    the stacked trainer's lane count reads too — the scheduler affinity
+    worker per CPU of :func:`~repro.lanes.affinity_cpus`, the probe
+    the lane count reads too — the scheduler affinity
     mask, which respects cgroup cpusets where ``os.cpu_count()``
     over-subscribes the pool, else ``os.cpu_count()``.
     """

@@ -65,13 +65,12 @@ Row tiles and lanes
 -------------------
 Rows do not interact inside a call, so a call's rows may train
 anywhere. :class:`BatchedTrainer` cuts each uniform-width row group
-into contiguous tiles (:func:`_tile_bounds`) and trains them at the
-same time: tile 0 on the calling thread, the others on *lanes* — each
-a model, workspace and optimizer of its own, run by the process's lane
-threads while numpy holds no GIL inside its kernels. Every row still
-gets its own GEMM slices, reductions and SGD passes, so the bytes are
-the untiled call's; the number of lanes (:func:`lane_count`) and the
-work floor (:data:`_MIN_TILE_WORK`) only decide where a row trains.
+into contiguous tiles and trains them at the same time through
+:mod:`repro.lanes`: tile 0 on the calling thread, the others on
+*lanes* — each a model, workspace and optimizer of its own. Every row
+still gets its own GEMM slices, reductions and SGD passes, so the
+bytes are the untiled call's; the lane count and the work floor only
+decide where a row trains.
 
 Backward ends at the first parameterized layer
 ----------------------------------------------
@@ -92,11 +91,11 @@ for these so callers can fall back to the serial engine explicitly.
 from __future__ import annotations
 
 import math
-import os
-from typing import TYPE_CHECKING, Hashable, Iterator, Sequence
+from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
+from .. import lanes
 from . import functional as F
 from .layers import (
     AvgPool2d,
@@ -113,9 +112,6 @@ from .layers.normalization import GroupNorm
 from .module import Module, Sequential
 from .optim import BatchedSGD
 
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
-
 __all__ = [
     "UnsupportedLayerError",
     "Workspace",
@@ -129,9 +125,6 @@ __all__ = [
     "BatchedModel",
     "BatchedTrainer",
     "BatchedEvaluator",
-    "affinity_cpus",
-    "lane_count",
-    "share_cpus",
     "vectorize_module",
 ]
 
@@ -841,91 +834,6 @@ def _contiguous_run(state: np.ndarray, ids: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def affinity_cpus() -> tuple[int, str]:
-    """``(cpus, source)``: how many CPUs this process may run on.
-
-    The scheduler affinity mask — ``len(os.sched_getaffinity(0))`` —
-    reflects cgroup cpusets and ``taskset`` restrictions in containers,
-    where ``os.cpu_count()`` reports the host's full core count; the
-    latter is the fallback on platforms without affinity support
-    (macOS). One probe for the sweep's worker count and the trainer's
-    lanes alike.
-    """
-    try:
-        return max(1, len(os.sched_getaffinity(0))), "sched_getaffinity"
-    except (AttributeError, OSError):
-        return max(1, os.cpu_count() or 1), "cpu_count"
-
-
-#: Cell processes sharing this process's CPUs: 1 unless a worker pool
-#: forked this process (:func:`share_cpus`).
-_cell_processes = 1
-
-
-def share_cpus(processes: int) -> None:
-    """Declare that ``processes`` cell processes — this one included —
-    run at once on this process's CPUs, so :func:`lane_count` takes
-    only its share. A persistent pool calls it in each forked worker."""
-    global _cell_processes
-    _cell_processes = processes
-
-
-def lane_count() -> int:
-    """How many row tiles one stacked call may train at once: this
-    process's share of the CPUs in its affinity mask."""
-    return max(1, affinity_cpus()[0] // _cell_processes)
-
-
-#: Least work one tile must get, in rows x ``dim`` x batch width, for a
-#: call to be split at all. Measured on a 2-CPU Intel Xeon host as one
-#: call's unsplit time over its time on two lanes: the bench MLP (dim
-#: 1810, width 8, E=10) at 64 rows (0.46 M per tile) 0.99x, 96 rows
-#: (0.70 M) 1.39x; the fleet MLP (dim 172, width 4, E=1) at 512 rows
-#: (0.18 M) 0.92x, 1024 rows (0.35 M) 1.39x. Two tiles break even
-#: at 0.2-0.5 M each, so 1 M is a floor with margin: the bench MLP
-#: splits from 145 rows, the fleet MLP from 3,049.
-_MIN_TILE_WORK = 1 << 20
-
-
-def _tile_bounds(rows: int, row_work: int) -> list[int]:
-    """Bounds ``0 = b_0 < b_1 < ... < b_W = rows`` of the contiguous,
-    near-equal tiles a uniform-width group of ``rows`` rows trains as:
-    one per lane, but no more than gives each tile
-    :data:`_MIN_TILE_WORK` (``row_work`` = ``dim`` x batch width). A
-    call below two tiles' work never probes the CPUs."""
-    work = rows * row_work
-    if work < 2 * _MIN_TILE_WORK:
-        return [0, rows]
-    tiles = min(rows, lane_count(), work // max(_MIN_TILE_WORK, 1))
-    return [rows * t // tiles for t in range(tiles + 1)]
-
-
-#: The process's lane threads, created on the first split. The executor
-#: starts a thread only when a task finds none idle, and its default
-#: cap (CPUs + 4) is above any lane count. A forked child forgets them.
-_lane_threads: ThreadPoolExecutor | None = None
-
-
-def _lane_executor() -> ThreadPoolExecutor:
-    global _lane_threads
-    if _lane_threads is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _lane_threads = ThreadPoolExecutor(thread_name_prefix="lane")
-    return _lane_threads
-
-
-def _forget_lane_threads() -> None:
-    # threads do not survive a fork, but the executor's bookkeeping
-    # does: a child that submitted to it would wait on them forever
-    global _lane_threads
-    _lane_threads = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_lane_threads)
-
-
 class _Lane:
     """What one tile trains with: a model, the workspace its layers,
     batch gathers and gradient plane live in, and the optimizer over
@@ -1107,26 +1015,15 @@ class BatchedTrainer:
     def _train_tiles(
         self, block: np.ndarray, x: np.ndarray, labels: np.ndarray, idx: np.ndarray
     ) -> np.ndarray:
-        """Train ``block`` in place as :func:`_tile_bounds` cuts it:
-        tile 0 on this thread, tiles 1… on further lanes at the same
-        time. Tiles own disjoint rows, so no two threads write one
-        byte; per-row mean losses in block order."""
-        bounds = _tile_bounds(idx.shape[0], self.model.dim * idx.shape[2])
-        if len(bounds) == 2:
-            return self._lanes[0].run_steps(block, x, labels, idx)
-        tiles = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        while len(self._lanes) < len(tiles):
+        """Train ``block`` in place as :func:`~repro.lanes.tile_bounds`
+        cuts it, tile ``t`` on lane ``t`` (:func:`~repro.lanes.run_tiles`).
+        Tiles own disjoint rows, so no two threads write one byte;
+        per-row mean losses in block order."""
+        bounds = lanes.tile_bounds(idx.shape[0], self.model.dim * idx.shape[2])
+        while len(self._lanes) < len(bounds) - 1:
             self._lanes.append(_Lane(self._template, self._lr, self._weight_decay))
-        threads = _lane_executor()
-        futures = [
-            threads.submit(lane.run_steps, block[t], x, labels[t], idx[t])
-            for lane, t in zip(self._lanes[1:], tiles[1:])
-        ]
-        from concurrent.futures import wait
 
-        try:
-            t = tiles[0]
-            head = self._lanes[0].run_steps(block[t], x, labels[t], idx[t])
-        finally:
-            wait(futures)  # no lane writes into ``block`` once this returns
-        return np.concatenate([head, *(future.result() for future in futures)])
+        def train(t: int, lo: int, hi: int) -> np.ndarray:
+            return self._lanes[t].run_steps(block[lo:hi], x, labels[lo:hi], idx[lo:hi])
+
+        return np.concatenate(lanes.run_tiles(train, bounds))

@@ -308,14 +308,16 @@ def sample(
     sizes: np.ndarray,
     k: np.ndarray,
     steps: int,
+    columns: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``steps`` consecutive ``choice(sizes[r], size=k[r], replace=False)``
     draws for each row ``r``, row ``r``'s stream keyed ``keys[r]`` and
     standing ``start[r]`` words in.
 
-    Returns ``(picks, ends)``: ``picks`` is ``(rows, steps, k.max())``
-    int64 positions in ``[0, sizes[r])`` (columns past ``k[r]`` are
-    zero), ``ends[r, s]`` the stream position after step ``s``.
+    Returns ``(picks, ends)``: ``picks`` is ``(rows, steps, columns)``
+    int64 positions in ``[0, sizes[r])`` (``columns`` defaults to
+    ``k.max()``; columns past ``k[r]`` are zero), ``ends[r, s]`` the
+    stream position after step ``s``.
 
     One step, as numpy draws it when ``sizes[r] <= 10000`` or
     ``k[r] <= sizes[r] // 50``: Floyd's algorithm — for ``j`` from
@@ -332,7 +334,9 @@ def sample(
     populations; 64-bit bounds past ``2**32``) and rows that hit a
     rejection go through :func:`replay`.
     """
-    picks = np.zeros((start.size, steps, int(k.max(initial=0))), dtype=np.int64)
+    if columns is None:
+        columns = int(k.max(initial=0))
+    picks = np.zeros((start.size, steps, columns), dtype=np.int64)
     ends = np.empty((start.size, steps), dtype=np.int64)
     by_numpy = ((sizes > 10000) & (k > sizes // 50)) | (sizes > 1 << 32)
     for width in np.unique(k[~by_numpy]).tolist():

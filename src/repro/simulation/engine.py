@@ -9,8 +9,10 @@ Executes the common skeleton of every algorithm in the paper:
         record energy; maybe evaluate
 
 Model state lives in one ``(n, dim)`` float64 matrix ``X`` so the
-aggregation step is a single sparse GEMM per round (hpc-parallel guide:
-vectorize the hot loop, avoid per-node Python overhead).
+aggregation step is one sparse product ``W @ X`` per round, with no
+per-node Python. Its output rows are cut into tiles run on every CPU
+the process owns (:func:`gossip`, :mod:`repro.lanes`); each row is
+summed exactly as the untiled product sums it.
 
 Serial vs vectorized local training
 -----------------------------------
@@ -53,6 +55,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 import scipy.sparse as sp
 
+from .. import lanes
 from ..core.base import Algorithm
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,7 +78,38 @@ from .node_bank import NodeBank
 from .rng import generator_state, restore_generator
 from .state_store import STATE_BACKENDS, make_state_store
 
-__all__ = ["EngineConfig", "SimulationEngine"]
+__all__ = ["EngineConfig", "SimulationEngine", "gossip"]
+
+
+def gossip(w: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``w @ x`` for a float64 CSR ``w`` and 2-D ``x``, byte for byte, with
+    the output rows cut into tiles run on every lane
+    (:mod:`repro.lanes`; a row's work is ``x``'s columns times the
+    stored entries per row).
+
+    Each tile zeroes its rows of a fresh output and runs scipy's own
+    kernel — ``csr_matvecs``, which ``w @ x`` calls — on its slice
+    ``indptr[lo:hi+1]``, so every row sums the same entries in the same
+    CSR order as the untiled product."""
+    rows, cols = w.shape[0], x.shape[1]
+    bounds = lanes.tile_bounds(rows, cols * w.nnz // max(rows, 1))
+    if len(bounds) == 2:
+        return w @ x
+    from scipy.sparse import _sparsetools
+
+    flat = np.asarray(x).ravel()  # a C-ordered copy when strided, as in ``w @ x``
+    out = np.empty((rows, cols))
+
+    def product(t: int, lo: int, hi: int) -> None:
+        tile = out[lo:hi]
+        tile.fill(0)
+        _sparsetools.csr_matvecs(
+            hi - lo, w.shape[1], cols, w.indptr[lo : hi + 1], w.indices, w.data,
+            flat, tile.ravel(),
+        )
+
+    lanes.run_tiles(product, bounds)
+    return out
 
 
 @dataclass(frozen=True)
@@ -296,7 +330,8 @@ class SimulationEngine:
         return self.mixing
 
     def _aggregate(self, use_allreduce: bool, t: int = 1) -> None:
-        """Share + aggregate: one sparse GEMM (or an exact average).
+        """Share + aggregate: one sparse product :func:`gossip` (or an
+        exact average).
 
         With a compressor, communication uses error-feedback compressed
         gossip (the CHOCO-SGD scheme): every node maintains a *public
@@ -313,7 +348,7 @@ class SimulationEngine:
             return
         w = self._mixing_for_round(t)
         if self.compressor is None:
-            self.state = w @ self.state
+            self.state = gossip(w, self.state)
             return
         if self._public is None:
             self._public = np.zeros_like(self.state)
@@ -327,7 +362,7 @@ class SimulationEngine:
         self._public += deltas
         diag = w.diagonal()
         off = w - sp.diags(diag)
-        self.state = diag[:, None] * self.state + off @ self._public
+        self.state = diag[:, None] * self.state + gossip(off, self._public)
 
     def _apply_churn(self, t: int, alive: np.ndarray | None) -> np.ndarray:
         """Round ``t``'s membership step: hand each joiner the mean of

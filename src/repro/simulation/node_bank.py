@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .. import lanes
 from ..data.dataset import ArrayDataset
 from ..data.partition import partition_csr
 from ..energy.devices import DeviceProfile
@@ -42,6 +43,11 @@ __all__ = ["NodeBank"]
 #: numpy overhead as a draw of thousands, so a small bank pre-draws up
 #: to 64 steps per node and a fleet none
 _AHEAD_STEPS = 4096
+
+#: a read-ahead's work per 32-bit stream word, in the units of the lane
+#: work floor (:data:`repro.lanes.MIN_TILE_WORK`); a node's fill is
+#: ``steps x (2k - 1)`` words
+WORD_WORK = 32
 
 
 class NodeBank:
@@ -115,10 +121,17 @@ class NodeBank:
         ids = np.asarray(ids, dtype=np.int64)
         if steps < 1:
             raise ValueError("steps must be positive")
-        if ids.size > 1 and np.unique(ids).size != ids.size:
-            raise ValueError(
-                f"node ids drawn together must be distinct, got {ids.tolist()}"
-            )
+        if ids.size:
+            ordered = np.sort(ids)
+            if ordered[0] < 0 or ordered[-1] >= len(self):
+                raise IndexError(
+                    f"node ids must lie in [0, {len(self)}), "
+                    f"got [{ordered[0]}, {ordered[-1]}]"
+                )
+            if (ordered[1:] == ordered[:-1]).any():
+                raise ValueError(
+                    f"node ids drawn together must be distinct, got {ids.tolist()}"
+                )
         width = steps * max(1, min(64, _AHEAD_STEPS // len(self)) // steps)
         if self._ahead_end.shape[1] != width:
             self._ahead_idx = np.zeros(
@@ -142,17 +155,27 @@ class NodeBank:
 
     def _read_ahead(self, ids: np.ndarray) -> None:
         """Fill ``ids``' read-ahead with the steps that follow their
-        cursors."""
-        picks, ends = batch_stream.sample(
-            self.keys[ids], self.consumed[ids], self.sizes[ids], self.k[ids],
-            self._ahead_end.shape[1],
-        )
-        # local positions -> dataset rows, through the CSR (padding
-        # columns land on the node's first sample: in range, unread)
-        picks += self.offsets[ids][:, None, None]
-        self._ahead_idx[ids, :, : picks.shape[2]] = self.indices[picks]
-        self._ahead_end[ids] = ends
-        self._ahead_at[ids] = 0
+        cursors, in contiguous tiles of ``ids`` run on every lane
+        (:mod:`repro.lanes`). Streams are private, so a tile's picks,
+        ends and cursors are what one unsplit fill writes."""
+        steps = self._ahead_end.shape[1]
+        columns = int(self.k[ids].max())
+        row_work = steps * (2 * columns - 1) * WORD_WORK
+
+        def fill(t: int, lo: int, hi: int) -> None:
+            part = ids[lo:hi]
+            picks, ends = batch_stream.sample(
+                self.keys[part], self.consumed[part], self.sizes[part],
+                self.k[part], steps, columns,
+            )
+            # local positions -> dataset rows, through the CSR (padding
+            # columns land on the node's first sample: in range, unread)
+            picks += self.offsets[part][:, None, None]
+            self._ahead_idx[part, :, :columns] = self.indices[picks]
+            self._ahead_end[part] = ends
+            self._ahead_at[part] = 0
+
+        lanes.run_tiles(fill, lanes.tile_bounds(ids.size, row_work))
 
     # -- checkpointing --------------------------------------------------------
 

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import lanes as lanes_module
 from repro.data.dataset import ArrayDataset
 from repro.nn import (
     CrossEntropyLoss,
@@ -27,7 +28,6 @@ from repro.nn import (
     small_cnn,
     small_mlp,
 )
-from repro.nn import batched
 from repro.nn import functional as F
 from repro.nn.batched import (
     BatchedElementwise,
@@ -769,16 +769,16 @@ class TestLanes:
         """Split every call ``lanes`` ways; return the tile counts
         each uniform-width group was cut into."""
         cuts = []
-        real = batched._tile_bounds
+        real = lanes_module.tile_bounds
 
         def spy(rows, row_work):
             bounds = real(rows, row_work)
             cuts.append(len(bounds) - 1)
             return bounds
 
-        monkeypatch.setattr(batched, "_MIN_TILE_WORK", 0)
-        monkeypatch.setattr(batched, "lane_count", lambda: lanes)
-        monkeypatch.setattr(batched, "_tile_bounds", spy)
+        monkeypatch.setattr(lanes_module, "MIN_TILE_WORK", 0)
+        monkeypatch.setattr(lanes_module, "lane_count", lambda: lanes)
+        monkeypatch.setattr(lanes_module, "tile_bounds", spy)
         return cuts
 
     def _case(self, case, tmp_path):
@@ -891,13 +891,13 @@ class TestLanes:
     def test_the_floor_keeps_small_calls_whole(self, monkeypatch):
         """Below two tiles' work a call is one tile and the CPUs are not
         even probed; the bench MLP splits from 145 rows of width 8."""
-        monkeypatch.setattr(batched, "lane_count", lambda: pytest.fail("probed"))
-        assert batched._tile_bounds(32, 1810 * 8) == [0, 32]
-        assert batched._tile_bounds(144, 1810 * 8) == [0, 144]
-        monkeypatch.setattr(batched, "lane_count", lambda: 2)
-        assert batched._tile_bounds(145, 1810 * 8) == [0, 72, 145]
-        monkeypatch.setattr(batched, "lane_count", lambda: 64)
-        assert batched._tile_bounds(256, 1810 * 8) == [0, 85, 170, 256]
+        monkeypatch.setattr(lanes_module, "lane_count", lambda: pytest.fail("probed"))
+        assert lanes_module.tile_bounds(32, 1810 * 8) == [0, 32]
+        assert lanes_module.tile_bounds(144, 1810 * 8) == [0, 144]
+        monkeypatch.setattr(lanes_module, "lane_count", lambda: 2)
+        assert lanes_module.tile_bounds(145, 1810 * 8) == [0, 72, 145]
+        monkeypatch.setattr(lanes_module, "lane_count", lambda: 64)
+        assert lanes_module.tile_bounds(256, 1810 * 8) == [0, 85, 170, 256]
 
 
 class TestReluKernel:

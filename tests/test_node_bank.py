@@ -22,8 +22,11 @@ from hypothesis import strategies as st
 from repro.data import ArrayDataset, DataLoader
 from repro.experiments import artifact_path, build_plan, get_preset, run_cell
 from repro.experiments.artifacts import checkpoint_path
+from repro.nn import small_mlp
+from repro.nn.serialization import parameter_vector
 from repro.scenarios import build_scenario_plan, get_scenario
 from repro.simulation import NodeBank, RngFactory, batch_stream, build_nodes
+from repro.simulation.local_step import LocalTrainer
 
 
 def _dataset(n_samples, rng, features=3):
@@ -244,6 +247,25 @@ class TestSamplerMatchesNumpy:
         with pytest.raises(ValueError, match="must be distinct"):
             bank.draw(np.array([0, 3, 3]), 1)
         assert bank.consumed.sum() == 0 and bank.local_steps_done.sum() == 0
+
+    @pytest.mark.parametrize("vectorized", [False, True], ids=["serial", "stacked"])
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_a_node_outside_the_bank_is_refused_before_a_cursor_moves(
+        self, bad, vectorized
+    ):
+        """Node ``-1`` used to alias node ``n - 1``: the draw advanced
+        that node's stream and step count, then the stacked trainer
+        refused the row (and the serial loop trained row ``n - 1``)."""
+        bank, _ = _bank_of([8] * 5, 4, seed=0, features=3)
+        model = small_mlp(3, 4, hidden=5, rng=np.random.default_rng(0))
+        trainer = LocalTrainer(model, bank, 2, 0.1, 0.0, vectorized)
+        state = np.tile(parameter_vector(model), (5, 1))
+        trainer.train(state, np.arange(5))
+        before = [bank.consumed.copy(), bank.local_steps_done.copy(), state.copy()]
+        with pytest.raises(IndexError, match=r"\[0, 5\)"):
+            trainer.train(state, np.array([2, bad]))
+        after = [bank.consumed, bank.local_steps_done, state]
+        assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
 
     def test_nonpositive_steps_rejected(self):
         bank, _ = _bank_of([8] * 5, 4, seed=0)
