@@ -80,11 +80,26 @@ engine's aggregation makes:
   re-scaled to n=256 at degree 6, gossiping through a top-k compressor
   (the CHOCO product ``off @ public``).
 
+Three more were recorded from the tree *before* the row plan got a
+byte budget (``repro.lanes.ROW_BUDGET``), which cuts a call into more
+tiles than lanes and runs them in waves:
+
+* ``cifar10-paper-vectorized`` — the ``cifar10-paper`` preset's
+  GN-LeNet on 3x32x32 inputs at batch 32, cut to 8 nodes, 2 local
+  steps and 2 rounds: small enough for the serial loop, large enough
+  that every row outgrows the budget;
+* ``conv-groupnorm-capped-vectorized`` and
+  ``constrained-scattered-capped-vectorized`` — the two cells above
+  under a budget of one or two rows per tile on two lanes, so each
+  training call runs as several waves; their bytes are the uncapped
+  cells'.
+
 Re-record only for an intentional, documented contract change::
 
     PYTHONPATH=src python tests/test_artifact_digests.py > tests/golden/artifact_digests.json
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -93,6 +108,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import lanes
 from repro.core.compression import TopKCompressor
 from repro.core.dpsgd import DPSGD
 from repro.energy.accounting import EnergyMeter
@@ -173,6 +189,53 @@ def _conv_gn(results_dir):
     cell = build_plan(preset, ("skiptrain",), seeds=(0,))[0]
     run_cell(preset, cell, results_dir, vectorized=True)
     return artifact_path(results_dir, cell)
+
+
+def paper_cnn_preset():
+    """``cifar10-paper`` (GN-LeNet, 3x32x32, batch 32) at 8 nodes."""
+    return dataclasses.replace(
+        get_preset("cifar10-paper"),
+        name="cifar10-paper-n8",
+        n_nodes=8,
+        degrees=(3,),
+        num_train=64 * 8,
+        num_test=64,
+        local_steps=2,
+        eval_every=2,
+        eval_node_sample=None,
+        tuned_schedules={3: (2, 2)},
+    )
+
+
+def _paper_cnn(results_dir, vectorized=True):
+    preset = paper_cnn_preset()
+    cell = build_plan(preset, ("skiptrain",), seeds=(0,), total_rounds=2)[0]
+    run_cell(preset, cell, results_dir, vectorized=vectorized)
+    return artifact_path(results_dir, cell)
+
+
+@contextlib.contextmanager
+def _row_budget(nbytes):
+    """Run with ``lanes.ROW_BUDGET = nbytes`` on two lanes."""
+    saved = vars(lanes).copy()
+    lanes.ROW_BUDGET = nbytes
+    lanes.lane_count = lambda: 2
+    try:
+        yield
+    finally:
+        for name in ("ROW_BUDGET", "lane_count"):
+            if name in saved:
+                setattr(lanes, name, saved[name])
+            else:
+                delattr(lanes, name)
+
+
+def _capped(run, nbytes):
+    def capped(results_dir):
+        with _row_budget(nbytes):
+            return run(results_dir)
+
+    return capped
 
 
 def _weight_decay(results_dir):
@@ -345,8 +408,11 @@ CELLS = {
     "churn-crash-fleet4096-vectorized": _churn_crash_fleet,
     "topk-bench256-vectorized": _topk_bench256,
     "conv-groupnorm-vectorized": _conv_gn,
+    "conv-groupnorm-capped-vectorized": _capped(_conv_gn, 150 << 10),
+    "cifar10-paper-vectorized": _paper_cnn,
     "weight-decay-vectorized": _weight_decay,
     "constrained-scattered-vectorized": _constrained,
+    "constrained-scattered-capped-vectorized": _capped(_constrained, 64 << 10),
 }
 
 
@@ -376,6 +442,17 @@ def test_ragged_cell_serial_vectorized_and_sharded_agree(tmp_path):
     vectorized = json.loads(
         _ragged(tmp_path / "vectorized", vectorized=True).read_bytes()
     )
+    assert serial.pop("engine") == {"vectorized": False}
+    assert vectorized.pop("engine") == {"vectorized": True}
+    assert serial == vectorized
+
+
+@pytest.mark.slow
+def test_paper_cell_serial_and_vectorized_agree(tmp_path):
+    """The pinned GN-LeNet cell through the serial row loop writes the
+    same results as through the stacked trainer."""
+    serial = json.loads(_paper_cnn(tmp_path / "serial", vectorized=False).read_bytes())
+    vectorized = json.loads(_paper_cnn(tmp_path / "vectorized").read_bytes())
     assert serial.pop("engine") == {"vectorized": False}
     assert vectorized.pop("engine") == {"vectorized": True}
     assert serial == vectorized
