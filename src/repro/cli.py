@@ -602,10 +602,15 @@ def _execute_sweep_plan(args: argparse.Namespace, plan, shard,
 
     if args.dry_run:
         selected = shard_cells(plan, *shard)
+        done = {cell.cell_id for cell in selected
+                if artifact_path(args.results_dir, cell).is_file()}
+        plans = _row_plans(args, [c for c in selected if c.cell_id not in done])
         for cell in selected:
-            status = ("done" if artifact_path(args.results_dir, cell).is_file()
-                      else "pending")
-            print(f"{cell.cell_id}  [{status}]")
+            status = "done" if cell.cell_id in done else "pending"
+            print(f"{cell.cell_id}  [{status}]{plans.get(cell.preset, '')}")
+        if not args.vectorized:
+            print("\n(rows train one at a time; --vectorized stacks them "
+                  "as row tiles)")
         print(f"\nshard {args.shard}: {len(selected)} of {len(plan)} cells")
         return 0
     if args.jobs != "auto" and args.jobs <= 0:
@@ -628,6 +633,42 @@ def _execute_sweep_plan(args: argparse.Namespace, plan, shard,
           f"skipped {len(stats.skipped)} already-complete cells; "
           f"artifacts under {args.results_dir}/raw{jobs_note}")
     return 0
+
+
+def _row_plans(args: argparse.Namespace, pending) -> dict[str, str]:
+    """Per preset of a ``--vectorized`` dry run, how a training call of
+    every node runs as row tiles (``nn.batched.row_plan``) on the lanes
+    a cell gets: all of this process's under ``--jobs 1``, a worker's
+    share otherwise."""
+    if not args.vectorized:
+        return {}
+    from . import lanes
+    from .experiments import get_preset, resolve_auto_jobs
+    from .nn.batched import row_plan
+    from .simulation import RngFactory
+
+    jobs = resolve_auto_jobs()[0] if args.jobs == "auto" else args.jobs
+    previous = lanes.share_cpus(max(1, min(jobs, len(pending))))
+    plans = {}
+    try:
+        for name in sorted({cell.preset for cell in pending}):
+            preset = get_preset(name)
+            spec = preset.spec
+            tile, waves, nbytes = row_plan(
+                preset.model_factory(RngFactory(0).stream("model")),
+                preset.n_nodes, preset.batch_size,
+                (spec.channels, spec.image_size, spec.image_size),
+            )
+            count = lanes.lane_count()
+            plans[name] = (
+                f"  {preset.n_nodes} rows as <= {tile}-row tiles, "
+                f"{waves} wave{'s' * (waves > 1)} on {count} "
+                f"lane{'s' * (count > 1)}, "
+                f"lane workspace {nbytes / 2**20:.1f} MiB"
+            )
+    finally:
+        lanes.share_cpus(previous)
+    return plans
 
 
 def _cmd_sweep_scenario(args: argparse.Namespace) -> int:

@@ -136,7 +136,11 @@ def femnist_bench() -> ExperimentPreset:
 
 
 def cifar10_paper() -> ExperimentPreset:
-    """Table 1's CIFAR-10 row at full scale (slow: days in pure NumPy)."""
+    """Table 1's CIFAR-10 row at full scale. Slow in pure NumPy: on a
+    2-CPU host a ``--vectorized`` training round (256 GN-LeNet rows × 20
+    steps) takes ~34 min and an evaluation round ~4.5 min, so a
+    1000-round SkipTrain cell takes ~12 days
+    (``docs/reproducing-figures.md``)."""
     return ExperimentPreset(
         name="cifar10-paper",
         n_nodes=256,
@@ -162,7 +166,10 @@ def cifar10_paper() -> ExperimentPreset:
 
 
 def femnist_paper() -> ExperimentPreset:
-    """Table 1's FEMNIST row at full scale (slow)."""
+    """Table 1's FEMNIST row at full scale. A ``--vectorized`` training
+    round takes ~3 min on a 2-CPU host, but the 256 × 1.69 M state is
+    3.46 GB, and an evaluation round outgrew the 7.5 GiB a shared 16 GiB
+    host left it (``docs/reproducing-figures.md``)."""
     return ExperimentPreset(
         name="femnist-paper",
         n_nodes=256,

@@ -13,9 +13,10 @@ byte; the lane count and the work floor only decide where a row runs.
 This module is the one place that decides both and runs the tiles:
 :func:`lane_count` is the process's share of its affinity mask,
 :func:`tile_bounds` cuts a call by one work floor
-(:data:`MIN_TILE_WORK`), and :func:`run_tiles` dispatches. A call below
-two tiles' work — every small, async or pool-worker call — runs whole
-on the calling thread.
+(:data:`MIN_TILE_WORK`) and one byte budget (:data:`ROW_BUDGET`), and
+:func:`run_tiles` dispatches, in waves when a call has more tiles than
+lanes. A call below two tiles' work within the budget — every small,
+async or pool-worker call — runs whole on the calling thread.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MIN_TILE_WORK",
+    "ROW_BUDGET",
     "affinity_cpus",
     "lane_count",
     "run_tiles",
     "share_cpus",
     "tile_bounds",
+    "wave_width",
 ]
 
 T = TypeVar("T")
@@ -58,12 +61,14 @@ def affinity_cpus() -> tuple[int, str]:
 _cell_processes = 1
 
 
-def share_cpus(processes: int) -> None:
+def share_cpus(processes: int) -> int:
     """Declare that ``processes`` cell processes — this one included —
     run at once on this process's CPUs, so :func:`lane_count` takes
-    only its share. A persistent pool calls it in each forked worker."""
+    only its share; returns the previous count. A persistent pool calls
+    it in each forked worker."""
     global _cell_processes
-    _cell_processes = processes
+    previous, _cell_processes = _cell_processes, processes
+    return previous
 
 
 def lane_count() -> int:
@@ -102,15 +107,54 @@ def lane_count() -> int:
 MIN_TILE_WORK = 1 << 20
 
 
-def tile_bounds(rows: int, row_work: int) -> list[int]:
-    """Bounds ``0 = b_0 < b_1 < ... < b_W = rows`` of the contiguous,
-    near-equal tiles ``rows`` rows of ``row_work`` work each run as: one
-    per lane, but no more than gives each tile :data:`MIN_TILE_WORK`. A
-    call below two tiles' work never probes the CPUs."""
+#: Most bytes one tile may add to the workspace of the lane that runs
+#: it. A call whose rows need more is cut into more tiles than lanes,
+#: run in waves (:func:`run_tiles`), so a lane's workspace holds one
+#: tile, not its share of the call. Callers state their per-row bytes;
+#: only the stacked trainer and evaluator do. Measured on the same host
+#: as :data:`MIN_TILE_WORK`, min of 15 calls:
+#:
+#: * the bench MLP (26.2 KiB a row at width 8), 256 rows on two lanes:
+#:   two 128-row tiles 19.0 ms, 64-row waves 22.4 ms (+18%: each wave
+#:   is more numpy calls, so more GIL handoffs); on one lane: one tile
+#:   44.2 ms, 64-row chunks 26.6 ms (-40%; a later best-of-15 curve
+#:   under ``taskset -c 0`` read 36.1 against 33.0 ms, -8%, in
+#:   ``docs/small-blocks.md``);
+#: * the fleet MLP (3.2 KiB a row at width 4), 16,384 rows on two lanes:
+#:   8,192-row tiles 36.8 ms, 1,024-2,048-row waves 25.8-33.1 ms.
+#:
+#: The floor is ``sync-paper256``: its 256-row calls must stay two
+#: 128-row tiles, which needs 3.3 MiB. A GN-LeNet row at batch 32 needs
+#: 156 MiB, so the paper CNN trains one row per tile.
+ROW_BUDGET = 4 << 20
+
+
+def tile_bounds(rows: int, row_work: int, row_bytes: int = 0) -> list[int]:
+    """Bounds ``0 = b_0 < b_1 < ... < b_T = rows`` of the contiguous,
+    near-equal tiles ``rows`` rows of ``row_work`` work and ``row_bytes``
+    workspace each run as.
+
+    The work floor (:data:`MIN_TILE_WORK`) gives one tile per lane, but
+    no more than gives each tile the floor; the budget
+    (:data:`ROW_BUDGET`) then asks for as many tiles as keep each tile's
+    ``rows x row_bytes`` under it (one row a tile when a row alone
+    outgrows it), rounded up to a multiple of the lanes in use so the
+    waves stay balanced. A call below two tiles' work within the budget
+    never probes the CPUs."""
     work = rows * row_work
-    if work < 2 * MIN_TILE_WORK:
+    split = 1
+    if work >= 2 * MIN_TILE_WORK:
+        split = min(rows, lane_count(), work // max(MIN_TILE_WORK, 1))
+    tiles = split
+    if row_bytes:
+        # whole rows per tile, so a tile's rows fit the budget unless
+        # one row alone outgrows it
+        capped = -(-rows // max(1, ROW_BUDGET // row_bytes))
+        if capped > split:
+            width = min(lane_count(), capped)
+            tiles = min(rows, -(-capped // width) * width)
+    if tiles == 1:
         return [0, rows]
-    tiles = min(rows, lane_count(), work // max(MIN_TILE_WORK, 1))
     return [rows * t // tiles for t in range(tiles + 1)]
 
 
@@ -140,23 +184,39 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_lane_threads)
 
 
+def wave_width(tiles: int) -> int:
+    """How many lanes :func:`run_tiles` runs ``tiles`` tiles on: one
+    per tile while the lanes suffice, else every lane, in waves."""
+    return 1 if tiles == 1 else min(lane_count(), tiles)
+
+
 def run_tiles(fn: Callable[[int, int, int], T], bounds: list[int]) -> list[T]:
-    """``[fn(t, lo, hi) for each tile t = [lo, hi) of bounds]``, the
-    tiles run at once: tile 0 on this thread, the others on lane
-    threads. Returns only after every tile has finished, so no lane
-    still writes once this returns or raises; then re-raises the first
-    failure — tile 0's, else the lowest failed tile's."""
-    if len(bounds) == 2:
+    """``[fn(lane, lo, hi) for each tile [lo, hi) of bounds]``, the tiles
+    run on ``W =`` :func:`wave_width` lanes at once: tile ``t`` on
+    lane ``t mod W``, each lane's tiles in order, lane 0 on this thread
+    and the others on lane threads. So a call with more tiles than lanes
+    runs in waves, and ``fn`` may keep per-lane scratch. Returns only
+    after every lane has stopped, so no lane still writes once this
+    returns or raises; then re-raises the first failure — lane 0's,
+    else the lowest failed lane's. A lane stops at its first failing
+    tile."""
+    tiles = len(bounds) - 1
+    if tiles == 1:
         return [fn(0, bounds[0], bounds[1])]
+    width = wave_width(tiles)
+
+    def lane(w: int) -> list[T]:
+        return [fn(w, bounds[t], bounds[t + 1]) for t in range(w, tiles, width)]
+
+    if width == 1:
+        return lane(0)
     threads = _lane_executor()
-    futures = [
-        threads.submit(fn, t, lo, hi)
-        for t, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:]), start=1)
-    ]
+    futures = [threads.submit(lane, w) for w in range(1, width)]
     from concurrent.futures import wait
 
     try:
-        head = fn(0, bounds[0], bounds[1])
+        head = lane(0)
     finally:
         wait(futures)
-    return [head, *(future.result() for future in futures)]
+    done = [head, *(future.result() for future in futures)]
+    return [done[t % width][t // width] for t in range(tiles)]

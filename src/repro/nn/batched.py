@@ -64,13 +64,17 @@ which BLAS call the next ``matmul`` makes
 Row tiles and lanes
 -------------------
 Rows do not interact inside a call, so a call's rows may train
-anywhere. :class:`BatchedTrainer` cuts each uniform-width row group
-into contiguous tiles and trains them at the same time through
-:mod:`repro.lanes`: tile 0 on the calling thread, the others on
-*lanes* — each a model, workspace and optimizer of its own. Every row
-still gets its own GEMM slices, reductions and SGD passes, so the
-bytes are the untiled call's; the lane count and the work floor only
-decide where a row trains.
+anywhere and in any order. :class:`BatchedTrainer` cuts each
+uniform-width row group into contiguous tiles and trains them through
+:mod:`repro.lanes` on *lanes* — each a model, workspace and optimizer
+of its own, lane 0 on the calling thread. A call may have more tiles
+than lanes: the byte budget keeps a tile's workspace
+(:func:`row_bytes` per row) under :data:`repro.lanes.ROW_BUDGET`, and
+each lane then trains its tiles in waves, one after another in the
+same workspace. Every row still gets its own GEMM slices, reductions
+and SGD passes, so the bytes are the untiled call's; the lane count,
+the work floor and the budget only decide where and when a row
+trains.
 
 Backward ends at the first parameterized layer
 ----------------------------------------------
@@ -125,8 +129,14 @@ __all__ = [
     "BatchedModel",
     "BatchedTrainer",
     "BatchedEvaluator",
+    "row_bytes",
+    "row_plan",
     "vectorize_module",
 ]
+
+
+#: A per-row array shape, ``(B, ...)``: no node axis.
+Shape = tuple[int, ...]
 
 
 class UnsupportedLayerError(ValueError):
@@ -243,6 +253,22 @@ class BatchedLayer:
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def plan(self, shape: Shape, contiguous: bool) -> tuple[int, Shape, bool]:
+        """What a training forward over one row of input ``shape``
+        (``(B, ...)``, no node axis) takes from the lent workspace:
+        ``(bytes, output shape, whether the output is C-contiguous)``.
+        The default is a shape- and layout-preserving map that borrows
+        nothing. :func:`row_bytes` sums these."""
+        return 0, shape, contiguous
+
+    def plan_backward(
+        self, shape: Shape, contiguous: bool, grad_contiguous: bool
+    ) -> tuple[int, bool]:
+        """The backward twin of :meth:`plan`, given the input it was
+        planned with and whether ``grad_out`` is C-contiguous: ``(bytes,
+        whether the input gradient is C-contiguous)``."""
+        return 0, True
+
     def forward_shared(self, x: np.ndarray) -> np.ndarray:
         """Forward one un-stacked ``(B, ...)`` batch (no node axis).
 
@@ -316,6 +342,14 @@ class BatchedLinear(BatchedLayer):
             self.bias,
             out=self.scratch("out", (*x.shape[:2], self.out_features)),
         )
+
+    def plan(self, shape: Shape, contiguous: bool) -> tuple[int, Shape, bool]:
+        return 8 * shape[0] * self.out_features, (shape[0], self.out_features), True
+
+    def plan_backward(
+        self, shape: Shape, contiguous: bool, grad_contiguous: bool
+    ) -> tuple[int, bool]:
+        return (8 * math.prod(shape) if self.input_grad else 0), True
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         if self._x is None:
@@ -395,6 +429,32 @@ class BatchedConv2d(BatchedLayer):
         out = out.reshape(kn, self.out_channels, out_h, out_w, n)
         return out.transpose(0, 4, 1, 2, 3)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        out = self.forward(x)
+        # the im2col columns, a row's largest array, are kept only for
+        # a backward that inference never runs
+        self._cols = None
+        return out
+
+    def _cols_out(self, shape: Shape) -> tuple[int, Shape]:
+        n, c, h, w = shape
+        ks, s, p = self.kernel_size, self.stride, self.padding
+        out_h = F.conv_output_size(h, ks, s, p)
+        out_w = F.conv_output_size(w, ks, s, p)
+        return c * ks * ks * out_h * out_w * n, (n, self.out_channels, out_h, out_w)
+
+    def plan(self, shape: Shape, contiguous: bool) -> tuple[int, Shape, bool]:
+        cols, out = self._cols_out(shape)
+        # the output is a transposed view of the GEMM's
+        return 8 * (cols + math.prod(out)), out, False
+
+    def plan_backward(
+        self, shape: Shape, contiguous: bool, grad_contiguous: bool
+    ) -> tuple[int, bool]:
+        cols = self._cols_out(shape)[0] if self.input_grad else 0
+        # col2im crops its padded image
+        return 8 * cols, self.padding == 0
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called before forward")
@@ -467,6 +527,11 @@ class BatchedGroupNorm(BatchedLayer):
             + self.beta[:, None, :, None, None]
         )
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        out = self.forward(x)
+        self._cache = None
+        return out
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray | None:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
@@ -512,6 +577,14 @@ class BatchedFlatten(BatchedLayer):
     def forward_shared(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[0], -1)
 
+    def plan(self, shape: Shape, contiguous: bool) -> tuple[int, Shape, bool]:
+        return 0, (shape[0], math.prod(shape[1:])), contiguous
+
+    def plan_backward(
+        self, shape: Shape, contiguous: bool, grad_contiguous: bool
+    ) -> tuple[int, bool]:
+        return 0, grad_contiguous
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._shape is None:
             raise RuntimeError("backward called before forward")
@@ -535,6 +608,14 @@ class BatchedPool2d(BatchedLayer):
         return self.pool.forward(x)
 
     forward_shared = forward
+
+    def plan(self, shape: Shape, contiguous: bool) -> tuple[int, Shape, bool]:
+        *lead, h, w = shape
+        ks, s = self.pool.kernel_size, self.pool.stride
+        out = (*lead, F.conv_output_size(h, ks, s, 0), F.conv_output_size(w, ks, s, 0))
+        # max pooling gathers into a fresh array; a window mean keeps
+        # its input's layout
+        return 0, out, contiguous or isinstance(self.pool, MaxPool2d)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return self.pool.backward(grad_out)
@@ -584,6 +665,19 @@ class BatchedElementwise(BatchedLayer):
             return self.layer.forward(x)
         self._mask = np.greater(x, 0.0, out=self.scratch_like("mask", x, np.bool_))
         return _relu(x, out=self.scratch_like("out", x))
+
+    def plan(self, shape: Shape, contiguous: bool) -> tuple[int, Shape, bool]:
+        if not isinstance(self.layer, ReLU) or not contiguous:
+            return 0, shape, contiguous
+        return 9 * math.prod(shape), shape, True  # mask and output
+
+    def plan_backward(
+        self, shape: Shape, contiguous: bool, grad_contiguous: bool
+    ) -> tuple[int, bool]:
+        if not isinstance(self.layer, ReLU):
+            return 0, grad_contiguous
+        lent = contiguous and grad_contiguous  # as backward decides
+        return (8 * math.prod(shape) if lent else 0), lent
 
     def forward_shared(self, x: np.ndarray) -> np.ndarray:
         if isinstance(self.layer, ReLU):
@@ -721,6 +815,52 @@ def vectorize_module(template: Module) -> BatchedModel:
     )
 
 
+def row_bytes(
+    model: Module | BatchedModel, width: int, sample_shape: tuple[int, ...]
+) -> int:
+    """Bytes one row adds to the :class:`Workspace` of a trainer lane
+    that trains it at batch ``width`` on samples of ``sample_shape``:
+    its gradient-plane row, its share of the batch gather (float64, as
+    datasets store samples), every layer's buffers (:meth:`BatchedLayer.plan`)
+    and the loss's. Every buffer has a row axis, so a tile of ``r`` rows
+    holds ``r`` times this; :func:`repro.lanes.tile_bounds` keeps a
+    tile under the byte budget with it."""
+    if not isinstance(model, BatchedModel):
+        model = vectorize_module(model)
+    shape, contiguous = (width, *sample_shape), True
+    total = 8 * (model.dim + math.prod(shape))
+    inputs = []
+    for layer in model.layers:
+        inputs.append((shape, contiguous))
+        nbytes, shape, contiguous = layer.plan(shape, contiguous)
+        total += nbytes
+    if contiguous:
+        total += 2 * 8 * math.prod(shape)  # log-probabilities, loss gradient
+    grad_contiguous = True
+    for layer, (shape, contiguous) in zip(
+        reversed(model.layers[model._head :]), reversed(inputs[model._head :])
+    ):
+        nbytes, grad_contiguous = layer.plan_backward(shape, contiguous, grad_contiguous)
+        total += nbytes
+    return total
+
+
+def row_plan(
+    model: Module, rows: int, width: int, sample_shape: tuple[int, ...]
+) -> tuple[int, int, int]:
+    """``(rows per tile, waves, lane workspace bytes)``: how
+    :meth:`BatchedTrainer.train_rows` runs a call of ``rows`` rows at
+    batch ``width`` on this process's lanes — the largest tile, the
+    waves its lanes take, and the workspace the largest tile leaves in a
+    lane (:func:`row_bytes` per row)."""
+    batched = vectorize_module(model)
+    nbytes = row_bytes(batched, width, sample_shape)
+    bounds = lanes.tile_bounds(rows, batched.dim * width, nbytes)
+    tiles = len(bounds) - 1
+    tile = max(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+    return tile, -(-tiles // lanes.wave_width(tiles)), tile * nbytes
+
+
 class BatchedEvaluator:
     """Evaluates every node's model on a shared test set in one stacked
     forward pass per batch.
@@ -739,40 +879,60 @@ class BatchedEvaluator:
     run on each row separately. The returned accuracies are exactly
     equal, not merely close.
 
-    ``node_chunk`` bounds peak activation memory: im2col inflates conv
-    activations by ``C·kh·kw``, so stacking hundreds of paper-size CNN
-    nodes in one pass can exhaust RAM. Chunking the node axis runs
-    ``ceil(k / node_chunk)`` stacked passes instead of one and changes
-    no result.
+    Rows are evaluated in chunks cut by the row plan's byte budget
+    (:func:`repro.lanes.tile_bounds` with :meth:`row_bytes` at the eval
+    batch), each chunk on a lane of its own (a model bound to its rows),
+    so a paper-size CNN never stacks more rows than the budget holds:
+    im2col inflates a conv's activations by ``C·kh·kw``. Chunking
+    changes no result.
     """
 
-    def __init__(self, template: Module, node_chunk: int | None = None) -> None:
-        if node_chunk is not None and node_chunk <= 0:
-            raise ValueError("node_chunk must be positive when given")
+    def __init__(self, template: Module) -> None:
         self.model = vectorize_module(template)
-        self.node_chunk = node_chunk
+        self._template = template
+        self._models = {0: self.model}
+
+    def row_bytes(self, width: int, sample_shape: tuple[int, ...]) -> int:
+        """Bytes one row's stacked pass allocates at batch ``width``, at
+        most: the output of every layer behind the shared prefix (a
+        rectifier infers in place, a flatten is a reshape) and a conv's
+        columns."""
+        shape, contiguous, total = (width, *sample_shape), True, 0
+        shared = True
+        for layer in self.model.layers:
+            shared = shared and layer.node_independent
+            nbytes, shape, contiguous = layer.plan(shape, contiguous)
+            if shared or isinstance(layer, BatchedFlatten):
+                continue
+            if isinstance(layer, (BatchedLinear, BatchedConv2d)):
+                total += nbytes  # its workspace requests, allocated here
+            elif not (
+                isinstance(layer, BatchedElementwise) and isinstance(layer.layer, ReLU)
+            ):
+                total += 8 * math.prod(shape)
+        return total
 
     def correct_counts(
-        self, block: np.ndarray, x: np.ndarray, y: np.ndarray
+        self, model: BatchedModel, x: np.ndarray, y: np.ndarray
     ) -> np.ndarray:
         """Per-row count of correct top-1 predictions on one batch.
 
-        ``block`` must already be bound; ``x``/``y`` are one un-stacked
-        test batch. The test batch is identical for every node, so the
-        model's node-independent prefix (flatten/pool/activations before
-        the first parameterized layer) runs once on the un-stacked batch
-        and the result is broadcast across the node axis — a zero-copy
-        view, since the stacked kernels consume it slice by slice.
+        ``model`` must already be bound to the rows; ``x``/``y`` are one
+        un-stacked test batch. The test batch is identical for every
+        node, so the model's node-independent prefix (flatten/pool/
+        activations before the first parameterized layer) runs once on
+        the un-stacked batch and the result is broadcast across the node
+        axis — a zero-copy view, since the stacked kernels consume it
+        slice by slice.
         """
-        k = block.shape[0]
         split = 0
-        for layer in self.model.layers:
+        for layer in model.layers:
             if not layer.node_independent:
                 break
             x = layer.forward_shared(x)
             split += 1
-        x = np.broadcast_to(x, (k, *x.shape))
-        for layer in self.model.layers[split:]:
+        x = np.broadcast_to(x, (model.block.shape[0], *x.shape))
+        for layer in model.layers[split:]:
             x = layer.infer(x)
         return (x.argmax(axis=2) == y).sum(axis=1)
 
@@ -795,22 +955,33 @@ class BatchedEvaluator:
                 f"expected an (n, {self.model.dim}) state matrix, "
                 f"got {state.shape}"
             )
-        # every row: bind the matrix itself (no copy when it already is
-        # C-contiguous, which every state store's is)
-        block = np.ascontiguousarray(
-            state if node_ids is None else state[np.asarray(node_ids)]
-        )
-        k = block.shape[0]
-        chunk = self.node_chunk if self.node_chunk is not None else max(k, 1)
+        ids = None if node_ids is None else np.asarray(node_ids)
+        rows = state.shape[0] if ids is None else ids.size
         n = len(dataset)
-        correct = np.zeros(k, dtype=np.int64)
-        for lo in range(0, k, chunk):
-            sub = block[lo : lo + chunk]
-            self.model.bind(sub)
+        correct = np.zeros(rows, dtype=np.int64)
+        if rows == 0:
+            return correct / n
+        width = min(batch_size, n)
+
+        def chunk(lane: int, lo: int, hi: int) -> None:
+            model = self._models.get(lane)
+            if model is None:
+                model = self._models[lane] = vectorize_module(self._template)
+            # all rows: bind the matrix itself (no copy when it already
+            # is C-contiguous, which every state store's is); a
+            # selection is gathered a chunk at a time
+            model.bind(np.ascontiguousarray(
+                state[lo:hi] if ids is None else state[ids[lo:hi]]
+            ))
             for start in range(0, n, batch_size):
                 xb = dataset.x[start : start + batch_size]
                 yb = dataset.y[start : start + batch_size]
-                correct[lo : lo + chunk] += self.correct_counts(sub, xb, yb)
+                correct[lo:hi] += self.correct_counts(model, xb, yb)
+
+        lanes.run_tiles(
+            chunk,
+            lanes.tile_bounds(rows, 0, self.row_bytes(width, dataset.x.shape[1:])),
+        )
         return correct / n
 
 
@@ -887,14 +1058,15 @@ class BatchedTrainer:
     ``for node: for step`` into ``for step: all nodes``, which is valid
     because nodes do not interact between aggregation rounds.
 
-    A call's rows train on one or more *lanes* at once (module
+    A call's rows train as tiles on one or more *lanes* (module
     docstring, "Row tiles and lanes"). The first lane's ``model``,
     ``workspace`` and ``optimizer`` are the trainer's own attributes;
     the others are built from the same template, lr and weight decay the
-    first time a call splits that far. Each lane owns exactly one
-    :class:`Workspace`, the one its model's layers, the batch gathers
-    and the gradient plane live in, so a second call of the same size
-    allocates nothing proportional to ``k * dim``. A workspace is
+    first time a call runs on that many lanes. Each lane owns exactly
+    one :class:`Workspace`, the one its model's layers, the batch
+    gathers and the gradient plane live in; it holds one tile at a
+    time, so it grows to the largest tile, not to the call, and a second
+    call of the same size allocates nothing proportional to ``k * dim``. A workspace is
     scratch: it is never checkpointed (it holds no run state between
     calls) and never shared — not between lanes, not between trainers,
     and not between threads, so a trainer is not safe to call from two
@@ -917,8 +1089,10 @@ class BatchedTrainer:
         self.model, self.workspace, self.optimizer = (
             own.model, own.workspace, own.optimizer
         )
-        self._lanes = [own]
+        self._lanes = {0: own}
         self._template, self._lr, self._weight_decay = template, lr, weight_decay
+        #: :func:`row_bytes` by (batch width, sample shape)
+        self._row_bytes: dict[tuple, int] = {}
 
     def train_rows(
         self,
@@ -1003,27 +1177,34 @@ class BatchedTrainer:
         labels: np.ndarray,
         idx: np.ndarray,
     ) -> np.ndarray:
-        """:meth:`train_rows` for rows that share one batch width."""
+        """:meth:`train_rows` for rows that share one batch width, cut
+        as :func:`~repro.lanes.tile_bounds` plans them (work floor and
+        byte budget, :func:`row_bytes`) and run by
+        :func:`~repro.lanes.run_tiles`: each lane trains its tiles one
+        after another in its own workspace. A contiguous run trains in
+        place; any other selection is gathered and scattered back one
+        tile at a time. Tiles own disjoint rows, so no two threads write
+        one byte; per-row mean losses in ``ids`` order."""
+        rows, _, width = idx.shape
+        key = (width, x.shape[1:])
+        nbytes = self._row_bytes.get(key)
+        if nbytes is None:
+            nbytes = self._row_bytes[key] = row_bytes(self.model, width, x.shape[1:])
+        bounds = lanes.tile_bounds(rows, self.model.dim * width, nbytes)
         block = _contiguous_run(state, ids)
-        if block is not None:
-            return self._train_tiles(block, x, labels, idx)
-        block = state[ids]  # fancy index: a copy
-        losses = self._train_tiles(block, x, labels, idx)
-        state[ids] = block
-        return losses
 
-    def _train_tiles(
-        self, block: np.ndarray, x: np.ndarray, labels: np.ndarray, idx: np.ndarray
-    ) -> np.ndarray:
-        """Train ``block`` in place as :func:`~repro.lanes.tile_bounds`
-        cuts it, tile ``t`` on lane ``t`` (:func:`~repro.lanes.run_tiles`).
-        Tiles own disjoint rows, so no two threads write one byte;
-        per-row mean losses in block order."""
-        bounds = lanes.tile_bounds(idx.shape[0], self.model.dim * idx.shape[2])
-        while len(self._lanes) < len(bounds) - 1:
-            self._lanes.append(_Lane(self._template, self._lr, self._weight_decay))
-
-        def train(t: int, lo: int, hi: int) -> np.ndarray:
-            return self._lanes[t].run_steps(block[lo:hi], x, labels[lo:hi], idx[lo:hi])
+        def train(at: int, lo: int, hi: int) -> np.ndarray:
+            lane = self._lanes.get(at)
+            if lane is None:
+                lane = self._lanes[at] = _Lane(
+                    self._template, self._lr, self._weight_decay
+                )
+            if block is not None:
+                return lane.run_steps(block[lo:hi], x, labels[lo:hi], idx[lo:hi])
+            tile = ids[lo:hi]
+            gathered = state[tile]  # fancy index: a copy
+            losses = lane.run_steps(gathered, x, labels[lo:hi], idx[lo:hi])
+            state[tile] = gathered
+            return losses
 
         return np.concatenate(lanes.run_tiles(train, bounds))

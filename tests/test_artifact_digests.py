@@ -99,7 +99,6 @@ Re-record only for an intentional, documented contract change::
     PYTHONPATH=src python tests/test_artifact_digests.py > tests/golden/artifact_digests.json
 """
 
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -214,26 +213,27 @@ def _paper_cnn(results_dir, vectorized=True):
     return artifact_path(results_dir, cell)
 
 
-@contextlib.contextmanager
-def _row_budget(nbytes):
-    """Run with ``lanes.ROW_BUDGET = nbytes`` on two lanes."""
-    saved = vars(lanes).copy()
-    lanes.ROW_BUDGET = nbytes
-    lanes.lane_count = lambda: 2
-    try:
-        yield
-    finally:
-        for name in ("ROW_BUDGET", "lane_count"):
-            if name in saved:
-                setattr(lanes, name, saved[name])
-            else:
-                delattr(lanes, name)
-
-
 def _capped(run, nbytes):
+    """``run`` with ``lanes.ROW_BUDGET = nbytes`` on two lanes, where
+    every call the budget cuts must run as three waves or more."""
+
     def capped(results_dir):
-        with _row_budget(nbytes):
-            return run(results_dir)
+        waves = []
+        real = lanes.tile_bounds
+
+        def spy(rows, row_work, row_bytes=0):
+            bounds = real(rows, row_work, row_bytes)
+            if row_bytes:
+                waves.append(-(-(len(bounds) - 1) // 2))
+            return bounds
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lanes, "ROW_BUDGET", nbytes)
+            patch.setattr(lanes, "lane_count", lambda: 2)
+            patch.setattr(lanes, "tile_bounds", spy)
+            path = run(results_dir)
+        assert waves and min(waves) >= 3, waves
+        return path
 
     return capped
 

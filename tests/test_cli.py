@@ -1,5 +1,6 @@
 """CLI tests (invoking main() directly with argv lists)."""
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -217,6 +218,40 @@ class TestArtifactPipeline:
                      "--results-dir", res, "--dry-run"]) == 0
         out = capsys.readouterr().out
         assert "[pending]" in out and "2 of 2 cells" in out
+
+    def test_sweep_dry_run_shows_the_row_plan(self, tmp_path, capsys, monkeypatch):
+        """``--vectorized`` cell lines carry the row plan of a call that
+        trains every node, from ``row_bytes``: rows per tile, waves and
+        the lane workspace; ``--jobs 2`` plans on a worker's share."""
+        from repro import lanes
+        from repro.experiments import get_preset
+        from repro.nn.batched import row_bytes
+
+        monkeypatch.setattr(lanes, "affinity_cpus", lambda: (2, "test"))
+        res = str(tmp_path / "results")
+        fleet = ["sweep", "--preset", "n16384-fleet", "--algorithms",
+                 "skiptrain", "--degrees", "4", "--seeds", "0", "1",
+                 "--results-dir", res, "--dry-run"]
+        assert main(fleet) == 0
+        assert "rows as" not in capsys.readouterr().out  # serial loop
+        assert main([*fleet, "--vectorized"]) == 0
+        out = capsys.readouterr().out
+        fleet_bytes = row_bytes(
+            get_preset("n16384-fleet").model_factory(np.random.default_rng(0)),
+            4, (1, 4, 4),
+        )
+        assert fleet_bytes == 3328
+        line = (f"16384 rows as <= 1171-row tiles, 7 waves on 2 lanes, "
+                f"lane workspace {1171 * fleet_bytes / 2**20:.1f} MiB")
+        assert out.count(line) == 2
+        assert main([*fleet, "--vectorized", "--jobs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("16384 rows as <= 1171-row tiles, 14 waves on 1 lane,") == 2
+        assert main(["sweep", "--preset", "cifar10-paper", "--algorithms",
+                     "skiptrain", "--degrees", "6", "--seeds", "0",
+                     "--results-dir", res, "--vectorized", "--dry-run"]) == 0
+        assert ("256 rows as <= 1-row tiles, 128 waves on 2 lanes, "
+                "lane workspace 156.4 MiB") in capsys.readouterr().out
 
     def test_bad_shard_spec(self, capsys):
         assert main(["sweep", "--shard", "9/4", "--dry-run"]) == 2

@@ -10,12 +10,22 @@ threads ran in a parent trains again in a forked child (pool workers
 and the serve daemon fork); a pool worker runs on its share of the
 CPUs; and a paper-scale cell that splits writes the same artifact on
 one CPU as on all of them.
+
+The byte budget (``lanes.ROW_BUDGET``): more tiles than lanes run in
+waves, tile t on lane t mod W; a lane's workspace holds one tile;
+``row_bytes`` is what a row really adds to a lane's workspace; and a
+stacked GN-LeNet call that needed ~3.7 GiB now trains under a 2 GiB
+address-space limit.
 """
 
 import dataclasses
 import multiprocessing as mp
 import os
+import resource
+import subprocess
 import sys
+import textwrap
+import threading
 import time
 from types import SimpleNamespace
 
@@ -36,8 +46,11 @@ from repro.experiments import (
     prepare,
     run_cell,
 )
-from repro.nn import small_mlp
-from repro.nn.batched import BatchedTrainer
+from repro.nn import gn_lenet_cifar10, small_cnn, small_mlp
+from repro.nn.batched import BatchedTrainer, row_bytes
+from repro.nn.layers import AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU, Tanh
+from repro.nn.layers.normalization import GroupNorm
+from repro.nn.module import Sequential
 from repro.nn.serialization import parameter_vector
 from repro.simulation import RngFactory, batch_stream, build_nodes
 from repro.simulation.engine import gossip
@@ -63,8 +76,8 @@ def _force(monkeypatch, count):
     cuts = []
     real = lanes.tile_bounds
 
-    def spy(rows, row_work):
-        cuts.append(real(rows, row_work))
+    def spy(rows, row_work, row_bytes=0):
+        cuts.append(real(rows, row_work, row_bytes))
         return cuts[-1]
 
     monkeypatch.setattr(lanes, "MIN_TILE_WORK", 0)
@@ -264,8 +277,9 @@ def test_a_pool_worker_trains_on_its_share_of_the_cpus(jobs, cpus):
 
 def test_a_paper_scale_cell_is_the_same_on_one_cpu_and_on_all(cpus, tmp_path, monkeypatch):
     """The ``sync-paper256`` cell's shape: 256 bench-MLP rows of width
-    8 reach the work floor, so every training round splits once the
-    mask has a second CPU."""
+    8 reach the work floor and pass the byte budget, so every training
+    round runs as two 128-row tiles — one after the other on one CPU,
+    at once on two — or as one tile per CPU on three."""
     n, rounds = 256, 4
     preset = dataclasses.replace(
         cifar10_bench(), name=f"cifar10-bench-n{n}", n_nodes=n, degrees=(6,),
@@ -276,9 +290,9 @@ def test_a_paper_scale_cell_is_the_same_on_one_cpu_and_on_all(cpus, tmp_path, mo
     cuts: list[int] = []
     real = lanes.tile_bounds
 
-    def spy(rows, row_work):
-        bounds = real(rows, row_work)
-        if sys._getframe(1).f_code.co_name == "_train_tiles":  # gossip splits too
+    def spy(rows, row_work, row_bytes=0):
+        bounds = real(rows, row_work, row_bytes)
+        if sys._getframe(1).f_code.co_name == "_train_uniform":  # gossip splits too
             cuts.append(len(bounds) - 1)
         return bounds
 
@@ -292,4 +306,248 @@ def test_a_paper_scale_cell_is_the_same_on_one_cpu_and_on_all(cpus, tmp_path, mo
         artifacts.append(artifact_path(out, cell).read_bytes())
         tiles.append(max(cuts))
     assert artifacts[0] == artifacts[1]
-    assert tiles == [1, min(len(cpus), 3)]
+    assert tiles == [2, max(2, min(len(cpus), 3))]
+
+
+class TestWaves:
+    """:func:`lanes.run_tiles` with more tiles than lanes."""
+
+    @pytest.mark.parametrize(("tiles", "count"), [(6, 2), (7, 3), (5, 1), (3, 8)])
+    def test_tile_t_runs_on_lane_t_mod_w_and_each_lane_in_order(
+        self, tiles, count, monkeypatch
+    ):
+        monkeypatch.setattr(lanes, "lane_count", lambda: count)
+        seen = []
+
+        def fn(lane, lo, hi):
+            seen.append((lane, lo, threading.get_ident()))
+            time.sleep(0.002)
+            return lo * 10 + hi
+
+        got = lanes.run_tiles(fn, list(range(tiles + 1)))
+        assert got == [t * 10 + t + 1 for t in range(tiles)]  # in tile order
+        width = min(count, tiles)
+        assert sorted((t, lane) for lane, t, _ in seen) == [
+            (t, t % width) for t in range(tiles)
+        ]
+        threads = set()
+        for w in range(width):
+            mine = [(t, thread) for lane, t, thread in seen if lane == w]
+            assert [t for t, _ in mine] == list(range(w, tiles, width))
+            assert len({thread for _, thread in mine}) == 1
+            threads |= {thread for _, thread in mine}
+        assert {thread for lane, _, thread in seen if lane == 0} == {
+            threading.get_ident()
+        }
+        assert len(threads) == width
+
+    def test_no_more_lanes_run_at_once_than_the_lane_count(self, monkeypatch):
+        monkeypatch.setattr(lanes, "lane_count", lambda: 3)
+        lock, running, most = threading.Lock(), [0], [0]
+
+        def fn(lane, lo, hi):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            time.sleep(0.01)
+            with lock:
+                running[0] -= 1
+
+        lanes.run_tiles(fn, list(range(13)))
+        assert most[0] <= 3
+
+    def test_a_trainer_builds_no_more_lanes_than_the_lane_count(self, monkeypatch):
+        """Twelve one-row tiles on three lanes: four waves, three lanes."""
+        model = small_mlp(16, 4, hidden=8, rng=np.random.default_rng(50))
+        rng = np.random.default_rng(51)
+        state = np.tile(parameter_vector(model), (12, 1))
+        x, y = rng.normal(size=(30, 16)), rng.integers(0, 4, size=30)
+        idx, k = rng.integers(0, 30, size=(12, 2, 3)), np.full(12, 3)
+        want = state.copy()
+        want_losses = BatchedTrainer(model, lr=0.1).train_rows(
+            want, np.arange(12), x, y, idx, k
+        )
+        cuts = _force(monkeypatch, 3)
+        monkeypatch.setattr(lanes, "ROW_BUDGET", 1)
+        trainer = BatchedTrainer(model, lr=0.1)
+        losses = trainer.train_rows(state, np.arange(12), x, y, idx, k)
+        assert cuts == [list(range(13))]
+        assert len(trainer._lanes) == 3
+        assert state.tobytes() == want.tobytes()
+        assert losses.tobytes() == want_losses.tobytes()
+
+    @pytest.mark.parametrize("failing", [4, 5])
+    def test_a_tile_failing_in_a_later_wave_surfaces_after_every_lane_stopped(
+        self, failing, monkeypatch
+    ):
+        """Eight tiles on two lanes; tile 4 (lane 0's third) or 5 (lane
+        1's third) fails. The failing lane stops there, the other runs
+        all its tiles, and both are done before the error is raised."""
+        monkeypatch.setattr(lanes, "lane_count", lambda: 2)
+        finished = []
+
+        def fn(lane, lo, hi):
+            if lo == failing:
+                raise RuntimeError(f"tile {lo} failed")
+            time.sleep(0.05)
+            finished.append(lo)
+
+        with pytest.raises(RuntimeError, match=f"tile {failing} failed"):
+            lanes.run_tiles(fn, list(range(9)))
+        mine = failing % 2
+        assert sorted(finished) == sorted(
+            [t for t in range(8) if t % 2 != mine] + list(range(mine, failing, 2))
+        )
+
+
+class TestRowBudget:
+    """How :func:`lanes.tile_bounds` cuts a call by bytes."""
+
+    BENCH, FLEET = 26_832, 3_328  # row_bytes at width 8 and 4
+
+    def test_calls_without_row_bytes_tile_as_by_work_alone(self, monkeypatch):
+        monkeypatch.setattr(lanes, "lane_count", lambda: 2)
+        assert lanes.tile_bounds(16384, 172 * 4) == [0, 8192, 16384]
+        monkeypatch.setattr(lanes, "lane_count", lambda: pytest.fail("probed"))
+        assert lanes.tile_bounds(32, 1810 * 8, self.BENCH) == [0, 32]
+
+    @pytest.mark.parametrize(
+        ("count", "rows", "row_work", "nbytes", "tiles"),
+        [
+            (2, 256, 1810 * 8, BENCH, 2),  # sync-paper256: two 128-row tiles
+            (1, 256, 1810 * 8, BENCH, 2),  # one lane: two waves
+            (3, 256, 1810 * 8, BENCH, 3),  # the work floor's three tiles fit
+            (2, 16384, 172 * 4, FLEET, 14),  # the fleet: seven waves
+            (1, 16384, 172 * 4, FLEET, 14),  # 1,260 rows fit: fourteen waves
+            (2, 13000, 172 * 4, FLEET, 12),  # eleven fit, rounded to the lanes
+            (3, 13000, 172 * 4, FLEET, 12),
+            (2, 24, 89834 * 32, 164_042_064, 24),  # GN-LeNet: a row a tile
+            (2, 3, 172 * 4, 3 << 20, 3),  # fewer rows than a rounded count
+        ],
+    )
+    def test_tiles_fit_the_budget_in_balanced_waves(
+        self, count, rows, row_work, nbytes, tiles, monkeypatch
+    ):
+        monkeypatch.setattr(lanes, "lane_count", lambda: count)
+        bounds = lanes.tile_bounds(rows, row_work, nbytes)
+        assert len(bounds) - 1 == tiles
+        assert bounds[0] == 0 and bounds[-1] == rows
+        sizes = np.diff(bounds)
+        assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1
+        assert sizes.max() * nbytes <= max(lanes.ROW_BUDGET, nbytes)
+        assert tiles % min(count, tiles) == 0 or tiles == rows
+
+
+def _avg_pooled(rng):
+    return Sequential(
+        Conv2d(1, 4, 3, padding=1, rng=rng), ReLU(), AvgPool2d(2),
+        Conv2d(4, 4, 3, rng=rng), Tanh(), Flatten(), Linear(16, 5, rng=rng),
+    )
+
+
+def _conv_groupnorm(rng):
+    return Sequential(
+        Conv2d(1, 4, 3, padding=1, rng=rng), GroupNorm(2, 4), ReLU(), MaxPool2d(2),
+        Conv2d(4, 6, 3, padding=1, rng=rng), GroupNorm(3, 6), ReLU(),
+        Flatten(), Linear(6 * 4 * 4, 10, rng=rng),
+    )
+
+
+def _held(lane):
+    return sum(flat.nbytes for flat in lane.workspace._flat.values())
+
+
+@pytest.mark.parametrize(
+    ("model", "width", "sample", "want"),
+    [
+        (lambda rng: small_mlp(64, 10, hidden=24, rng=rng), 8, (1, 8, 8), 26_832),
+        (lambda rng: small_mlp(16, 4, hidden=8, rng=rng), 4, (1, 4, 4), 3_328),
+        (_conv_groupnorm, 4, (1, 8, 8), 82_656),
+        (lambda rng: small_cnn(1, 8, 10, rng=rng), 5, (1, 8, 8), 63_360),
+        (_avg_pooled, 4, (1, 8, 8), 41_576),
+        (gn_lenet_cifar10, 32, (3, 32, 32), 164_042_064),
+    ],
+    ids=["bench-mlp", "fleet-mlp", "conv-groupnorm", "max-pooled", "avg-pooled", "gn-lenet"],
+)
+def test_row_bytes_is_what_a_row_adds_to_a_lane_workspace(model, width, sample, want):
+    """The prediction against a lane's workspace after a real call of
+    one row, then of three, so it cannot drift from the layers."""
+    rng = np.random.default_rng(52)
+    model = model(rng)
+    rb = row_bytes(model, width, sample)
+    assert rb == want
+    x = rng.normal(size=(40, *sample))
+    y = rng.integers(0, 4, size=40)
+    trainer = BatchedTrainer(model, lr=0.01)
+    for rows in (1, 3) if rb < lanes.ROW_BUDGET else (1,):
+        state = np.tile(parameter_vector(model), (rows, 1))
+        idx = rng.integers(0, 40, size=(rows, 1, width))
+        trainer.train_rows(state, np.arange(rows), x, y, idx, np.full(rows, width))
+        assert _held(trainer._lanes[0]) == rows * rb
+
+
+@pytest.mark.parametrize("budget", [None, 1000])
+def test_a_fleet_sized_call_leaves_one_tile_in_each_lane(budget, monkeypatch):
+    """16,384 fleet-MLP rows on two lanes: each lane's workspace ends
+    at most one budget's worth (or one row, when a row outgrows the
+    budget), where it used to hold half the call."""
+    monkeypatch.setattr(lanes, "lane_count", lambda: 2)
+    if budget is not None:
+        monkeypatch.setattr(lanes, "ROW_BUDGET", budget)
+    rng = np.random.default_rng(53)
+    model = small_mlp(16, 4, hidden=8, rng=rng)
+    rows = 16384
+    state = np.tile(parameter_vector(model), (rows, 1))
+    x, y = rng.normal(size=(64, 1, 4, 4)), rng.integers(0, 4, size=64)
+    idx = rng.integers(0, 64, size=(rows, 1, 4))
+    trainer = BatchedTrainer(model, lr=0.2)
+    trainer.train_rows(state, np.arange(rows), x, y, idx, np.full(rows, 4))
+    rb = row_bytes(model, 4, (1, 4, 4))
+    assert len(trainer._lanes) == 2
+    for lane in trainer._lanes.values():
+        assert 0 < _held(lane) <= max(lanes.ROW_BUDGET, rb)
+
+
+@pytest.mark.slow
+def test_a_stacked_gn_lenet_call_trains_under_a_2_gib_address_space(cpus):
+    """24 GN-LeNet rows at batch 32, one local step, in a fresh
+    interpreter limited to 2 GiB of address space on at most two CPUs.
+    Whole tiles of 12 rows would need 2 x 12 x 156 MiB; one row per tile
+    needs 156 MiB per lane."""
+    script = textwrap.dedent(
+        """
+        import numpy as np
+        from repro.nn import gn_lenet_cifar10
+        from repro.nn.batched import BatchedTrainer
+        from repro.nn.serialization import parameter_vector
+
+        rng = np.random.default_rng(0)
+        model = gn_lenet_cifar10(rng)
+        rows = 24
+        state = np.tile(parameter_vector(model), (rows, 1))
+        x = rng.normal(size=(64, 3, 32, 32))
+        y = rng.integers(0, 10, size=64)
+        idx = rng.integers(0, 64, size=(rows, 1, 32))
+        losses = BatchedTrainer(model, lr=0.1).train_rows(
+            state, np.arange(rows), x, y, idx, np.full(rows, 32)
+        )
+        assert np.isfinite(losses).all()
+        print("trained", rows)
+        """
+    )
+
+    def limit():
+        os.sched_setaffinity(0, cpus[:2])
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(
+        os.environ, PYTHONPATH=os.path.abspath(src),
+        OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], preexec_fn=limit, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "trained 24" in done.stdout

@@ -3,7 +3,8 @@
 The contract under test (see ``repro.nn.batched.BatchedEvaluator``):
 per-node accuracies from the stacked evaluator are **exactly equal** —
 not merely close — to the serial per-node loop, for every architecture
-in the model zoo, under node subsampling, node-axis chunking, and
+in the model zoo, under node subsampling, node-axis chunking (the row
+plan's byte budget, run on lanes), and
 inside the engine (sampled evaluation, failure-masked rounds).
 """
 
@@ -12,6 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import lanes
 from repro.core import DPSGD
 from repro.data.synthetic import (
     CIFAR10_SPEC,
@@ -101,15 +103,41 @@ class TestModelZooEquality:
         batched = BatchedEvaluator(model).evaluate(state, ds, node_ids=ids)
         np.testing.assert_array_equal(serial, batched)
 
+    @pytest.mark.parametrize("count", [1, 2, 3])
     @pytest.mark.parametrize("chunk", [1, 3, 16])
-    def test_node_chunking_changes_nothing(self, chunk):
+    @pytest.mark.parametrize("arch", ["mlp", "cnn"])
+    def test_node_chunking_changes_nothing(self, arch, chunk, count, monkeypatch):
+        """Rows evaluated in chunks of ``chunk`` rows — the byte budget
+        cut to that many rows' worth — on ``count`` lanes score what one
+        whole-block pass scores, for all rows and for a subset."""
         rng = np.random.default_rng(2)
-        model = small_mlp(16, 4, hidden=8, rng=rng)
+        if arch == "mlp":
+            model = small_mlp(16, 4, hidden=8, rng=rng)
+        else:
+            model = small_cnn(1, 4, 4, channels=3, rng=rng)
         ds, _ = make_classification_images(SPEC, 80, rng)
         state = _state_for(model, 10, rng)
+        ids = np.array([7, 2, 9, 0, 5])
         full = BatchedEvaluator(model).evaluate(state, ds)
-        chunked = BatchedEvaluator(model, node_chunk=chunk).evaluate(state, ds)
-        np.testing.assert_array_equal(full, chunked)
+        subset = BatchedEvaluator(model).evaluate(state, ds, node_ids=ids)
+        evaluator = BatchedEvaluator(model)
+        cuts = []
+        real = lanes.tile_bounds
+
+        def spy(rows, row_work, row_bytes=0):
+            cuts.append(real(rows, row_work, row_bytes))
+            return cuts[-1]
+
+        budget = chunk * evaluator.row_bytes(80, ds.x.shape[1:])
+        monkeypatch.setattr(lanes, "ROW_BUDGET", budget)
+        monkeypatch.setattr(lanes, "lane_count", lambda: count)
+        monkeypatch.setattr(lanes, "tile_bounds", spy)
+        np.testing.assert_array_equal(full, evaluator.evaluate(state, ds))
+        np.testing.assert_array_equal(
+            subset, evaluator.evaluate(state, ds, node_ids=ids)
+        )
+        assert max(np.diff(cuts[0])) <= chunk
+        assert len(evaluator._models) == min(count, len(cuts[0]) - 1)
 
     def test_diverged_nan_node_exactly_equal(self):
         """Regression: a diverged node (NaN parameters) must score the
@@ -147,8 +175,8 @@ class TestModelZooEquality:
 
     def test_shape_and_chunk_validation(self):
         model = small_mlp(16, 4, hidden=8)
-        with pytest.raises(ValueError, match="node_chunk"):
-            BatchedEvaluator(model, node_chunk=0)
+        with pytest.raises(TypeError, match="node_chunk"):
+            BatchedEvaluator(model, node_chunk=1)  # the byte budget chunks
         with pytest.raises(ValueError, match="state matrix"):
             BatchedEvaluator(model).evaluate(
                 np.zeros((2, 3)), None

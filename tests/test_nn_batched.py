@@ -771,8 +771,8 @@ class TestLanes:
         cuts = []
         real = lanes_module.tile_bounds
 
-        def spy(rows, row_work):
-            bounds = real(rows, row_work)
+        def spy(rows, row_work, row_bytes=0):
+            bounds = real(rows, row_work, row_bytes)
             cuts.append(len(bounds) - 1)
             return bounds
 
@@ -862,16 +862,23 @@ class TestLanes:
             assert losses.tobytes() == expected_losses.tobytes()
         assert len(trainer._lanes) == 3
 
-    def test_more_lanes_than_cpus_under_a_short_switch_interval(self, monkeypatch):
+    @pytest.mark.parametrize("budget", [None, 1], ids=["one-wave", "waves"])
+    def test_more_lanes_than_cpus_under_a_short_switch_interval(
+        self, budget, monkeypatch
+    ):
         """Five lanes thread-switching every microsecond: tiles of one
         and two rows race to grow the loss kernel's shared row-offset
-        table, and no row may see another's bytes."""
+        table, and no row may see another's bytes. Under a one-byte
+        budget the seven rows are seven tiles, two waves, and lanes are
+        built by the threads that first run them."""
         model = _bench_mlp(np.random.default_rng(32))
         x, y = RNG.normal(size=(SAMPLES, 64)), RNG.integers(0, 10, size=SAMPLES)
         state = _rows_for(model, self.N_ROWS, jitter=0.05)
         ids = np.array([6, 2, 0, 5, 3, 1, 4])
         trainer = BatchedTrainer(model, lr=self.LR)
-        self._force(monkeypatch, 5)
+        cuts = self._force(monkeypatch, 5)
+        if budget is not None:
+            monkeypatch.setattr(lanes_module, "ROW_BUDGET", budget)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -887,6 +894,8 @@ class TestLanes:
                 assert losses.tobytes() == expected_losses.tobytes()
         finally:
             sys.setswitchinterval(interval)
+        assert set(cuts) == {5 if budget is None else 7}
+        assert len(trainer._lanes) == 5
 
     def test_the_floor_keeps_small_calls_whole(self, monkeypatch):
         """Below two tiles' work a call is one tile and the CPUs are not
@@ -1087,6 +1096,23 @@ class TestBatchedEvaluatorBinds:
         assert all(g is None for _, g in evaluator.model.param_grad_pairs())
         assert all(layer.workspace is None for layer in evaluator.model.layers)
         assert peak < state.nbytes / 4
+
+    def test_an_evaluation_keeps_no_backward_state(self):
+        """After a pass no conv still holds its im2col columns and no
+        GroupNorm its normalized activations: for a paper CNN these are
+        several hundred MiB per evaluated row, kept for a backward that
+        inference never runs."""
+        model = _conv_groupnorm(np.random.default_rng(23))
+        state = _rows_for(model, 3)
+        data = ArrayDataset(
+            RNG.normal(size=(20, *FEATURES)), RNG.integers(0, CLASSES, size=20),
+            num_classes=CLASSES,
+        )
+        evaluator = BatchedEvaluator(model)
+        evaluator.evaluate(state, data, batch_size=8)
+        for layer in evaluator.model.layers:
+            assert getattr(layer, "_cols", None) is None
+            assert getattr(layer, "_cache", None) is None
 
     def test_all_rows_bind_the_state_itself(self):
         model, state, data = self._setup()
