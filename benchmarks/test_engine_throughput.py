@@ -3,10 +3,11 @@ the simulator scales (these are true multi-round pytest benchmarks, not
 one-shot experiment regenerations).
 
 The ``test_rounds_*`` family measures whole-engine throughput
-(rounds/sec) for the serial and vectorized engines at 16/64/256
-nodes — the speedup the batched multi-node path exists to
-deliver. ``test_vectorized_speedup_at_64_nodes`` turns the headline
-claim into an assertion rather than a printout.
+(rounds/sec) of the stacked engine at 16/64/256 nodes.
+``test_vectorized_speedup_at_64_nodes`` turns the speedup the batched
+multi-node path exists to deliver — over the serial row loop the test
+suite keeps as its oracle (``tests/oracles.py``) — into an assertion
+rather than a printout.
 
 The ``test_eval_*`` / ``test_sweep_jobs_*`` family is the *tracked*
 baseline: serial vs batched cross-node evaluation at 16/64/256 nodes
@@ -20,16 +21,17 @@ must beat serial whenever the machine has ≥2 cores (quick mode) and
 deliver ≥1.3× on ≥4 cores (full mode).
 
 The ``test_async_*`` family tracks the event-driven engine: activation
-events per second through the serial loop and under disjoint event
-batching (``vectorized=True``), with the batched mode gated at
+events per second under disjoint event batching and through the
+oracle's serial event loop, with the batched engine gated at
 never-slower (quick) and ≥2× (full mode) over serial at 64 nodes —
-after asserting the two modes' trajectories are bit-identical.
+after asserting the two trajectories are bit-identical.
 """
 
 import time
 
 import numpy as np
 import pytest
+from tests import oracles
 
 from repro.core import DPSGD
 from repro.data import make_classification_images
@@ -103,7 +105,7 @@ def test_parameter_vector_roundtrip(benchmark):
     benchmark(roundtrip)
 
 
-# -- whole-engine throughput: serial vs vectorized ----------------------------
+# -- whole-engine throughput: the stacked engine vs the serial oracle ---------
 
 ENGINE_ROUNDS = 10
 
@@ -112,30 +114,20 @@ def _mlp_factory(rng: np.random.Generator):
     return small_mlp(64, 10, hidden=16, rng=rng)
 
 
-def _throughput_engine(n_nodes: int, *, vectorized: bool = False,
-                       state_backend: str = "memory",
+def _throughput_engine(n_nodes: int, *, state_backend: str = "memory",
                        rounds: int = ENGINE_ROUNDS):
     """Bench-model engine sized so per-round training dominates: a tiny
     test set keeps the (identical-cost) final evaluation negligible."""
     cfg = EngineConfig(local_steps=8, learning_rate=0.2, total_rounds=rounds,
-                       eval_every=10_000, vectorized=vectorized,
-                       state_backend=state_backend)
+                       eval_every=10_000, state_backend=state_backend)
     return build_engine(SPEC, n_nodes, cfg, _mlp_factory, seed=0,
                         num_train=40 * n_nodes, num_test=32, batch_size=8)
 
 
 @pytest.mark.parametrize("n_nodes", [16, 64, 256])
-def test_rounds_serial(benchmark, n_nodes):
-    """Per-node Python loop: the baseline the batched engine is measured
-    against."""
-    eng = _throughput_engine(n_nodes)
-    run_once(benchmark, lambda: eng.run(DPSGD(n_nodes)))
-
-
-@pytest.mark.parametrize("n_nodes", [16, 64, 256])
 def test_rounds_vectorized(benchmark, n_nodes):
     """Batched multi-node engine: stacked GEMMs over all masked nodes."""
-    eng = _throughput_engine(n_nodes, vectorized=True)
+    eng = _throughput_engine(n_nodes)
     run_once(benchmark, lambda: eng.run(DPSGD(n_nodes)))
 
 
@@ -145,7 +137,7 @@ def test_rounds_vectorized_mmap(benchmark, n_nodes):
     """Batched engine training in place over an mmap-backed state
     matrix: the two fleet axes composed. Tracks what the file-backed
     store costs against ``test_rounds_vectorized``."""
-    eng = _throughput_engine(n_nodes, vectorized=True, state_backend="mmap")
+    eng = _throughput_engine(n_nodes, state_backend="mmap")
     try:
         run_once(benchmark, lambda: eng.run(DPSGD(n_nodes)))
     finally:
@@ -154,15 +146,17 @@ def test_rounds_vectorized_mmap(benchmark, n_nodes):
 
 @pytest.mark.slow
 def test_vectorized_speedup_at_64_nodes():
-    """Acceptance gate: the vectorized engine must deliver at least 2x
-    the serial engine's rounds/sec at 64 nodes (observed: ~4x). Best of
+    """Acceptance gate: the stacked engine must deliver at least 2x
+    the serial oracle's rounds/sec at 64 nodes (observed: ~4x). Best of
     three timed windows per engine so a scheduler stall on a loaded
     machine cannot sink an otherwise-green run; carries the ``slow``
     marker so quick `-m "not slow"` iteration loops skip the (timing-
     sensitive, multi-second) measurement."""
 
-    def rounds_per_sec(vectorized: bool) -> float:
-        eng = _throughput_engine(64, vectorized=vectorized, rounds=8)
+    def rounds_per_sec(oracle: bool) -> float:
+        eng = _throughput_engine(64, rounds=8)
+        if oracle:
+            oracles.serial(eng)
         eng.run(DPSGD(64))  # warm-up: BLAS threads, allocator, caches
         best = float("inf")
         for _ in range(3):
@@ -171,8 +165,8 @@ def test_vectorized_speedup_at_64_nodes():
             best = min(best, time.perf_counter() - t0)
         return 8 / best
 
-    serial = rounds_per_sec(False)
-    vectorized = rounds_per_sec(True)
+    serial = rounds_per_sec(True)
+    vectorized = rounds_per_sec(False)
     record_bench("train_rounds_n64", {
         "n_nodes": 64,
         "serial_rounds_per_s": round(serial, 3),
@@ -238,12 +232,13 @@ def _measure_eval(n_nodes: int) -> tuple[float, float]:
     model, state, ds = _eval_setup(n_nodes)
     evaluator = BatchedEvaluator(model)
 
+    node_by_node = oracles.NodeByNodeEvaluator(model)
+
     def serial():
-        return evaluate_state(model, state, ds, batch_size=EVAL_BATCH)
+        return evaluate_state(node_by_node, state, ds, batch_size=EVAL_BATCH)
 
     def batched():
-        return evaluate_state(model, state, ds, batch_size=EVAL_BATCH,
-                              evaluator=evaluator)
+        return evaluate_state(evaluator, state, ds, batch_size=EVAL_BATCH)
 
     assert serial() == batched()  # exact equality, mean and std
     return _best_of(serial), _best_of(batched)
@@ -301,8 +296,7 @@ def test_batched_eval_speedup_at_64_nodes():
 # -- async gossip engine: events/sec (tracked baseline) -----------------------
 
 
-def _async_engine(n_nodes: int, *, activations: int,
-                  vectorized: bool = False):
+def _async_engine(n_nodes: int, *, activations: int):
     """Bench-model async engine: same MLP/data scale as the sync
     throughput benches, tiny test set so evaluation stays negligible
     (once, at the end of the ``activations``-per-node horizon)."""
@@ -324,7 +318,7 @@ def _async_engine(n_nodes: int, *, activations: int,
         model, nodes, neighbor_lists(graph), test,
         local_steps=8, learning_rate=0.2, rng=rngs.stream("events"),
         activations_per_node=activations, eval_every=n_nodes * activations,
-        eval_rng=rngs.stream("async-eval"), vectorized=vectorized,
+        eval_rng=rngs.stream("async-eval"),
     )
 
 
@@ -354,33 +348,34 @@ def test_async_events_throughput():
 
 
 def _measure_async_events(n_nodes: int = 64, activations: int = 4):
-    """(serial_seconds, batched_seconds) for one full async run, after
-    asserting the two modes end in bit-identical states and histories
-    (the disjoint-event-batching contract the conformance suite
-    enforces in depth)."""
+    """(serial_seconds, batched_seconds) for one full async run — the
+    oracle's serial event loop against the engine's event batching —
+    after asserting the two end in bit-identical states and histories
+    (the contract the conformance suite enforces in depth)."""
     from repro.simulation import AsyncDPSGD
 
     events = n_nodes * activations
 
-    def run(vectorized: bool):
-        eng = _async_engine(n_nodes, activations=activations,
-                            vectorized=vectorized)
+    def run(oracle: bool):
+        eng = _async_engine(n_nodes, activations=activations)
+        if oracle:
+            oracles.serial(eng)
         hist = eng.run(AsyncDPSGD())
         return eng, hist
 
-    eng_s, hist_s = run(False)
-    eng_b, hist_b = run(True)
+    eng_s, hist_s = run(True)
+    eng_b, hist_b = run(False)
     np.testing.assert_array_equal(eng_s.state, eng_b.state)
     assert repr(hist_s.records) == repr(hist_b.records)
 
-    serial_s = _best_of(lambda: run(False))
-    batched_s = _best_of(lambda: run(True))
+    serial_s = _best_of(lambda: run(True))
+    batched_s = _best_of(lambda: run(False))
     return serial_s, batched_s, events
 
 
 def test_async_events_batched_not_slower_at_64_nodes():
     """Quick-mode CI gate: disjoint event batching must never lose to
-    the serial event loop at 64 nodes (the full ≥2× gate carries the
+    the oracle's serial event loop at 64 nodes (the full ≥2× gate carries the
     ``slow`` marker). Recorded as ``async_events_per_sec_batched``."""
     serial_s, batched_s, events = _measure_async_events()
     record_bench("async_events_per_sec_batched", {
@@ -428,7 +423,7 @@ FLEET_RSS_CAP_MIB = 2048.0
 
 def _measure_fleet_cell(n_nodes: int):
     """(seconds, rounds) for one full fleet-preset sync cell — sparse
-    NeighborList topology, vectorized trainer, auto state backend."""
+    NeighborList topology, stacked trainer, auto state backend."""
     from repro.experiments.presets import fleet_preset
     from repro.experiments.runner import build_run, prepare
 
@@ -436,7 +431,7 @@ def _measure_fleet_cell(n_nodes: int):
     prepared = prepare(preset, preset.degrees[0], seed=0)
     engine, algo = build_run(prepared, "skiptrain",
                              total_rounds=preset.total_rounds,
-                             vectorized=True, state_backend="auto")
+                             state_backend="auto")
     try:
         t0 = time.perf_counter()
         engine.run(algo)
@@ -484,7 +479,9 @@ def _measure_sweep_jobs(bench16_cifar, tmp_path):
     from repro.experiments import build_plan, run_sweep
     from repro.experiments.artifacts import artifact_path
 
-    preset = dataclasses.replace(bench16_cifar, total_rounds=16, eval_every=8,
+    # 64 rounds: stacked cells are short, and at 16 rounds the pool's
+    # fork and publish cost rivals the work it spreads
+    preset = dataclasses.replace(bench16_cifar, total_rounds=64, eval_every=8,
                                  degrees=(3, 4))
     plan = build_plan(preset, ("skiptrain", "d-psgd"), degrees=(3, 4),
                       seeds=(0, 1))

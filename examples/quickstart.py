@@ -39,13 +39,12 @@ def build_engine(rngs: RngFactory) -> SimulationEngine:
     graph = regular_neighbors(N_NODES, 3, seed=SEED)
     mixing = metropolis_hastings_weights(graph)
 
-    # vectorized=True batches all nodes' local SGD steps into stacked
-    # GEMMs — bit-identical results to the serial loop, several times
+    # the engine trains all nodes' local SGD steps as stacked GEMMs —
+    # bit-identical results to a serial per-node loop, several times
     # the rounds/sec (see benchmarks/test_engine_throughput.py).
     config = EngineConfig(
         local_steps=8, learning_rate=0.4,
         total_rounds=TOTAL_ROUNDS, eval_every=16,
-        vectorized=True,
     )
     model = small_mlp(64, 10, hidden=16, rng=rngs.stream("model"))
     meter = EnergyMeter(build_trace(N_NODES, CIFAR10_WORKLOAD, 0.10, degree=3))

@@ -15,8 +15,8 @@ Subpackages
 ``repro.energy``
     Smartphone device profiles, energy traces, accounting (Eq. 2–3).
 ``repro.simulation``
-    Synchronous round engine (serial, vectorized) and
-    asynchronous gossip engine.
+    Synchronous round engine and asynchronous gossip engine, both
+    training stacked blocks of nodes.
 ``repro.experiments``
     Per-figure/table experiment runners and reporting.
 """

@@ -119,9 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_arun.add_argument("--enforce-budgets", action="store_true",
                         help="stop nodes from training once their τᵢ "
                              "battery budget is spent")
-    p_arun.add_argument("--vectorized", action="store_true",
-                        help="batch disjoint events through the stacked "
-                             "kernels (bit-identical trajectory)")
 
     p_table = sub.add_parser("table", help="regenerate a paper table")
     p_table.add_argument("number", type=int, choices=[1, 2, 3, 4])
@@ -175,10 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scn_run.add_argument("--rounds", type=int, default=None,
                            help="override the spec's total rounds "
                                 "(async: expected activations per node)")
-    p_scn_run.add_argument("--vectorized", action="store_true",
-                           help="run the scenario on the batched engine "
-                                "(sync: batched rounds; async: disjoint "
-                                "event batching — both bit-identical)")
     p_scn_trace = scn_sub.add_parser(
         "trace",
         help="run one scenario and print its golden regression trace "
@@ -226,10 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="ROUNDS",
                          help="checkpoint long cells about every ROUNDS "
                               "rounds so a kill resumes mid-cell (0 = off)")
-    p_sweep.add_argument("--vectorized", action="store_true",
-                         help="run cells on the batched engine — sync "
-                              "rounds and async event windows alike "
-                              "(bit-compatible with serial)")
     p_sweep.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N",
                          help="run this shard's cells in N parallel worker "
                               "processes, or 'auto' to use the scheduler "
@@ -317,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="ROUNDS",
                          help="mid-cell checkpoint cadence, as in sweep")
     p_serve.add_argument("--vectorized", action="store_true",
-                         help="run served cells on the batched engine")
+                         help="accepted and ignored: served cells always "
+                              "train as stacked blocks")
     p_serve.add_argument("--quiet", action="store_true",
                          help="suppress per-job log lines (the 'serving "
                               "on' banner is always printed)")
@@ -608,9 +598,6 @@ def _execute_sweep_plan(args: argparse.Namespace, plan, shard,
         for cell in selected:
             status = "done" if cell.cell_id in done else "pending"
             print(f"{cell.cell_id}  [{status}]{plans.get(cell.preset, '')}")
-        if not args.vectorized:
-            print("\n(rows train one at a time; --vectorized stacks them "
-                  "as row tiles)")
         print(f"\nshard {args.shard}: {len(selected)} of {len(plan)} cells")
         return 0
     if args.jobs != "auto" and args.jobs <= 0:
@@ -621,7 +608,6 @@ def _execute_sweep_plan(args: argparse.Namespace, plan, shard,
         args.results_dir,
         shard=shard,
         checkpoint_every=args.checkpoint_every,
-        vectorized=args.vectorized,
         state_backend=args.state_backend,
         jobs=args.jobs,
         log=print,
@@ -636,12 +622,9 @@ def _execute_sweep_plan(args: argparse.Namespace, plan, shard,
 
 
 def _row_plans(args: argparse.Namespace, pending) -> dict[str, str]:
-    """Per preset of a ``--vectorized`` dry run, how a training call of
-    every node runs as row tiles (``nn.batched.row_plan``) on the lanes
-    a cell gets: all of this process's under ``--jobs 1``, a worker's
-    share otherwise."""
-    if not args.vectorized:
-        return {}
+    """Per preset of a dry run, how a training call of every node runs
+    as row tiles (``nn.batched.row_plan``) on the lanes a cell gets: all
+    of this process's under ``--jobs 1``, a worker's share otherwise."""
     from . import lanes
     from .experiments import get_preset, resolve_auto_jobs
     from .nn.batched import row_plan
@@ -772,10 +755,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     from .scenarios.compile import compile_run
 
     try:
-        compiled = compile_run(
-            spec, seed=args.seed, total_rounds=args.rounds,
-            vectorized=args.vectorized,
-        )
+        compiled = compile_run(spec, seed=args.seed, total_rounds=args.rounds)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -884,7 +864,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         queue_limit=args.queue_limit,
         checkpoint_every=args.checkpoint_every,
-        vectorized=args.vectorized,
         log=None if args.quiet else print,
     )
     server = ScenarioServer(config)
@@ -963,7 +942,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "async-run":
         return _cmd_run(
             args, total_rounds=args.activations, eval_every=args.eval_every,
-            enforce_budgets=args.enforce_budgets, vectorized=args.vectorized,
+            enforce_budgets=args.enforce_budgets,
         )
     if args.command == "table":
         return _cmd_table(args)

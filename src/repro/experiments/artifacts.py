@@ -10,10 +10,9 @@ reproduction repos (T1 run → T2 aggregate → T3 render):
 * Each completed cell becomes one self-describing JSON artifact under
   ``<results>/raw/`` (atomic write: tmp file + ``os.replace``). A cell
   whose artifact already exists is skipped, so re-running a killed
-  sweep resumes for free, and mixing serial/vectorized engines across
-  shards is safe: the engines are bit-compatible, so every result
-  field is identical (the artifact's ``engine`` block records which
-  one produced it, the only provenance that can differ).
+  sweep resumes for free. The artifact's ``engine`` block keeps a
+  ``vectorized`` stamp from the time a serial engine also wrote cells;
+  the two are bit-compatible, so only that stamp can differ.
 * :func:`aggregate_results` folds ``raw/*.json`` into mean±std rows per
   (preset, algorithm, degree) — tolerant of partial sweeps, with
   explicit per-group seed lists — and :func:`write_summary_csv` emits
@@ -264,7 +263,7 @@ def write_cell_artifact(
     results_dir: str | os.PathLike,
     cell: PlanCell,
     result: ExperimentResult | AsyncExperimentResult,
-    vectorized: bool = False,
+    vectorized: bool = True,
 ) -> Path:
     """Atomically write ``<results>/raw/<cell_id>.json`` and return its
     path. The artifact is self-describing (schema tag + full cell
@@ -276,9 +275,10 @@ def write_cell_artifact(
     budget; its ``results`` block has the same keys as a sync artifact
     (the async engine meters no communication energy, so
     ``total_comm_wh`` is 0.0), so :func:`aggregate_results` folds both
-    through one code path. ``vectorized`` records the engine flavor as
-    provenance — the results and history blocks are bit-identical
-    either way."""
+    through one code path. ``vectorized`` is the ``engine`` block's
+    provenance stamp: ``True`` for the stacked engines, ``False`` only
+    for the serial reference loops the test suite runs — the results
+    and history blocks are bit-identical either way."""
     history = result.history
     if isinstance(result, AsyncExperimentResult):
         kind = "async"

@@ -137,7 +137,7 @@ def femnist_bench() -> ExperimentPreset:
 
 def cifar10_paper() -> ExperimentPreset:
     """Table 1's CIFAR-10 row at full scale. Slow in pure NumPy: on a
-    2-CPU host a ``--vectorized`` training round (256 GN-LeNet rows × 20
+    2-CPU host a training round (256 GN-LeNet rows × 20
     steps) takes ~34 min and an evaluation round ~4.5 min, so a
     1000-round SkipTrain cell takes ~12 days
     (``docs/reproducing-figures.md``)."""
@@ -166,10 +166,13 @@ def cifar10_paper() -> ExperimentPreset:
 
 
 def femnist_paper() -> ExperimentPreset:
-    """Table 1's FEMNIST row at full scale. A ``--vectorized`` training
-    round takes ~3 min on a 2-CPU host, but the 256 × 1.69 M state is
-    3.46 GB, and an evaluation round outgrew the 7.5 GiB a shared 16 GiB
-    host left it (``docs/reproducing-figures.md``)."""
+    """Table 1's FEMNIST row at full scale. A training round takes ~3
+    min on a 2-CPU host, but the 256 × 1.69 M state is 3.46 GB. On a
+    host with 8,019 MiB and no swap, one round at degree 6 was
+    OOM-killed 245 s in (anon RSS 7.46 GiB) with ``--state-backend
+    memory`` and completed in 1,167 s (peak RSS 7,518 MiB, ~3 GiB of
+    it file-backed) with ``--state-backend mmap``
+    (``docs/scaling-fleets.md``)."""
     return ExperimentPreset(
         name="femnist-paper",
         n_nodes=256,

@@ -5,9 +5,7 @@ topology, energy traces, engine and algorithm together, so every
 figure/table reproduction, example, and sweep cell goes through the
 same code path. :func:`build_run` exposes the wired-but-not-yet-run
 (engine, algorithm) pair so the sweep orchestrator can restore a
-mid-cell checkpoint before running; ``vectorized=True`` selects the
-batched multi-node engine (bit-compatible with serial for plain SGD,
-so artifacts are identical whichever engine produced them).
+mid-cell checkpoint before running.
 
 The algorithm's kind picks the engine, in :func:`build_run` and
 nowhere else: a sync algorithm gets a
@@ -352,7 +350,6 @@ def build_run(
     total_rounds: int | None = None,
     eval_every: int | None = None,
     eval_on: str = "test",
-    vectorized: bool = False,
     mixing=None,
     failure_model: "FailureModel | None" = None,
     churn=None,
@@ -374,10 +371,7 @@ def build_run(
     Construction is deterministic in ``prepared`` and the overrides:
     two calls yield engines whose runs are bit-identical. The sweep
     orchestrator relies on this to rebuild a killed cell's engine and
-    restore a mid-run checkpoint into it. ``vectorized`` selects the
-    stacked training and evaluation path, and for an async engine
-    disjoint event batching — bit-identical to the serial one, so
-    artifacts never depend on the choice.
+    restore a mid-run checkpoint into it.
 
     The scenario axes ride through here: ``failure_model`` injects
     transient outages and ``churn`` a
@@ -424,7 +418,6 @@ def build_run(
                 total_rounds=total,
                 eval_every=every,
                 eval_node_sample=preset.eval_node_sample,
-                vectorized=vectorized,
                 state_backend=state_backend,
             ),
             test_set,
@@ -450,7 +443,6 @@ def build_run(
             failure_model=failure_model,
             enforce_budgets=enforce_budgets,
             churn=churn,
-            vectorized=vectorized,
             state_backend=state_backend,
         )
     if isinstance(algorithm, str):

@@ -123,7 +123,6 @@ class ServeConfig:
     #: submission with 429
     queue_limit: int = 256
     checkpoint_every: int = 0
-    vectorized: bool = False
     #: ~how many progress reports each cell ships (rounds/sec meter
     #: resolution); the worker throttles to total/updates
     progress_updates: int = 32
@@ -528,7 +527,6 @@ class ScenarioServer:
             preset_lookup=self._preset_lookup,
             scenario_lookup=lookup,
             checkpoint_every=self.config.checkpoint_every,
-            vectorized=self.config.vectorized,
             progress=progress,
         )
 

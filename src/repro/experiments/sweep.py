@@ -119,6 +119,15 @@ def _scenario_spec(cell: PlanCell, scenario_lookup: Callable | None):
     return lookup(cell.scenario)
 
 
+def _only_stacked(name: str, vectorized: bool) -> None:
+    """Refuse ``vectorized=False``: there is no serial engine to pick."""
+    if vectorized is not True:
+        raise TypeError(
+            f"{name}() got vectorized={vectorized!r}: every cell trains "
+            f"stacked, so the keyword accepts only True"
+        )
+
+
 def run_cell(
     preset: ExperimentPreset,
     cell: PlanCell,
@@ -126,7 +135,7 @@ def run_cell(
     *,
     prepared=None,
     checkpoint_every: int = 0,
-    vectorized: bool = False,
+    vectorized: bool = True,
     state_backend: str = "memory",
     round_hook: Callable | None = None,
     scenario_lookup: Callable | None = None,
@@ -146,11 +155,10 @@ def run_cell(
     The checkpoint is deleted once the artifact is safely on disk.
 
     ``round_hook(engine, at, history, resumable_at)`` is the engines'
-    one hook, called after every round or event (per batch window for
-    a vectorized async cell). For ``kind="async"`` cells ``at`` counts
-    events and ``checkpoint_every`` stays in the cell's round-equivalent
-    unit (expected activations per node — ``checkpoint_every × n``
-    events).
+    one hook, called after every round (sync) or event window (async).
+    For ``kind="async"`` cells ``at`` counts events and
+    ``checkpoint_every`` stays in the cell's round-equivalent unit
+    (expected activations per node — ``checkpoint_every × n`` events).
 
     Cells referencing a scenario (``cell.scenario``) are compiled via
     :func:`repro.scenarios.compile_run` — churn, failures, dynamic
@@ -171,8 +179,14 @@ def run_cell(
     touching engine state. It must not mutate anything the engine
     reads; it runs after ``round_hook``.
 
+    ``vectorized`` selects nothing: every cell trains stacked. The
+    keyword survives, accepting only ``True``, because the frozen perf
+    benchmark still spells it out; ``False`` is the ``TypeError`` an
+    unknown keyword would be.
+
     Returns ``(result, resumed_from_checkpoint)``.
     """
+    _only_stacked("run_cell", vectorized)
     if preset.name != cell.preset:
         raise ValueError(
             f"cell {cell.cell_id} belongs to preset {cell.preset!r}, "
@@ -181,8 +195,7 @@ def run_cell(
     if cell.scenario:
         compiled = _compile_scenario_cell(
             preset, cell, prepared, checkpoint_every=checkpoint_every,
-            vectorized=vectorized, state_backend=state_backend,
-            scenario_lookup=scenario_lookup,
+            state_backend=state_backend, scenario_lookup=scenario_lookup,
         )
         engine, algo = compiled.engine, compiled.algorithm
         prepared = compiled.prepared
@@ -191,11 +204,11 @@ def run_cell(
             prepared = prepare(preset, cell.degree, seed=cell.seed)
         engine, algo = build_run(
             prepared, cell.algorithm, total_rounds=cell.total_rounds,
-            vectorized=vectorized, state_backend=state_backend,
+            state_backend=state_backend,
         )
     return _execute_cell(
         engine, algo, cell, results_dir, prepared.trace,
-        checkpoint_every=checkpoint_every, vectorized=vectorized,
+        checkpoint_every=checkpoint_every,
         round_hook=round_hook, progress=progress,
     )
 
@@ -206,7 +219,6 @@ def _compile_scenario_cell(
     prepared,
     *,
     checkpoint_every: int,
-    vectorized: bool,
     state_backend: str,
     scenario_lookup: Callable | None,
 ):
@@ -246,7 +258,6 @@ def _compile_scenario_cell(
         total_rounds=cell.total_rounds,
         preset=preset,
         prepared=prepared,
-        vectorized=vectorized,
         state_backend=state_backend,
     )
     if compiled.prepared.degree != cell.degree:
@@ -267,7 +278,6 @@ def _execute_cell(
     trace,
     *,
     checkpoint_every: int,
-    vectorized: bool,
     round_hook: Callable | None,
     progress: Callable[[int, int], None] | None,
 ) -> "tuple[ExperimentResult | AsyncExperimentResult, bool]":
@@ -278,11 +288,11 @@ def _execute_cell(
 
     A checkpoint is written where the engine's hook says a run resumes
     exactly, ``resumable_at == at``: a sync engine names its last
-    evaluation round, an async one every event boundary — under
-    ``vectorized=True`` the async hook only fires at evaluation
-    boundaries, so checkpoints land on those while resume stays
-    boundary-free. The engine (and its state backing, mmap or not) is
-    always released on the way out, success or crash.
+    evaluation round, an async one every event boundary. The async
+    hook fires at evaluation boundaries, so checkpoints land on those,
+    while resume stays boundary-free. The engine (and its state
+    backing, mmap or not) is always released on the way out, success
+    or crash.
     """
     unit = cell.units_per_round(engine.n_nodes)
     total, interval = cell.total_rounds * unit, checkpoint_every * unit
@@ -313,7 +323,7 @@ def _execute_cell(
         result = execute_run(
             engine, algo, trace, start=start, history=history, hook=hook
         )
-        write_cell_artifact(results_dir, cell, result, vectorized=vectorized)
+        write_cell_artifact(results_dir, cell, result)
         # the artifact is on disk: drop the checkpoint, and the temp
         # file a process killed mid-save left beside it
         ckpt.unlink(missing_ok=True)
@@ -456,7 +466,7 @@ def run_sweep(
     *,
     shard: tuple[int, int] = (1, 1),
     checkpoint_every: int = 0,
-    vectorized: bool = False,
+    vectorized: bool = True,
     state_backend: str = "memory",
     jobs: int | str = 1,
     pool: str = "persistent",
@@ -514,8 +524,10 @@ def run_sweep(
     ``pool`` selects nothing: the persistent pool is the only backend.
     The keyword survives, accepting only ``"persistent"``, because the
     frozen perf benchmark still spells it out; anything else is the
-    ``TypeError`` an unknown keyword would be.
+    ``TypeError`` an unknown keyword would be. ``vectorized`` likewise
+    accepts only ``True`` (see :func:`run_cell`).
     """
+    _only_stacked("run_sweep", vectorized)
     if pool != "persistent":
         raise TypeError(
             f"run_sweep() got an unexpected backend pool={pool!r}: the "
@@ -563,8 +575,7 @@ def run_sweep(
     def run_one(cell: PlanCell, dataset) -> bool:
         return run_cell_from_data(
             cell, dataset, results_dir, checkpoint_every=checkpoint_every,
-            vectorized=vectorized, state_backend=state_backend,
-            round_hook=round_hook, **lookups,
+            state_backend=state_backend, round_hook=round_hook, **lookups,
         )
 
     def finished(cell: PlanCell, resumed: bool) -> None:

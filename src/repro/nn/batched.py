@@ -1,9 +1,8 @@
-"""Batched multi-node mirrors of the NN layers (the vectorized engine).
+"""Batched multi-node mirrors of the NN layers (the engines' local step).
 
-The decentralized simulator trains ``k`` masked nodes per round. The
-serial engine loops over nodes in Python, paying interpreter and
-BLAS-dispatch overhead per node per layer per step. This module
-collapses that loop: a :class:`BatchedModel` carries every node's
+The decentralized simulator trains ``k`` masked nodes per round. A loop
+over nodes in Python would pay interpreter and BLAS-dispatch overhead
+per node per layer per step. This module collapses that loop: a :class:`BatchedModel` carries every node's
 parameters as stacked arrays with a leading node axis and runs one
 forward/backward over ``(k, B, ...)`` activations, so each layer is a
 single stacked GEMM/elementwise kernel regardless of ``k``.
@@ -15,7 +14,7 @@ the 2-D call, and all other kernels are elementwise or reduce along the
 same (contiguous, trailing) axes as their serial counterparts. Slice
 ``i`` of every batched kernel is therefore *bit-identical* to running
 the serial layer on node ``i`` alone. The engines rely on this: both
-train with plain SGD, so the vectorized path reproduces the serial
+train with plain SGD, so the stacked path reproduces the serial
 trajectory exactly, not just approximately. Where a kernel writes —
 a fresh array, a reused buffer, a strided view — is not part of that
 arithmetic; everything below that saves memory traffic moves only
@@ -89,7 +88,7 @@ Unsupported layers: ``Dropout`` (per-node RNG draws cannot be replayed
 in stacked order) and ``BatchNorm2d`` (running statistics live in the
 shared workspace model, a serial-path quirk the batched path refuses to
 replicate). :func:`vectorize_module` raises :class:`UnsupportedLayerError`
-for these so callers can fall back to the serial engine explicitly.
+for these, so an engine refuses such a model at construction.
 """
 
 from __future__ import annotations
@@ -725,7 +724,8 @@ def _vectorize_layer(layer: Module) -> BatchedLayer:
         return BatchedElementwise(Tanh())
     raise UnsupportedLayerError(
         f"no batched mirror for layer type {type(layer).__name__}; "
-        "run this model with the serial engine (vectorized=False)"
+        "the engines train every block of nodes stacked, so this model "
+        "cannot run in a simulation"
     )
 
 
@@ -1051,7 +1051,7 @@ class _Lane:
 class BatchedTrainer:
     """Runs E stacked SGD steps on a block of node parameter rows.
 
-    The trainer mirrors the serial engine's inner loop exactly: for each
+    The trainer mirrors the serial per-node loop exactly: for each
     local step it stacks one mini-batch per node, does one batched
     forward/backward, and applies one in-place SGD update per node — the
     same arithmetic as the serial loop, reordered from
@@ -1083,8 +1083,8 @@ class BatchedTrainer:
         if own.model.out_features is None:
             raise UnsupportedLayerError(
                 "the stacked trainer checks labels against a Linear "
-                "classification head, which this model does not end in; "
-                "run it with the serial engine (vectorized=False)"
+                "classification head, which this model does not end in, "
+                "and the engines train every block of nodes stacked"
             )
         self.model, self.workspace, self.optimizer = (
             own.model, own.workspace, own.optimizer

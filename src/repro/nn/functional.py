@@ -175,8 +175,8 @@ def col2im(
 # nodes' local steps collapse into stacked GEMMs instead of a Python
 # loop. ``np.matmul`` on 3-D operands dispatches the same BLAS GEMM per
 # slice as the 2-D call, so every slice is bit-identical to running the
-# serial kernel on that node alone — the property the engine's
-# ``vectorized`` bit-compatibility contract relies on.
+# serial kernel on that node alone — the property the engines'
+# oracle ≡ product bit-compatibility contract relies on.
 
 
 def batched_linear_forward(

@@ -69,7 +69,7 @@ class SGD:
 
 
 class BatchedSGD:
-    """SGD over the stacked parameter block (the vectorized engine).
+    """SGD over the stacked parameter block (the engines' local step).
 
     ``model`` is a bound :class:`repro.nn.batched.BatchedModel`: its
     ``block`` is the ``(k, dim)`` parameter rows and its ``grads`` the

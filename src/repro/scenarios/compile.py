@@ -273,7 +273,6 @@ def compile_run(
     total_rounds: int | None = None,
     preset: ExperimentPreset | None = None,
     prepared: PreparedExperiment | None = None,
-    vectorized: bool = False,
     eval_on: str = "test",
     state_backend: str = "memory",
 ) -> CompiledRun:
@@ -324,7 +323,6 @@ def compile_run(
         total_rounds=rounds,
         eval_every=eval_every,
         eval_on=eval_on,
-        vectorized=vectorized,
         mixing=_scenario_mixing(spec, prepared, churn, failure_model),
         failure_model=failure_model,
         enforce_budgets=spec.energy.enforce_budgets,
@@ -386,7 +384,6 @@ def run_scenario(
     seed: int | None = None,
     total_rounds: int | None = None,
     preset: ExperimentPreset | None = None,
-    vectorized: bool = False,
 ) -> "ExperimentResult | AsyncExperimentResult":
     """Compile and execute one scenario (by spec or registered name)."""
     if isinstance(spec, str):
@@ -398,7 +395,6 @@ def run_scenario(
         seed=seed,
         total_rounds=total_rounds,
         preset=preset,
-        vectorized=vectorized,
     ).execute()
 
 

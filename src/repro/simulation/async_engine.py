@@ -46,33 +46,25 @@ counters, and policy state — round-trip through
 :func:`~repro.simulation.checkpoint.load_run_checkpoint` continues
 bit-for-bit from any event boundary.
 
-Serial vs vectorized event execution
-------------------------------------
+Event windows
+-------------
 Local training and evaluation come from the sync engine's executor,
-:class:`~repro.simulation.local_step.LocalTrainer`: one activation
-trains one row through it, an event batch all its activators' rows,
-and its evaluator follows ``vectorized`` — node by node on a serial
-engine, one stacked forward pass per test batch on a vectorized one.
-
-``vectorized=True`` selects disjoint event batching
-(:mod:`repro.simulation.event_batch`): between evaluation boundaries,
-events whose (activator, partner) node sets are pairwise disjoint are
-packed into batches whose local training runs as one pass through the
-stacked :mod:`repro.nn.batched` kernels, with the gossip averages then
-applied in original event order. The trajectory — state matrix,
-counters, rng streams, history records — is **bit-identical** to the
-serial event loop (the same contract the sync engine's ``vectorized``
-flag keeps), because batched events touch disjoint state rows, each
-node's batch rng stream is private, and all shared randomness is
-consumed in serial event order at planning time. Two observable
-differences remain: the run's ``hook`` fires once per completed window
-(always an evaluation boundary) instead of once per event, and models
-without a batched mirror raise
-:class:`~repro.nn.batched.UnsupportedLayerError` at construction.
-Checkpoints written from the window-end hook therefore land on
-evaluation boundaries, but *resuming* works from any serial event
-boundary — the evaluation cadence is absolute in the event index, so a
-resumed vectorized run simply plans a shorter first window.
+:class:`~repro.simulation.local_step.LocalTrainer`. Events run in
+windows, one per evaluation boundary, planned by
+:mod:`repro.simulation.event_batch`: events whose (activator, partner)
+node sets are pairwise disjoint are packed into batches whose local
+training runs as one pass through the stacked :mod:`repro.nn.batched`
+kernels, with the gossip averages then applied in original event order.
+The trajectory — state matrix, counters, rng streams, history records —
+is **bit-identical** to executing the events one at a time, because
+batched events touch disjoint state rows, each node's batch rng stream
+is private, and all shared randomness is consumed in event order at
+planning time; that one-event-at-a-time loop survives as the test
+suite's oracle. The run's ``hook`` fires once per completed window
+(always an evaluation boundary), so checkpoints written from it land on
+evaluation boundaries, but *resuming* works from any event boundary —
+the evaluation cadence is absolute in the event index, so a run resumed
+mid-window simply plans a shorter first window.
 """
 
 from __future__ import annotations
@@ -279,11 +271,10 @@ class AsyncGossipEngine:
     :class:`~repro.simulation.rng.RngFactory` (restored generators
     cannot spawn).
 
-    ``vectorized`` selects disjoint event batching and stacked
-    evaluation (bit-identical to the serial loop; see the module
-    docstring), raising :class:`~repro.nn.batched.UnsupportedLayerError`
-    at construction for models without a batched mirror. Local steps
-    are plain SGD without weight decay.
+    Events run in disjoint batches through the stacked kernels (see the
+    module docstring); a model without a batched mirror raises
+    :class:`~repro.nn.batched.UnsupportedLayerError` at construction.
+    Local steps are plain SGD without weight decay.
     """
 
     def __init__(
@@ -303,7 +294,6 @@ class AsyncGossipEngine:
         failure_model: "FailureModel | None" = None,
         enforce_budgets: bool = False,
         churn: "ChurnSchedule | None" = None,
-        vectorized: bool = False,
         state_backend: str = "memory",
     ) -> None:
         n = len(nodes)
@@ -325,6 +315,8 @@ class AsyncGossipEngine:
             raise ValueError("activations_per_node must be positive")
         if eval_every is not None and eval_every <= 0:
             raise ValueError("eval_every must be positive")
+        if eval_node_sample is not None and eval_node_sample <= 0:
+            raise ValueError("eval_node_sample must be positive when given")
         self.total_events = n * activations_per_node
         self.eval_every = (
             eval_every if eval_every is not None
@@ -345,9 +337,8 @@ class AsyncGossipEngine:
         #: the one piece of churn state that must checkpoint (membership
         #: itself is a pure function of the round index)
         self._churn_round = 0
-        self.vectorized = vectorized
         self.local_trainer = LocalTrainer(
-            model, nodes, local_steps, learning_rate, 0.0, vectorized
+            model, nodes, local_steps, learning_rate, 0.0
         )
         init = parameter_vector(model)
         self._store = make_state_store(state_backend, init, n_rows=n)
@@ -387,23 +378,9 @@ class AsyncGossipEngine:
         assert self.trace is not None
         return bool(self.train_counts[i] < self.trace.budget_rounds[i])
 
-    def _gossip(self, i: int, eligible: np.ndarray | None = None) -> int | None:
-        """One pairwise gossip from node ``i``; ``eligible`` masks the
-        partner candidates (dead or departed nodes are never chosen).
-        Returns the partner id, or ``None`` for a train-only activation
-        (whole neighborhood ineligible)."""
-        candidates = self.neighbors[i]
-        if eligible is not None:
-            candidates = candidates[eligible[candidates]]
-            if candidates.size == 0:
-                return None  # whole neighborhood down/absent: train-only
-        j = int(self.rng.choice(candidates))
-        self._average(i, j)
-        return j
-
     def _average(self, i: int, j: int) -> None:
         """Pairwise gossip average of rows ``i`` and ``j``, in place —
-        the per-event hot path. Same add-then-halve operation order as
+        the per-gossip hot path. Same add-then-halve operation order as
         ``0.5 * (s_i + s_j)``, so the result is bit-identical to the
         allocating form."""
         si, sj = self.state[i], self.state[j]
@@ -422,7 +399,7 @@ class AsyncGossipEngine:
     def _advance_churn(self, t: int) -> None:
         """Apply every join handoff in rounds ``(_churn_round, t]``.
 
-        Called once per event with the event's round analogue; a joiner
+        Called by the batch a new round analogue opens; a joiner
         is seeded with the mean of its eligible (present ∧ alive)
         veteran neighbors at its join round, exactly once — the cursor
         round-trips through :meth:`state_dict`, so a resumed run never
@@ -463,33 +440,6 @@ class AsyncGossipEngine:
         for i, j in batch.gossips:
             self._average(i, j)
 
-    def _run_batched(
-        self,
-        policy: AsyncPolicy,
-        start: int,
-        history: AsyncHistory,
-        hook: "Callable[[AsyncGossipEngine, int, AsyncHistory, int], None] | None",
-    ) -> AsyncHistory:
-        """The ``vectorized=True`` event loop: plan one window per
-        evaluation boundary, execute its disjoint batches, evaluate,
-        fire the hook. ``start`` may be *any* serial event boundary (a
-        checkpoint from a serial run or a killed batched run) — the
-        boundaries are absolute in the event index, so the first window
-        after a mid-window resume is simply shorter."""
-        total, eval_every = self.total_events, self.eval_every
-        event = start
-        while event < total:
-            end = min((event // eval_every + 1) * eval_every, total)
-            plan = plan_window(self, policy, event, end)
-            for batch in plan.batches:
-                self._execute_batch(batch)
-            # window ends are exactly the serial loop's eval events
-            history.records.append(self._evaluate(plan.final_time, end))
-            if hook is not None:
-                hook(self, end, history, end)
-            event = end
-        return history
-
     def _evaluate(self, time: float, events: int) -> AsyncRecord:
         node_ids, consensus_rows = membership_eval_pool(
             self.state,
@@ -498,8 +448,8 @@ class AsyncGossipEngine:
             self.eval_rng,
         )
         mean_acc, std_acc = evaluate_state(
-            self.model, self.state, self.test_set, node_ids=node_ids,
-            evaluator=self.local_trainer.evaluator,
+            self.local_trainer.evaluator, self.state, self.test_set,
+            node_ids=node_ids,
         )
         return AsyncRecord(
             time=time,
@@ -600,63 +550,45 @@ class AsyncGossipEngine:
         :func:`~repro.simulation.checkpoint.load_run_checkpoint`);
         ``history`` appends to the interrupted record list. Every event
         boundary resumes exactly — the evaluation cadence is absolute in
-        the event index and all randomness round-trips — so checkpoints
-        need no alignment with evaluation events, and the hook's
-        ``resumable_at`` is always its ``at``. ``hook(engine, at,
-        history, resumable_at)`` runs after every completed event in
-        serial mode, and once per completed batch window (always an
-        evaluation boundary, with ``at`` the window's final event index)
-        under ``vectorized=True``; the sweep orchestrator checkpoints
-        from it. Either mode resumes a checkpoint the other wrote: the
-        trajectory is bit-identical and boundaries are absolute.
+        the event index and all randomness round-trips — so the first
+        window after a mid-window resume is simply shorter. Each window
+        is planned (:func:`~repro.simulation.event_batch.plan_window`),
+        its disjoint batches executed, and the state evaluated; then
+        ``hook(engine, at, history, resumable_at)`` runs with ``at`` the
+        window's final event index and ``resumable_at == at``. The sweep
+        orchestrator checkpoints from it.
         """
-        n, total_events = self.n_nodes, self.total_events
-        if not 0 <= start <= total_events:
-            raise ValueError("start out of range")
+        history = self._begin(algorithm, start, history)
+        total, eval_every = self.total_events, self.eval_every
+        event = start
+        while event < total:
+            end = min((event // eval_every + 1) * eval_every, total)
+            plan = plan_window(self, algorithm, event, end)
+            for batch in plan.batches:
+                self._execute_batch(batch)
+            history.records.append(self._evaluate(plan.final_time, end))
+            if hook is not None:
+                hook(self, end, history, end)
+            event = end
+        return history
 
+    def _begin(
+        self, algorithm: AsyncPolicy, start: int, history: AsyncHistory | None
+    ) -> AsyncHistory:
+        """Check ``start``, arm the Poisson clocks of a fresh run and
+        return the history to append to."""
+        if not 0 <= start <= self.total_events:
+            raise ValueError("start out of range")
         if start == 0:
             # Poisson clocks: next activation time per node
             self._queue = [
-                (float(self.rng.exponential()), i) for i in range(n)
+                (float(self.rng.exponential()), i) for i in range(self.n_nodes)
             ]
             heapq.heapify(self._queue)
         elif self._queue is None:
             raise ValueError(
                 "start > 0 requires restored engine state (load_state_dict)"
             )
-
         if history is None:
             history = AsyncHistory(policy=algorithm.name, records=[])
-        if self.vectorized:
-            return self._run_batched(algorithm, start, history, hook)
-        eval_every = self.eval_every
-        for event in range(start + 1, total_events + 1):
-            time, i = heapq.heappop(self._queue)
-            t = int(time) + 1
-            if self.churn is not None and t > self._churn_round:
-                self._advance_churn(t)
-            alive = self._alive_at(time)
-            present = self.churn.present(t) if self.churn is not None else None
-            if present is None:
-                eligible = alive
-            elif alive is None:
-                eligible = present
-            else:
-                eligible = present & alive
-            if eligible is None or eligible[i]:
-                self.activation_counts[i] += 1
-                if self._may_train(i) and algorithm.should_train(
-                    i, int(self.activation_counts[i])
-                ):
-                    self.local_trainer.train(self.state, [i])
-                    self.train_counts[i] += 1
-                    if self.trace is not None:
-                        self.train_energy_wh += self.trace.train_energy_wh[i]
-                self._gossip(i, eligible)
-            # dead/absent nodes stay silent but their clock keeps ticking
-            heapq.heappush(self._queue, (time + float(self.rng.exponential()), i))
-            if event % eval_every == 0 or event == total_events:
-                history.records.append(self._evaluate(time, event))
-            if hook is not None:
-                hook(self, event, history, event)
         return history

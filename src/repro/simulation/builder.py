@@ -54,8 +54,7 @@ def build_engine(
     Wires the full pipeline — data synthesis, partition, nodes, mixing
     matrix, engine — with every stochastic component drawn from one
     :class:`RngFactory`, so two calls with the same arguments produce
-    engines with identical trajectories regardless of engine flavor
-    (serial or vectorized). ``topology`` is ``"regular"`` (random
+    engines with identical trajectories. ``topology`` is ``"regular"`` (random
     ``degree``-regular) or ``"ring"``; ``partition`` is ``"shard"`` or
     ``"iid"``.
     """

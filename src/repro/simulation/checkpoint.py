@@ -12,9 +12,8 @@ holds:
 * the stamp — ``format`` (this layout's version) and ``kind`` (which
   engine wrote it);
 * the engine's own ``state_dict()``: its arrays under their own names
-  (``state`` is always the one whole matrix — serial, vectorized and
-  mmap-backed cells write the same key, so any layout resumes any
-  other) and everything else as one JSON object;
+  (``state`` is always the one whole matrix — memory- and mmap-backed
+  cells write the same key, so either layout resumes the other) and everything else as one JSON object;
 * the algorithm's (or async policy's) name and JSON ``state_dict()``;
 * the history so far, one column per record field
   (:meth:`RoundRecord.to_columns` / :meth:`AsyncRecord.to_columns`),
@@ -24,8 +23,8 @@ A fresh engine + algorithm, built exactly as for the original run and
 restored through this pair, continues bit-for-bit: history and final
 state equal an uninterrupted run's. A synchronous run resumes exactly
 from evaluation rounds only (see :meth:`SimulationEngine.run`); an
-async run from any event boundary, serial or ``vectorized`` whichever
-wrote the file, because its evaluation cadence is absolute in the event
+async run from any event boundary, even one inside an event window,
+because its evaluation cadence is absolute in the event
 index and batching never reorders a captured stream.
 
 The loader checks the stamp, the algorithm name and every shape before

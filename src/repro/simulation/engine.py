@@ -14,37 +14,27 @@ per-node Python. Its output rows are cut into tiles run on every CPU
 the process owns (:func:`gossip`, :mod:`repro.lanes`); each row is
 summed exactly as the untiled product sums it.
 
-Serial vs vectorized local training
------------------------------------
+Stacked local training
+----------------------
 The local step and the evaluator come from one executor, the
 :class:`~repro.simulation.local_step.LocalTrainer` the async engine
-uses too, in two implementations selected by
-``EngineConfig.vectorized``:
+uses too. All masked nodes' rows are trained as one ``(k, dim)`` block
+by a :class:`repro.nn.batched.BatchedTrainer`, which runs every local
+step as stacked ``(k, B, ...)`` GEMM/elementwise kernels, one kernel per
+layer regardless of ``k``; evaluation rounds run one stacked forward
+pass per test batch for all evaluated nodes
+(:class:`repro.nn.batched.BatchedEvaluator`). Training is plain SGD
+(learning rate and ``weight_decay``, the paper's local step), which
+carries no per-node optimizer state.
 
-* **Serial** (default): loop over masked nodes, E SGD steps each on one
-  workspace model, and evaluate node by node. Simple, supports every
-  layer type, but pays Python/BLAS-dispatch overhead per node per layer
-  per step — the dominant cost at paper scale (256 nodes × small
-  models).
-* **Vectorized**: all masked nodes' rows are gathered into one
-  ``(k, dim)`` block and a :class:`repro.nn.batched.BatchedTrainer`
-  runs every local step as stacked ``(k, B, ...)`` GEMM/elementwise
-  kernels, one kernel per layer regardless of ``k``; evaluation rounds
-  run one stacked forward pass per test batch for all evaluated nodes
-  (:class:`repro.nn.batched.BatchedEvaluator`).
-
-Both train with plain SGD (learning rate and ``weight_decay``, the
-paper's local step), which carries no per-node optimizer state.
-
-Bit-compatibility contract: the vectorized path consumes each node's
-batch RNG stream in the same order as the serial path and every batched
-kernel is slice-for-slice bit-identical to its serial counterpart, so
-the resulting ``state`` matrix and :class:`RunHistory` are **exactly
-equal** — not merely close — to the serial engine's. The serial row
-loop is the reference the bit-identity tests compare against. Models
-containing layers without a batched mirror (``Dropout``,
-``BatchNorm2d``) raise :class:`repro.nn.batched.UnsupportedLayerError`
-at engine construction.
+Bit-compatibility contract: each node's batch RNG stream is consumed in
+node order and every batched kernel is slice-for-slice bit-identical to
+its serial counterpart, so the resulting ``state`` matrix and
+:class:`RunHistory` are **exactly equal** — not merely close — to
+training and evaluating node by node on one workspace model. That serial
+loop survives as the test suite's oracle. Models containing layers
+without a batched mirror (``Dropout``, ``BatchNorm2d``) raise
+:class:`repro.nn.batched.UnsupportedLayerError` at engine construction.
 """
 
 from __future__ import annotations
@@ -114,12 +104,7 @@ def gossip(w: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Training-loop hyperparameters (Table 1 of the paper).
-
-    ``vectorized`` selects the stacked multi-node training and
-    evaluation path (see the module docstring for the bit-compatibility
-    contract).
-    """
+    """Training-loop hyperparameters (Table 1 of the paper)."""
 
     local_steps: int
     learning_rate: float
@@ -127,7 +112,6 @@ class EngineConfig:
     eval_every: int = 10
     eval_node_sample: int | None = None
     weight_decay: float = 0.0
-    vectorized: bool = False
     state_backend: str = "memory"
 
     def __post_init__(self) -> None:
@@ -216,7 +200,7 @@ class SimulationEngine:
         self.churn = churn
         self.local_trainer = LocalTrainer(
             model, nodes, config.local_steps, config.learning_rate,
-            config.weight_decay, config.vectorized,
+            config.weight_decay,
         )
 
         dim = model.num_parameters()
@@ -407,8 +391,8 @@ class SimulationEngine:
             self.eval_rng,
         )
         mean_acc, std_acc = evaluate_state(
-            self.model, self.state, self.test_set, node_ids=node_ids,
-            evaluator=self.local_trainer.evaluator,
+            self.local_trainer.evaluator, self.state, self.test_set,
+            node_ids=node_ids,
         )
         energy = self.meter.total_wh if self.meter is not None else 0.0
         return RoundRecord(

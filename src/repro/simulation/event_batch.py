@@ -1,8 +1,8 @@
 """Disjoint event batching for the async gossip engine.
 
-The serial event loop pays one Python-level training pass (E SGD steps
-through the workspace model) plus one gossip per activation event. The
-vectorized mode planned here amortizes that cost: between two
+Executing events one at a time — the serial event loop, which the test
+suite keeps as its oracle — pays one training call plus one gossip per
+activation event. The windows planned here amortize that cost: between two
 trajectory-observable boundaries (evaluation events — and therefore
 checkpoint points, which land on them), events are packed into batches
 whose (activator, partner) node sets are pairwise disjoint, so each
@@ -41,7 +41,7 @@ orderings make the equivalence exact rather than approximate:
 
 The resulting trajectory — state matrix, counters, every rng stream,
 history records — is bit-identical to the serial event loop, which the
-conformance suite asserts rather than trusts.
+oracle ≡ product batteries assert rather than trust.
 """
 
 from __future__ import annotations

@@ -1,12 +1,11 @@
 """Evaluation metrics: per-node accuracy, consensus distance, and the
 record container the engine fills in during a run.
 
-Evaluation comes in two bit-identical flavors: the serial per-node loop
-(:func:`evaluate_model_vector` row by row) and the batched cross-node
-path (:class:`repro.nn.batched.BatchedEvaluator`, one stacked forward
-per test batch for all nodes at once). Both count correct top-1
-predictions directly, so their per-node accuracies are exactly equal —
-:func:`evaluate_state` accepts either.
+Node models are evaluated by :class:`repro.nn.batched.BatchedEvaluator`
+(one stacked forward per test batch for all nodes at once); one flat
+vector — the consensus model, a fairness probe — by
+:func:`evaluate_model_vector`. Both count correct top-1 predictions
+directly, so a node's accuracy is exactly equal either way.
 """
 
 from __future__ import annotations
@@ -89,34 +88,22 @@ def evaluate_model_vector(
 
 
 def evaluate_state(
-    model: Module,
+    evaluator: "BatchedEvaluator",
     state: np.ndarray,
     dataset: ArrayDataset,
     node_ids: np.ndarray | None = None,
     batch_size: int = 256,
-    evaluator: "BatchedEvaluator | None" = None,
 ) -> tuple[float, float]:
     """Mean and std of per-node test accuracy (the paper's headline
-    metric). ``node_ids`` restricts evaluation to a subsample of nodes —
-    evaluating all 256 node models every time is the dominant cost of a
-    faithful run, and the mean over a random subsample is unbiased.
-
-    With ``evaluator`` (a :class:`~repro.nn.batched.BatchedEvaluator`
-    built from the same architecture as ``model``) the per-node loop
-    collapses into stacked forward passes; per-node accuracies, and
-    hence the returned mean/std, are bit-identical to the serial path.
+    metric), from ``evaluator``'s stacked forward passes over the rows
+    of ``state``. ``node_ids`` restricts evaluation to a subsample of
+    nodes — evaluating all 256 node models every time is the dominant
+    cost of a faithful run, and the mean over a random subsample is
+    unbiased.
     """
     n = state.shape[0]
     ids = np.arange(n) if node_ids is None else np.asarray(node_ids)
-    if evaluator is not None:
-        accs = evaluator.evaluate(
-            state, dataset, node_ids=ids, batch_size=batch_size
-        )
-    else:
-        accs = np.array(
-            [evaluate_model_vector(model, state[i], dataset, batch_size)
-             for i in ids]
-        )
+    accs = evaluator.evaluate(state, dataset, node_ids=ids, batch_size=batch_size)
     return float(accs.mean()), float(accs.std())
 
 

@@ -16,9 +16,8 @@ users in ``docs/determinism-contracts.md``): node ``i`` draws from
 is exactly one ``choice(n_i, size=k_i, replace=False)`` over the node's
 ``n_i`` local sample positions with ``k_i = min(n_i, batch_size)``; a
 node's steps are drawn in order. Streams are private, so the order in
-which *different* nodes draw cannot change any value — serial,
-vectorized, sharded and event-batched execution all see the same
-batches. :mod:`~repro.simulation.batch_stream` computes those draws for
+which *different* nodes draw cannot change any value — node-by-node,
+stacked, tiled and event-batched execution all see the same batches. :mod:`~repro.simulation.batch_stream` computes those draws for
 many nodes at once, bit for bit what the numpy generators return.
 """
 

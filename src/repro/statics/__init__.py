@@ -1,6 +1,6 @@
 """``repro.statics`` — the determinism & checkpoint-contract linter.
 
-Five PRs of bit-identity guarantees (serial ≡ vectorized, kill+resume
+Five PRs of bit-identity guarantees (oracle ≡ product, kill+resume
 byte-identity, eval-cadence independence) rest on conventions nothing
 used to machine-check. This package is the correctness tooling layer:
 an AST rule framework (:mod:`.rule`), repo-specific rules

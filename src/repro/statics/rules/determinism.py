@@ -47,7 +47,7 @@ class WallClock(Rule):
     title = "no wall-clock/OS-entropy calls in engine or serve packages"
     rationale = (
         "time.time/datetime.now/os.urandom values differ across runs, "
-        "so any state derived from them breaks serial≡vectorized and "
+        "so any state derived from them breaks oracle≡product and "
         "kill+resume bit-identity; simulated time is the only clock"
     )
 

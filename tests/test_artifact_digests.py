@@ -7,10 +7,12 @@ artifacts. Four were recorded from the tree *before* the columnar
 * ``fleet-vectorized`` — ``n1024-fleet`` skiptrain, degree 4, seed 0,
   vectorized (the cell CI's ``fleet-smoke`` job also runs);
 * ``bench-serial-steps10`` — the 32-node ``cifar10-bench`` preset
-  (``local_steps=10``) cut to 24 rounds, serial engine;
+  (``local_steps=10``) cut to 24 rounds, written by the serial loops
+  of ``tests/oracles.py``;
 * ``ragged-serial`` — a cell whose nodes hold 12 or 13 samples against
   ``batch_size=13``, so some nodes draw ``k_i < batch_size`` and the
-  stacked trainer has to group rows by ``k``;
+  stacked trainer has to group rows by ``k`` (also written by the
+  serial loops);
 * ``churn-async-vectorized`` — the ``churn-async`` scenario on the
   vectorized event engine.
 
@@ -106,6 +108,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from oracles import run_cell as oracle_run_cell
 
 from repro import lanes
 from repro.core.compression import TopKCompressor
@@ -186,7 +189,7 @@ def conv_gn_preset():
 def _conv_gn(results_dir):
     preset = conv_gn_preset()
     cell = build_plan(preset, ("skiptrain",), seeds=(0,))[0]
-    run_cell(preset, cell, results_dir, vectorized=True)
+    run_cell(preset, cell, results_dir)
     return artifact_path(results_dir, cell)
 
 
@@ -206,10 +209,10 @@ def paper_cnn_preset():
     )
 
 
-def _paper_cnn(results_dir, vectorized=True):
+def _paper_cnn(results_dir, run=run_cell):
     preset = paper_cnn_preset()
     cell = build_plan(preset, ("skiptrain",), seeds=(0,), total_rounds=2)[0]
-    run_cell(preset, cell, results_dir, vectorized=vectorized)
+    run(preset, cell, results_dir)
     return artifact_path(results_dir, cell)
 
 
@@ -256,7 +259,6 @@ def _weight_decay(results_dir):
         total_rounds=cell.total_rounds,
         eval_every=preset.eval_every,
         eval_node_sample=preset.eval_node_sample,
-        vectorized=True,
     )
     engine = SimulationEngine(
         model, nodes, prepared.mixing, config, prepared.test,
@@ -265,21 +267,21 @@ def _weight_decay(results_dir):
     history = engine.run(DPSGD(preset.n_nodes))
     result = ExperimentResult(history=history, meter=engine.meter,
                               trace=prepared.trace)
-    return write_cell_artifact(results_dir, cell, result, vectorized=True)
+    return write_cell_artifact(results_dir, cell, result)
 
 
 def _constrained(results_dir):
     preset = get_preset("cifar10-bench")
     cell = build_plan(preset, ("skiptrain-constrained",), degrees=(3,),
                       seeds=(0,))[0]
-    run_cell(preset, cell, results_dir, vectorized=True)
+    run_cell(preset, cell, results_dir)
     return artifact_path(results_dir, cell)
 
 
 def _fleet(results_dir):
     preset = get_preset("n1024-fleet")
     cell = build_plan(preset, ("skiptrain",), degrees=(4,), seeds=(0,))[0]
-    run_cell(preset, cell, results_dir, vectorized=True)
+    run_cell(preset, cell, results_dir)
     return artifact_path(results_dir, cell)
 
 
@@ -287,7 +289,7 @@ def _fleet16384(results_dir):
     preset = get_preset("n16384-fleet")
     cell = build_plan(preset, ("skiptrain",), degrees=(4,), seeds=(0,),
                       total_rounds=12)[0]
-    run_cell(preset, cell, results_dir, vectorized=True)
+    run_cell(preset, cell, results_dir)
     return artifact_path(results_dir, cell)
 
 
@@ -295,7 +297,7 @@ def _femnist_writer(results_dir):
     preset = get_preset("femnist-bench")
     cell = build_plan(preset, ("skiptrain",), degrees=(3,), seeds=(0,),
                       total_rounds=32)[0]
-    run_cell(preset, cell, results_dir, vectorized=True)
+    run_cell(preset, cell, results_dir)
     return artifact_path(results_dir, cell)
 
 
@@ -303,21 +305,21 @@ def _bench(results_dir):
     preset = get_preset("cifar10-bench")
     cell = build_plan(preset, ("skiptrain",), degrees=(3,), seeds=(0,),
                       total_rounds=24)[0]
-    run_cell(preset, cell, results_dir)
+    oracle_run_cell(preset, cell, results_dir)
     return artifact_path(results_dir, cell)
 
 
-def _ragged(results_dir, **kwargs):
+def _ragged(results_dir, run=oracle_run_cell):
     preset = ragged_preset()
     cell = build_plan(preset, ("skiptrain",), seeds=(0,))[0]
-    run_cell(preset, cell, results_dir, **kwargs)
+    run(preset, cell, results_dir)
     return artifact_path(results_dir, cell)
 
 
 def _async(results_dir, preset, **plan_kwargs):
     cell = build_plan(preset, ("async-skiptrain",), seeds=(0,), kind="async",
                       **plan_kwargs)[0]
-    run_cell(preset, cell, results_dir, vectorized=True)
+    run_cell(preset, cell, results_dir)
     return artifact_path(results_dir, cell)
 
 
@@ -332,7 +334,7 @@ def _femnist_async(results_dir):
 
 def _scenario(results_dir, spec):
     cell = build_scenario_plan(spec, seeds=(0,))[0]
-    run_cell(get_preset(spec.preset), cell, results_dir, vectorized=True,
+    run_cell(get_preset(spec.preset), cell, results_dir,
              scenario_lookup=lambda name: spec)
     return artifact_path(results_dir, cell)
 
@@ -381,7 +383,6 @@ def _topk_bench256(results_dir):
         total_rounds=cell.total_rounds,
         eval_every=preset.eval_every,
         eval_node_sample=preset.eval_node_sample,
-        vectorized=True,
     )
     engine = SimulationEngine(
         model, nodes, prepared.mixing, config, prepared.test,
@@ -391,7 +392,7 @@ def _topk_bench256(results_dir):
     history = engine.run(DPSGD(preset.n_nodes))
     result = ExperimentResult(history=history, meter=engine.meter,
                               trace=prepared.trace)
-    return write_cell_artifact(results_dir, cell, result, vectorized=True)
+    return write_cell_artifact(results_dir, cell, result)
 
 
 CELLS = {
@@ -433,14 +434,15 @@ def test_artifact_bytes_match_the_pre_bank_record(name, tmp_path):
 
 def test_ragged_cell_serial_vectorized_and_sharded_agree(tmp_path):
     """Nodes with ``k_i < batch_size`` train in their own stacked
-    sub-block; that grouping must be invisible in the artifact (the
-    name predates the removal of node sharding)."""
+    sub-block; that grouping must be invisible in the artifact, which
+    the serial oracle writes too (the name predates the removal of node
+    sharding and of the serial engine)."""
     preset = ragged_preset()
     sizes = {len(p) for p in prepare(preset, 3, seed=0).partition}
     assert min(sizes) < preset.batch_size <= max(sizes)
     serial = json.loads(_ragged(tmp_path / "serial").read_bytes())
     vectorized = json.loads(
-        _ragged(tmp_path / "vectorized", vectorized=True).read_bytes()
+        _ragged(tmp_path / "vectorized", run=run_cell).read_bytes()
     )
     assert serial.pop("engine") == {"vectorized": False}
     assert vectorized.pop("engine") == {"vectorized": True}
@@ -449,9 +451,11 @@ def test_ragged_cell_serial_vectorized_and_sharded_agree(tmp_path):
 
 @pytest.mark.slow
 def test_paper_cell_serial_and_vectorized_agree(tmp_path):
-    """The pinned GN-LeNet cell through the serial row loop writes the
+    """The pinned GN-LeNet cell through the serial oracle writes the
     same results as through the stacked trainer."""
-    serial = json.loads(_paper_cnn(tmp_path / "serial", vectorized=False).read_bytes())
+    serial = json.loads(
+        _paper_cnn(tmp_path / "serial", run=oracle_run_cell).read_bytes()
+    )
     vectorized = json.loads(_paper_cnn(tmp_path / "vectorized").read_bytes())
     assert serial.pop("engine") == {"vectorized": False}
     assert vectorized.pop("engine") == {"vectorized": True}

@@ -1,27 +1,44 @@
-"""Engine-layout battery: a cell's artifact does not depend on how its
-local-training stage or its state matrix is laid out. Serial and
-vectorized training over memory- or mmap-backed state write the same
-bytes (modulo the artifact's ``engine`` stamp), and a checkpoint
-written under one layout resumes under another to the reference bytes.
+"""Cell-layout battery, oracle ≡ product: a cell's artifact does not
+depend on who trains it or where its state matrix lives. The serial
+oracle loops (``tests/oracles.py``) and the product's stacked engine,
+over memory- or mmap-backed state, write the same bytes (modulo the
+artifact's ``engine`` stamp), and a checkpoint written by one resumes
+under the other to the reference bytes — for an async cell even from
+an event inside a window, where the product's hook never fires.
 
-Node-axis sharding (``--node-shards``) and ``EngineConfig.momentum``
-were removed; the last class keeps them removed."""
+Node-axis sharding (``--node-shards``), ``EngineConfig.momentum`` and
+the serial engine (``vectorized``) were removed; the last class keeps
+them removed."""
 
 import dataclasses
 import json
+from contextlib import nullcontext
 
 import numpy as np
+import oracles
 import pytest
 
-from repro.experiments import artifact_path, build_plan, run_cell, run_sweep
+from repro.experiments import (
+    artifact_path,
+    async_variant,
+    build_plan,
+    run_cell,
+    run_sweep,
+)
 from repro.experiments.artifacts import checkpoint_path
 
+#: who runs the cell × where its state lives
 LAYOUTS = {
-    "serial": {},
-    "mmap": {"state_backend": "mmap"},
-    "vectorized": {"vectorized": True},
-    "vectorized-mmap": {"vectorized": True, "state_backend": "mmap"},
+    "oracle": (oracles.run_cell, {}),
+    "oracle-mmap": (oracles.run_cell, {"state_backend": "mmap"}),
+    "product": (run_cell, {}),
+    "product-mmap": (run_cell, {"state_backend": "mmap"}),
 }
+
+
+def run_layout(layout, preset, cell, results_dir, **kwargs):
+    run, options = LAYOUTS[layout]
+    return run(preset, cell, results_dir, **options, **kwargs)
 
 
 @pytest.fixture
@@ -45,11 +62,11 @@ def lookup_for(preset):
 
 
 def assert_same_run(path, ref, layout):
-    """``path`` holds the reference run: the same bytes when both were
-    written by the same engine flavor, else the same payload with only
-    the ``engine`` stamp's ``vectorized`` flag differing."""
+    """``ref`` holds the oracle's run: the same bytes when ``layout`` is
+    the oracle's too, else the same payload with only the ``engine``
+    stamp's ``vectorized`` flag differing."""
     got, want = path.read_bytes(), ref.read_bytes()
-    if LAYOUTS[layout].get("vectorized", False):
+    if layout.startswith("product"):
         got, want = json.loads(got), json.loads(want)
         got_engine, want_engine = got.pop("engine"), want.pop("engine")
         assert got_engine.pop("vectorized") is True
@@ -59,49 +76,50 @@ def assert_same_run(path, ref, layout):
 
 
 class TestLayoutArtifacts:
-    @pytest.mark.parametrize("layout", ["mmap", "vectorized", "vectorized-mmap"])
+    @pytest.mark.parametrize("layout", ["oracle-mmap", "product", "product-mmap"])
     def test_layout_cell_byte_identical(self, micro_preset, tmp_path, layout):
         cell = build_plan(micro_preset, ("skiptrain",), seeds=(0,))[0]
         ref, out = tmp_path / "ref", tmp_path / layout
-        run_cell(micro_preset, cell, ref)
-        run_cell(micro_preset, cell, out, **LAYOUTS[layout])
+        run_layout("oracle", micro_preset, cell, ref)
+        run_layout(layout, micro_preset, cell, out)
         assert_same_run(artifact_path(out, cell), artifact_path(ref, cell),
                         layout)
 
     def test_vectorized_mmap_matches_vectorized_bytes(self, micro_preset,
                                                        tmp_path):
         """Both axes at once: stacked training in place over an mmap
-        store writes the in-memory vectorized run's exact bytes."""
+        store writes the in-memory product run's exact bytes."""
         cell = build_plan(micro_preset, ("d-psgd",), seeds=(1,))[0]
         ref, fleet = tmp_path / "ref", tmp_path / "fleet"
-        run_cell(micro_preset, cell, ref, vectorized=True)
-        run_cell(micro_preset, cell, fleet, **LAYOUTS["vectorized-mmap"])
+        run_layout("product", micro_preset, cell, ref)
+        run_layout("product-mmap", micro_preset, cell, fleet)
         assert (artifact_path(ref, cell).read_bytes()
                 == artifact_path(fleet, cell).read_bytes())
 
-    @pytest.mark.parametrize("layout", ["mmap", "vectorized", "vectorized-mmap"])
+    @pytest.mark.parametrize("layout", ["oracle-mmap", "product", "product-mmap"])
     def test_async_layout_cell_byte_identical(self, micro_preset, tmp_path,
                                               layout):
         """Async cells take every layout a sync cell does, to the same
-        bytes as a serial in-memory async run."""
-        from repro.experiments import async_variant
-
+        bytes as the oracle's in-memory per-event run."""
         micro_async = async_variant(micro_preset)
         cell = build_plan(micro_async, ("async-skiptrain",), seeds=(0,),
                           kind="async")[0]
         ref, out = tmp_path / "ref", tmp_path / layout
-        run_cell(micro_async, cell, ref)
-        run_cell(micro_async, cell, out, **LAYOUTS[layout])
+        run_layout("oracle", micro_async, cell, ref)
+        run_layout(layout, micro_async, cell, out)
         assert_same_run(artifact_path(out, cell), artifact_path(ref, cell),
                         layout)
 
-    @pytest.mark.parametrize("layout", ["mmap", "vectorized"])
+    @pytest.mark.parametrize("layout", ["oracle-mmap", "product"])
     def test_sweep_layouts_byte_identical(self, micro_preset, tmp_path, layout):
         plan = build_plan(micro_preset, ("skiptrain", "d-psgd"), seeds=(0,))
         solo, out = tmp_path / "solo", tmp_path / layout
-        run_sweep(plan, solo, preset_lookup=lookup_for(micro_preset))
-        run_sweep(plan, out, preset_lookup=lookup_for(micro_preset),
-                  **LAYOUTS[layout])
+        with oracles.cells():
+            run_sweep(plan, solo, preset_lookup=lookup_for(micro_preset))
+        _, options = LAYOUTS[layout]
+        with oracles.cells() if layout.startswith("oracle") else nullcontext():
+            run_sweep(plan, out, preset_lookup=lookup_for(micro_preset),
+                      **options)
         for cell in plan:
             assert_same_run(artifact_path(out, cell),
                             artifact_path(solo, cell), layout)
@@ -119,9 +137,9 @@ class TestCrossResume:
         return hook
 
     @pytest.mark.parametrize("kill,resume", [
-        ("vectorized", "serial"),
-        ("serial", "vectorized"),
-        ("vectorized-mmap", "serial"),
+        ("product", "oracle"),
+        ("oracle", "product"),
+        ("product-mmap", "oracle"),
     ])
     def test_kill_and_resume_across_layouts(
         self, micro_preset, tmp_path, kill, resume
@@ -132,12 +150,11 @@ class TestCrossResume:
         cell = build_plan(micro_preset, ("skiptrain-constrained",),
                           seeds=(0,))[0]
         ref, killed = tmp_path / "ref", tmp_path / "killed"
-        run_cell(micro_preset, cell, ref, checkpoint_every=2,
-                 **LAYOUTS[resume])
+        run_layout(resume, micro_preset, cell, ref, checkpoint_every=2)
 
         with pytest.raises(TestCrossResume.Kill):
-            run_cell(micro_preset, cell, killed, checkpoint_every=2,
-                     round_hook=self._killer(9), **LAYOUTS[kill])
+            run_layout(kill, micro_preset, cell, killed, checkpoint_every=2,
+                       round_hook=self._killer(9))
         ckpt = checkpoint_path(killed, cell)
         assert ckpt.is_file()
         with np.load(ckpt) as archive:
@@ -148,16 +165,98 @@ class TestCrossResume:
                 "state"
             ]
 
-        _, resumed = run_cell(micro_preset, cell, killed, checkpoint_every=2,
-                              **LAYOUTS[resume])
+        _, resumed = run_layout(resume, micro_preset, cell, killed,
+                                checkpoint_every=2)
         assert resumed
         assert not checkpoint_path(killed, cell).exists()
         assert (artifact_path(killed, cell).read_bytes()
                 == artifact_path(ref, cell).read_bytes())
 
+    def test_async_oracle_kill_mid_window_resumes_on_product(
+        self, micro_preset, tmp_path
+    ):
+        """The oracle checkpoints an async cell every 8 events and is
+        killed at event 27; its last checkpoint, event 24, lies inside
+        the product's [16, 32) window, where the product's hook never
+        fires. The product resumes from it to the bytes of its own
+        uninterrupted run."""
+        micro_async = async_variant(micro_preset)
+        cell = build_plan(micro_async, ("async-skiptrain-constrained",),
+                          seeds=(0,), kind="async")[0]
+        ref, killed = tmp_path / "ref", tmp_path / "killed"
+        fired = []
+        run_cell(micro_async, cell, ref, checkpoint_every=1,
+                 round_hook=lambda engine, at, history, last: fired.append(at))
+        assert 24 not in fired and 27 not in fired and 16 in fired
+
+        with pytest.raises(TestCrossResume.Kill):
+            oracles.run_cell(micro_async, cell, killed, checkpoint_every=1,
+                             round_hook=self._killer(27))
+        with np.load(checkpoint_path(killed, cell)) as archive:
+            assert int(archive["at"]) == 24
+
+        _, resumed = run_cell(micro_async, cell, killed, checkpoint_every=1)
+        assert resumed
+        assert (artifact_path(killed, cell).read_bytes()
+                == artifact_path(ref, cell).read_bytes())
+
 
 class TestStaysDeleted:
-    """Node sharding and engine momentum are gone, with no stand-in."""
+    """Node sharding, engine momentum and the serial engine are gone,
+    with no stand-in. ``vectorized=True`` and ``repro serve
+    --vectorized`` survive as no-ops only while the frozen perf
+    benchmark still passes them."""
+
+    def test_engines_take_no_vectorized(self, tiny_preset):
+        from repro.experiments import build_run, prepare
+        from repro.simulation import AsyncGossipEngine, EngineConfig
+
+        with pytest.raises(TypeError, match="vectorized"):
+            EngineConfig(local_steps=1, learning_rate=0.1, total_rounds=1,
+                         vectorized=True)
+        engine, _ = build_run(prepare(tiny_preset, 3, seed=0), "async-d-psgd")
+        with pytest.raises(TypeError, match="vectorized"):
+            AsyncGossipEngine(
+                engine.model, engine.nodes, engine.neighbors, engine.test_set,
+                local_steps=1, learning_rate=0.1,
+                rng=np.random.default_rng(0), activations_per_node=1,
+                vectorized=True,
+            )
+
+    def test_run_cell_refuses_the_serial_engine(self, micro_preset, tmp_path):
+        cell = build_plan(micro_preset, ("skiptrain",), seeds=(0,))[0]
+        with pytest.raises(TypeError, match="vectorized"):
+            run_cell(micro_preset, cell, tmp_path, vectorized=False)
+        assert not artifact_path(tmp_path, cell).exists()
+        with pytest.raises(TypeError, match="vectorized"):
+            run_sweep((cell,), tmp_path, vectorized=False,
+                      preset_lookup=lookup_for(micro_preset))
+        run_cell(micro_preset, cell, tmp_path, vectorized=True)  # a no-op
+        assert artifact_path(tmp_path, cell).is_file()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--dry-run"],
+        ["async-run"],
+        ["scenario", "run", "churn-async"],
+    ], ids=["sweep", "async-run", "scenario-run"])
+    def test_cli_verbs_reject_vectorized(self, argv, tmp_path, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--vectorized"])
+        assert exc.value.code == 2
+        assert "--vectorized" in capsys.readouterr().err
+
+    def test_serve_still_parses_vectorized(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(["serve", "--vectorized"])
+        assert args.command == "serve"
+
+    def test_local_trainer_has_no_row_loop(self):
+        from repro.simulation.local_step import LocalTrainer
+
+        assert not hasattr(LocalTrainer, "train_row")
 
     def test_run_cell_has_no_node_shards(self, micro_preset, tmp_path):
         cell = build_plan(micro_preset, ("skiptrain",), seeds=(0,))[0]

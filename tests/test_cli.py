@@ -76,13 +76,13 @@ class TestCommands:
         args = build_parser().parse_args([
             "sweep", "--shard", "2/4", "--results-dir", "out",
             "--checkpoint-every", "32", "--degrees", "3", "4",
-            "--rounds", "16", "--vectorized", "--dry-run", "--jobs", "4",
+            "--rounds", "16", "--dry-run", "--jobs", "4",
         ])
         assert args.shard == "2/4"
         assert args.results_dir == "out"
         assert args.checkpoint_every == 32
         assert args.degrees == [3, 4]
-        assert args.vectorized and args.dry_run
+        assert args.dry_run and not hasattr(args, "vectorized")
         assert args.jobs == 4
 
     def test_aggregate_parses(self):
@@ -111,16 +111,18 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--kind", "quantum"])
 
-    def test_async_sweep_accepts_vectorized(self, capsys):
+    def test_async_sweep_dry_run(self, capsys):
         assert main(["sweep", "--kind", "async",
-                     "--preset", "cifar10-bench-async", "--vectorized",
-                     "--dry-run"]) == 0
+                     "--preset", "cifar10-bench-async", "--dry-run"]) == 0
         assert "pending" in capsys.readouterr().out
 
     def test_async_run_vectorized_flag(self):
-        args = build_parser().parse_args(["async-run", "--vectorized"])
-        assert args.vectorized
-        assert not build_parser().parse_args(["async-run"]).vectorized
+        """Every async run batches its events: the flag that chose it
+        is gone."""
+        assert not hasattr(build_parser().parse_args(["async-run"]),
+                           "vectorized")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["async-run", "--vectorized"])
 
     def test_jobs_auto_parses(self, capsys):
         assert build_parser().parse_args(["sweep", "--jobs", "auto"]).jobs \
@@ -220,9 +222,9 @@ class TestArtifactPipeline:
         assert "[pending]" in out and "2 of 2 cells" in out
 
     def test_sweep_dry_run_shows_the_row_plan(self, tmp_path, capsys, monkeypatch):
-        """``--vectorized`` cell lines carry the row plan of a call that
-        trains every node, from ``row_bytes``: rows per tile, waves and
-        the lane workspace; ``--jobs 2`` plans on a worker's share."""
+        """Dry-run cell lines carry the row plan of a call that trains
+        every node, from ``row_bytes``: rows per tile, waves and the
+        lane workspace; ``--jobs 2`` plans on a worker's share."""
         from repro import lanes
         from repro.experiments import get_preset
         from repro.nn.batched import row_bytes
@@ -233,8 +235,6 @@ class TestArtifactPipeline:
                  "skiptrain", "--degrees", "4", "--seeds", "0", "1",
                  "--results-dir", res, "--dry-run"]
         assert main(fleet) == 0
-        assert "rows as" not in capsys.readouterr().out  # serial loop
-        assert main([*fleet, "--vectorized"]) == 0
         out = capsys.readouterr().out
         fleet_bytes = row_bytes(
             get_preset("n16384-fleet").model_factory(np.random.default_rng(0)),
@@ -244,12 +244,12 @@ class TestArtifactPipeline:
         line = (f"16384 rows as <= 1171-row tiles, 7 waves on 2 lanes, "
                 f"lane workspace {1171 * fleet_bytes / 2**20:.1f} MiB")
         assert out.count(line) == 2
-        assert main([*fleet, "--vectorized", "--jobs", "2"]) == 0
+        assert main([*fleet, "--jobs", "2"]) == 0
         out = capsys.readouterr().out
         assert out.count("16384 rows as <= 1171-row tiles, 14 waves on 1 lane,") == 2
         assert main(["sweep", "--preset", "cifar10-paper", "--algorithms",
                      "skiptrain", "--degrees", "6", "--seeds", "0",
-                     "--results-dir", res, "--vectorized", "--dry-run"]) == 0
+                     "--results-dir", res, "--dry-run"]) == 0
         assert ("256 rows as <= 1-row tiles, 128 waves on 2 lanes, "
                 "lane workspace 156.4 MiB") in capsys.readouterr().out
 

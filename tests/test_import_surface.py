@@ -59,7 +59,7 @@ def test_program_import_and_three_cells_load_no_heavy_package(tmp_path):
             cells.append((get_preset(spec.preset),
                           build_scenario_plan(spec, seeds=(0,), total_rounds=8)[0]))
         for cell_preset, cell in cells:
-            run_cell(cell_preset, cell, {str(tmp_path)!r}, vectorized=True)
+            run_cell(cell_preset, cell, {str(tmp_path)!r})
         print(json.dumps({{
             "heavy_at_import": heavy_at_import,
             "heavy_after_cells": [m for m in heavy if m in sys.modules],

@@ -141,7 +141,7 @@ def test_a_failing_tile_surfaces_after_every_tile_finished(failing, monkeypatch)
     the error reaches the engine only after they are done, and the state
     is neither rebound nor written."""
     prepared = prepare(get_preset("cifar10-bench"), 3, seed=0)
-    engine, _ = build_run(prepared, "d-psgd", total_rounds=2, vectorized=True)
+    engine, _ = build_run(prepared, "d-psgd", total_rounds=2)
     before, held = engine.state.copy(), engine.state
     indptr = engine.mixing.indptr
     tile_at = {int(indptr[len(held) * t // 3]): t for t in range(3)}
@@ -302,7 +302,7 @@ def test_a_paper_scale_cell_is_the_same_on_one_cpu_and_on_all(cpus, tmp_path, mo
         os.sched_setaffinity(0, mask)
         cuts.clear()
         out = tmp_path / f"cpus{len(mask)}"
-        run_cell(preset, cell, out, prepared=prepared, vectorized=True)
+        run_cell(preset, cell, out, prepared=prepared)
         artifacts.append(artifact_path(out, cell).read_bytes())
         tiles.append(max(cuts))
     assert artifacts[0] == artifacts[1]

@@ -11,6 +11,7 @@ inside the engine (sampled evaluation, failure-masked rounds).
 import dataclasses
 
 import numpy as np
+import oracles
 import pytest
 
 from repro import lanes
@@ -85,9 +86,9 @@ class TestModelZooEquality:
         model = small_mlp(16, 4, hidden=8, rng=rng)
         ds, _ = make_classification_images(SPEC, 120, rng)
         state = _state_for(model, 12, rng)
-        assert evaluate_state(model, state, ds) == evaluate_state(
-            model, state, ds, evaluator=BatchedEvaluator(model)
-        )
+        assert evaluate_state(
+            oracles.NodeByNodeEvaluator(model), state, ds
+        ) == evaluate_state(BatchedEvaluator(model), state, ds)
 
     def test_node_subsampling_exactly_equal(self):
         """``node_ids`` order and content must carry through: accuracies
@@ -222,18 +223,17 @@ class TestPerNodeAccuracyModes:
 N = 12
 
 
-def _engine(*, vectorized=False, batched_eval=False, sample=None, rounds=8):
-    """A 12-node engine; ``batched_eval`` gives a serial engine the
-    stacked evaluator, so the evaluator is the only thing that differs."""
+def _engine(*, node_by_node=False, sample=None, rounds=8):
+    """A 12-node engine; ``node_by_node`` gives it the oracle's per-node
+    evaluator, so the evaluator is the only thing that differs."""
     cfg = EngineConfig(local_steps=2, learning_rate=0.2, total_rounds=rounds,
-                       eval_every=2, eval_node_sample=sample,
-                       vectorized=vectorized)
+                       eval_every=2, eval_node_sample=sample)
     engine = build_engine(
         SPEC, N, cfg, lambda rng: small_mlp(16, 4, hidden=8, rng=rng),
         seed=11, num_train=25 * N, num_test=64, batch_size=8, topology="ring",
     )
-    if batched_eval:
-        engine.local_trainer.evaluator = BatchedEvaluator(engine.model)
+    if node_by_node:
+        engine.local_trainer.evaluator = oracles.NodeByNodeEvaluator(engine.model)
     return engine
 
 
@@ -253,31 +253,31 @@ class TestEngineEvalModes:
     must be consumed identically) and failure-masked rounds."""
 
     def test_forced_batched_equals_serial(self):
-        h_s = _engine().run(DPSGD(N))
-        h_b = _engine(batched_eval=True).run(DPSGD(N))
+        h_s = _engine(node_by_node=True).run(DPSGD(N))
+        h_b = _engine().run(DPSGD(N))
         _assert_history_equal(h_s, h_b)
 
     def test_eval_node_sample_rounds_equal(self):
-        h_s = _engine(sample=4).run(DPSGD(N))
-        h_b = _engine(batched_eval=True, sample=4).run(DPSGD(N))
+        h_s = _engine(node_by_node=True, sample=4).run(DPSGD(N))
+        h_b = _engine(sample=4).run(DPSGD(N))
         _assert_history_equal(h_s, h_b)
 
     def test_failure_masked_rounds_equal(self):
         from repro.simulation.failures import CrashWindow
 
-        def run(batched_eval):
-            eng = _engine(batched_eval=batched_eval, sample=5)
+        def run(node_by_node):
+            eng = _engine(node_by_node=node_by_node, sample=5)
             eng.failure_model = CrashWindow(N, [1, 4, 6], start=2, end=6)
             return eng.run(DPSGD(N))
 
-        _assert_history_equal(run(False), run(True))
+        _assert_history_equal(run(True), run(False))
 
     def test_auto_follows_vectorized(self):
-        """The evaluator is stacked exactly when training is."""
-        assert _engine().local_trainer.evaluator is None
-        assert isinstance(
-            _engine(vectorized=True).local_trainer.evaluator, BatchedEvaluator
-        )
+        """The engine's evaluator is stacked, as its training is; only
+        the oracle's serial loops evaluate node by node."""
+        assert isinstance(_engine().local_trainer.evaluator, BatchedEvaluator)
+        assert isinstance(oracles.serial(_engine()).local_trainer.evaluator,
+                          oracles.NodeByNodeEvaluator)
 
     def test_bad_eval_mode_rejected(self):
         with pytest.raises(TypeError, match="eval_mode"):
@@ -287,15 +287,15 @@ class TestEngineEvalModes:
     def test_global_average_accuracy_unchanged(self):
         """The consensus-model evaluation stays on the (single-vector)
         serial path whichever evaluator the rounds use."""
-        a = _engine()
-        b = _engine(batched_eval=True)
+        a = _engine(node_by_node=True)
+        b = _engine()
         a.run(DPSGD(N)), b.run(DPSGD(N))
         assert a.global_average_accuracy() == b.global_average_accuracy()
 
 
 class TestEvalModeStaysDeleted:
-    """One rule picks the evaluator — stacked iff ``vectorized`` — and
-    no keyword, config field or factory chooses another."""
+    """The engines' evaluator is always the stacked one, and no keyword,
+    config field or factory chooses another."""
 
     def test_no_eval_mode_keyword_anywhere(self, tiny_preset):
         from repro.experiments import build_run, prepare

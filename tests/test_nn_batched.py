@@ -1,6 +1,6 @@
 """Unit tests for the batched (node-axis) kernels and layer mirrors.
 
-The vectorized engine's bit-compatibility contract rests on each
+The stacked engine's bit-compatibility contract rests on each
 batched kernel being slice-for-slice bit-identical to its serial
 counterpart — these tests pin that property layer by layer, so an
 engine-level equality failure localizes immediately.
@@ -16,6 +16,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,7 +54,6 @@ from repro.nn.layers.normalization import GroupNorm
 from repro.nn.models import gn_lenet_cifar10
 from repro.nn.module import Sequential
 from repro.nn.serialization import parameter_vector, set_parameter_vector
-from repro.simulation.local_step import LocalTrainer
 
 RNG = np.random.default_rng(0)
 
@@ -757,7 +757,7 @@ def _bench_mlp(rng):
 class TestLanes:
     """Row tiles on lanes, forced onto calls far below the real work
     floor: laned ≡ unlaned ≡ the serial row loop
-    (``LocalTrainer.train_row``), byte for byte, with 7-row groups that
+    (``oracles.SerialTrainer.train_row``), byte for byte, with 7-row groups that
     neither 2 nor 3 tiles divide."""
 
     N_ROWS = 7
@@ -823,8 +823,8 @@ class TestLanes:
             unlaned, ids, x, y, idx, k
         )
         serial = np.array(state)
-        rows = LocalTrainer(
-            model, SimpleNamespace(x=x, y=y), self.STEPS, self.LR, wd, vectorized=False
+        rows = oracles.SerialTrainer(
+            model, SimpleNamespace(x=x, y=y), self.STEPS, self.LR, wd
         )
         serial_losses = np.array(
             [rows.train_row(serial[i], idx[p, :, : k[p]]) for p, i in enumerate(ids)]

@@ -15,6 +15,7 @@ import json
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -248,17 +249,18 @@ class TestSamplerMatchesNumpy:
             bank.draw(np.array([0, 3, 3]), 1)
         assert bank.consumed.sum() == 0 and bank.local_steps_done.sum() == 0
 
-    @pytest.mark.parametrize("vectorized", [False, True], ids=["serial", "stacked"])
+    @pytest.mark.parametrize("trainer_cls", [oracles.SerialTrainer, LocalTrainer],
+                             ids=["serial", "stacked"])
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_a_node_outside_the_bank_is_refused_before_a_cursor_moves(
-        self, bad, vectorized
+        self, bad, trainer_cls
     ):
         """Node ``-1`` used to alias node ``n - 1``: the draw advanced
         that node's stream and step count, then the stacked trainer
         refused the row (and the serial loop trained row ``n - 1``)."""
         bank, _ = _bank_of([8] * 5, 4, seed=0, features=3)
         model = small_mlp(3, 4, hidden=5, rng=np.random.default_rng(0))
-        trainer = LocalTrainer(model, bank, 2, 0.1, 0.0, vectorized)
+        trainer = trainer_cls(model, bank, 2, 0.1, 0.0)
         state = np.tile(parameter_vector(model), (5, 1))
         trainer.train(state, np.arange(5))
         before = [bank.consumed.copy(), bank.local_steps_done.copy(), state.copy()]
@@ -421,20 +423,21 @@ class TestKillAtRandomPointResumesThroughThePackedCodec:
         assert (artifact_path(killed, cell).read_bytes()
                 == artifact_path(ref, cell).read_bytes())
 
-    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize("run", [oracles.run_cell, run_cell],
+                             ids=["oracle", "product"])
     @pytest.mark.parametrize(
         "kill_event", sorted({int(e) for e in _KILL_RNG.integers(40, 280, size=2)})
     )
-    def test_async_churn_cell(self, tmp_path, kill_event, vectorized):
+    def test_async_churn_cell(self, tmp_path, kill_event, run):
         spec = get_scenario("churn-async")
         preset = get_preset(spec.preset)
         cell = build_scenario_plan(spec, seeds=(0,))[0]
         ref, killed = tmp_path / "ref", tmp_path / "killed"
-        run_cell(preset, cell, ref, vectorized=vectorized)
+        run(preset, cell, ref)
 
         def killer(engine, event, history, last):
-            # the vectorized engine's hook fires per window: kill at the
-            # first boundary at or past the drawn event
+            # the product's hook fires per window: kill at the first
+            # boundary at or past the drawn event
             if event >= kill_event:
                 # the checkpoint just written holds cursors that stand
                 # mid-way through the bank's read-ahead
@@ -443,12 +446,11 @@ class TestKillAtRandomPointResumesThroughThePackedCodec:
                 raise Kill
 
         with pytest.raises(Kill):
-            run_cell(preset, cell, killed, checkpoint_every=1,
-                     vectorized=vectorized, round_hook=killer)
+            run(preset, cell, killed, checkpoint_every=1, round_hook=killer)
         if checkpoint_path(killed, cell).is_file():
             with np.load(checkpoint_path(killed, cell)) as archive:
                 assert archive["node_rng"].dtype == np.uint64
-        run_cell(preset, cell, killed, checkpoint_every=1, vectorized=vectorized)
+        run(preset, cell, killed, checkpoint_every=1)
         assert (artifact_path(killed, cell).read_bytes()
                 == artifact_path(ref, cell).read_bytes())
 

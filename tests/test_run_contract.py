@@ -11,9 +11,11 @@ uninterrupted, byte for byte.
 """
 
 import ast
+import dataclasses
 import inspect
 import textwrap
 
+import oracles
 import pytest
 
 from repro.algorithm_names import (
@@ -60,18 +62,21 @@ class TestOneContract:
                        for name, p in params.items()
                        if name in ("start", "history", "hook"))
 
-    @pytest.mark.parametrize("vectorized", [False, True],
-                             ids=["serial", "vectorized"])
+    @pytest.mark.parametrize("oracle", [True, False],
+                             ids=["oracle", "product"])
     @pytest.mark.parametrize("kind", ["sync", "async"])
     def test_killed_and_resumed_equals_straight(
-        self, tiny_preset, tmp_path, kind, vectorized
+        self, tiny_preset, tmp_path, kind, oracle
     ):
+        """The oracle's async hook fires after every event, the
+        product's once per event window; both name resumable points."""
         name, horizon, cadence, kill_from = CELLS[kind]
         prepared = prepare(tiny_preset, 3, seed=4)
 
         def fresh():
-            return build_run(prepared, name, total_rounds=horizon,
-                             eval_every=cadence, vectorized=vectorized)
+            engine, algo = build_run(prepared, name, total_rounds=horizon,
+                                     eval_every=cadence)
+            return oracles.serial(engine) if oracle else engine, algo
 
         straight, algo = fresh()
         want = _bytes(straight, straight.run(algo))
@@ -97,6 +102,20 @@ class TestOneContract:
         assert at == seen[-1][0]
         got = _bytes(engine, engine.run(algo, start=at, history=history))
         assert got == want
+
+    @pytest.mark.parametrize("kind", ["sync", "async"])
+    def test_nonpositive_eval_node_sample_refused_at_construction(
+        self, tiny_preset, kind
+    ):
+        """Both engines refuse an empty or negative evaluation sample
+        when built, before any event or round runs."""
+        name, horizon, cadence, _ = CELLS[kind]
+        for sample in (0, -1):
+            preset = dataclasses.replace(tiny_preset, eval_node_sample=sample)
+            with pytest.raises(ValueError, match="eval_node_sample must be "
+                                                 "positive when given"):
+                build_run(prepare(preset, 3, seed=0), name,
+                          total_rounds=horizon, eval_every=cadence)
 
     def test_execute_run_wraps_by_engine(self, tiny_preset):
         prepared = prepare(tiny_preset, 3, seed=0)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 
 import numpy as np
+import oracles
 import pytest
 
 from repro.scenarios import (
@@ -307,9 +308,12 @@ class TestCompile:
             compile_run(spec)
 
     def test_async_vectorized_compiles(self, scn_preset):
+        """An async scenario compiles onto the stacked event engine."""
+        from repro.nn.batched import BatchedTrainer
+
         spec = tiny_scenario(algorithm=AlgorithmSpec(name="async-skiptrain"))
-        compiled = compile_run(spec, preset=scn_preset, vectorized=True)
-        assert compiled.engine.vectorized
+        compiled = compile_run(spec, preset=scn_preset)
+        assert isinstance(compiled.engine.local_trainer.stacked, BatchedTrainer)
 
     def test_churn_with_allreduce_rejected(self):
         spec = tiny_scenario(
@@ -506,22 +510,26 @@ class TestEngineChurnBehavior:
         assert "left" in snap
         assert not np.array_equal(engine.state[2], init_row2)
 
-    def test_async_partner_choice_respects_eligibility(self, scn_preset):
+    def test_async_partner_choice_respects_eligibility(
+        self, scn_preset, monkeypatch
+    ):
+        """Spied on the oracle's per-event gossip; the product picks the
+        same partners (the conformance suite's oracle ≡ product)."""
         spec = self.churn_spec().replace(
             algorithm=AlgorithmSpec(name="async-d-psgd"),
             failures=FailureSpec(kind="window", nodes=(1,), start=3, end=8),
         )
         compiled = compile_run(spec, preset=scn_preset, total_rounds=10)
-        engine, policy = compiled.engine, compiled.algorithm
+        engine, policy = oracles.serial(compiled.engine), compiled.algorithm
         chosen = []
-        orig = type(engine)._gossip
+        orig = oracles.gossip
 
-        def spy(i, eligible=None):
+        def spy(engine, i, eligible=None):
             j = orig(engine, i, eligible)
             chosen.append((j, None if eligible is None else eligible.copy()))
             return j
 
-        engine._gossip = spy
+        monkeypatch.setattr(oracles, "gossip", spy)
         engine.run(policy)
         assert chosen
         for j, eligible in chosen:

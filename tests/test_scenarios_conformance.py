@@ -4,12 +4,12 @@ For a grid of small scenario specs (churn, failures, battery budgets,
 data skew — composed), this asserts the three contracts every scenario
 cell must keep whatever engine executes it:
 
-(a) serial ≡ vectorized, state bit-for-bit and history
-    record-for-record — sync (batched rounds) *and* async (disjoint
-    event batching);
+(a) oracle ≡ product — the serial loops of ``tests/oracles.py`` and the
+    stacked engine — state bit-for-bit and history record-for-record,
+    sync (batched rounds) *and* async (disjoint event batching);
 (b) a mid-run checkpoint kill + resume produces byte-identical
-    artifacts for sync *and* async scenario cells, in either engine
-    flavor, including a serial checkpoint resumed mid-batch-window;
+    artifacts for sync *and* async scenario cells, including an oracle
+    checkpoint resumed by the product mid-batch-window;
 (c) dead (failure-window) and departed (churn) nodes are never
     selected as gossip partners in either engine.
 """
@@ -17,6 +17,7 @@ cell must keep whatever engine executes it:
 import dataclasses
 
 import numpy as np
+import oracles
 import pytest
 
 from repro.experiments.artifacts import artifact_path, checkpoint_path
@@ -85,13 +86,14 @@ _ids = lambda specs: [s.name for s in specs]
 
 
 class TestSerialVectorizedEquivalence:
-    """(a): the vectorized engine must be bit-compatible with the
-    serial one for every scenario composition, not just plain cells."""
+    """(a): the product engine must be bit-compatible with the serial
+    oracle for every scenario composition, not just plain cells."""
 
     @pytest.mark.parametrize("spec", SYNC_GRID, ids=_ids(SYNC_GRID))
     def test_state_and_history_bit_identical(self, grid_preset, spec):
-        serial = compile_run(spec, preset=grid_preset, vectorized=False)
-        vector = compile_run(spec, preset=grid_preset, vectorized=True)
+        serial = compile_run(spec, preset=grid_preset)
+        oracles.serial(serial.engine)
+        vector = compile_run(spec, preset=grid_preset)
         h_serial = serial.execute()
         h_vector = vector.execute()
         np.testing.assert_array_equal(serial.engine.state,
@@ -103,8 +105,9 @@ class TestSerialVectorizedEquivalence:
         """Disjoint event batching is bit-compatible with the serial
         event loop under every async composition — churn, failure
         windows, battery budgets, data skew, all three policies."""
-        serial = compile_run(spec, preset=grid_preset, vectorized=False)
-        vector = compile_run(spec, preset=grid_preset, vectorized=True)
+        serial = compile_run(spec, preset=grid_preset)
+        oracles.serial(serial.engine)
+        vector = compile_run(spec, preset=grid_preset)
         h_serial = serial.execute()
         h_vector = vector.execute()
         np.testing.assert_array_equal(serial.engine.state,
@@ -156,6 +159,8 @@ class TestKillResumeByteIdentity:
 
     @pytest.mark.parametrize("spec", ASYNC_GRID, ids=_ids(ASYNC_GRID))
     def test_async_scenario_cell(self, grid_preset, spec, tmp_path):
+        """Killed by the oracle, whose hook fires after every event, at
+        an event off the evaluation cadence; resumed by the product."""
         cell = self._cell(spec, grid_preset)
         lookup = lambda name: spec
         ref, killed = tmp_path / "ref", tmp_path / "killed"
@@ -164,6 +169,33 @@ class TestKillResumeByteIdentity:
 
         def killer(engine, event, history, last):
             if event == 50:  # mid-cell, off the eval cadence
+                raise self.Kill
+
+        with pytest.raises(self.Kill):
+            oracles.run_cell(grid_preset, cell, killed, checkpoint_every=2,
+                             round_hook=killer, scenario_lookup=lookup)
+        assert checkpoint_path(killed, cell).is_file()
+        assert not artifact_path(killed, cell).exists()
+        _, resumed = run_cell(grid_preset, cell, killed, checkpoint_every=2,
+                              scenario_lookup=lookup)
+        assert resumed
+        assert not checkpoint_path(killed, cell).exists()
+        assert (artifact_path(killed, cell).read_bytes()
+                == artifact_path(ref, cell).read_bytes())
+
+    @pytest.mark.parametrize("spec", ASYNC_GRID, ids=_ids(ASYNC_GRID))
+    def test_async_vectorized_cell(self, grid_preset, spec, tmp_path):
+        """The product's hook fires at batch-window ends (evaluation
+        boundaries), so the killer targets one; the kill leaves a
+        checkpoint behind and the resume is byte-identical."""
+        cell = self._cell(spec, grid_preset)
+        lookup = lambda name: spec
+        ref, killed = tmp_path / "ref", tmp_path / "killed"
+        run_cell(grid_preset, cell, ref, checkpoint_every=2,
+                 scenario_lookup=lookup)
+
+        def killer(engine, event, history, last):
+            if event == 48:  # a window end, past >=1 checkpoint
                 raise self.Kill
 
         with pytest.raises(self.Kill):
@@ -178,61 +210,32 @@ class TestKillResumeByteIdentity:
         assert (artifact_path(killed, cell).read_bytes()
                 == artifact_path(ref, cell).read_bytes())
 
-    @pytest.mark.parametrize("spec", ASYNC_GRID, ids=_ids(ASYNC_GRID))
-    def test_async_vectorized_cell(self, grid_preset, spec, tmp_path):
-        """Vectorized async flavor: the hook fires at batch-window ends
-        (evaluation boundaries), so the killer targets one; the kill
-        leaves a checkpoint behind and the resume is byte-identical."""
-        cell = self._cell(spec, grid_preset)
-        lookup = lambda name: spec
-        ref, killed = tmp_path / "ref", tmp_path / "killed"
-        run_cell(grid_preset, cell, ref, checkpoint_every=2,
-                 vectorized=True, scenario_lookup=lookup)
-
-        def killer(engine, event, history, last):
-            if event == 48:  # a window end, past >=1 checkpoint
-                raise self.Kill
-
-        with pytest.raises(self.Kill):
-            run_cell(grid_preset, cell, killed, checkpoint_every=2,
-                     round_hook=killer, vectorized=True,
-                     scenario_lookup=lookup)
-        assert checkpoint_path(killed, cell).is_file()
-        assert not artifact_path(killed, cell).exists()
-        _, resumed = run_cell(grid_preset, cell, killed, checkpoint_every=2,
-                              vectorized=True, scenario_lookup=lookup)
-        assert resumed
-        assert not checkpoint_path(killed, cell).exists()
-        assert (artifact_path(killed, cell).read_bytes()
-                == artifact_path(ref, cell).read_bytes())
-
     def test_async_serial_checkpoint_resumes_inside_batch_window(
         self, grid_preset, tmp_path
     ):
-        """The mid-batch-window contract, end to end: a *serial* run
-        checkpoints at event 24 — inside the vectorized engine's
-        [16, 32) batch window — gets killed at 30, and resumes on the
-        *vectorized* engine to the same results as both uninterrupted
-        flavors (only the provenance flag differs from the serial
-        ref)."""
+        """The mid-batch-window contract, end to end: an *oracle* run
+        checkpoints at event 24 — inside the product's [16, 32) batch
+        window — gets killed at 30, and resumes on the *product* to the
+        same results as the uninterrupted oracle (only the provenance
+        flag differs)."""
         import json
 
         spec = ASYNC_GRID[1]
         cell = self._cell(spec, grid_preset)
         lookup = lambda name: spec
         ref, killed = tmp_path / "ref", tmp_path / "killed"
-        run_cell(grid_preset, cell, ref, scenario_lookup=lookup)
+        oracles.run_cell(grid_preset, cell, ref, scenario_lookup=lookup)
 
         def killer(engine, event, history, last):
             if event == 30:  # past the off-boundary checkpoint at 24
                 raise self.Kill
 
         with pytest.raises(self.Kill):
-            run_cell(grid_preset, cell, killed, checkpoint_every=3,
-                     round_hook=killer, scenario_lookup=lookup)
+            oracles.run_cell(grid_preset, cell, killed, checkpoint_every=3,
+                             round_hook=killer, scenario_lookup=lookup)
         assert checkpoint_path(killed, cell).is_file()
         _, resumed = run_cell(grid_preset, cell, killed, checkpoint_every=3,
-                              vectorized=True, scenario_lookup=lookup)
+                              scenario_lookup=lookup)
         assert resumed
         a = json.loads(artifact_path(ref, cell).read_text())
         b = json.loads(artifact_path(killed, cell).read_text())
@@ -244,16 +247,16 @@ class TestKillResumeByteIdentity:
     def test_sync_vectorized_resume_matches_serial_artifact(
         self, grid_preset, tmp_path
     ):
-        """Engine flavor and interruption compose: a killed vectorized
-        scenario cell resumes to the same result fields as an
-        uninterrupted serial run (only the provenance block differs)."""
+        """Oracle and interruption compose: a killed product scenario
+        cell resumes to the same result fields as an uninterrupted
+        oracle run (only the provenance block differs)."""
         import json
 
         spec = SYNC_GRID[0]
         cell = self._cell(spec, grid_preset)
         lookup = lambda name: spec
         ref, killed = tmp_path / "ref", tmp_path / "killed"
-        run_cell(grid_preset, cell, ref, scenario_lookup=lookup)
+        oracles.run_cell(grid_preset, cell, ref, scenario_lookup=lookup)
 
         def killer(engine, t, history, last_eval):
             if t == 9:
@@ -261,10 +264,9 @@ class TestKillResumeByteIdentity:
 
         with pytest.raises(self.Kill):
             run_cell(grid_preset, cell, killed, checkpoint_every=2,
-                     round_hook=killer, vectorized=True,
-                     scenario_lookup=lookup)
+                     round_hook=killer, scenario_lookup=lookup)
         run_cell(grid_preset, cell, killed, checkpoint_every=2,
-                 vectorized=True, scenario_lookup=lookup)
+                 scenario_lookup=lookup)
         a = json.loads(artifact_path(ref, cell).read_text())
         b = json.loads(artifact_path(killed, cell).read_text())
         assert a["engine"] == {"vectorized": False}
@@ -357,17 +359,19 @@ class TestPartnerExclusion:
     # churn-bearing specs only: the spy reconstructs the round from
     # engine._churn_round, which a churn-free spec never advances
     @pytest.mark.parametrize("spec", ASYNC_GRID[:2], ids=_ids(ASYNC_GRID[:2]))
-    def test_async_partner_never_ineligible(self, grid_preset, spec):
-        """Spy on every pairwise gossip: the chosen partner must be
-        eligible under the engine's mask, and that mask must match the
-        spec-derived membership/alive sets."""
+    def test_async_partner_never_ineligible(self, grid_preset, spec,
+                                            monkeypatch):
+        """Spy on every pairwise gossip of the oracle's per-event loop:
+        the chosen partner must be eligible under the engine's mask, and
+        that mask must match the spec-derived membership/alive sets. The
+        product picks the same partners — (a) holds it to the oracle."""
         compiled = compile_run(spec, preset=grid_preset, total_rounds=12)
-        engine, policy = compiled.engine, compiled.algorithm
+        engine, policy = oracles.serial(compiled.engine), compiled.algorithm
         n = grid_preset.n_nodes
         chosen = []
-        orig = type(engine)._gossip
+        orig = oracles.gossip
 
-        def spy(i, eligible=None):
+        def spy(engine, i, eligible=None):
             j = orig(engine, i, eligible)
             chosen.append(
                 (j, None if eligible is None else eligible.copy(),
@@ -375,7 +379,7 @@ class TestPartnerExclusion:
             )
             return j
 
-        engine._gossip = spy
+        monkeypatch.setattr(oracles, "gossip", spy)
         engine.run(policy)
         assert chosen
         for j, eligible, t in chosen:

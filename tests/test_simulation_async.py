@@ -3,6 +3,7 @@
 import types
 
 import numpy as np
+import oracles
 import pytest
 
 from repro.core import RoundSchedule
@@ -28,8 +29,8 @@ SPEC = SyntheticSpec(num_classes=4, channels=1, image_size=4,
 
 def make_engine(seed=0, with_trace=True, n=N, eval_node_sample=None,
                 failure_model=None, enforce_budgets=False, degree=3,
-                battery_fraction=0.1, vectorized=False,
-                activations_per_node=24, eval_every=None):
+                battery_fraction=0.1, activations_per_node=24,
+                eval_every=None):
     rngs = RngFactory(seed)
     train, protos = make_classification_images(SPEC, 50 * n,
                                                rngs.stream("data"))
@@ -48,7 +49,6 @@ def make_engine(seed=0, with_trace=True, n=N, eval_node_sample=None,
         trace=trace, eval_node_sample=eval_node_sample,
         eval_rng=rngs.stream("async-eval"),
         failure_model=failure_model, enforce_budgets=enforce_budgets,
-        vectorized=vectorized,
     )
 
 
@@ -72,7 +72,7 @@ class TestAsyncEngine:
         eng.state = rng.normal(size=eng.state.shape)
         mean = eng.state.mean(axis=0).copy()
         for i in range(N):
-            eng._gossip(i)
+            oracles.gossip(eng, i)
         np.testing.assert_allclose(eng.state.mean(axis=0), mean, atol=1e-12)
 
     def test_deterministic(self):
@@ -183,20 +183,14 @@ class TestGossipInPlace:
         """The in-place hot path must match ``0.5 * (s_i + s_j)`` bit
         for bit — checked at n=64 over a full run."""
 
-        def old_gossip(self, i, alive=None):
-            candidates = self.neighbors[i]
-            if alive is not None:
-                candidates = candidates[alive[candidates]]
-                if candidates.size == 0:
-                    return
-            j = int(self.rng.choice(candidates))
+        def old_average(self, i, j):
             avg = 0.5 * (self.state[i] + self.state[j])
             self.state[i] = avg
             self.state[j] = avg
 
         fast = make_engine(seed=5, n=64, degree=4, activations_per_node=4)
         slow = make_engine(seed=5, n=64, degree=4, activations_per_node=4)
-        slow._gossip = types.MethodType(old_gossip, slow)
+        slow._average = types.MethodType(old_average, slow)
         h_fast = fast.run(AsyncDPSGD())
         h_slow = slow.run(AsyncDPSGD())
         np.testing.assert_array_equal(fast.state, slow.state)
@@ -284,7 +278,8 @@ class TestAsyncStateDict:
     def test_resume_bit_identical_from_any_event(self):
         """Snapshot at an arbitrary (non-eval) event boundary, restore
         into a fresh engine, continue: final state, counters, and
-        records equal the uninterrupted run exactly."""
+        records equal the uninterrupted run exactly. The snapshot comes
+        from the serial oracle, whose hook fires after every event."""
         horizon = dict(eval_node_sample=4, activations_per_node=16,
                        eval_every=8)
         ref = make_engine(seed=7, **horizon)
@@ -302,7 +297,7 @@ class TestAsyncStateDict:
                 snap["records"] = list(history.records)
                 raise Stop
 
-        killed = make_engine(seed=7, **horizon)
+        killed = oracles.serial(make_engine(seed=7, **horizon))
         with pytest.raises(Stop):
             killed.run(AsyncDPSGD(), hook=snapshot)
 
@@ -377,10 +372,10 @@ def _policies():
 
 
 class TestVectorizedEventBatching:
-    """``vectorized=True``: disjoint event batching through the stacked
-    kernels must leave the whole trajectory — state matrix, counters,
-    energy, every rng stream, history records — bit-identical to the
-    serial event loop."""
+    """Disjoint event batching through the stacked kernels must leave
+    the whole trajectory — state matrix, counters, energy, every rng
+    stream, history records — bit-identical to the serial event loop
+    of the oracle."""
 
     def _assert_trajectories_equal(self, serial_eng, batched_eng,
                                    serial_hist, batched_hist):
@@ -399,8 +394,8 @@ class TestVectorizedEventBatching:
     def test_bit_identical_per_policy(self, name):
         make = _policies()[name]
         horizon = dict(seed=3, activations_per_node=6, eval_every=16)
-        serial = make_engine(**horizon)
-        batched = make_engine(vectorized=True, **horizon)
+        serial = oracles.serial(make_engine(**horizon))
+        batched = make_engine(**horizon)
         h_s = serial.run(make())
         h_b = batched.run(make())
         self._assert_trajectories_equal(serial, batched, h_s, h_b)
@@ -410,8 +405,8 @@ class TestVectorizedEventBatching:
         kw = dict(seed=4, failure_model=window, enforce_budgets=True,
                   battery_fraction=0.05, activations_per_node=8,
                   eval_every=16)
-        serial = make_engine(**kw)
-        batched = make_engine(vectorized=True, **kw)
+        serial = oracles.serial(make_engine(**kw))
+        batched = make_engine(**kw)
         h_s = serial.run(AsyncDPSGD())
         h_b = batched.run(AsyncDPSGD())
         self._assert_trajectories_equal(serial, batched, h_s, h_b)
@@ -421,8 +416,7 @@ class TestVectorizedEventBatching:
         each batch every (activator, partner) node set is pairwise
         disjoint, and at least one batch stacks multiple trainings
         (otherwise the mode silently degenerated to serial)."""
-        eng = make_engine(seed=0, vectorized=True, activations_per_node=8,
-                          eval_every=16)
+        eng = make_engine(seed=0, activations_per_node=8, eval_every=16)
         executed = []
         orig = AsyncGossipEngine._execute_batch
 
@@ -457,25 +451,24 @@ class TestVectorizedEventBatching:
 
     def test_hook_fires_once_per_window(self):
         events = []
-        eng = make_engine(seed=0, vectorized=True, activations_per_node=6,
-                          eval_every=16)
+        eng = make_engine(seed=0, activations_per_node=6, eval_every=16)
         eng.run(AsyncDPSGD(), hook=lambda e, at, h, resumable_at:
                 events.append((at, resumable_at)))
         assert events == [(16, 16), (32, 32), (48, 48)]
 
     def test_resume_inside_batch_window_crosses_engine_flavors(self):
-        """A serial checkpoint taken at an event boundary *inside* a
-        batch window resumes bit-identically on the vectorized engine:
+        """An oracle checkpoint taken at an event boundary *inside* a
+        batch window resumes bit-identically on the product engine:
         its first window is simply shorter (event 21 -> boundary 32)."""
 
         class Stop(Exception):
             pass
 
         horizon = dict(seed=6, activations_per_node=48 // N, eval_every=16)
-        ref = make_engine(vectorized=True, **horizon)
+        ref = make_engine(**horizon)
         h_ref = ref.run(AsyncDPSGD())
 
-        donor = make_engine(**horizon)  # serial
+        donor = oracles.serial(make_engine(**horizon))
         captured = {}
 
         def stopper(engine, event, history, resumable_at):
@@ -487,32 +480,30 @@ class TestVectorizedEventBatching:
             donor.run(AsyncDPSGD(), hook=stopper)
         sd = donor.state_dict()
 
-        resumed = make_engine(vectorized=True, **horizon)
+        resumed = make_engine(**horizon)
         resumed.load_state_dict(sd)
         h_res = resumed.run(AsyncDPSGD(), start=21,
                             history=captured["history"])
         self._assert_trajectories_equal(ref, resumed, h_ref, h_res)
 
     def test_trainer_built_eagerly(self):
-        assert make_engine(vectorized=True).local_trainer.stacked is not None
-        assert make_engine().local_trainer.stacked is None
+        assert make_engine().local_trainer.stacked is not None
 
     def test_evaluator_follows_vectorized(self):
-        """The serial engine evaluates node by node, as the serial sync
-        engine does; only a vectorized engine stacks the evaluation."""
+        """The engine stacks its evaluation, as the sync engine does;
+        only the oracle evaluates node by node."""
         from repro.nn.batched import BatchedEvaluator
 
-        assert make_engine().local_trainer.evaluator is None
-        assert isinstance(
-            make_engine(vectorized=True).local_trainer.evaluator,
-            BatchedEvaluator,
-        )
+        assert isinstance(make_engine().local_trainer.evaluator,
+                          BatchedEvaluator)
+        assert isinstance(oracles.serial(make_engine()).local_trainer.evaluator,
+                          oracles.NodeByNodeEvaluator)
 
     def test_serial_and_vectorized_engines_share_one_executor(self):
         """Both engines train through the same executor class; the
         async one without weight decay."""
         from repro.simulation.local_step import LocalTrainer
 
-        for engine in (make_engine(), make_engine(vectorized=True)):
-            assert type(engine.local_trainer) is LocalTrainer
-            assert engine.local_trainer.optimizer.weight_decay == 0.0
+        engine = make_engine()
+        assert type(engine.local_trainer) is LocalTrainer
+        assert engine.local_trainer.weight_decay == 0.0

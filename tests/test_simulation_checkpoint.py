@@ -1,6 +1,7 @@
 """Checkpoint/resume tests."""
 
 import numpy as np
+import oracles
 import pytest
 
 from repro.core import DPSGD
@@ -311,12 +312,16 @@ class Kill(Exception):
     pass
 
 
-def build(prepared, kind, vectorized):
+def build(prepared, kind, layout="product"):
+    """A wired (engine, algorithm) pair of ``kind``, on the product's
+    stacked path or the serial ``oracle`` loops."""
     if kind == "async":
-        return build_run(prepared, "async-skiptrain-constrained",
-                         total_rounds=6, eval_every=1, vectorized=vectorized)
-    return build_run(prepared, "skiptrain-constrained", total_rounds=12,
-                     eval_every=2, vectorized=vectorized)
+        engine, algo = build_run(prepared, "async-skiptrain-constrained",
+                                 total_rounds=6, eval_every=1)
+    else:
+        engine, algo = build_run(prepared, "skiptrain-constrained",
+                                 total_rounds=12, eval_every=2)
+    return (oracles.serial(engine) if layout == "oracle" else engine), algo
 
 
 def run(pair, trace, **kwargs):
@@ -326,15 +331,15 @@ def run(pair, trace, **kwargs):
 class TestOnePairBothEngines:
     """The same two functions checkpoint a sync and an async run."""
 
-    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize("layout", ["oracle", "product"])
     @pytest.mark.parametrize("kind", ["sync", "async"])
-    def test_kill_and_resume(self, tiny_preset, tmp_path, kind, vectorized):
+    def test_kill_and_resume(self, tiny_preset, tmp_path, kind, layout):
         prepared = prepare(tiny_preset, 3, seed=2)
         path = tmp_path / "run.npz"
-        straight = build(prepared, kind, vectorized)
+        straight = build(prepared, kind, layout)
         want = run(straight, prepared.trace)
 
-        doomed = build(prepared, kind, vectorized)
+        doomed = build(prepared, kind, layout)
         saved = []
 
         def hook(engine, at, history, resumable_at):
@@ -347,7 +352,7 @@ class TestOnePairBothEngines:
         with pytest.raises(Kill):
             run(doomed, prepared.trace, hook=hook)
 
-        fresh = build(prepared, kind, vectorized)
+        fresh = build(prepared, kind, layout)
         start, history = load_run_checkpoint(*fresh, path)
         assert [start] == saved
         got = run(fresh, prepared.trace, start=start, history=history)
@@ -365,16 +370,16 @@ class TestOnePairBothEngines:
     ):
         prepared = prepare(tiny_preset, 3, seed=2)
         path = tmp_path / "run.npz"
-        donor = build(prepared, saved_kind, False)
+        donor = build(prepared, saved_kind)
         result = run(donor, prepared.trace)
         save_run_checkpoint(*donor, result.history, 1, path)
 
-        victim = build(prepared, offered, False)
+        victim = build(prepared, offered)
         with pytest.raises(ValueError) as err:
             load_run_checkpoint(*victim, path)
         assert "sync" in str(err.value) and "async" in str(err.value)
         assert "delete it and rerun the cell" in str(err.value)
-        assert_untouched(victim[0], build(prepared, offered, False)[0])
+        assert_untouched(victim[0], build(prepared, offered)[0])
 
     def test_deleted_pairs_stay_deleted(self):
         import repro.simulation as simulation

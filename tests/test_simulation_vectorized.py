@@ -1,15 +1,16 @@
-"""Vectorized-engine equivalence tests.
+"""Stacked-engine equivalence tests.
 
 The contract under test (see ``repro.simulation.engine``): with plain
-SGD the vectorized path produces a ``state`` matrix and ``RunHistory``
-**bit-identical** to the serial engine — same RNG batch streams, same
-arithmetic, reordered from per-node loops into stacked kernels — over
-either state backend, and however the trained rows are split into
-blocks.
+SGD the engine's stacked path produces a ``state`` matrix and
+``RunHistory`` **bit-identical** to the serial oracle loop
+(``tests/oracles.py``) — same RNG batch streams, same arithmetic,
+reordered from per-node loops into stacked kernels — over either state
+backend, and however the trained rows are split into blocks.
 """
 
 import numpy as np
 import pytest
+from oracles import serial as on_serial_loops
 
 from repro.core import DPSGD, RoundSchedule, SkipTrain
 from repro.core.base import Algorithm
@@ -33,20 +34,25 @@ def _cnn(rng):
     return small_cnn(1, 4, 4, channels=4, rng=rng)
 
 
-def _cfg(vectorized, total_rounds=8, weight_decay=0.0, state_backend="memory"):
+def _cfg(total_rounds=8, weight_decay=0.0, state_backend="memory"):
     return EngineConfig(local_steps=2, learning_rate=0.2,
                         total_rounds=total_rounds, eval_every=4,
-                        weight_decay=weight_decay, vectorized=vectorized,
+                        weight_decay=weight_decay,
                         state_backend=state_backend)
 
 
-def _engine(vectorized, *, seed=7, model_factory=_mlp, topology="ring",
-            n_nodes=N, **cfg_kw):
+def _engine(*, seed=7, model_factory=_mlp, topology="ring", n_nodes=N,
+            **cfg_kw):
     return build_engine(
-        SPEC, n_nodes, _cfg(vectorized, **cfg_kw), model_factory,
+        SPEC, n_nodes, _cfg(**cfg_kw), model_factory,
         seed=seed, num_train=25 * n_nodes, num_test=64, batch_size=8,
         topology=topology,
     )
+
+
+def _oracle(**kwargs):
+    """The same engine on the serial oracle loop."""
+    return on_serial_loops(_engine(**kwargs))
 
 
 def _assert_history_equal(a, b):
@@ -87,38 +93,38 @@ class TestSerialVectorizedEquivalence:
         lambda: SkipTrain(N, RoundSchedule(2, 1)),
     ], ids=["dpsgd", "skiptrain"])
     def test_state_and_history_bitwise_equal(self, algo_factory):
-        serial = _engine(False)
+        serial = _oracle()
         h_serial = serial.run(algo_factory())
-        vectorized = _engine(True)
-        h_vectorized = vectorized.run(algo_factory())
-        np.testing.assert_array_equal(serial.state, vectorized.state)
-        _assert_history_equal(h_serial, h_vectorized)
+        product = _engine()
+        h_product = product.run(algo_factory())
+        np.testing.assert_array_equal(serial.state, product.state)
+        _assert_history_equal(h_serial, h_product)
 
     def test_cnn_model_bitwise_equal(self):
-        serial = _engine(False, model_factory=_cnn)
+        serial = _oracle(model_factory=_cnn)
         h_s = serial.run(DPSGD(N))
-        vectorized = _engine(True, model_factory=_cnn)
-        h_v = vectorized.run(DPSGD(N))
-        np.testing.assert_array_equal(serial.state, vectorized.state)
+        product = _engine(model_factory=_cnn)
+        h_v = product.run(DPSGD(N))
+        np.testing.assert_array_equal(serial.state, product.state)
         _assert_history_equal(h_s, h_v)
 
     def test_weight_decay_bitwise_equal(self):
-        serial = _engine(False, weight_decay=0.01)
+        serial = _oracle(weight_decay=0.01)
         serial.run(DPSGD(N))
-        vectorized = _engine(True, weight_decay=0.01)
-        vectorized.run(DPSGD(N))
-        np.testing.assert_array_equal(serial.state, vectorized.state)
+        product = _engine(weight_decay=0.01)
+        product.run(DPSGD(N))
+        np.testing.assert_array_equal(serial.state, product.state)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("topology", ["ring", "regular"])
     def test_property_random_masks_and_topologies(self, seed, topology):
         """Property-style sweep: random participation masks over both
         topology families must stay bit-identical."""
-        serial = _engine(False, seed=seed, topology=topology, total_rounds=6)
+        serial = _oracle(seed=seed, topology=topology, total_rounds=6)
         h_s = serial.run(RandomMask(N, seed=seed))
-        vectorized = _engine(True, seed=seed, topology=topology, total_rounds=6)
-        h_v = vectorized.run(RandomMask(N, seed=seed))
-        np.testing.assert_array_equal(serial.state, vectorized.state)
+        product = _engine(seed=seed, topology=topology, total_rounds=6)
+        h_v = product.run(RandomMask(N, seed=seed))
+        np.testing.assert_array_equal(serial.state, product.state)
         _assert_history_equal(h_s, h_v)
 
 
@@ -135,9 +141,9 @@ class TestParallelBlockEquivalence:
     def test_vectorized_parallel_matches_serial(self):
         """The stacked block trained in place over an mmap-backed state
         matrix still matches the serial engine over memory."""
-        serial = _engine(False)
+        serial = _oracle()
         h_s = serial.run(DPSGD(N))
-        par = _engine(True, state_backend="mmap")
+        par = _engine(state_backend="mmap")
         try:
             h_p = par.run(DPSGD(N))
             np.testing.assert_array_equal(serial.state, par.state)
@@ -148,7 +154,7 @@ class TestParallelBlockEquivalence:
     def test_block_size_does_not_change_results(self):
         """Rows are independent: one stacked call over all nodes equals
         the same rows trained in blocks of 2 or 5, state and losses."""
-        eng = _engine(True)
+        eng = _engine()
         ids, idx, k = _drawn_round(eng)
         x, y = eng.nodes.x, eng.nodes.y
         stacked = eng.local_trainer.stacked
@@ -167,14 +173,14 @@ class TestParallelBlockEquivalence:
     def test_serial_worker_blocks_match_too(self):
         """The serial per-row loop and the stacked trainer, fed the same
         drawn batches, give every row and every loss the same bits."""
-        serial, vectorized = _engine(False), _engine(True)
+        serial, product = _oracle(), _engine()
         ids, idx, k = _drawn_round(serial)
         rows = serial.state.copy()
         loop = [serial.local_trainer.train_row(rows[i], idx[i, :, : k[i]])
                 for i in ids]
-        block = vectorized.state.copy()
-        stacked = vectorized.local_trainer.stacked.train_rows(
-            block, ids, vectorized.nodes.x, vectorized.nodes.y, idx, k
+        block = product.state.copy()
+        stacked = product.local_trainer.stacked.train_rows(
+            block, ids, product.nodes.x, product.nodes.y, idx, k
         )
         np.testing.assert_array_equal(rows, block)
         np.testing.assert_array_equal(np.array(loop), stacked)
@@ -184,14 +190,14 @@ class TestParallelBlockEquivalence:
         it masks the serial loop."""
         from repro.simulation.failures import CrashWindow
 
-        def with_failures(vectorized):
-            eng = _engine(vectorized)
+        def with_failures(build):
+            eng = build()
             eng.failure_model = CrashWindow(N, [0, 3, 5], start=2, end=6)
             return eng
 
-        serial = with_failures(False)
+        serial = with_failures(_oracle)
         h_s = serial.run(DPSGD(N))
-        par = with_failures(True)
+        par = with_failures(_engine)
         h_p = par.run(DPSGD(N))
         np.testing.assert_array_equal(serial.state, par.state)
         _assert_history_equal(h_s, h_p)
@@ -216,26 +222,26 @@ class TestMaskEmptyRegression:
             assert not r.is_training_round
 
     def test_serial(self):
-        eng = _engine(False, total_rounds=4)
+        eng = _oracle(total_rounds=4)
         self._check(eng.run(NoTraining(N)))
 
     def test_vectorized(self):
-        eng = _engine(True, total_rounds=4)
+        eng = _engine(total_rounds=4)
         self._check(eng.run(NoTraining(N)))
 
     def test_parallel(self):
-        eng = _engine(True, total_rounds=4, state_backend="mmap")
+        eng = _engine(total_rounds=4, state_backend="mmap")
         try:
             self._check(eng.run(NoTraining(N)))
         finally:
             eng.close()
 
     def test_states_identical_across_flavors(self):
-        serial = _engine(False, total_rounds=4)
+        serial = _oracle(total_rounds=4)
         serial.run(NoTraining(N))
-        vectorized = _engine(True, total_rounds=4)
-        vectorized.run(NoTraining(N))
-        np.testing.assert_array_equal(serial.state, vectorized.state)
+        product = _engine(total_rounds=4)
+        product.run(NoTraining(N))
+        np.testing.assert_array_equal(serial.state, product.state)
 
 
 class TestConfigValidation:
@@ -244,7 +250,7 @@ class TestConfigValidation:
     def test_momentum_rejected_when_vectorized(self):
         with pytest.raises(TypeError, match="momentum"):
             EngineConfig(local_steps=1, learning_rate=0.1, total_rounds=1,
-                         momentum=0.9, vectorized=True)
+                         momentum=0.9)
 
     def test_momentum_bounds_audited(self):
         with pytest.raises(TypeError, match="momentum"):
@@ -266,4 +272,4 @@ class TestConfigValidation:
             return Sequential(Linear(16, 4, rng=rng), Dropout(0.5))
 
         with pytest.raises(UnsupportedLayerError):
-            _engine(True, model_factory=dropout_model)
+            _engine(model_factory=dropout_model)

@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 
 from repro.experiments.runner import build_run, prepare
@@ -129,7 +130,8 @@ class TestBackendBitIdentity:
         self, tiny_preset, tmp_path, save_backend, load_backend
     ):
         """The same pair, an async run: snapshotted mid-window under
-        one backing, resumed bit-exactly under the other."""
+        one backing by the oracle (whose hook fires after every event),
+        resumed bit-exactly under the other by the product."""
         prepared = prepare(tiny_preset, 3, seed=1)
         path = tmp_path / "run.npz"
 
@@ -141,6 +143,7 @@ class TestBackendBitIdentity:
         h_straight = straight.run(policy_s)
 
         doomed, policy_d = build(save_backend)
+        oracles.serial(doomed)
 
         def hook(engine, event, history, resumable_at):
             if event == 13:  # off the evaluation cadence

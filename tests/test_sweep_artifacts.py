@@ -7,6 +7,7 @@ byte-identical raw artifacts and CSVs."""
 import dataclasses
 import json
 
+import oracles
 import pytest
 
 from repro.experiments import (
@@ -275,8 +276,8 @@ class TestSweepExecution:
     ):
         cell = build_plan(micro_preset, ("skiptrain",), seeds=(0,))[0]
         serial, vector = tmp_path / "serial", tmp_path / "vector"
-        run_cell(micro_preset, cell, serial, vectorized=False)
-        run_cell(micro_preset, cell, vector, vectorized=True)
+        oracles.run_cell(micro_preset, cell, serial)
+        run_cell(micro_preset, cell, vector)
         a = load_cell_artifact(artifact_path(serial, cell))
         b = load_cell_artifact(artifact_path(vector, cell))
         assert a["engine"] == {"vectorized": False}
@@ -301,7 +302,8 @@ class TestOneExecutor:
     CASES = {
         "sync-plain": ("sync", None, 9),
         "sync-scenario": ("sync", "skiptrain", 9),
-        # events, off the evaluation cadence: any boundary resumes
+        # events, off the evaluation cadence: any boundary resumes, and
+        # the oracle's hook, which fires after every event, kills there
         "async-plain": ("async", None, 51),
         "async-scenario": ("async", "async-skiptrain", 51),
     }
@@ -347,8 +349,9 @@ class TestOneExecutor:
             if at == kill_at:
                 raise Kill
 
+        kill_run = oracles.run_cell if kind == "async" else run_cell
         with pytest.raises(Kill):
-            run_cell(preset, cell, killed, checkpoint_every=2,
+            kill_run(preset, cell, killed, checkpoint_every=2,
                      round_hook=killer, **options)
         ckpt = checkpoint_path(killed, cell)
         assert ckpt.is_file() and not artifact_path(killed, cell).exists()
@@ -566,7 +569,9 @@ class TestAsyncOrchestration:
         """Kill an async cell at an arbitrary event (not aligned with
         the eval cadence), rerun, and the final artifact equals an
         uninterrupted run's byte for byte — event heap, counters,
-        policy state, and every rng stream survive the restart."""
+        policy state, and every rng stream survive the restart. The
+        oracle is killed (its hook fires after every event), the
+        product resumes."""
         cell = build_plan(micro_async, (algorithm,), seeds=(0,),
                           kind="async")[0]
         ref, killed = tmp_path / "ref", tmp_path / "killed"
@@ -581,8 +586,8 @@ class TestAsyncOrchestration:
                 raise Kill
 
         with pytest.raises(Kill):
-            run_cell(micro_async, cell, killed, checkpoint_every=2,
-                     round_hook=killer)
+            oracles.run_cell(micro_async, cell, killed, checkpoint_every=2,
+                             round_hook=killer)
         assert checkpoint_path(killed, cell).is_file()
         assert not artifact_path(killed, cell).exists()
 
@@ -614,7 +619,7 @@ class TestAsyncOrchestration:
         assert 0.0 <= payload["results"]["final_accuracy"] <= 1.0
         assert payload["results"]["total_comm_wh"] == 0.0
         assert payload["engine"] == {
-            "events": 12 * micro_async.n_nodes, "vectorized": False,
+            "events": 12 * micro_async.n_nodes, "vectorized": True,
         }
 
     def test_async_cells_aggregate_alongside_sync(
@@ -663,13 +668,13 @@ class TestAsyncOrchestration:
         self, micro_async, tmp_path
     ):
         """The async analogue of the sync bit-compatibility test: a
-        vectorized (disjoint-event-batched) async cell's artifact is
-        identical to the serial one up to the engine provenance flag."""
+        product (disjoint-event-batched) async cell's artifact is
+        identical to the oracle's up to the engine provenance flag."""
         cell = build_plan(micro_async, ("async-skiptrain",), seeds=(0,),
                           kind="async")[0]
         serial, vector = tmp_path / "serial", tmp_path / "vector"
-        run_cell(micro_async, cell, serial, vectorized=False)
-        run_cell(micro_async, cell, vector, vectorized=True)
+        oracles.run_cell(micro_async, cell, serial)
+        run_cell(micro_async, cell, vector)
         a = load_cell_artifact(artifact_path(serial, cell))
         b = load_cell_artifact(artifact_path(vector, cell))
         assert a["engine"]["vectorized"] is False
