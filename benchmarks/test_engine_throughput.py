@@ -114,12 +114,11 @@ def _mlp_factory(rng: np.random.Generator):
     return small_mlp(64, 10, hidden=16, rng=rng)
 
 
-def _throughput_engine(n_nodes: int, *, state_backend: str = "memory",
-                       rounds: int = ENGINE_ROUNDS):
+def _throughput_engine(n_nodes: int, *, rounds: int = ENGINE_ROUNDS):
     """Bench-model engine sized so per-round training dominates: a tiny
     test set keeps the (identical-cost) final evaluation negligible."""
     cfg = EngineConfig(local_steps=8, learning_rate=0.2, total_rounds=rounds,
-                       eval_every=10_000, state_backend=state_backend)
+                       eval_every=10_000)
     return build_engine(SPEC, n_nodes, cfg, _mlp_factory, seed=0,
                         num_train=40 * n_nodes, num_test=32, batch_size=8)
 
@@ -129,19 +128,6 @@ def test_rounds_vectorized(benchmark, n_nodes):
     """Batched multi-node engine: stacked GEMMs over all masked nodes."""
     eng = _throughput_engine(n_nodes)
     run_once(benchmark, lambda: eng.run(DPSGD(n_nodes)))
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("n_nodes", [16, 64, 256])
-def test_rounds_vectorized_mmap(benchmark, n_nodes):
-    """Batched engine training in place over an mmap-backed state
-    matrix: the two fleet axes composed. Tracks what the file-backed
-    store costs against ``test_rounds_vectorized``."""
-    eng = _throughput_engine(n_nodes, state_backend="mmap")
-    try:
-        run_once(benchmark, lambda: eng.run(DPSGD(n_nodes)))
-    finally:
-        eng.close()
 
 
 @pytest.mark.slow
@@ -423,22 +409,17 @@ FLEET_RSS_CAP_MIB = 2048.0
 
 def _measure_fleet_cell(n_nodes: int):
     """(seconds, rounds) for one full fleet-preset sync cell — sparse
-    NeighborList topology, stacked trainer, auto state backend."""
+    NeighborList topology, stacked trainer, in-memory state."""
     from repro.experiments.presets import fleet_preset
     from repro.experiments.runner import build_run, prepare
 
     preset = fleet_preset(n_nodes)
     prepared = prepare(preset, preset.degrees[0], seed=0)
     engine, algo = build_run(prepared, "skiptrain",
-                             total_rounds=preset.total_rounds,
-                             state_backend="auto")
-    try:
-        t0 = time.perf_counter()
-        engine.run(algo)
-        elapsed = time.perf_counter() - t0
-    finally:
-        engine.close()
-    return elapsed, preset.total_rounds
+                             total_rounds=preset.total_rounds)
+    t0 = time.perf_counter()
+    engine.run(algo)
+    return time.perf_counter() - t0, preset.total_rounds
 
 
 @pytest.mark.parametrize("n_nodes", [1024, 4096, 16384])
@@ -455,7 +436,6 @@ def test_train_rounds_fleet(n_nodes):
         "n_nodes": n_nodes,
         "rounds": rounds,
         "vectorized": True,
-        "state_backend": "auto",
         "cell_s": round(elapsed, 4),
         "rounds_per_s": round(rounds / elapsed, 3),
     })

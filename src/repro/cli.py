@@ -226,14 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "os.cpu_count()) — artifacts byte-identical "
                               "to --jobs 1; composes with --shard and "
                               "--checkpoint-every")
-    p_sweep.add_argument("--state-backend",
-                         choices=["memory", "mmap", "auto"],
-                         default="memory",
-                         help="where each cell's (n, dim) state matrix "
-                              "lives: in-process memory, a disk-backed "
-                              "memory map, or 'auto' (mmap once the "
-                              "matrix exceeds 64 MiB); never changes "
-                              "any output bit")
     p_sweep.add_argument("--dry-run", action="store_true",
                          help="print the shard's cells and their status "
                               "without running anything")
@@ -608,7 +600,6 @@ def _execute_sweep_plan(args: argparse.Namespace, plan, shard,
         args.results_dir,
         shard=shard,
         checkpoint_every=args.checkpoint_every,
-        state_backend=args.state_backend,
         jobs=args.jobs,
         log=print,
     )

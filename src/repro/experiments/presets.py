@@ -167,11 +167,9 @@ def cifar10_paper() -> ExperimentPreset:
 
 def femnist_paper() -> ExperimentPreset:
     """Table 1's FEMNIST row at full scale. A training round takes ~3
-    min on a 2-CPU host, but the 256 × 1.69 M state is 3.46 GB. On a
-    host with 8,019 MiB and no swap, one round at degree 6 was
-    OOM-killed 245 s in (anon RSS 7.46 GiB) with ``--state-backend
-    memory`` and completed in 1,167 s (peak RSS 7,518 MiB, ~3 GiB of
-    it file-backed) with ``--state-backend mmap``
+    min on a 2-CPU host, and the 256 × 1.69 M state is 3.46 GB, so its
+    gossip mixes in place by column panels. On a host with 8,019 MiB and
+    no swap one round at degree 6 took 897 s at a 6,030 MiB peak RSS
     (``docs/scaling-fleets.md``)."""
     return ExperimentPreset(
         name="femnist-paper",

@@ -353,7 +353,6 @@ def build_run(
     mixing=None,
     failure_model: "FailureModel | None" = None,
     churn=None,
-    state_backend: str = "memory",
     enforce_budgets: bool = False,
 ) -> tuple[SimulationEngine | AsyncGossipEngine, Algorithm | AsyncPolicy]:
     """Wire the (engine, algorithm) pair for one cell without running.
@@ -418,7 +417,6 @@ def build_run(
                 total_rounds=total,
                 eval_every=every,
                 eval_node_sample=preset.eval_node_sample,
-                state_backend=state_backend,
             ),
             test_set,
             meter=EnergyMeter(prepared.trace),
@@ -443,7 +441,6 @@ def build_run(
             failure_model=failure_model,
             enforce_budgets=enforce_budgets,
             churn=churn,
-            state_backend=state_backend,
         )
     if isinstance(algorithm, str):
         algorithm = _make_algorithm(algorithm, prepared, schedule, total, rngs)

@@ -136,7 +136,6 @@ def run_cell(
     prepared=None,
     checkpoint_every: int = 0,
     vectorized: bool = True,
-    state_backend: str = "memory",
     round_hook: Callable | None = None,
     scenario_lookup: Callable | None = None,
     progress: Callable[[int, int], None] | None = None,
@@ -167,10 +166,6 @@ def run_cell(
     overrides the registry lookup (tests inject specs the registry
     does not know).
 
-    ``state_backend`` selects where the ``(n, dim)`` state matrix lives
-    (see :mod:`repro.simulation.state_store`) and never changes any bit
-    of the output.
-
     ``progress`` is a pure observability hook, called as
     ``progress(done, total)`` after every completed unit of work —
     rounds for synchronous cells, events for async cells (``total =
@@ -195,7 +190,7 @@ def run_cell(
     if cell.scenario:
         compiled = _compile_scenario_cell(
             preset, cell, prepared, checkpoint_every=checkpoint_every,
-            state_backend=state_backend, scenario_lookup=scenario_lookup,
+            scenario_lookup=scenario_lookup,
         )
         engine, algo = compiled.engine, compiled.algorithm
         prepared = compiled.prepared
@@ -204,7 +199,6 @@ def run_cell(
             prepared = prepare(preset, cell.degree, seed=cell.seed)
         engine, algo = build_run(
             prepared, cell.algorithm, total_rounds=cell.total_rounds,
-            state_backend=state_backend,
         )
     return _execute_cell(
         engine, algo, cell, results_dir, prepared.trace,
@@ -219,7 +213,6 @@ def _compile_scenario_cell(
     prepared,
     *,
     checkpoint_every: int,
-    state_backend: str,
     scenario_lookup: Callable | None,
 ):
     """The ``cell.scenario`` half of :func:`run_cell`: compile the
@@ -258,7 +251,6 @@ def _compile_scenario_cell(
         total_rounds=cell.total_rounds,
         preset=preset,
         prepared=prepared,
-        state_backend=state_backend,
     )
     if compiled.prepared.degree != cell.degree:
         raise ValueError(
@@ -290,9 +282,7 @@ def _execute_cell(
     exactly, ``resumable_at == at``: a sync engine names its last
     evaluation round, an async one every event boundary. The async
     hook fires at evaluation boundaries, so checkpoints land on those,
-    while resume stays boundary-free. The engine (and its state
-    backing, mmap or not) is always released on the way out, success
-    or crash.
+    while resume stays boundary-free.
     """
     unit = cell.units_per_round(engine.n_nodes)
     total, interval = cell.total_rounds * unit, checkpoint_every * unit
@@ -319,17 +309,14 @@ def _execute_cell(
         if progress is not None:
             progress(at, total)
 
-    try:
-        result = execute_run(
-            engine, algo, trace, start=start, history=history, hook=hook
-        )
-        write_cell_artifact(results_dir, cell, result)
-        # the artifact is on disk: drop the checkpoint, and the temp
-        # file a process killed mid-save left beside it
-        ckpt.unlink(missing_ok=True)
-        ckpt.with_name(ckpt.name + ".tmp").unlink(missing_ok=True)
-    finally:
-        engine.close()
+    result = execute_run(
+        engine, algo, trace, start=start, history=history, hook=hook
+    )
+    write_cell_artifact(results_dir, cell, result)
+    # the artifact is on disk: drop the checkpoint, and the temp file a
+    # process killed mid-save left beside it
+    ckpt.unlink(missing_ok=True)
+    ckpt.with_name(ckpt.name + ".tmp").unlink(missing_ok=True)
     return result, resumed
 
 
@@ -467,7 +454,6 @@ def run_sweep(
     shard: tuple[int, int] = (1, 1),
     checkpoint_every: int = 0,
     vectorized: bool = True,
-    state_backend: str = "memory",
     jobs: int | str = 1,
     pool: str = "persistent",
     preset_lookup: Callable[[str], ExperimentPreset] = get_preset,
@@ -516,10 +502,6 @@ def run_sweep(
     back to a serial run on a single-CPU box (or when the fork start
     method is unavailable); the resolved value and its source are
     recorded in ``SweepRunStats.jobs_resolved`` / ``.jobs_source``.
-
-    ``state_backend`` selects the state-matrix backing for every cell
-    (see :mod:`repro.simulation.state_store`); it changes no byte of
-    any artifact.
 
     ``pool`` selects nothing: the persistent pool is the only backend.
     The keyword survives, accepting only ``"persistent"``, because the
@@ -575,7 +557,7 @@ def run_sweep(
     def run_one(cell: PlanCell, dataset) -> bool:
         return run_cell_from_data(
             cell, dataset, results_dir, checkpoint_every=checkpoint_every,
-            state_backend=state_backend, round_hook=round_hook, **lookups,
+            round_hook=round_hook, **lookups,
         )
 
     def finished(cell: PlanCell, resumed: bool) -> None:

@@ -110,9 +110,10 @@ MIN_TILE_WORK = 1 << 20
 #: Most bytes one tile may add to the workspace of the lane that runs
 #: it. A call whose rows need more is cut into more tiles than lanes,
 #: run in waves (:func:`run_tiles`), so a lane's workspace holds one
-#: tile, not its share of the call. Callers state their per-row bytes;
-#: only the stacked trainer and evaluator do. Measured on the same host
-#: as :data:`MIN_TILE_WORK`, min of 15 calls:
+#: tile, not its share of the call. Callers state their per-row bytes:
+#: the stacked trainer and evaluator, and the bank's read-ahead
+#: (:data:`~repro.simulation.node_bank.WORD_BYTES`); gossip does not.
+#: Measured on the same host as :data:`MIN_TILE_WORK`, min of 15 calls:
 #:
 #: * the bench MLP (26.2 KiB a row at width 8), 256 rows on two lanes:
 #:   two 128-row tiles 19.0 ms, 64-row waves 22.4 ms (+18%: each wave

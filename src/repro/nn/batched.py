@@ -968,8 +968,8 @@ class BatchedEvaluator:
             if model is None:
                 model = self._models[lane] = vectorize_module(self._template)
             # all rows: bind the matrix itself (no copy when it already
-            # is C-contiguous, which every state store's is); a
-            # selection is gathered a chunk at a time
+            # is C-contiguous, as the engines' state is); a selection
+            # is gathered a chunk at a time
             model.bind(np.ascontiguousarray(
                 state[lo:hi] if ids is None else state[ids[lo:hi]]
             ))
@@ -988,20 +988,19 @@ class BatchedEvaluator:
 def _contiguous_run(state: np.ndarray, ids: np.ndarray) -> np.ndarray | None:
     """``state[ids]`` as a writable *view* when ``ids`` is one ascending
     run ``lo, lo+1, ...`` and those rows are a C-contiguous float64
-    block — what a slice of a memory or mmap state store is — else
+    block — what a slice of the engines' state matrix is — else
     ``None``."""
     lo = int(ids[0])
     if ids.size > 1 and not (np.diff(ids) == 1).all():
         return None
     rows = state[lo : lo + ids.size]
     if (
-        isinstance(rows, np.ndarray)
-        and rows.shape[0] == ids.size
+        rows.shape[0] == ids.size
         and rows.dtype == np.float64
         and rows.flags.c_contiguous
         and rows.flags.writeable
     ):
-        return np.asarray(rows)  # base-class view of an np.memmap
+        return rows
     return None
 
 

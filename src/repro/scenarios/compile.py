@@ -274,7 +274,6 @@ def compile_run(
     preset: ExperimentPreset | None = None,
     prepared: PreparedExperiment | None = None,
     eval_on: str = "test",
-    state_backend: str = "memory",
 ) -> CompiledRun:
     """Resolve and wire one scenario into a runnable cell.
 
@@ -284,8 +283,7 @@ def compile_run(
     the spec's defaults (the sweep orchestrator passes the cell's).
     ``preset`` injects a preset object directly (tests); ``prepared``
     skips data synthesis when the caller already holds the cell's
-    prepared experiment. ``state_backend`` selects the engine's
-    state-matrix backing (:mod:`repro.simulation.state_store`).
+    prepared experiment.
     """
     resolved_kind = validate_composition(spec, kind)
     base, degree = scenario_base(spec, preset)
@@ -327,7 +325,6 @@ def compile_run(
         failure_model=failure_model,
         enforce_budgets=spec.energy.enforce_budgets,
         churn=churn,
-        state_backend=state_backend,
     )
     return CompiledRun(
         spec=spec,

@@ -40,13 +40,6 @@ from .metrics import (
 from .network import MessagePassingNetwork, TrafficStats
 from .node_bank import NodeBank
 from .rng import RngFactory, generator_state, restore_generator
-from .state_store import (
-    MemoryStateStore,
-    MmapStateStore,
-    StateStore,
-    make_state_store,
-    resolve_state_backend,
-)
 
 __all__ = [
     "RngFactory",
@@ -84,9 +77,4 @@ __all__ = [
     "load_run_checkpoint",
     "generator_state",
     "restore_generator",
-    "StateStore",
-    "MemoryStateStore",
-    "MmapStateStore",
-    "make_state_store",
-    "resolve_state_backend",
 ]

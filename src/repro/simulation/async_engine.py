@@ -90,7 +90,6 @@ from .metrics import (
 )
 from .node_bank import NodeBank
 from .rng import generator_state, restore_generator
-from .state_store import make_state_store
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..scenarios.churn import ChurnSchedule
@@ -294,7 +293,6 @@ class AsyncGossipEngine:
         failure_model: "FailureModel | None" = None,
         enforce_budgets: bool = False,
         churn: "ChurnSchedule | None" = None,
-        state_backend: str = "memory",
     ) -> None:
         n = len(nodes)
         if n != len(neighbor_lists):
@@ -340,8 +338,9 @@ class AsyncGossipEngine:
         self.local_trainer = LocalTrainer(
             model, nodes, local_steps, learning_rate, 0.0
         )
-        init = parameter_vector(model)
-        self._store = make_state_store(state_backend, init, n_rows=n)
+        #: the ``(n, dim)`` node-state matrix, one float64 row per node;
+        #: event execution touches it through per-node row views only
+        self.state = np.tile(parameter_vector(model), (n, 1))
         self.activation_counts = np.zeros(n, dtype=np.int64)
         self.train_counts = np.zeros(n, dtype=np.int64)
         self.train_energy_wh = 0.0
@@ -352,23 +351,6 @@ class AsyncGossipEngine:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    @property
-    def state(self) -> np.ndarray:
-        """The ``(n, dim)`` node-state matrix, backed by the configured
-        :mod:`~repro.simulation.state_store` backend. Event execution
-        touches it through per-node row views only."""
-        return self._store.array
-
-    @state.setter
-    def state(self, value: np.ndarray) -> None:
-        self._store.assign(value)
-
-    def close(self) -> None:
-        """Release the state backing (unlinks the mmap file, if any).
-        Idempotent; the orchestrator calls it when a cell finishes
-        either way, and a finalizer covers abandoned engines."""
-        self._store.close()
 
     def _may_train(self, i: int) -> bool:
         """Battery gate, checked *before* the policy so an exhausted

@@ -12,8 +12,8 @@ holds:
 * the stamp — ``format`` (this layout's version) and ``kind`` (which
   engine wrote it);
 * the engine's own ``state_dict()``: its arrays under their own names
-  (``state`` is always the one whole matrix — memory- and mmap-backed
-  cells write the same key, so either layout resumes the other) and everything else as one JSON object;
+  (``state`` is always the one whole matrix) and everything else as one
+  JSON object;
 * the algorithm's (or async policy's) name and JSON ``state_dict()``;
 * the history so far, one column per record field
   (:meth:`RoundRecord.to_columns` / :meth:`AsyncRecord.to_columns`),
@@ -28,7 +28,9 @@ because its evaluation cadence is absolute in the event
 index and batching never reorders a captured stream.
 
 The loader checks the stamp, the algorithm name and every shape before
-it touches engine, algorithm or node bank. A file without this stamp
+it touches engine, algorithm or node bank, and then reads the ``state``
+matrix straight into the engine's own, so a resume never holds a second
+``(n, dim)`` matrix. A file without this stamp
 (any older layout) or of the other kind is refused: checkpoints are
 per-cell scratch, so the remedy is to delete the file and rerun the
 cell; finished artifacts are unaffected.
@@ -93,6 +95,34 @@ def _atomic_savez(path: str | os.PathLike[str], payload: dict[str, Any]) -> None
     os.replace(tmp, path)
 
 
+def _open_matrix(archive: Any, key: str, like: np.ndarray) -> Any:
+    """The ``.npy`` member ``key`` of ``archive``, opened and read up to
+    its data once its header says it holds an array of ``like``'s
+    shape, dtype and C order."""
+    member = archive.zip.open(key + ".npy")
+    version = np.lib.format.read_magic(member)
+    read_header = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0}.get(version)
+    shape, fortran, dtype = read_header(member) if read_header else (None,) * 3
+    if (shape, fortran, dtype) != (like.shape, False, like.dtype):
+        member.close()
+        raise ValueError(
+            f"snapshot {key} shape {shape} ({dtype}, fortran order "
+            f"{fortran}) does not match engine {like.shape} ({like.dtype})"
+        )
+    return member
+
+
+def _read_into(member: Any, out: np.ndarray) -> None:
+    """Fill the C-contiguous ``out`` from ``member``'s data, 256 KiB at a
+    time (``np.load``'s read size)."""
+    view = memoryview(out.reshape(-1)).cast("B")
+    for lo in range(0, len(view), 1 << 18):
+        chunk = view[lo : lo + (1 << 18)]
+        if member.readinto(chunk) != len(chunk):
+            raise ValueError("snapshot state is truncated")
+
+
 def save_run_checkpoint(
     engine: SimulationEngine | AsyncGossipEngine,
     algorithm: Algorithm | AsyncPolicy,
@@ -141,7 +171,11 @@ def load_run_checkpoint(
     ``engine`` and ``algorithm`` must be freshly constructed exactly as
     for the original run (same preset/seed wiring). An unstamped file,
     one of the other kind, another algorithm's, or one whose shapes do
-    not fit raises ``ValueError`` and leaves both untouched.
+    not fit raises ``ValueError`` before either is touched. Then the
+    engine restores its ``state_dict`` and the ``state`` member is read
+    straight into ``engine.state``, with no second copy; an algorithm
+    that refuses its state after that, or a file that breaks off
+    mid-read, leaves the engine part-restored, to be rebuilt.
     """
     kind, history_cls, record_cls, _ = _kind_of(engine)
     with np.load(path) as archive:
@@ -168,12 +202,15 @@ def load_run_checkpoint(
         for key in archive.files:
             if key.startswith("hist_"):
                 columns[key[len("hist_"):]] = archive[key]
-            elif key not in _ENVELOPE:
+            elif key not in _ENVELOPE and key != "state":
                 sd[key] = archive[key]
         history = history_cls(
             str(archive["history_label"]), record_cls.from_columns(columns)
         )
-        # the engine checks every shape before it changes anything
-        engine.load_state_dict(sd)
+        with _open_matrix(archive, "state", engine.state) as member:
+            # the engine checks every other shape before it changes
+            # anything; assigning its own matrix to itself copies nothing
+            engine.load_state_dict({**sd, "state": engine.state})
+            _read_into(member, engine.state)
         algorithm.load_state_dict(json.loads(str(archive["algo_json"])))
         return int(archive["at"]), history

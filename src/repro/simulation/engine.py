@@ -12,7 +12,11 @@ Model state lives in one ``(n, dim)`` float64 matrix ``X`` so the
 aggregation step is one sparse product ``W @ X`` per round, with no
 per-node Python. Its output rows are cut into tiles run on every CPU
 the process owns (:func:`gossip`, :mod:`repro.lanes`); each row is
-summed exactly as the untiled product sums it.
+summed exactly as the untiled product sums it. No round allocates an
+``(n, dim)`` output (:class:`GossipBuffers`): up to
+:data:`SPARE_BUDGET` bytes the product lands in a spare matrix the
+engine swaps with ``X``, above it it overwrites ``X`` one column panel
+at a time (:func:`gossip_panels`).
 
 Stacked local training
 ----------------------
@@ -66,40 +70,101 @@ from .metrics import (
 )
 from .node_bank import NodeBank
 from .rng import generator_state, restore_generator
-from .state_store import STATE_BACKENDS, make_state_store
 
-__all__ = ["EngineConfig", "SimulationEngine", "gossip"]
+__all__ = ["EngineConfig", "GossipBuffers", "SPARE_BUDGET", "SimulationEngine",
+           "gossip", "gossip_panels"]
 
 
-def gossip(w: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+def gossip(
+    w: sp.csr_matrix, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """``w @ x`` for a float64 CSR ``w`` and 2-D ``x``, byte for byte, with
     the output rows cut into tiles run on every lane
     (:mod:`repro.lanes`; a row's work is ``x``'s columns times the
-    stored entries per row).
+    stored entries per row). Written into ``out`` when given: a
+    C-contiguous float64 matrix of the product's shape that shares no
+    memory with ``x``.
 
-    Each tile zeroes its rows of a fresh output and runs scipy's own
+    Each tile zeroes its rows of the output and runs scipy's own
     kernel — ``csr_matvecs``, which ``w @ x`` calls — on its slice
     ``indptr[lo:hi+1]``, so every row sums the same entries in the same
     CSR order as the untiled product."""
-    rows, cols = w.shape[0], x.shape[1]
-    bounds = lanes.tile_bounds(rows, cols * w.nnz // max(rows, 1))
-    if len(bounds) == 2:
-        return w @ x
     from scipy.sparse import _sparsetools
 
+    rows, cols = w.shape[0], x.shape[1]
     flat = np.asarray(x).ravel()  # a C-ordered copy when strided, as in ``w @ x``
-    out = np.empty((rows, cols))
+    y = np.empty((rows, cols)) if out is None else out
 
     def product(t: int, lo: int, hi: int) -> None:
-        tile = out[lo:hi]
+        tile = y[lo:hi]
         tile.fill(0)
         _sparsetools.csr_matvecs(
             hi - lo, w.shape[1], cols, w.indptr[lo : hi + 1], w.indices, w.data,
             flat, tile.ravel(),
         )
 
-    lanes.run_tiles(product, bounds)
-    return out
+    lanes.run_tiles(product, lanes.tile_bounds(rows, cols * w.nnz // max(rows, 1)))
+    return y
+
+
+def gossip_panels(w: sp.csr_matrix, x: np.ndarray) -> None:
+    """``x[...] = w @ x`` for a square float64 CSR ``w`` and a C-contiguous
+    float64 ``x``, byte for byte, in place: one column panel of at most
+    :data:`~repro.lanes.ROW_BUDGET` bytes at a time is copied out to a
+    contiguous buffer, multiplied by :func:`gossip` into a second one
+    and copied back. An output element sums the same CSR entries in the
+    same order whatever columns share its panel, so every panel width
+    gives the full product's bytes. Two panels of scratch, never a
+    second ``x``; a failing panel leaves ``x`` partly mixed."""
+    rows, cols = x.shape
+    width = max(1, min(cols, lanes.ROW_BUDGET // (rows * x.itemsize)))
+    src, dst = np.empty(rows * width), np.empty(rows * width)
+    for lo in range(0, cols, width):
+        hi = min(cols, lo + width)
+        panel = src[: rows * (hi - lo)].reshape(rows, hi - lo)
+        np.copyto(panel, x[:, lo:hi])
+        x[:, lo:hi] = gossip(w, panel, dst[: rows * (hi - lo)].reshape(rows, hi - lo))
+
+
+#: Most bytes of state :class:`GossipBuffers` mixes into a spare matrix;
+#: above it, :func:`gossip_panels` mixes in place and a round holds one
+#: ``(n, dim)`` matrix, not two. One product through a degree-``d``
+#: Metropolis-Hastings matrix on a 2-CPU Intel Xeon host, full width
+#: into a kept spare against 4 MiB panels, median of 5-9:
+#:
+#: * fleet MLP, n=16,384, dim 172, d=4 (22.5 MB): 15.2 against 29.0 ms;
+#: * bench MLP, n=256, dim 1,810, d=6 (3.7 MB): 2.1 against 2.8 ms;
+#: * GN-LeNet, n=256, dim 89,834, d=6 (184 MB): 120 against 139 ms;
+#: * n=256, dim 400,000, d=6 (819 MB): 663 against 625 ms;
+#: * FEMNIST CNN, n=256, dim 1,690,046, d=6 (3.46 GB): panels 3.0-4.3 s
+#:   beside a 171 s training round, where a spare needs 3.46 GB more.
+#:
+#: Narrow states lose up to 2x in panels and wide ones break even, so
+#: the budget only caps memory: 1 GiB keeps every benchmark workload and
+#: every preset but ``femnist-paper`` at full width.
+SPARE_BUDGET = 1 << 30
+
+
+class GossipBuffers:
+    """``X ← W X`` without a fresh ``(n, dim)`` output per round: while
+    ``X`` holds at most :data:`SPARE_BUDGET` bytes the product lands in
+    a spare matrix (allocated at the first product) that is then swapped
+    with ``X``; above it ``X`` is overwritten by :func:`gossip_panels`."""
+
+    def __init__(self) -> None:
+        self._spare: np.ndarray | None = None
+
+    def mix(self, w: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+        """``w @ x``, byte for byte: the spare, ``x`` becoming the next
+        product's spare, or above the budget ``x`` itself."""
+        if x.nbytes > SPARE_BUDGET:
+            gossip_panels(w, x)
+            return x
+        if self._spare is None:
+            self._spare = np.empty_like(x)
+        out = gossip(w, x, self._spare)
+        self._spare = x
+        return out
 
 
 @dataclass(frozen=True)
@@ -112,14 +177,8 @@ class EngineConfig:
     eval_every: int = 10
     eval_node_sample: int | None = None
     weight_decay: float = 0.0
-    state_backend: str = "memory"
 
     def __post_init__(self) -> None:
-        if self.state_backend not in STATE_BACKENDS:
-            raise ValueError(
-                f"state_backend must be one of {STATE_BACKENDS}, "
-                f"got {self.state_backend!r}"
-            )
         if self.local_steps <= 0:
             raise ValueError("local_steps must be positive")
         if self.learning_rate <= 0:
@@ -206,8 +265,9 @@ class SimulationEngine:
         dim = model.num_parameters()
         # All nodes start from the same initialization (Algorithm 1/2
         # initialize x_i^0; DecentralizePy seeds all nodes identically).
-        init = parameter_vector(model)
-        self._store = make_state_store(config.state_backend, init, n_rows=n)
+        #: the ``(n, dim)`` node-state matrix, one float64 row per node
+        self.state = np.tile(parameter_vector(model), (n, 1))
+        self._gossip = GossipBuffers()
         self._comm_scale = (
             1.0 if compressor is None else compressor.ratio(dim)
         )
@@ -217,23 +277,6 @@ class SimulationEngine:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
-
-    @property
-    def state(self) -> np.ndarray:
-        """The ``(n, dim)`` node-state matrix, backed by the configured
-        :mod:`~repro.simulation.state_store` backend. Assignment routes
-        whole-matrix updates (the gossip GEMM) through the store."""
-        return self._store.array
-
-    @state.setter
-    def state(self, value: np.ndarray) -> None:
-        self._store.assign(value)
-
-    def close(self) -> None:
-        """Release the state backing (unlinks the mmap file, if any).
-        Idempotent; the orchestrator calls it when a cell finishes
-        either way, and a finalizer covers abandoned engines."""
-        self._store.close()
 
     # -- checkpointing --------------------------------------------------------
 
@@ -314,8 +357,8 @@ class SimulationEngine:
         return self.mixing
 
     def _aggregate(self, use_allreduce: bool, t: int = 1) -> None:
-        """Share + aggregate: one sparse product :func:`gossip` (or an
-        exact average).
+        """Share + aggregate: one sparse product ``W @ X`` through the
+        engine's :class:`GossipBuffers` (or an exact average).
 
         With a compressor, communication uses error-feedback compressed
         gossip (the CHOCO-SGD scheme): every node maintains a *public
@@ -325,14 +368,16 @@ class SimulationEngine:
         node's own contribution stays exact:
         ``xᵢ ← Wᵢᵢ xᵢ + Σ_{j≠i} Wᵢⱼ x̂ⱼ``. The compression error does
         not accumulate: x̂ tracks x, so the scheme degrades gracefully
-        even at aggressive sparsity.
+        even at aggressive sparsity. This path allocates ``(n, dim)``
+        temporaries each round, beside the ``(n, dim)`` public copies it
+        keeps anyway; it does not go through the buffers.
         """
         if use_allreduce:
             self.state[:] = self.state.mean(axis=0, keepdims=True)
             return
         w = self._mixing_for_round(t)
         if self.compressor is None:
-            self.state = gossip(w, self.state)
+            self.state = self._gossip.mix(w, self.state)
             return
         if self._public is None:
             self._public = np.zeros_like(self.state)

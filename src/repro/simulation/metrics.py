@@ -107,13 +107,37 @@ def evaluate_state(
     return float(accs.mean()), float(accs.std())
 
 
+#: Elements ``np.einsum`` reduces per inner-loop call: its iterator's
+#: default buffer (numpy's ``NPY_BUFSIZE``), which ``np.setbufsize``
+#: does not change.
+EINSUM_BUFFER = 8192
+
+
 def consensus_distance(state: np.ndarray) -> float:
     """Mean squared distance of node models from their average:
     ``(1/n) Σᵢ ‖xᵢ − x̄‖²``. Synchronization rounds shrink this; training
-    rounds on non-IID data grow it."""
-    mean = state.mean(axis=0, keepdims=True)
-    diff = state - mean
-    return float(np.einsum("ij,ij->", diff, diff) / state.shape[0])
+    rounds on non-IID data grow it.
+
+    ``state - mean`` streams through one :data:`EINSUM_BUFFER`-element
+    buffer instead of being built whole. ``np.einsum`` adds a contiguous
+    operand's buffers to its total one at a time, so the chunks' einsums
+    summed in order are its float over the whole difference."""
+    state = np.ascontiguousarray(state, dtype=np.float64)
+    n, dim = state.shape
+    mean = state.mean(axis=0)
+    flat = state.ravel()
+    step = EINSUM_BUFFER
+    # the mean repeated, so a chunk starting at any column reads its
+    # means as one slice
+    means = np.tile(mean, -(-(step + dim) // dim))
+    seg = np.empty(step)
+    total = np.float64(0.0)  # no member rows: NaN, as the whole einsum gives
+    for lo in range(0, flat.size, step):
+        chunk = seg[: min(step, flat.size - lo)]
+        col = lo % dim
+        np.subtract(flat[lo : lo + chunk.size], means[col : col + chunk.size], out=chunk)
+        total += np.einsum("i,i->", chunk, chunk)
+    return float(total / n)
 
 
 #: annotation → (python cast, numpy column dtype); both record modules

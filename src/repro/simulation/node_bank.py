@@ -48,6 +48,12 @@ _AHEAD_STEPS = 4096
 #: ``steps x (2k - 1)`` words
 WORD_WORK = 32
 
+#: a read-ahead's peak scratch per stream word, what a fill asks of the
+#: lane byte budget (:data:`repro.lanes.ROW_BUDGET`): one unsplit fill's
+#: ``tracemalloc`` peak per word was 79-84 B for the fleet banks (one
+#: step of 4 picks) and 37-39 B for the bench banks (150-945 words a row)
+WORD_BYTES = 80
+
 
 class NodeBank:
     """All nodes of one simulation, columnar.
@@ -154,12 +160,12 @@ class NodeBank:
 
     def _read_ahead(self, ids: np.ndarray) -> None:
         """Fill ``ids``' read-ahead with the steps that follow their
-        cursors, in contiguous tiles of ``ids`` run on every lane
-        (:mod:`repro.lanes`). Streams are private, so a tile's picks,
-        ends and cursors are what one unsplit fill writes."""
+        cursors, in contiguous tiles of ``ids`` cut by work and bytes and
+        run on every lane (:mod:`repro.lanes`). Streams are private, so a
+        tile's picks, ends and cursors are what one unsplit fill writes."""
         steps = self._ahead_end.shape[1]
         columns = int(self.k[ids].max())
-        row_work = steps * (2 * columns - 1) * WORD_WORK
+        words = steps * (2 * columns - 1)
 
         def fill(t: int, lo: int, hi: int) -> None:
             part = ids[lo:hi]
@@ -174,7 +180,8 @@ class NodeBank:
             self._ahead_end[part] = ends
             self._ahead_at[part] = 0
 
-        lanes.run_tiles(fill, lanes.tile_bounds(ids.size, row_work))
+        bounds = lanes.tile_bounds(ids.size, words * WORD_WORK, words * WORD_BYTES)
+        lanes.run_tiles(fill, bounds)
 
     # -- checkpointing --------------------------------------------------------
 

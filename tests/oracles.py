@@ -14,6 +14,9 @@ batteries assert:
 * :func:`run_cell` / :func:`cells` — sweep cells run through both loops,
   their artifacts stamped ``vectorized=False``.
 
+And one layout the product takes only above a byte budget, forced at
+test scale: :func:`panels`, gossip in place by column panels.
+
 The seam is an attribute, not a knob: :func:`serial` swaps a product
 engine's ``local_trainer`` for the serial one (and an async engine's
 ``run`` for :func:`run_events`).
@@ -28,11 +31,13 @@ import heapq
 import numpy as np
 import pytest
 
+from repro import lanes
 from repro.experiments import artifacts, runner, sweep
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.optim import SGD
 from repro.nn.serialization import parameter_vector, set_parameter_vector
 from repro.simulation import AsyncGossipEngine
+from repro.simulation import engine as engine_module
 from repro.simulation.metrics import evaluate_model_vector
 
 __all__ = [
@@ -40,6 +45,7 @@ __all__ = [
     "SerialTrainer",
     "cells",
     "gossip",
+    "panels",
     "run_cell",
     "run_events",
     "serial",
@@ -196,3 +202,30 @@ def run_cell(preset, cell, results_dir, **options):
     """:func:`repro.experiments.run_cell` on the serial loops."""
     with cells():
         return sweep.run_cell(preset, cell, results_dir, **options)
+
+
+@contextlib.contextmanager
+def panels(row_budget):
+    """Inside, every state the sync engine gossips is over the spare
+    budget (``SPARE_BUDGET = 0``), so each product overwrites the state
+    in column panels of ``row_budget`` bytes (``lanes.ROW_BUDGET``, which
+    cuts the trainer's row tiles too). Yields the list the panel count
+    of every product is appended to."""
+    counts, calls = [], []
+    real_gossip, real_panels = engine_module.gossip, engine_module.gossip_panels
+
+    def counted_gossip(*args):
+        calls.append(None)
+        return real_gossip(*args)
+
+    def counted_panels(w, x):
+        before = len(calls)
+        real_panels(w, x)
+        counts.append(len(calls) - before)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "SPARE_BUDGET", 0)
+        patch.setattr(lanes, "ROW_BUDGET", row_budget)
+        patch.setattr(engine_module, "gossip", counted_gossip)
+        patch.setattr(engine_module, "gossip_panels", counted_panels)
+        yield counts

@@ -107,6 +107,15 @@ column panels, and before the consensus distance streamed
 * ``bench256-vectorized`` — the ``sync-paper256`` benchmark cell, a
   skiptrain cell of ``cifar10-bench`` re-scaled to n=256 at degree 6.
 
+Two twins then mix every product in place, by column panels of 1 MiB
+(``tests/oracles.py:panels``; 4 and 6 panels a product), the path a
+state above ``engine.SPARE_BUDGET`` takes; their bytes are the full-width
+cells':
+
+* ``bench256-panels-vectorized`` — twin of ``bench256-vectorized``;
+* ``churn-crash-fleet4096-panels-vectorized`` — twin of
+  ``churn-crash-fleet4096-vectorized``, with masked per-round mixing.
+
 Re-record only for an intentional, documented contract change::
 
     PYTHONPATH=src python tests/test_artifact_digests.py > tests/golden/artifact_digests.json
@@ -115,10 +124,12 @@ Re-record only for an intentional, documented contract change::
 import dataclasses
 import hashlib
 import json
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
+from oracles import panels
 from oracles import run_cell as oracle_run_cell
 
 from repro import lanes
@@ -273,7 +284,9 @@ def _capped(run, nbytes):
 
         def spy(rows, row_work, row_bytes=0):
             bounds = real(rows, row_work, row_bytes)
-            if row_bytes:
+            # the trainer's and the evaluator's calls; the bank's
+            # read-ahead states its bytes too, but fills a few rows
+            if row_bytes and sys._getframe(1).f_code.co_name != "_read_ahead":
                 waves.append(-(-(len(bounds) - 1) // 2))
             return bounds
 
@@ -286,6 +299,19 @@ def _capped(run, nbytes):
         return path
 
     return capped
+
+
+def _in_panels(run, nbytes):
+    """``run`` with every gossip product in place by column panels of
+    ``nbytes``, each product three panels or more."""
+
+    def panelled(results_dir):
+        with panels(nbytes) as counts:
+            path = run(results_dir)
+        assert counts and min(counts) >= 3, counts
+        return path
+
+    return panelled
 
 
 def _weight_decay(results_dir):
@@ -454,12 +480,14 @@ CELLS = {
     "churn-crash-vectorized": _churn_crash,
     "dynamic-periodic-churn-vectorized": _dynamic_churn,
     "churn-crash-fleet4096-vectorized": _churn_crash_fleet,
+    "churn-crash-fleet4096-panels-vectorized": _in_panels(_churn_crash_fleet, 1 << 20),
     "topk-bench256-vectorized": _topk_bench256,
     "conv-groupnorm-vectorized": _conv_gn,
     "conv-groupnorm-capped-vectorized": _capped(_conv_gn, 150 << 10),
     "cifar10-paper-vectorized": _paper_cnn,
     "femnist-paper-vectorized": _femnist_paper,
     "bench256-vectorized": _bench256,
+    "bench256-panels-vectorized": _in_panels(_bench256, 1 << 20),
     "weight-decay-vectorized": _weight_decay,
     "constrained-scattered-vectorized": _constrained,
     "constrained-scattered-capped-vectorized": _capped(_constrained, 64 << 10),

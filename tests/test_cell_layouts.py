@@ -1,10 +1,11 @@
 """Cell-layout battery, oracle ≡ product: a cell's artifact does not
-depend on who trains it or where its state matrix lives. The serial
-oracle loops (``tests/oracles.py``) and the product's stacked engine,
-over memory- or mmap-backed state, write the same bytes (modulo the
-artifact's ``engine`` stamp), and a checkpoint written by one resumes
-under the other to the reference bytes — for an async cell even from
-an event inside a window, where the product's hook never fires.
+depend on who trains it or how its gossip mixes the state matrix. The
+serial oracle loops (``tests/oracles.py``) and the product's stacked
+engine, gossiping at full width or in place by column panels
+(:func:`oracles.panels`), write the same bytes (modulo the artifact's
+``engine`` stamp), and a checkpoint written by one resumes under the
+other to the reference bytes — for an async cell even from an event
+inside a window, where the product's hook never fires.
 
 Node-axis sharding (``--node-shards``), ``EngineConfig.momentum`` and
 the serial engine (``vectorized``) were removed; the last class keeps
@@ -27,18 +28,26 @@ from repro.experiments import (
 )
 from repro.experiments.artifacts import checkpoint_path
 
-#: who runs the cell × where its state lives
+#: who runs the cell × whether its gossip mixes by column panels
 LAYOUTS = {
-    "oracle": (oracles.run_cell, {}),
-    "oracle-mmap": (oracles.run_cell, {"state_backend": "mmap"}),
-    "product": (run_cell, {}),
-    "product-mmap": (run_cell, {"state_backend": "mmap"}),
+    "oracle": (oracles.run_cell, False),
+    "oracle-panels": (oracles.run_cell, True),
+    "product": (run_cell, False),
+    "product-panels": (run_cell, True),
 }
+
+#: panels of 48 columns over the micro preset's 8 rows: its 172-wide
+#: state mixes as four panels, the last one ragged
+PANEL_BYTES = 8 * 8 * 48
+
+
+def mixing(layout):
+    return oracles.panels(PANEL_BYTES) if LAYOUTS[layout][1] else nullcontext()
 
 
 def run_layout(layout, preset, cell, results_dir, **kwargs):
-    run, options = LAYOUTS[layout]
-    return run(preset, cell, results_dir, **options, **kwargs)
+    with mixing(layout):
+        return LAYOUTS[layout][0](preset, cell, results_dir, **kwargs)
 
 
 @pytest.fixture
@@ -76,7 +85,7 @@ def assert_same_run(path, ref, layout):
 
 
 class TestLayoutArtifacts:
-    @pytest.mark.parametrize("layout", ["oracle-mmap", "product", "product-mmap"])
+    @pytest.mark.parametrize("layout", ["oracle-panels", "product", "product-panels"])
     def test_layout_cell_byte_identical(self, micro_preset, tmp_path, layout):
         cell = build_plan(micro_preset, ("skiptrain",), seeds=(0,))[0]
         ref, out = tmp_path / "ref", tmp_path / layout
@@ -85,18 +94,20 @@ class TestLayoutArtifacts:
         assert_same_run(artifact_path(out, cell), artifact_path(ref, cell),
                         layout)
 
-    def test_vectorized_mmap_matches_vectorized_bytes(self, micro_preset,
-                                                       tmp_path):
-        """Both axes at once: stacked training in place over an mmap
-        store writes the in-memory product run's exact bytes."""
+    def test_panels_match_full_width_bytes(self, micro_preset, tmp_path):
+        """A d-psgd cell, every round a product, whose every product
+        mixes in panels writes the full-width product run's exact
+        bytes."""
         cell = build_plan(micro_preset, ("d-psgd",), seeds=(1,))[0]
-        ref, fleet = tmp_path / "ref", tmp_path / "fleet"
+        ref, out = tmp_path / "ref", tmp_path / "panels"
         run_layout("product", micro_preset, cell, ref)
-        run_layout("product-mmap", micro_preset, cell, fleet)
+        with oracles.panels(PANEL_BYTES) as counts:
+            run_cell(micro_preset, cell, out)
+        assert len(counts) == cell.total_rounds and min(counts) >= 3
         assert (artifact_path(ref, cell).read_bytes()
-                == artifact_path(fleet, cell).read_bytes())
+                == artifact_path(out, cell).read_bytes())
 
-    @pytest.mark.parametrize("layout", ["oracle-mmap", "product", "product-mmap"])
+    @pytest.mark.parametrize("layout", ["oracle-panels", "product", "product-panels"])
     def test_async_layout_cell_byte_identical(self, micro_preset, tmp_path,
                                               layout):
         """Async cells take every layout a sync cell does, to the same
@@ -110,16 +121,15 @@ class TestLayoutArtifacts:
         assert_same_run(artifact_path(out, cell), artifact_path(ref, cell),
                         layout)
 
-    @pytest.mark.parametrize("layout", ["oracle-mmap", "product"])
+    @pytest.mark.parametrize("layout", ["oracle-panels", "product"])
     def test_sweep_layouts_byte_identical(self, micro_preset, tmp_path, layout):
         plan = build_plan(micro_preset, ("skiptrain", "d-psgd"), seeds=(0,))
         solo, out = tmp_path / "solo", tmp_path / layout
         with oracles.cells():
             run_sweep(plan, solo, preset_lookup=lookup_for(micro_preset))
-        _, options = LAYOUTS[layout]
-        with oracles.cells() if layout.startswith("oracle") else nullcontext():
-            run_sweep(plan, out, preset_lookup=lookup_for(micro_preset),
-                      **options)
+        with oracles.cells() if layout.startswith("oracle") else nullcontext(), \
+                mixing(layout):
+            run_sweep(plan, out, preset_lookup=lookup_for(micro_preset))
         for cell in plan:
             assert_same_run(artifact_path(out, cell),
                             artifact_path(solo, cell), layout)
@@ -139,7 +149,7 @@ class TestCrossResume:
     @pytest.mark.parametrize("kill,resume", [
         ("product", "oracle"),
         ("oracle", "product"),
-        ("product-mmap", "oracle"),
+        ("product-panels", "oracle"),
     ])
     def test_kill_and_resume_across_layouts(
         self, micro_preset, tmp_path, kill, resume

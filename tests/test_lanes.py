@@ -3,8 +3,9 @@ gossip product and the bank's read-ahead.
 
 Within a trainer call, laned ≡ unlaned ≡ the serial row loop is pinned
 by ``tests/test_nn_batched.py::TestLanes``. Here: the tiled gossip
-product is ``w @ x`` byte for byte and the laned read-ahead the unsplit
-one, on splits forced far below the work floor; a failing tile
+product is ``w @ x`` byte for byte, in place by column panels of any
+width too, and the laned read-ahead the unsplit one, on splits forced
+far below the work floor; a failing tile
 surfaces only after every tile has finished; a trainer whose lane
 threads ran in a parent trains again in a forked child (pool workers
 and the serve daemon fork); a pool worker runs on its share of the
@@ -13,7 +14,8 @@ one CPU as on all of them.
 
 The byte budget (``lanes.ROW_BUDGET``): more tiles than lanes run in
 waves, tile t on lane t mod W; a lane's workspace holds one tile;
-``row_bytes`` is what a row really adds to a lane's workspace; and a
+``row_bytes`` is what a row really adds to a lane's workspace; the
+bank's read-ahead fills under the budget too; and a
 stacked GN-LeNet call that needed ~3.7 GiB now trains under a 2 GiB
 address-space limit.
 """
@@ -52,8 +54,8 @@ from repro.nn.layers import AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU,
 from repro.nn.layers.normalization import GroupNorm
 from repro.nn.module import Sequential
 from repro.nn.serialization import parameter_vector
-from repro.simulation import RngFactory, batch_stream, build_nodes
-from repro.simulation.engine import gossip
+from repro.simulation import RngFactory, batch_stream, build_nodes, node_bank
+from repro.simulation.engine import gossip, gossip_panels
 
 pytestmark = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods() or not hasattr(os, "sched_setaffinity"),
@@ -111,13 +113,16 @@ class TestTiledGossip:
     @pytest.mark.parametrize("count", [2, 3, 5])
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("sort_indices", [True, False], ids=["sorted", "unsorted"])
-    @pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran", "memmap"])
+    @pytest.mark.parametrize(
+        "layout", ["contiguous", "strided", "fortran", "memmap", "panels"]
+    )
     def test_the_tiled_product_is_w_at_x_byte_for_byte(
         self, count, index_dtype, sort_indices, layout, monkeypatch, tmp_path
     ):
         rng = np.random.default_rng(count)
-        w = _random_csr(rng, 7, 9, index_dtype, sort_indices)
-        x = rng.normal(size=(9, 6))
+        cols = 7 if layout == "panels" else 9  # in place needs a square w
+        w = _random_csr(rng, 7, cols, index_dtype, sort_indices)
+        x = rng.normal(size=(cols, 6))
         if layout == "strided":
             x = rng.normal(size=(9, 12))[:, ::2]
         elif layout == "fortran":
@@ -128,9 +133,20 @@ class TestTiledGossip:
             x = mapped
         want = w @ x
         cuts = _force(monkeypatch, count)
-        got = gossip(w, x)
         # seven rows on five lanes: tiles of one row
-        assert cuts == [[7 * t // count for t in range(count + 1)]]
+        tiles = [7 * t // count for t in range(count + 1)]
+        if layout == "panels":
+            # in place, by panels of every width from one column to all
+            for width in range(1, 7):
+                monkeypatch.setattr(lanes, "ROW_BUDGET", 7 * 8 * width)
+                got = x.copy()
+                cuts.clear()
+                gossip_panels(w, got)
+                assert cuts == [tiles] * -(-6 // width)
+                assert got.tobytes() == want.tobytes()
+            return
+        got = gossip(w, x)
+        assert cuts == [tiles]
         assert type(got) is np.ndarray and got.flags.c_contiguous
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -219,6 +235,33 @@ def test_the_laned_read_ahead_is_the_unsplit_one(count, monkeypatch):
     for (idx, k), (want_idx, want_k) in zip(got, want):
         assert idx.tobytes() == want_idx.tobytes() and k.tobytes() == want_k.tobytes()
     for name in ("consumed", "local_steps_done", "_ahead_idx", "_ahead_end", "_ahead_at"):
+        assert getattr(laned, name).tobytes() == getattr(whole, name).tobytes(), name
+
+
+def test_the_read_ahead_keeps_its_tiles_under_the_byte_budget(monkeypatch):
+    """A fill asks ``WORD_BYTES`` of the budget per stream word: under a
+    budget of two rows' fill, seven nodes fill in tiles of at most two
+    rows, in waves on two lanes, to the unsplit fill's bytes."""
+    sizes, batch_size = [2, 3, 8, 9988, 8, 3, 8], 4
+    whole = _rejecting_bank(batch_size, sizes, 5, 3)
+    laned = _rejecting_bank(batch_size, sizes, 5, 3)
+    want = whole.draw(np.arange(7), 1)
+    words = whole._ahead_end.shape[1] * (2 * batch_size - 1)
+    cuts = []
+    real = lanes.tile_bounds
+
+    def spy(rows, row_work, row_bytes=0):
+        cuts.append(real(rows, row_work, row_bytes))
+        return cuts[-1]
+
+    monkeypatch.setattr(lanes, "ROW_BUDGET", 2 * words * node_bank.WORD_BYTES)
+    monkeypatch.setattr(lanes, "lane_count", lambda: 2)
+    monkeypatch.setattr(lanes, "tile_bounds", spy)
+    got = laned.draw(np.arange(7), 1)
+    assert cuts == [[0, 1, 3, 5, 7]]
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    for name in ("consumed", "_ahead_idx", "_ahead_end", "_ahead_at"):
         assert getattr(laned, name).tobytes() == getattr(whole, name).tobytes(), name
 
 

@@ -109,16 +109,13 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.npz"
         save_run_checkpoint(eng, DPSGD(N), RunHistory("D-PSGD"), 4, path)
         other = make_engine()
-        # forge a wrong-shape backing: state assignment itself rejects
-        # shape changes, so swap the store wholesale
-        from repro.simulation.state_store import MemoryStateStore
-
-        other._store = MemoryStateStore(np.zeros((N, 5)))
+        # forge a wrong-shape state matrix
+        other.state = np.zeros((N, 5))
         with pytest.raises(ValueError, match="shape"):
             load_run_checkpoint(other, DPSGD(N), path)
         # refused before the bank or the meter moved
         fresh = make_engine()
-        fresh._store = MemoryStateStore(np.zeros((N, 5)))
+        fresh.state = np.zeros((N, 5))
         assert_untouched(other, fresh)
 
     def test_negative_round_rejected(self, tmp_path):

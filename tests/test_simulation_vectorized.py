@@ -10,6 +10,7 @@ backend, and however the trained rows are split into blocks.
 
 import numpy as np
 import pytest
+from oracles import panels as on_panels
 from oracles import serial as on_serial_loops
 
 from repro.core import DPSGD, RoundSchedule, SkipTrain
@@ -34,11 +35,10 @@ def _cnn(rng):
     return small_cnn(1, 4, 4, channels=4, rng=rng)
 
 
-def _cfg(total_rounds=8, weight_decay=0.0, state_backend="memory"):
+def _cfg(total_rounds=8, weight_decay=0.0):
     return EngineConfig(local_steps=2, learning_rate=0.2,
                         total_rounds=total_rounds, eval_every=4,
-                        weight_decay=weight_decay,
-                        state_backend=state_backend)
+                        weight_decay=weight_decay)
 
 
 def _engine(*, seed=7, model_factory=_mlp, topology="ring", n_nodes=N,
@@ -139,16 +139,16 @@ class TestParallelBlockEquivalence:
     block's layout, size and backing never change a row's bits."""
 
     def test_vectorized_parallel_matches_serial(self):
-        """The stacked block trained in place over an mmap-backed state
-        matrix still matches the serial engine over memory."""
+        """The stacked block trained in place, its gossip mixing the
+        state in column panels, still matches the serial engine at full
+        width."""
         serial = _oracle()
         h_s = serial.run(DPSGD(N))
-        par = _engine(state_backend="mmap")
-        try:
+        par = _engine()
+        with on_panels(8 * N * 40) as counts:
             h_p = par.run(DPSGD(N))
-            np.testing.assert_array_equal(serial.state, par.state)
-        finally:
-            par.close()
+        assert counts and min(counts) >= 3
+        np.testing.assert_array_equal(serial.state, par.state)
         _assert_history_equal(h_s, h_p)
 
     def test_block_size_does_not_change_results(self):
@@ -230,11 +230,9 @@ class TestMaskEmptyRegression:
         self._check(eng.run(NoTraining(N)))
 
     def test_parallel(self):
-        eng = _engine(total_rounds=4, state_backend="mmap")
-        try:
+        eng = _engine(total_rounds=4)
+        with on_panels(8 * N * 40):
             self._check(eng.run(NoTraining(N)))
-        finally:
-            eng.close()
 
     def test_states_identical_across_flavors(self):
         serial = _oracle(total_rounds=4)

@@ -1,31 +1,44 @@
-"""State-store battery: the memory and mmap backings must be
-interchangeable to the bit — full sync and async runs, checkpoints
-written under one backend and restored under the other — and the mmap
-backing file must disappear on every exit path (close, exception,
-Ctrl-C)."""
+"""One state layout, two ways to mix it.
 
-import gc
-import os
-import signal
-import subprocess
-import sys
-import time
-from pathlib import Path
+Both engines hold their ``(n, dim)`` state in one in-memory float64
+matrix. The sync engine's gossip writes ``W @ X`` into a spare matrix
+it swaps with ``X`` (full width), or, above the spare budget, over
+``X`` itself one column panel at a time. The two must be
+interchangeable to the bit — whole runs, and checkpoints written under
+one and resumed under the other. The consensus distance streams
+``X - mean`` through one buffer, to the float of the einsum over the
+whole difference. And the memory bound the three exist for: a round,
+an evaluation and a checkpoint load of an over-budget engine each
+allocate less than its state matrix."""
+
+import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import oracles
 import pytest
 
+from repro.core.dpsgd import DPSGD
+from repro.data import SyntheticSpec
 from repro.experiments.runner import build_run, prepare
+from repro.nn import small_mlp
 from repro.simulation import (
-    MemoryStateStore,
-    MmapStateStore,
+    EngineConfig,
+    build_engine,
+    consensus_distance,
     load_run_checkpoint,
-    make_state_store,
-    resolve_state_backend,
     save_run_checkpoint,
 )
-from repro.simulation.state_store import AUTO_MMAP_BYTES
+from repro.simulation import engine as engine_module
+from repro.simulation.metrics import EINSUM_BUFFER
+
+#: panels of 48 columns over the tiny preset's 8 rows: a 172-wide state
+#: mixes as four panels, the last one ragged
+PANEL_BYTES = 8 * 8 * 48
+
+
+def layout(name):
+    return oracles.panels(PANEL_BYTES) if name == "panels" else nullcontext([])
 
 
 def assert_histories_equal(a, b):
@@ -44,60 +57,36 @@ def assert_histories_equal(a, b):
                 assert va == vb, f.name
 
 
-def run_sync(prepared, backend):
-    engine, algo = build_run(prepared, "skiptrain", total_rounds=8,
-                             state_backend=backend)
-    try:
-        history = engine.run(algo)
-        return engine.state.copy(), history
-    finally:
-        engine.close()
-
-
-def run_async(prepared, backend):
-    # 2 expected activations per node x 8 nodes: every 16 events
-    engine, policy = build_run(prepared, "async-skiptrain", total_rounds=4,
-                               eval_every=2, state_backend=backend)
-    try:
-        history = engine.run(policy)
-        return engine.state.copy(), history
-    finally:
-        engine.close()
-
-
-class TestBackendBitIdentity:
-    def test_sync_run_identical_across_backends(self, tiny_preset):
+class TestLayoutBitIdentity:
+    def test_sync_run_identical_across_layouts(self, tiny_preset):
         prepared = prepare(tiny_preset, 3, seed=0)
-        s_mem, h_mem = run_sync(prepared, "memory")
-        s_mm, h_mm = run_sync(prepared, "mmap")
-        np.testing.assert_array_equal(s_mem, s_mm)
-        assert_histories_equal(h_mem, h_mm)
+        runs = {}
+        for name in ("full-width", "panels"):
+            with layout(name) as counts:
+                engine, algo = build_run(prepared, "skiptrain", total_rounds=8)
+                runs[name] = engine.run(algo), engine.state
+            assert name == "full-width" or (counts and min(counts) >= 3)
+        np.testing.assert_array_equal(runs["full-width"][1], runs["panels"][1])
+        assert_histories_equal(runs["full-width"][0], runs["panels"][0])
 
-    def test_async_run_identical_across_backends(self, tiny_preset):
-        prepared = prepare(tiny_preset, 3, seed=0)
-        s_mem, h_mem = run_async(prepared, "memory")
-        s_mm, h_mm = run_async(prepared, "mmap")
-        np.testing.assert_array_equal(s_mem, s_mm)
-        assert len(h_mem.records) == len(h_mm.records)
-        assert repr(h_mem.records) == repr(h_mm.records)
-
-    @pytest.mark.parametrize("save_backend,load_backend", [
-        ("memory", "mmap"), ("mmap", "memory"),
+    @pytest.mark.parametrize("save_layout,load_layout", [
+        ("full-width", "panels"), ("panels", "full-width"),
     ])
-    def test_checkpoint_portable_across_backends(
-        self, tiny_preset, tmp_path, save_backend, load_backend
+    def test_checkpoint_portable_across_layouts(
+        self, tiny_preset, tmp_path, save_layout, load_layout
     ):
-        """A checkpoint is backend-agnostic: a run snapshotted under one
-        backing resumes bit-exactly under the other."""
+        """A run snapshotted under one layout resumes bit-exactly under
+        the other, its state read into the fresh engine's own matrix."""
         prepared = prepare(tiny_preset, 3, seed=1)
         path = tmp_path / "run.npz"
 
-        straight, algo_s = build_run(prepared, "skiptrain", total_rounds=12,
-                                     state_backend=save_backend)
+        def build():
+            return build_run(prepared, "skiptrain", total_rounds=12)
+
+        straight, algo_s = build()
         h_straight = straight.run(algo_s)
 
-        doomed, algo_d = build_run(prepared, "skiptrain", total_rounds=12,
-                                   state_backend=save_backend)
+        doomed, algo_d = build()
         saved = {}
 
         def hook(engine, t, history, resumable_at):
@@ -107,42 +96,37 @@ class TestBackendBitIdentity:
                 saved["t"] = t
                 raise KeyboardInterrupt
 
-        with pytest.raises(KeyboardInterrupt):
+        with layout(save_layout), pytest.raises(KeyboardInterrupt):
             doomed.run(algo_d, hook=hook)
-        doomed.close()
 
-        fresh, algo_f = build_run(prepared, "skiptrain", total_rounds=12,
-                                  state_backend=load_backend)
-        start, history = load_run_checkpoint(fresh, algo_f, path)
-        assert start == saved["t"]
-        h_resumed = fresh.run(algo_f, start=start, history=history)
+        with layout(load_layout):
+            fresh, algo_f = build()
+            held = fresh.state
+            start, history = load_run_checkpoint(fresh, algo_f, path)
+            assert start == saved["t"] and fresh.state is held
+            h_resumed = fresh.run(algo_f, start=start, history=history)
 
         np.testing.assert_array_equal(fresh.state, straight.state)
         assert_histories_equal(h_resumed, h_straight)
-        straight.close()
-        fresh.close()
 
-
-    @pytest.mark.parametrize("save_backend,load_backend", [
-        ("memory", "mmap"), ("mmap", "memory"),
-    ])
-    def test_async_checkpoint_portable_across_backends(
-        self, tiny_preset, tmp_path, save_backend, load_backend
+    def test_async_checkpoint_resumes_into_the_engines_matrix(
+        self, tiny_preset, tmp_path
     ):
-        """The same pair, an async run: snapshotted mid-window under
-        one backing by the oracle (whose hook fires after every event),
-        resumed bit-exactly under the other by the product."""
+        """An async run (which never forms ``W @ X``) snapshotted
+        mid-window by the oracle, whose hook fires after every event,
+        resumes bit-exactly on the product, its state read into the
+        fresh engine's own matrix."""
         prepared = prepare(tiny_preset, 3, seed=1)
         path = tmp_path / "run.npz"
 
-        def build(backend):
+        def build():
             return build_run(prepared, "async-skiptrain", total_rounds=4,
-                             eval_every=2, state_backend=backend)
+                             eval_every=2)
 
-        straight, policy_s = build(save_backend)
+        straight, policy_s = build()
         h_straight = straight.run(policy_s)
 
-        doomed, policy_d = build(save_backend)
+        doomed, policy_d = build()
         oracles.serial(doomed)
 
         def hook(engine, event, history, resumable_at):
@@ -152,140 +136,89 @@ class TestBackendBitIdentity:
 
         with pytest.raises(KeyboardInterrupt):
             doomed.run(policy_d, hook=hook)
-        doomed.close()
 
-        fresh, policy_f = build(load_backend)
+        fresh, policy_f = build()
+        held = fresh.state
         start, history = load_run_checkpoint(fresh, policy_f, path)
-        assert start == 13
+        assert start == 13 and fresh.state is held
         h_resumed = fresh.run(policy_f, start=start, history=history)
 
         np.testing.assert_array_equal(fresh.state, straight.state)
         assert h_resumed.records == h_straight.records
-        straight.close()
-        fresh.close()
 
 
-class TestResolveAndMake:
-    def test_explicit_backends_pass_through(self):
-        assert resolve_state_backend("memory", 10**6, 10**6) == "memory"
-        assert resolve_state_backend("mmap", 2, 2) == "mmap"
+class TestStreamedConsensus:
+    """The chunked sum relies on ``np.einsum`` reducing a contiguous
+    operand one ``EINSUM_BUFFER`` of elements at a time; a numpy that
+    changes that fails here."""
 
-    def test_auto_threshold(self):
-        rows_under = AUTO_MMAP_BYTES // (8 * 64)
-        assert resolve_state_backend("auto", rows_under, 64) == "memory"
-        assert resolve_state_backend("auto", rows_under + 1, 64) == "mmap"
+    @pytest.mark.parametrize("shape", [(5, 8193), (4, 20001), (64, 1000),
+                                       (2, 3 * 8192 + 1), (1000, 25)])
+    def test_matches_the_einsum_over_the_whole_difference(self, shape):
+        rng = np.random.default_rng(shape[1])
+        x = rng.normal(size=shape) * rng.uniform(0.1, 10, size=shape[1]) + 3.0
+        assert x.size > 2 * EINSUM_BUFFER and x.size % EINSUM_BUFFER  # ragged
+        diff = x - x.mean(axis=0, keepdims=True)
+        want = float(np.einsum("ij,ij->", diff, diff) / shape[0])
+        assert consensus_distance(x).hex() == want.hex()
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="state_backend"):
-            resolve_state_backend("ramdisk", 8, 8)
-
-    def test_make_state_store_tiles_init_row(self, tmp_path):
-        row = np.arange(5, dtype=np.float64)
-        mem = make_state_store("memory", row, n_rows=4)
-        mm = make_state_store("mmap", row, n_rows=4, directory=tmp_path)
-        assert isinstance(mem, MemoryStateStore)
-        assert isinstance(mm, MmapStateStore)
-        np.testing.assert_array_equal(mem.array, np.tile(row, (4, 1)))
-        np.testing.assert_array_equal(mm.array, mem.array)
-        mm.close()
-
-    def test_make_state_store_validation(self):
-        with pytest.raises(ValueError, match="1-D"):
-            make_state_store("memory", np.zeros((2, 2)), n_rows=4)
-        with pytest.raises(ValueError, match="positive"):
-            make_state_store("memory", np.zeros(3), n_rows=0)
-
-    def test_assign_semantics(self, tmp_path):
-        row = np.ones(3)
-        mem = make_state_store("memory", row, n_rows=2)
-        new = np.full((2, 3), 7.0)
-        mem.assign(new)
-        assert mem.array is new  # rebind, the historical semantics
-
-        mm = make_state_store("mmap", row, n_rows=2, directory=tmp_path)
-        view = mm.array
-        mm.assign(new)
-        assert mm.array is view  # in-place copy, the mapping persists
-        np.testing.assert_array_equal(view, new)
-        mm.close()
-
-    def test_assign_shape_mismatch_rejected(self, tmp_path):
-        for backend in ("memory", "mmap"):
-            store = make_state_store(backend, np.zeros(3), n_rows=2,
-                                     directory=tmp_path)
-            with pytest.raises(ValueError, match="shape"):
-                store.assign(np.zeros((3, 3)))
-            store.close()
-
-
-class TestMmapLifecycle:
-    def test_close_unlinks_backing_file(self, tmp_path):
-        store = MmapStateStore((4, 3), directory=tmp_path)
-        path = store.path
-        assert path.is_file()
-        store.close()
-        assert not path.exists()
-        store.close()  # idempotent
-
-    def test_gc_unlinks_on_abandonment(self, tmp_path):
-        """An exception path that never reaches close() still cleans up
-        once the store is collected."""
-        store = MmapStateStore((4, 3), directory=tmp_path)
-        path = store.path
-        del store
-        gc.collect()
-        assert not path.exists()
-
-    def test_sweep_failure_path_closes_store(self, tiny_preset):
-        """The cell executor's finally clause must close the engine —
-        and with it the mmap store — when the run raises."""
-        prepared = prepare(tiny_preset, 3, seed=0)
-        engine, algo = build_run(prepared, "skiptrain", total_rounds=8,
-                                 state_backend="mmap")
-        path = engine._store.path
-        assert path.is_file()
-
-        class Die(Exception):
-            pass
-
-        def hook(engine, t, history, last_eval):
-            if t == 2:
-                raise Die
-
-        with pytest.raises(Die):
-            try:
-                engine.run(algo, hook=hook)
-            finally:
-                engine.close()
-        assert not path.exists()
-
-    def test_sigint_unlinks_at_interpreter_exit(self, tmp_path):
-        """Ctrl-C mid-run: KeyboardInterrupt unwinds without close(),
-        and the weakref.finalize guard unlinks the file on exit."""
-        script = (
-            "import signal, sys, time\n"
-            "from repro.simulation.state_store import MmapStateStore\n"
-            "store = MmapStateStore((64, 8), directory=sys.argv[1])\n"
-            "print(store.path, flush=True)\n"
-            "time.sleep(30)\n"
-        )
-        env = {**os.environ,
-               "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script, str(tmp_path)],
-            stdout=subprocess.PIPE, text=True, env=env,
-        )
+    def test_the_ufunc_buffer_size_changes_neither(self):
+        x = np.random.default_rng(0).normal(size=(7, 5001))
+        previous = np.setbufsize(1024)
         try:
-            mmap_path = Path(proc.stdout.readline().strip())
-            assert mmap_path.is_file()
-            proc.send_signal(signal.SIGINT)
-            proc.wait(timeout=30)
+            diff = x - x.mean(axis=0, keepdims=True)
+            want = float(np.einsum("ij,ij->", diff, diff) / 7)
+            got = consensus_distance(x)
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-        # SIGINT → KeyboardInterrupt → interpreter exit runs finalizers
-        deadline = time.monotonic() + 10
-        while mmap_path.exists() and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not mmap_path.exists()
+            np.setbufsize(previous)
+        assert got.hex() == want.hex()
+
+
+def _wide_engine(total_rounds=1):
+    """64 nodes of a 141,316-parameter MLP: a 72 MB state, far above
+    every workspace a round, an evaluation or a load needs."""
+    spec = SyntheticSpec(num_classes=4, channels=1, image_size=8,
+                         noise_std=1.0, jitter_std=0.3, prototype_resolution=2)
+    config = EngineConfig(local_steps=1, learning_rate=0.1,
+                          total_rounds=total_rounds, eval_every=1)
+    return build_engine(
+        spec, 64, config, lambda rng: small_mlp(64, 4, hidden=2048, rng=rng),
+        seed=0, num_train=8 * 64, num_test=64, batch_size=4,
+    )
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBound:
+    def test_a_round_and_an_evaluation_allocate_less_than_the_state(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(engine_module, "SPARE_BUDGET", 0)
+        engine = _wide_engine()
+        history, peak = _peak_bytes(lambda: engine.run(DPSGD(64)))
+        assert len(history.records) == 1
+        assert peak < engine.state.nbytes, (peak, engine.state.nbytes)
+
+    def test_a_checkpoint_load_allocates_less_than_the_state(self, tmp_path):
+        path = tmp_path / "run.npz"
+        engine = _wide_engine(total_rounds=2)
+        history = engine.run(DPSGD(64), hook=lambda e, t, h, r: (
+            save_run_checkpoint(e, DPSGD(64), h, t, path) if t == 1 else None
+        ))
+        fresh = _wide_engine(total_rounds=2)
+        held = fresh.state
+        (start, partial), peak = _peak_bytes(
+            lambda: load_run_checkpoint(fresh, DPSGD(64), path)
+        )
+        assert start == 1 and fresh.state is held
+        assert peak < fresh.state.nbytes, (peak, fresh.state.nbytes)
+        fresh.run(DPSGD(64), start=start, history=partial)
+        np.testing.assert_array_equal(fresh.state, engine.state)
+        assert partial.records == history.records

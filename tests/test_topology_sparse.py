@@ -257,11 +257,8 @@ class TestTrajectoryBitIdentity:
                 eng = build_engine(spec, 16, cfg, factory, seed=0,
                                    num_train=128, num_test=64, batch_size=4,
                                    degree=4)
-            try:
-                hist = eng.run(DPSGD(16))
-                return eng.state.copy(), hist
-            finally:
-                eng.close()
+            hist = eng.run(DPSGD(16))
+            return eng.state.copy(), hist
 
         s_nx, h_nx = run(
             lambda n, d, seed=0: as_neighbor_list(nx_regular(n, d, seed))
