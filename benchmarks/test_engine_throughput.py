@@ -452,7 +452,7 @@ def test_train_rounds_fleet(n_nodes):
 
 def _measure_sweep_jobs(bench16_cifar, tmp_path):
     """(jobs1_s, jobs4_s, plan) for an 8-cell plan executed serially vs
-    on the persistent 4-worker shared-memory pool, after asserting the
+    on the persistent 4-worker pool, after asserting the
     two artifact directories are byte-identical (the --jobs contract)."""
     import dataclasses
 
@@ -460,7 +460,7 @@ def _measure_sweep_jobs(bench16_cifar, tmp_path):
     from repro.experiments.artifacts import artifact_path
 
     # 64 rounds: stacked cells are short, and at 16 rounds the pool's
-    # fork and publish cost rivals the work it spreads
+    # fork and per-worker preparation cost rivals the work it spreads
     preset = dataclasses.replace(bench16_cifar, total_rounds=64, eval_every=8,
                                  degrees=(3, 4))
     plan = build_plan(preset, ("skiptrain", "d-psgd"), degrees=(3, 4),

@@ -124,10 +124,10 @@ class PreparedData:
     Everything here depends only on (preset, seed, partition override,
     Dirichlet α) — never on the topology degree — so one
     :class:`PreparedData` can back every degree of a sweep group. The
-    persistent sweep pool exploits exactly this: the parent process
-    synthesizes each distinct data key once, publishes the arrays via
-    shared memory, and the workers rebind them zero-copy (see
-    :mod:`repro.experiments.pool`).
+    sweep exploits exactly this: each process that runs cells keeps
+    the datasets it prepared by data key and reuses them across the
+    cells of that key (see :class:`~repro.experiments.sweep.
+    DatasetCache`).
     """
 
     preset: ExperimentPreset
@@ -136,6 +136,13 @@ class PreparedData:
     test: ArrayDataset
     validation: ArrayDataset
     partition: list[np.ndarray]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of every array held: what keeping it costs."""
+        arrays = (self.train.x, self.train.y, self.test.x, self.test.y,
+                  self.validation.x, self.validation.y, *self.partition)
+        return sum(array.nbytes for array in arrays)
 
 
 @dataclass
@@ -246,8 +253,8 @@ def prepared_from_data(
     Metropolis–Hastings mixing matrix, and the energy trace.
 
     Cheap relative to :func:`prepare_data` and deterministic in
-    ``(data, degree)``, so pool workers re-derive it per cell from the
-    shared-memory datasets instead of shipping sparse matrices around.
+    ``(data, degree)``, so the process running a cell re-derives it
+    per cell from its kept dataset.
     """
     preset = data.preset
     graph = regular_neighbors(preset.n_nodes, degree, seed=data.seed)

@@ -8,23 +8,24 @@ One :class:`ScenarioServer` owns four moving parts:
   thread-safe :class:`~.jobs.JobStore` and
   :class:`~.metrics.MetricsRegistry`;
 * the :class:`~.jobs.JobStore` FIFO, bounded in cells (full → 429);
-* a single *dispatcher* thread that claims queued jobs, gets each
-  cell's dataset from the :class:`~repro.experiments.pool.
-  SharedDatasetCache` (through the batch sweep's own
-  :func:`~repro.experiments.sweep.cell_dataset`: published on a miss,
-  pinned while an accepted cell is unfinished, then kept least recently
-  used up to :data:`~repro.experiments.pool.IDLE_DATASET_BUDGET` bytes
-  and released past it), feeds cells to
-  the :class:`~repro.experiments.pool.PersistentPool`, and folds
-  start/progress/completion events back into the store and the
-  metrics. It blocks in ``pool.next_result()`` with no poll period;
-  every state change it must react to (a submission, the start of a
-  drain, release of the ``pause_dispatch`` hook, ``close``) wakes it
-  through ``pool.wake()``;
+* a single *dispatcher* thread that claims queued jobs, feeds each
+  cell with its data key
+  (:func:`~repro.experiments.sweep.cell_data_coords`) to the
+  :class:`~repro.experiments.pool.PersistentPool`, and folds
+  start/progress/log/completion events back into the store, the
+  metrics and the log. It never prepares or holds a dataset. It blocks
+  in ``pool.next_result()`` with no poll period; every state change it
+  must react to (a submission, the start of a drain, release of the
+  ``pause_dispatch`` hook, ``close``) wakes it through
+  ``pool.wake()``;
 * the pool itself, forked once at :meth:`ScenarioServer.start` — so
   everything ``run_one`` closes over is frozen then, and inline
   scenario specs (which arrive *after* the fork) travel to workers
-  with each task instead.
+  with each task instead. Each worker prepares its cells' datasets
+  into its own :class:`~repro.experiments.sweep.DatasetCache` and
+  keeps idle ones up to :data:`IDLE_DATASET_BUDGET` bytes, so a
+  resubmitted seed starts without a ``prepare_data``; the pool hands a
+  cell to the worker that last ran its key first.
 
 A served cell runs :func:`~repro.experiments.sweep.run_cell_from_data`
 — the very function ``repro sweep``'s workers (and its ``--jobs 1``
@@ -34,8 +35,8 @@ inline-spec lookup and the progress throttle.
 
 Graceful drain: SIGTERM/SIGINT (or :meth:`ScenarioServer.begin_drain`)
 flips the daemon into draining — new submissions get 503, every
-accepted job runs to completion, then the pool, cache and HTTP server
-shut down and :meth:`serve_forever` returns 0.
+accepted job runs to completion, then the pool and HTTP server shut
+down and :meth:`serve_forever` returns 0.
 
 Real time is load-bearing here (arrival timestamps, queueing latency,
 rate denominators), unlike in the engine packages — the ``det-
@@ -54,14 +55,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 from ..artifacts import artifact_path, load_cell_artifact
-from ..pool import (
-    IDLE_DATASET_BUDGET,
-    PersistentPool,
-    PoolWorkerError,
-    SharedDatasetCache,
-)
+from ..pool import PersistentPool, PoolWorkerError
 from ..presets import get_preset
 from ..sweep import (
+    DatasetCache,
     cell_data_coords,
     cell_dataset,
     resolve_auto_jobs,
@@ -76,6 +73,13 @@ __all__ = ["DrainingError", "ServeConfig", "ScenarioServer"]
 
 #: largest ``POST /jobs`` body read (413 past it); specs are a few KiB
 MAX_BODY_BYTES = 1 << 20
+
+#: Bytes of idle datasets each serve worker keeps beside the one its
+#: latest cell trained on, least recently used first out, so a
+#: resubmitted seed starts without a ``prepare_data``. Eight
+#: ``cifar10-bench`` datasets; a paper-scale dataset (~1.2 GB) exceeds
+#: it on its own and is dropped at the worker's next preparation.
+IDLE_DATASET_BUDGET = 32 << 20
 
 
 class DrainingError(RuntimeError):
@@ -271,10 +275,10 @@ class ScenarioServer:
             on_start=lambda cell_id: self.store.cell_started(
                 cell_id, _wall_now()),
             on_progress=self._on_cell_progress,
+            on_log=lambda cell_id, line: self._say(line),
         )
-        self._cache = SharedDatasetCache(idle_budget=IDLE_DATASET_BUDGET)
-        #: data key each dispatched, unfinished cell pins in the cache
-        self._data_keys: dict[str, tuple] = {}
+        #: filled only inside the workers, each in its own copy
+        self._datasets = DatasetCache(IDLE_DATASET_BUDGET)
         #: test hook — while set, the dispatcher claims no new queued
         #: jobs (completions still flow), making 429 tests deterministic
         self.pause_dispatch = _PauseHook(self._pool.wake)
@@ -433,7 +437,6 @@ class ScenarioServer:
         if self._started:
             self._dispatcher.join(timeout=10)
         self._pool.__exit__(None, None, None)
-        self._cache.close()
 
     def serve_forever(self) -> int:
         """The CLI entry: install SIGTERM/SIGINT drain handlers, block
@@ -501,11 +504,12 @@ class ScenarioServer:
 
     # -- worker side ------------------------------------------------------
 
-    def _run_one(self, cell, meta, spec, report) -> bool:
+    def _run_one(self, cell, spec, log, report) -> bool:
         """Executes inside a forked pool worker. ``spec`` is the job's
         inline scenario spec (or ``None`` for registered scenarios and
         plain cells); everything else resolves through the closures
-        frozen at the fork."""
+        frozen at the fork. ``log`` relays the ``prep`` line of a
+        dataset this worker prepares to the daemon's log."""
         lookup = self._scenario_lookup
         if spec is not None:
 
@@ -520,12 +524,12 @@ class ScenarioServer:
             if done % step == 0 or done >= total_units:
                 report(done, total_units)
 
+        lookups = dict(preset_lookup=self._preset_lookup, scenario_lookup=lookup)
         return run_cell_from_data(
             cell,
-            meta,
+            cell_dataset(cell, self._datasets, log=log, **lookups),
             self.config.results_dir,
-            preset_lookup=self._preset_lookup,
-            scenario_lookup=lookup,
+            **lookups,
             checkpoint_every=self.config.checkpoint_every,
             progress=progress,
         )
@@ -560,7 +564,7 @@ class ScenarioServer:
             self.m_rounds.inc(delta)
 
     def _submit_job(self, job: Job) -> None:
-        """Publish datasets and enqueue the job's cells (skipping cells
+        """Enqueue the job's cells with their data keys (skipping cells
         whose artifact already exists — served resubmissions are
         idempotent, like ``repro sweep`` reruns)."""
         now = _wall_now()
@@ -574,18 +578,13 @@ class ScenarioServer:
                 self._finish_bookkeeping(job, cell_completed=False)
                 self._say(f"skip {cell.cell_id} (artifact exists)")
                 continue
-            lookups = dict(
-                preset_lookup=self._preset_lookup,
+            key = cell_data_coords(
+                cell, preset_lookup=self._preset_lookup,
                 scenario_lookup=self._scenario_for,
-            )
-            meta = cell_dataset(cell, self._cache, log=self._say, **lookups)
+            )[0]
             n_nodes = self._preset_lookup(cell.preset).n_nodes
             served.total_units = cell.total_rounds * cell.units_per_round(n_nodes)
-            self._pool.submit((cell, meta, job.inline_spec))
-            # the dataset stays published at least until this cell ends
-            key = cell_data_coords(cell, **lookups)[0]
-            self._cache.pin(key)
-            self._data_keys[cell.cell_id] = key
+            self._pool.submit((cell, job.inline_spec), key)
 
     def _finish_bookkeeping(self, job: Job, *, cell_completed: bool) -> None:
         """Roll job/cell completion into the counters (store already
@@ -602,20 +601,11 @@ class ScenarioServer:
             self.m_jobs_failed.inc()
             self._say(f"failed {job.job_id}: {job.error.splitlines()[-1] if job.error else ''}")
 
-    def _unpin_data(self, cell_id: str) -> None:
-        """The cell ended (done, failed or lost with its worker): its
-        dataset turns idle with its last unfinished cell, and the cache
-        releases idle datasets past its budget."""
-        key = self._data_keys.pop(cell_id, None)
-        if key is not None:
-            self._cache.unpin(key)
-
     def _handle_completion(self, cell_id: str, resumed: bool) -> None:
         seen = self._progress_seen.pop(cell_id, 0)
         now = _wall_now()
         found = self.store.cell_for(cell_id)
         if found is None:
-            self._unpin_data(cell_id)
             return
         job, served = found
         # credit the units the throttled progress stream never
@@ -629,15 +619,11 @@ class ScenarioServer:
         self.m_energy.inc(energy)
         self.store.cell_done(cell_id, resumed, energy, now)
         self._finish_bookkeeping(job, cell_completed=True)
-        # last, with the job already reading done: releasing a dataset
-        # is a munmap + unlink no client needs to wait for
-        self._unpin_data(cell_id)
 
     def _handle_worker_error(self, exc: PoolWorkerError) -> None:
         now = _wall_now()
         self._say(f"worker failure: {exc.cell_id or '<unattributed>'}")
         if exc.cell_id:
-            self._unpin_data(exc.cell_id)
             self._progress_seen.pop(exc.cell_id, None)
             self.m_cells_failed.inc()
             result = self.store.cell_failed(

@@ -13,10 +13,11 @@ There is one backend and one cell path, with three front doors:
 ``run_sweep(jobs=1)`` runs the shard's pending cells inline,
 ``run_sweep(jobs=N)`` ships them to the persistent fork workers of
 :mod:`repro.experiments.pool`, and ``repro serve`` feeds the same pool
-from its HTTP job queue. All three get a cell's dataset from
-:func:`cell_dataset` — keyed by (preset, seed, partition-override, α),
-degree-free, so cells that train on the same data share one
-preparation — and execute it with :func:`run_cell_from_data`, which
+from its HTTP job queue. In all three the process that runs a cell
+gets its dataset from :func:`cell_dataset`, against that process's own
+:class:`DatasetCache` — keyed by (preset, seed, partition-override,
+α), degree-free, so the cells a process runs on the same data share
+one preparation — and executes it with :func:`run_cell_from_data`, which
 binds the cell's topology onto that data and hands over to
 :func:`run_cell`. Served ≡ swept ≡ serial holds because it is the same
 function each time, not three that agree.
@@ -38,6 +39,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 from ..lanes import affinity_cpus
@@ -49,7 +51,7 @@ from .artifacts import (
     shard_cells,
     write_cell_artifact,
 )
-from .pool import PersistentPool, SharedDataset, SharedDatasetCache, bind_data
+from .pool import PersistentPool
 from .presets import ExperimentPreset, get_preset
 from .runner import (
     AsyncExperimentResult,
@@ -63,6 +65,7 @@ from .runner import (
 )
 
 __all__ = [
+    "DatasetCache",
     "SweepRunStats",
     "cell_data_coords",
     "cell_dataset",
@@ -77,12 +80,11 @@ __all__ = [
 class SweepRunStats:
     """What one :func:`run_sweep` invocation did with its shard.
 
-    ``prepped`` records the data keys published to shared memory, in
-    publication order — one entry per distinct (preset, seed,
-    partition-override, α) dataset, however many cells shared it (empty
-    for ``jobs=1``, which keeps its one resident dataset in-process).
-    The parallel-correctness tests assert on it to prove each dataset
-    is prepared exactly once per sweep.
+    ``prepped`` records the data key of every ``prepare_data`` call the
+    sweep's cells made, one entry per preparation, in the order the
+    processes running them reported them. A key is prepared once per
+    process that runs its cells: once for ``jobs=1``, at most
+    ``min(jobs, its cells)`` times through the pool.
 
     ``jobs_resolved`` is the worker count the sweep actually ran with
     after resolving ``jobs="auto"`` (1 for a serial run — including the
@@ -362,19 +364,17 @@ def cell_data_coords(
 
 def cell_dataset(
     cell: PlanCell,
-    cache,
+    cache: "DatasetCache",
     *,
     preset_lookup: Callable[[str], ExperimentPreset],
     scenario_lookup: Callable | None = None,
     log: Callable[[str], None],
-) -> "SharedDataset | PreparedData":
+) -> PreparedData:
     """The dataset ``cell`` trains on: ``cache``'s entry for the cell's
     :func:`cell_data_coords` key, built with
-    :func:`~repro.experiments.runner.prepare_data` and published to the
-    cache on a miss. ``cache`` is a
-    :class:`~repro.experiments.pool.SharedDatasetCache` (``jobs > 1``,
-    ``repro serve``) or the in-process one-slot stand-in of ``jobs=1``;
-    what it returns is what :func:`run_cell_from_data` takes."""
+    :func:`~repro.experiments.runner.prepare_data` (announced by a
+    ``prep`` line to ``log``) and kept in the cache on a miss. ``cache``
+    is the :class:`DatasetCache` of the process running the cell."""
     key, base, override, alpha = cell_data_coords(
         cell, preset_lookup=preset_lookup, scenario_lookup=scenario_lookup
     )
@@ -382,7 +382,7 @@ def cell_dataset(
     if dataset is None:
         log(f"prep {cell.preset} seed={cell.seed}"
             + (f" data={override}" if override else ""))
-        dataset = cache.publish(
+        dataset = cache.keep(
             key,
             prepare_data(
                 base,
@@ -396,7 +396,7 @@ def cell_dataset(
 
 def run_cell_from_data(
     cell: PlanCell,
-    dataset: "SharedDataset | PreparedData",
+    dataset: PreparedData,
     results_dir: str | os.PathLike,
     *,
     preset_lookup: Callable[[str], ExperimentPreset],
@@ -409,15 +409,11 @@ def run_cell_from_data(
     Returns whether the cell resumed from a mid-cell checkpoint.
 
     The serial loop calls this inline, the sweep pool and the serve
-    daemon from inside their fork workers — a shared-memory descriptor
-    is rebound zero-copy, an in-process dataset used as it is."""
+    daemon from inside their fork workers."""
     _, base, degree = _cell_base(cell, preset_lookup, scenario_lookup)
-    if isinstance(dataset, SharedDataset):
-        data = bind_data(dataset, base)
-    else:
-        # one dataset serves every cell of its key; the base preset
-        # (a scenario's battery override) is the cell's own
-        data = replace(dataset, preset=base)
+    # one dataset serves every cell of its key; the base preset (a
+    # scenario's battery override) is the cell's own
+    data = replace(dataset, preset=base)
     _, resumed = run_cell(
         preset_lookup(cell.preset),
         cell,
@@ -429,21 +425,41 @@ def run_cell_from_data(
     return resumed
 
 
-class _ResidentDataset:
-    """The ``jobs=1`` stand-in for the shared-memory cache: the one
-    most recently built dataset, held in-process. Asking for another
-    key drops it first, so two datasets are never alive together."""
+class DatasetCache:
+    """The prepared datasets of one process that runs cells, by data
+    key: the latest cell's, plus older ones up to ``idle_budget`` bytes,
+    least recently used first out. A miss drops what is over the budget
+    *before* the caller prepares, so with the default budget of 0 two
+    datasets are never alive together.
 
-    def __init__(self) -> None:
-        self._key, self._data = None, None
+    Every process that runs cells owns one — the ``jobs=1`` loop, each
+    sweep worker (budget 0) and each serve worker (the daemon's
+    ``IDLE_DATASET_BUDGET``, so a resubmitted seed starts without a
+    ``prepare_data``). A pool parent builds one before the fork and
+    never fills it, so each worker starts from an empty copy of its
+    own."""
+
+    def __init__(self, idle_budget: int = 0) -> None:
+        self._budget = idle_budget
+        #: least recently used first
+        self._held: dict[tuple, PreparedData] = {}
 
     def get(self, key: tuple) -> PreparedData | None:
-        if key != self._key:
-            self._key = self._data = None
-        return self._data
+        """``key``'s dataset, now the most recently used; on a miss,
+        ``None`` once what is over the budget is dropped."""
+        data = self._held.pop(key, None)
+        if data is not None:
+            self._held[key] = data
+            return data
+        while self._held and sum(
+            held.nbytes for held in self._held.values()
+        ) > self._budget:
+            del self._held[next(iter(self._held))]
+        return None
 
-    def publish(self, key: tuple, data: PreparedData) -> PreparedData:
-        self._key, self._data = key, data
+    def keep(self, key: tuple, data: PreparedData) -> PreparedData:
+        """Hold ``data`` as ``key``'s, the most recently used."""
+        self._held[key] = data
         return data
 
 
@@ -466,34 +482,32 @@ def run_sweep(
     Cells whose raw artifact already exists are skipped, so re-running
     after a crash (or over a directory another shard already filled)
     never redoes finished work. The pending cells are ordered by data
-    key (:func:`cell_data_coords`), so every distinct dataset is
-    prepared exactly once per sweep (execution order within a shard is
-    free: artifacts are per-cell and deterministic), and each goes
-    through :func:`cell_dataset` → :func:`run_cell_from_data`.
+    key (:func:`cell_data_coords`), so cells sharing a dataset run back
+    to back (execution order within a shard is free: artifacts are
+    per-cell and deterministic), and each goes through
+    :func:`cell_dataset` → :func:`run_cell_from_data` in the process
+    that runs it, against that process's own :class:`DatasetCache`.
 
     ``jobs`` only selects where that call runs. ``jobs=1`` runs it
-    inline, holding one dataset at a time. ``jobs > 1`` forks that many
-    long-lived workers (:mod:`repro.experiments.pool`) and then runs a
-    producer/consumer pipeline in the parent: cell by cell in data-key
-    order it gets the dataset — preparing and publishing it to shared
-    memory if the key is new — and submits the cell, taking in whatever
-    cells have finished before it prepares the next dataset. So
-    preparation overlaps execution instead of preceding it. A dataset
-    is unlinked when the last pending cell of its key completes, and
-    the parent stops preparing (and waits for a completion) while one
-    dataset per worker plus one are still published: at most
-    ``jobs + 1`` datasets exist at any moment, and a worker maps only
-    the one its cell trains on. The parent alone creates and unlinks
-    segments; none outlives the sweep, whether it succeeds, a worker
-    crashes (which fails the sweep fast with the worker's original
-    traceback), preparation itself raises, or Ctrl-C arrives.
-    ``round_hook`` runs inside the workers. The artifact directory is
-    byte-identical for every ``jobs`` — only wall-clock and completion
-    order change — and sharding, skipping and mid-cell checkpointing
-    compose unchanged (each cell owns its private checkpoint file). The
-    pool requires the ``fork`` start method (Linux; presets and hooks
-    need not be picklable) — elsewhere, run ``jobs=1`` per shard and
-    split work with ``shard`` instead.
+    inline: each key is prepared once, and one dataset is alive at a
+    time. ``jobs > 1`` submits every pending cell with its data key to
+    that many long-lived fork workers (:mod:`repro.experiments.pool`),
+    which prepare on a miss and hold one dataset each; the pool hands
+    an idle worker a cell of the key it holds first, so a key is
+    prepared at most ``min(jobs, its cells)`` times. The parent
+    computes keys and collects results; it never prepares, copies or
+    holds a dataset. Worker log lines (``prep …``) reach ``log`` over
+    the worker's pipe. A crashed worker fails the sweep fast with its
+    original traceback — a ``prepare_data`` failure included, as a
+    :class:`~repro.experiments.pool.PoolWorkerError` naming the cell —
+    and Ctrl-C or a failure in ``log`` stops the workers on the way
+    out. ``round_hook`` runs inside the workers. The artifact directory
+    is byte-identical for every ``jobs`` — only wall-clock and
+    completion order change — and sharding, skipping and mid-cell
+    checkpointing compose unchanged (each cell owns its private
+    checkpoint file). The pool requires the ``fork`` start method
+    (Linux; presets and hooks need not be picklable) — elsewhere, run
+    ``jobs=1`` per shard and split work with ``shard`` instead.
 
     ``jobs="auto"`` resolves the worker count via
     :func:`resolve_auto_jobs` — the scheduler affinity mask when the
@@ -554,11 +568,23 @@ def run_sweep(
 
     pending.sort(key=data_order)  # equal data keys adjacent
 
-    def run_one(cell: PlanCell, dataset) -> bool:
+    cache = DatasetCache()  # the running process's own; empty at a fork
+
+    def run_one(cell: PlanCell, log: Callable[[str], None]) -> bool:
+        # no local outlives the call: the last cell of a key must not
+        # keep its dataset alive under the next prep
         return run_cell_from_data(
-            cell, dataset, results_dir, checkpoint_every=checkpoint_every,
-            round_hook=round_hook, **lookups,
+            cell, cell_dataset(cell, cache, log=log, **lookups), results_dir,
+            checkpoint_every=checkpoint_every, round_hook=round_hook,
+            **lookups,
         )
+
+    def relay(cell_id: str, line: str) -> None:
+        """A log line of the cell ``cell_id``, from whichever process
+        runs it."""
+        if line.startswith("prep "):
+            stats.prepped.append(data_key[cell_id])
+        say(line)
 
     def finished(cell: PlanCell, resumed: bool) -> None:
         stats.ran.append(cell)
@@ -568,47 +594,18 @@ def run_sweep(
             say(f"    resumed {cell.cell_id} from mid-cell checkpoint")
 
     if jobs == 1:
-        resident = _ResidentDataset()
         for cell in pending:
-            # no local holds the dataset across iterations: the last
-            # cell of a key must not keep it alive under the next prep
-            finished(cell, run_one(
-                cell, cell_dataset(cell, resident, log=say, **lookups)))
-    else:
-        by_id = {cell.cell_id: cell for cell in pending}
-        n_workers = min(jobs, len(pending))
-        with (
-            SharedDatasetCache() as shared,
-            PersistentPool(n_workers, run_one) as workers,
-        ):
-            for key in data_key.values():
-                shared.pin(key)  # one per pending cell; its unpin below
-
-            def collect(timeout: float | None) -> bool:
-                """Take in one finished cell, waiting up to ``timeout``
-                (``None``: until there is one); whether one came."""
-                result = workers.next_result(timeout)
-                if result is None:
-                    return False
-                cell_id, resumed = result
-                finished(by_id[cell_id], resumed)
-                shared.unpin(data_key[cell_id])  # the last one releases
-                return True
-
-            for cell in pending:
-                if shared.get(data_key[cell.cell_id]) is None:
-                    # a new dataset is due. First take in every cell
-                    # that has finished meanwhile — waiting for one
-                    # while a dataset per worker plus the one run ahead
-                    # are still published
-                    while workers.outstanding:
-                        full = len(shared.live) > n_workers
-                        if not collect(None if full else 0) and not full:
-                            break
-                workers.submit(
-                    (cell, cell_dataset(cell, shared, log=say, **lookups)))
-            workers.close_intake()
-            while workers.outstanding:
-                collect(None)
-            stats.prepped.extend(shared.keys)
+            finished(cell, run_one(cell, partial(relay, cell.cell_id)))
+        return stats
+    by_id = {cell.cell_id: cell for cell in pending}
+    workers = PersistentPool(min(jobs, len(pending)), run_one, on_log=relay)
+    # queued before the fork, so the first hand-out sees every key
+    for cell in pending:
+        workers.submit((cell,), data_key[cell.cell_id])
+    workers.close_intake()
+    with workers:
+        while workers.outstanding:
+            result = workers.next_result()
+            if result is not None:
+                finished(by_id[result[0]], result[1])
     return stats

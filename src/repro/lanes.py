@@ -159,26 +159,29 @@ def tile_bounds(rows: int, row_work: int, row_bytes: int = 0) -> list[int]:
     return [rows * t // tiles for t in range(tiles + 1)]
 
 
-#: The process's lane threads, created on the first split. The executor
-#: starts a thread only when a task finds none idle, and its default
-#: cap (CPUs + 4) is above any lane count. A forked child forgets them.
-_lane_threads: ThreadPoolExecutor | None = None
+#: The process's lane threads by lane index, each created on the first
+#: split that needs its lane. One single-thread executor per lane, so a
+#: thread that finishes its lane early never takes another lane's tiles
+#: (which would serialise two lanes). A forked child forgets them.
+_lane_threads: dict[int, ThreadPoolExecutor] = {}
 
 
-def _lane_executor() -> ThreadPoolExecutor:
-    global _lane_threads
-    if _lane_threads is None:
+def _lane_executor(lane: int) -> ThreadPoolExecutor:
+    threads = _lane_threads.get(lane)
+    if threads is None:
         from concurrent.futures import ThreadPoolExecutor
 
-        _lane_threads = ThreadPoolExecutor(thread_name_prefix="lane")
-    return _lane_threads
+        threads = _lane_threads[lane] = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix=f"lane{lane}"
+        )
+    return threads
 
 
 def _forget_lane_threads() -> None:
-    # threads do not survive a fork, but the executor's bookkeeping
-    # does: a child that submitted to it would wait on them forever
+    # threads do not survive a fork, but the executors' bookkeeping
+    # does: a child that submitted to one would wait on it forever
     global _lane_threads
-    _lane_threads = None
+    _lane_threads = {}
 
 
 if hasattr(os, "register_at_fork"):
@@ -211,8 +214,7 @@ def run_tiles(fn: Callable[[int, int, int], T], bounds: list[int]) -> list[T]:
 
     if width == 1:
         return lane(0)
-    threads = _lane_executor()
-    futures = [threads.submit(lane, w) for w in range(1, width)]
+    futures = [_lane_executor(w).submit(lane, w) for w in range(1, width)]
     from concurrent.futures import wait
 
     try:

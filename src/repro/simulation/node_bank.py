@@ -4,8 +4,9 @@ Model *parameters* live in the engine's shared ``(n, dim)`` state
 matrix; what a node owns besides its row is a slice of the training
 set, a private batch-sampling stream and a step counter. A
 :class:`NodeBank` holds all ``n`` of those columnar: the global
-``x``/``y`` once and by reference (in a pool worker they stay views of
-the shared-memory segment), the partition in CSR form, and every node's
+``x``/``y`` once and by reference (the arrays of the dataset the
+running process keeps for the cell's data key), the partition in CSR
+form, and every node's
 batch stream as a Philox key and a position — two arrays, no generator
 objects. Building it is O(n + partition size), never O(dataset): no
 per-node copy of the samples is made.

@@ -2,9 +2,8 @@
 
 A ``SharedMemory(create=True)`` segment outlives the process that made
 it — a crashed sweep that never unlinks leaves the dataset pinned in
-``/dev/shm`` until reboot. The sweep pool's contract
-(:mod:`repro.experiments.pool`) is that every creation site keeps a
-reachable release path: a ``.unlink()`` call on the bound name in the
+``/dev/shm`` until reboot. The contract for any segment the program
+creates is that every creation site keeps a reachable release path: a ``.unlink()`` call on the bound name in the
 owning scope (a teardown branch counts — reachability, not
 post-dominance, is the bar an AST pass can honestly hold), or the name
 registered with a finalizer (``atexit.register`` / ``weakref.finalize``)
@@ -102,8 +101,7 @@ class ShmUnlink(Rule):
         "a SharedMemory(create=True) segment persists in /dev/shm after "
         "the process dies; every creation site needs a reachable "
         ".unlink() in its owning scope or a registered finalizer "
-        "(atexit.register / weakref.finalize), like the sweep pool's "
-        "SharedDatasetCache"
+        "(atexit.register / weakref.finalize)"
     )
     #: scope-resolution pass rather than a single visit — keep it out
     #: of the pre-commit fast path alongside cache-bound

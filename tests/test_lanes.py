@@ -280,7 +280,7 @@ def test_a_trainer_whose_lanes_ran_trains_again_in_a_forked_child(monkeypatch):
     first, second = rng.integers(0, 40, size=(2, 6, 2, 5))
     trainer = BatchedTrainer(model, lr=0.1)
     trainer.train_rows(state, ids, x, y, first, k)
-    assert lanes._lane_threads is not None
+    assert lanes._lane_threads  # a lane thread ran
 
     def child(conn):
         trainer.train_rows(state, ids, x, y, second, k)

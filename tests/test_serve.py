@@ -440,29 +440,53 @@ class TestByteIdentity:
 
 
 class TestDatasetResidency:
-    """The daemon's half of the dataset lifecycle: a dataset is pinned
-    while an accepted cell is unfinished, then kept least recently used
-    inside a byte budget and released past it — in the daemon and, at
-    their next bind, in its workers."""
+    """The daemon's half of the dataset lifecycle: its dispatcher never
+    prepares or holds a dataset; each worker prepares its cells' own
+    and keeps idle ones least recently used inside a byte budget."""
 
-    @staticmethod
-    def _segments():
-        return {p.name for p in Path("/dev/shm").glob("psm_*")}
+    def test_the_dispatcher_never_prepares(
+        self, serve_preset, serve_scenario, tmp_path, monkeypatch
+    ):
+        """A pid spy on ``prepare_data``, inherited by the forked
+        workers: every call runs in a worker, none in the daemon."""
+        from repro.experiments import sweep
+
+        spool = tmp_path / "preps"
+        spool.mkdir()
+        real = sweep.prepare_data
+
+        def spy(preset, seed=0, **kwargs):
+            (spool / f"{os.getpid()}-{seed}-{time.monotonic_ns()}").touch()
+            return real(preset, seed=seed, **kwargs)
+
+        monkeypatch.setattr(sweep, "prepare_data", spy)
+        srv = ScenarioServer(
+            ServeConfig(results_dir=str(tmp_path / "served"), port=0, jobs=2),
+            preset_lookup={serve_preset.name: serve_preset}.__getitem__,
+            scenario_lookup={serve_scenario.name: serve_scenario}.__getitem__,
+        ).start()
+        try:
+            _, preset_job = http(f"{srv.url}/jobs", PRESET_JOB)
+            _, scenario_job = http(
+                f"{srv.url}/jobs", {"scenario": "servesc", "seeds": [0]})
+            for job in (preset_job, scenario_job):
+                assert wait_for_job(srv.url, job["job_id"])["state"] == "done"
+        finally:
+            srv.begin_drain()
+            srv.close()
+        pids = {int(path.name.split("-")[0]) for path in spool.iterdir()}
+        assert pids and os.getpid() not in pids
 
     def test_idle_datasets_are_kept_to_the_budget_and_reused(
         self, serve_preset, serve_scenario, tmp_path, monkeypatch
     ):
-        from repro.experiments import SharedDatasetCache
         from repro.experiments.runner import prepare_data
         from repro.experiments.serve import server as server_module
 
-        with SharedDatasetCache() as probe:
-            meta = probe.publish("probe", prepare_data(serve_preset, seed=0))
-            one = Path("/dev/shm", meta.segment).stat().st_size
-        # room for two idle datasets, not three
+        one = prepare_data(serve_preset, seed=0).nbytes
+        # room for two idle datasets beside the latest one, not three
         monkeypatch.setattr(server_module, "IDLE_DATASET_BUDGET", 2 * one + 1)
         lines: list[str] = []
-        before = self._segments()
         srv = ScenarioServer(
             ServeConfig(results_dir=str(tmp_path / "served"), port=0,
                         jobs=1, log=lines.append),
@@ -482,24 +506,21 @@ class TestDatasetResidency:
         try:
             for seed in range(6):
                 run(seed)
-                # nothing is pinned between jobs: what is published is
-                # the idle set, and it never outgrows the budget
-                assert len(self._segments() - before) == min(seed + 1, 2)
-            assert {key[1] for key in srv._cache.live} == {4, 5}
-            assert len(preps()) == 6
-            # a seed inside the budget starts without a prepare_data ...
-            run(4, algorithm="skiptrain")
+            # the worker's prep lines reach the daemon's log, one a seed
+            assert preps() == [f"prep servetiny seed={seed}" for seed in range(6)]
+            # a resubmitted seed within the budget relays no prep line ...
+            run(3, algorithm="skiptrain")
             assert len(preps()) == 6
             # ... one past it is prepared again, and the dataset that
-            # goes is the least recently used one, not the oldest
+            # goes is the least recently used one (4), not the oldest (3)
             run(0, algorithm="skiptrain")
             assert len(preps()) == 7
-            assert {key[1] for key in srv._cache.live} == {4, 0}
-            assert srv._data_keys == {}
+            run(4, algorithm="skiptrain")
+            assert preps()[-1] == "prep servetiny seed=4"
+            assert len(preps()) == 8
         finally:
             srv.begin_drain()
             srv.close()
-        assert self._segments() - before == set()
 
 
 SAMPLE = re.compile(

@@ -245,7 +245,8 @@ class TestSweepExecution:
         assert stats.jobs_resolved == 1
         assert stats.jobs_source == "sched_getaffinity"
         assert len(stats.ran) == 2
-        assert not stats.prepped  # serial path: no pool, no shared mem
+        # serial path: each key prepared once, in-process
+        assert [key[1] for key in stats.prepped] == [0, 1]
 
         monkeypatch.setattr(sweep_mod.os, "sched_getaffinity",
                             lambda pid: {0, 1}, raising=False)

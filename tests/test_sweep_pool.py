@@ -1,15 +1,15 @@
-"""Parallel-correctness battery for the persistent shared-memory sweep
-pool (:mod:`repro.experiments.pool`).
+"""Parallel-correctness battery for the persistent sweep pool
+(:mod:`repro.experiments.pool`).
 
 The contract under test: a ``jobs=N`` sweep through the persistent pool
 produces an artifact tree byte-identical to ``jobs=1`` — across sync,
 async, and scenario cells, under sharding, skip-finished reruns,
-mid-cell checkpoints, and any dispatch/completion order — while every
-distinct dataset is prepared exactly once (for every ``jobs``), a
-crashed worker fails the sweep fast with its original traceback, at
-most ``jobs + 1`` datasets are published at any moment of a sweep (a
-worker attached to one), and no shared-memory segment ever outlives the
-sweep (success, worker failure, producer failure, or
+mid-cell checkpoints, and any dispatch/completion order — while the
+workers prepare every dataset themselves (each key at most once per
+worker, one dataset alive per worker, none ever in the parent), a
+crashed worker — or a failing ``prepare_data`` — fails the sweep fast
+with its original traceback naming the cell, and no worker process or
+shared-memory segment outlives the sweep (success, worker failure, or
 KeyboardInterrupt).
 """
 
@@ -20,6 +20,7 @@ import os
 import random
 import time
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,6 @@ import pytest
 from repro.experiments import (
     PersistentPool,
     PoolWorkerError,
-    SharedDatasetCache,
     aggregate_results,
     artifact_path,
     async_variant,
@@ -37,9 +37,10 @@ from repro.experiments import (
     run_sweep,
     write_summary_csv,
 )
-from repro.experiments import pool as pool_module
+from repro.experiments import sweep
 from repro.experiments.artifacts import checkpoint_dir, checkpoint_path
 from repro.experiments.runner import prepare_data
+from repro.experiments.sweep import DatasetCache, cell_data_coords
 from repro.scenarios import (
     AlgorithmSpec,
     ChurnEventSpec,
@@ -249,25 +250,32 @@ class TestQueueOrderProperty:
             # run_sweep orders its pending cells; the two functions it
             # is made of take them in any order
             out = tmp_path / f"shuffled{trial}"
-            with SharedDatasetCache() as shared:
-                with PersistentPool(
-                    3, lambda cell, data: run_cell_from_data(
-                        cell, data, out, **lookups)
-                ) as workers:
-                    for cell in shuffled:
-                        workers.submit((cell, cell_dataset(
-                            cell, shared, log=lambda msg: None, **lookups)))
-                    workers.close_intake()
-                    ran = drain(workers)
+            cache = DatasetCache()
+
+            def run_one(cell):
+                return run_cell_from_data(cell, cell_dataset(
+                    cell, cache, log=lambda msg: None, **lookups), out,
+                    **lookups)
+
+            with PersistentPool(3, run_one) as workers:
+                for cell in shuffled:
+                    workers.submit(
+                        (cell,), cell_data_coords(cell, **lookups)[0])
+                workers.close_intake()
+                ran = drain(workers)
             assert len(ran) == len(plan)
             assert_trees_identical(plan, serial, out)
 
 
 class TestPrepCache:
-    def test_each_dataset_prepped_exactly_once(self, micro_preset, tmp_path):
+    def test_each_dataset_prepped_at_most_once_per_worker(
+        self, micro_preset, tmp_path
+    ):
         """8 cells over 2 algorithms × 2 degrees × 2 seeds share 2
-        datasets; a no-override scenario shares the plain cells'
-        segment and a dirichlet-skew scenario gets its own."""
+        datasets; a no-override scenario shares the plain cells' key
+        and a dirichlet-skew scenario gets its own. Every key is
+        prepared, none more often than it has cells or the pool has
+        workers."""
         preset = dataclasses.replace(micro_preset, degrees=(3, 4))
         plan = build_plan(preset, ("skiptrain", "d-psgd"), degrees=(3, 4),
                           seeds=(0, 1))
@@ -278,12 +286,15 @@ class TestPrepCache:
                           preset_lookup=lookup_for(preset),
                           scenario_lookup=SPECS.__getitem__)
         assert len(stats.ran) == 10
-        assert set(stats.prepped) == {
-            ("micro", 0, None, None),        # seed 0: 4 plain + pool-plain
-            ("micro", 0, "dirichlet", 0.5),  # pool-churn-skew's data axis
-            ("micro", 1, None, None),        # seed 1: 4 plain cells
+        cells = {
+            ("micro", 0, None, None): 5,        # seed 0: 4 plain + pool-plain
+            ("micro", 0, "dirichlet", 0.5): 1,  # pool-churn-skew's data axis
+            ("micro", 1, None, None): 4,        # seed 1: 4 plain cells
         }
-        assert len(stats.prepped) == 3  # exactly once each, no repeats
+        counts = Counter(stats.prepped)
+        assert set(counts) == set(cells)
+        for key, times in counts.items():
+            assert times <= min(4, cells[key]), (key, times)
 
     def test_serial_sweep_preps_each_key_once_and_holds_one_dataset(
         self, micro_preset, tmp_path, monkeypatch
@@ -292,7 +303,7 @@ class TestPrepCache:
         no-override scenario cells and the plain cell of the same
         (preset, seed) train on one ``prepare_data`` result, and moving
         on to the next key drops it before its successor is built."""
-        from repro.experiments import runner, sweep
+        from repro.experiments import runner
 
         twin = dataclasses.replace(
             PLAIN_SCENARIO, name="pool-plain-twin",
@@ -323,7 +334,8 @@ class TestPrepCache:
                           scenario_lookup=specs.__getitem__)
         assert len(stats.ran) == 4
         assert [seed for seed, _ in built] == [0, 1]
-        assert stats.prepped == []  # nothing went to shared memory
+        assert stats.prepped == [("micro", 0, None, None),
+                                 ("micro", 1, None, None)]
 
 
 def many_key_plan(preset, seeds=7):
@@ -333,176 +345,133 @@ def many_key_plan(preset, seeds=7):
 
 
 class TestResidency:
-    """A shared dataset lives only while a cell needs it: the parent
-    publishes at most one per worker plus one ahead and unlinks each
-    with the last cell of its key; a worker maps the one in hand."""
+    """Datasets live in the processes that run cells: a sweep worker
+    prepares on a miss and holds one dataset at a time, and the parent
+    never prepares, copies or holds one."""
 
-    def test_live_segments_bounded_by_workers_plus_one(
-        self, micro_preset, tmp_path
+    def test_workers_hold_one_dataset_and_the_parent_none(
+        self, micro_preset, tmp_path, monkeypatch
     ):
+        """A pid spy on ``prepare_data``, inherited by the forked
+        workers: every call runs in a worker, never in the parent, and
+        finds no earlier dataset of its process still alive."""
         plan = many_key_plan(micro_preset)
-        before = shm_segments()
-        marks = tmp_path / "marks"
-        marks.mkdir()
+        spool = tmp_path / "preps"
+        spool.mkdir()
+        built: list = []  # per process: weakrefs of what it prepared
+        real = sweep.prepare_data
 
-        def hook(engine, t, history, last_eval):  # runs in the workers
-            with open(marks / f"{os.getpid()}.log", "a") as fh:
-                fh.write(f"{len(shm_segments() - before)} "
-                         f"{len(pool_module._BINDINGS)} "
-                         f"{len(pool_module._DEFERRED)}\n")
+        def spy(preset, seed=0, **kwargs):
+            gc.collect()
+            alive = sum(ref() is not None for ref in built)
+            with open(spool / str(os.getpid()), "a") as fh:
+                fh.write(f"{seed} {alive}\n")
+            data = real(preset, seed=seed, **kwargs)
+            built.append(weakref.ref(data.train.x))
+            return data
 
-        seen: list[tuple[str, int]] = []  # parent side: (log line, alive)
-
-        def log(msg):
-            seen.append((msg, len(shm_segments() - before)))
-
+        monkeypatch.setattr(sweep, "prepare_data", spy)
         stats = run_sweep(plan, tmp_path / "out", jobs=2,
-                          preset_lookup=lookup_for(micro_preset),
-                          round_hook=hook, log=log)
-        assert shm_segments() - before == set()
-        rows = [
-            tuple(map(int, line.split()))
-            for path in marks.glob("*.log")
-            for line in path.read_text().splitlines()
-        ]
-        assert len(rows) == len(plan) * micro_preset.total_rounds
-        assert max(alive for alive, _, _ in rows) <= 3
-        assert max(alive for _, alive in seen) <= 3
-        # whatever run of keys a worker went through, one attachment
-        assert {(bound, deferred) for _, bound, deferred in rows} == {(1, 0)}
-        # and the bound is what paced the producer: with 7 keys it had
-        # to wait for completions before it could prepare the fourth
-        lines = [msg for msg, _ in seen]
-        first_ran = next(i for i, m in enumerate(lines) if "] ran " in m)
-        last_prep = max(i for i, m in enumerate(lines) if m.startswith("prep"))
-        assert first_ran < last_prep
+                          preset_lookup=lookup_for(micro_preset))
         assert len(stats.ran) == len(plan)
+        calls = {
+            int(path.name): [tuple(map(int, line.split()))
+                             for line in path.read_text().splitlines()]
+            for path in spool.iterdir()
+        }
+        assert os.getpid() not in calls
+        assert len(calls) == 2  # both workers prepared
+        rows = [row for worker in calls.values() for row in worker]
+        assert {alive for _, alive in rows} == {0}
+        assert sorted(seed for seed, _ in rows) == sorted(
+            key[1] for key in stats.prepped)
+        assert {key[1] for key in stats.prepped} == set(range(7))
+        assert max(Counter(stats.prepped).values()) <= 2
 
-    def test_prepped_lists_released_keys_in_publication_order(
+    def test_the_parent_peak_stays_below_one_bench_dataset(self, tmp_path):
+        """``tracemalloc`` in the parent across a pooled bench sweep:
+        its peak stays below the bytes of one ``cifar10-bench`` dataset,
+        so no dataset — prepared, copied or received — ever lands
+        there."""
+        import tracemalloc
+
+        from repro.experiments import get_preset
+
+        preset = get_preset("cifar10-bench")
+        one = prepare_data(preset, seed=0).nbytes
+        plan = build_plan(preset, ("d-psgd",), degrees=(3,), seeds=(0, 1),
+                          total_rounds=2)
+        # a warm-up sweep loads every module the measured one touches
+        run_sweep(plan[:1], tmp_path / "warm", jobs=2)
+        tracemalloc.start()
+        try:
+            stats = run_sweep(plan, tmp_path / "out", jobs=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(stats.ran) == len(plan)
+        assert peak < one, f"parent peak {peak} B >= one dataset {one} B"
+
+    def test_prepped_lists_preparations_in_the_order_workers_report(
         self, micro_preset, tmp_path
     ):
         plan = many_key_plan(micro_preset)
-        before = shm_segments()
-        alive_at_last_ran = []
-
-        def log(msg):
-            if "] ran " in msg:
-                alive_at_last_ran[:] = [len(shm_segments() - before)]
-
-        stats = run_sweep(plan, tmp_path, jobs=2, log=log,
+        lines: list[str] = []
+        stats = run_sweep(plan, tmp_path, jobs=2, log=lines.append,
                           preset_lookup=lookup_for(micro_preset))
-        # most keys were unlinked long before the sweep returned ...
-        assert alive_at_last_ran[0] <= 1
-        # ... and are reported all the same, once each, in order
-        assert stats.prepped == [("micro", seed, None, None)
-                                 for seed in range(7)]
+        # the workers' prep lines reach the parent's log, one per entry
+        assert [line for line in lines if line.startswith("prep")] == [
+            f"prep micro seed={key[1]}" for key in stats.prepped
+        ]
+        assert {key[1] for key in stats.prepped} == set(range(7))
+        assert max(Counter(stats.prepped).values()) <= 2
 
-    def test_release_unlinks_one_segment_in_the_owner_only(self, micro_preset):
-        with SharedDatasetCache() as shared:
-            first, second = (
-                shared.publish(seed, prepare_data(micro_preset, seed=seed))
-                for seed in (0, 1)
-            )
-            assert {first.segment, second.segment} <= shm_segments()
-            shared.release(0)
-            shared.release(0)  # idempotent
-            assert first.segment not in shm_segments()
-            assert shared.get(0) is None and shared.get(1) is second
-            assert shared.live == (1,) and shared.keys == (0, 1)
-            # a forked child inherits the object but owns nothing
-            child = mp.get_context("fork").Process(
-                target=lambda: (shared.release(1), shared.close()))
-            child.start()
-            child.join(10)
-            assert child.exitcode == 0
-            assert second.segment in shm_segments()
-            # a released key may be published again (the daemon's
-            # evicted-then-resubmitted seed)
-            again = shared.publish(0, prepare_data(micro_preset, seed=0))
-            assert shared.keys == (0, 1, 0)
-        assert {second.segment, again.segment} & shm_segments() == set()
+    def test_an_idle_worker_takes_its_key_then_an_unheld_one(self):
+        """The pool's hand-out order: the two workers start on two
+        different keys, and each runs a key's cells back to back,
+        leaving it only when none is left, so no worker prepares a key
+        twice."""
+        from types import SimpleNamespace
 
-    def test_worker_binding_table_holds_the_dataset_in_hand(
+        keys = ["a"] * 4 + ["b"] * 3 + ["c"] * 2 + ["d"]
+        pool = PersistentPool(2, lambda cell: os.getpid())
+        for at, key in enumerate(keys):
+            pool.submit((SimpleNamespace(cell_id=f"{key}{at}"),), key)
+        pool.close_intake()
+        with pool:
+            ran = drain(pool)
+        assert sorted(cell_id for cell_id, _ in ran) == sorted(
+            f"{key}{at}" for at, key in enumerate(keys))
+        by_worker: dict = {}
+        for cell_id, pid in ran:  # a worker reports in the order it ran
+            by_worker.setdefault(pid, []).append(cell_id[0])
+        assert len(by_worker) == 2
+        firsts = sorted(run[0] for run in by_worker.values())
+        assert firsts == ["a", "b"]
+        for run in by_worker.values():
+            blocks = [k for at, k in enumerate(run) if at == 0 or run[at - 1] != k]
+            assert len(blocks) == len(set(blocks)), run
+
+    def test_dataset_cache_keeps_the_latest_plus_idle_ones_to_budget(
         self, micro_preset
     ):
-        """``bind_data`` as a worker runs it, here in-process: binding
-        the next key drops the previous attachment. One whose views are
-        still alive refuses to unmap — an error a view would otherwise
-        pay with a crash — and is retried, not leaked: a later bind
-        closes it once the views are gone."""
-        bindings, deferred = pool_module._BINDINGS, pool_module._DEFERRED
-        assert bindings == {} and deferred == []
-        with SharedDatasetCache() as shared:
-            metas = [
-                shared.publish(seed, prepare_data(micro_preset, seed=seed))
-                for seed in range(4)
-            ]
-            first = pool_module.bind_data(metas[0], micro_preset)
-            assert list(bindings) == [metas[0].segment]
-            pool_module.bind_data(metas[1], micro_preset)
-            assert list(bindings) == [metas[1].segment]
-            # ``first`` still exports the old mapping: close deferred
-            assert [shm.name for shm in deferred] == [metas[0].segment]
-            held = first.train.x[:1]
-            expected = prepare_data(micro_preset, seed=0).train.x[:1]
-            del first
-            pool_module.bind_data(metas[2], micro_preset)
-            # a single derived view is enough to defer it again; the
-            # second attachment, unreferenced, went at once
-            assert list(bindings) == [metas[2].segment]
-            assert [shm.name for shm in deferred] == [metas[0].segment]
-            assert (held == expected).all()  # and stays readable
-            # its key coming round again gets a fresh attachment
-            again = pool_module.bind_data(metas[0], micro_preset)
-            assert (again.train.x[:1] == expected).all()
-            del held, again
-            gc.collect()
-            last = pool_module.bind_data(metas[3], micro_preset)
-            assert list(bindings) == [metas[3].segment]
-            assert deferred == []
-            del last
-            gc.collect()
-            bindings.popitem()[1].close()
-        assert bindings == {}
-
-    def test_worker_exit_does_not_unlink_what_it_attached(
-        self, micro_preset, tmp_path
-    ):
-        """Workers are forked before anything is published. A worker
-        that started its own resource tracker then would have it unlink
-        every segment the worker attached when the worker exits — from
-        under the parent and every sibling still to bind it."""
-        import signal
-
-        lookup = lookup_for(micro_preset)
-        plan = many_key_plan(micro_preset, seeds=1)
-
-        def run_one(cell, data):
-            (tmp_path / f"{cell.cell_id}.pid").write_text(str(os.getpid()))
-            return run_cell_from_data(cell, data, tmp_path,
-                                      preset_lookup=lookup)
-
-        with PersistentPool(1, run_one) as workers:
-            with SharedDatasetCache() as shared:
-                tasks = [
-                    (cell, cell_dataset(cell, shared, preset_lookup=lookup,
-                                        log=lambda msg: None))
-                    for cell in plan
-                ]
-                segment = tasks[0][1].segment
-                workers.submit(tasks[0])
-                assert workers.next_result() == (plan[0].cell_id, False)
-                victim = int((tmp_path / f"{plan[0].cell_id}.pid").read_text())
-                os.kill(victim, signal.SIGKILL)
-                with pytest.raises(PoolWorkerError):
-                    workers.next_result()
-                assert workers.revive() == 1
-                time.sleep(0.3)  # a private tracker would have struck by now
-                assert segment in shm_segments()
-                workers.submit(tasks[1])
-                workers.close_intake()
-                assert drain(workers) == [(plan[1].cell_id, False)]
-        assert segment not in shm_segments()
+        datasets = [prepare_data(micro_preset, seed=seed) for seed in range(4)]
+        one = datasets[0].nbytes
+        resident = DatasetCache()
+        for seed in (0, 1):
+            assert resident.get(seed) is None
+            resident.keep(seed, datasets[seed])
+            assert list(resident._held) == [seed]  # the miss dropped the other
+        assert resident.get(1) is datasets[1]
+        kept = DatasetCache(idle_budget=2 * one)
+        for seed in range(3):
+            assert kept.get(seed) is None
+            kept.keep(seed, datasets[seed])
+        assert list(kept._held) == [0, 1, 2]
+        assert kept.get(0) is datasets[0]  # a hit: now the most recent
+        assert kept.get(3) is None  # a miss drops the least recent, 1
+        kept.keep(3, datasets[3])
+        assert list(kept._held) == [2, 0, 3]
 
 
 class TestFailureAndTeardown:
@@ -590,75 +559,51 @@ class TestFailureAndTeardown:
     def test_producer_failure_leaves_a_worker_failures_state(
         self, micro_preset, tmp_path, monkeypatch, failure
     ):
-        """The parent's own half of the pipeline fails — preparing the
-        fourth dataset raises, or Ctrl-C lands in the ``log`` callback
-        announcing it — while both workers are mid-cell on the second
-        key, the first key is finished and released and the third is
-        published with its cells still queued. (The fourth is the first
-        dataset the run-ahead bound makes wait for completions, which
-        is what hands the workers their second cells.) Same state as
-        after a worker failure: workers gone, no segment left, finished
-        artifacts intact, a rerun completing the rest (resuming the
-        interrupted cells from their checkpoints) into bytes identical
-        to serial."""
-        from repro.experiments import sweep
-
+        """Preparing a dataset fails — ``prepare_data`` raises inside
+        the worker that needs the fourth key, or Ctrl-C lands in the
+        parent's ``log`` callback as it relays that key's ``prep`` line.
+        A raising ``prepare_data`` surfaces as :class:`PoolWorkerError`
+        naming the cell, with the worker's traceback. Either way the
+        state is a worker failure's: workers gone, no segment left,
+        finished artifacts intact, and a rerun completes the rest into
+        bytes identical to serial."""
         plan = many_key_plan(micro_preset, seeds=5)
         lookup = lookup_for(micro_preset)
         serial, broken = tmp_path / "serial", tmp_path / "broken"
         run_sweep(plan, serial, preset_lookup=lookup, checkpoint_every=2)
-        held = tmp_path / "held"
-        held.mkdir()
-        rounds_seen = []  # each forked worker counts its own
-
-        def hold_second_cell(engine, t, history, last_eval):
-            rounds_seen.append(t)
-            if len(rounds_seen) == micro_preset.total_rounds + 5:
-                # round 5 of this worker's second cell, a checkpoint
-                # behind it: stay until the parent's failure kills us
-                (held / str(os.getpid())).touch()
-                time.sleep(30)
-
-        def both_workers_held():
-            deadline = time.monotonic() + 20
-            while len(list(held.iterdir())) < 2:
-                assert time.monotonic() < deadline, "workers never got there"
-                time.sleep(0.01)
-
-        preps = []
         real = sweep.prepare_data
 
         def failing_prepare(preset, seed=0, **kwargs):
-            preps.append(seed)
-            if failure == "prepare_data" and len(preps) == 4:
-                both_workers_held()
+            if failure == "prepare_data" and seed == 3:
                 raise RuntimeError("producer-test-detonation")
             return real(preset, seed=seed, **kwargs)
 
         def log(msg):
-            if failure == "log" and msg.startswith("prep") and len(preps) == 3:
-                both_workers_held()
+            if failure == "log" and msg == "prep micro seed=3":
                 raise KeyboardInterrupt
 
         monkeypatch.setattr(sweep, "prepare_data", failing_prepare)
         before = shm_segments()
         children = set(mp.active_children())
-        raised = RuntimeError if failure == "prepare_data" else KeyboardInterrupt
-        with pytest.raises(raised):
+        raised = PoolWorkerError if failure == "prepare_data" else KeyboardInterrupt
+        with pytest.raises(raised) as err:
             run_sweep(plan, broken, jobs=2, preset_lookup=lookup,
-                      checkpoint_every=2, round_hook=hold_second_cell, log=log)
+                      checkpoint_every=2, log=log)
         monkeypatch.undo()
+        if failure == "prepare_data":
+            assert err.value.cell_id in {c.cell_id for c in plan if c.seed == 3}
+            assert "producer-test-detonation" in err.value.worker_traceback
+            assert "in failing_prepare" in err.value.worker_traceback
         assert shm_segments() - before == set()
         assert set(mp.active_children()) - children == set()
         done = [c for c in plan if artifact_path(broken, c).is_file()]
-        assert [c.seed for c in done] == [0, 0]
+        assert all(c.seed != 3 for c in done)
         for cell in done:
             assert (artifact_path(broken, cell).read_bytes()
                     == artifact_path(serial, cell).read_bytes())
         stats = run_sweep(plan, broken, jobs=2, preset_lookup=lookup,
                           checkpoint_every=2)
         assert stats.skipped == done
-        assert sorted(c.seed for c in stats.resumed) == [1, 1]
         assert shm_segments() - before == set()
         assert_trees_identical(plan, serial, broken)
 
