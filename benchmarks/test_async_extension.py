@@ -13,10 +13,11 @@ from repro.simulation import (
     AsyncDPSGD,
     AsyncGossipEngine,
     AsyncSkipTrain,
+    EngineConfig,
     RngFactory,
     build_nodes,
 )
-from repro.topology import neighbor_lists, regular_neighbors
+from repro.topology import metropolis_hastings_weights, regular_neighbors
 
 from .conftest import run_once
 
@@ -28,13 +29,12 @@ def _engine(prepared, seed=11):
     nodes = build_nodes(prepared.train, prepared.partition,
                         preset.batch_size, rngs)
     graph = regular_neighbors(preset.n_nodes, 3, seed=seed)
+    config = EngineConfig(local_steps=preset.local_steps,
+                          learning_rate=preset.learning_rate,
+                          total_rounds=preset.total_rounds)
     return AsyncGossipEngine(
-        model, nodes, neighbor_lists(graph), prepared.test,
-        local_steps=preset.local_steps,
-        learning_rate=preset.learning_rate,
-        rng=rngs.stream("events"),
-        activations_per_node=preset.total_rounds,
-        trace=prepared.trace,
+        model, nodes, metropolis_hastings_weights(graph), config,
+        prepared.test, rng=rngs.stream("events"), trace=prepared.trace,
     )
 
 

@@ -287,7 +287,7 @@ def _async_engine(n_nodes: int, *, activations: int):
     throughput benches, tiny test set so evaluation stays negligible
     (once, at the end of the ``activations``-per-node horizon)."""
     from repro.simulation import AsyncGossipEngine, RngFactory, build_nodes
-    from repro.topology import neighbor_lists, regular_neighbors
+    from repro.topology import metropolis_hastings_weights, regular_neighbors
 
     from repro.data import shard_partition
 
@@ -300,11 +300,11 @@ def _async_engine(n_nodes: int, *, activations: int):
     nodes = build_nodes(train, parts, 8, rngs)
     graph = regular_neighbors(n_nodes, 4, seed=0)
     model = _mlp_factory(rngs.stream("model"))
+    config = EngineConfig(local_steps=8, learning_rate=0.2,
+                          total_rounds=activations, eval_every=activations)
     return AsyncGossipEngine(
-        model, nodes, neighbor_lists(graph), test,
-        local_steps=8, learning_rate=0.2, rng=rngs.stream("events"),
-        activations_per_node=activations, eval_every=n_nodes * activations,
-        eval_rng=rngs.stream("async-eval"),
+        model, nodes, metropolis_hastings_weights(graph), config, test,
+        rng=rngs.stream("events"), eval_rng=rngs.stream("async-eval"),
     )
 
 

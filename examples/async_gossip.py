@@ -18,10 +18,11 @@ from repro.simulation import (
     AsyncDPSGD,
     AsyncGossipEngine,
     AsyncSkipTrain,
+    EngineConfig,
     RngFactory,
     build_nodes,
 )
-from repro.topology import neighbor_lists, regular_neighbors
+from repro.topology import metropolis_hastings_weights, regular_neighbors
 
 N_NODES = 16
 ACTIVATIONS = 80
@@ -42,11 +43,12 @@ def build_engine(rngs: RngFactory) -> AsyncGossipEngine:
     graph = regular_neighbors(N_NODES, 3, seed=SEED)
     model = small_mlp(64, 10, hidden=16, rng=rngs.stream("model"))
     trace = build_trace(N_NODES, CIFAR10_WORKLOAD, 0.10, degree=3)
+    # one round = one expected activation per node
+    config = EngineConfig(local_steps=8, learning_rate=0.4,
+                          total_rounds=ACTIVATIONS, eval_every=ACTIVATIONS // 10)
     return AsyncGossipEngine(
-        model, nodes, neighbor_lists(graph), test,
-        local_steps=8, learning_rate=0.4,
-        rng=rngs.stream("events"), activations_per_node=ACTIVATIONS,
-        trace=trace,
+        model, nodes, metropolis_hastings_weights(graph), config, test,
+        rng=rngs.stream("events"), trace=trace,
     )
 
 

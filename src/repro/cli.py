@@ -681,9 +681,9 @@ def _cmd_sweep_scenario(args: argparse.Namespace) -> int:
               f'a deterministic "window" failure model', file=sys.stderr)
         return 2
     try:
-        # full composition rules (async × dynamic topology, churn ×
-        # allreduce, ...) checked before any cell starts, mirroring the
-        # plain sweep path's fail-fast validation
+        # full composition rules (kind, churn × allreduce, ...) checked
+        # before any cell starts, mirroring the plain sweep path's
+        # fail-fast validation
         validate_composition(spec)
         shard = parse_shard(args.shard)
         plan = build_scenario_plan(

@@ -7,12 +7,12 @@ same code path. :func:`build_run` exposes the wired-but-not-yet-run
 (engine, algorithm) pair so the sweep orchestrator can restore a
 mid-cell checkpoint before running.
 
-The algorithm's kind picks the engine, in :func:`build_run` and
+The algorithm's kind picks the engine class, in :func:`build_run` and
 nowhere else: a sync algorithm gets a
-:class:`~repro.simulation.engine.SimulationEngine`, an async policy an
-:class:`~repro.simulation.async_engine.AsyncGossipEngine` over the
-same :class:`PreparedExperiment` (identical data, partition, and the
-regular graph as neighbor lists). Both engines hold their horizon and
+:class:`~repro.simulation.engine.SimulationEngine`, an async policy its
+subclass :class:`~repro.simulation.async_engine.AsyncGossipEngine`,
+built by one call over the same :class:`PreparedExperiment` (identical
+data, partition and mixing matrix). Both engines hold their horizon and
 share one run contract, ``run(algorithm, *, start, history, hook)``,
 so :func:`execute_run` is run-then-wrap and :func:`run_algorithm`, a
 compiled scenario and a checkpointed sweep cell all run either kind
@@ -56,7 +56,7 @@ from ..simulation.failures import FailureModel
 from ..simulation.metrics import RunHistory
 from ..simulation.rng import RngFactory
 from ..topology.mixing import metropolis_hastings_weights
-from ..topology.sparse import NeighborList, neighbor_lists, regular_neighbors
+from ..topology.sparse import NeighborList, regular_neighbors
 from .presets import ExperimentPreset
 
 __all__ = [
@@ -75,15 +75,6 @@ __all__ = [
 
 #: Algorithm names that run on the asynchronous gossip engine.
 ASYNC_ALGORITHMS = tuple(algorithms_of_kind("async"))
-
-
-def async_eval_cadence(eval_every_rounds: int, n_nodes: int) -> int:
-    """Async evaluation cadence in *events* from a round-equivalent
-    ``eval_every``: one expected activation per node ≈ one round, so
-    the cadence scales by ``n``. The single home of this formula, and
-    :func:`build_run` its one caller, so ``repro async-run``, scenarios
-    and sweep cells evaluate the same cell at the same simulated times."""
-    return max(1, eval_every_rounds * n_nodes)
 
 
 @dataclass
@@ -370,9 +361,9 @@ def build_run(
     :class:`~repro.core.base.Algorithm`). ``total_rounds`` and
     ``eval_every`` (both default to the preset's) are the horizon and
     the evaluation cadence in rounds; an async engine reads them as
-    expected activations per node and gets the cadence in events from
-    :func:`async_eval_cadence`. Both engines hold their horizon, so the
-    pair runs with ``engine.run(algorithm)``.
+    expected activations per node and evaluates every ``eval_every × n``
+    events. Both engines hold their horizon, so the pair runs with
+    ``engine.run(algorithm)``.
 
     Construction is deterministic in ``prepared`` and the overrides:
     two calls yield engines whose runs are bit-identical. The sweep
@@ -381,14 +372,13 @@ def build_run(
 
     The scenario axes ride through here: ``failure_model`` injects
     transient outages and ``churn`` a
-    :class:`~repro.scenarios.churn.ChurnSchedule`. ``mixing`` is the
-    sync engine's own: a per-round provider in place of the prepared
-    static matrix (dynamic topologies, churn/failure-masked subgraphs);
-    an async engine gossips over ``prepared.topology``'s neighbor lists
-    and masks partners itself. ``enforce_budgets`` is the async
-    engine's battery gate. Either one on the other kind raises
-    ``ValueError``. All default off, leaving non-scenario cells
-    byte-identical.
+    :class:`~repro.scenarios.churn.ChurnSchedule`. ``mixing`` is a
+    per-round provider in place of the prepared static matrix (dynamic
+    topologies, churn/failure-masked subgraphs): the sync engine gossips
+    through it, the async engine draws partners from its rows.
+    ``enforce_budgets`` is the async engine's battery gate; on a sync
+    algorithm it raises ``ValueError``. All default off, leaving
+    non-scenario cells byte-identical.
     """
     if eval_on not in ("test", "validation"):
         raise ValueError('eval_on must be "test" or "validation"')
@@ -396,8 +386,6 @@ def build_run(
         kind = algorithm_kind(algorithm)
     else:
         kind = "async" if isinstance(algorithm, AsyncPolicy) else "sync"
-    if kind == "async" and mixing is not None:
-        raise ValueError("mixing overrides the sync engine's gossip matrix")
     if kind == "sync" and enforce_budgets:
         raise ValueError("enforce_budgets is the async engine's battery gate")
     preset = prepared.preset
@@ -412,43 +400,36 @@ def build_run(
     nodes = build_nodes(
         prepared.train, prepared.partition, preset.batch_size, rngs
     )
-    engine: SimulationEngine | AsyncGossipEngine
+    # what differs by kind: the energy axis (a meter, or the async
+    # engine's event-order sum over the trace), the streams, the gate
     if kind == "sync":
-        engine = SimulationEngine(
-            model,
-            nodes,
-            mixing if mixing is not None else prepared.mixing,
-            EngineConfig(
-                local_steps=preset.local_steps,
-                learning_rate=preset.learning_rate,
-                total_rounds=total,
-                eval_every=every,
-                eval_node_sample=preset.eval_node_sample,
-            ),
-            test_set,
-            meter=EnergyMeter(prepared.trace),
-            eval_rng=rngs.stream("eval"),
-            failure_model=failure_model,
-            churn=churn,
-        )
+        engine_cls, own = SimulationEngine, {
+            "meter": EnergyMeter(prepared.trace),
+            "eval_rng": rngs.stream("eval"),
+        }
     else:
-        engine = AsyncGossipEngine(
-            model,
-            nodes,
-            neighbor_lists(prepared.topology),
-            test_set,
+        engine_cls, own = AsyncGossipEngine, {
+            "rng": rngs.stream("events"),
+            "trace": prepared.trace,
+            "eval_rng": rngs.stream("async-eval"),
+            "enforce_budgets": enforce_budgets,
+        }
+    engine: SimulationEngine = engine_cls(
+        model,
+        nodes,
+        mixing if mixing is not None else prepared.mixing,
+        EngineConfig(
             local_steps=preset.local_steps,
             learning_rate=preset.learning_rate,
-            rng=rngs.stream("events"),
-            activations_per_node=total,
-            eval_every=async_eval_cadence(every, preset.n_nodes),
-            trace=prepared.trace,
+            total_rounds=total,
+            eval_every=every,
             eval_node_sample=preset.eval_node_sample,
-            eval_rng=rngs.stream("async-eval"),
-            failure_model=failure_model,
-            enforce_budgets=enforce_budgets,
-            churn=churn,
-        )
+        ),
+        test_set,
+        failure_model=failure_model,
+        churn=churn,
+        **own,
+    )
     if isinstance(algorithm, str):
         algorithm = _make_algorithm(algorithm, prepared, schedule, total, rngs)
     return engine, algorithm

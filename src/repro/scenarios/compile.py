@@ -18,12 +18,10 @@ resumed run is bit-for-bit equal to an uninterrupted one.
 Composition rules enforced here (fail at compile time, not rounds into
 a run):
 
-* dynamic topologies are sync-only — the async engine selects partners
-  from fixed neighbor lists, so ``kind="async"`` with a
-  ``dynamic-*`` topology raises :class:`ValueError`;
-* churn requires membership-aware mixing (sync) — compilation wires a
-  masked provider over the scenario graph so departed nodes never
-  enter the gossip GEMM;
+* churn requires membership-aware mixing — compilation wires a masked
+  provider over the scenario graph so departed nodes never enter the
+  gossip product (sync) or a partner draw (async); dynamic topologies
+  reach both engines the same way;
 * ``enforce_budgets`` is the async engine's battery gate (validated by
   the spec itself);
 * churn cannot compose with exact all-reduce (the consensus average
@@ -97,7 +95,7 @@ TRACE_SCHEMA = "repro/scenario-trace/v1"
 
 def validate_composition(spec: ScenarioSpec, kind: str = "auto") -> str:
     """The compile-time composition rules that need no preset lookup:
-    kind consistency, async × dynamic topology, churn × all-reduce.
+    kind consistency and churn × all-reduce.
     Returns the resolved kind. :func:`compile_run` calls this first; the CLI calls it up
     front so an invalid registered scenario fails with a clean error
     before any cell starts."""
@@ -108,12 +106,6 @@ def validate_composition(spec: ScenarioSpec, kind: str = "auto") -> str:
         raise ValueError(
             f"scenario {spec.name!r} compiles to kind {resolved_kind!r} "
             f"(algorithm {spec.algorithm.name!r}), got kind={kind!r}"
-        )
-    if resolved_kind == "async" and spec.topology.is_dynamic:
-        raise ValueError(
-            f"scenario {spec.name!r}: dynamic topologies are not "
-            f"wired into AsyncGossipEngine partner selection; use a "
-            f'static "regular" topology for async scenarios'
         )
     if spec.churn.active and spec.algorithm.name.lower().endswith("allreduce"):
         raise ValueError(
@@ -351,11 +343,8 @@ def _scenario_mixing(
     churn/failure-masked provider over the scenario graph — for a
     static scenario the very ``prepared.topology`` the unmasked matrix
     came from, for a dynamic one graphs of the same (n, degree, seed).
-    Always ``None`` for an async scenario: that engine gossips over
-    ``prepared.topology``'s neighbor lists and masks partners per
-    event itself."""
-    if spec.kind == "async":
-        return None
+    Both kinds take the same one: the async engine draws partners from
+    its rows."""
     topo = spec.topology
     masked = churn is not None or failure_model is not None
     if not topo.is_dynamic:

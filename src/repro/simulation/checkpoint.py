@@ -68,10 +68,11 @@ _ENVELOPE = ("format", "kind", "at", "name", "algo_json", "history_label",
              "engine_json")
 
 #: (engine class, kind tag, history class, record class, the history
-#: attribute that names the algorithm) — what differs by kind, as data
+#: attribute that names the algorithm) — what differs by kind, as data;
+#: the async engine is a sync engine subclass, so its row comes first
 _KINDS: tuple[tuple[type[Any], str, type[Any], type[Any], str], ...] = (
-    (SimulationEngine, "sync", RunHistory, RoundRecord, "algorithm"),
     (AsyncGossipEngine, "async", AsyncHistory, AsyncRecord, "policy"),
+    (SimulationEngine, "sync", RunHistory, RoundRecord, "algorithm"),
 )
 
 

@@ -21,9 +21,11 @@ at a time (:func:`gossip_panels`).
 Stacked local training
 ----------------------
 The local step and the evaluator come from one executor, the
-:class:`~repro.simulation.local_step.LocalTrainer` the async engine
-uses too. All masked nodes' rows are trained as one ``(k, dim)`` block
-by a :class:`repro.nn.batched.BatchedTrainer`, which runs every local
+:class:`~repro.simulation.local_step.LocalTrainer`, which the async
+engine (:mod:`repro.simulation.async_engine`, a subclass that replaces
+only ``run``) inherits with the rest of this engine's core. All masked
+nodes' rows are trained as one ``(k, dim)`` block by a
+:class:`repro.nn.batched.BatchedTrainer`, which runs every local
 step as stacked ``(k, B, ...)`` GEMM/elementwise kernels, one kernel per
 layer regardless of ``k``; evaluation rounds run one stacked forward
 pass per test batch for all evaluated nodes
@@ -206,6 +208,7 @@ class SimulationEngine:
     Joiners are seeded with the mean of their eligible neighbors'
     states before the join round's training (see
     :func:`~repro.scenarios.churn.apply_join_handoff`)."""
+
 
     def __init__(
         self,
@@ -393,26 +396,37 @@ class SimulationEngine:
         off = w - sp.diags(diag)
         self.state = diag[:, None] * self.state + gossip(off, self._public)
 
-    def _apply_churn(self, t: int, alive: np.ndarray | None) -> np.ndarray:
-        """Round ``t``'s membership step: hand each joiner the mean of
-        its eligible (present ∧ alive) veteran neighbors' states, and
-        return the round's membership mask. Neighbors come from the
-        round's mixing matrix, filtered by eligibility, so the handoff
-        agrees with the graph the round actually communicates over.
+    def _eligible(self, t: int) -> np.ndarray | None:
+        """Round ``t``'s eligible nodes (present ∧ alive): who may train
+        and communicate. ``None`` when neither churn nor a failure
+        model can exclude a node."""
+        alive = None if self.failure_model is None else self.failure_model.alive(t)
+        if self.churn is None:
+            return alive
+        present = self.churn.present(t)
+        return present if alive is None else present & alive
+
+    def _apply_churn(self, t: int) -> None:
+        """Round ``t``'s join handoffs: hand each joiner the mean of its
+        eligible (present ∧ alive) veteran neighbors' states. Neighbors
+        come from the round's mixing matrix, filtered by eligibility, so
+        the handoff agrees with the graph the round actually
+        communicates over.
 
         A joiner that is itself *dead* at its join round (the failure
         model covers it) enrolls without a handoff and keeps its
-        current row — it cannot fetch neighbor state while down. Both
-        engines implement this rule identically."""
+        current row — it cannot fetch neighbor state while down. The
+        async engine hands off through this method too."""
         from ..scenarios.churn import apply_join_handoff
 
         assert self.churn is not None
-        present = self.churn.present(t)
         joiners = self.churn.joins_at(t)
-        if joiners and alive is not None:
-            joiners = tuple(i for i in joiners if alive[i])
+        if not joiners:
+            return
+        eligible = self._eligible(t)
+        if eligible is not None:
+            joiners = tuple(i for i in joiners if eligible[i])
         if joiners:
-            eligible = present if alive is None else present & alive
             w = self._mixing_for_round(t)
 
             def neighbors_of(i: int) -> np.ndarray:
@@ -420,15 +434,11 @@ class SimulationEngine:
                 return cols[cols != i]
 
             apply_join_handoff(self.state, joiners, neighbors_of, eligible)
-        return present
 
-    def _evaluate(
-        self,
-        t: int,
-        trained: np.ndarray,
-        is_training_round: bool,
-        train_loss: float = float("nan"),
-    ) -> RoundRecord:
+    def _measure(self, t: int) -> tuple[float, float, float]:
+        """Round ``t``'s evaluation: mean and std accuracy over the
+        evaluation pool (round ``t``'s members, sampled by ``eval_rng``)
+        and the members' consensus distance."""
         node_ids, consensus_rows = membership_eval_pool(
             self.state,
             self.churn.present(t) if self.churn is not None else None,
@@ -439,12 +449,22 @@ class SimulationEngine:
             self.local_trainer.evaluator, self.state, self.test_set,
             node_ids=node_ids,
         )
+        return mean_acc, std_acc, consensus_distance(consensus_rows)
+
+    def _evaluate(
+        self,
+        t: int,
+        trained: np.ndarray,
+        is_training_round: bool,
+        train_loss: float = float("nan"),
+    ) -> RoundRecord:
+        mean_acc, std_acc, consensus = self._measure(t)
         energy = self.meter.total_wh if self.meter is not None else 0.0
         return RoundRecord(
             round=t,
             mean_accuracy=mean_acc,
             std_accuracy=std_acc,
-            consensus=consensus_distance(consensus_rows),
+            consensus=consensus,
             cumulative_energy_wh=energy,
             trained_nodes=int(trained.sum()),
             is_training_round=is_training_round,
@@ -488,17 +508,11 @@ class SimulationEngine:
             mask = np.asarray(algorithm.train_mask(t), dtype=bool)
             if mask.shape != (self.n_nodes,):
                 raise ValueError("train_mask returned wrong shape")
-            if self.failure_model is not None:
-                alive = self.failure_model.alive(t)
-                mask = mask & alive
-            else:
-                alive = None
             if self.churn is not None:
-                present = self._apply_churn(t, alive)
-                mask = mask & present
-                communicated = present if alive is None else present & alive
-            else:
-                communicated = alive
+                self._apply_churn(t)
+            communicated = self._eligible(t)
+            if communicated is not None:
+                mask = mask & communicated
             losses = self.local_trainer.train(self.state, np.nonzero(mask)[0])
             self._aggregate(algorithm.use_allreduce, t)
             if self.meter is not None:

@@ -78,7 +78,6 @@ class WindowPlan:
     simulated time of the window's final event (the evaluation
     timestamp the serial loop would record)."""
 
-    end_event: int
     final_time: float
     batches: list[EventBatch]
 
@@ -115,14 +114,7 @@ def plan_window(
         if engine.churn is not None and t > planned_churn:
             churn_t = t
             planned_churn = t
-        alive = engine._alive_at(time)
-        present = engine.churn.present(t) if engine.churn is not None else None
-        if present is None:
-            eligible = alive
-        elif alive is None:
-            eligible = present
-        else:
-            eligible = present & alive
+        eligible = engine._eligible(t)
         trains = False
         partner: int | None = None
         if eligible is None or eligible[i]:
@@ -138,7 +130,7 @@ def plan_window(
                 engine.train_counts[i] += 1
                 if engine.trace is not None:
                     engine.train_energy_wh += engine.trace.train_energy_wh[i]
-            candidates = engine.neighbors[i]
+            candidates = engine._neighbors(t)[i]
             if eligible is not None:
                 candidates = candidates[eligible[candidates]]
             if candidates.size:
@@ -173,4 +165,4 @@ def plan_window(
                 batches[b].train_ids.append(i)
             if partner is not None:
                 batches[b].gossips.append((i, partner))
-    return WindowPlan(end_event=end_event, final_time=time, batches=batches)
+    return WindowPlan(final_time=time, batches=batches)

@@ -110,7 +110,10 @@ def masked_mixing(
     is always symmetric and doubly stochastic.
 
     The alive-subgraph weights are computed per-edge from the masked
-    CSR arrays — O(E) work, no subgraph object and no n×n intermediate.
+    CSR arrays — O(E) work, no subgraph object and no n×n intermediate —
+    and the result is assembled as CSR arrays directly. A row's sum goes
+    through ``np.add.reduceat``, as scipy's ``sum(axis=1)`` takes it, so
+    the diagonal is the bytes ``1 - w_off.sum(axis=1)`` gives.
     """
     alive = np.asarray(alive, dtype=bool)
     n = graph.n_nodes
@@ -123,15 +126,24 @@ def masked_mixing(
     if alive.all():
         out = metropolis_hastings_weights(graph)
     else:
-        rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+        ids = np.arange(n, dtype=np.int64)
+        rows = np.repeat(ids, graph.degrees)
         cols = graph.indices
         keep = alive[rows] & alive[cols]
         rows, cols = rows[keep], cols[keep]
-        subdeg = np.bincount(rows, minlength=n).astype(np.float64)
+        subdeg = np.bincount(rows, minlength=n)
         vals = 1.0 / (np.maximum(subdeg[rows], subdeg[cols]) + 1.0)
-        w_off = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        diag = 1.0 - np.asarray(w_off.sum(axis=1)).ravel()
-        out = (w_off + sp.diags(diag)).tocsr()
+        sums, full = np.zeros(n), subdeg > 0
+        if vals.size:
+            sums[full] = np.add.reduceat(vals, (np.cumsum(subdeg) - subdeg)[full])
+        # each row's kept neighbors (ascending) with its diagonal slotted in
+        rows, cols = np.concatenate([rows, ids]), np.concatenate([cols, ids])
+        order = np.lexsort((cols, rows))
+        out = sp.csr_matrix(
+            (np.concatenate([vals, 1.0 - sums])[order], cols[order],
+             np.concatenate([[0], np.cumsum(subdeg + 1)])),
+            shape=(n, n),
+        )
 
     if cache is not None:
         cache[key] = out

@@ -221,8 +221,26 @@ class RoundRecord(_RecordCodec):
     train_loss: float = float("nan")
 
 
+class _Accuracies:
+    """What both run histories read off their ``records``."""
+
+    records: list
+
+    def final_accuracy(self) -> float:
+        """Mean accuracy at the last evaluation."""
+        if not self.records:
+            raise ValueError("empty history")
+        return self.records[-1].mean_accuracy
+
+    def best_accuracy(self) -> float:
+        """Best mean accuracy over the run's evaluations."""
+        if not self.records:
+            raise ValueError("empty history")
+        return float(max(r.mean_accuracy for r in self.records))
+
+
 @dataclass
-class RunHistory:
+class RunHistory(_Accuracies):
     """Accumulated metrics of one simulation run."""
 
     algorithm: str
@@ -250,18 +268,6 @@ class RunHistory:
     @property
     def energy_wh(self) -> np.ndarray:
         return np.array([r.cumulative_energy_wh for r in self.records])
-
-    def final_accuracy(self) -> float:
-        """Mean accuracy at the last evaluated round."""
-        if not self.records:
-            raise ValueError("empty history")
-        return self.records[-1].mean_accuracy
-
-    def best_accuracy(self) -> float:
-        """Best mean accuracy over the run."""
-        if not self.records:
-            raise ValueError("empty history")
-        return float(max(r.mean_accuracy for r in self.records))
 
     def accuracy_at_energy(self, budget_wh: float) -> float:
         """Accuracy at the last evaluation whose cumulative energy is

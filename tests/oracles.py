@@ -124,12 +124,16 @@ def serial(engine):
     return engine
 
 
-def gossip(engine, i, eligible=None):
-    """One pairwise gossip from node ``i``; ``eligible`` masks the
-    partner candidates (dead or departed nodes are never chosen).
-    Returns the partner id, or ``None`` for a train-only activation
-    (whole neighborhood ineligible)."""
-    candidates = engine.neighbors[i]
+def gossip(engine, i, eligible=None, t=1):
+    """One pairwise gossip from node ``i`` in round ``t``: the partner is
+    drawn from ``i``'s neighbors in the round's mixing matrix (its CSR
+    row minus the diagonal); ``eligible`` masks the candidates (dead or
+    departed nodes are never chosen). Returns the partner id, or
+    ``None`` for a train-only activation (whole neighborhood
+    ineligible)."""
+    w = engine._mixing_for_round(t)
+    candidates = w.indices[w.indptr[i] : w.indptr[i + 1]]
+    candidates = candidates[candidates != i]
     if eligible is not None:
         candidates = candidates[eligible[candidates]]
         if candidates.size == 0:
@@ -149,15 +153,11 @@ def run_events(engine, algorithm, *, start=0, history=None, hook=None):
         time, i = heapq.heappop(engine._queue)
         t = int(time) + 1
         if engine.churn is not None and t > engine._churn_round:
-            engine._advance_churn(t)
-        alive = engine._alive_at(time)
-        present = engine.churn.present(t) if engine.churn is not None else None
-        if present is None:
-            eligible = alive
-        elif alive is None:
-            eligible = present
-        else:
-            eligible = present & alive
+            # every round's join handoffs up to this one, over its graph
+            for r in range(engine._churn_round + 1, t + 1):
+                engine._apply_churn(r)
+            engine._churn_round = t
+        eligible = engine._eligible(t)
         if eligible is None or eligible[i]:
             engine.activation_counts[i] += 1
             if engine._may_train(i) and algorithm.should_train(
@@ -167,11 +167,11 @@ def run_events(engine, algorithm, *, start=0, history=None, hook=None):
                 engine.train_counts[i] += 1
                 if engine.trace is not None:
                     engine.train_energy_wh += engine.trace.train_energy_wh[i]
-            gossip(engine, i, eligible)
+            gossip(engine, i, eligible, t)
         # dead/absent nodes stay silent but their clock keeps ticking
         heapq.heappush(engine._queue, (time + float(engine.rng.exponential()), i))
         if event % eval_every == 0 or event == total:
-            history.records.append(engine._evaluate(time, event))
+            history.records.append(engine._evaluate_at(time, event))
         if hook is not None:
             hook(engine, event, history, event)
     return history

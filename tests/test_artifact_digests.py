@@ -116,6 +116,15 @@ cells':
 * ``churn-crash-fleet4096-panels-vectorized`` — twin of
   ``churn-crash-fleet4096-vectorized``, with masked per-round mixing.
 
+One more was recorded once async partner choice read the round's
+mixing matrix instead of fixed neighbor lists, which opened dynamic
+topologies to the async engine:
+
+* ``dynamic-periodic-async-vectorized`` — ``churn-async`` over a graph
+  rewired every 4 rounds (masked weights re-derived per round from a
+  ``RegularGraphEachRound``); the oracle's per-event loop writes the
+  same results.
+
 Re-record only for an intentional, documented contract change::
 
     PYTHONPATH=src python tests/test_artifact_digests.py > tests/golden/artifact_digests.json
@@ -128,6 +137,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from oracles import panels
 from oracles import run_cell as oracle_run_cell
@@ -145,6 +155,7 @@ from repro.experiments import (
 )
 from repro.experiments.artifacts import write_cell_artifact
 from repro.experiments.runner import ExperimentResult, prepare
+from repro.hostinfo import blas_core
 from repro.nn.layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU
 from repro.nn.layers.normalization import GroupNorm
 from repro.nn.module import Sequential
@@ -416,6 +427,18 @@ def _churn_async(results_dir):
     return _scenario(results_dir, get_scenario("churn-async"))
 
 
+def _dynamic_async(results_dir, run=run_cell):
+    spec = dataclasses.replace(
+        get_scenario("churn-async"),
+        name="churn-async-rewired",
+        topology=TopologySpec(kind="dynamic-periodic", period=4),
+    )
+    cell = build_scenario_plan(spec, seeds=(0,))[0]
+    run(get_preset(spec.preset), cell, results_dir,
+        scenario_lookup=lambda name: spec)
+    return artifact_path(results_dir, cell)
+
+
 def _churn_crash(results_dir):
     return _scenario(results_dir, get_scenario("churn-crash"))
 
@@ -477,6 +500,7 @@ CELLS = {
     "ragged-async-vectorized": _ragged_async,
     "femnist-async-vectorized": _femnist_async,
     "churn-async-vectorized": _churn_async,
+    "dynamic-periodic-async-vectorized": _dynamic_async,
     "churn-crash-vectorized": _churn_crash,
     "dynamic-periodic-churn-vectorized": _dynamic_churn,
     "churn-crash-fleet4096-vectorized": _churn_crash_fleet,
@@ -512,7 +536,8 @@ def test_artifact_bytes_match_the_pre_bank_record(name, tmp_path):
     assert digest(CELLS[name](tmp_path)) == golden[name], (
         f"{name}: raw artifact bytes moved — the batch-stream contract "
         f"(docs/determinism-contracts.md) changed somewhere between "
-        f"partition, index draw and gather"
+        f"partition, index draw and gather (on numpy {np.__version__}, "
+        f"BLAS core {blas_core()})"
     )
 
 
@@ -531,6 +556,19 @@ def test_ragged_cell_serial_vectorized_and_sharded_agree(tmp_path):
     assert serial.pop("engine") == {"vectorized": False}
     assert vectorized.pop("engine") == {"vectorized": True}
     assert serial == vectorized
+
+
+def test_dynamic_async_cell_oracle_and_product_agree(tmp_path):
+    """The pinned async cell over a rewired graph: the oracle's
+    per-event loop, reading each event's partners and each join's
+    neighbors from the round's graph, writes the product's results."""
+    oracle = json.loads(
+        _dynamic_async(tmp_path / "oracle", run=oracle_run_cell).read_bytes()
+    )
+    product = json.loads(_dynamic_async(tmp_path / "product").read_bytes())
+    assert oracle.pop("engine")["vectorized"] is False
+    assert product.pop("engine")["vectorized"] is True
+    assert oracle == product
 
 
 @pytest.mark.slow

@@ -227,9 +227,8 @@ class TestStaysDeleted:
         engine, _ = build_run(prepare(tiny_preset, 3, seed=0), "async-d-psgd")
         with pytest.raises(TypeError, match="vectorized"):
             AsyncGossipEngine(
-                engine.model, engine.nodes, engine.neighbors, engine.test_set,
-                local_steps=1, learning_rate=0.1,
-                rng=np.random.default_rng(0), activations_per_node=1,
+                engine.model, engine.nodes, engine.mixing, engine.config,
+                engine.test_set, rng=np.random.default_rng(0),
                 vectorized=True,
             )
 

@@ -438,22 +438,27 @@ class TestScenarioCommands:
         self, monkeypatch, capsys
     ):
         """A registered scenario whose composition only compile_run can
-        reject (async algorithm × dynamic topology) exits 2 with a
-        clean error from run, trace, and sweep — never a traceback."""
-        from repro.scenarios import AlgorithmSpec, ScenarioSpec, TopologySpec
+        reject (churn × exact all-reduce) exits 2 with a clean error
+        from run, trace, and sweep — never a traceback."""
+        from repro.scenarios import (
+            AlgorithmSpec,
+            ChurnEventSpec,
+            ChurnSpec,
+            ScenarioSpec,
+        )
         from repro.scenarios.registry import _REGISTRY
 
         spec = ScenarioSpec(
-            name="bad-combo", preset="cifar10-bench-async",
-            topology=TopologySpec(kind="dynamic-random"),
-            algorithm=AlgorithmSpec(name="async-skiptrain"),
+            name="bad-combo", preset="cifar10-bench",
+            churn=ChurnSpec(events=(ChurnEventSpec(2, 0, "leave"),)),
+            algorithm=AlgorithmSpec(name="d-psgd-allreduce"),
         )
         monkeypatch.setitem(_REGISTRY, "bad-combo", lambda: spec)
         for argv in (["scenario", "run", "bad-combo"],
                      ["scenario", "trace", "bad-combo"],
                      ["sweep", "--scenario", "bad-combo", "--seeds", "0"]):
             assert main(argv) == 2, argv
-            assert "dynamic topologies" in capsys.readouterr().err
+            assert "all-reduce" in capsys.readouterr().err
 
     def test_sweep_scenario_rng_failures_reject_checkpointing(
         self, tiny_preset, monkeypatch, capsys

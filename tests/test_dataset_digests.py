@@ -41,6 +41,7 @@ from repro.data.synthetic import (
 )
 from repro.experiments import get_preset
 from repro.experiments.runner import prepare_data
+from repro.hostinfo import blas_core
 
 GOLDEN = Path(__file__).parent / "golden" / "dataset_digests.json"
 
@@ -101,7 +102,8 @@ def test_dataset_bytes_match_the_record(name):
     assert sorted(golden) == sorted(DATASETS)
     assert arrays_digest(DATASETS[name]()) == golden[name], (
         f"{name}: synthesized dataset bytes moved — the generator's "
-        f"draw order or its arithmetic changed"
+        f"draw order or its arithmetic changed (on numpy {np.__version__}, "
+        f"BLAS core {blas_core()})"
     )
 
 

@@ -312,12 +312,10 @@ class TestEvalModeStaysDeleted:
         from repro.simulation import AsyncGossipEngine
 
         engine = _engine()
-        ring = [np.array([(i - 1) % N, (i + 1) % N]) for i in range(N)]
         with pytest.raises(TypeError, match="eval_mode"):
             AsyncGossipEngine(
-                engine.model, engine.nodes, ring, engine.test_set,
-                local_steps=1, learning_rate=0.1,
-                rng=np.random.default_rng(0), activations_per_node=1,
+                engine.model, engine.nodes, engine.mixing, engine.config,
+                engine.test_set, rng=np.random.default_rng(0),
                 eval_mode="batched",
             )
 

@@ -134,7 +134,7 @@ class TestOneContract:
                               eval_every=2)
         n = tiny_preset.n_nodes
         assert engine.total_events == 5 * n
-        assert engine.eval_every == runner.async_eval_cadence(2, n) == 2 * n
+        assert engine.eval_every == 2 * n
         engine, _ = build_run(prepared, "async-skiptrain")
         assert engine.total_events == tiny_preset.total_rounds * n
         assert engine.eval_every == tiny_preset.eval_every * n
@@ -143,8 +143,22 @@ class TestOneContract:
         prepared = prepare(tiny_preset, 3, seed=0)
         with pytest.raises(ValueError, match="battery gate"):
             build_run(prepared, "skiptrain", enforce_budgets=True)
-        with pytest.raises(ValueError, match="sync engine"):
-            build_run(prepared, "async-skiptrain", mixing=prepared.mixing)
+
+    def test_mixing_reaches_both_kinds(self, tiny_preset):
+        """A ``mixing`` override is the graph of either engine: the sync
+        engine gossips through it, the async one draws partners from
+        its rows."""
+        from repro.topology import metropolis_hastings_weights, ring_neighbors
+
+        prepared = prepare(tiny_preset, 3, seed=0)
+        n = tiny_preset.n_nodes
+        ring = metropolis_hastings_weights(ring_neighbors(n))
+        for name in ("skiptrain", "async-skiptrain"):
+            engine, _ = build_run(prepared, name, mixing=ring)
+            assert engine.mixing is ring
+        assert [list(row) for row in engine._neighbors(1)] == [
+            sorted({(i - 1) % n, (i + 1) % n}) for i in range(n)
+        ]
 
     @pytest.mark.parametrize("fn", ["execute_run", "run_cell",
                                     "_execute_cell", "compile_run"])

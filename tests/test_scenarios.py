@@ -299,13 +299,25 @@ class TestCompile:
         with pytest.raises(ValueError, match="kind"):
             compile_run(tiny_scenario(), kind="turbo")
 
-    def test_async_dynamic_topology_rejected_at_compile(self):
+    def test_async_dynamic_topology_compiles_and_matches_oracle(
+        self, scn_preset
+    ):
+        """An async scenario over a dynamic topology compiles; every
+        event draws its partner from its round's graph, and the oracle's
+        per-event loop agrees with the product bit for bit."""
         spec = tiny_scenario(
             algorithm=AlgorithmSpec(name="async-skiptrain"),
             topology=TopologySpec(kind="dynamic-random"),
         )
-        with pytest.raises(ValueError, match="dynamic topologies"):
-            compile_run(spec)
+        oracle = compile_run(spec, preset=scn_preset)
+        oracles.serial(oracle.engine)
+        product = compile_run(spec, preset=scn_preset)
+        want, got = oracle.execute(), product.execute()
+        np.testing.assert_array_equal(oracle.engine.state, product.engine.state)
+        assert repr(want.history.records) == repr(got.history.records)
+        engine = product.engine
+        assert any(not np.array_equal(a, b)
+                   for a, b in zip(engine._neighbors(1), engine._neighbors(2)))
 
     def test_async_vectorized_compiles(self, scn_preset):
         """An async scenario compiles onto the stacked event engine."""
@@ -524,8 +536,8 @@ class TestEngineChurnBehavior:
         chosen = []
         orig = oracles.gossip
 
-        def spy(engine, i, eligible=None):
-            j = orig(engine, i, eligible)
+        def spy(engine, i, eligible=None, t=1):
+            j = orig(engine, i, eligible, t)
             chosen.append((j, None if eligible is None else eligible.copy()))
             return j
 

@@ -30,6 +30,7 @@ from repro.scenarios import (
     EnergySpec,
     FailureSpec,
     ScenarioSpec,
+    TopologySpec,
 )
 from repro.scenarios.compile import build_scenario_plan, compile_run
 
@@ -80,6 +81,9 @@ ASYNC_GRID = [
           data=DataSpec(partition="dirichlet", alpha=0.5),
           energy=EnergySpec(enforce_budgets=True),
           algorithm=AlgorithmSpec(name="async-skiptrain-constrained")),
+    _spec("a-churn-rewired", churn=CHURN,
+          topology=TopologySpec(kind="dynamic-periodic", period=3),
+          algorithm=AlgorithmSpec(name="async-skiptrain")),
 ]
 
 _ids = lambda specs: [s.name for s in specs]
@@ -371,8 +375,8 @@ class TestPartnerExclusion:
         chosen = []
         orig = oracles.gossip
 
-        def spy(engine, i, eligible=None):
-            j = orig(engine, i, eligible)
+        def spy(engine, i, eligible=None, t=1):
+            j = orig(engine, i, eligible, t)
             chosen.append(
                 (j, None if eligible is None else eligible.copy(),
                  engine._churn_round)

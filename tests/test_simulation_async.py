@@ -17,10 +17,11 @@ from repro.simulation import (
     AsyncSkipTrain,
     AsyncSkipTrainConstrained,
     CrashWindow,
+    EngineConfig,
     RngFactory,
     build_nodes,
 )
-from repro.topology import neighbor_lists, regular_neighbors
+from repro.topology import metropolis_hastings_weights, regular_neighbors
 
 N = 8
 SPEC = SyntheticSpec(num_classes=4, channels=1, image_size=4,
@@ -42,11 +43,13 @@ def make_engine(seed=0, with_trace=True, n=N, eval_node_sample=None,
     model = small_mlp(16, 4, hidden=8, rng=rngs.stream("model"))
     trace = (build_trace(n, CIFAR10_WORKLOAD, battery_fraction)
              if with_trace else None)
+    cadence = {} if eval_every is None else {"eval_every": eval_every}
+    config = EngineConfig(local_steps=2, learning_rate=0.2,
+                          total_rounds=activations_per_node,
+                          eval_node_sample=eval_node_sample, **cadence)
     return AsyncGossipEngine(
-        model, nodes, neighbor_lists(graph), test,
-        local_steps=2, learning_rate=0.2, rng=rngs.stream("events"),
-        activations_per_node=activations_per_node, eval_every=eval_every,
-        trace=trace, eval_node_sample=eval_node_sample,
+        model, nodes, metropolis_hastings_weights(graph), config, test,
+        rng=rngs.stream("events"), trace=trace,
         eval_rng=rngs.stream("async-eval"),
         failure_model=failure_model, enforce_budgets=enforce_budgets,
     )
@@ -81,13 +84,13 @@ class TestAsyncEngine:
         assert h1.final_accuracy() == h2.final_accuracy()
 
     def test_event_times_increase(self):
-        eng = make_engine(activations_per_node=20, eval_every=40)
+        eng = make_engine(activations_per_node=20, eval_every=5)
         h = eng.run(AsyncDPSGD())
         times = [r.time for r in h.records]
         assert all(a <= b for a, b in zip(times, times[1:]))
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="activations_per_node"):
+        with pytest.raises(ValueError, match="total_rounds"):
             make_engine(activations_per_node=0)
         with pytest.raises(ValueError, match="eval_every"):
             make_engine(eval_every=0)
@@ -146,12 +149,11 @@ class TestEvalRngIsolation:
     rng, so changing ``eval_every`` silently changed the trajectory."""
 
     def test_trajectory_independent_of_eval_cadence(self):
-        total = N * 16
         dense = make_engine(seed=9, eval_node_sample=4,
                             activations_per_node=16, eval_every=1)
         dense.run(AsyncDPSGD())
         sparse = make_engine(seed=9, eval_node_sample=4,
-                             activations_per_node=16, eval_every=total)
+                             activations_per_node=16, eval_every=16)
         sparse.run(AsyncDPSGD())
         np.testing.assert_array_equal(dense.state, sparse.state)
         np.testing.assert_array_equal(dense.train_counts,
@@ -159,10 +161,10 @@ class TestEvalRngIsolation:
 
     def test_eval_sample_size_does_not_change_trajectory(self):
         sampled = make_engine(seed=9, eval_node_sample=2,
-                              activations_per_node=16, eval_every=8)
+                              activations_per_node=16, eval_every=1)
         sampled.run(AsyncDPSGD())
         full = make_engine(seed=9, eval_node_sample=None,
-                           activations_per_node=16, eval_every=8)
+                           activations_per_node=16, eval_every=1)
         full.run(AsyncDPSGD())
         np.testing.assert_array_equal(sampled.state, full.state)
 
@@ -171,9 +173,9 @@ class TestEvalRngIsolation:
         eng = make_engine(seed=3)
         # explicit factory stream was passed; a spawned default also works
         eng2 = AsyncGossipEngine(
-            eng.model, eng.nodes, eng.neighbors, eng.test_set,
-            local_steps=2, learning_rate=0.2, rng=rngs.stream("events"),
-            activations_per_node=4,
+            eng.model, eng.nodes, eng.mixing,
+            EngineConfig(local_steps=2, learning_rate=0.2, total_rounds=4),
+            eng.test_set, rng=rngs.stream("events"),
         )
         assert eng2.eval_rng is not eng2.rng
 
@@ -228,7 +230,7 @@ class TestAsyncFailures:
         """An alive node whose entire neighborhood is dead still trains
         but performs no averaging: no dead row moves."""
         eng_probe = make_engine(seed=1)
-        nbrs_of_0 = set(int(j) for j in eng_probe.neighbors[0])
+        nbrs_of_0 = set(int(j) for j in eng_probe._neighbors(1)[0])
         dead = sorted(nbrs_of_0)
         window = CrashWindow(N, dead, start=1, end=10_000)
         eng = make_engine(seed=1, failure_model=window,
@@ -281,7 +283,7 @@ class TestAsyncStateDict:
         records equal the uninterrupted run exactly. The snapshot comes
         from the serial oracle, whose hook fires after every event."""
         horizon = dict(eval_node_sample=4, activations_per_node=16,
-                       eval_every=8)
+                       eval_every=1)
         ref = make_engine(seed=7, **horizon)
         h_ref = ref.run(AsyncDPSGD())
 
@@ -326,6 +328,31 @@ class TestAsyncStateDict:
         fresh = make_engine(seed=0)
         with pytest.raises(ValueError, match="shape"):
             fresh.load_state_dict(sd)
+
+    @pytest.mark.parametrize("bad", ["rng", "eval_rng", "activation_counts",
+                                     "train_counts", "queue_ids"])
+    def test_refused_snapshot_leaves_engine_untouched(self, bad):
+        """A snapshot with an unknown bit generator or a wrong-length
+        array is refused before anything moves: state matrix, counters,
+        batch streams and the event rng stay as built."""
+        donor = make_engine(seed=0, activations_per_node=2)
+        donor.run(AsyncDPSGD())
+        sd = donor.state_dict()
+        if bad.endswith("rng"):
+            sd[bad] = {**sd[bad], "bit_generator": "NoSuchGenerator"}
+        else:
+            sd[bad] = sd[bad][:-1]
+        victim, fresh = make_engine(seed=0), make_engine(seed=0)
+        with pytest.raises(ValueError, match="bit generator|shape"):
+            victim.load_state_dict(sd)
+        np.testing.assert_array_equal(victim.state, fresh.state)
+        assert not victim.activation_counts.any()
+        assert not victim.train_counts.any()
+        assert victim._queue is None
+        for key, value in fresh.nodes.state_dict().items():
+            np.testing.assert_array_equal(victim.nodes.state_dict()[key], value)
+        assert victim.rng.random() == fresh.rng.random()
+        assert victim.eval_rng.random() == fresh.eval_rng.random()
 
     def test_constrained_policy_state_roundtrip(self):
         budgets = np.array([2, 3, 100, 0, 2, 3, 100, 0])
@@ -393,7 +420,7 @@ class TestVectorizedEventBatching:
     @pytest.mark.parametrize("name", sorted(_policies()))
     def test_bit_identical_per_policy(self, name):
         make = _policies()[name]
-        horizon = dict(seed=3, activations_per_node=6, eval_every=16)
+        horizon = dict(seed=3, activations_per_node=6, eval_every=2)
         serial = oracles.serial(make_engine(**horizon))
         batched = make_engine(**horizon)
         h_s = serial.run(make())
@@ -404,7 +431,7 @@ class TestVectorizedEventBatching:
         window = CrashWindow(N, [1, 5], 1.0, 3.0)
         kw = dict(seed=4, failure_model=window, enforce_budgets=True,
                   battery_fraction=0.05, activations_per_node=8,
-                  eval_every=16)
+                  eval_every=2)
         serial = oracles.serial(make_engine(**kw))
         batched = make_engine(**kw)
         h_s = serial.run(AsyncDPSGD())
@@ -416,7 +443,7 @@ class TestVectorizedEventBatching:
         each batch every (activator, partner) node set is pairwise
         disjoint, and at least one batch stacks multiple trainings
         (otherwise the mode silently degenerated to serial)."""
-        eng = make_engine(seed=0, activations_per_node=8, eval_every=16)
+        eng = make_engine(seed=0, activations_per_node=8, eval_every=2)
         executed = []
         orig = AsyncGossipEngine._execute_batch
 
@@ -451,7 +478,7 @@ class TestVectorizedEventBatching:
 
     def test_hook_fires_once_per_window(self):
         events = []
-        eng = make_engine(seed=0, activations_per_node=6, eval_every=16)
+        eng = make_engine(seed=0, activations_per_node=6, eval_every=2)
         eng.run(AsyncDPSGD(), hook=lambda e, at, h, resumable_at:
                 events.append((at, resumable_at)))
         assert events == [(16, 16), (32, 32), (48, 48)]
@@ -464,7 +491,7 @@ class TestVectorizedEventBatching:
         class Stop(Exception):
             pass
 
-        horizon = dict(seed=6, activations_per_node=48 // N, eval_every=16)
+        horizon = dict(seed=6, activations_per_node=48 // N, eval_every=2)
         ref = make_engine(**horizon)
         h_ref = ref.run(AsyncDPSGD())
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import DPSGD
+from repro.hostinfo import blas_core
 from repro.simulation import EngineConfig, build_engine, masked_mixing
 from repro.topology import (
     NeighborList,
@@ -221,7 +222,10 @@ class TestWeightBitIdentity:
     def test_mixing_digest_matches_the_nx_graph_record(self, name):
         golden = json.loads(MIXING_GOLDEN.read_text())
         assert sorted(golden) == sorted(MIXING_CASES)
-        assert csr_digest(MIXING_CASES[name]()) == golden[name]
+        assert csr_digest(MIXING_CASES[name]()) == golden[name], (
+            f"{name}: mixing matrix bytes moved (on numpy {np.__version__}, "
+            f"BLAS core {blas_core()})"
+        )
 
     def test_neighbor_lists_adapter(self):
         nbl, g = regular_neighbors(12, 4, seed=2), nx_regular(12, 4, 2)
