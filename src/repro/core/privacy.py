@@ -16,7 +16,8 @@ effect), used by tests and the privacy ablation.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
+
+from ..topology.sparse import Csr
 
 __all__ = ["GaussianMechanism", "noise_after_mixing"]
 
@@ -52,7 +53,7 @@ class GaussianMechanism:
 
 
 def noise_after_mixing(
-    w: sp.spmatrix, k: int, sigma: float, rng: np.random.Generator,
+    w: Csr, k: int, sigma: float, rng: np.random.Generator,
     dim: int = 64, trials: int = 16,
 ) -> float:
     """Empirical residual noise magnitude after ``k`` mixing rounds.

@@ -56,7 +56,7 @@ from ..simulation.failures import FailureModel
 from ..simulation.metrics import RunHistory
 from ..simulation.rng import RngFactory
 from ..topology.mixing import metropolis_hastings_weights
-from ..topology.sparse import NeighborList, regular_neighbors
+from ..topology.sparse import Csr, NeighborList, regular_neighbors
 from .presets import ExperimentPreset
 
 __all__ = [
@@ -154,7 +154,7 @@ class PreparedExperiment:
     validation: ArrayDataset
     partition: list[np.ndarray]
     topology: NeighborList
-    mixing: "object"  # scipy sparse matrix
+    mixing: Csr
     trace: EnergyTrace
 
 

@@ -6,7 +6,8 @@ rows: the stacked trainer (a node's parameter row), the gossip product
 node's private batch stream). Each may therefore cut its rows into
 contiguous tiles and work on them at the same time, one tile per
 *lane*: tile 0 on the calling thread, the others on the process's lane
-threads, while numpy and scipy hold no GIL inside their kernels. A
+threads, while numpy and scipy's compiled sparse product (bound by
+:class:`repro.topology.Csr`) hold no GIL inside their kernels. A
 row's arithmetic is the same wherever it runs, so tiling never moves a
 byte; the lane count and the work floor only decide where a row runs.
 

@@ -1150,7 +1150,7 @@ class BatchedTrainer:
             return self._train_uniform(state, ids, x, self._labels(y, idx), idx)
         # every group's labels are checked before any group trains
         groups = []
-        for width in np.unique(k):
+        for width in np.flatnonzero(np.bincount(k)):  # np.unique would load numpy.ma
             pos = np.flatnonzero(k == width)
             sub = idx[pos, :, :width]
             groups.append((pos, sub, self._labels(y, sub)))

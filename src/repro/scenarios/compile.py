@@ -59,13 +59,11 @@ from ..topology.dynamic import (
     RandomRegularEachRound,
     RegularGraphEachRound,
 )
-from ..topology.sparse import NeighborList
+from ..topology.sparse import Csr, NeighborList
 from .churn import ChurnSchedule
 from .spec import ScenarioSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import scipy.sparse as sp
-
     from ..core.base import Algorithm
     from ..experiments.artifacts import PlanCell
     from ..simulation.async_engine import AsyncGossipEngine, AsyncPolicy
@@ -147,7 +145,7 @@ def scenario_mixing_provider(
     churn: ChurnSchedule | None = None,
     failure_model: FailureModel | None = None,
     cache_size: int = 64,
-) -> Callable[[int], sp.csr_matrix]:
+) -> Callable[[int], Csr]:
     """Per-round mixing provider over the eligible (member ∧ alive)
     subgraph of ``graph``.
 
@@ -183,9 +181,9 @@ def scenario_mixing_provider(
 
     if isinstance(graph, NeighborList):
         static_graph = graph
-        cache: dict[bytes, sp.csr_matrix] = {}
+        cache: dict[bytes, Csr] = {}
 
-        def provider(t: int) -> sp.csr_matrix:
+        def provider(t: int) -> Csr:
             mask = eligible(t)
             if mask.tobytes() not in cache and len(cache) >= cache_size:
                 cache.pop(next(iter(cache)))  # oldest insertion
@@ -194,9 +192,9 @@ def scenario_mixing_provider(
         return provider
 
     dyn_graph = graph
-    lru: dict[int, sp.csr_matrix] = {}
+    lru: dict[int, Csr] = {}
 
-    def dyn_provider(t: int) -> sp.csr_matrix:
+    def dyn_provider(t: int) -> Csr:
         if t not in lru:
             if len(lru) >= cache_size:
                 lru.pop(min(lru))
@@ -337,7 +335,7 @@ def _scenario_mixing(
     prepared: PreparedExperiment,
     churn: ChurnSchedule | None,
     failure_model: FailureModel | None,
-) -> Callable[[int], sp.csr_matrix] | None:
+) -> Callable[[int], Csr] | None:
     """The scenario's ``mixing`` for :func:`build_run`: ``None``
     (prepared static matrix), a plain dynamic provider, or a
     churn/failure-masked provider over the scenario graph — for a

@@ -85,9 +85,8 @@ from .node_bank import NodeBank
 from .rng import generator_state, restore_generator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import scipy.sparse as sp
-
     from ..scenarios.churn import ChurnSchedule
+    from ..topology.sparse import Csr
     from .failures import FailureModel
 
 __all__ = [
@@ -243,7 +242,7 @@ class AsyncGossipEngine(SimulationEngine):
         self,
         model: Module,
         nodes: NodeBank,
-        mixing: "sp.spmatrix | Callable[[int], sp.spmatrix]",
+        mixing: "Csr | Callable[[int], Csr]",
         config: EngineConfig,
         test_set: ArrayDataset,
         *,
@@ -288,12 +287,8 @@ class AsyncGossipEngine(SimulationEngine):
         a :class:`~repro.topology.sparse.NeighborList`), read once per
         round."""
         if self._round_rows is None or self._round_rows[0] != t:
-            w = self._mixing_for_round(t)
-            owner = np.repeat(np.arange(self.n_nodes), np.diff(w.indptr))
-            off = w.indices != owner
-            cols = w.indices[off]
-            ends = np.cumsum(np.bincount(owner[off], minlength=self.n_nodes)).tolist()
-            self._round_rows = (t, [cols[lo:hi] for lo, hi in zip([0, *ends], ends)])
+            off = self._mixing_for_round(t).off_diagonal()
+            self._round_rows = (t, np.split(off.indices, off.indptr[1:-1]))
         return self._round_rows[1]
 
     def _may_train(self, i: int) -> bool:

@@ -339,7 +339,8 @@ def sample(
     picks = np.zeros((start.size, steps, columns), dtype=np.int64)
     ends = np.empty((start.size, steps), dtype=np.int64)
     by_numpy = ((sizes > 10000) & (k > sizes // 50)) | (sizes > 1 << 32)
-    for width in np.unique(k[~by_numpy]).tolist():
+    # the distinct widths, ascending (np.unique would load numpy.ma)
+    for width in np.flatnonzero(np.bincount(k[~by_numpy])).tolist():
         group = np.flatnonzero((k == width) & ~by_numpy)
         picks[group, :, :width], ends[group], by_numpy[group] = _floyd_shuffle(
             keys[group], start[group], sizes[group], width, steps

@@ -49,10 +49,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from .. import lanes
 from ..core.base import Algorithm
+from ..topology.sparse import Csr
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.compression import Compressor
@@ -78,7 +78,7 @@ __all__ = ["EngineConfig", "GossipBuffers", "SPARE_BUDGET", "SimulationEngine",
 
 
 def gossip(
-    w: sp.csr_matrix, x: np.ndarray, out: np.ndarray | None = None
+    w: Csr, x: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """``w @ x`` for a float64 CSR ``w`` and 2-D ``x``, byte for byte, with
     the output rows cut into tiles run on every lane
@@ -87,12 +87,10 @@ def gossip(
     C-contiguous float64 matrix of the product's shape that shares no
     memory with ``x``.
 
-    Each tile zeroes its rows of the output and runs scipy's own
-    kernel — ``csr_matvecs``, which ``w @ x`` calls — on its slice
-    ``indptr[lo:hi+1]``, so every row sums the same entries in the same
-    CSR order as the untiled product."""
-    from scipy.sparse import _sparsetools
-
+    Each tile zeroes its rows of the output and runs scipy's kernel on
+    its slice ``indptr[lo:hi+1]`` (:meth:`~repro.topology.Csr.matvecs`),
+    so every row sums the same entries in the same CSR order as the
+    untiled product."""
     rows, cols = w.shape[0], x.shape[1]
     flat = np.asarray(x).ravel()  # a C-ordered copy when strided, as in ``w @ x``
     y = np.empty((rows, cols)) if out is None else out
@@ -100,16 +98,13 @@ def gossip(
     def product(t: int, lo: int, hi: int) -> None:
         tile = y[lo:hi]
         tile.fill(0)
-        _sparsetools.csr_matvecs(
-            hi - lo, w.shape[1], cols, w.indptr[lo : hi + 1], w.indices, w.data,
-            flat, tile.ravel(),
-        )
+        w.matvecs(flat, tile, lo)
 
     lanes.run_tiles(product, lanes.tile_bounds(rows, cols * w.nnz // max(rows, 1)))
     return y
 
 
-def gossip_panels(w: sp.csr_matrix, x: np.ndarray) -> None:
+def gossip_panels(w: Csr, x: np.ndarray) -> None:
     """``x[...] = w @ x`` for a square float64 CSR ``w`` and a C-contiguous
     float64 ``x``, byte for byte, in place: one column panel of at most
     :data:`~repro.lanes.ROW_BUDGET` bytes at a time is copied out to a
@@ -156,7 +151,7 @@ class GossipBuffers:
     def __init__(self) -> None:
         self._spare: np.ndarray | None = None
 
-    def mix(self, w: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    def mix(self, w: Csr, x: np.ndarray) -> np.ndarray:
         """``w @ x``, byte for byte: the spare, ``x`` becoming the next
         product's spare, or above the budget ``x`` itself."""
         if x.nbytes > SPARE_BUDGET:
@@ -214,7 +209,7 @@ class SimulationEngine:
         self,
         model: Module,
         nodes: NodeBank,
-        mixing: "sp.spmatrix | Callable[[int], sp.spmatrix]",
+        mixing: "Csr | Callable[[int], Csr]",
         config: EngineConfig,
         test_set: ArrayDataset,
         meter: EnergyMeter | None = None,
@@ -235,12 +230,8 @@ class SimulationEngine:
                     "(a static matrix would keep mixing departed nodes "
                     "in); wire the engine via scenarios.compile_run"
                 )
-        if callable(mixing):
-            self._mixing_provider = mixing
-            self.mixing = mixing(1).tocsr()
-        else:
-            self._mixing_provider = None
-            self.mixing = mixing.tocsr()
+        self._mixing_provider = mixing if callable(mixing) else None
+        self.mixing = mixing(1) if callable(mixing) else mixing
         if self.mixing.shape != (n, n):
             raise ValueError(
                 f"mixing matrix shape {self.mixing.shape} does not match {n} nodes"
@@ -349,11 +340,11 @@ class SimulationEngine:
 
     # -- internals ------------------------------------------------------------
 
-    def _mixing_for_round(self, t: int) -> sp.csr_matrix:
+    def _mixing_for_round(self, t: int) -> Csr:
         """The round's mixing matrix: static, provided per round, or
         restricted to the alive subgraph under the failure model."""
         if self._mixing_provider is not None:
-            w = self._mixing_provider(t).tocsr()
+            w = self._mixing_provider(t)
             if w.shape != self.mixing.shape:
                 raise ValueError("mixing provider returned wrong shape")
             return w
@@ -392,9 +383,8 @@ class SimulationEngine:
         # per-node loop exactly either way.
         deltas, _ = self.compressor.compress_block(self.state - self._public)
         self._public += deltas
-        diag = w.diagonal()
-        off = w - sp.diags(diag)
-        self.state = diag[:, None] * self.state + gossip(off, self._public)
+        self.state = (w.diagonal()[:, None] * self.state
+                      + gossip(w.off_diagonal(), self._public))
 
     def _eligible(self, t: int) -> np.ndarray | None:
         """Round ``t``'s eligible nodes (present ∧ alive): who may train
@@ -427,13 +417,10 @@ class SimulationEngine:
         if eligible is not None:
             joiners = tuple(i for i in joiners if eligible[i])
         if joiners:
-            w = self._mixing_for_round(t)
-
-            def neighbors_of(i: int) -> np.ndarray:
-                cols = w.indices[w.indptr[i] : w.indptr[i + 1]]
-                return cols[cols != i]
-
-            apply_join_handoff(self.state, joiners, neighbors_of, eligible)
+            off = self._mixing_for_round(t).off_diagonal()
+            apply_join_handoff(self.state, joiners,
+                               lambda i: off.indices[off.indptr[i] : off.indptr[i + 1]],
+                               eligible)
 
     def _measure(self, t: int) -> tuple[float, float, float]:
         """Round ``t``'s evaluation: mean and std accuracy over the

@@ -14,10 +14,9 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
-from ..topology.mixing import metropolis_hastings_weights
-from ..topology.sparse import NeighborList
+from ..topology.mixing import masked_mixing
+from ..topology.sparse import Csr, NeighborList
 
 __all__ = ["FailureModel", "NoFailures", "IndependentCrashes",
            "CrashWindow", "masked_mixing", "failure_mixing_provider"]
@@ -98,61 +97,9 @@ class CrashWindow(FailureModel):
         return self._all_alive
 
 
-def masked_mixing(
-    graph: NeighborList, alive: np.ndarray,
-    cache: dict[bytes, sp.csr_matrix] | None = None,
-) -> sp.csr_matrix:
-    """Mixing matrix with dead nodes isolated.
-
-    Alive nodes mix with Metropolis–Hastings weights over the subgraph
-    induced by the alive set (per connected component); dead nodes get
-    an identity row, freezing their state until they recover. The result
-    is always symmetric and doubly stochastic.
-
-    The alive-subgraph weights are computed per-edge from the masked
-    CSR arrays — O(E) work, no subgraph object and no n×n intermediate —
-    and the result is assembled as CSR arrays directly. A row's sum goes
-    through ``np.add.reduceat``, as scipy's ``sum(axis=1)`` takes it, so
-    the diagonal is the bytes ``1 - w_off.sum(axis=1)`` gives.
-    """
-    alive = np.asarray(alive, dtype=bool)
-    n = graph.n_nodes
-    if alive.shape != (n,):
-        raise ValueError("alive mask size mismatch")
-    key = alive.tobytes()
-    if cache is not None and key in cache:
-        return cache[key]
-
-    if alive.all():
-        out = metropolis_hastings_weights(graph)
-    else:
-        ids = np.arange(n, dtype=np.int64)
-        rows = np.repeat(ids, graph.degrees)
-        cols = graph.indices
-        keep = alive[rows] & alive[cols]
-        rows, cols = rows[keep], cols[keep]
-        subdeg = np.bincount(rows, minlength=n)
-        vals = 1.0 / (np.maximum(subdeg[rows], subdeg[cols]) + 1.0)
-        sums, full = np.zeros(n), subdeg > 0
-        if vals.size:
-            sums[full] = np.add.reduceat(vals, (np.cumsum(subdeg) - subdeg)[full])
-        # each row's kept neighbors (ascending) with its diagonal slotted in
-        rows, cols = np.concatenate([rows, ids]), np.concatenate([cols, ids])
-        order = np.lexsort((cols, rows))
-        out = sp.csr_matrix(
-            (np.concatenate([vals, 1.0 - sums])[order], cols[order],
-             np.concatenate([[0], np.cumsum(subdeg + 1)])),
-            shape=(n, n),
-        )
-
-    if cache is not None:
-        cache[key] = out
-    return out
-
-
 def failure_mixing_provider(
     graph: NeighborList, model: FailureModel, cache_size: int = 64
-) -> Callable[[int], sp.csr_matrix]:
+) -> Callable[[int], Csr]:
     """Per-round mixing provider for the engine: Metropolis–Hastings on
     the alive subgraph of ``graph``, with memoization across repeated
     alive patterns. Pass the result as the engine's ``mixing`` argument
@@ -165,9 +112,9 @@ def failure_mixing_provider(
     ``scenario_mixing_provider`` applies)."""
     if cache_size <= 0:
         raise ValueError("cache_size must be positive")
-    cache: dict[bytes, sp.csr_matrix] = {}
+    cache: dict[bytes, Csr] = {}
 
-    def provider(t: int) -> sp.csr_matrix:
+    def provider(t: int) -> Csr:
         alive = model.alive(t)
         if alive.tobytes() not in cache and len(cache) >= cache_size:
             cache.pop(next(iter(cache)))  # oldest insertion

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+
+from ..topology.sparse import Csr
 
 __all__ = ["TrafficStats", "MessagePassingNetwork"]
 
@@ -52,7 +53,7 @@ class MessagePassingNetwork:
     def __init__(
         self,
         neighbor_lists: list[np.ndarray],
-        mixing: sp.spmatrix,
+        mixing: Csr,
         bytes_per_value: int = 8,
     ) -> None:
         n = len(neighbor_lists)
@@ -60,7 +61,6 @@ class MessagePassingNetwork:
             raise ValueError("mixing matrix does not match neighbor lists")
         if bytes_per_value <= 0:
             raise ValueError("bytes_per_value must be positive")
-        mixing = mixing.tocsr()
         for i, nbrs in enumerate(neighbor_lists):
             row = set(mixing.indices[mixing.indptr[i]:mixing.indptr[i + 1]])
             row.discard(i)
@@ -103,11 +103,13 @@ class MessagePassingNetwork:
 
         # "aggregate" phase: W-weighted average of own + received models
         out = np.empty_like(state)
+        w = self.mixing
         for i in range(n):
-            row = self.mixing.getrow(i)
-            acc = row[0, i] * state[i]
+            lo, hi = w.indptr[i], w.indptr[i + 1]
+            row = dict(zip(w.indices[lo:hi].tolist(), w.data[lo:hi]))
+            acc = row.get(i, 0.0) * state[i]
             for sender, payload in inboxes[i]:
-                acc = acc + row[0, sender] * payload
+                acc = acc + row[sender] * payload
             out[i] = acc
 
         self.stats.record(messages, int(per_node_bytes.sum()), per_node_bytes)

@@ -11,6 +11,8 @@ parallel streams).
 from __future__ import annotations
 
 import numpy as np
+# numpy imports its random package lazily; every cell draws from it
+import numpy.random  # noqa: F401
 
 __all__ = ["RngFactory", "generator_state", "restore_generator"]
 

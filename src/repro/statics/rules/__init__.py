@@ -15,7 +15,7 @@ Current inventory (``repro check --list-rules`` prints it live):
 * ``no-dense-topology`` — no ``.toarray()``/``.todense()``/``np.outer``
   where topology-sized matrices live (simulation/topology/scenarios).
 * ``heavy-import`` — no module-level import of ``networkx``,
-  ``scipy.sparse.linalg``, ``scipy.linalg``, ``scipy.stats`` or
+  ``scipy.sparse`` (and so its ``linalg``), ``scipy.linalg``, ``scipy.stats`` or
   ``matplotlib`` (function bodies and ``TYPE_CHECKING`` are exempt).
 """
 

@@ -4,7 +4,9 @@ The evaluation is many short processes: every CLI call, pool parent and
 daemon start pays the import graph before any work. Packages no sweep
 cell executes once cost each of them 0.2 s and 20 MiB, so they may be
 imported only where they are used — in a function body, or under
-``TYPE_CHECKING``.
+``TYPE_CHECKING``. ``scipy.sparse`` is one of them: a cell runs only
+its compiled product kernel, which :mod:`repro.topology.sparse` loads
+without scipy's package init.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from ..rule import FileContext, Rule, register
 
 #: packages nothing on a cell's path calls; importing one costs every
 #: process that never uses it
-HEAVY_PACKAGES = ("networkx", "scipy.sparse.linalg", "scipy.linalg", "scipy.stats", "matplotlib")
+HEAVY_PACKAGES = ("networkx", "scipy.sparse", "scipy.linalg", "scipy.stats", "matplotlib")
 
 
 def _is_type_checking(test: ast.expr) -> bool:
@@ -46,7 +48,7 @@ class HeavyImport(Rule):
     rule_id = "heavy-import"
     title = "no module-level import of packages no cell executes"
     rationale = (
-        "networkx, scipy.sparse.linalg, scipy.linalg, scipy.stats and "
+        "networkx, scipy.sparse, scipy.linalg, scipy.stats and "
         "matplotlib are used by diagnostics and ablation generators "
         "only; imported at module level they tax every process's cold "
         "start — import them inside the function that needs them"

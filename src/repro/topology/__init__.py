@@ -18,6 +18,7 @@ from .mixing import (
     uniform_neighbor_weights,
 )
 from .sparse import (
+    Csr,
     NeighborList,
     adjacency_matrix,
     as_neighbor_list,
@@ -30,6 +31,7 @@ from .sparse import (
 )
 
 __all__ = [
+    "Csr",
     "NeighborList",
     "as_neighbor_list",
     "csr_connected",

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-import scipy.sparse as sp
-
 from .mixing import metropolis_hastings_weights
-from .sparse import NeighborList, regular_neighbors
+from .sparse import Csr, NeighborList, regular_neighbors
 
 __all__ = [
     "static_provider",
@@ -24,10 +22,9 @@ __all__ = [
 ]
 
 
-def static_provider(mixing: sp.spmatrix) -> Callable[[int], sp.spmatrix]:
+def static_provider(mixing: Csr) -> Callable[[int], Csr]:
     """Wrap a fixed matrix in the provider interface."""
-    csr = mixing.tocsr()
-    return lambda t: csr
+    return lambda t: mixing
 
 
 class RegularGraphEachRound:
@@ -92,9 +89,9 @@ class RandomRegularEachRound:
         self.cache_size = cache_size
         self.graphs = RegularGraphEachRound(n_nodes, degree, seed=seed,
                                             cache_size=cache_size)
-        self._cache: dict[int, sp.csr_matrix] = {}
+        self._cache: dict[int, Csr] = {}
 
-    def __call__(self, t: int) -> sp.csr_matrix:
+    def __call__(self, t: int) -> Csr:
         if t not in self._cache:
             if len(self._cache) >= self.cache_size:
                 self._cache.pop(min(self._cache))
@@ -115,6 +112,6 @@ class PeriodicRewiring:
         self.inner = RandomRegularEachRound(n_nodes, degree, seed=seed)
         self.period = period
 
-    def __call__(self, t: int) -> sp.csr_matrix:
+    def __call__(self, t: int) -> Csr:
         epoch = (t - 1) // self.period + 1
         return self.inner(epoch)

@@ -1,9 +1,11 @@
-"""CSR-native sparse topologies: the one graph representation.
+"""CSR-native sparse topologies: the one graph representation, and the
+one sparse matrix type.
 
 :class:`NeighborList` stores an undirected graph as the classic CSR
 pair (``indptr``, ``indices``) — two integer arrays totalling
 ``O(V + E)`` memory — and is what every consumer (mixing weights,
-masked providers, both engines, n=16..16384) takes. The generators here
+masked providers, both engines, n=16..16384) takes; every mixing
+matrix is a :class:`Csr`, the same pair plus ``data``. The generators
 build the arrays directly from edge lists; connectivity is a vectorized
 O(V+E) breadth-first search. Nothing in this module imports
 ``networkx``: a caller who holds an ``nx.Graph`` converts it once at
@@ -25,14 +27,18 @@ by digest, because every artifact byte downstream depends on them.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 import random  # repro: allow[rng-module-import] -- replicates networkx's random.Random-seeded pairing model bit-for-bit; graph structure is seed-derived, never ambient
+import sys
 from collections import defaultdict
 from typing import Any, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
+    "Csr",
     "NeighborList",
     "as_neighbor_list",
     "csr_connected",
@@ -49,6 +55,101 @@ __all__ = [
 #: attempt ``seed + k`` for k in ``range(REGULAR_MAX_TRIES)``, keeping
 #: the accepted instance a pure function of (n, degree, seed).
 REGULAR_MAX_TRIES = 100
+
+
+def _bind_sparsetools() -> Any:
+    """scipy's compiled sparse kernels, loaded from their file (which
+    ``find_spec`` finds without importing scipy) and not through scipy's
+    package init, which loads hundreds of modules no cell uses. They are
+    registered under their own name, so a later ``import scipy.sparse``
+    reuses them, as this reuses the ones an earlier import loaded."""
+    name = "scipy.sparse._sparsetools"
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")
+        assert scipy is not None and scipy.submodule_search_locations, "needs scipy"
+        spec = importlib.machinery.FileFinder(
+            os.path.join(scipy.submodule_search_locations[0], "sparse"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+        ).find_spec(name)
+        assert spec is not None and spec.loader is not None, "needs scipy.sparse"
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
+_sparsetools = _bind_sparsetools()
+
+
+class Csr:
+    """A float64 sparse matrix in compressed sparse row form: row ``i``
+    holds ``data[indptr[i]:indptr[i+1]]`` at columns
+    ``indices[indptr[i]:indptr[i+1]]``, and products sum them in that
+    stored order, as scipy's ``csr_matrix`` does. The constructor checks
+    the shapes and index ranges the compiled kernel trusts."""
+
+    __slots__ = ("indptr", "indices", "data", "shape")
+
+    def __init__(self, indptr: Any, indices: Any, data: Any,
+                 shape: tuple[int, int]) -> None:
+        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
+        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        self.shape = (int(shape[0]), int(shape[1]))
+        if (self.indptr.shape != (self.shape[0] + 1,) or self.indptr[0] != 0
+                or self.indptr[-1] != self.nnz or self.data.shape != self.indices.shape
+                or np.any(np.diff(self.indptr) < 0)):
+            raise ValueError("malformed CSR arrays")
+        if self.nnz and not 0 <= self.indices.min() <= self.indices.max() < self.shape[1]:
+            raise ValueError("column index out of range")
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
+
+    def row_ids(self) -> np.ndarray:
+        """Every stored entry's row (int64, length ``nnz``)."""
+        return np.repeat(np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr))
+
+    def diagonal(self) -> np.ndarray:
+        on = self.indices == self.row_ids()
+        return np.bincount(self.indices[on], self.data[on], minlength=min(self.shape))
+
+    def off_diagonal(self) -> "Csr":
+        """This matrix without its diagonal slots, the rest in stored order."""
+        rows = self.row_ids()
+        keep = self.indices != rows
+        indptr = np.zeros_like(self.indptr)
+        np.cumsum(np.bincount(rows[keep], minlength=self.shape[0]), out=indptr[1:])
+        return Csr(indptr, self.indices[keep], self.data[keep], self.shape)
+
+    def toarray(self) -> np.ndarray:
+        """A dense copy for diagnostics, refused above 2**24 entries (128 MiB)."""
+        if self.shape[0] * self.shape[1] > 1 << 24:
+            raise ValueError(f"refusing to densify a {self.shape} matrix")
+        out = np.zeros(self.shape)
+        np.add.at(out, (self.row_ids(), self.indices), self.data)
+        return out
+
+    def matvecs(self, x: np.ndarray, out: np.ndarray, lo: int = 0) -> None:
+        """``out += self[lo:lo + len(out)] @ x`` by ``csr_matvecs``, the
+        kernel of scipy's own ``w @ x``: ``x`` holds ``shape[1]`` rows and
+        ``out`` is C-contiguous float64, both as wide as the product."""
+        vecs = out.shape[1] if out.ndim == 2 else 1
+        if (out.dtype != np.float64 or not out.flags.c_contiguous
+                or np.size(x) != self.shape[1] * vecs
+                or not 0 <= lo <= self.shape[0] - len(out)):
+            raise ValueError("operand shapes or layout do not fit the product")
+        _sparsetools.csr_matvecs(
+            len(out), self.shape[1], vecs, self.indptr[lo : lo + len(out) + 1],
+            self.indices, self.data, np.ravel(x), out.reshape(-1),
+        )
+
+    def __matmul__(self, x: Any) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        out = np.zeros((self.shape[0], *x.shape[1:]))
+        self.matvecs(x, out)
+        return out
 
 
 class NeighborList:
@@ -189,17 +290,12 @@ def csr_connected(nbl: NeighborList) -> bool:
         offsets = np.repeat(starts - np.concatenate(([0], counts[:-1])).cumsum(),
                             counts)
         nbrs = indices[offsets + np.arange(total)]
-        fresh = np.unique(nbrs[~seen[nbrs]])
+        fresh = np.sort(nbrs[~seen[nbrs]])  # np.unique would load numpy.ma
+        fresh = fresh[np.diff(fresh, prepend=-1) > 0]
         seen[fresh] = True
         reached += fresh.size
         frontier = fresh
     return reached == n
-
-
-def _adjacency(graph: NeighborList) -> sp.csr_matrix:
-    n = graph.n_nodes
-    data = np.ones(graph.indices.size, dtype=np.float64)
-    return sp.csr_matrix((data, graph.indices, graph.indptr), shape=(n, n))
 
 
 def validate_topology(graph: NeighborList) -> None:
@@ -228,11 +324,11 @@ def validate_topology(graph: NeighborList) -> None:
             "neighbor rows must be strictly ascending (unsorted row or "
             "duplicate edge)"
         )
-    # the CSC form of A is the CSR form of A.T; scipy's conversion is a
-    # counting sort, and sorted rows in give sorted columns out
-    transpose = _adjacency(graph).tocsc()
-    if not (np.array_equal(transpose.indptr, graph.indptr)
-            and np.array_equal(transpose.indices, cols)):
+    # A.T lists the entries by column, stably: with sorted rows it is
+    # sorted too, and equals A entry for entry iff A is symmetric
+    order = np.argsort(cols, kind="stable")
+    if not (np.array_equal(cols[order], rows)
+            and np.array_equal(rows[order], cols)):
         raise ValueError(
             "adjacency must be symmetric: every edge listed from both ends"
         )
@@ -240,10 +336,11 @@ def validate_topology(graph: NeighborList) -> None:
         raise ValueError("graph must be connected")
 
 
-def adjacency_matrix(graph: NeighborList) -> sp.csr_matrix:
+def adjacency_matrix(graph: NeighborList) -> Csr:
     """Sparse 0/1 adjacency in CSR form (node order 0..n-1)."""
     validate_topology(graph)
-    return _adjacency(graph)
+    n = graph.n_nodes
+    return Csr(graph.indptr, graph.indices, np.ones(graph.indices.size), (n, n))
 
 
 def neighbor_lists(graph: NeighborList) -> list[np.ndarray]:

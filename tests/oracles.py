@@ -17,6 +17,16 @@ batteries assert:
 And one layout the product takes only above a byte budget, forced at
 test scale: :func:`panels`, gossip in place by column panels.
 
+The mixing matrices as the tree built them in scipy's sparse algebra,
+before it had its own CSR type (:class:`repro.topology.Csr`):
+
+* :func:`scipy_masked_mixing` — ``w_off + sp.diags(1 - w_off.sum(axis=1))``
+  over the alive subgraph (all alive: Metropolis–Hastings);
+* :func:`scipy_uniform_weights` — the uniform build from COO triplets;
+* :func:`scipy_off_diagonal` — ``w - sp.diags(w.diagonal())``, the
+  compressed-gossip path's neighbor part;
+* :func:`as_scipy` — a :class:`~repro.topology.Csr` as scipy's matrix.
+
 The seam is an attribute, not a knob: :func:`serial` swaps a product
 engine's ``local_trainer`` for the serial one (and an async engine's
 ``run`` for :func:`run_events`).
@@ -30,6 +40,7 @@ import heapq
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro import lanes
 from repro.experiments import artifacts, runner, sweep
@@ -43,11 +54,15 @@ from repro.simulation.metrics import evaluate_model_vector
 __all__ = [
     "NodeByNodeEvaluator",
     "SerialTrainer",
+    "as_scipy",
     "cells",
     "gossip",
     "panels",
     "run_cell",
     "run_events",
+    "scipy_masked_mixing",
+    "scipy_off_diagonal",
+    "scipy_uniform_weights",
     "serial",
 ]
 
@@ -229,3 +244,40 @@ def panels(row_budget):
         patch.setattr(engine_module, "gossip", counted_gossip)
         patch.setattr(engine_module, "gossip_panels", counted_panels)
         yield counts
+
+
+def as_scipy(w):
+    """A :class:`~repro.topology.Csr` as scipy's ``csr_matrix``."""
+    return sp.csr_matrix((w.data, w.indices, w.indptr), shape=w.shape)
+
+
+def scipy_masked_mixing(graph, alive):
+    """Metropolis–Hastings weights over the subgraph ``alive`` induces,
+    dead nodes on identity rows: the off-diagonal weights as one CSR,
+    plus a diagonal of one minus its row sums."""
+    n = graph.n_nodes
+    rows = np.repeat(np.arange(n), graph.degrees)
+    keep = alive[rows] & alive[graph.indices]
+    rows, cols = rows[keep], graph.indices[keep]
+    deg = np.bincount(rows, minlength=n).astype(np.float64)
+    vals = 1.0 / (np.maximum(deg[rows], deg[cols]) + 1.0)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    w_off = sp.csr_matrix((vals, cols, indptr), shape=(n, n))
+    diag = 1.0 - np.asarray(w_off.sum(axis=1)).ravel()
+    return (w_off + sp.diags(diag, format="csr")).tocsr()
+
+
+def scipy_uniform_weights(graph):
+    """``W[i, j] = 1/(deg(i)+1)`` over the closed neighborhood, from COO
+    triplets (scipy sorts each row)."""
+    n = graph.n_nodes
+    self_ids = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([np.repeat(self_ids, graph.degrees), self_ids])
+    cols = np.concatenate([graph.indices, self_ids])
+    wrow = 1.0 / (graph.degrees + 1.0)
+    return sp.csr_matrix((wrow[rows], (rows, cols)), shape=(n, n), dtype=np.float64)
+
+
+def scipy_off_diagonal(w):
+    """``w - sp.diags(w.diagonal())`` of a scipy matrix ``w``."""
+    return w - sp.diags(w.diagonal())

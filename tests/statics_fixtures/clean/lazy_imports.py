@@ -1,6 +1,6 @@
-"""Clean: the heavy packages appear only under TYPE_CHECKING and inside
-the functions that use them; numpy and scipy.sparse are every cell's
-and stay at module level."""
+"""Clean: the heavy packages, scipy.sparse among them, appear only under
+TYPE_CHECKING and inside the functions that use them; numpy is every
+cell's and stays at module level."""
 
 from __future__ import annotations
 
@@ -8,12 +8,12 @@ import typing
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .sparse import linalg  # a relative module named like a heavy one
 
 if TYPE_CHECKING:
     import networkx as nx
+    import scipy.sparse as sp
 
 if typing.TYPE_CHECKING:
     from scipy.stats import rv_continuous

@@ -3,10 +3,11 @@ suppression, and densification outside the scoped packages is ignored
 (this tree's ``reporting`` sibling exercises that)."""
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def mh_weights(indptr, indices, degrees):
+    import scipy.sparse as sp
+
     n = degrees.size
     deg = degrees.astype(np.float64)
     rows = np.repeat(np.arange(n), degrees)

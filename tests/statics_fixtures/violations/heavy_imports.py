@@ -5,7 +5,7 @@ from typing import TYPE_CHECKING
 
 import networkx as nx  # expect: heavy-import
 import numpy as np
-import scipy.sparse as sp
+import scipy.sparse as sp  # expect: heavy-import
 import scipy.sparse.linalg  # expect: heavy-import
 from scipy import sparse, stats  # expect: heavy-import
 from scipy.linalg import eigh  # expect: heavy-import

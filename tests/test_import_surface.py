@@ -20,8 +20,12 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 #: what the benchmark's ``cli.import_s`` times, and every process loads
 PROGRAM = "import repro.cli, repro.experiments, repro.scenarios.compile"
 
-HEAVY = ["networkx", "scipy.sparse.linalg", "scipy.linalg", "scipy.stats",
-         "matplotlib"]
+#: packages no cell executes, by top-level name: scipy counts whole
+HEAVY = ("networkx", "scipy", "matplotlib")
+
+#: the one scipy module a process loads, the compiled kernel of the sparse
+#: product, bound by file without scipy's package init
+KERNEL = "scipy.sparse._sparsetools"
 
 
 def fresh_python(script: str, cwd: Path = REPO_ROOT) -> dict:
@@ -42,12 +46,10 @@ def test_program_import_and_three_cells_load_no_heavy_package(tmp_path):
     out = fresh_python(f"""
         import json, sys
         {PROGRAM}
-        heavy = {HEAVY!r}
-        ours = ("repro", "numpy", "scipy")
-        def loaded():
-            return {{m for m in sys.modules if m.split(".")[0] in ours}}
+        def loaded(tops=("repro", "numpy", "scipy")):
+            return {{m for m in sys.modules if m.split(".")[0] in tops}}
         at_import = loaded()
-        heavy_at_import = [m for m in heavy if m in sys.modules]
+        heavy_at_import = sorted(loaded({HEAVY!r}))
 
         from repro.experiments import build_plan, get_preset, run_cell
         from repro.scenarios import build_scenario_plan, get_scenario
@@ -60,16 +62,27 @@ def test_program_import_and_three_cells_load_no_heavy_package(tmp_path):
                           build_scenario_plan(spec, seeds=(0,), total_rounds=8)[0]))
         for cell_preset, cell in cells:
             run_cell(cell_preset, cell, {str(tmp_path)!r})
+        loaded_by_cells = sorted(loaded() - at_import)
+
+        # compressed gossip: the one product path no cell takes
+        from repro.core import TopKCompressor
+        from repro.experiments import build_run, prepare
+        from repro.simulation import SimulationEngine
+        engine, algorithm = build_run(prepare(preset, 3, seed=0), "d-psgd",
+                                      total_rounds=2)
+        SimulationEngine(engine.model, engine.nodes, engine.mixing,
+                         engine.config, engine.test_set,
+                         compressor=TopKCompressor(0.25)).run(algorithm)
         print(json.dumps({{
             "heavy_at_import": heavy_at_import,
-            "heavy_after_cells": [m for m in heavy if m in sys.modules],
-            "loaded_by_cells": sorted(loaded() - at_import),
+            "heavy_after_runs": sorted(loaded({HEAVY!r})),
+            "loaded_by_cells": loaded_by_cells,
             "kinds": [cell.kind for _, cell in cells],
         }}))
     """)
     assert out["kinds"] == ["sync", "async", "sync"]
-    assert out["heavy_at_import"] == []
-    assert out["heavy_after_cells"] == []
+    assert out["heavy_at_import"] == [KERNEL]
+    assert out["heavy_after_runs"] == [KERNEL]
     # nothing a cell needs was deferred out of the import: set-up cost
     # stays where the benchmark's ``setup_s`` measures it
     assert out["loaded_by_cells"] == []
@@ -120,7 +133,7 @@ def test_diagnostics_import_their_package_on_first_use():
             spectral_gap,
         )
         def state():
-            return ["scipy.sparse.linalg" in sys.modules, "networkx" in sys.modules]
+            return ["scipy.sparse" in sys.modules, "networkx" in sys.modules]
         trail = [state()]
         small = spectral_gap(metropolis_hastings_weights(ring_neighbors(64)))
         trail.append(state())

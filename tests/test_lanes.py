@@ -34,7 +34,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from repro import lanes
 from repro.data import ArrayDataset
@@ -56,6 +55,7 @@ from repro.nn.module import Sequential
 from repro.nn.serialization import parameter_vector
 from repro.simulation import RngFactory, batch_stream, build_nodes, node_bank
 from repro.simulation.engine import gossip, gossip_panels
+from repro.topology import Csr, sparse
 
 pytestmark = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods() or not hasattr(os, "sched_setaffinity"),
@@ -132,6 +132,7 @@ class TestTiledGossip:
             mapped[:] = x
             x = mapped
         want = w @ x
+        w = Csr(w.indptr, w.indices, w.data, w.shape)
         cuts = _force(monkeypatch, count)
         # seven rows on five lanes: tiles of one row
         tiles = [7 * t // count for t in range(count + 1)]
@@ -162,7 +163,7 @@ def test_a_failing_tile_surfaces_after_every_tile_finished(failing, monkeypatch)
     indptr = engine.mixing.indptr
     tile_at = {int(indptr[len(held) * t // 3]): t for t in range(3)}
     finished = []
-    real = _sparsetools.csr_matvecs
+    real = sparse._sparsetools.csr_matvecs
 
     def kernel(n_row, n_col, n_vecs, indptr_slice, *rest):
         tile = tile_at[int(indptr_slice[0])]
@@ -172,7 +173,8 @@ def test_a_failing_tile_surfaces_after_every_tile_finished(failing, monkeypatch)
         real(n_row, n_col, n_vecs, indptr_slice, *rest)
         finished.append(tile)
 
-    monkeypatch.setattr(_sparsetools, "csr_matvecs", kernel)
+    # the one binding of scipy's kernel, which every product goes through
+    monkeypatch.setattr(sparse, "_sparsetools", SimpleNamespace(csr_matvecs=kernel))
     _force(monkeypatch, 3)
     with pytest.raises(RuntimeError, match=f"tile {failing} failed"):
         engine._aggregate(False, 1)

@@ -158,12 +158,8 @@ class TestMetropolisHastings:
     def test_sparsity_matches_graph(self, make):
         g = make()
         w = metropolis_hastings_weights(g)
-        # nonzeros = edges*2 + diagonal entries (all diagonals positive
-        # except possibly exact-zero self weight)
-        offdiag = w.copy()
-        offdiag.setdiag(0)
-        offdiag.eliminate_zeros()
-        assert offdiag.nnz == 2 * g.number_of_edges()
+        # off-diagonal nonzeros: one per edge end
+        assert np.count_nonzero(w.off_diagonal().data) == 2 * g.number_of_edges()
 
     def test_known_values_on_ring(self):
         w = metropolis_hastings_weights(ring_neighbors(4)).toarray()
@@ -188,7 +184,7 @@ class TestMetropolisHastings:
 class TestUniformWeights:
     def test_row_stochastic_always(self):
         w = uniform_neighbor_weights(star_graph(6))
-        np.testing.assert_allclose(np.asarray(w.sum(axis=1)).ravel(), 1.0)
+        np.testing.assert_allclose(w.toarray().sum(axis=1), 1.0)
 
     def test_doubly_stochastic_on_regular(self):
         w = uniform_neighbor_weights(regular_neighbors(12, 4, seed=0))
@@ -213,6 +209,18 @@ class TestSpectral:
         w = metropolis_hastings_weights(regular_neighbors(100, 4, seed=0))
         gap = spectral_gap(w)
         assert 0.0 < gap < 1.0
+
+    @pytest.mark.parametrize("n", [6, 70])
+    def test_non_symmetric_w_is_refused(self, n):
+        """Both eigensolvers read a symmetric matrix. The uniform weights
+        of a 6-node star have eigenvalue moduli 1, 0.5 (×4) and 1/3, a
+        gap of 0.5, where reading one triangle gave 0.203."""
+        w = uniform_neighbor_weights(star_graph(n))
+        assert not is_symmetric(w)
+        with pytest.raises(ValueError, match="symmetric W"):
+            spectral_gap(w)
+        with pytest.raises(ValueError, match="symmetric W"):
+            mixing_time_estimate(w)
 
     def test_mixing_time_monotone_in_gap(self):
         ring = metropolis_hastings_weights(ring_neighbors(24))

@@ -65,7 +65,7 @@ class TestDynamicProviders:
     def test_random_regular_each_round(self):
         provider = RandomRegularEachRound(12, 4, seed=0)
         w1, w2 = provider(1), provider(2)
-        assert (w1 != w2).nnz > 0  # different graphs
+        assert not np.array_equal(w1.toarray(), w2.toarray())  # different graphs
         assert provider(1) is w1  # cached
         assert is_doubly_stochastic(w1)
         assert is_doubly_stochastic(w2)
