@@ -6,9 +6,9 @@ network access offline); see DESIGN.md §2 for the substitution argument.
 
 from .dataset import ArrayDataset, DataLoader
 from .partition import (
+    Partition,
     dirichlet_partition,
     iid_partition,
-    partition_csr,
     partition_datasets,
     shard_partition,
     writer_partition,
@@ -39,11 +39,11 @@ __all__ = [
     "FEMNIST_SPEC",
     "CIFAR10_SMALL_SPEC",
     "FEMNIST_SMALL_SPEC",
+    "Partition",
     "shard_partition",
     "writer_partition",
     "iid_partition",
     "dirichlet_partition",
-    "partition_csr",
     "partition_datasets",
     "class_distribution_matrix",
     "labels_per_node",

@@ -141,7 +141,7 @@ def assign_devices_round_robin(
     distribute the 256 nodes evenly among the four types")."""
     if n_nodes <= 0:
         raise ValueError("n_nodes must be positive")
-    return tuple(devices[i % len(devices)] for i in range(n_nodes))
+    return (tuple(devices) * -(-n_nodes // len(devices)))[:n_nodes]
 
 
 def build_trace(
@@ -164,13 +164,13 @@ def build_trace(
     )
     if len(assigned) != n_nodes:
         raise ValueError("devices tuple must have one entry per node")
-
-    train = np.array([per_round_energy_wh(d, workload) for d in assigned])
-    comm = np.array(
-        [communication_energy_wh(d, workload, degree) for d in assigned]
-    )
-    budgets = np.floor(battery_fraction * np.array([d.battery_wh for d in assigned])
-                       / train).astype(np.int64)
+    # round robin: the four devices' values computed once, gathered by node
+    kinds = PAPER_DEVICES if devices is None else devices
+    kind = np.arange(n_nodes) % len(kinds)
+    train = np.array([per_round_energy_wh(d, workload) for d in kinds])[kind]
+    comm = np.array([communication_energy_wh(d, workload, degree) for d in kinds])[kind]
+    battery = np.array([d.battery_wh for d in kinds])[kind]
+    budgets = np.floor(battery_fraction * battery / train).astype(np.int64)
     return EnergyTrace(
         devices=assigned,
         train_energy_wh=train,

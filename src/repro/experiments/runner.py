@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-import numpy as np
-
 from ..algorithm_names import algorithm_kind, algorithms_of_kind
 from ..core.base import Algorithm
 from ..core.dpsgd import DPSGD, AllReduceDPSGD
@@ -34,6 +32,7 @@ from ..core.schedule import RoundSchedule
 from ..core.skiptrain import SkipTrain, SkipTrainConstrained
 from ..data.dataset import ArrayDataset
 from ..data.partition import (
+    Partition,
     dirichlet_partition,
     iid_partition,
     shard_partition,
@@ -126,13 +125,13 @@ class PreparedData:
     train: ArrayDataset
     test: ArrayDataset
     validation: ArrayDataset
-    partition: list[np.ndarray]
+    partition: Partition
 
     @property
     def nbytes(self) -> int:
         """Bytes of every array held: what keeping it costs."""
-        arrays = (self.train.x, self.train.y, self.test.x, self.test.y,
-                  self.validation.x, self.validation.y, *self.partition)
+        arrays = (self.train.x, self.train.y, self.test.x, self.test.y, self.validation.x,
+                  self.validation.y, self.partition.offsets, self.partition.indices)
         return sum(array.nbytes for array in arrays)
 
 
@@ -152,7 +151,7 @@ class PreparedExperiment:
     train: ArrayDataset
     test: ArrayDataset
     validation: ArrayDataset
-    partition: list[np.ndarray]
+    partition: Partition
     topology: NeighborList
     mixing: Csr
     trace: EnergyTrace

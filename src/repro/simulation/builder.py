@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from ..data.dataset import ArrayDataset
-from ..data.partition import iid_partition, shard_partition
+from ..data.partition import Partition, iid_partition, shard_partition
 from ..energy.devices import DeviceProfile
 from .node_bank import NodeBank
 from .rng import RngFactory
@@ -22,7 +22,7 @@ __all__ = ["build_nodes", "build_engine"]
 
 def build_nodes(
     global_train: ArrayDataset,
-    partition: list[np.ndarray],
+    partition: Partition,
     batch_size: int,
     rngs: RngFactory,
     devices: tuple[DeviceProfile, ...] | None = None,

@@ -5,8 +5,8 @@ matrix; what a node owns besides its row is a slice of the training
 set, a private batch-sampling stream and a step counter. A
 :class:`NodeBank` holds all ``n`` of those columnar: the global
 ``x``/``y`` once and by reference (the arrays of the dataset the
-running process keeps for the cell's data key), the partition in CSR
-form, and every node's
+running process keeps for the cell's data key), the arrays of the
+cell's :class:`~repro.data.partition.Partition` (shared too), and every node's
 batch stream as a Philox key and a position — two arrays, no generator
 objects. Building it is O(n + partition size), never O(dataset): no
 per-node copy of the samples is made.
@@ -24,13 +24,11 @@ many nodes at once, bit for bit what the numpy generators return.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .. import lanes
 from ..data.dataset import ArrayDataset
-from ..data.partition import partition_csr
+from ..data.partition import Partition
 from ..energy.devices import DeviceProfile
 from ..energy.traces import assign_devices_round_robin
 from . import batch_stream
@@ -75,7 +73,7 @@ class NodeBank:
     def __init__(
         self,
         dataset: ArrayDataset,
-        partition: Sequence[np.ndarray],
+        partition: Partition,
         batch_size: int,
         rngs: RngFactory,
         devices: tuple[DeviceProfile, ...] | None = None,
@@ -84,8 +82,12 @@ class NodeBank:
             raise ValueError("batch_size must be positive")
         self.x = dataset.x
         self.y = dataset.y
-        self.offsets, self.indices = partition_csr(partition, len(dataset))
-        self.sizes = np.diff(self.offsets)
+        if not isinstance(partition, Partition):
+            raise TypeError(f"partition must be a Partition (Partition.from_arrays "
+                            f"builds one), got {type(partition).__name__}")
+        partition.validate(len(dataset))
+        self.offsets, self.indices = partition.offsets, partition.indices
+        self.sizes = partition.sizes
         n = self.sizes.shape[0]
         empty = np.flatnonzero(self.sizes == 0)
         if empty.size:

@@ -33,6 +33,7 @@ import os
 import random  # repro: allow[rng-module-import] -- replicates networkx's random.Random-seeded pairing model bit-for-bit; graph structure is seed-derived, never ambient
 import sys
 from collections import defaultdict
+from itertools import chain
 from typing import Any, Iterator
 
 import numpy as np
@@ -454,8 +455,9 @@ def regular_neighbors(n: int, degree: int, seed: int = 0) -> NeighborList:
     validate_regular_params(n, degree)
     for attempt in range(REGULAR_MAX_TRIES):
         edges = _pairing_model_edges(n, degree, random.Random(seed + attempt))
-        arr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
-        graph = NeighborList.from_edges(n, arr[:, 0], arr[:, 1])
+        # in set order: from_edges sorts the rows, so the order cannot show
+        arr = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
+        graph = NeighborList.from_edges(n, arr[0::2], arr[1::2])
         if csr_connected(graph):
             return graph
     raise RuntimeError(

@@ -27,6 +27,17 @@ before it had its own CSR type (:class:`repro.topology.Csr`):
   compressed-gossip path's neighbor part;
 * :func:`as_scipy` — a :class:`~repro.topology.Csr` as scipy's matrix.
 
+The data partitioners and the energy trace as the tree built them one
+node at a time, before the partition became one CSR
+(:class:`repro.data.Partition`):
+
+* :func:`shard_partition`, :func:`iid_partition`,
+  :func:`writer_partition`, :func:`dirichlet_partition` — a list of
+  per-node index arrays (``np.array_split`` / ``np.split`` into pieces,
+  one ``np.sort`` / ``np.concatenate`` per node);
+* :func:`build_trace` — ``per_round_energy_wh`` and
+  ``communication_energy_wh`` called once per node.
+
 The seam is an attribute, not a knob: :func:`serial` swaps a product
 engine's ``local_trainer`` for the serial one (and an async engine's
 ``run`` for :func:`run_events`).
@@ -43,6 +54,12 @@ import pytest
 import scipy.sparse as sp
 
 from repro import lanes
+from repro.energy.traces import (
+    EnergyTrace,
+    assign_devices_round_robin,
+    communication_energy_wh,
+    per_round_energy_wh,
+)
 from repro.experiments import artifacts, runner, sweep
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.optim import SGD
@@ -55,8 +72,11 @@ __all__ = [
     "NodeByNodeEvaluator",
     "SerialTrainer",
     "as_scipy",
+    "build_trace",
     "cells",
+    "dirichlet_partition",
     "gossip",
+    "iid_partition",
     "panels",
     "run_cell",
     "run_events",
@@ -64,6 +84,8 @@ __all__ = [
     "scipy_off_diagonal",
     "scipy_uniform_weights",
     "serial",
+    "shard_partition",
+    "writer_partition",
 ]
 
 
@@ -281,3 +303,65 @@ def scipy_uniform_weights(graph):
 def scipy_off_diagonal(w):
     """``w - sp.diags(w.diagonal())`` of a scipy matrix ``w``."""
     return w - sp.diags(w.diagonal())
+
+
+def shard_partition(labels, n_nodes, shards_per_node=2, rng=None):
+    """Sort by label, ``np.array_split`` into ``n_nodes * shards_per_node``
+    shards, deal them by one ``rng.permutation``, concatenate per node."""
+    rng = rng if rng is not None else np.random.default_rng(0)
+    order = np.argsort(np.asarray(labels), kind="stable")
+    num_shards = n_nodes * shards_per_node
+    shards = np.array_split(order, num_shards)
+    shard_ids = rng.permutation(num_shards)
+    return [
+        np.concatenate([shards[s] for s in shard_ids[node * shards_per_node:
+                                                     (node + 1) * shards_per_node]])
+        for node in range(n_nodes)
+    ]
+
+
+def writer_partition(tags, n_nodes):
+    """Each of the top-``n_nodes`` writers by sample count, largest first,
+    as one node."""
+    counts = np.bincount(tags.writer, minlength=tags.num_writers)
+    top = np.argsort(-counts, kind="stable")[:n_nodes]
+    return [np.nonzero(tags.writer == w)[0] for w in top]
+
+
+def iid_partition(n_samples, n_nodes, rng):
+    """One permutation, ``np.array_split`` into nodes, each sorted."""
+    perm = rng.permutation(n_samples)
+    return [np.sort(chunk) for chunk in np.array_split(perm, n_nodes)]
+
+
+def dirichlet_partition(labels, n_nodes, alpha, rng, min_samples=1,
+                        max_retries=100):
+    """Per class: shuffle its samples, draw Dirichlet(α) proportions and
+    ``np.split`` the class at their cumulative cuts; retried until every
+    node holds ``min_samples``."""
+    labels = np.asarray(labels)
+    num_classes = int(labels.max()) + 1
+    for _ in range(max_retries):
+        buckets = [[] for _ in range(n_nodes)]
+        for c in range(num_classes):
+            idx = np.nonzero(labels == c)[0]
+            rng.shuffle(idx)
+            props = rng.dirichlet(np.full(n_nodes, alpha))
+            cuts = (np.cumsum(props) * idx.size).astype(int)[:-1]
+            for node, chunk in enumerate(np.split(idx, cuts)):
+                buckets[node].append(chunk)
+        parts = [np.sort(np.concatenate(b)) for b in buckets]
+        if min(p.size for p in parts) >= min_samples:
+            return parts
+    raise RuntimeError(f"could not satisfy min_samples={min_samples}")
+
+
+def build_trace(n_nodes, workload, battery_fraction, degree=6, devices=None):
+    """The energy trace with both per-round energies computed node by node."""
+    assigned = devices if devices is not None else assign_devices_round_robin(n_nodes)
+    train = np.array([per_round_energy_wh(d, workload) for d in assigned])
+    comm = np.array([communication_energy_wh(d, workload, degree) for d in assigned])
+    budgets = np.floor(battery_fraction * np.array([d.battery_wh for d in assigned])
+                       / train).astype(np.int64)
+    return EnergyTrace(devices=assigned, train_energy_wh=train,
+                       comm_energy_wh=comm, budget_rounds=budgets)

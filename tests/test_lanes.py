@@ -36,7 +36,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro import lanes
-from repro.data import ArrayDataset
+from repro.data import ArrayDataset, Partition
 from repro.experiments import (
     PersistentPool,
     artifact_path,
@@ -189,7 +189,8 @@ def _rejecting_bank(batch_size, sizes, seed, rejecting):
     the array sampler leaves to :func:`batch_stream.replay`)."""
     rng = np.random.default_rng(0)
     total = int(np.sum(sizes))
-    partition = np.split(rng.permutation(total), np.cumsum(sizes)[:-1])
+    partition = Partition.from_arrays(
+        np.split(rng.permutation(total), np.cumsum(sizes)[:-1]))
     train = ArrayDataset(rng.normal(size=(total, 1)), rng.integers(0, 4, size=total), 4)
     bank = build_nodes(train, partition, batch_size, RngFactory(seed))
     bound = sizes[rejecting] - int(bank.k[rejecting]) + 1

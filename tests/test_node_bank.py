@@ -20,8 +20,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.data import ArrayDataset, DataLoader
-from repro.experiments import artifact_path, build_plan, get_preset, run_cell
+from repro.data import ArrayDataset, DataLoader, Partition
+from repro.experiments import (
+    artifact_path,
+    build_plan,
+    build_run,
+    get_preset,
+    prepare_data,
+    prepared_from_data,
+    run_cell,
+)
 from repro.experiments.artifacts import checkpoint_path
 from repro.nn import small_mlp
 from repro.nn.serialization import parameter_vector
@@ -41,7 +49,7 @@ def _ragged_partition(n_samples, n_nodes, rng):
     the dataset, in shuffled sample order."""
     perm = rng.permutation(n_samples)[: n_samples - n_samples // 5]
     cuts = np.sort(rng.choice(np.arange(1, perm.size), size=n_nodes - 1, replace=False))
-    return np.split(perm, cuts)
+    return Partition.from_arrays(np.split(perm, cuts))
 
 
 class TestDrawsMatchLegacyLoaders:
@@ -110,7 +118,8 @@ def _bank_of(sizes, batch_size, seed, features=1):
     sample order; returns it with the partition."""
     rng = np.random.default_rng(0)
     total = int(np.sum(sizes))
-    partition = np.split(rng.permutation(total), np.cumsum(sizes)[:-1])
+    partition = Partition.from_arrays(
+        np.split(rng.permutation(total), np.cumsum(sizes)[:-1]))
     bank = build_nodes(_dataset(total, rng, features), partition, batch_size,
                        RngFactory(seed))
     return bank, partition
@@ -229,7 +238,8 @@ class TestSamplerMatchesNumpy:
         bank, _ = _bank_of([8] * 40, 4, seed=3)
         twin, _ = _bank_of([8] * 40, 4, seed=3)
         rng = np.random.default_rng(1)
-        train, partition = _dataset(40, rng), np.split(np.arange(40), 8)
+        train = _dataset(40, rng)
+        partition = Partition(np.arange(0, 41, 5), np.arange(40))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a numpy generator object was constructed")
@@ -288,7 +298,7 @@ class TestNoCopies:
         plus O(n) — never a second copy of the features."""
         rng = np.random.default_rng(2)
         train = _dataset(20_000, rng, features=256)  # 39 MiB of features
-        partition = np.array_split(rng.permutation(20_000), 50)
+        partition = Partition(np.arange(0, 20_001, 400), rng.permutation(20_000))
         rngs = RngFactory(2)
         tracemalloc.start()
         try:
@@ -299,11 +309,41 @@ class TestNoCopies:
         assert len(bank) == 50
         assert peak < train.x.nbytes / 16
 
+    def test_a_fleet_cell_builds_no_per_node_view(self, monkeypatch):
+        """Partitioner to ``NodeBank`` to one round of ``n1024-fleet``
+        with the per-node views refused: the partition stays one CSR."""
+        def refused(*args):
+            raise AssertionError("a per-node view of the partition was built")
+
+        monkeypatch.setattr(Partition, "__iter__", refused)
+        monkeypatch.setattr(Partition, "__getitem__", refused)
+        data = prepare_data(get_preset("n1024-fleet"), seed=0)
+        engine, algorithm = build_run(
+            prepared_from_data(data, 4), "skiptrain", total_rounds=1, eval_every=1
+        )
+        engine.run(algorithm)
+        assert engine.nodes.indices is data.partition.indices
+        assert engine.nodes.local_steps_done.sum() > 0
+
+    def test_bank_shares_the_partition_arrays(self):
+        rng = np.random.default_rng(1)
+        partition = _ragged_partition(64, 8, rng)
+        bank = build_nodes(_dataset(64, rng), partition, 4, RngFactory(1))
+        assert bank.indices is partition.indices
+        assert bank.offsets is partition.offsets
+
 
 class TestPartitionValidation:
-    def _build(self, partition, n_samples=10):
+    def _build(self, parts, n_samples=10):
         rng = np.random.default_rng(3)
-        return NodeBank(_dataset(n_samples, rng), partition, 4, RngFactory(3))
+        return NodeBank(_dataset(n_samples, rng), Partition.from_arrays(parts), 4,
+                        RngFactory(3))
+
+    def test_a_list_of_arrays_is_refused(self):
+        rng = np.random.default_rng(3)
+        with pytest.raises(TypeError, match="Partition.from_arrays"):
+            NodeBank(_dataset(10, rng), [np.arange(5), np.arange(5, 10)], 4,
+                     RngFactory(3))
 
     def test_negative_index_names_the_node(self):
         with pytest.raises(ValueError, match=r"node 1: partition index -1 out of range"):
@@ -324,13 +364,14 @@ class TestPartitionValidation:
     def test_device_count_must_match(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="one device per node"):
-            NodeBank(_dataset(10, rng), [np.arange(5), np.arange(5, 10)], 4,
-                     RngFactory(3), devices=())
+            NodeBank(_dataset(10, rng), Partition(np.array([0, 5, 10]), np.arange(10)),
+                     4, RngFactory(3), devices=())
 
     def test_nonpositive_batch_size_rejected(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="batch_size"):
-            NodeBank(_dataset(10, rng), [np.arange(10)], 0, RngFactory(3))
+            NodeBank(_dataset(10, rng), Partition(np.array([0, 10]), np.arange(10)), 0,
+                     RngFactory(3))
 
 
 class TestPackedStateCodec:

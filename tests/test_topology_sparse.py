@@ -174,6 +174,16 @@ class TestGeneratorEquivalence:
             nx_regular(n, degree, seed)
         )
 
+    @pytest.mark.parametrize("n,degree,seed", [(16, 3, 0), (1024, 4, 3)])
+    def test_regular_csr_matches_nx_byte_for_byte(self, n, degree, seed):
+        """The pairing model's edge set goes into ``from_edges`` in set
+        order, unsorted: the CSR rows are sorted there, so the arrays are
+        networkx's graph as the boundary adapter builds it."""
+        ours = regular_neighbors(n, degree, seed=seed)
+        theirs = as_neighbor_list(nx_regular(n, degree, seed))
+        assert ours.indptr.tobytes() == theirs.indptr.tobytes()
+        assert ours.indices.tobytes() == theirs.indices.tobytes()
+
     def test_regular_is_seed_stable(self):
         a = regular_neighbors(24, 3, seed=5)
         b = regular_neighbors(24, 3, seed=5)
