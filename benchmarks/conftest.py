@@ -16,11 +16,6 @@ Scales:
 
 from __future__ import annotations
 
-import json
-import os
-import resource
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -110,48 +105,3 @@ def bench32_femnist() -> ExperimentPreset:
 def run_once(benchmark, fn):
     """Run ``fn`` exactly once under the benchmark timer."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
-
-
-# -- the tracked benchmark baseline (BENCH_throughput.json) -------------------
-
-#: Repository-root artifact the throughput benchmarks write their
-#: measurements into — the perf trajectory future PRs regress against.
-BENCH_REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
-BENCH_REPORT_SCHEMA = "repro/bench-throughput/v1"
-
-
-def peak_rss_mib() -> float:
-    """The process's peak resident set size in MiB (``ru_maxrss`` is
-    KiB on Linux). A high-water mark, not an instantaneous reading: in
-    a shared pytest process it reflects the heaviest point of the run
-    so far, which is exactly the memory-trajectory signal the tracked
-    baseline wants."""
-    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
-
-
-def record_bench(name: str, payload: dict) -> Path:
-    """Merge one named measurement into ``BENCH_throughput.json``.
-
-    The file is rewritten atomically after every entry (sorted keys, so
-    diffs are stable), which means an aborted or filtered run keeps the
-    entries it did produce — each benchmark owns exactly one key.
-    Every entry is stamped with the process's ``peak_rss_mib`` at
-    record time, so future PRs inherit a memory trajectory alongside
-    the timing one.
-    """
-    payload = {**payload, "peak_rss_mib": peak_rss_mib()}
-    report = {"schema": BENCH_REPORT_SCHEMA, "entries": {}}
-    if BENCH_REPORT_PATH.is_file():
-        try:
-            existing = json.loads(BENCH_REPORT_PATH.read_text())
-        except json.JSONDecodeError:
-            existing = None
-        if isinstance(existing, dict) and (
-            existing.get("schema") == BENCH_REPORT_SCHEMA
-        ):
-            report = existing
-    report["entries"][name] = payload
-    tmp = BENCH_REPORT_PATH.with_name(BENCH_REPORT_PATH.name + ".tmp")
-    tmp.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    os.replace(tmp, BENCH_REPORT_PATH)
-    return BENCH_REPORT_PATH

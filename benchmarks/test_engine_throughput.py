@@ -9,25 +9,32 @@ multi-node path exists to deliver — over the serial row loop the test
 suite keeps as its oracle (``tests/oracles.py``) — into an assertion
 rather than a printout.
 
-The ``test_eval_*`` / ``test_sweep_jobs_*`` family is the *tracked*
-baseline: serial vs batched cross-node evaluation at 16/64/256 nodes
-and ``--jobs 1`` vs ``--jobs 4`` sweep wall-clock through the
-persistent shared-memory pool, each recorded into
-``BENCH_throughput.json`` (:func:`benchmarks.conftest.record_bench`) so
-future PRs have a perf trajectory to regress against. Speed gates:
-batched eval must never be slower than serial at 64 nodes (quick mode)
-and must deliver ≥3× (full mode, ``slow`` marker); the pooled sweep
-must beat serial whenever the machine has ≥2 cores (quick mode) and
-deliver ≥1.3× on ≥4 cores (full mode).
+The ``test_eval_*`` / ``test_sweep_jobs_*`` family asserts that
+serial and batched cross-node evaluation at 16/64/256 nodes, and
+``--jobs 1`` and ``--jobs 4`` sweeps through the persistent pool, agree
+exactly. Speed gates: batched eval must never be slower than serial at
+64 nodes (quick mode) and must deliver ≥3× (full mode, ``slow``
+marker); the pooled sweep must beat serial whenever the machine has ≥2
+cores (quick mode) and deliver ≥1.3× on ≥4 cores (full mode).
 
-The ``test_async_*`` family tracks the event-driven engine: activation
-events per second under disjoint event batching and through the
-oracle's serial event loop, with the batched engine gated at
-never-slower (quick) and ≥2× (full mode) over serial at 64 nodes —
-after asserting the two trajectories are bit-identical.
+The ``test_async_*`` family times the event-driven engine: activation
+events under disjoint event batching and through the oracle's serial
+event loop, with the batched engine gated at never-slower (quick) and
+≥2× (full mode) over serial at 64 nodes — after asserting the two
+trajectories are bit-identical.
+
+``test_train_rounds_fleet`` is the fleet memory gate: a whole cell at
+n=1024/4096/16384, in a fresh interpreter, stays under 2 GiB peak RSS.
+
+The recorded perf trajectory is ``benchmarks/perf`` (``BENCHMARK.json``);
+these tests only assert.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +49,7 @@ from repro.nn.serialization import parameter_vector, set_parameter_vector
 from repro.simulation import EngineConfig, build_engine
 from repro.simulation.metrics import evaluate_state
 
-from .conftest import record_bench, run_once
+from .conftest import run_once
 
 SPEC = SyntheticSpec(num_classes=10, channels=1, image_size=8,
                      noise_std=2.0, prototype_resolution=4)
@@ -153,12 +160,6 @@ def test_vectorized_speedup_at_64_nodes():
 
     serial = rounds_per_sec(True)
     vectorized = rounds_per_sec(False)
-    record_bench("train_rounds_n64", {
-        "n_nodes": 64,
-        "serial_rounds_per_s": round(serial, 3),
-        "vectorized_rounds_per_s": round(vectorized, 3),
-        "speedup": round(vectorized / serial, 3),
-    })
     assert vectorized >= 2.0 * serial, (
         f"vectorized engine too slow: {vectorized:.1f} vs serial "
         f"{serial:.1f} rounds/sec ({vectorized / serial:.2f}x, need >=2x)"
@@ -177,7 +178,7 @@ def test_evaluation_throughput(benchmark, batch):
     benchmark(lambda: evaluate_model_vector(model, vec, ds))
 
 
-# -- cross-node evaluation: serial vs batched (tracked baseline) --------------
+# -- cross-node evaluation: serial vs batched ---------------------------------
 
 EVAL_TEST_SAMPLES = 600
 # The bench model is ~100x smaller than the paper CNNs, so the eval
@@ -212,9 +213,9 @@ def _best_of(fn, repeats: int = 3) -> float:
     return best
 
 
-def _measure_eval(n_nodes: int) -> tuple[float, float]:
-    """(serial_seconds, batched_seconds) per full-state eval round,
-    after asserting the two paths return exactly equal accuracies."""
+def _eval_paths(n_nodes: int):
+    """The serial and the batched full-state eval round of one state,
+    after asserting they return exactly equal accuracies."""
     model, state, ds = _eval_setup(n_nodes)
     evaluator = BatchedEvaluator(model)
 
@@ -227,21 +228,20 @@ def _measure_eval(n_nodes: int) -> tuple[float, float]:
         return evaluate_state(evaluator, state, ds, batch_size=EVAL_BATCH)
 
     assert serial() == batched()  # exact equality, mean and std
+    return serial, batched
+
+
+def _measure_eval(n_nodes: int) -> tuple[float, float]:
+    """(serial_seconds, batched_seconds) per full-state eval round."""
+    serial, batched = _eval_paths(n_nodes)
     return _best_of(serial), _best_of(batched)
 
 
 @pytest.mark.parametrize("n_nodes", [16, 64, 256])
 def test_eval_serial_vs_batched(n_nodes):
-    """The tracked eval baseline: full-state evaluation cost per round,
-    serial per-node loop vs one stacked pass per test batch."""
-    serial_s, batched_s = _measure_eval(n_nodes)
-    record_bench(f"eval_n{n_nodes}", {
-        "n_nodes": n_nodes,
-        "test_samples": EVAL_TEST_SAMPLES,
-        "serial_s": round(serial_s, 6),
-        "batched_s": round(batched_s, 6),
-        "speedup": round(serial_s / batched_s, 3),
-    })
+    """Full-state evaluation, serial per-node loop vs one stacked pass
+    per test batch: exactly equal accuracies."""
+    _eval_paths(n_nodes)
 
 
 def test_batched_eval_not_slower_at_64_nodes():
@@ -249,12 +249,6 @@ def test_batched_eval_not_slower_at_64_nodes():
     serial loop at 64 nodes (the full ≥3× gate carries the ``slow``
     marker)."""
     serial_s, batched_s = _measure_eval(64)
-    record_bench("eval_gate_n64", {
-        "n_nodes": 64,
-        "serial_s": round(serial_s, 6),
-        "batched_s": round(batched_s, 6),
-        "speedup": round(serial_s / batched_s, 3),
-    })
     assert batched_s <= serial_s, (
         f"batched eval slower than serial at 64 nodes: "
         f"{batched_s:.4f}s vs {serial_s:.4f}s"
@@ -268,18 +262,12 @@ def test_batched_eval_speedup_at_64_nodes():
     per round, the batched path n_batches stacked GEMMs)."""
     serial_s, batched_s = _measure_eval(64)
     speedup = serial_s / batched_s
-    record_bench("eval_speedup_n64", {
-        "n_nodes": 64,
-        "serial_s": round(serial_s, 6),
-        "batched_s": round(batched_s, 6),
-        "speedup": round(speedup, 3),
-    })
     assert speedup >= 3.0, (
         f"batched eval too slow at 64 nodes: {speedup:.2f}x (need >=3x)"
     )
 
 
-# -- async gossip engine: events/sec (tracked baseline) -----------------------
+# -- async gossip engine: events/sec ------------------------------------------
 
 
 def _async_engine(n_nodes: int, *, activations: int):
@@ -309,27 +297,16 @@ def _async_engine(n_nodes: int, *, activations: int):
 
 
 def test_async_events_throughput():
-    """The tracked async baseline: activation events per second at 64
-    nodes — the per-event cost the in-place gossip rewrite attacks
-    (recorded as ``async_events_per_sec`` in the quick-mode bench
-    gate)."""
+    """Activation events at 64 nodes, best of three runs — the
+    per-event cost the in-place gossip rewrite attacks."""
     from repro.simulation import AsyncDPSGD
 
-    activations = 4
-    events = 64 * activations
-
     def run():
-        eng = _async_engine(64, activations=activations)
+        eng = _async_engine(64, activations=4)
         eng.run(AsyncDPSGD())
         return eng
 
     best = _best_of(run)
-    record_bench("async_events_per_sec", {
-        "n_nodes": 64,
-        "events": events,
-        "best_s": round(best, 6),
-        "events_per_s": round(events / best, 3),
-    })
     assert best > 0.0
 
 
@@ -339,8 +316,6 @@ def _measure_async_events(n_nodes: int = 64, activations: int = 4):
     after asserting the two end in bit-identical states and histories
     (the contract the conformance suite enforces in depth)."""
     from repro.simulation import AsyncDPSGD
-
-    events = n_nodes * activations
 
     def run(oracle: bool):
         eng = _async_engine(n_nodes, activations=activations)
@@ -356,23 +331,14 @@ def _measure_async_events(n_nodes: int = 64, activations: int = 4):
 
     serial_s = _best_of(lambda: run(True))
     batched_s = _best_of(lambda: run(False))
-    return serial_s, batched_s, events
+    return serial_s, batched_s
 
 
 def test_async_events_batched_not_slower_at_64_nodes():
     """Quick-mode CI gate: disjoint event batching must never lose to
     the oracle's serial event loop at 64 nodes (the full ≥2× gate carries the
-    ``slow`` marker). Recorded as ``async_events_per_sec_batched``."""
-    serial_s, batched_s, events = _measure_async_events()
-    record_bench("async_events_per_sec_batched", {
-        "n_nodes": 64,
-        "events": events,
-        "serial_s": round(serial_s, 6),
-        "batched_s": round(batched_s, 6),
-        "serial_events_per_s": round(events / serial_s, 3),
-        "batched_events_per_s": round(events / batched_s, 3),
-        "speedup": round(serial_s / batched_s, 3),
-    })
+    ``slow`` marker)."""
+    serial_s, batched_s = _measure_async_events()
     assert batched_s <= serial_s, (
         f"batched async engine slower than serial at 64 nodes: "
         f"{batched_s:.4f}s vs {serial_s:.4f}s"
@@ -385,61 +351,55 @@ def test_async_events_batched_speedup_at_64_nodes():
     64 nodes (the serial loop pays one Python-level training pass per
     event; batching amortizes it into stacked passes per disjoint
     batch)."""
-    serial_s, batched_s, events = _measure_async_events()
+    serial_s, batched_s = _measure_async_events()
     speedup = serial_s / batched_s
-    record_bench("async_events_speedup_n64", {
-        "n_nodes": 64,
-        "events": events,
-        "serial_s": round(serial_s, 6),
-        "batched_s": round(batched_s, 6),
-        "speedup": round(speedup, 3),
-    })
     assert speedup >= 2.0, (
         f"batched async engine too slow at 64 nodes: {speedup:.2f}x "
         f"(need >=2x)"
     )
 
 
-# -- fleet-scale cells: the node axis at 1024-16384 nodes (tracked) -----------
+# -- fleet-scale cells: the node axis at 1024-16384 nodes ---------------------
 
 #: A single dense float64 n×n intermediate at n=16384 is ~2147 MiB, so
 #: staying under this cap proves the whole path is O(E + n·dim).
 FLEET_RSS_CAP_MIB = 2048.0
 
+#: One full fleet-preset sync cell (sparse NeighborList topology, stacked
+#: trainer, in-memory state), then the interpreter's own peak RSS in MiB.
+#: ``VmHWM`` belongs to the child's address space alone; its
+#: ``ru_maxrss`` would start at the parent's high-water mark, which
+#: the kernel carries over on exec.
+FLEET_CELL = """
+import sys
+from repro.experiments.presets import fleet_preset
+from repro.experiments.runner import build_run, prepare
 
-def _measure_fleet_cell(n_nodes: int):
-    """(seconds, rounds) for one full fleet-preset sync cell — sparse
-    NeighborList topology, stacked trainer, in-memory state."""
-    from repro.experiments.presets import fleet_preset
-    from repro.experiments.runner import build_run, prepare
-
-    preset = fleet_preset(n_nodes)
-    prepared = prepare(preset, preset.degrees[0], seed=0)
-    engine, algo = build_run(prepared, "skiptrain",
-                             total_rounds=preset.total_rounds)
-    t0 = time.perf_counter()
-    engine.run(algo)
-    return time.perf_counter() - t0, preset.total_rounds
+preset = fleet_preset(int(sys.argv[1]))
+prepared = prepare(preset, preset.degrees[0], seed=0)
+engine, algo = build_run(prepared, "skiptrain", total_rounds=preset.total_rounds)
+engine.run(algo)
+with open("/proc/self/status") as status:
+    [peak] = [line.split()[1] for line in status if line.startswith("VmHWM:")]
+print(int(peak) / 1024)
+"""
 
 
 @pytest.mark.parametrize("n_nodes", [1024, 4096, 16384])
 def test_train_rounds_fleet(n_nodes):
-    """The tracked fleet baseline and memory gate: a whole n=1024/4096/
-    16384 sync cell must complete under quick CI settings with peak RSS
-    an order of magnitude below the dense-n×n footprint. Recorded as
-    ``train_rounds_n{1024,4096,16384}`` — the scale trajectory the
-    ROADMAP's 10k-1M fleet item regresses against."""
-    from .conftest import peak_rss_mib
-
-    elapsed, rounds = _measure_fleet_cell(n_nodes)
-    record_bench(f"train_rounds_n{n_nodes}", {
-        "n_nodes": n_nodes,
-        "rounds": rounds,
-        "vectorized": True,
-        "cell_s": round(elapsed, 4),
-        "rounds_per_s": round(rounds / elapsed, 3),
-    })
-    rss = peak_rss_mib()
+    """The fleet memory gate: a whole n=1024/4096/16384 sync cell must
+    complete under quick CI settings with peak RSS an order of
+    magnitude below the dense-n×n footprint. The cell runs in a fresh
+    interpreter, so the gate reads its peak and not the high-water mark
+    of every test this process ran before it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", FLEET_CELL, str(n_nodes)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    rss = float(done.stdout.split()[-1])
     assert rss < FLEET_RSS_CAP_MIB, (
         f"fleet cell at n={n_nodes} peaked at {rss:.0f} MiB — at or "
         f"above the {FLEET_RSS_CAP_MIB:.0f} MiB cap that rules out "
@@ -447,11 +407,11 @@ def test_train_rounds_fleet(n_nodes):
     )
 
 
-# -- sweep cell parallelism: --jobs 1 vs --jobs 4 (tracked baseline) ----------
+# -- sweep cell parallelism: --jobs 1 vs --jobs 4 -----------------------------
 
 
 def _measure_sweep_jobs(bench16_cifar, tmp_path):
-    """(jobs1_s, jobs4_s, plan) for an 8-cell plan executed serially vs
+    """(jobs1_s, jobs4_s) for an 8-cell plan executed serially vs
     on the persistent 4-worker pool, after asserting the
     two artifact directories are byte-identical (the --jobs contract)."""
     import dataclasses
@@ -477,32 +437,18 @@ def _measure_sweep_jobs(bench16_cifar, tmp_path):
     for cell in plan:
         assert (artifact_path(tmp_path / "j1", cell).read_bytes()
                 == artifact_path(tmp_path / "j4", cell).read_bytes())
-    return jobs1_s, jobs4_s, plan
+    return jobs1_s, jobs4_s
 
 
 def test_sweep_jobs_wallclock(bench16_cifar, tmp_path):
-    """The tracked sweep-parallelism baseline and quick-mode CI gate:
-    8 cells (2 algorithms × 2 degrees × 2 seeds) through the persistent
-    pool must beat serial wall-clock whenever the machine actually has
-    cores to parallelise over. The recorded ``cpus`` field keeps
-    single-core measurements honest — on 1 CPU workers time-slice and
-    the pool can only tie, so the gate arms at ≥2 cores."""
-    import os
-
-    jobs1_s, jobs4_s, plan = _measure_sweep_jobs(bench16_cifar, tmp_path)
+    """The quick-mode sweep-parallelism gate: 8 cells (2 algorithms ×
+    2 degrees × 2 seeds) through the persistent pool must beat serial
+    wall-clock whenever the machine actually has cores to parallelise
+    over — on 1 CPU workers time-slice and the pool can only tie, so
+    the gate arms at ≥2 cores."""
+    jobs1_s, jobs4_s = _measure_sweep_jobs(bench16_cifar, tmp_path)
     cpus = os.cpu_count() or 1
     speedup = jobs1_s / jobs4_s
-    record_bench("sweep_jobs", {
-        "cells": len(plan),
-        "preset": plan[0].preset,
-        "total_rounds": plan[0].total_rounds,
-        "jobs": 4,
-        "pool": "persistent",
-        "cpus": cpus,
-        "jobs1_s": round(jobs1_s, 4),
-        "jobs4_s": round(jobs4_s, 4),
-        "speedup": round(speedup, 3),
-    })
     if cpus >= 2:
         assert speedup > 1.0, (
             f"persistent pool slower than serial on {cpus} cores: "
@@ -518,20 +464,11 @@ def test_sweep_jobs_speedup_multicore(bench16_cifar, tmp_path):
     one shared dataset prep leaves ample headroom below the ~4× ideal,
     but a regression to group-grained scheduling or per-worker re-prep
     would land under it)."""
-    import os
-
     cpus = os.cpu_count() or 1
     if cpus < 4:
         pytest.skip(f"need >=4 cores for the 1.3x gate, have {cpus}")
-    jobs1_s, jobs4_s, plan = _measure_sweep_jobs(bench16_cifar, tmp_path)
+    jobs1_s, jobs4_s = _measure_sweep_jobs(bench16_cifar, tmp_path)
     speedup = jobs1_s / jobs4_s
-    record_bench("sweep_jobs_full", {
-        "cells": len(plan),
-        "cpus": cpus,
-        "jobs1_s": round(jobs1_s, 4),
-        "jobs4_s": round(jobs4_s, 4),
-        "speedup": round(speedup, 3),
-    })
     assert speedup > 1.3, (
         f"persistent pool under the 1.3x floor on {cpus} cores: "
         f"{jobs4_s:.2f}s vs {jobs1_s:.2f}s ({speedup:.2f}x)"

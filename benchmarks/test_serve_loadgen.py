@@ -4,10 +4,9 @@ A closed-loop loadgen (submit, wait, submit) drives an in-process
 ``ScenarioServer`` over loopback HTTP, so the measured rate includes
 request parsing, queueing, pool dispatch, the cell itself, artifact
 write and the status polling round trips — the end-to-end cost of one
-served job, not a component microbenchmark. The measurement lands in
-``BENCH_throughput.json`` as ``serve_jobs_per_sec`` and is gated at a
-strictly positive completed-job rate: a daemon that accepts but never
-finishes work fails the bench rather than recording zeros.
+served job, not a component microbenchmark. It is gated at a strictly
+positive completed-job rate: a daemon that accepts but never finishes
+work fails the bench.
 """
 
 import dataclasses
@@ -23,7 +22,7 @@ from repro.experiments.serve import (
 )
 from repro.scenarios import AlgorithmSpec, ScenarioSpec
 
-from .conftest import record_bench, run_once
+from .conftest import run_once
 
 pytestmark = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(),
@@ -76,15 +75,5 @@ def test_serve_jobs_per_sec(benchmark, serve_preset, serve_scenario,
     assert summary["jobs_completed"] == N_JOBS, summary
     jobs_per_sec = summary["throughput_jobs_per_s"]
     assert jobs_per_sec > 0, "served jobs must actually complete"
-    record_bench("serve_jobs_per_sec", {
-        "jobs_per_sec": round(jobs_per_sec, 3),
-        "n_jobs": N_JOBS,
-        "rounds_per_job": ROUNDS,
-        "n_nodes": serve_preset.n_nodes,
-        "pool_workers": 2,
-        "total_s_p50": round(summary["total_s_p50"], 3),
-        "queue_wait_s_p50": round(summary["queue_wait_s_p50"], 3),
-        "wall_s": round(summary["wall_s"], 2),
-    })
     print(f"\nserve: {jobs_per_sec:.2f} jobs/s over {N_JOBS} closed-loop "
           f"jobs ({ROUNDS} rounds, {serve_preset.n_nodes} nodes)")

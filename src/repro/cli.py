@@ -880,14 +880,13 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from .experiments.serve import build_schedule, run_loadgen
     from .experiments.serve.loadgen import parse_mix
 
-    mix = parse_mix(args.mix)
-    trace = None
-    if args.process == "trace":
-        if args.trace_file is None:
-            print("error: --process trace needs --trace-file")
-            return 2
-        trace = json_module.loads(Path(args.trace_file).read_text())
     try:
+        mix = parse_mix(args.mix)
+        trace = None
+        if args.process == "trace":
+            if args.trace_file is None:
+                raise ValueError("--process trace needs --trace-file")
+            trace = json_module.loads(Path(args.trace_file).read_text())
         schedule = build_schedule(
             mix,
             process=args.process,
@@ -896,8 +895,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             seed=args.seed,
             trace=trace,
         )
-    except ValueError as exc:
-        print(f"error: {exc}")
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     report = run_loadgen(
         args.url.rstrip("/"),
@@ -923,9 +922,29 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0 if summary["jobs_completed"] == summary["jobs_submitted"] else 1
 
 
+def _unknown_preset(args: argparse.Namespace) -> bool:
+    """Print an ``error:`` line and return True when ``--preset`` or
+    ``--femnist-preset`` names no registered preset, before a command
+    looks it up."""
+    names = [getattr(args, flag, None) for flag in ("preset", "femnist_preset")]
+    if not any(names):  # `check` must not import numpy through the presets
+        return False
+    from .experiments.presets import get_preset
+
+    for name in filter(None, names):
+        try:
+            get_preset(name)
+        except KeyError as exc:
+            print(f"error: {exc.args[0]}", file=sys.stderr)
+            return True
+    return False
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    if _unknown_preset(args):
+        return 2
     if args.command == "presets":
         return _cmd_presets()
     if args.command == "run":

@@ -5,7 +5,7 @@ artifacts. Four were recorded from the tree *before* the columnar
 ``NodeBank`` replaced the per-node ``Node``/``DataLoader`` objects:
 
 * ``fleet-vectorized`` — ``n1024-fleet`` skiptrain, degree 4, seed 0,
-  vectorized (the cell CI's ``fleet-smoke`` job also runs);
+  vectorized;
 * ``bench-serial-steps10`` — the 32-node ``cifar10-bench`` preset
   (``local_steps=10``) cut to 24 rounds, written by the serial loops
   of ``tests/oracles.py``;
@@ -21,7 +21,8 @@ Two more were recorded from the tree *before* the bank's per-node
 
 * ``fleet16384-vectorized`` — ``n16384-fleet`` skiptrain, degree 4,
   seed 0, 12 rounds, vectorized (the cell of the ``sync-fleet16384``
-  benchmark workload, and of CI's ``fleet-smoke`` job);
+  benchmark workload; it is run once more on one CPU, in a child
+  process, against the same pin);
 * ``femnist-writer-vectorized`` — the 32-node ``femnist-bench`` preset
   (writer partition: every node holds a different ``n_i``, 149–180
   samples; ``local_steps=7``) cut to 32 rounds, vectorized.
@@ -133,8 +134,11 @@ Re-record only for an intentional, documented contract change::
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -538,6 +542,36 @@ def test_artifact_bytes_match_the_pre_bank_record(name, tmp_path):
         f"(docs/determinism-contracts.md) changed somewhere between "
         f"partition, index draw and gather (on numpy {np.__version__}, "
         f"BLAS core {blas_core()})"
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs an affinity mask")
+def test_fleet16384_cell_on_one_cpu_matches_its_pin(tmp_path):
+    """The ``fleet16384-vectorized`` cell in a child pinned to one CPU
+    before numpy loads (as ``taskset -c 0`` would): its gossip products
+    and batch draws run as one tile instead of one per CPU, and each
+    training call as sequential waves of at most ``lanes.ROW_BUDGET``
+    bytes on the calling thread. Not a byte may move."""
+    cpu = min(os.sched_getaffinity(0))
+    code = textwrap.dedent(f"""
+        import json, os, sys
+        os.sched_setaffinity(0, {{{cpu}}})
+        sys.path.insert(0, {str(Path(__file__).parent)!r})
+        from pathlib import Path
+        from test_artifact_digests import _fleet16384, digest
+        from repro import lanes
+        sha = digest(_fleet16384(Path({str(tmp_path)!r})))
+        print(json.dumps({{"lanes": lanes.lane_count(), "sha": sha}}))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    child = json.loads(done.stdout.splitlines()[-1])
+    assert child["lanes"] == 1
+    assert child["sha"] == json.loads(GOLDEN.read_text())["fleet16384-vectorized"], (
+        f"fleet16384-vectorized on one CPU moved its bytes (on numpy "
+        f"{np.__version__}, BLAS core {blas_core()})"
     )
 
 

@@ -178,6 +178,48 @@ class TestCommands:
         assert "total training energy" in out
         assert "t=" in out and "accuracy" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--preset", "nope"],
+        ["async-run", "--preset", "nope"],
+        ["table", "3", "--preset", "nope"],
+        ["figure", "1", "--preset", "nope"],
+        ["figure", "7", "--femnist-preset", "nope"],
+        ["gridsearch", "--preset", "nope"],
+        ["fairness", "--preset", "nope"],
+        ["convergence", "--preset", "nope"],
+        ["sweep", "--preset", "nope"],
+    ], ids=lambda argv: "-".join(argv[:-2]))
+    def test_unknown_preset_is_an_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown preset 'nope'"), err
+
+
+class TestLoadgenErrors:
+    """Bad ``repro loadgen`` input exits 2 with an ``error:`` line on
+    stderr, before any request is sent."""
+
+    URL = ["--url", "http://127.0.0.1:9"]
+
+    @pytest.mark.parametrize(("args", "message"), [
+        (["--mix", "churn-async=0"], "must be positive"),
+        (["--mix", "churn-async=abc"], "could not convert"),
+        (["--mix", "churn-async", "--process", "trace"], "needs --trace-file"),
+    ])
+    def test_bad_input_exits_2(self, args, message, capsys):
+        assert main(["loadgen", *self.URL, *args]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and message in err, err
+        assert out == ""
+
+    def test_missing_trace_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["loadgen", *self.URL, "--mix", "churn-async",
+                     "--process", "trace", "--trace-file", str(missing)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and str(missing) in err, err
+        assert out == ""
+
 
 class TestArtifactPipeline:
     """End-to-end T1→T2→T3 through the CLI on a seconds-fast preset."""

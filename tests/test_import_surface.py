@@ -5,11 +5,13 @@ before any work, so packages no cell executes must not load with the
 program — and nothing a cell *does* need may hide behind a lazy import,
 where its cost would move out of the measured set-up into the first
 cell. Each case runs in a fresh interpreter: ``sys.modules`` of the
-test process proves nothing.
+test process proves nothing. One case reads the source instead: which
+module may import the thread pool and bind scipy's private kernels.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -86,6 +88,28 @@ def test_program_import_and_three_cells_load_no_heavy_package(tmp_path):
     # nothing a cell needs was deferred out of the import: set-up cost
     # stays where the benchmark's ``setup_s`` measures it
     assert out["loaded_by_cells"] == []
+
+
+def test_one_lane_module_and_one_private_scipy_binding():
+    """One lane pool per process: the thread pool and its at-fork reset
+    live in ``repro/lanes.py``. One module binds scipy's private sparse
+    kernels, ``repro/topology/sparse.py``, which loads them by file
+    without importing scipy; every product goes through its ``Csr``."""
+    src = REPO_ROOT / "src"
+    sources = {
+        path.relative_to(src).as_posix(): path.read_text(encoding="utf-8")
+        for path in src.rglob("*.py")
+    }
+
+    def users(pattern):
+        return sorted(name for name, text in sources.items() if re.search(pattern, text))
+
+    assert users(r"ThreadPoolExecutor") == ["repro/lanes.py"]
+    assert users(r"os\.register_at_fork") == ["repro/lanes.py"]
+    assert users(r"_sparsetools") == ["repro/topology/sparse.py"]
+    bindings = re.findall(r"^_sparsetools = _bind_sparsetools\(\)$",
+                          sources["repro/topology/sparse.py"], re.MULTILINE)
+    assert len(bindings) == 1
 
 
 def test_repro_check_runs_without_numpy():

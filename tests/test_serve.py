@@ -6,7 +6,8 @@ deterministic schedules and an end-to-end open-loop run.
 Servers bind ``127.0.0.1:0`` (ephemeral ports) and run in-process with
 injected preset/scenario lookups, so the suite needs no network beyond
 loopback and no registry pollution. The one subprocess test drives
-``python -m repro serve`` with a registered preset and SIGTERM.
+``python -m repro serve`` with a registered preset, SIGKILLs its idle
+pool worker and drains it with SIGTERM.
 """
 
 import dataclasses
@@ -14,12 +15,14 @@ from http.client import HTTPConnection
 import json
 import multiprocessing as mp
 import os
+import queue
 import re
 import signal
 import socket
 import statistics
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -112,6 +115,19 @@ PRESET_JOB = {
     "preset": "servetiny", "algorithm": "d-psgd", "degree": 3,
     "seeds": [0, 1], "rounds": 8,
 }
+
+
+def _children(pid):
+    """Live child pids of ``pid``, read from ``/proc``."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid = stat.read_text().rsplit(")", 1)[1].split()[:2]
+        except (OSError, IndexError):
+            continue
+        if int(ppid) == pid and state != "Z":
+            kids.append(int(stat.parent.name))
+    return kids
 
 
 class TestJobLifecycle:
@@ -558,6 +574,7 @@ class TestMetrics:
         assert typed["repro_serve_queue_depth"] == "gauge"
         assert samples["repro_serve_jobs_accepted_total"] == 1.0
         assert samples["repro_serve_jobs_completed_total"] == 1.0
+        assert samples["repro_serve_jobs_failed_total"] == 0.0
         assert samples["repro_serve_cells_completed_total"] == 2.0
         assert samples["repro_serve_rounds_total"] == 16.0
         assert samples["repro_serve_energy_wh_total"] > 0
@@ -639,6 +656,8 @@ class TestLatencyAnatomy:
 
 class TestDrain:
     def test_drain_rejects_new_work_and_finishes_accepted(self, server):
+        status, health = http(f"{server.url}/healthz")
+        assert (status, health["status"]) == (200, "ok")
         _, job = http(f"{server.url}/jobs", PRESET_JOB)
         server.begin_drain()
         status, health = http(f"{server.url}/healthz")
@@ -653,9 +672,11 @@ class TestDrain:
 
     def test_sigterm_drains_subprocess(self, tmp_path):
         """The shipped CLI end to end: start ``repro serve`` on an
-        ephemeral port, submit a real (registered-preset) job, SIGTERM
-        the daemon mid-service, and require a clean drain — exit code
-        0 with the job's artifact on disk."""
+        ephemeral port, SIGKILL its idle pool worker (the daemon sees
+        the dead pipe at once and revives one), submit a real
+        (registered-preset) job, SIGTERM the daemon mid-service, and
+        require a clean drain — exit code 0 with the job's artifact on
+        disk."""
         from repro.experiments.presets import get_preset
 
         degree = get_preset("cifar10-bench").degrees[0]
@@ -664,18 +685,31 @@ class TestDrain:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              "--results-dir", str(results), "--jobs", "1"],
-            env=dict(os.environ, PYTHONPATH=src_root),
+            env=dict(os.environ, PYTHONPATH=src_root, PYTHONUNBUFFERED="1"),
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
-        try:
-            url = None
+
+        lines = queue.Queue()
+        threading.Thread(target=lambda: [lines.put(line) for line in proc.stdout],
+                         daemon=True).start()
+
+        def read_until(pattern):
             deadline = time.monotonic() + 30
-            while url is None:
-                assert time.monotonic() < deadline, "daemon never came up"
-                line = proc.stdout.readline()
-                match = re.search(r"serving on (http://\S+)", line)
-                if match:
-                    url = match.group(1)
+            while True:
+                try:
+                    line = lines.get(timeout=max(0.0, deadline - time.monotonic()))
+                except queue.Empty:
+                    pytest.fail(f"the daemon printed no line matching {pattern!r}")
+                if match := re.search(pattern, line):
+                    return match
+
+        try:
+            url = read_until(r"serving on (http://\S+)").group(1)
+            [worker] = _children(proc.pid)
+            os.kill(worker, signal.SIGKILL)
+            read_until(r"revived 1 worker")
+            [revived] = _children(proc.pid)
+            assert revived != worker
             status, job = http(f"{url}/jobs", {
                 "preset": "cifar10-bench", "algorithm": "d-psgd",
                 "degree": degree, "seeds": [0], "rounds": 2,
@@ -683,6 +717,7 @@ class TestDrain:
             assert status == 202, job
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 0
+            read_until(r"drained; exiting")
         finally:
             if proc.poll() is None:
                 proc.kill()
