@@ -97,6 +97,19 @@ class PlanCell:
     cell's seed/rounds, its ``preset``/``algorithm``/``degree`` fields
     record the spec's resolved coordinates, and the name lands in the
     raw artifact header so a results directory is self-describing.
+
+    Three per-cell run settings serve the paper outputs that need more
+    than the preset's protocol (see :func:`run_cell`): ``schedule``
+    pins SkipTrain's (Γ_train, Γ_sync) instead of the preset's choice
+    for the degree (Fig. 3's grid), ``eval_on="validation"`` evaluates
+    on the tuning split (§4.3), and ``eval_every`` is the evaluation
+    cadence in rounds. Its one encoding: ``0`` is the preset's cadence,
+    evaluated only at the algorithm's fair points (SkipTrain's cycle
+    ends); ``k > 0`` evaluates after every k-th round, fair point or
+    not (Fig. 4's every-round trace is ``1``, Table 4's D-PSGD readout
+    a quarter of the preset's cadence). A setting left at its default
+    appears neither in :attr:`cell_id` nor in the artifact's ``cell``
+    block, so a default cell keeps its id and its artifact bytes.
     """
 
     preset: str
@@ -106,6 +119,9 @@ class PlanCell:
     total_rounds: int
     kind: str = "sync"
     scenario: str = ""
+    schedule: tuple[int, ...] = ()
+    eval_on: str = "test"
+    eval_every: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in _KIND_SCHEMAS:
@@ -118,14 +134,45 @@ class PlanCell:
                 f'scenario names may not contain "__" or "/", '
                 f"got {self.scenario!r}"
             )
+        # an artifact's cell block holds the schedule as a JSON list
+        object.__setattr__(self, "schedule", tuple(self.schedule))
+        if self.schedule and len(self.schedule) != 2:
+            raise ValueError(
+                f"schedule must be (gamma_train, gamma_sync), "
+                f"got {self.schedule!r}"
+            )
+        if self.eval_on not in ("test", "validation"):
+            raise ValueError('eval_on must be "test" or "validation"')
+        if self.eval_every < 0:
+            raise ValueError("eval_every must be 0 (the preset's) or positive")
+        if self.scenario and self.settings:
+            raise ValueError("a scenario cell takes its run settings from its spec")
+
+    @property
+    def settings(self) -> dict:
+        """The per-cell run settings that differ from their defaults,
+        as they appear in the artifact's ``cell`` block."""
+        return {
+            name: list(value) if name == "schedule" else value
+            for name, value, default in (
+                ("schedule", self.schedule, ()),
+                ("eval_on", self.eval_on, "test"),
+                ("eval_every", self.eval_every, 0),
+            )
+            if value != default
+        }
 
     @property
     def cell_id(self) -> str:
         scn = f"__scn-{self.scenario}" if self.scenario else ""
         suffix = "" if self.kind == "sync" else f"__{self.kind}"
+        sched = "__g{}-{}".format(*self.schedule) if self.schedule else ""
+        val = "__val" if self.eval_on == "validation" else ""
+        every = f"__every{self.eval_every}" if self.eval_every else ""
         return (
             f"{self.preset}__{self.algorithm}__deg{self.degree}"
-            f"__seed{self.seed}__r{self.total_rounds}{scn}{suffix}"
+            f"__seed{self.seed}__r{self.total_rounds}{sched}{val}{every}"
+            f"{scn}{suffix}"
         )
 
     def units_per_round(self, n_nodes: int) -> int:
@@ -226,6 +273,7 @@ def _cell_to_json(cell: PlanCell) -> dict:
         "total_rounds": cell.total_rounds,
         "kind": cell.kind,
         "scenario": cell.scenario,
+        **cell.settings,
     }
 
 
@@ -404,12 +452,14 @@ def load_cell_result(
     """Load one cell's artifact, with a sweep-command hint on miss."""
     path = artifact_path(results_dir, cell)
     if not path.is_file():
-        raise FileNotFoundError(
-            f"no artifact for cell {cell.cell_id}; run: repro sweep "
-            f"--preset {cell.preset} --algorithms {cell.algorithm} "
-            f"--degrees {cell.degree} --seeds {cell.seed} "
+        hint = (
+            "run the paper output that plans it without --from-artifacts"
+            if cell.settings else
+            f"run: repro sweep --preset {cell.preset} --algorithms "
+            f"{cell.algorithm} --degrees {cell.degree} --seeds {cell.seed} "
             f"--rounds {cell.total_rounds} --results-dir {results_dir}"
         )
+        raise FileNotFoundError(f"no artifact for cell {cell.cell_id}; {hint}")
     return result_from_artifact(load_cell_artifact(path))
 
 
@@ -508,8 +558,16 @@ def aggregate_results(
     aggregate fine, but ragged seed coverage is reported rather than
     hidden. Rows are sorted by (preset, algorithm, degree, rounds), so
     the CSV is byte-identical however the shards were executed.
+
+    A cell with per-cell run settings (:attr:`PlanCell.settings`: a
+    grid point's schedule, the validation split, a finer cadence)
+    belongs to the paper output that planned it and never enters a
+    row, so it cannot contaminate the baseline mean of its coordinates.
     """
-    artifacts = list_cell_artifacts(results_dir)
+    artifacts = [
+        a for a in list_cell_artifacts(results_dir)
+        if not PlanCell(**a["cell"]).settings
+    ]
     groups = group_by(
         artifacts,
         key=lambda a: (

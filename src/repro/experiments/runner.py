@@ -347,6 +347,7 @@ def build_run(
     total_rounds: int | None = None,
     eval_every: int | None = None,
     eval_on: str = "test",
+    fair_points: bool = True,
     mixing=None,
     failure_model: "FailureModel | None" = None,
     churn=None,
@@ -361,8 +362,10 @@ def build_run(
     ``eval_every`` (both default to the preset's) are the horizon and
     the evaluation cadence in rounds; an async engine reads them as
     expected activations per node and evaluates every ``eval_every × n``
-    events. Both engines hold their horizon, so the pair runs with
-    ``engine.run(algorithm)``.
+    events. A sync engine evaluates only at the algorithm's fair points
+    (SkipTrain's cycle ends) unless ``fair_points=False``; the async
+    engine has none. Both engines hold their horizon, so the pair runs
+    with ``engine.run(algorithm)``.
 
     Construction is deterministic in ``prepared`` and the overrides:
     two calls yield engines whose runs are bit-identical. The sweep
@@ -423,6 +426,7 @@ def build_run(
             total_rounds=total,
             eval_every=every,
             eval_node_sample=preset.eval_node_sample,
+            fair_points=fair_points,
         ),
         test_set,
         failure_model=failure_model,

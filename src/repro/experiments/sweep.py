@@ -42,12 +42,15 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
+from ..core.schedule import RoundSchedule
 from ..lanes import affinity_cpus
 from ..simulation.checkpoint import load_run_checkpoint, save_run_checkpoint
 from .artifacts import (
+    ArtifactResult,
     PlanCell,
     artifact_path,
     checkpoint_path,
+    load_cell_result,
     shard_cells,
     write_cell_artifact,
 )
@@ -69,6 +72,7 @@ __all__ = [
     "SweepRunStats",
     "cell_data_coords",
     "cell_dataset",
+    "plan_artifacts",
     "resolve_auto_jobs",
     "run_cell",
     "run_cell_from_data",
@@ -161,6 +165,11 @@ def run_cell(
     ``checkpoint_every`` stays in the cell's round-equivalent unit
     (expected activations per node — ``checkpoint_every × n`` events).
 
+    A plain cell's run settings (:attr:`PlanCell.settings`: schedule,
+    evaluation split and cadence) reach :func:`build_run` as its
+    ``schedule``/``eval_on``/``eval_every``; a nonzero cadence also lifts
+    the fair-point restriction (``fair_points=False``).
+
     Cells referencing a scenario (``cell.scenario``) are compiled via
     :func:`repro.scenarios.compile_run` — churn, failures, dynamic
     topology, energy and data-skew axes all active — and then ride the
@@ -201,6 +210,10 @@ def run_cell(
             prepared = prepare(preset, cell.degree, seed=cell.seed)
         engine, algo = build_run(
             prepared, cell.algorithm, total_rounds=cell.total_rounds,
+            schedule=RoundSchedule(*cell.schedule) if cell.schedule else None,
+            eval_on=cell.eval_on,
+            eval_every=cell.eval_every or None,
+            fair_points=not cell.eval_every,
         )
     return _execute_cell(
         engine, algo, cell, results_dir, prepared.trace,
@@ -609,3 +622,22 @@ def run_sweep(
             if result is not None:
                 finished(by_id[result[0]], result[1])
     return stats
+
+
+def plan_artifacts(
+    preset: ExperimentPreset,
+    cells: tuple[PlanCell, ...],
+    results_dir: str | os.PathLike,
+    *,
+    run: bool = True,
+    log: Callable[[str], None] | None = None,
+) -> list[ArtifactResult]:
+    """What every paper output renders from: the artifacts of
+    ``cells`` (all of ``preset``) under ``results_dir``, in plan order.
+    With ``run`` the missing cells run first, through
+    :func:`run_sweep` with ``jobs=1`` (finished cells are skipped, a
+    killed one resumes from its checkpoint); with ``run=False`` nothing
+    runs, and a missing cell raises with the command that makes it."""
+    if run:
+        run_sweep(cells, results_dir, preset_lookup=lambda name: preset, log=log)
+    return [load_cell_result(results_dir, cell) for cell in cells]

@@ -166,7 +166,12 @@ class GossipBuffers:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Training-loop hyperparameters (Table 1 of the paper)."""
+    """Training-loop hyperparameters (Table 1 of the paper).
+
+    ``fair_points`` restricts evaluation to the algorithm's fair
+    evaluation points (SkipTrain's cycle ends); ``False`` evaluates at
+    any round the ``eval_every`` cadence reaches (Fig. 4's every-round
+    trace)."""
 
     local_steps: int
     learning_rate: float
@@ -174,6 +179,7 @@ class EngineConfig:
     eval_every: int = 10
     eval_node_sample: int | None = None
     weight_decay: float = 0.0
+    fair_points: bool = True
 
     def __post_init__(self) -> None:
         if self.local_steps <= 0:
@@ -523,9 +529,10 @@ class SimulationEngine:
         accuracy oscillates within a cycle). Also evaluate at the final
         round if it is a fair point and not yet evaluated."""
         cfg = self.config
+        fair = not cfg.fair_points or algorithm.is_eval_point(t)
         if t == cfg.total_rounds:
-            return algorithm.is_eval_point(t) or last_eval == 0
-        return t - last_eval >= cfg.eval_every and algorithm.is_eval_point(t)
+            return fair or last_eval == 0
+        return t - last_eval >= cfg.eval_every and fair
 
     def global_average_accuracy(self) -> float:
         """Accuracy of the average of all node models (the all-reduce
