@@ -14,9 +14,9 @@ from repro.experiments import convergence_study
 from .conftest import run_once
 
 
-def test_consensus_mechanism(benchmark, bench16_cifar):
+def test_consensus_mechanism(benchmark, bench16_cifar, tmp_path):
     result = run_once(
-        benchmark, lambda: convergence_study(bench16_cifar, seed=11)
+        benchmark, lambda: convergence_study(bench16_cifar, tmp_path, seed=11)
     )
 
     print("\n" + result.render())

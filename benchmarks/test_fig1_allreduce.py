@@ -9,8 +9,9 @@ from repro.experiments import figure1
 from .conftest import run_once
 
 
-def test_fig1_allreduce_boost(benchmark, bench16_cifar):
-    result = run_once(benchmark, lambda: figure1(bench16_cifar, seed=11))
+def test_fig1_allreduce_boost(benchmark, bench16_cifar, tmp_path):
+    result = run_once(benchmark,
+                      lambda: figure1(bench16_cifar, tmp_path, seed=11))
 
     print("\n" + result.render())
     print(f"\nall-reduce improvement: {result.improvement() * 100:+.1f} pp "

@@ -19,14 +19,14 @@ GRID = (1, 2, 3, 4)
 
 
 @pytest.mark.slow
-def test_fig3_gridsearch(benchmark, bench16_cifar):
+def test_fig3_gridsearch(benchmark, bench16_cifar, tmp_path):
     """Full 4×4 grid on the sparse topology (the paper's 6-regular
     analogue), plus the analytic energy panel."""
 
     def compute():
         return grid_search(
-            bench16_cifar, degree=3, train_values=GRID, sync_values=GRID,
-            seed=11, total_rounds=64,
+            bench16_cifar, tmp_path, degree=3, train_values=GRID,
+            sync_values=GRID, seed=11, total_rounds=64,
         )
 
     result = run_once(benchmark, compute)
@@ -55,7 +55,8 @@ def test_fig3_gridsearch(benchmark, bench16_cifar):
     assert result.accuracy.max() >= result.accuracy[0, -1]
 
 
-def test_fig3_optimal_sync_decreases_with_degree(benchmark, bench16_cifar):
+def test_fig3_optimal_sync_decreases_with_degree(benchmark, bench16_cifar,
+                                                 tmp_path):
     """§4.3's intuition: denser topologies need fewer sync rounds.
     Checked as: the accuracy *cost* of cutting Γ_sync from 4 to 1 (at
     Γ_train=4) shrinks as the degree grows."""
@@ -64,7 +65,7 @@ def test_fig3_optimal_sync_decreases_with_degree(benchmark, bench16_cifar):
         out = {}
         for degree in (3, 6):
             res = grid_search(
-                bench16_cifar, degree=degree, train_values=(4,),
+                bench16_cifar, tmp_path, degree=degree, train_values=(4,),
                 sync_values=(1, 4), seed=11, total_rounds=64,
             )
             # accuracy[sync=4] - accuracy[sync=1]

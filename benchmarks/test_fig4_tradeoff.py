@@ -10,9 +10,9 @@ from repro.experiments import figure4
 from .conftest import run_once
 
 
-def test_fig4_train_sync_oscillation(benchmark, bench16_cifar):
+def test_fig4_train_sync_oscillation(benchmark, bench16_cifar, tmp_path):
     result = run_once(
-        benchmark, lambda: figure4(bench16_cifar, seed=11, window=24)
+        benchmark, lambda: figure4(bench16_cifar, tmp_path, seed=11, window=24)
     )
 
     print("\n" + result.render())

@@ -17,8 +17,9 @@ from repro.experiments import table3
 from .conftest import run_once
 
 
-def test_table3_cifar(benchmark, bench16_cifar):
-    result = run_once(benchmark, lambda: table3(bench16_cifar, seed=11))
+def test_table3_cifar(benchmark, bench16_cifar, tmp_path):
+    result = run_once(benchmark,
+                      lambda: table3(bench16_cifar, tmp_path, seed=11))
 
     print("\n" + result.render())
     for deg in bench16_cifar.degrees:
@@ -35,8 +36,9 @@ def test_table3_cifar(benchmark, bench16_cifar):
     assert result.accuracy_gain(bench16_cifar.degrees[0]) > 1.0
 
 
-def test_table3_femnist(benchmark, bench16_femnist):
-    result = run_once(benchmark, lambda: table3(bench16_femnist, seed=11))
+def test_table3_femnist(benchmark, bench16_femnist, tmp_path):
+    result = run_once(benchmark,
+                      lambda: table3(bench16_femnist, tmp_path, seed=11))
 
     print("\n" + result.render())
     for deg in bench16_femnist.degrees:
@@ -52,9 +54,10 @@ def test_table3_femnist(benchmark, bench16_femnist):
 
 
 @pytest.mark.slow
-def test_table3_cifar_full_bench_scale(benchmark, bench32_cifar):
+def test_table3_cifar_full_bench_scale(benchmark, bench32_cifar, tmp_path):
     """The 32-node version of the headline table (slower, sharper)."""
-    result = run_once(benchmark, lambda: table3(bench32_cifar, seed=0))
+    result = run_once(benchmark,
+                      lambda: table3(bench32_cifar, tmp_path, seed=0))
     print("\n" + result.render())
     assert result.energy_ratio(bench32_cifar.degrees[0]) == pytest.approx(
         2.0, rel=0.05

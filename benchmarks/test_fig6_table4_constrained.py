@@ -11,39 +11,44 @@ Paper shapes checked (CIFAR-like, sparse topology):
 """
 
 
-from repro.experiments import table4
+from repro.experiments import build_run, prepare, table4
 
 from .conftest import run_once
 
 
-def test_table4_cifar(benchmark, bench16_cifar):
-    result = run_once(benchmark, lambda: table4(bench16_cifar, seed=11))
+def test_table4_cifar(benchmark, bench16_cifar, tmp_path):
+    result = run_once(benchmark,
+                      lambda: table4(bench16_cifar, tmp_path, seed=11))
 
     print("\n" + result.render())
     for deg in bench16_cifar.degrees:
-        accs = result.figure6.accuracy_at_budget(deg)
+        accs = result.accuracy_at_budget(deg)
         print(f"degree {deg}: " + ", ".join(
             f"{k} {v * 100:.1f}%" for k, v in accs.items()
         ))
 
     sparse = bench16_cifar.degrees[0]
-    accs = result.figure6.accuracy_at_budget(sparse)
+    accs = result.accuracy_at_budget(sparse)
     assert accs["SkipTrain-constrained"] > accs["Greedy"]
     assert accs["SkipTrain-constrained"] > accs["D-PSGD"]
     assert accs["Greedy"] >= accs["D-PSGD"] - 0.03
 
-    # budget respected on every degree
+    # budget respected on every degree: an artifact holds no per-node
+    # meter, so the constrained cells run once more in process
     for deg in bench16_cifar.degrees:
-        res = result.figure6.constrained[deg]
-        assert (res.meter.train_rounds <= res.trace.budget_rounds).all()
+        prepared = prepare(bench16_cifar, deg, seed=11)
+        engine, algo = build_run(prepared, "skiptrain-constrained")
+        engine.run(algo)
+        assert (engine.meter.train_rounds <= prepared.trace.budget_rounds).all()
 
 
-def test_table4_femnist(benchmark, bench16_femnist):
-    result = run_once(benchmark, lambda: table4(bench16_femnist, seed=11))
+def test_table4_femnist(benchmark, bench16_femnist, tmp_path):
+    result = run_once(benchmark,
+                      lambda: table4(bench16_femnist, tmp_path, seed=11))
 
     print("\n" + result.render())
     sparse = bench16_femnist.degrees[0]
-    accs = result.figure6.accuracy_at_budget(sparse)
+    accs = result.accuracy_at_budget(sparse)
     print(f"\nsparse-degree ordering: constrained {accs['SkipTrain-constrained']*100:.1f}%"
           f" vs Greedy {accs['Greedy']*100:.1f}% vs D-PSGD {accs['D-PSGD']*100:.1f}%"
           " (paper: smaller gaps than CIFAR, same direction)")

@@ -17,10 +17,10 @@ from .conftest import run_once
 
 
 @pytest.mark.slow
-def test_pareto_frontier(benchmark, bench16_cifar):
+def test_pareto_frontier(benchmark, bench16_cifar, tmp_path):
     def compute():
         grid = grid_search(
-            bench16_cifar, degree=3, train_values=(1, 2, 3, 4),
+            bench16_cifar, tmp_path, degree=3, train_values=(1, 2, 3, 4),
             sync_values=(1, 2, 3, 4), seed=11, total_rounds=64,
         )
         frontier = frontier_from_grid(grid)

@@ -6,6 +6,9 @@ Shows the trade-off the paper optimizes in §4.3: more sync rounds cost
 accuracy-per-round but save energy; the optimum shifts toward fewer
 sync rounds as the topology gets denser (faster mixing needs less help).
 
+Each grid point is a plan cell whose artifact lands under
+``results/`` (a rerun skips the finished ones).
+
 Run:  python examples/schedule_tuning.py
 """
 
@@ -47,7 +50,7 @@ def main() -> None:
     preset = make_preset()
     for degree in preset.degrees:
         result = grid_search(
-            preset, degree=degree,
+            preset, "results", degree=degree,
             train_values=(1, 2, 3, 4), sync_values=(1, 2, 3, 4),
             seed=SEED,
         )

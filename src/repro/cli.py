@@ -11,6 +11,11 @@ Usage examples::
     python -m repro gridsearch --preset cifar10-bench --degree 3 --rounds 64
     python -m repro presets
 
+Every paper output (``table 3|4``, ``figure 1|4``, ``gridsearch``,
+``convergence``) is a plan: its cells run into ``results/`` (a rerun
+skips the finished ones) and it renders from their artifacts;
+``--from-artifacts DIR`` only renders, from DIR.
+
 The artifact pipeline (T1 run → T2 aggregate → T3 render)::
 
     # T1: execute the plan (shardable across machines, parallel within
@@ -24,7 +29,7 @@ The artifact pipeline (T1 run → T2 aggregate → T3 render)::
     # T2: fold results/raw/*.json into results/summary.csv
     python -m repro aggregate --results-dir results
 
-    # T3: render paper outputs from the artifacts, no recomputation
+    # T3: render paper outputs from the artifacts, running nothing
     python -m repro table 3 --from-artifacts results
     python -m repro figure 1 --from-artifacts results
 
@@ -57,6 +62,10 @@ from pathlib import Path
 from .algorithm_names import algorithm_kind, algorithms_of_kind
 
 __all__ = ["main", "build_parser"]
+
+#: where paper outputs run their cells, and ``sweep``/``aggregate``'s
+#: default artifact root
+RESULTS_DIR = "results"
 
 
 def _jobs_arg(value: str):
@@ -125,8 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--preset", default="cifar10-bench")
     p_table.add_argument("--seed", type=int, default=0)
     p_table.add_argument("--from-artifacts", metavar="DIR", default=None,
-                         help="render from sweep artifacts in DIR instead of "
-                              "recomputing (tables 3 and 4)")
+                         help="only render, from the artifacts in DIR "
+                              "(tables 3 and 4; without it the table's "
+                              "cells run into results/ first)")
 
     p_fig = sub.add_parser("figure", help="regenerate a paper figure")
     p_fig.add_argument("number", type=int, choices=[1, 4, 7])
@@ -135,8 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="second preset for figure 7")
     p_fig.add_argument("--seed", type=int, default=0)
     p_fig.add_argument("--from-artifacts", metavar="DIR", default=None,
-                       help="render from sweep artifacts in DIR instead of "
-                            "recomputing (figure 1)")
+                       help="only render, from the artifacts in DIR "
+                            "(figures 1 and 4; without it the figure's "
+                            "cells run into results/ first)")
 
     p_grid = sub.add_parser("gridsearch",
                             help="Γ_train × Γ_sync grid search (figure 3)")
@@ -211,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--rounds", type=int, default=None,
                          help="override the preset's total rounds (for "
                               "--kind async: expected activations per node)")
-    p_sweep.add_argument("--results-dir", default="results",
+    p_sweep.add_argument("--results-dir", default=RESULTS_DIR,
                          help="artifact root (raw/ and checkpoints/ inside)")
     p_sweep.add_argument("--shard", default="1/1", metavar="I/N",
                          help="execute only shard I of N (1-based)")
@@ -234,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         "aggregate",
         help="fold results/raw/*.json into a mean±std summary CSV",
     )
-    p_agg.add_argument("--results-dir", default="results")
+    p_agg.add_argument("--results-dir", default=RESULTS_DIR)
     p_agg.add_argument("--out", default=None,
                        help="CSV path (default: <results-dir>/summary.csv)")
 
@@ -413,84 +424,64 @@ def _cmd_run(args: argparse.Namespace, **options) -> int:
     return 0
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    from .experiments import (
-        get_preset,
-        table1,
-        table2,
-        table3,
-        table3_from_artifacts,
-        table4,
-        table4_from_artifacts,
-    )
-
-    if args.from_artifacts is not None and args.number not in (3, 4):
-        print(f"error: table {args.number} is static and never recomputed; "
-              f"--from-artifacts applies to tables 3 and 4", file=sys.stderr)
-        return 2
+def _plan_output(args: argparse.Namespace, output, preset, **options):
+    """A paper output the one way: run its plan's missing cells into
+    ``results/`` and render from the artifacts, or with
+    ``--from-artifacts DIR`` only render from DIR. Sweep progress goes
+    to stderr, so a rerun prints the same stdout. A render that cannot
+    find its cells prints an ``error:`` line and returns ``None``."""
+    source = getattr(args, "from_artifacts", None)
+    if source is None:
+        return output(preset, RESULTS_DIR, **options,
+                      log=lambda line: print(line, file=sys.stderr))
     try:
-        if args.number == 1:
-            print(table1())
-        elif args.number == 2:
-            print(table2())
-        elif args.number == 3:
-            if args.from_artifacts is not None:
-                print(table3_from_artifacts(args.from_artifacts, args.preset))
-            else:
-                print(table3(get_preset(args.preset), seed=args.seed).render())
-        else:
-            if args.from_artifacts is not None:
-                print(table4_from_artifacts(
-                    args.from_artifacts, get_preset(args.preset),
-                    seed=args.seed,
-                ).render())
-            else:
-                print(table4(get_preset(args.preset), seed=args.seed).render())
+        return output(preset, source, run=False, **options)
     except (FileNotFoundError, ValueError) as exc:
-        # missing cells and ambiguous mixed-rounds directories both
-        # carry actionable messages
         print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_table(args: argparse.Namespace) -> int:
+    from .experiments import get_preset, table1, table2, table3, table4
+
+    if args.number in (1, 2):
+        if args.from_artifacts is not None:
+            print(f"error: table {args.number} is static and never "
+                  f"recomputed; --from-artifacts applies to tables 3 and 4",
+                  file=sys.stderr)
+            return 2
+        print(table1() if args.number == 1 else table2())
+        return 0
+    output = table3 if args.number == 3 else table4
+    result = _plan_output(args, output, get_preset(args.preset), seed=args.seed)
+    if result is None:
         return 1
+    print(result.render())
     return 0
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from .experiments import (
-        figure1,
-        figure1_from_artifacts,
-        figure4,
-        figure7,
-        get_preset,
-    )
+    from .experiments import figure1, figure4, figure7, get_preset
 
     preset = get_preset(args.preset)
-    if args.from_artifacts is not None and args.number != 1:
-        print("error: --from-artifacts applies to figure 1 (figure 4 needs "
-              "an eval-every-round run, figure 7 only builds partitions — "
-              "both recompute in seconds)", file=sys.stderr)
-        return 2
+    if args.number == 7:
+        if args.from_artifacts is not None:
+            print("error: --from-artifacts applies to figures 1 and 4 "
+                  "(figure 7 only builds partitions)", file=sys.stderr)
+            return 2
+        print(figure7(preset, get_preset(args.femnist_preset),
+                      seed=args.seed).render())
+        return 0
+    output = figure1 if args.number == 1 else figure4
+    result = _plan_output(args, output, preset, seed=args.seed)
+    if result is None:
+        return 1
+    print(result.render())
     if args.number == 1:
-        try:
-            if args.from_artifacts is not None:
-                result = figure1_from_artifacts(
-                    args.from_artifacts, preset, seed=args.seed
-                )
-            else:
-                result = figure1(preset, seed=args.seed)
-        except (FileNotFoundError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(result.render())
         print(f"\nall-reduce improvement: {result.improvement() * 100:+.1f} pp")
-    elif args.number == 4:
-        result = figure4(preset, seed=args.seed)
-        print(result.render())
+    else:
         print(f"\nsync-vs-train contrast: "
               f"{result.oscillation_contrast() * 100:+.1f} pp")
-    else:
-        result = figure7(preset, get_preset(args.femnist_preset),
-                         seed=args.seed)
-        print(result.render())
     return 0
 
 
@@ -500,9 +491,9 @@ def _cmd_gridsearch(args: argparse.Namespace) -> int:
     preset = get_preset(args.preset)
     degree = args.degree if args.degree is not None else preset.degrees[0]
     gammas = tuple(range(1, args.max_gamma + 1))
-    result = grid_search(preset, degree, train_values=gammas,
-                         sync_values=gammas, seed=args.seed,
-                         total_rounds=args.rounds)
+    result = _plan_output(args, grid_search, preset, degree=degree,
+                          train_values=gammas, sync_values=gammas,
+                          seed=args.seed, total_rounds=args.rounds)
     print(result.render())
     gt, gs = result.best()
     print(f"\nbest: Γtrain={gt}, Γsync={gs}")
@@ -839,8 +830,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_convergence(args: argparse.Namespace) -> int:
     from .experiments import convergence_study, get_preset
 
-    result = convergence_study(get_preset(args.preset), degree=args.degree,
-                               seed=args.seed)
+    result = _plan_output(args, convergence_study, get_preset(args.preset),
+                          degree=args.degree, seed=args.seed)
     print(result.render())
     return 0
 
@@ -940,10 +931,36 @@ def _unknown_preset(args: argparse.Namespace) -> bool:
     return False
 
 
+#: the commands whose --degree/--rounds/--activations/--max-gamma no
+#: plan validates (``sweep`` checks its own through ``build_plan``)
+_VALUE_CHECKED = ("run", "async-run", "gridsearch", "fairness", "convergence")
+
+
+def _check_values(args: argparse.Namespace) -> None:
+    """Refuse a ``--degree`` no regular graph on the preset's nodes has,
+    and a nonpositive ``--rounds``/``--activations``/``--max-gamma``
+    (``ValueError``), before any cell runs."""
+    if args.degree is not None:
+        from .experiments.presets import get_preset
+        from .topology.sparse import validate_regular_params
+
+        validate_regular_params(get_preset(args.preset).n_nodes, args.degree)
+    for flag in ("rounds", "activations", "max_gamma"):
+        value = getattr(args, flag, None)
+        if value is not None and value <= 0:
+            raise ValueError(f"--{flag.replace('_', '-')} must be positive")
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     if _unknown_preset(args):
+        return 2
+    try:
+        if args.command in _VALUE_CHECKED:
+            _check_values(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.command == "presets":
         return _cmd_presets()

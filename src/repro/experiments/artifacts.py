@@ -16,7 +16,11 @@ reproduction repos (T1 run → T2 aggregate → T3 render):
 * :func:`aggregate_results` folds ``raw/*.json`` into mean±std rows per
   (preset, algorithm, degree) — tolerant of partial sweeps, with
   explicit per-group seed lists — and :func:`write_summary_csv` emits
-  the deterministic ``summary.csv`` the figure/table renderers read.
+  them as a deterministic ``summary.csv``.
+* Every paper output renders from these artifacts: it plans its cells
+  (:class:`PlanCell`, with per-cell run settings where the preset's
+  protocol is not enough) and loads them with :func:`load_cell_result`
+  or reads :func:`aggregate_results`' rows.
 
 Everything here is deterministic: artifacts carry no timestamps, dict
 order is fixed, floats are serialized via ``repr``. Sharded and
@@ -36,6 +40,7 @@ from typing import Callable, Iterable, Sequence
 from ..analysis.aggregate import group_by, mean_std, missing_seeds
 from ..simulation.async_engine import AsyncHistory, AsyncRecord
 from ..simulation.metrics import RoundRecord, RunHistory
+from ..topology.sparse import validate_regular_params
 from .presets import ExperimentPreset
 from .runner import AsyncExperimentResult, ExperimentResult
 
@@ -60,7 +65,6 @@ __all__ = [
     "result_from_artifact",
     "async_history_from_artifact",
     "load_cell_result",
-    "resolve_cell",
     "SummaryRow",
     "aggregate_results",
     "write_summary_csv",
@@ -98,18 +102,14 @@ class PlanCell:
     record the spec's resolved coordinates, and the name lands in the
     raw artifact header so a results directory is self-describing.
 
-    Three per-cell run settings serve the paper outputs that need more
-    than the preset's protocol (see :func:`run_cell`): ``schedule``
-    pins SkipTrain's (Γ_train, Γ_sync) instead of the preset's choice
-    for the degree (Fig. 3's grid), ``eval_on="validation"`` evaluates
-    on the tuning split (§4.3), and ``eval_every`` is the evaluation
-    cadence in rounds. Its one encoding: ``0`` is the preset's cadence,
-    evaluated only at the algorithm's fair points (SkipTrain's cycle
-    ends); ``k > 0`` evaluates after every k-th round, fair point or
-    not (Fig. 4's every-round trace is ``1``, Table 4's D-PSGD readout
-    a quarter of the preset's cadence). A setting left at its default
-    appears neither in :attr:`cell_id` nor in the artifact's ``cell``
-    block, so a default cell keeps its id and its artifact bytes.
+    Three run settings serve the paper outputs the preset's protocol
+    cannot express: ``schedule`` pins (Γ_train, Γ_sync) (Fig. 3's grid),
+    ``eval_on="validation"`` evaluates on the tuning split (§4.3), and
+    ``eval_every`` is the cadence in rounds: ``0`` the preset's, only at
+    the algorithm's fair points (SkipTrain's cycle ends), ``k > 0`` after
+    every k-th round, fair point or not (Fig. 4: ``1``). A setting at its
+    default appears neither in :attr:`cell_id` nor in the artifact's
+    ``cell`` block, so a default cell keeps its id and its bytes.
     """
 
     preset: str
@@ -150,17 +150,12 @@ class PlanCell:
 
     @property
     def settings(self) -> dict:
-        """The per-cell run settings that differ from their defaults,
-        as they appear in the artifact's ``cell`` block."""
-        return {
-            name: list(value) if name == "schedule" else value
-            for name, value, default in (
-                ("schedule", self.schedule, ()),
-                ("eval_on", self.eval_on, "test"),
-                ("eval_every", self.eval_every, 0),
-            )
-            if value != default
-        }
+        """The run settings off their defaults, as the artifact's
+        ``cell`` block holds them."""
+        defaults = {"schedule": (), "eval_on": "test", "eval_every": 0}
+        return {name: list(value) if name == "schedule" else value
+                for name, default in defaults.items()
+                if (value := getattr(self, name)) != default}
 
     @property
     def cell_id(self) -> str:
@@ -194,7 +189,9 @@ def build_plan(
     """Enumerate the plan's cells in deterministic order (degree-major,
     then seed, then algorithm — cells sharing a prepared dataset/graph
     stay adjacent, so the runner's preparation cache hits). ``kind``
-    stamps every cell (``"sync"`` or ``"async"``)."""
+    stamps every cell (``"sync"`` or ``"async"``). A degree no regular
+    graph on the preset's nodes has is refused here, before any cell
+    runs."""
     if not algorithms:
         raise ValueError("need at least one algorithm")
     if not seeds:
@@ -202,6 +199,8 @@ def build_plan(
     degs = tuple(degrees) if degrees is not None else (preset.degrees[0],)
     if not degs:
         raise ValueError("need at least one degree")
+    for degree in degs:
+        validate_regular_params(preset.n_nodes, degree)
     rounds = total_rounds if total_rounds is not None else preset.total_rounds
     if rounds <= 0:
         raise ValueError("total_rounds must be positive")
@@ -401,9 +400,9 @@ class ArtifactMeter:
 
 @dataclass(frozen=True)
 class ArtifactResult:
-    """History + energy totals reloaded from a raw artifact; stands in
-    for :class:`~repro.experiments.runner.ExperimentResult` when paper
-    outputs are regenerated from artifacts instead of recomputation."""
+    """History + energy totals reloaded from a raw artifact: what the
+    paper outputs render from (the slice of
+    :class:`~repro.experiments.runner.ExperimentResult` they read)."""
 
     cell: PlanCell
     history: RunHistory
@@ -461,41 +460,6 @@ def load_cell_result(
         )
         raise FileNotFoundError(f"no artifact for cell {cell.cell_id}; {hint}")
     return result_from_artifact(load_cell_artifact(path))
-
-
-def resolve_cell(
-    results_dir: str | os.PathLike,
-    preset: str,
-    algorithm: str,
-    degree: int,
-    seed: int,
-    total_rounds: int | None = None,
-) -> PlanCell:
-    """The cell coordinate for an artifact on disk. With ``total_rounds
-    = None`` the rounds value is discovered from the artifacts present
-    (sweeps run with ``--rounds`` overrides still render); ambiguity —
-    the same cell at several rounds values — fails loudly."""
-    if total_rounds is not None:
-        return PlanCell(preset, algorithm, degree, seed, total_rounds)
-    stem = f"{preset}__{algorithm}__deg{degree}__seed{seed}__r"
-    candidates = sorted(
-        int(p.stem[len(stem):])
-        for p in raw_dir(results_dir).glob(f"{stem}*.json")
-        if p.stem[len(stem):].isdigit()
-    )
-    if not candidates:
-        raise FileNotFoundError(
-            f"no artifact matching {stem}*.json under "
-            f"{raw_dir(results_dir)}; run: repro sweep --preset {preset} "
-            f"--algorithms {algorithm} --degrees {degree} --seeds {seed} "
-            f"--results-dir {results_dir}"
-        )
-    if len(candidates) > 1:
-        raise ValueError(
-            f"ambiguous artifacts for {stem}*: rounds {candidates}; "
-            f"pass an explicit total_rounds"
-        )
-    return PlanCell(preset, algorithm, degree, seed, candidates[0])
 
 
 # --------------------------------------------------------------------------
@@ -559,10 +523,9 @@ def aggregate_results(
     hidden. Rows are sorted by (preset, algorithm, degree, rounds), so
     the CSV is byte-identical however the shards were executed.
 
-    A cell with per-cell run settings (:attr:`PlanCell.settings`: a
-    grid point's schedule, the validation split, a finer cadence)
-    belongs to the paper output that planned it and never enters a
-    row, so it cannot contaminate the baseline mean of its coordinates.
+    A cell with run settings (:attr:`PlanCell.settings`) belongs to the
+    paper output that planned it and never enters a row, so a grid
+    point or a finer cadence cannot contaminate a baseline mean.
     """
     artifacts = [
         a for a in list_cell_artifacts(results_dir)
@@ -649,7 +612,8 @@ def write_summary_csv(
 
 def read_summary_csv(path: str | os.PathLike) -> list[SummaryRow]:
     """Parse a :func:`write_summary_csv` file back into rows (the
-    ``table --from-artifacts`` entry point reads these)."""
+    renderers aggregate the raw artifacts themselves; this reads a CSV
+    ``repro aggregate`` wrote, e.g. on another machine)."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(SUMMARY_COLUMNS) - set(reader.fieldnames or ())

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 from ..analysis.diagnostics import accuracy_auc, empirical_contraction_rate
 from ..simulation.metrics import RunHistory
+from .artifacts import build_plan
 from .presets import ExperimentPreset
 from .reporting import render_table
-from .runner import prepare, run_algorithm
+from .sweep import plan_artifacts
 
 __all__ = ["ConvergenceStudyResult", "convergence_study"]
 
@@ -57,12 +57,18 @@ class ConvergenceStudyResult:
 
 
 def convergence_study(
-    preset: ExperimentPreset, degree: int | None = None, seed: int = 0
+    preset: ExperimentPreset,
+    results_dir,
+    degree: int | None = None,
+    seed: int = 0,
+    *,
+    run: bool = True,
+    log=None,
 ) -> ConvergenceStudyResult:
-    """Run the three reference algorithms on one prepared cell."""
+    """The three reference algorithms' cells on one (degree, seed)."""
     deg = degree if degree is not None else preset.degrees[0]
-    prepared = prepare(preset, deg, seed=seed)
-    histories = {}
-    for name in ALGORITHMS:
-        histories[name] = run_algorithm(prepared, name).history
-    return ConvergenceStudyResult(histories=histories)
+    cells = build_plan(preset, ALGORITHMS, degrees=(deg,), seeds=(seed,))
+    results = plan_artifacts(preset, cells, results_dir, run=run, log=log)
+    return ConvergenceStudyResult(histories={
+        cell.algorithm: result.history for cell, result in zip(cells, results)
+    })

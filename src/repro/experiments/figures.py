@@ -1,37 +1,33 @@
 """Per-figure reproduction entry points.
 
-Each ``figureN`` function runs the experiment behind the paper's figure
-N and returns the underlying data (plus an ASCII rendering via
-``render()``), at whatever preset scale the caller passes.
-
-``figureN_from_artifacts`` variants regenerate the same output from
-sweep artifacts (``results/raw/*.json``) instead of recomputation —
-run the cells once with ``repro sweep``, then re-render for free.
+Figures 1 and 4 are plans: each ``figureN`` builds the figure's
+:class:`~repro.experiments.artifacts.PlanCell` s, runs the missing ones
+into ``results_dir`` through :func:`~repro.experiments.sweep.run_sweep`
+and renders from the artifacts (``run=False`` only renders, and a
+missing cell raises with the command that makes it). Figure 7 only
+builds the two partitions, so it computes in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..data.stats import class_distribution_matrix
 from ..data.partition import partition_datasets
 from ..simulation.metrics import RunHistory
+from .artifacts import build_plan
 from .presets import ExperimentPreset
 from .reporting import render_series, render_table
-from .runner import ExperimentResult, prepare, run_algorithm
+from .runner import prepare
+from .sweep import plan_artifacts
 
 __all__ = [
     "Figure1Result",
     "figure1",
-    "figure1_from_artifacts",
     "Figure4Result",
     "figure4",
-    "Figure5Result",
-    "figure5",
-    "Figure6Result",
-    "figure6",
     "Figure7Result",
     "figure7",
 ]
@@ -66,35 +62,22 @@ class Figure1Result:
 
 
 def figure1(
-    preset: ExperimentPreset, degree: int | None = None, seed: int = 0
-) -> Figure1Result:
-    """Reproduce Fig. 1 on the preset's first (sparsest) degree."""
-    deg = degree if degree is not None else preset.degrees[0]
-    prepared = prepare(preset, deg, seed=seed)
-    dpsgd = run_algorithm(prepared, "d-psgd")
-    allreduce = run_algorithm(prepared, "d-psgd-allreduce")
-    return Figure1Result(dpsgd=dpsgd.history, allreduce=allreduce.history)
-
-
-def figure1_from_artifacts(
-    results_dir: str,
     preset: ExperimentPreset,
+    results_dir,
     degree: int | None = None,
     seed: int = 0,
+    *,
+    run: bool = True,
+    log=None,
 ) -> Figure1Result:
-    """Rebuild Fig. 1 from the ``d-psgd`` and ``d-psgd-allreduce``
-    sweep artifacts (no recomputation; raises with the sweep command
-    to run if a cell is missing)."""
-    from .artifacts import load_cell_result, resolve_cell
-
+    """Fig. 1 on the preset's first (sparsest) degree: the ``d-psgd``
+    and ``d-psgd-allreduce`` cells."""
     deg = degree if degree is not None else preset.degrees[0]
-    histories = {}
-    for algorithm in ("d-psgd", "d-psgd-allreduce"):
-        cell = resolve_cell(results_dir, preset.name, algorithm, deg, seed)
-        histories[algorithm] = load_cell_result(results_dir, cell).history
-    return Figure1Result(
-        dpsgd=histories["d-psgd"], allreduce=histories["d-psgd-allreduce"]
-    )
+    cells = build_plan(preset, ("d-psgd", "d-psgd-allreduce"),
+                       degrees=(deg,), seeds=(seed,))
+    dpsgd, allreduce = plan_artifacts(preset, cells, results_dir,
+                                      run=run, log=log)
+    return Figure1Result(dpsgd=dpsgd.history, allreduce=allreduce.history)
 
 
 # --------------------------------------------------------------------------
@@ -140,165 +123,30 @@ class Figure4Result:
                             title="SkipTrain per-round test accuracy")
 
 
-class _EvalEveryRound:
-    """Wrapper making every round an evaluation point (Fig. 4 evaluates
-    every 2 rounds to expose the oscillation)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.n_nodes = inner.n_nodes
-        self.name = inner.name
-        self.use_allreduce = inner.use_allreduce
-
-    def train_mask(self, t):
-        return self.inner.train_mask(t)
-
-    def is_eval_point(self, t):
-        return True
-
-    def reset(self):
-        self.inner.reset()
-
-
 def figure4(
     preset: ExperimentPreset,
+    results_dir,
     degree: int | None = None,
     seed: int = 0,
     window: int | None = None,
+    *,
+    run: bool = True,
+    log=None,
 ) -> Figure4Result:
-    """Reproduce Fig. 4: run SkipTrain, evaluating every round over the
-    final ``window`` rounds (default: the last 4 schedule periods)."""
-    from ..core.skiptrain import SkipTrain
-
+    """Fig. 4: a SkipTrain cell evaluated after every round
+    (``eval_every=1``), shown over its final ``window`` rounds (default:
+    the last 4 schedule periods)."""
     deg = degree if degree is not None else preset.degrees[0]
-    prepared = prepare(preset, deg, seed=seed)
-    schedule = preset.schedule_for_degree(deg)
     if window is None:
-        window = 4 * schedule.period
-    algo = _EvalEveryRound(SkipTrain(preset.n_nodes, schedule))
-    result = run_algorithm(prepared, algo, eval_every=1)
+        window = 4 * preset.schedule_for_degree(deg).period
+    (cell,) = build_plan(preset, ("skiptrain",), degrees=(deg,), seeds=(seed,))
+    (result,) = plan_artifacts(preset, (replace(cell, eval_every=1),),
+                               results_dir, run=run, log=log)
     start = preset.total_rounds - window
-    trimmed = RunHistory(
+    return Figure4Result(history=RunHistory(
         algorithm=result.history.algorithm,
         records=[r for r in result.history.records if r.round > start],
-    )
-    return Figure4Result(history=trimmed)
-
-
-# --------------------------------------------------------------------------
-# Figure 5 (with Table 3): SkipTrain vs D-PSGD across degrees
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class Figure5Result:
-    """Accuracy-vs-round and accuracy-vs-energy curves per degree."""
-
-    degrees: tuple[int, ...]
-    dpsgd: dict[int, ExperimentResult]
-    skiptrain: dict[int, ExperimentResult]
-
-    def render(self) -> str:
-        blocks = []
-        for deg in self.degrees:
-            d, s = self.dpsgd[deg], self.skiptrain[deg]
-            rows = [
-                ["D-PSGD", d.meter.total_train_wh, d.history.final_accuracy() * 100],
-                ["SkipTrain", s.meter.total_train_wh, s.history.final_accuracy() * 100],
-            ]
-            blocks.append(
-                render_table(
-                    ["algorithm", "train energy Wh", "final accuracy %"],
-                    rows,
-                    title=f"{deg}-regular",
-                )
-            )
-        return "\n\n".join(blocks)
-
-
-def figure5(preset: ExperimentPreset, seed: int = 0) -> Figure5Result:
-    """Run SkipTrain and D-PSGD on every degree of the preset."""
-    dpsgd: dict[int, ExperimentResult] = {}
-    skiptrain: dict[int, ExperimentResult] = {}
-    for deg in preset.degrees:
-        prepared = prepare(preset, deg, seed=seed)
-        dpsgd[deg] = run_algorithm(prepared, "d-psgd")
-        skiptrain[deg] = run_algorithm(prepared, "skiptrain")
-    return Figure5Result(degrees=preset.degrees, dpsgd=dpsgd, skiptrain=skiptrain)
-
-
-# --------------------------------------------------------------------------
-# Figure 6 (with Table 4): the energy-constrained setting
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class Figure6Result:
-    """Constrained-setting comparison per degree: SkipTrain-constrained
-    vs Greedy vs (budget-matched) D-PSGD."""
-
-    degrees: tuple[int, ...]
-    constrained: dict[int, ExperimentResult]
-    greedy: dict[int, ExperimentResult]
-    dpsgd: dict[int, ExperimentResult]
-
-    def budget_wh(self, degree: int) -> float:
-        """Energy actually spent by SkipTrain-constrained (training +
-        communication) — the budget at which all three algorithms are
-        compared (Table 4 semantics). Greedy spends essentially the same
-        (same per-node budgets); D-PSGD is read off its accuracy-vs-
-        energy curve at this budget."""
-        meters = (self.constrained[degree].meter, self.greedy[degree].meter)
-        return max(m.total_wh for m in meters)
-
-    def accuracy_at_budget(self, degree: int) -> dict[str, float]:
-        budget = self.budget_wh(degree)
-        out = {}
-        for name, res in (
-            ("SkipTrain-constrained", self.constrained[degree]),
-            ("Greedy", self.greedy[degree]),
-            ("D-PSGD", self.dpsgd[degree]),
-        ):
-            # compare each algorithm at (approximately) the same spent
-            # energy; algorithms that never reach the budget are read at
-            # their final point.
-            try:
-                out[name] = res.history.accuracy_at_energy(budget)
-            except ValueError:
-                out[name] = res.history.records[0].mean_accuracy
-        return out
-
-    def render(self) -> str:
-        blocks = []
-        for deg in self.degrees:
-            accs = self.accuracy_at_budget(deg)
-            rows = [[k, self.budget_wh(deg), v * 100] for k, v in accs.items()]
-            blocks.append(
-                render_table(
-                    ["algorithm", "energy budget Wh", "accuracy %"],
-                    rows,
-                    title=f"{deg}-regular (constrained)",
-                )
-            )
-        return "\n\n".join(blocks)
-
-
-def figure6(preset: ExperimentPreset, seed: int = 0) -> Figure6Result:
-    """Run the three constrained-setting algorithms on every degree."""
-    constrained: dict[int, ExperimentResult] = {}
-    greedy: dict[int, ExperimentResult] = {}
-    dpsgd: dict[int, ExperimentResult] = {}
-    # D-PSGD hits the budget early in its run, so it needs a finer
-    # evaluation cadence for the accuracy-at-budget readout.
-    fine_eval = max(1, preset.eval_every // 4)
-    for deg in preset.degrees:
-        prepared = prepare(preset, deg, seed=seed)
-        constrained[deg] = run_algorithm(prepared, "skiptrain-constrained")
-        greedy[deg] = run_algorithm(prepared, "greedy")
-        dpsgd[deg] = run_algorithm(prepared, "d-psgd", eval_every=fine_eval)
-    return Figure6Result(
-        degrees=preset.degrees, constrained=constrained, greedy=greedy, dpsgd=dpsgd
-    )
+    ))
 
 
 # --------------------------------------------------------------------------

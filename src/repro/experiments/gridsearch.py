@@ -1,20 +1,22 @@
 """Fig. 3: the Γ_train × Γ_sync grid search.
 
-For each topology degree, run SkipTrain over the (Γ_train, Γ_sync)
-grid, record mean validation accuracy and total training energy, and
-pick the winner (ties resolved toward lower energy, as in §4.3).
+For each topology degree, the grid is a plan of SkipTrain cells, one
+per (Γ_train, Γ_sync), each evaluated on the validation split (§4.3);
+the result holds their final accuracy and total training energy and
+picks the winner (ties resolved toward lower energy, as in §4.3).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..core.schedule import RoundSchedule
+from .artifacts import build_plan
 from .presets import ExperimentPreset
 from .reporting import render_heatmap
-from .runner import prepare, run_algorithm
+from .sweep import plan_artifacts
 
 __all__ = ["GridSearchResult", "grid_search", "energy_grid"]
 
@@ -61,33 +63,33 @@ class GridSearchResult:
 
 def grid_search(
     preset: ExperimentPreset,
+    results_dir,
     degree: int,
     train_values: tuple[int, ...] = (1, 2, 3, 4),
     sync_values: tuple[int, ...] = (1, 2, 3, 4),
     seed: int = 0,
     total_rounds: int | None = None,
+    *,
+    run: bool = True,
+    log=None,
 ) -> GridSearchResult:
-    """Run the full grid for one topology degree."""
-    prepared = prepare(preset, degree, seed=seed)
-    acc = np.zeros((len(sync_values), len(train_values)))
-    energy = np.zeros_like(acc)
-    for i, gs in enumerate(sync_values):
-        for j, gt in enumerate(train_values):
-            result = run_algorithm(
-                prepared,
-                "skiptrain",
-                schedule=RoundSchedule(gt, gs),
-                total_rounds=total_rounds,
-                eval_on="validation",  # §4.3: tuning uses the val split
-            )
-            acc[i, j] = result.history.final_accuracy()
-            energy[i, j] = result.meter.total_train_wh
+    """The full grid for one topology degree: one ``skiptrain`` cell
+    per (Γ_train, Γ_sync), with that schedule and ``eval_on=
+    "validation"`` (§4.3: tuning uses the val split)."""
+    (cell,) = build_plan(preset, ("skiptrain",), degrees=(degree,),
+                         seeds=(seed,), total_rounds=total_rounds)
+    cells = tuple(
+        replace(cell, schedule=(gt, gs), eval_on="validation")
+        for gs in sync_values for gt in train_values
+    )
+    results = plan_artifacts(preset, cells, results_dir, run=run, log=log)
+    shape = (len(sync_values), len(train_values))
     return GridSearchResult(
         degree=degree,
         train_values=tuple(train_values),
         sync_values=tuple(sync_values),
-        accuracy=acc,
-        energy_wh=energy,
+        accuracy=np.reshape([r.history.final_accuracy() for r in results], shape),
+        energy_wh=np.reshape([r.meter.total_train_wh for r in results], shape),
     )
 
 

@@ -2,8 +2,8 @@
 
 This is the one place that wires data synthesis, partitioning,
 topology, energy traces, engine and algorithm together, so every
-figure/table reproduction, example, and sweep cell goes through the
-same code path. :func:`build_run` exposes the wired-but-not-yet-run
+sweep cell (and so every paper output), example and one-shot run goes
+through the same code path. :func:`build_run` exposes the wired-but-not-yet-run
 (engine, algorithm) pair so the sweep orchestrator can restore a
 mid-cell checkpoint before running.
 
@@ -444,11 +444,10 @@ def run_algorithm(
     **options: Any,
 ) -> ExperimentResult | AsyncExperimentResult:
     """Run one algorithm — sync or async — on a prepared experiment
-    cell. ``options`` are :func:`build_run`'s keywords:
-    ``schedule``/``total_rounds``/``eval_every`` override the preset
-    (the grid search varies the schedule; Fig. 4 shortens the eval
-    cadence), and ``eval_on="validation"`` evaluates on the tuning
-    split (the paper's grid search, §4.2–4.3)."""
+    cell (``repro run``). ``options`` are :func:`build_run`'s keywords:
+    ``schedule``/``total_rounds``/``eval_every`` override the preset,
+    and ``eval_on="validation"`` evaluates on the tuning split (the
+    paper's grid search, §4.2–4.3)."""
     engine, algo = build_run(prepared, algorithm, **options)
     return execute_run(engine, algo, prepared.trace)
 

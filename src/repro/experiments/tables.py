@@ -1,30 +1,29 @@
 """Per-table reproduction entry points (Tables 1–4 of the paper).
 
-``table3_from_artifacts`` renders the mean±std version of Table 3 from
-aggregated sweep CSV rows; ``table4_from_artifacts`` rebuilds Table 4
-from raw sweep artifacts. Both regenerate paper outputs from artifacts
-instead of recomputation (run the cells once with ``repro sweep``).
+Tables 1 and 2 are static. Tables 3 and 4 are plans: each builds its
+:class:`~repro.experiments.artifacts.PlanCell` s, runs the missing ones
+into ``results_dir`` through :func:`~repro.experiments.sweep.run_sweep`
+and renders from the artifacts (``run=False`` only renders).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..energy.battery import table2_rows
 from ..nn import PAPER_CIFAR10_PARAMS, PAPER_FEMNIST_PARAMS, cnn_femnist, gn_lenet_cifar10
-from .figures import Figure5Result, Figure6Result, figure5, figure6
+from .artifacts import ArtifactResult, SummaryRow, aggregate_results, build_plan
 from .presets import ExperimentPreset
 from .reporting import render_table
+from .sweep import plan_artifacts
 
 __all__ = [
     "table1",
     "table2",
     "Table3Result",
     "table3",
-    "table3_from_artifacts",
     "Table4Result",
     "table4",
-    "table4_from_artifacts",
 ]
 
 
@@ -63,192 +62,168 @@ def table2() -> str:
 
 @dataclass
 class Table3Result:
-    """Training energy + final accuracy for SkipTrain vs D-PSGD."""
+    """Training energy and final accuracy of SkipTrain vs D-PSGD per
+    degree: the aggregated rows (mean ± std over every seed under the
+    results directory) by algorithm, then degree."""
 
-    figure5: Figure5Result
-
-    def rows(self) -> list[list[object]]:
-        out: list[list[object]] = []
-        for algo, results in (
-            ("SkipTrain", self.figure5.skiptrain),
-            ("D-PSGD", self.figure5.dpsgd),
-        ):
-            row: list[object] = [algo]
-            for deg in self.figure5.degrees:
-                row.append(results[deg].meter.total_train_wh)
-            for deg in self.figure5.degrees:
-                row.append(results[deg].history.final_accuracy() * 100)
-            out.append(row)
-        return out
+    preset: str
+    degrees: tuple[int, ...]
+    rows: dict[str, dict[int, SummaryRow]]
 
     def energy_ratio(self, degree: int) -> float:
         """D-PSGD training energy / SkipTrain training energy (the paper
         reports ≈2×)."""
-        return (
-            self.figure5.dpsgd[degree].meter.total_train_wh
-            / self.figure5.skiptrain[degree].meter.total_train_wh
-        )
+        return (self.rows["d-psgd"][degree].train_wh_mean
+                / self.rows["skiptrain"][degree].train_wh_mean)
 
     def accuracy_gain(self, degree: int) -> float:
         """SkipTrain minus D-PSGD final accuracy (percentage points)."""
-        return 100.0 * (
-            self.figure5.skiptrain[degree].history.final_accuracy()
-            - self.figure5.dpsgd[degree].history.final_accuracy()
-        )
+        return 100.0 * (self.rows["skiptrain"][degree].final_accuracy_mean
+                        - self.rows["d-psgd"][degree].final_accuracy_mean)
 
     def render(self) -> str:
-        degs = self.figure5.degrees
+        table_rows = [
+            [algorithm]
+            + [r.train_wh_mean for r in map(by_degree.get, self.degrees)]
+            + [f"{r.final_accuracy_mean * 100:.2f} "
+               f"±{r.final_accuracy_std * 100:.2f} (n={r.n_seeds})"
+               for r in map(by_degree.get, self.degrees)]
+            for algorithm, by_degree in self.rows.items()
+        ]
         headers = (
             ["algorithm"]
-            + [f"energy Wh ({d}-reg)" for d in degs]
-            + [f"accuracy % ({d}-reg)" for d in degs]
+            + [f"energy Wh ({d}-reg)" for d in self.degrees]
+            + [f"accuracy % ({d}-reg)" for d in self.degrees]
         )
-        return render_table(headers, self.rows(),
-                            title="Table 3: SkipTrain vs D-PSGD")
-
-
-def table3(preset: ExperimentPreset, seed: int = 0) -> Table3Result:
-    """Reproduce Table 3 for one dataset preset."""
-    return Table3Result(figure5=figure5(preset, seed=seed))
-
-
-def table3_from_artifacts(
-    results_dir: str, preset_name: str, total_rounds: int | None = None
-) -> str:
-    """Render Table 3 (SkipTrain vs D-PSGD energy/accuracy per degree)
-    from aggregated sweep artifacts — mean ± std over however many
-    seeds the sweep covered, instead of the single-seed recomputation
-    of :func:`table3`. With ``total_rounds=None`` the rounds value is
-    discovered from the artifacts; a results directory mixing several
-    rounds values (e.g. a smoke sweep next to the full one) is
-    ambiguous and fails loudly rather than comparing algorithms run
-    for different round counts."""
-    from .artifacts import aggregate_results
-
-    rows, _ = aggregate_results(results_dir)
-    wanted = {"skiptrain", "d-psgd"}
-    matching = [
-        row for row in rows
-        if row.preset == preset_name and row.algorithm in wanted
-        and not row.scenario  # scenario compositions are not baselines
-    ]
-    rounds_present = sorted({row.total_rounds for row in matching})
-    if total_rounds is None and len(rounds_present) > 1:
-        raise ValueError(
-            f"artifacts for preset {preset_name!r} mix total_rounds "
-            f"{rounds_present}; pass an explicit total_rounds"
+        return render_table(
+            headers, table_rows,
+            title=f"Table 3: SkipTrain vs D-PSGD ({self.preset}, from artifacts)",
         )
-    by_algo: dict[str, dict[int, object]] = {}
-    for row in matching:
-        if total_rounds is None or row.total_rounds == total_rounds:
-            by_algo.setdefault(row.algorithm, {})[row.degree] = row
-    missing = wanted - set(by_algo)
-    if missing:
-        raise FileNotFoundError(
-            f"no artifacts for {sorted(missing)} on preset {preset_name!r} "
-            f"under {results_dir}; run repro sweep first"
-        )
-    degrees = sorted(
-        set(by_algo["skiptrain"]) & set(by_algo["d-psgd"])
-    )
+
+
+def table3(
+    preset: ExperimentPreset,
+    results_dir,
+    seed: int = 0,
+    *,
+    run: bool = True,
+    log=None,
+) -> Table3Result:
+    """Table 3: the ``skiptrain`` and ``d-psgd`` cells of every preset
+    degree at ``seed``, then the aggregated rows (at the preset's
+    rounds) of every degree both algorithms have under
+    ``results_dir``."""
+    wanted = ("skiptrain", "d-psgd")
+    cells = build_plan(preset, wanted, degrees=preset.degrees, seeds=(seed,))
+    if run:
+        plan_artifacts(preset, cells, results_dir, log=log)
+    by_algo: dict[str, dict[int, SummaryRow]] = {name: {} for name in wanted}
+    for row in aggregate_results(results_dir)[0]:
+        # scenario compositions are not baselines
+        if (row.preset, row.total_rounds, row.scenario) == (
+            preset.name, preset.total_rounds, ""
+        ) and row.algorithm in wanted:
+            by_algo[row.algorithm][row.degree] = row
+    degrees = tuple(sorted(set.intersection(*map(set, by_algo.values()))))
     if not degrees:
         raise FileNotFoundError(
-            f"no common degree has both skiptrain and d-psgd artifacts "
-            f"for preset {preset_name!r} under {results_dir}"
+            f"no degree has both skiptrain and d-psgd artifacts for preset "
+            f"{preset.name!r} under {results_dir}; run repro sweep first"
         )
-    table_rows = []
-    for algorithm in ("skiptrain", "d-psgd"):
-        row: list[object] = [algorithm]
-        for deg in degrees:
-            row.append(by_algo[algorithm][deg].train_wh_mean)
-        for deg in degrees:
-            r = by_algo[algorithm][deg]
-            row.append(
-                f"{r.final_accuracy_mean * 100:.2f} "
-                f"±{r.final_accuracy_std * 100:.2f} (n={r.n_seeds})"
-            )
-        table_rows.append(row)
-    headers = (
-        ["algorithm"]
-        + [f"energy Wh ({d}-reg)" for d in degrees]
-        + [f"accuracy % ({d}-reg)" for d in degrees]
-    )
-    return render_table(
-        headers, table_rows,
-        title=f"Table 3: SkipTrain vs D-PSGD ({preset_name}, from artifacts)",
-    )
+    return Table3Result(preset=preset.name, degrees=degrees, rows=by_algo)
 
 
 @dataclass
 class Table4Result:
-    """Constrained-setting energy budgets and accuracies."""
+    """Constrained-setting comparison per degree: SkipTrain-constrained
+    vs Greedy vs (budget-matched) D-PSGD."""
 
-    figure6: Figure6Result
+    degrees: tuple[int, ...]
+    constrained: dict[int, ArtifactResult]
+    greedy: dict[int, ArtifactResult]
+    dpsgd: dict[int, ArtifactResult]
+
+    def budget_wh(self, degree: int) -> float:
+        """Energy actually spent by SkipTrain-constrained (training +
+        communication) — the budget at which all three algorithms are
+        compared. Greedy spends essentially the same (same per-node
+        budgets); D-PSGD is read off its accuracy-vs-energy curve at
+        this budget."""
+        meters = (self.constrained[degree].meter, self.greedy[degree].meter)
+        return max(m.total_wh for m in meters)
+
+    def accuracy_at_budget(self, degree: int) -> dict[str, float]:
+        budget = self.budget_wh(degree)
+        out = {}
+        for name, res in (
+            ("SkipTrain-constrained", self.constrained[degree]),
+            ("Greedy", self.greedy[degree]),
+            ("D-PSGD", self.dpsgd[degree]),
+        ):
+            # compare each algorithm at (approximately) the same spent
+            # energy; algorithms that never reach the budget are read at
+            # their first evaluation.
+            try:
+                out[name] = res.history.accuracy_at_energy(budget)
+            except ValueError:
+                out[name] = res.history.records[0].mean_accuracy
+        return out
 
     def rows(self) -> list[list[object]]:
-        degs = self.figure6.degrees
-        names = ["SkipTrain-constrained", "Greedy", "D-PSGD"]
         out: list[list[object]] = []
-        for name in names:
+        for name in ("SkipTrain-constrained", "Greedy", "D-PSGD"):
             row: list[object] = [name]
-            for deg in degs:
-                row.append(self.figure6.budget_wh(deg))
-            for deg in degs:
-                row.append(self.figure6.accuracy_at_budget(deg)[name] * 100)
+            row += [self.budget_wh(deg) for deg in self.degrees]
+            row += [self.accuracy_at_budget(deg)[name] * 100
+                    for deg in self.degrees]
             out.append(row)
         return out
 
     def ordering_holds(self, degree: int) -> bool:
         """Paper's headline ordering: constrained ≥ Greedy ≥ D-PSGD at
         equal energy."""
-        accs = self.figure6.accuracy_at_budget(degree)
+        accs = self.accuracy_at_budget(degree)
         return (
             accs["SkipTrain-constrained"] >= accs["Greedy"] >= accs["D-PSGD"]
         )
 
     def render(self) -> str:
-        degs = self.figure6.degrees
         headers = (
             ["algorithm"]
-            + [f"budget Wh ({d}-reg)" for d in degs]
-            + [f"accuracy % ({d}-reg)" for d in degs]
+            + [f"budget Wh ({d}-reg)" for d in self.degrees]
+            + [f"accuracy % ({d}-reg)" for d in self.degrees]
         )
         return render_table(headers, self.rows(),
                             title="Table 4: energy-constrained setting")
 
 
-def table4(preset: ExperimentPreset, seed: int = 0) -> Table4Result:
-    """Reproduce Table 4 for one dataset preset."""
-    return Table4Result(figure6=figure6(preset, seed=seed))
-
-
-def table4_from_artifacts(
-    results_dir: str, preset: ExperimentPreset, seed: int = 0
+def table4(
+    preset: ExperimentPreset,
+    results_dir,
+    seed: int = 0,
+    *,
+    run: bool = True,
+    log=None,
 ) -> Table4Result:
-    """Rebuild Table 4 from raw sweep artifacts: the three constrained-
-    setting algorithms' histories/energy totals are reloaded for every
-    preset degree (missing cells raise with the sweep command to run).
-
-    One caveat relative to :func:`table4`: the recomputing path runs
-    D-PSGD on a 4× finer evaluation cadence so its accuracy-at-budget
-    readout interpolates tightly; a standard sweep cell evaluates on
-    the preset cadence, so the D-PSGD column is read off coarser
-    evaluation points.
-    """
-    from .artifacts import load_cell_result, resolve_cell
-
-    by_algo: dict[str, dict[int, object]] = {
-        "skiptrain-constrained": {}, "greedy": {}, "d-psgd": {},
-    }
-    for algorithm, results in by_algo.items():
-        for deg in preset.degrees:
-            cell = resolve_cell(results_dir, preset.name, algorithm, deg, seed)
-            results[deg] = load_cell_result(results_dir, cell)
-    return Table4Result(
-        figure6=Figure6Result(
-            degrees=preset.degrees,
-            constrained=by_algo["skiptrain-constrained"],
-            greedy=by_algo["greedy"],
-            dpsgd=by_algo["d-psgd"],
+    """Table 4: the three constrained-setting algorithms on every preset
+    degree. D-PSGD hits the budget early in its run, so its cell
+    evaluates on a 4× finer cadence for the accuracy-at-budget
+    readout."""
+    fine = max(1, preset.eval_every // 4)
+    cells = tuple(
+        replace(cell, eval_every=fine) if cell.algorithm == "d-psgd" else cell
+        for cell in build_plan(
+            preset, ("skiptrain-constrained", "greedy", "d-psgd"),
+            degrees=preset.degrees, seeds=(seed,),
         )
+    )
+    results = plan_artifacts(preset, cells, results_dir, run=run, log=log)
+    by_algo: dict[str, dict[int, ArtifactResult]] = {}
+    for cell, result in zip(cells, results):
+        by_algo.setdefault(cell.algorithm, {})[cell.degree] = result
+    return Table4Result(
+        degrees=preset.degrees,
+        constrained=by_algo["skiptrain-constrained"],
+        greedy=by_algo["greedy"],
+        dpsgd=by_algo["d-psgd"],
     )

@@ -8,9 +8,11 @@ Two families are registered at import time:
   surface covers everything the preset surface did without breaking any
   preset name.
 * **Churn scenarios** — named compositions of churn, failures, and
-  battery constraints used by the golden-trace regression tests, the
-  conformance suite, and the CI smoke sweep. They run at bench scale
-  with short horizons, so recomputing a golden trace takes seconds.
+  battery constraints used by the golden-trace regression tests
+  (``tests/test_scenarios_golden.py``), the conformance suite and the
+  pinned artifact digests (``tests/test_artifact_digests.py``). They
+  run at bench scale with short horizons, so recomputing a golden trace
+  takes seconds.
 """
 
 from __future__ import annotations
@@ -101,9 +103,11 @@ def churn_crash() -> ScenarioSpec:
 
 @register_scenario("churn-async")
 def churn_async() -> ScenarioSpec:
-    """The async composition the CI smoke sweep exercises: event-driven
-    gossip with joins, a departure, a crash window, and the engine's
-    battery-depletion gate all active at once."""
+    """The async composition whose golden trace and artifact digest the
+    tier-1 tests pin (``tests/test_scenarios_golden.py``,
+    ``tests/test_artifact_digests.py``): event-driven gossip with joins,
+    a departure, a crash window, and the engine's battery-depletion gate
+    all active at once."""
     return ScenarioSpec(
         name="churn-async",
         preset="cifar10-bench-async",

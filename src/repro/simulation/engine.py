@@ -526,8 +526,9 @@ class SimulationEngine:
         """Evaluate on the configured cadence, but only at the
         algorithm's fair evaluation points (the paper evaluates every
         Γ_train+Γ_sync rounds, after the sync phase — Fig. 4 shows why:
-        accuracy oscillates within a cycle). Also evaluate at the final
-        round if it is a fair point and not yet evaluated."""
+        accuracy oscillates within a cycle; with ``fair_points`` off
+        every round is one). Also evaluate at the final round if it is
+        a fair point and not yet evaluated."""
         cfg = self.config
         fair = not cfg.fair_points or algorithm.is_eval_point(t)
         if t == cfg.total_rounds:

@@ -146,10 +146,10 @@ class TestPareto:
 
 
 class TestFrontierFromGrid:
-    def test_grid_conversion(self, tiny_preset):
+    def test_grid_conversion(self, tiny_preset, tmp_path):
         from repro.experiments import grid_search
 
-        res = grid_search(tiny_preset, degree=3,
+        res = grid_search(tiny_preset, tmp_path, degree=3,
                           train_values=(1, 2), sync_values=(1, 2))
         frontier = frontier_from_grid(res)
         assert 1 <= len(frontier) <= 4

@@ -56,7 +56,9 @@ class TestCommands:
         assert "total training energy" in out
         assert "accuracy" in out
 
-    def test_gridsearch_small(self, capsys):
+    def test_gridsearch_small(self, capsys, tmp_path, monkeypatch):
+        """The grid is a plan: its four cells run into results/."""
+        monkeypatch.chdir(tmp_path)
         code = main([
             "gridsearch", "--preset", "cifar10-bench", "--degree", "3",
             "--rounds", "8", "--max-gamma", "2",
@@ -64,6 +66,25 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "best: Γtrain=" in out
+        assert len(list((tmp_path / "results" / "raw").glob("*__val.json"))) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--degrees", "0", "--seeds", "0", "--dry-run"],
+        ["run", "--degree", "0"],
+        ["convergence", "--degree", "0"],
+        ["fairness", "--degree", "0"],
+        ["run", "--degree", "99"],
+        ["run", "--rounds", "0"],
+        ["gridsearch", "--rounds", "0"],
+        ["gridsearch", "--max-gamma", "0"],
+    ], ids=" ".join)
+    def test_bad_values_exit_2_before_any_cell(self, argv, capsys, tmp_path,
+                                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and out == "", err
+        assert not (tmp_path / "results").exists()
 
     def test_new_subcommands_parse(self):
         parser = build_parser()
@@ -325,8 +346,27 @@ class TestArtifactPipeline:
     def test_from_artifacts_wrong_targets(self, capsys):
         assert main(["table", "1", "--from-artifacts", "x"]) == 2
         assert "static" in capsys.readouterr().err
-        assert main(["figure", "4", "--from-artifacts", "x"]) == 2
-        assert "figure 1" in capsys.readouterr().err
+        assert main(["figure", "7", "--from-artifacts", "x"]) == 2
+        assert "figures 1 and 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "3"], ["table", "4"], ["figure", "1"], ["figure", "4"],
+    ], ids=" ".join)
+    def test_paper_output_runs_its_plan_once(self, micro, argv, tmp_path,
+                                             monkeypatch, capsys):
+        """A paper output runs its missing cells into results/ and
+        renders; a rerun runs none and prints the same; --from-artifacts
+        only renders the same."""
+        monkeypatch.chdir(tmp_path)
+        argv = [*argv, "--preset", "micro-cli"]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert " ran " in first.err
+        assert main(argv) == 0
+        second = capsys.readouterr()
+        assert second.out == first.out and " ran " not in second.err
+        assert main([*argv, "--from-artifacts", "results"]) == 0
+        assert capsys.readouterr().out == first.out
 
     def test_async_sweep_aggregate(self, tiny_preset, monkeypatch,
                                    tmp_path, capsys):
@@ -361,6 +401,8 @@ class TestArtifactPipeline:
         assert "repro sweep" in capsys.readouterr().err
         assert main(["figure", "1", "--from-artifacts", empty]) == 1
         assert "repro sweep" in capsys.readouterr().err
+        assert main(["figure", "4", "--from-artifacts", empty]) == 1
+        assert "without --from-artifacts" in capsys.readouterr().err
         assert main(["aggregate", "--results-dir", empty]) == 1
         assert "no raw artifacts" in capsys.readouterr().err
 

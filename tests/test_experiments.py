@@ -129,30 +129,30 @@ class TestRunner:
 
 
 class TestGridSearch:
-    def test_small_grid(self, tiny_preset):
-        res = grid_search(tiny_preset, degree=3,
+    def test_small_grid(self, tiny_preset, tmp_path):
+        res = grid_search(tiny_preset, tmp_path, degree=3,
                           train_values=(1, 2), sync_values=(1, 2))
         assert res.accuracy.shape == (2, 2)
         assert (res.energy_wh > 0).all()
         gt, gs = res.best()
         assert gt in (1, 2) and gs in (1, 2)
 
-    def test_energy_monotone_in_gamma_train(self, tiny_preset):
+    def test_energy_monotone_in_gamma_train(self, tiny_preset, tmp_path):
         """Fixing Γ_sync, more training rounds cost more energy (the
         column structure of Fig. 3's energy panel)."""
-        res = grid_search(tiny_preset, degree=3,
+        res = grid_search(tiny_preset, tmp_path, degree=3,
                           train_values=(1, 3), sync_values=(2,))
         assert res.energy_wh[0, 1] > res.energy_wh[0, 0]
 
-    def test_energy_grid_matches_measured(self, tiny_preset):
-        measured = grid_search(tiny_preset, degree=3,
+    def test_energy_grid_matches_measured(self, tiny_preset, tmp_path):
+        measured = grid_search(tiny_preset, tmp_path, degree=3,
                                train_values=(1, 2), sync_values=(1, 2))
         analytic = energy_grid(tiny_preset, train_values=(1, 2),
                                sync_values=(1, 2))
         np.testing.assert_allclose(measured.energy_wh, analytic, rtol=1e-9)
 
-    def test_render(self, tiny_preset):
-        res = grid_search(tiny_preset, degree=3,
+    def test_render(self, tiny_preset, tmp_path):
+        res = grid_search(tiny_preset, tmp_path, degree=3,
                           train_values=(1,), sync_values=(1,))
         text = res.render()
         assert "Validation accuracy" in text
@@ -160,15 +160,15 @@ class TestGridSearch:
 
 
 class TestFigures:
-    def test_figure1_structure(self, tiny_preset):
-        res = figure1(tiny_preset)
+    def test_figure1_structure(self, tiny_preset, tmp_path):
+        res = figure1(tiny_preset, tmp_path)
         assert res.dpsgd.algorithm == "D-PSGD"
         assert res.allreduce.algorithm == "D-PSGD + all-reduce"
         assert isinstance(res.improvement(), float)
         assert "All-reduce" in res.render()
 
-    def test_figure4_structure(self, tiny_preset):
-        res = figure4(tiny_preset, window=8)
+    def test_figure4_structure(self, tiny_preset, tmp_path):
+        res = figure4(tiny_preset, tmp_path, window=8)
         phases = {r.is_training_round for r in res.history.records}
         assert phases == {True, False}
         assert isinstance(res.oscillation_contrast(), float)

@@ -66,16 +66,16 @@ class TestTrainLossTracking:
 
 
 class TestConvergenceStudy:
-    def test_structure_and_mechanism(self, tiny_preset):
-        res = convergence_study(tiny_preset, seed=0)
+    def test_structure_and_mechanism(self, tiny_preset, tmp_path):
+        res = convergence_study(tiny_preset, tmp_path, seed=0)
         assert set(res.histories) == {"d-psgd", "skiptrain",
                                       "d-psgd-allreduce"}
         assert res.final_consensus("d-psgd-allreduce") < 1e-12
         text = res.render()
         assert "consensus" in text
 
-    def test_contraction_rates_finite(self, tiny_preset):
-        res = convergence_study(tiny_preset, seed=0)
+    def test_contraction_rates_finite(self, tiny_preset, tmp_path):
+        res = convergence_study(tiny_preset, tmp_path, seed=0)
         for name in res.histories:
             assert np.isfinite(res.contraction(name)) or (
                 res.contraction(name) == 0.0

@@ -126,12 +126,12 @@ class TestPaperClaims:
         budgets = np.minimum(res.trace.budget_rounds, 80)
         np.testing.assert_array_equal(res.meter.train_rounds, budgets)
 
-    def test_fig4_oscillation(self, shapes_preset):
+    def test_fig4_oscillation(self, shapes_preset, tmp_path):
         """Fig. 4: accuracy rises during sync rounds and drops during
         training rounds; std does the opposite."""
         from repro.experiments import figure4
 
-        res = figure4(shapes_preset, window=16, seed=11)
+        res = figure4(shapes_preset, tmp_path, window=16, seed=11)
         assert res.oscillation_contrast() > 0.0
         assert res.std_contrast() > 0.0
 

@@ -58,7 +58,15 @@ from repro.nn.serialization import parameter_vector, set_parameter_vector
 #: into strided views: a numpy that changes ``out=`` dispatch or starts
 #: warning on an ``out=`` cast fails here, against the serial oracle,
 #: before any artifact digest can be blamed.
-pytestmark = pytest.mark.filterwarnings("error")
+#: One warning is let through: hypothesis's report hook touches
+#: ``mypy_extensions.TypedDict``, whose DeprecationWarning would turn a
+#: failing ``@given`` example into an INTERNALERROR that ends the run.
+pytestmark = [
+    pytest.mark.filterwarnings("error"),
+    pytest.mark.filterwarnings(
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+    ),
+]
 
 RNG = np.random.default_rng(0)
 

@@ -2,10 +2,11 @@
 
 The contract: the artifact of each cell a paper output plans (Fig. 1,
 Fig. 4, Tables 3 and 4, a 2×2 Fig. 3 grid, the convergence study)
-carries the exact records and energy totals of a direct in-process
-run of the same cell. Plus the codec of the per-cell run settings
-(schedule, evaluation split, cadence) and the aggregation rule that
-keeps cells with settings out of the baseline rows.
+carries the exact records and energy totals of a direct in-process run
+of the same cell, ``execute_run(*build_run(...))``, and each output
+renders exactly those numbers. Plus the codec of the per-cell run
+settings (schedule, evaluation split, cadence) and the aggregation
+rule that keeps cells with settings out of the baseline rows.
 """
 
 import dataclasses
@@ -13,21 +14,24 @@ import json
 
 import pytest
 
+from repro.core import RoundSchedule
 from repro.experiments import (
     PlanCell,
     aggregate_results,
     artifact_path,
+    build_run,
     convergence_study,
+    execute_run,
     figure1,
     figure4,
     grid_search,
+    plan_artifacts,
+    prepare,
     run_sweep,
     table3,
-    table3_from_artifacts,
     table4,
     write_summary_csv,
 )
-from repro.experiments.sweep import plan_artifacts
 
 SEED, DEGREE = 0, 3
 
@@ -60,62 +64,65 @@ def _plan(preset):
     }
 
 
-def _numbers(history, train_wh=None, comm_wh=None):
+def _numbers(history, meter):
     return {
         "records": [json.dumps(r.to_json()) for r in history.records],
-        "train_wh": train_wh,
-        "comm_wh": comm_wh,
+        "final_accuracy": history.final_accuracy(),
+        "train_wh": meter.total_train_wh,
+        "comm_wh": meter.total_comm_wh,
     }
 
 
-def _direct(output, preset):
-    """The in-process runner's numbers for each of the output's cells,
-    by cell id (energy totals where the runner exposes a meter)."""
+def _direct(cell, preset):
+    """One cell run in process, its settings passed to ``build_run``."""
+    prepared = prepare(preset, cell.degree, seed=cell.seed)
+    engine, algo = build_run(
+        prepared, cell.algorithm, total_rounds=cell.total_rounds,
+        schedule=RoundSchedule(*cell.schedule) if cell.schedule else None,
+        eval_on=cell.eval_on, eval_every=cell.eval_every or None,
+        fair_points=not cell.eval_every,
+    )
+    result = execute_run(engine, algo, prepared.trace)
+    return _numbers(result.history, result.meter)
+
+
+def _records(history):
+    return {"records": [json.dumps(r.to_json()) for r in history.records]}
+
+
+def _rendered(output, preset, results_dir):
+    """What the output function shows of each cell, by cell id."""
     cells = _plan(preset)[output]
-    ids = [cell.cell_id for cell in cells]
     if output == "figure1":
-        res = figure1(preset, seed=SEED)
-        runs = [_numbers(res.dpsgd), _numbers(res.allreduce)]
+        res = figure1(preset, results_dir, seed=SEED)
+        shown = [_records(res.dpsgd), _records(res.allreduce)]
     elif output == "figure4":
-        res = figure4(preset, seed=SEED, window=preset.total_rounds)
-        runs = [_numbers(res.history)]
+        res = figure4(preset, results_dir, seed=SEED, window=preset.total_rounds)
+        shown = [_records(res.history)]
     elif output == "table3":
-        fig5 = table3(preset, seed=SEED).figure5
-        runs = [
-            _numbers(r.history, r.meter.total_train_wh, r.meter.total_comm_wh)
-            for r in (fig5.skiptrain[DEGREE], fig5.dpsgd[DEGREE])
+        rows = table3(preset, results_dir, seed=SEED).rows
+        shown = [
+            {"final_accuracy": row.final_accuracy_mean, "train_wh": row.train_wh_mean}
+            for row in (rows["skiptrain"][DEGREE], rows["d-psgd"][DEGREE])
         ]
     elif output == "table4":
-        fig6 = table4(preset, seed=SEED).figure6
-        runs = [
-            _numbers(r.history, r.meter.total_train_wh, r.meter.total_comm_wh)
-            for r in (fig6.constrained[DEGREE], fig6.greedy[DEGREE],
-                      fig6.dpsgd[DEGREE])
+        res = table4(preset, results_dir, seed=SEED)
+        shown = [
+            _numbers(r.history, r.meter)
+            for r in (res.constrained[DEGREE], res.greedy[DEGREE],
+                      res.dpsgd[DEGREE])
         ]
     elif output == "grid":
-        res = grid_search(preset, DEGREE, train_values=(1, 2),
+        res = grid_search(preset, results_dir, DEGREE, train_values=(1, 2),
                           sync_values=(1, 2), seed=SEED)
-        runs = [
-            {"final_accuracy": float(res.accuracy[i, j]),
-             "train_wh": float(res.energy_wh[i, j])}
-            for i in range(2) for j in range(2)
+        shown = [
+            {"final_accuracy": float(acc), "train_wh": float(wh)}
+            for acc, wh in zip(res.accuracy.ravel(), res.energy_wh.ravel())
         ]
     else:
-        res = convergence_study(preset, seed=SEED)
-        runs = [_numbers(res.histories[cell.algorithm]) for cell in cells]
-    return dict(zip(ids, runs))
-
-
-def _from_artifact(result, like):
-    """The artifact's numbers, in the shape of the direct run's."""
-    if "final_accuracy" in like:
-        return {"final_accuracy": result.history.final_accuracy(),
-                "train_wh": result.meter.total_train_wh}
-    numbers = _numbers(result.history)
-    if like["train_wh"] is not None:
-        numbers["train_wh"] = result.meter.total_train_wh
-        numbers["comm_wh"] = result.meter.total_comm_wh
-    return numbers
+        res = convergence_study(preset, results_dir, seed=SEED)
+        shown = [_records(res.histories[cell.algorithm]) for cell in cells]
+    return dict(zip((cell.cell_id for cell in cells), shown))
 
 
 OUTPUTS = ("figure1", "figure4", "table3", "table4", "grid", "convergence")
@@ -124,12 +131,23 @@ OUTPUTS = ("figure1", "figure4", "table3", "table4", "grid", "convergence")
 @pytest.mark.parametrize("output", OUTPUTS)
 def test_plan_path_equals_direct_run(tiny_preset, tmp_path, output):
     cells = tuple(_plan(tiny_preset)[output])
-    direct = _direct(output, tiny_preset)
     results = plan_artifacts(tiny_preset, cells, tmp_path)
     for cell, result in zip(cells, results):
-        assert _from_artifact(result, direct[cell.cell_id]) == (
-            direct[cell.cell_id]
+        assert _numbers(result.history, result.meter) == (
+            _direct(cell, tiny_preset)
         ), cell.cell_id
+
+
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_output_renders_its_planned_cells(tiny_preset, tmp_path, output):
+    shown = _rendered(output, tiny_preset, tmp_path)
+    assert sorted(p.name for p in (tmp_path / "raw").iterdir()) == sorted(
+        f"{cell_id}.json" for cell_id in shown
+    )
+    for cell in _plan(tiny_preset)[output]:
+        direct = _direct(cell, tiny_preset)
+        seen = shown[cell.cell_id]
+        assert seen == {key: direct[key] for key in seen}, cell.cell_id
 
 
 class TestSettingsCodec:
@@ -186,6 +204,8 @@ def test_outputs_share_one_results_dir(tiny_preset, tmp_path):
     ]
     assert csv[0] == csv[1]
     assert b"d-psgd" in csv[0] and b"greedy" in csv[0]
-    assert table3_from_artifacts(shared, tiny_preset.name) == (
-        table3_from_artifacts(alone, tiny_preset.name)
-    )
+    rendered = [
+        table3(tiny_preset, d, seed=SEED, run=False).render()
+        for d in (shared, alone)
+    ]
+    assert rendered[0] == rendered[1]

@@ -23,7 +23,7 @@ from repro.experiments import (
 from repro.experiments.artifacts import (
     checkpoint_path,
     load_cell_artifact,
-    resolve_cell,
+    load_cell_result,
 )
 
 
@@ -404,17 +404,25 @@ class TestArtifactsAndAggregation:
         assert short.n_seeds == 1
         assert list(gaps.values()) == [[plan[0].seed]]
 
-    def test_resolve_cell_discovers_rounds(self, filled, micro_preset):
+    def test_missing_cell_names_the_command_that_makes_it(self, filled):
+        """A paper output loads its exact planned cells: a missing
+        default cell names the sweep that makes it, a missing cell with
+        run settings (which no sweep flag spells) the output's own
+        run."""
         plan, results_dir = filled
-        cell = resolve_cell(results_dir, "micro", "skiptrain", 3, 0)
-        assert cell == plan[0]
+        assert load_cell_result(results_dir, plan[0]).cell == plan[0]
+        greedy = dataclasses.replace(plan[0], algorithm="greedy")
+        with pytest.raises(FileNotFoundError, match="repro sweep --preset "
+                           "micro --algorithms greedy .* --rounds 12"):
+            load_cell_result(results_dir, greedy)
+        # another rounds value is another cell, never discovered
         with pytest.raises(FileNotFoundError):
-            resolve_cell(results_dir, "micro", "greedy", 3, 0)
-        # a second rounds value for the same coordinate is ambiguous
-        other = dataclasses.replace(plan[0], total_rounds=6)
-        run_cell(micro_preset, other, results_dir)
-        with pytest.raises(ValueError, match="ambiguous"):
-            resolve_cell(results_dir, "micro", "skiptrain", 3, 0)
+            load_cell_result(results_dir,
+                             dataclasses.replace(plan[0], total_rounds=6))
+        with pytest.raises(FileNotFoundError,
+                           match="without --from-artifacts"):
+            load_cell_result(results_dir,
+                             dataclasses.replace(plan[0], eval_every=1))
 
     def test_mixed_rounds_aggregation_fails_loudly(
         self, filled, micro_preset
