@@ -931,21 +931,21 @@ def _unknown_preset(args: argparse.Namespace) -> bool:
     return False
 
 
-#: the commands whose --degree/--rounds/--activations/--max-gamma no
-#: plan validates (``sweep`` checks its own through ``build_plan``)
+#: the commands that would meet a bad one of these values only once a
+#: cell runs (``sweep`` checks its own through ``build_plan``)
 _VALUE_CHECKED = ("run", "async-run", "gridsearch", "fairness", "convergence")
 
 
 def _check_values(args: argparse.Namespace) -> None:
     """Refuse a ``--degree`` no regular graph on the preset's nodes has,
-    and a nonpositive ``--rounds``/``--activations``/``--max-gamma``
-    (``ValueError``), before any cell runs."""
+    and a nonpositive ``--rounds``/``--activations``/``--max-gamma``/
+    ``--eval-every`` (``ValueError``), before any cell runs."""
     if args.degree is not None:
         from .experiments.presets import get_preset
         from .topology.sparse import validate_regular_params
 
         validate_regular_params(get_preset(args.preset).n_nodes, args.degree)
-    for flag in ("rounds", "activations", "max_gamma"):
+    for flag in ("rounds", "activations", "max_gamma", "eval_every"):
         value = getattr(args, flag, None)
         if value is not None and value <= 0:
             raise ValueError(f"--{flag.replace('_', '-')} must be positive")

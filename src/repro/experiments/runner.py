@@ -3,9 +3,9 @@
 This is the one place that wires data synthesis, partitioning,
 topology, energy traces, engine and algorithm together, so every
 sweep cell (and so every paper output), example and one-shot run goes
-through the same code path. :func:`build_run` exposes the wired-but-not-yet-run
-(engine, algorithm) pair so the sweep orchestrator can restore a
-mid-cell checkpoint before running.
+through the same code path. :func:`build_run` exposes the
+wired-but-not-yet-run (engine, algorithm) pair so the sweep
+orchestrator can restore a mid-cell checkpoint before running.
 
 The algorithm's kind picks the engine class, in :func:`build_run` and
 nowhere else: a sync algorithm gets a

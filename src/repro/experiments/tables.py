@@ -114,8 +114,8 @@ def table3(
     rounds) of every degree both algorithms have under
     ``results_dir``."""
     wanted = ("skiptrain", "d-psgd")
-    cells = build_plan(preset, wanted, degrees=preset.degrees, seeds=(seed,))
     if run:
+        cells = build_plan(preset, wanted, degrees=preset.degrees, seeds=(seed,))
         plan_artifacts(preset, cells, results_dir, log=log)
     by_algo: dict[str, dict[int, SummaryRow]] = {name: {} for name in wanted}
     for row in aggregate_results(results_dir)[0]:

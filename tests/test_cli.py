@@ -77,6 +77,7 @@ class TestCommands:
         ["run", "--rounds", "0"],
         ["gridsearch", "--rounds", "0"],
         ["gridsearch", "--max-gamma", "0"],
+        ["async-run", "--eval-every", "0"],
     ], ids=" ".join)
     def test_bad_values_exit_2_before_any_cell(self, argv, capsys, tmp_path,
                                                monkeypatch):
