@@ -150,6 +150,20 @@ def test_output_renders_its_planned_cells(tiny_preset, tmp_path, output):
         assert seen == {key: direct[key] for key in seen}, cell.cell_id
 
 
+@pytest.mark.parametrize("eval_every, fair_points_only", [(0, True), (1, False)])
+def test_cadence_encoding(tiny_preset, tmp_path, eval_every, fair_points_only):
+    """``eval_every=0`` keeps the preset's cadence at SkipTrain's cycle
+    ends; ``1`` evaluates after every round, train rounds included."""
+    cell = _cell(tiny_preset, "skiptrain", eval_every=eval_every)
+    (result,) = plan_artifacts(tiny_preset, (cell,), tmp_path)
+    rounds = [r.round for r in result.history.records]
+    schedule = tiny_preset.schedule_for_degree(DEGREE)
+    if fair_points_only:
+        assert rounds and all(schedule.is_cycle_end(t) for t in rounds)
+    else:
+        assert rounds == list(range(1, tiny_preset.total_rounds + 1))
+
+
 class TestSettingsCodec:
     SETTINGS = [
         {"schedule": (1, 3)},
