@@ -223,3 +223,153 @@ def test_outputs_share_one_results_dir(tiny_preset, tmp_path):
         for d in (shared, alone)
     ]
     assert rendered[0] == rendered[1]
+
+
+# --------------------------------------------------------------------------
+# The run verbs: `repro run`, `repro async-run` and `repro scenario run`
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture
+def micro_verbs(tiny_preset, monkeypatch):
+    """A sync and an async tiny preset, and a sync and an async churn
+    scenario over them, patched into the registries the CLI reads."""
+    from repro.experiments import async_variant
+    from repro.experiments.presets import PRESETS
+    from repro.scenarios import (
+        AlgorithmSpec,
+        ChurnEventSpec,
+        ChurnSpec,
+        EnergySpec,
+        ScenarioSpec,
+    )
+    from repro.scenarios.registry import _REGISTRY
+
+    sync = dataclasses.replace(tiny_preset, name="micro-verbs",
+                               total_rounds=8, eval_every=2)
+    for preset in (sync, async_variant(sync)):
+        monkeypatch.setitem(PRESETS, preset.name, lambda preset=preset: preset)
+    churn = ChurnSpec(events=(ChurnEventSpec(3, 1, "leave"),))
+    for spec in (
+        ScenarioSpec(name="micro-verbs-churn", preset="micro-verbs",
+                     total_rounds=8, eval_every=2, churn=churn,
+                     algorithm=AlgorithmSpec(name="skiptrain")),
+        ScenarioSpec(name="micro-verbs-async", preset="micro-verbs-async",
+                     total_rounds=4, eval_every=2, churn=churn,
+                     energy=EnergySpec(enforce_budgets=True),
+                     algorithm=AlgorithmSpec(name="async-skiptrain")),
+    ):
+        monkeypatch.setitem(_REGISTRY, spec.name, lambda spec=spec: spec)
+    return sync
+
+
+def _direct_run(preset_name, algorithm, **options):
+    """``(header, result)`` of one plain cell run in process."""
+    from repro.experiments import get_preset
+
+    preset = get_preset(preset_name)
+    prepared = prepare(preset, DEGREE, seed=SEED)
+    engine, algo = build_run(prepared, algorithm, **options)
+    return (f"preset={preset.name} degree={DEGREE} algorithm={algorithm}",
+            execute_run(engine, algo, prepared.trace))
+
+
+def _direct_scenario(name, seed=None):
+    """``(header, result)`` of one scenario compiled and run in process."""
+    from repro.scenarios import get_scenario
+    from repro.scenarios.compile import compile_run
+
+    compiled = compile_run(get_scenario(name), seed=seed)
+    spec = compiled.spec
+    return (f"scenario={spec.name} preset={spec.preset} "
+            f"algorithm={spec.algorithm.name} kind={compiled.kind} "
+            f"seed={compiled.seed} rounds={compiled.total_rounds}",
+            compiled.execute())
+
+
+def _printed(header, result):
+    """What a run verb prints of an in-process result: the header, one
+    line per evaluation record, then the energy totals."""
+    from repro.experiments import AsyncExperimentResult
+
+    lines = [header]
+    if isinstance(result, AsyncExperimentResult):
+        lines += [
+            f"t={r.time:8.2f} (event {r.activations:7d}): "
+            f"accuracy {r.mean_accuracy * 100:6.2f}% "
+            f"(±{r.std_accuracy * 100:5.2f}) "
+            f"train energy {r.train_energy_wh:8.2f} Wh"
+            for r in result.history.records
+        ]
+        lines.append(f"total training energy: {result.train_energy_wh:.2f} Wh")
+    else:
+        lines += [
+            f"round {r.round:5d}: "
+            f"accuracy {r.mean_accuracy * 100:6.2f}% "
+            f"(±{r.std_accuracy * 100:5.2f}) "
+            f"energy {r.cumulative_energy_wh:8.2f} Wh"
+            for r in result.history.records
+        ]
+        lines.append(f"total training energy: {result.meter.total_train_wh:.2f} "
+                     f"Wh, communication: {result.meter.total_comm_wh:.4f} Wh")
+    return "\n".join(lines) + "\n"
+
+
+#: verb case → (argv, the cell it runs, the same run in process)
+VERBS = {
+    "run-gamma": (
+        ["run", "--preset", "micro-verbs", "--degree", "3",
+         "--gamma-train", "2", "--gamma-sync", "1"],
+        PlanCell("micro-verbs", "skiptrain", DEGREE, SEED, 8, schedule=(2, 1)),
+        lambda: _direct_run("micro-verbs", "skiptrain",
+                            schedule=RoundSchedule(2, 1)),
+    ),
+    "async-run": (
+        ["async-run", "--preset", "micro-verbs-async", "--activations", "4",
+         "--eval-every", "2", "--gamma-train", "2", "--gamma-sync", "2"],
+        PlanCell("micro-verbs-async", "async-skiptrain", DEGREE, SEED, 4,
+                 kind="async", schedule=(2, 2), eval_every=2),
+        lambda: _direct_run("micro-verbs-async", "async-skiptrain",
+                            schedule=RoundSchedule(2, 2), total_rounds=4,
+                            eval_every=2),
+    ),
+    "scenario-sync": (
+        ["scenario", "run", "micro-verbs-churn", "--seed", "1"],
+        PlanCell("micro-verbs", "skiptrain", DEGREE, 1, 8,
+                 scenario="micro-verbs-churn"),
+        lambda: _direct_scenario("micro-verbs-churn", seed=1),
+    ),
+    "scenario-async": (
+        ["scenario", "run", "micro-verbs-async"],
+        PlanCell("micro-verbs-async", "async-skiptrain", DEGREE, SEED, 4,
+                 kind="async", scenario="micro-verbs-async"),
+        lambda: _direct_scenario("micro-verbs-async"),
+    ),
+}
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_run_verb_prints_the_direct_run(micro_verbs, verb, tmp_path,
+                                        monkeypatch, capsys):
+    """Each run verb's stdout is the in-process run's, line for line."""
+    from repro.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    argv, _, direct = VERBS[verb]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == _printed(*direct())
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_run_verb_cell_is_the_direct_run(micro_verbs, verb, tmp_path):
+    """The verb's cell, run through ``run_sweep``, writes the artifact
+    the in-process run writes: the same records and totals, byte for
+    byte."""
+    from repro.experiments.artifacts import write_cell_artifact
+
+    _, cell, direct = VERBS[verb]
+    run_sweep((cell,), tmp_path / "plan")
+    written = write_cell_artifact(tmp_path / "direct", cell, direct()[1])
+    assert artifact_path(tmp_path / "plan", cell).read_bytes() == (
+        written.read_bytes()
+    )
