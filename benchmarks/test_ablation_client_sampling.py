@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import ClientSamplingDPSGD, RoundSchedule
-from repro.experiments import prepare, run_algorithm
+from repro.experiments import build_run, execute_run, prepare
 
 from .conftest import run_once
 
@@ -21,12 +21,13 @@ def test_client_sampling_ablation(benchmark, bench16_cifar):
     def compute():
         prepared = prepare(bench16_cifar, 3, seed=11)
         n = bench16_cifar.n_nodes
-        skiptrain = run_algorithm(prepared, "skiptrain",
-                                  schedule=RoundSchedule(4, 4))
-        sampling = run_algorithm(
+        skiptrain = execute_run(*build_run(
+            prepared, "skiptrain", schedule=RoundSchedule(4, 4)
+        ), prepared.trace)
+        sampling = execute_run(*build_run(
             prepared,
             ClientSamplingDPSGD(n, n // 2, np.random.default_rng(0)),
-        )
+        ), prepared.trace)
         return skiptrain, sampling
 
     skiptrain, sampling = run_once(benchmark, compute)

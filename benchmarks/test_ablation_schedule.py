@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import RoundSchedule
 from repro.core.base import Algorithm
-from repro.experiments import prepare, run_algorithm
+from repro.experiments import build_run, execute_run, prepare
 
 from .conftest import run_once
 
@@ -37,12 +37,14 @@ def test_schedule_ablation_coordinated_vs_random(benchmark, bench16_cifar):
     def compute():
         prepared = prepare(bench16_cifar, 3, seed=11)
         schedule = RoundSchedule(4, 4)
-        coordinated = run_algorithm(prepared, "skiptrain", schedule=schedule)
-        random = run_algorithm(
+        coordinated = execute_run(
+            *build_run(prepared, "skiptrain", schedule=schedule), prepared.trace
+        )
+        random = execute_run(*build_run(
             prepared,
             RandomSkip(bench16_cifar.n_nodes, schedule.training_fraction(),
                        np.random.default_rng(0)),
-        )
+        ), prepared.trace)
         return coordinated, random
 
     coordinated, random = run_once(benchmark, compute)

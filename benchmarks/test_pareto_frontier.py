@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import frontier_from_grid
-from repro.experiments import grid_search, prepare, run_algorithm
+from repro.experiments import build_run, execute_run, grid_search, prepare
 
 from .conftest import run_once
 
@@ -25,7 +25,9 @@ def test_pareto_frontier(benchmark, bench16_cifar, tmp_path):
         )
         frontier = frontier_from_grid(grid)
         prepared = prepare(bench16_cifar, 3, seed=11)
-        dpsgd = run_algorithm(prepared, "d-psgd", total_rounds=64)
+        dpsgd = execute_run(
+            *build_run(prepared, "d-psgd", total_rounds=64), prepared.trace
+        )
         return grid, frontier, dpsgd
 
     grid, frontier, dpsgd = run_once(benchmark, compute)

@@ -15,7 +15,7 @@ Run:  python examples/iot_battery_fleet.py
 
 import numpy as np
 
-from repro.experiments import prepare, run_algorithm
+from repro.experiments import build_run, execute_run, prepare
 from repro.experiments.presets import ExperimentPreset
 from repro.data.synthetic import SyntheticSpec
 from repro.energy import CIFAR10_WORKLOAD
@@ -66,7 +66,9 @@ def main() -> None:
     results = {}
     for name in ["skiptrain-constrained", "greedy", "d-psgd"]:
         eval_every = 2 if name == "d-psgd" else None
-        results[name] = run_algorithm(prepared, name, eval_every=eval_every)
+        results[name] = execute_run(
+            *build_run(prepared, name, eval_every=eval_every), prepared.trace
+        )
 
     constrained = results["skiptrain-constrained"]
     greedy = results["greedy"]

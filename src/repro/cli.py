@@ -14,7 +14,12 @@ Usage examples::
 Every paper output (``table 3|4``, ``figure 1|4``, ``gridsearch``,
 ``convergence``) is a plan: its cells run into ``results/`` (a rerun
 skips the finished ones) and it renders from their artifacts;
-``--from-artifacts DIR`` only renders, from DIR.
+``--from-artifacts DIR`` only renders, from DIR. The run verbs
+(``run``, ``async-run``, ``scenario run``) are one-cell plans: each
+runs its cell into ``results/`` and prints from the artifact, so a
+rerun prints without running. ``fairness`` and ``scenario trace`` run
+in process: they read the final state matrix, which no artifact
+carries.
 
 The artifact pipeline (T1 run → T2 aggregate → T3 render)::
 
@@ -42,8 +47,8 @@ by simulated time, resumable/shardable/parallel exactly like sync)::
     python -m repro aggregate --results-dir results
 
 Declarative scenarios (named compositions of topology, churn,
-failures, energy and data skew) plug into both the one-shot runner and
-the sweep pipeline::
+failures, energy and data skew; the async battery gate is the axis
+``energy.enforce_budgets``) plug into the run verb and the sweep::
 
     python -m repro scenario list
     python -m repro scenario show churn-crash
@@ -125,9 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "activations-per-node units")
     p_arun.add_argument("--gamma-train", type=int, default=None)
     p_arun.add_argument("--gamma-sync", type=int, default=None)
-    p_arun.add_argument("--enforce-budgets", action="store_true",
-                        help="stop nodes from training once their τᵢ "
-                             "battery budget is spent")
 
     p_table = sub.add_parser("table", help="regenerate a paper table")
     p_table.add_argument("number", type=int, choices=[1, 2, 3, 4])
@@ -369,59 +371,69 @@ def _cmd_presets() -> int:
     return 0
 
 
-def _schedule_from_args(args: argparse.Namespace):
-    """The ``--gamma-train``/``--gamma-sync`` override: a schedule when
-    both are given, ``None`` when neither is, ``ValueError`` for one."""
-    from .core.schedule import RoundSchedule
-
-    if args.gamma_train is None and args.gamma_sync is None:
-        return None
-    if args.gamma_train is None or args.gamma_sync is None:
-        raise ValueError("provide both --gamma-train and --gamma-sync")
-    return RoundSchedule(args.gamma_train, args.gamma_sync)
-
-
-def _print_result(result) -> None:
-    """One line per evaluation record, then the energy totals, for a
-    sync or an async result."""
-    from .experiments import AsyncExperimentResult
-
-    if isinstance(result, AsyncExperimentResult):
-        for record in result.history.records:
-            print(f"t={record.time:8.2f} (event {record.activations:7d}): "
-                  f"accuracy {record.mean_accuracy * 100:6.2f}% "
-                  f"(±{record.std_accuracy * 100:5.2f}) "
-                  f"train energy {record.train_energy_wh:8.2f} Wh")
-        print(f"total training energy: {result.train_energy_wh:.2f} Wh")
-        return
-    for record in result.history.records:
-        print(f"round {record.round:5d}: "
-              f"accuracy {record.mean_accuracy * 100:6.2f}% "
-              f"(±{record.std_accuracy * 100:5.2f}) "
-              f"energy {record.cumulative_energy_wh:8.2f} Wh")
-    print(f"total training energy: {result.meter.total_train_wh:.2f} Wh, "
-          f"communication: {result.meter.total_comm_wh:.4f} Wh")
+#: a cell kind → how a run verb prints its artifact: one line per
+#: evaluation record, then the energy totals
+_ARTIFACT_LINES = {
+    "sync": ("round {round:5d}: accuracy {accuracy:6.2f}% (±{spread:5.2f}) "
+             "energy {cumulative_energy_wh:8.2f} Wh",
+             "total training energy: {total_train_wh:.2f} Wh, "
+             "communication: {total_comm_wh:.4f} Wh"),
+    "async": ("t={time:8.2f} (event {activations:7d}): accuracy "
+              "{accuracy:6.2f}% (±{spread:5.2f}) train energy "
+              "{train_energy_wh:8.2f} Wh",
+              "total training energy: {total_train_wh:.2f} Wh"),
+}
 
 
-def _cmd_run(args: argparse.Namespace, **options) -> int:
-    """``repro run`` and ``repro async-run``: one algorithm of either
-    kind through :func:`~repro.experiments.runner.run_algorithm`;
-    ``options`` are the subcommand's own builder keywords."""
-    from .experiments import get_preset, prepare, run_algorithm
+def _to_stderr(line: str) -> None:
+    print(line, file=sys.stderr)
+
+
+def _run_cell(cell, header: str) -> int:
+    """A run verb: run ``cell`` into ``results/`` through ``run_sweep``
+    (progress on stderr; a rerun runs nothing), then print ``header``
+    filled from the artifact's cell block, and the artifact's records
+    and totals."""
+    from .experiments import artifact_path, run_sweep
+    from .experiments.artifacts import load_cell_artifact
+
+    run_sweep((cell,), RESULTS_DIR, log=_to_stderr)
+    payload = load_cell_artifact(artifact_path(RESULTS_DIR, cell))
+    record_line, totals_line = _ARTIFACT_LINES[cell.kind]
+    print(header.format(**payload["cell"]))
+    for record in payload["history"]["records"]:
+        print(record_line.format(**record,
+                                 accuracy=record["mean_accuracy"] * 100,
+                                 spread=record["std_accuracy"] * 100))
+    print(totals_line.format(**payload["results"]))
+    return 0
+
+
+def _cmd_run(args: argparse.Namespace, total_rounds: int | None,
+             eval_every: int | None = None) -> int:
+    """``repro run`` and ``repro async-run``: the one cell of the
+    algorithm's kind, with the Γ pair as its schedule."""
+    from .experiments import PlanCell, get_preset
 
     preset = get_preset(args.preset)
-    degree = args.degree if args.degree is not None else preset.degrees[0]
+    schedule = tuple(gamma for gamma in (args.gamma_train, args.gamma_sync)
+                     if gamma is not None)
     try:
-        schedule = _schedule_from_args(args)
+        if len(schedule) == 1:
+            raise ValueError("provide both --gamma-train and --gamma-sync")
+        cell = PlanCell(
+            preset.name, args.algorithm,
+            args.degree if args.degree is not None else preset.degrees[0],
+            args.seed,
+            total_rounds if total_rounds is not None else preset.total_rounds,
+            kind=algorithm_kind(args.algorithm), schedule=schedule,
+            eval_every=eval_every or 0,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    prepared = prepare(preset, degree, seed=args.seed)
-    result = run_algorithm(prepared, args.algorithm, schedule=schedule,
-                           **options)
-    print(f"preset={preset.name} degree={degree} algorithm={args.algorithm}")
-    _print_result(result)
-    return 0
+    return _run_cell(cell, "preset={preset} degree={degree} "
+                           "algorithm={algorithm}")
 
 
 def _plan_output(args: argparse.Namespace, output, preset, **options):
@@ -432,8 +444,7 @@ def _plan_output(args: argparse.Namespace, output, preset, **options):
     find its cells prints an ``error:`` line and returns ``None``."""
     source = getattr(args, "from_artifacts", None)
     if source is None:
-        return output(preset, RESULTS_DIR, **options,
-                      log=lambda line: print(line, file=sys.stderr))
+        return output(preset, RESULTS_DIR, **options, log=_to_stderr)
     try:
         return output(preset, source, run=False, **options)
     except (FileNotFoundError, ValueError) as exc:
@@ -734,19 +745,19 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 0
 
     # scenario run
-    from .scenarios.compile import compile_run
+    from .scenarios.compile import build_scenario_plan, validate_composition
 
+    seed = args.seed if args.seed is not None else spec.seed
     try:
-        compiled = compile_run(spec, seed=args.seed, total_rounds=args.rounds)
+        validate_composition(spec)
+        cell = build_scenario_plan(spec, seeds=(seed,),
+                                   total_rounds=args.rounds)[0]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = compiled.execute()
-    print(f"scenario={spec.name} preset={spec.preset} "
-          f"algorithm={spec.algorithm.name} kind={compiled.kind} "
-          f"seed={compiled.seed} rounds={compiled.total_rounds}")
-    _print_result(result)
-    return 0
+    return _run_cell(cell, "scenario={scenario} preset={preset} "
+                           "algorithm={algorithm} kind={kind} seed={seed} "
+                           "rounds={total_rounds}")
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
@@ -965,12 +976,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "presets":
         return _cmd_presets()
     if args.command == "run":
-        return _cmd_run(args, total_rounds=args.rounds)
+        return _cmd_run(args, args.rounds)
     if args.command == "async-run":
-        return _cmd_run(
-            args, total_rounds=args.activations, eval_every=args.eval_every,
-            enforce_budgets=args.enforce_budgets,
-        )
+        return _cmd_run(args, args.activations, args.eval_every)
     if args.command == "table":
         return _cmd_table(args)
     if args.command == "figure":

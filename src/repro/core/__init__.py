@@ -1,7 +1,6 @@
 """``repro.core`` — the paper's contribution: round schedules, energy
 budgets, and the D-PSGD / SkipTrain algorithm family."""
 
-from . import registry
 from .base import Algorithm
 from .budget import BudgetState, training_probabilities
 from .compression import (
@@ -29,7 +28,6 @@ __all__ = [
     "SkipTrain",
     "SkipTrainConstrained",
     "Greedy",
-    "registry",
     "Compressor",
     "IdentityCompressor",
     "TopKCompressor",

@@ -102,8 +102,9 @@ class PlanCell:
     record the spec's resolved coordinates, and the name lands in the
     raw artifact header so a results directory is self-describing.
 
-    Three run settings serve the paper outputs the preset's protocol
-    cannot express: ``schedule`` pins (Γ_train, Γ_sync) (Fig. 3's grid),
+    Three run settings serve the paper outputs and run verbs the
+    preset's protocol cannot express: ``schedule`` pins (Γ_train ≥ 1,
+    Γ_sync ≥ 0) (Fig. 3's grid, the ``--gamma-*`` pair),
     ``eval_on="validation"`` evaluates on the tuning split (§4.3), and
     ``eval_every`` is the cadence in rounds: ``0`` the preset's, only at
     the algorithm's fair points (SkipTrain's cycle ends), ``k > 0`` after
@@ -136,9 +137,10 @@ class PlanCell:
             )
         # an artifact's cell block holds the schedule as a JSON list
         object.__setattr__(self, "schedule", tuple(self.schedule))
-        if self.schedule and len(self.schedule) != 2:
+        if self.schedule and (len(self.schedule) != 2 or self.schedule[0] < 1
+                              or self.schedule[1] < 0):
             raise ValueError(
-                f"schedule must be (gamma_train, gamma_sync), "
+                f"schedule must be (gamma_train >= 1, gamma_sync >= 0), "
                 f"got {self.schedule!r}"
             )
         if self.eval_on not in ("test", "validation"):

@@ -2,10 +2,15 @@
 
 This is the one place that wires data synthesis, partitioning,
 topology, energy traces, engine and algorithm together, so every
-sweep cell (and so every paper output), example and one-shot run goes
-through the same code path. :func:`build_run` exposes the
+sweep cell (and so every paper output and run verb) and every example
+goes through the same code path. :func:`build_run` exposes the
 wired-but-not-yet-run (engine, algorithm) pair so the sweep
 orchestrator can restore a mid-cell checkpoint before running.
+``repro run``, ``async-run`` and ``scenario run`` are one-cell plans:
+they run their cell into ``results/`` through the sweep and print from
+its artifact. ``fairness_study`` and ``scenario trace`` run a wired
+pair in process, because they read the final state matrix, which no
+artifact carries.
 
 The algorithm's kind picks the engine class, in :func:`build_run` and
 nowhere else: a sync algorithm gets a
@@ -14,15 +19,14 @@ subclass :class:`~repro.simulation.async_engine.AsyncGossipEngine`,
 built by one call over the same :class:`PreparedExperiment` (identical
 data, partition and mixing matrix). Both engines hold their horizon and
 share one run contract, ``run(algorithm, *, start, history, hook)``,
-so :func:`execute_run` is run-then-wrap and :func:`run_algorithm`, a
-compiled scenario and a checkpointed sweep cell all run either kind
-the same way.
+so :func:`execute_run` is run-then-wrap and a compiled scenario and a
+checkpointed sweep cell run either kind the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 from ..algorithm_names import algorithm_kind, algorithms_of_kind
 from ..core.base import Algorithm
@@ -68,7 +72,6 @@ __all__ = [
     "prepare_data",
     "prepared_from_data",
     "build_run",
-    "run_algorithm",
     "execute_run",
 ]
 
@@ -436,20 +439,6 @@ def build_run(
     if isinstance(algorithm, str):
         algorithm = _make_algorithm(algorithm, prepared, schedule, total, rngs)
     return engine, algorithm
-
-
-def run_algorithm(
-    prepared: PreparedExperiment,
-    algorithm: str | Algorithm | AsyncPolicy,
-    **options: Any,
-) -> ExperimentResult | AsyncExperimentResult:
-    """Run one algorithm — sync or async — on a prepared experiment
-    cell (``repro run``). ``options`` are :func:`build_run`'s keywords:
-    ``schedule``/``total_rounds``/``eval_every`` override the preset,
-    and ``eval_on="validation"`` evaluates on the tuning split (the
-    paper's grid search, §4.2–4.3)."""
-    engine, algo = build_run(prepared, algorithm, **options)
-    return execute_run(engine, algo, prepared.trace)
 
 
 #: engine type → the result it runs to: what differs by kind, as data

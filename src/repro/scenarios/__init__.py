@@ -42,7 +42,6 @@ __all__ = [
     # lazily loaded from .compile (heavy: pulls in the experiments stack)
     "CompiledRun",
     "compile_run",
-    "run_scenario",
     "build_scenario_plan",
     "scenario_trace",
 ]
@@ -50,7 +49,6 @@ __all__ = [
 _LAZY = {
     "CompiledRun",
     "compile_run",
-    "run_scenario",
     "build_scenario_plan",
     "scenario_trace",
 }

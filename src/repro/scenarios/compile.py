@@ -82,7 +82,6 @@ __all__ = [
     "compile_run",
     "scenario_base",
     "validate_composition",
-    "run_scenario",
     "build_scenario_plan",
     "scenario_trace",
     "scenario_mixing_provider",
@@ -360,26 +359,6 @@ def _scenario_mixing(
         churn,
         failure_model,
     )
-
-
-def run_scenario(
-    spec: ScenarioSpec | str,
-    *,
-    seed: int | None = None,
-    total_rounds: int | None = None,
-    preset: ExperimentPreset | None = None,
-) -> "ExperimentResult | AsyncExperimentResult":
-    """Compile and execute one scenario (by spec or registered name)."""
-    if isinstance(spec, str):
-        from .registry import get_scenario
-
-        spec = get_scenario(spec)
-    return compile_run(
-        spec,
-        seed=seed,
-        total_rounds=total_rounds,
-        preset=preset,
-    ).execute()
 
 
 def build_scenario_plan(

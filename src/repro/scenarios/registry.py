@@ -1,5 +1,5 @@
-"""Name → scenario-factory registry (the scenario analogue of
-:mod:`repro.core.registry`).
+"""Name → scenario-factory registry. (Algorithm names have no
+registry: :mod:`repro.algorithm_names` is their one table.)
 
 Factories, not instances, are registered so every lookup returns a
 fresh, immutable spec; ``register`` rejects duplicate names so two

@@ -45,7 +45,8 @@ class TestCommands:
         assert main(["run", "--gamma-train", "2"]) == 2
         assert "gamma" in capsys.readouterr().err
 
-    def test_run_small(self, capsys):
+    def test_run_small(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         code = main([
             "run", "--preset", "cifar10-bench", "--algorithm", "skiptrain",
             "--degree", "3", "--rounds", "8", "--gamma-train", "2",
@@ -78,6 +79,8 @@ class TestCommands:
         ["gridsearch", "--rounds", "0"],
         ["gridsearch", "--max-gamma", "0"],
         ["async-run", "--eval-every", "0"],
+        ["run", "--gamma-train", "0", "--gamma-sync", "2"],
+        ["async-run", "--gamma-train", "0", "--gamma-sync", "2"],
     ], ids=" ".join)
     def test_bad_values_exit_2_before_any_cell(self, argv, capsys, tmp_path,
                                                monkeypatch):
@@ -189,7 +192,8 @@ class TestCommands:
                      "--dry-run"]) == 2
         assert "--kind async" in capsys.readouterr().err
 
-    def test_async_run_small(self, capsys):
+    def test_async_run_small(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         code = main([
             "async-run", "--preset", "cifar10-bench-async", "--degree", "3",
             "--activations", "4", "--eval-every", "2",
@@ -460,7 +464,8 @@ class TestScenarioCommands:
             assert main(cmd) == 2
             assert "unknown scenario" in capsys.readouterr().err
 
-    def test_scenario_run(self, micro_scenario, capsys):
+    def test_scenario_run(self, micro_scenario, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert main(["scenario", "run", "micro-churn", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "scenario=micro-churn" in out and "seed=1" in out

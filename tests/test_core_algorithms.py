@@ -12,7 +12,6 @@ from repro.core import (
     RoundSchedule,
     SkipTrain,
     SkipTrainConstrained,
-    registry,
 )
 
 
@@ -152,23 +151,3 @@ class TestGreedy:
         algo.train_mask(1)
         algo.reset()
         assert algo.state.remaining.sum() == 2
-
-
-class TestRegistry:
-    def test_builtins_registered(self):
-        names = registry.available()
-        for expected in ["d-psgd", "d-psgd-allreduce", "skiptrain",
-                         "skiptrain-constrained", "greedy"]:
-            assert expected in names
-
-    def test_create_dpsgd(self):
-        algo = registry.create("D-PSGD", n_nodes=4)
-        assert isinstance(algo, DPSGD)
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            registry.create("magic")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            registry.register("d-psgd")(DPSGD)

@@ -7,7 +7,6 @@ from repro.core import (
     ClientSamplingDPSGD,
     GaussianMechanism,
     noise_after_mixing,
-    registry,
 )
 from repro.topology import fully_connected_graph, metropolis_hastings_weights, ring_neighbors
 
@@ -35,9 +34,6 @@ class TestClientSampling:
             ClientSamplingDPSGD(5, 0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             ClientSamplingDPSGD(5, 6, np.random.default_rng(0))
-
-    def test_registered(self):
-        assert "client-sampling" in registry.available()
 
 
 class TestGaussianMechanism:

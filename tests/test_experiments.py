@@ -6,7 +6,9 @@ import pytest
 
 from repro.core import RoundSchedule
 from repro.experiments import (
+    build_run,
     energy_grid,
+    execute_run,
     figure1,
     figure4,
     figure7,
@@ -16,7 +18,6 @@ from repro.experiments import (
     render_heatmap,
     render_series,
     render_table,
-    run_algorithm,
     table1,
     table2,
 )
@@ -95,7 +96,7 @@ class TestRunner:
 
     def test_run_dpsgd(self, tiny_preset):
         prep = prepare(tiny_preset, 3, seed=0)
-        res = run_algorithm(prep, "d-psgd")
+        res = execute_run(*build_run(prep, "d-psgd"), prep.trace)
         assert res.history.algorithm == "D-PSGD"
         assert res.total_train_energy_wh > 0
 
@@ -103,21 +104,23 @@ class TestRunner:
         prep = prepare(tiny_preset, 3, seed=0)
         for name in ["d-psgd", "d-psgd-allreduce", "skiptrain",
                      "skiptrain-constrained", "greedy"]:
-            res = run_algorithm(prep, name)
+            res = execute_run(*build_run(prep, name), prep.trace)
             assert len(res.history.records) >= 1, name
 
     def test_schedule_override(self, tiny_preset):
         prep = prepare(tiny_preset, 3, seed=0)
-        res = run_algorithm(prep, "skiptrain", schedule=RoundSchedule(1, 3))
+        res = execute_run(
+            *build_run(prep, "skiptrain", schedule=RoundSchedule(1, 3)), prep.trace
+        )
         # 1 training round per 4: quarter the energy of D-PSGD
-        ref = run_algorithm(prep, "d-psgd")
+        ref = execute_run(*build_run(prep, "d-psgd"), prep.trace)
         ratio = ref.total_train_energy_wh / res.total_train_energy_wh
         assert ratio == pytest.approx(4.0, rel=0.1)
 
     def test_unknown_algorithm(self, tiny_preset):
         prep = prepare(tiny_preset, 3, seed=0)
         with pytest.raises(KeyError):
-            run_algorithm(prep, "sgd")
+            execute_run(*build_run(prep, "sgd"), prep.trace)
 
     def test_writer_partition_requires_num_writers(self, tiny_preset):
         import dataclasses

@@ -11,10 +11,11 @@ from repro.experiments import (
     aggregate_results,
     artifact_path,
     build_plan,
+    build_run,
     convergence_study,
+    execute_run,
     fairness_study,
     prepare,
-    run_algorithm,
     run_sweep,
     write_summary_csv,
 )
@@ -35,8 +36,10 @@ class TestValidationProtocol:
 
     def test_eval_on_validation_differs_from_test(self, tiny_preset):
         prep = prepare(tiny_preset, 3, seed=0)
-        on_test = run_algorithm(prep, "d-psgd", eval_on="test")
-        on_val = run_algorithm(prep, "d-psgd", eval_on="validation")
+        on_test = execute_run(*build_run(prep, "d-psgd", eval_on="test"), prep.trace)
+        on_val = execute_run(
+            *build_run(prep, "d-psgd", eval_on="validation"), prep.trace
+        )
         # same training trajectory, different evaluation split: the
         # accuracies are generally not identical
         assert on_test.history.rounds.tolist() == on_val.history.rounds.tolist()
@@ -44,21 +47,21 @@ class TestValidationProtocol:
     def test_invalid_eval_on(self, tiny_preset):
         prep = prepare(tiny_preset, 3, seed=0)
         with pytest.raises(ValueError):
-            run_algorithm(prep, "d-psgd", eval_on="train")
+            execute_run(*build_run(prep, "d-psgd", eval_on="train"), prep.trace)
 
 
 class TestTrainLossTracking:
     def test_training_round_records_loss(self, tiny_preset):
         prep = prepare(tiny_preset, 3, seed=0)
-        res = run_algorithm(prep, "d-psgd")
+        res = execute_run(*build_run(prep, "d-psgd"), prep.trace)
         losses = [r.train_loss for r in res.history.records]
         assert all(np.isfinite(losses))
         assert all(l > 0 for l in losses)
 
     def test_sync_round_loss_is_nan(self, tiny_preset):
         prep = prepare(tiny_preset, 3, seed=0)
-        res = run_algorithm(prep, "skiptrain",
-                            schedule=RoundSchedule(1, 3))
+        res = execute_run(*build_run(prep, "skiptrain",
+                                     schedule=RoundSchedule(1, 3)), prep.trace)
         sync_records = [r for r in res.history.records
                         if not r.is_training_round]
         assert sync_records, "schedule (1,3) must produce sync evals"

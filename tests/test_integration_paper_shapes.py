@@ -14,7 +14,7 @@ import pytest
 from repro.core import RoundSchedule
 from repro.data.synthetic import SyntheticSpec
 from repro.energy.traces import CIFAR10_WORKLOAD
-from repro.experiments import prepare, run_algorithm
+from repro.experiments import build_run, execute_run, prepare
 from repro.experiments.presets import ExperimentPreset
 from repro.nn import small_mlp
 
@@ -51,6 +51,11 @@ def shapes_preset() -> ExperimentPreset:
     )
 
 
+def _run(prepared, algorithm, **options):
+    """One in-process run of ``algorithm`` on ``prepared``."""
+    return execute_run(*build_run(prepared, algorithm, **options), prepared.trace)
+
+
 @pytest.fixture(scope="module")
 def prepared(shapes_preset):
     return prepare(shapes_preset, degree=3, seed=11)
@@ -58,12 +63,12 @@ def prepared(shapes_preset):
 
 @pytest.fixture(scope="module")
 def dpsgd_result(prepared):
-    return run_algorithm(prepared, "d-psgd")
+    return _run(prepared, "d-psgd")
 
 
 @pytest.fixture(scope="module")
 def skiptrain_result(prepared):
-    return run_algorithm(prepared, "skiptrain")
+    return _run(prepared, "skiptrain")
 
 
 class TestPaperClaims:
@@ -88,7 +93,7 @@ class TestPaperClaims:
     def test_claim_allreduce_beats_dpsgd(self, prepared, dpsgd_result):
         """Fig. 1: all-reduce every round substantially improves the
         evaluated accuracy."""
-        allreduce = run_algorithm(prepared, "d-psgd-allreduce")
+        allreduce = _run(prepared, "d-psgd-allreduce")
         assert (
             allreduce.history.final_accuracy()
             > dpsgd_result.history.final_accuracy() + 0.02
@@ -105,9 +110,9 @@ class TestPaperClaims:
     def test_claim_constrained_beats_greedy_and_dpsgd(self, prepared):
         """Table 4's ordering at equal energy budget: SkipTrain-
         constrained > Greedy ≥ D-PSGD (sparse topology)."""
-        constrained = run_algorithm(prepared, "skiptrain-constrained")
-        greedy = run_algorithm(prepared, "greedy")
-        dpsgd = run_algorithm(prepared, "d-psgd", eval_every=2)
+        constrained = _run(prepared, "skiptrain-constrained")
+        greedy = _run(prepared, "greedy")
+        dpsgd = _run(prepared, "d-psgd", eval_every=2)
         budget = max(constrained.meter.total_wh, greedy.meter.total_wh)
         acc_c = constrained.history.accuracy_at_energy(budget)
         acc_g = greedy.history.accuracy_at_energy(budget)
@@ -118,11 +123,11 @@ class TestPaperClaims:
 
     def test_claim_constrained_spends_within_budget(self, prepared):
         """No node trains past its battery budget τ_i."""
-        res = run_algorithm(prepared, "skiptrain-constrained")
+        res = _run(prepared, "skiptrain-constrained")
         assert (res.meter.train_rounds <= res.trace.budget_rounds).all()
 
     def test_claim_greedy_spends_exact_budget(self, prepared):
-        res = run_algorithm(prepared, "greedy")
+        res = _run(prepared, "greedy")
         budgets = np.minimum(res.trace.budget_rounds, 80)
         np.testing.assert_array_equal(res.meter.train_rounds, budgets)
 
@@ -141,8 +146,8 @@ class TestPaperClaims:
         prep_a = prepare(shapes_preset, degree=3, seed=11)
         prep_b = prepare(shapes_preset, degree=4, seed=11)
         sched = RoundSchedule(2, 2)
-        res_a = run_algorithm(prep_a, "skiptrain", schedule=sched)
-        res_b = run_algorithm(prep_b, "skiptrain", schedule=sched)
+        res_a = _run(prep_a, "skiptrain", schedule=sched)
+        res_b = _run(prep_b, "skiptrain", schedule=sched)
         assert res_a.meter.total_train_wh == pytest.approx(
             res_b.meter.total_train_wh
         )
@@ -152,13 +157,13 @@ class TestScheduleEffects:
     def test_more_sync_less_energy(self, prepared):
         """Fig. 3 energy panel: for fixed Γ_train, increasing Γ_sync
         reduces energy."""
-        low = run_algorithm(prepared, "skiptrain", schedule=RoundSchedule(2, 1))
-        high = run_algorithm(prepared, "skiptrain", schedule=RoundSchedule(2, 4))
+        low = _run(prepared, "skiptrain", schedule=RoundSchedule(2, 1))
+        high = _run(prepared, "skiptrain", schedule=RoundSchedule(2, 4))
         assert high.meter.total_train_wh < low.meter.total_train_wh
 
     def test_all_training_recovers_dpsgd_energy(self, prepared, dpsgd_result):
         """Γ_sync = 0 makes SkipTrain's energy equal to D-PSGD's."""
-        res = run_algorithm(prepared, "skiptrain", schedule=RoundSchedule(1, 0))
+        res = _run(prepared, "skiptrain", schedule=RoundSchedule(1, 0))
         assert res.meter.total_train_wh == pytest.approx(
             dpsgd_result.meter.total_train_wh
         )

@@ -7,6 +7,10 @@ of the same cell, ``execute_run(*build_run(...))``, and each output
 renders exactly those numbers. Plus the codec of the per-cell run
 settings (schedule, evaluation split, cadence) and the aggregation
 rule that keeps cells with settings out of the baseline rows.
+
+The run verbs (``repro run``, ``async-run``, ``scenario run``) are
+one-cell plans on the same path: each verb's artifact is the one the
+in-process run of its cell writes, and its stdout is that run's.
 """
 
 import dataclasses
@@ -195,6 +199,7 @@ class TestSettingsCodec:
     @pytest.mark.parametrize("bad", [
         {"schedule": (1,)}, {"eval_on": "train"}, {"eval_every": -1},
         {"scenario": "churn-ramp", "eval_every": 2},
+        {"schedule": (0, 2)}, {"schedule": (1, -1)},
     ])
     def test_bad_settings_refused(self, bad):
         with pytest.raises(ValueError):
@@ -349,27 +354,50 @@ VERBS = {
 
 
 @pytest.mark.parametrize("verb", VERBS)
-def test_run_verb_prints_the_direct_run(micro_verbs, verb, tmp_path,
-                                        monkeypatch, capsys):
-    """Each run verb's stdout is the in-process run's, line for line."""
+def test_run_verb_is_its_one_cell(micro_verbs, verb, tmp_path, monkeypatch,
+                                  capsys):
+    """Each run verb runs its one cell into ``results/`` and prints from
+    the artifact: the artifact is the one the in-process run writes,
+    byte for byte, and the stdout is the in-process run's, line for
+    line. A rerun runs no cell and prints the same."""
+    from repro.cli import main
+    from repro.experiments.artifacts import write_cell_artifact
+
+    monkeypatch.chdir(tmp_path)
+    argv, cell, direct = VERBS[verb]
+    header, result = direct()
+    assert main(argv) == 0
+    first = capsys.readouterr()
+    assert first.out == _printed(header, result)
+    assert f"ran {cell.cell_id}" in first.err
+    written = write_cell_artifact(tmp_path / "direct", cell, result)
+    assert artifact_path("results", cell).read_bytes() == written.read_bytes()
+    assert main(argv) == 0
+    second = capsys.readouterr()
+    assert second.out == first.out and " ran " not in second.err
+
+
+@pytest.mark.parametrize("verb, sweep", [
+    (["run"], ["--algorithms", "skiptrain"]),
+    (["async-run"], ["--kind", "async", "--algorithms", "async-skiptrain"]),
+], ids=["run", "async-run"])
+def test_default_run_cell_is_the_sweep_cell(micro_verbs, verb, sweep,
+                                            tmp_path, monkeypatch, capsys):
+    """A run verb at its defaults makes the cell ``repro sweep`` makes,
+    with the same id and the same bytes, so the two share
+    ``results/``."""
     from repro.cli import main
 
     monkeypatch.chdir(tmp_path)
-    argv, _, direct = VERBS[verb]
-    assert main(argv) == 0
-    assert capsys.readouterr().out == _printed(*direct())
-
-
-@pytest.mark.parametrize("verb", VERBS)
-def test_run_verb_cell_is_the_direct_run(micro_verbs, verb, tmp_path):
-    """The verb's cell, run through ``run_sweep``, writes the artifact
-    the in-process run writes: the same records and totals, byte for
-    byte."""
-    from repro.experiments.artifacts import write_cell_artifact
-
-    _, cell, direct = VERBS[verb]
-    run_sweep((cell,), tmp_path / "plan")
-    written = write_cell_artifact(tmp_path / "direct", cell, direct()[1])
-    assert artifact_path(tmp_path / "plan", cell).read_bytes() == (
-        written.read_bytes()
-    )
+    preset = "micro-verbs" + ("-async" if "--kind" in sweep else "")
+    assert main([*verb, "--preset", preset]) == 0
+    capsys.readouterr()
+    argv = ["sweep", "--preset", preset, *sweep, "--degrees", "3",
+            "--seeds", "0"]
+    assert main([*argv, "--results-dir", "swept"]) == 0
+    assert "ran 1" in capsys.readouterr().out
+    (swept,) = (tmp_path / "swept" / "raw").iterdir()
+    ran = tmp_path / "results" / "raw" / swept.name
+    assert ran.read_bytes() == swept.read_bytes()
+    assert main(argv) == 0  # into results/, where the run verb's cell is
+    assert "skipped 1" in capsys.readouterr().out

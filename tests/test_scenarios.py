@@ -23,7 +23,7 @@ from repro.scenarios import (
     get_scenario,
     register_scenario,
 )
-from repro.scenarios.compile import compile_run, run_scenario, scenario_trace
+from repro.scenarios.compile import compile_run, scenario_trace
 from repro.simulation.failures import CrashWindow, IndependentCrashes
 
 
@@ -274,14 +274,14 @@ class TestCompile:
     def test_default_scenario_matches_plain_runner_bitwise(self, scn_preset):
         """A scenario with every axis at default is byte-identical to
         the plain preset cell — same model init, same trajectory."""
-        from repro.experiments import build_run, prepare, run_algorithm
+        from repro.experiments import build_run, execute_run, prepare
 
         spec = tiny_scenario(algorithm=AlgorithmSpec(name="skiptrain"))
         compiled = compile_run(spec, preset=scn_preset)
         got = compiled.execute()
         prepared = prepare(scn_preset, 3, seed=0)
-        ref = run_algorithm(prepared, "skiptrain", total_rounds=10,
-                            eval_every=2)
+        ref = execute_run(*build_run(prepared, "skiptrain", total_rounds=10,
+                                     eval_every=2), prepared.trace)
         # repr is shortest-round-trip exact; nan == nan under repr
         assert repr(got.history.records) == repr(ref.history.records)
         ref_engine, _ = build_run(prepared, "skiptrain", total_rounds=10,
@@ -393,7 +393,7 @@ class TestCompile:
             assert not np.array_equal(w1.toarray(), w2.toarray())  # rewired
         else:
             assert np.array_equal(w1.toarray(), w2.toarray())  # same epoch
-        run_scenario(spec, preset=scn_preset)  # end-to-end
+        compile_run(spec, preset=scn_preset).execute()  # end-to-end
 
     def test_dynamic_with_churn_masks_departed(self, scn_preset):
         spec = tiny_scenario(
@@ -424,7 +424,7 @@ class TestCompile:
 
     def test_run_scenario_by_name(self, scn_preset, monkeypatch):
         # bench-scale builtin, clipped to 2 rounds for speed
-        result = run_scenario("churn-ramp", total_rounds=2)
+        result = compile_run(get_scenario("churn-ramp"), total_rounds=2).execute()
         assert result.history.records
 
 

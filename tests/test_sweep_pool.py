@@ -683,7 +683,8 @@ class TestKilledWorkerLiveness:
         import time
 
         deadline = time.monotonic() + deadline_s
-        while not pid_file.is_file():
+        # the worker creates the file before it writes the pid into it
+        while not (pid_file.is_file() and pid_file.read_text()):
             assert time.monotonic() < deadline, "victim cell never started"
             time.sleep(0.02)
         os.kill(int(pid_file.read_text()), signal.SIGKILL)
