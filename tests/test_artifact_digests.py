@@ -126,6 +126,14 @@ topologies to the async engine:
   ``RegularGraphEachRound``); the oracle's per-event loop writes the
   same results.
 
+One more was recorded from the tree *before* the engine masked its own
+gossip — the one pinned cell whose per-round matrices come unmasked
+from the dynamic provider:
+
+* ``dynamic-periodic-vectorized`` — the ``cifar10-bench`` scenario cut
+  to 24 rounds over a graph rewired every 4 rounds, with no churn and
+  no failures.
+
 Re-record only for an intentional, documented contract change::
 
     PYTHONPATH=src python tests/test_artifact_digests.py > tests/golden/artifact_digests.json
@@ -443,6 +451,16 @@ def _dynamic_async(results_dir, run=run_cell):
     return artifact_path(results_dir, cell)
 
 
+def _dynamic(results_dir):
+    return _scenario(results_dir, dataclasses.replace(
+        get_scenario("cifar10-bench"),
+        name="cifar10-bench-rewired",
+        total_rounds=24,
+        eval_every=6,
+        topology=TopologySpec(kind="dynamic-periodic", period=4),
+    ))
+
+
 def _churn_crash(results_dir):
     return _scenario(results_dir, get_scenario("churn-crash"))
 
@@ -507,6 +525,7 @@ CELLS = {
     "dynamic-periodic-async-vectorized": _dynamic_async,
     "churn-crash-vectorized": _churn_crash,
     "dynamic-periodic-churn-vectorized": _dynamic_churn,
+    "dynamic-periodic-vectorized": _dynamic,
     "churn-crash-fleet4096-vectorized": _churn_crash_fleet,
     "churn-crash-fleet4096-panels-vectorized": _in_panels(_churn_crash_fleet, 1 << 20),
     "topk-bench256-vectorized": _topk_bench256,
