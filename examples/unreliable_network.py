@@ -5,9 +5,9 @@ The paper motivates SkipTrain with battery-limited IoT/UAV fleets
 (§1) — devices that also drop offline. This example injects two kinds
 of failures and shows the training survives: dead nodes freeze (no
 training, no radio, no energy spend), survivors keep mixing with
-Metropolis–Hastings weights recomputed on the alive subgraph (still
-doubly stochastic, so D-PSGD's convergence conditions hold round by
-round).
+Metropolis–Hastings weights the engine recomputes on the alive
+subgraph (still doubly stochastic, so D-PSGD's convergence conditions
+hold round by round).
 
 Run:  python examples/unreliable_network.py
 """
@@ -27,9 +27,8 @@ from repro.simulation import (
     RngFactory,
     SimulationEngine,
     build_nodes,
-    failure_mixing_provider,
 )
-from repro.topology import regular_neighbors
+from repro.topology import metropolis_hastings_weights, regular_neighbors
 
 N_NODES = 16
 TOTAL_ROUNDS = 80
@@ -54,7 +53,7 @@ def run(failure_model, label: str) -> None:
     model = small_mlp(64, 10, hidden=16, rng=rngs.stream("model"))
     meter = EnergyMeter(build_trace(N_NODES, CIFAR10_WORKLOAD, 0.10, degree=4))
     engine = SimulationEngine(
-        model, nodes, failure_mixing_provider(graph, failure_model),
+        model, nodes, metropolis_hastings_weights(graph),
         config, test, meter=meter, failure_model=failure_model,
     )
     history = engine.run(SkipTrain(N_NODES, RoundSchedule(4, 4)))

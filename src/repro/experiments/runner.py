@@ -378,9 +378,11 @@ def build_run(
     The scenario axes ride through here: ``failure_model`` injects
     transient outages and ``churn`` a
     :class:`~repro.scenarios.churn.ChurnSchedule`. ``mixing`` is a
-    per-round provider in place of the prepared static matrix (dynamic
-    topologies, churn/failure-masked subgraphs): the sync engine gossips
-    through it, the async engine draws partners from its rows.
+    per-round provider in place of the prepared static matrix (a
+    dynamic topology): the sync engine gossips through it, the async
+    engine draws partners from its rows. Either engine masks the
+    round's matrix to the nodes churn and failures leave eligible, so
+    no axis needs a mixing of its own.
     ``enforce_budgets`` is the async engine's battery gate; on a sync
     algorithm it raises ``ValueError``. All default off, leaving
     non-scenario cells byte-identical.

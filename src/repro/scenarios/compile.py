@@ -18,10 +18,12 @@ resumed run is bit-for-bit equal to an uninterrupted one.
 Composition rules enforced here (fail at compile time, not rounds into
 a run):
 
-* churn requires membership-aware mixing — compilation wires a masked
-  provider over the scenario graph so departed nodes never enter the
-  gossip product (sync) or a partner draw (async); dynamic topologies
-  reach both engines the same way;
+* churn and failures need no mixing of their own — compilation hands
+  the engine the scenario's static matrix or its dynamic provider, and
+  the engine masks each round's matrix to the eligible nodes, so
+  departed and dead nodes never enter the gossip product (sync) or a
+  partner draw (async); dynamic topologies reach both engines the same
+  way;
 * ``enforce_budgets`` is the async engine's battery gate (validated by
   the spec itself);
 * churn cannot compose with exact all-reduce (the consensus average
@@ -33,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -47,19 +49,9 @@ from ..experiments.runner import (
     execute_run,
     prepare,
 )
-from ..simulation.failures import (
-    CrashWindow,
-    FailureModel,
-    IndependentCrashes,
-    masked_mixing,
-)
+from ..simulation.failures import CrashWindow, FailureModel, IndependentCrashes
 from ..simulation.rng import RngFactory
-from ..topology.dynamic import (
-    PeriodicRewiring,
-    RandomRegularEachRound,
-    RegularGraphEachRound,
-)
-from ..topology.sparse import Csr, NeighborList
+from ..topology.dynamic import RandomRegularEachRound
 from .churn import ChurnSchedule
 from .spec import ScenarioSpec
 
@@ -69,14 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simulation.async_engine import AsyncGossipEngine, AsyncPolicy
     from ..simulation.engine import SimulationEngine
 
-    class DynamicGraph(Protocol):
-        """A ``t -> NeighborList`` generator that knows its node count
-        (:class:`~repro.topology.dynamic.RegularGraphEachRound` shape)."""
-
-        n_nodes: int
-
-        def __call__(self, t: int) -> NeighborList: ...
-
 __all__ = [
     "CompiledRun",
     "compile_run",
@@ -84,7 +68,6 @@ __all__ = [
     "validate_composition",
     "build_scenario_plan",
     "scenario_trace",
-    "scenario_mixing_provider",
 ]
 
 TRACE_SCHEMA = "repro/scenario-trace/v1"
@@ -137,70 +120,6 @@ def scenario_base(
         else base.degrees[0]
     )
     return base, int(degree)
-
-
-def scenario_mixing_provider(
-    graph: "NeighborList | DynamicGraph",
-    churn: ChurnSchedule | None = None,
-    failure_model: FailureModel | None = None,
-    cache_size: int = 64,
-) -> Callable[[int], Csr]:
-    """Per-round mixing provider over the eligible (member ∧ alive)
-    subgraph of ``graph``.
-
-    ``graph`` is a fixed :class:`~repro.topology.sparse.NeighborList`
-    or a callable ``t → NeighborList`` (a
-    :class:`~repro.topology.dynamic.RegularGraphEachRound`).
-    Static graphs memoize by eligibility mask (masked weights repeat
-    across rounds with the same membership); dynamic graphs memoize by
-    round. Both memos are bounded to ``cache_size`` entries with
-    oldest-entry eviction — an rng-backed failure model draws a fresh
-    mask nearly every round, and a million-round run must not grow one
-    cached matrix per round forever (the
-    :class:`~repro.simulation.failures.IndependentCrashes` memo bound
-    exists for the same reason).
-    """
-    if churn is None and failure_model is None:
-        raise ValueError(
-            "scenario_mixing_provider needs a churn schedule or failure "
-            "model; without either, use the static mixing matrix directly"
-        )
-    if cache_size <= 0:
-        raise ValueError("cache_size must be positive")
-    n = graph.n_nodes
-    all_on = np.ones(n, dtype=bool)
-
-    def eligible(t: int) -> np.ndarray:
-        mask = all_on
-        if churn is not None:
-            mask = mask & churn.present(t)
-        if failure_model is not None:
-            mask = mask & failure_model.alive(t)
-        return mask
-
-    if isinstance(graph, NeighborList):
-        static_graph = graph
-        cache: dict[bytes, Csr] = {}
-
-        def provider(t: int) -> Csr:
-            mask = eligible(t)
-            if mask.tobytes() not in cache and len(cache) >= cache_size:
-                cache.pop(next(iter(cache)))  # oldest insertion
-            return masked_mixing(static_graph, mask, cache)
-
-        return provider
-
-    dyn_graph = graph
-    lru: dict[int, Csr] = {}
-
-    def dyn_provider(t: int) -> Csr:
-        if t not in lru:
-            if len(lru) >= cache_size:
-                lru.pop(min(lru))
-            lru[t] = masked_mixing(dyn_graph(t), eligible(t))
-        return lru[t]
-
-    return dyn_provider
 
 
 def _build_failure_model(
@@ -310,7 +229,7 @@ def compile_run(
         total_rounds=rounds,
         eval_every=eval_every,
         eval_on=eval_on,
-        mixing=_scenario_mixing(spec, prepared, churn, failure_model),
+        mixing=_scenario_mixing(spec, prepared),
         failure_model=failure_model,
         enforce_budgets=spec.energy.enforce_budgets,
         churn=churn,
@@ -330,34 +249,21 @@ def compile_run(
 
 
 def _scenario_mixing(
-    spec: ScenarioSpec,
-    prepared: PreparedExperiment,
-    churn: ChurnSchedule | None,
-    failure_model: FailureModel | None,
-) -> Callable[[int], Csr] | None:
-    """The scenario's ``mixing`` for :func:`build_run`: ``None``
-    (prepared static matrix), a plain dynamic provider, or a
-    churn/failure-masked provider over the scenario graph — for a
-    static scenario the very ``prepared.topology`` the unmasked matrix
-    came from, for a dynamic one graphs of the same (n, degree, seed).
-    Both kinds take the same one: the async engine draws partners from
+    spec: ScenarioSpec, prepared: PreparedExperiment
+) -> RandomRegularEachRound | None:
+    """The scenario's ``mixing`` for :func:`build_run`: ``None`` (the
+    prepared static matrix) or, for a dynamic topology, graphs of the
+    same (n, degree, seed) rewired every round or every ``period``.
+    Churn and failures change nothing here: the engine masks the
+    round's matrix itself, and the async engine draws partners from
     its rows."""
     topo = spec.topology
-    masked = churn is not None or failure_model is not None
     if not topo.is_dynamic:
-        if not masked:
-            return None  # the prepared static MH matrix
-        return scenario_mixing_provider(prepared.topology, churn, failure_model)
-    n, degree, seed = prepared.preset.n_nodes, prepared.degree, prepared.seed
+        return None
     period = topo.period if topo.kind == "dynamic-periodic" else 1
-    if not masked:
-        if period == 1:
-            return RandomRegularEachRound(n, degree, seed=seed)
-        return PeriodicRewiring(n, degree, period, seed=seed)
-    return scenario_mixing_provider(
-        RegularGraphEachRound(n, degree, seed=seed, period=period),
-        churn,
-        failure_model,
+    return RandomRegularEachRound(
+        prepared.preset.n_nodes, prepared.degree, seed=prepared.seed,
+        period=period,
     )
 
 

@@ -3,6 +3,7 @@
 synchronous round engine, asynchronous gossip engine, the columnar node data plane both train
 from, message-level network, failure injection and fairness metrics."""
 
+from ..topology.mixing import masked_mixing
 from .async_engine import (
     AsyncDPSGD,
     AsyncGossipEngine,
@@ -20,8 +21,6 @@ from .failures import (
     FailureModel,
     IndependentCrashes,
     NoFailures,
-    failure_mixing_provider,
-    masked_mixing,
 )
 from .fairness import (
     DeviceGroupReport,
@@ -67,7 +66,6 @@ __all__ = [
     "IndependentCrashes",
     "CrashWindow",
     "masked_mixing",
-    "failure_mixing_provider",
     "DeviceGroupReport",
     "device_group_report",
     "local_test_sets",

@@ -26,8 +26,8 @@ clocks make one unit of simulated time the async analogue of one
 round):
 
 * **Topology** — a node's partner candidates are its neighbors in round
-  ``t``'s mixing matrix (static, a dynamic topology, or a churn/failure
-  masked provider), read once per round.
+  ``t``'s mixing matrix (static or a dynamic topology, masked by the
+  engine to the round's eligible nodes), read once per round.
 * **Failures** — a :class:`~repro.simulation.failures.FailureModel`.
   A dead node does not activate (no training, no gossip, its
   activation counter pauses) and is never chosen as a gossip partner;

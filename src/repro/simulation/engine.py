@@ -52,7 +52,8 @@ import numpy as np
 
 from .. import lanes
 from ..core.base import Algorithm
-from ..topology.sparse import Csr
+from ..topology.mixing import masked_mixing
+from ..topology.sparse import Csr, NeighborList
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.compression import Compressor
@@ -73,8 +74,8 @@ from .metrics import (
 from .node_bank import NodeBank
 from .rng import generator_state, restore_generator
 
-__all__ = ["EngineConfig", "GossipBuffers", "SPARE_BUDGET", "SimulationEngine",
-           "gossip", "gossip_panels"]
+__all__ = ["EngineConfig", "GossipBuffers", "MASK_MEMO", "MaskedMixing",
+           "SPARE_BUDGET", "SimulationEngine", "gossip", "gossip_panels"]
 
 
 def gossip(
@@ -164,6 +165,36 @@ class GossipBuffers:
         return out
 
 
+#: masked matrices one engine keeps: an rng-backed failure model draws
+#: a fresh eligible set nearly every round
+MASK_MEMO = 64
+
+
+class MaskedMixing:
+    """A round matrix restricted to the round's eligible nodes:
+    :func:`~repro.topology.mixing.masked_mixing` over the matrix's
+    off-diagonal graph. A Metropolis–Hastings matrix is that function
+    of its graph with every node eligible, so masking one re-derives
+    the weights a masked graph would get, bit for bit.
+
+    Memoized by (matrix, eligible set): the matrix is held, so its
+    identity stays its own; at most :data:`MASK_MEMO` entries, oldest
+    out. Nothing here is run state — a miss recomputes the same bytes."""
+
+    def __init__(self) -> None:
+        self._masks: dict[tuple[int, bytes], tuple[Csr, Csr]] = {}
+
+    def __call__(self, w: Csr, eligible: np.ndarray) -> Csr:
+        key = (id(w), eligible.tobytes())
+        if key not in self._masks:
+            if len(self._masks) >= MASK_MEMO:
+                del self._masks[next(iter(self._masks))]
+            off = w.off_diagonal()
+            graph = NeighborList(off.indptr, off.indices)
+            self._masks[key] = (w, masked_mixing(graph, eligible))
+        return self._masks[key][1]
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Training-loop hyperparameters (Table 1 of the paper).
@@ -199,13 +230,14 @@ class EngineConfig:
 class SimulationEngine:
     """Runs one algorithm over one topology/dataset assignment.
 
+    ``mixing`` is a matrix or a per-round provider ``t -> Csr``.
     ``failure_model`` freezes transiently dead nodes (no training, no
     communication for the round); ``churn`` — a
     :class:`~repro.scenarios.churn.ChurnSchedule` — is the membership
-    axis: nodes that have not joined (or have left) never train, are
-    excluded from evaluation means/consensus, and must be isolated
-    from mixing by a membership-aware provider (enforced at
-    construction; :func:`repro.scenarios.compile_run` wires it).
+    axis: nodes that have not joined (or have left) never train and
+    are excluded from evaluation means/consensus. The engine keeps
+    every node :meth:`_eligible` excludes out of the round's gossip
+    itself (:meth:`_mixing_for_round`), whatever matrix it was given.
     Joiners are seeded with the mean of their eligible neighbors'
     states before the join round's training (see
     :func:`~repro.scenarios.churn.apply_join_handoff`)."""
@@ -227,15 +259,8 @@ class SimulationEngine:
         n = len(nodes)
         if n == 0:
             raise ValueError("need at least one node")
-        if churn is not None:
-            if churn.n_nodes != n:
-                raise ValueError("churn schedule node count mismatch")
-            if not callable(mixing):
-                raise ValueError(
-                    "churn requires a membership-aware mixing provider "
-                    "(a static matrix would keep mixing departed nodes "
-                    "in); wire the engine via scenarios.compile_run"
-                )
+        if churn is not None and churn.n_nodes != n:
+            raise ValueError("churn schedule node count mismatch")
         self._mixing_provider = mixing if callable(mixing) else None
         self.mixing = mixing(1) if callable(mixing) else mixing
         if self.mixing.shape != (n, n):
@@ -257,6 +282,7 @@ class SimulationEngine:
         self.compressor = compressor
         self.failure_model = failure_model
         self.churn = churn
+        self._masked = MaskedMixing()
         self.local_trainer = LocalTrainer(
             model, nodes, config.local_steps, config.learning_rate,
             config.weight_decay,
@@ -347,14 +373,20 @@ class SimulationEngine:
     # -- internals ------------------------------------------------------------
 
     def _mixing_for_round(self, t: int) -> Csr:
-        """The round's mixing matrix: static, provided per round, or
-        restricted to the alive subgraph under the failure model."""
+        """The round's mixing matrix, static or provided per round, and
+        the one place a round's gossip is masked: when :meth:`_eligible`
+        excludes a node, the matrix is restricted to the eligible
+        subgraph (:class:`MaskedMixing`) — each excluded node keeps an
+        identity row, the rest mix by Metropolis–Hastings weights."""
+        w = self.mixing
         if self._mixing_provider is not None:
             w = self._mixing_provider(t)
             if w.shape != self.mixing.shape:
                 raise ValueError("mixing provider returned wrong shape")
+        eligible = self._eligible(t)
+        if eligible is None or eligible.all():
             return w
-        return self.mixing
+        return self._masked(w, eligible)
 
     def _aggregate(self, use_allreduce: bool, t: int = 1) -> None:
         """Share + aggregate: one sparse product ``W @ X`` through the

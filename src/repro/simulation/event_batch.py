@@ -130,9 +130,8 @@ def plan_window(
                 engine.train_counts[i] += 1
                 if engine.trace is not None:
                     engine.train_energy_wh += engine.trace.train_energy_wh[i]
+            # the round's matrix is masked: every neighbor is eligible
             candidates = engine._neighbors(t)[i]
-            if eligible is not None:
-                candidates = candidates[eligible[candidates]]
             if candidates.size:
                 partner = int(engine.rng.choice(candidates))
             # whole neighborhood down/absent: train-only, no rng draw

@@ -11,15 +11,9 @@ conditions round by round.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from ..topology.mixing import masked_mixing
-from ..topology.sparse import Csr, NeighborList
-
-__all__ = ["FailureModel", "NoFailures", "IndependentCrashes",
-           "CrashWindow", "masked_mixing", "failure_mixing_provider"]
+__all__ = ["FailureModel", "NoFailures", "IndependentCrashes", "CrashWindow"]
 
 
 class FailureModel:
@@ -46,9 +40,10 @@ class IndependentCrashes(FailureModel):
     """Each node is independently down with probability ``p`` each round
     (memoryless churn). Draws are memoized per round so repeated queries
     within a round are consistent; the memo is bounded to the most
-    recent ``cache_size`` rounds (oldest-key eviction, the same scheme
-    :class:`~repro.topology.dynamic.RandomRegularEachRound` uses) so a
-    million-round run cannot grow one bool array per round forever."""
+    recent ``cache_size`` rounds (oldest round out) so a million-round
+    run cannot grow one bool array per round forever. The engine bounds
+    the masked matrices it derives from these draws on its own
+    (:data:`~repro.simulation.engine.MASK_MEMO`)."""
 
     def __init__(self, n_nodes: int, p: float, rng: np.random.Generator,
                  cache_size: int = 64) -> None:
@@ -96,28 +91,3 @@ class CrashWindow(FailureModel):
             return self._in_window
         return self._all_alive
 
-
-def failure_mixing_provider(
-    graph: NeighborList, model: FailureModel, cache_size: int = 64
-) -> Callable[[int], Csr]:
-    """Per-round mixing provider for the engine: Metropolis–Hastings on
-    the alive subgraph of ``graph``, with memoization across repeated
-    alive patterns. Pass the result as the engine's ``mixing`` argument
-    together with ``failure_model=model``.
-
-    The memo is bounded to ``cache_size`` masks with oldest-entry
-    eviction: an rng-backed model draws a fresh alive pattern nearly
-    every round, and a million-round run must not grow one cached
-    matrix per round forever (the same bound
-    ``scenario_mixing_provider`` applies)."""
-    if cache_size <= 0:
-        raise ValueError("cache_size must be positive")
-    cache: dict[bytes, Csr] = {}
-
-    def provider(t: int) -> Csr:
-        alive = model.alive(t)
-        if alive.tobytes() not in cache and len(cache) >= cache_size:
-            cache.pop(next(iter(cache)))  # oldest insertion
-        return masked_mixing(graph, alive, cache)
-
-    return provider

@@ -1,6 +1,6 @@
 """``repro.topology`` — communication graphs and mixing matrices."""
 
-from .dynamic import PeriodicRewiring, RandomRegularEachRound, static_provider
+from .dynamic import RandomRegularEachRound
 from .graphs import (
     barbell_graph,
     erdos_renyi_graph,
@@ -43,9 +43,7 @@ __all__ = [
     "star_graph",
     "small_world_graph",
     "barbell_graph",
-    "static_provider",
     "RandomRegularEachRound",
-    "PeriodicRewiring",
     "adjacency_matrix",
     "neighbor_lists",
     "validate_topology",

@@ -38,10 +38,7 @@ def metropolis_hastings_weights(graph: NeighborList) -> Csr:
     return masked_mixing(graph, np.ones(graph.n_nodes, dtype=bool))
 
 
-def masked_mixing(
-    graph: NeighborList, alive: np.ndarray,
-    cache: dict[bytes, Csr] | None = None,
-) -> Csr:
+def masked_mixing(graph: NeighborList, alive: np.ndarray) -> Csr:
     """Mixing matrix with dead nodes isolated: Metropolis–Hastings weights
     over the subgraph the alive set induces, and an identity row, which
     freezes its state, for each dead node. Always symmetric and doubly
@@ -56,9 +53,6 @@ def masked_mixing(
     n = graph.n_nodes
     if alive.shape != (n,):
         raise ValueError("alive mask size mismatch")
-    key = alive.tobytes()
-    if cache is not None and key in cache:
-        return cache[key]
     rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
     cols = graph.indices
     keep = alive[rows] & alive[cols]
@@ -68,10 +62,7 @@ def masked_mixing(
     sums, full = np.zeros(n), subdeg > 0
     if vals.size:
         sums[full] = np.add.reduceat(vals, (np.cumsum(subdeg) - subdeg)[full])
-    out = _with_diagonal(rows, cols, vals, 1.0 - sums)
-    if cache is not None:
-        cache[key] = out
-    return out
+    return _with_diagonal(rows, cols, vals, 1.0 - sums)
 
 
 def uniform_neighbor_weights(graph: NeighborList) -> Csr:

@@ -4,7 +4,7 @@ one sparse matrix type.
 :class:`NeighborList` stores an undirected graph as the classic CSR
 pair (``indptr``, ``indices``) — two integer arrays totalling
 ``O(V + E)`` memory — and is what every consumer (mixing weights,
-masked providers, both engines, n=16..16384) takes; every mixing
+masked mixing, both engines, n=16..16384) takes; every mixing
 matrix is a :class:`Csr`, the same pair plus ``data``. The generators
 build the arrays directly from edge lists; connectivity is a vectorized
 O(V+E) breadth-first search. Nothing in this module imports

@@ -48,16 +48,16 @@ depend on; any change to how batches are drawn, gathered or trained on
 moves them.
 
 Two more were recorded from the tree *before* ``NeighborList`` became
-the only topology representation and the masked mixing providers took
-their graph from the prepared experiment — the sync cells whose mixing
-goes through ``scenario_mixing_provider``/``masked_mixing``:
+the only topology representation and masked mixing took its graph from
+the prepared experiment — the sync cells whose mixing the engine masks
+per round (``masked_mixing``):
 
 * ``churn-crash-vectorized`` — the registered ``churn-crash`` scenario
   (leaves, a re-enrollment and a crash window over the static graph);
 * ``dynamic-periodic-churn-vectorized`` — ``churn-ramp``'s joins over a
   graph rewired every 4 rounds (a ``dataclasses.replace`` of its
-  ``TopologySpec``; masked weights re-derived per round from a
-  ``RegularGraphEachRound``).
+  ``TopologySpec``; masked weights re-derived per round from the
+  epoch's graph).
 
 Two more were recorded from the tree *before* the stacked loss kernel
 started writing into lent buffers and picking through one flat index —
@@ -122,9 +122,8 @@ mixing matrix instead of fixed neighbor lists, which opened dynamic
 topologies to the async engine:
 
 * ``dynamic-periodic-async-vectorized`` — ``churn-async`` over a graph
-  rewired every 4 rounds (masked weights re-derived per round from a
-  ``RegularGraphEachRound``); the oracle's per-event loop writes the
-  same results.
+  rewired every 4 rounds (masked weights re-derived per round from the
+  epoch's graph); the oracle's per-event loop writes the same results.
 
 One more was recorded from the tree *before* the engine masked its own
 gossip — the one pinned cell whose per-round matrices come unmasked

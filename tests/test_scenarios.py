@@ -401,7 +401,7 @@ class TestCompile:
             churn=ChurnSpec(events=(ChurnEventSpec(3, 1, "leave"),)),
         )
         compiled = compile_run(spec, preset=scn_preset)
-        w = compiled.engine._mixing_provider(5).toarray()
+        w = compiled.engine._mixing_for_round(5).toarray()
         assert w[1, 1] == 1.0
         assert np.all(w[1, [j for j in range(8) if j != 1]] == 0)
         assert np.all(w[[j for j in range(8) if j != 1], 1] == 0)
@@ -554,37 +554,20 @@ class TestMixingProviderBounds:
         self, scn_preset
     ):
         """An rng-backed failure model draws a fresh alive mask nearly
-        every round; the static-graph memo must stay bounded instead of
+        every round; the engine's mask memo must stay bounded instead of
         caching one matrix per round forever."""
-        from repro.scenarios.compile import scenario_mixing_provider
-        from repro.simulation.failures import IndependentCrashes
-        from repro.topology import regular_neighbors
+        from repro.simulation.engine import MASK_MEMO
 
-        graph = regular_neighbors(8, 3, seed=0)
-        model = IndependentCrashes(
-            8, 0.4, rng=np.random.default_rng(0), cache_size=512
+        spec = tiny_scenario(
+            failures=FailureSpec(kind="independent", p=0.4),
+            total_rounds=300,
         )
-        provider = scenario_mixing_provider(
-            graph, failure_model=model, cache_size=16
-        )
-        for t in range(1, 300):
-            provider(t)
-        idx = provider.__code__.co_freevars.index("cache")
-        cache = provider.__closure__[idx].cell_contents
-        assert len(cache) <= 16
-
-    def test_provider_requires_an_axis_and_valid_cache(self):
-        from repro.scenarios.compile import scenario_mixing_provider
-        from repro.topology import regular_neighbors
-
-        graph = regular_neighbors(8, 3, seed=0)
-        with pytest.raises(ValueError, match="churn schedule or failure"):
-            scenario_mixing_provider(graph)
-        with pytest.raises(ValueError, match="cache_size"):
-            scenario_mixing_provider(
-                graph, churn=ChurnSchedule(8, [(2, 0, "leave")]),
-                cache_size=0,
-            )
+        engine = compile_run(spec, preset=scn_preset).engine
+        assert isinstance(engine.failure_model, IndependentCrashes)
+        for t in range(1, 301):
+            engine._mixing_for_round(t)
+        assert MASK_MEMO == 64
+        assert 0 < len(engine._masked._masks) <= MASK_MEMO
 
 
 class TestScenarioTrace:

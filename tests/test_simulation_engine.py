@@ -9,6 +9,7 @@ from repro.data import make_classification_images, shard_partition
 from repro.data.synthetic import SyntheticSpec
 from repro.energy import CIFAR10_WORKLOAD, EnergyMeter, build_trace
 from repro.nn import small_mlp
+from repro.scenarios import ChurnSchedule
 from repro.simulation import (
     CrashWindow,
     EngineConfig,
@@ -26,7 +27,7 @@ SPEC = SyntheticSpec(num_classes=4, channels=1, image_size=4,
 
 
 def make_engine(seed=0, total_rounds=12, with_meter=True, eval_every=4,
-                lr=0.2, local_steps=2, failure_model=None):
+                lr=0.2, local_steps=2, failure_model=None, churn=None):
     rngs = RngFactory(seed)
     train, protos = make_classification_images(SPEC, 400, rngs.stream("data"))
     test, _ = make_classification_images(SPEC, 100, rngs.stream("test"),
@@ -40,7 +41,7 @@ def make_engine(seed=0, total_rounds=12, with_meter=True, eval_every=4,
     meter = EnergyMeter(build_trace(N, CIFAR10_WORKLOAD, 0.1)) if with_meter else None
     return SimulationEngine(model, nodes, w, cfg, test, meter=meter,
                             eval_rng=rngs.stream("eval"),
-                            failure_model=failure_model)
+                            failure_model=failure_model, churn=churn)
 
 
 class TestEngineBasics:
@@ -186,3 +187,34 @@ class TestRunHistory:
 
         with pytest.raises(ValueError):
             RunHistory("x").final_accuracy()
+
+
+class TestIneligibleNodesStayOutOfGossip:
+    """The engine masks the round's matrix itself, so a static
+    Metropolis–Hastings matrix composes with failures and churn."""
+
+    def test_crashed_node_row_frozen_under_static_matrix(self):
+        """Mirrors the async engine's silent-window test: a node down
+        for the whole run neither trains nor mixes, so its row stays
+        the shared initialization, bit for bit."""
+        eng = make_engine(failure_model=CrashWindow(N, [2], start=1, end=10_000))
+        init_row = eng.state[2].copy()
+        eng.run(DPSGD(N))
+        np.testing.assert_array_equal(eng.state[2], init_row)
+        assert eng.meter.train_rounds[2] == 0
+        assert not np.array_equal(eng.state[0], init_row)
+
+    def test_churn_over_static_matrix_freezes_departed_rows(self):
+        churn = ChurnSchedule(N, [(5, 1, "leave")], initially_absent=(3,))
+        eng = make_engine(churn=churn)
+        init_row = eng.state[3].copy()
+        at_leave = {}
+
+        def hook(engine, at, history, resumable_at):
+            if at == 4:
+                at_leave["row"] = engine.state[1].copy()
+
+        eng.run(DPSGD(N), hook=hook)
+        np.testing.assert_array_equal(eng.state[1], at_leave["row"])
+        np.testing.assert_array_equal(eng.state[3], init_row)
+        assert not np.array_equal(eng.state[0], init_row)

@@ -1,5 +1,5 @@
 """Failure-injection tests: masked mixing invariants and engine
-integration under churn."""
+integration under churn (the engine masks a static matrix itself)."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,13 @@ from repro.simulation import (
     CrashWindow,
     IndependentCrashes,
     NoFailures,
-    failure_mixing_provider,
     masked_mixing,
 )
+from repro.simulation.engine import MaskedMixing
 from repro.topology import (
     is_doubly_stochastic,
     is_symmetric,
+    metropolis_hastings_weights,
     regular_neighbors,
     ring_neighbors,
 )
@@ -74,8 +75,6 @@ class TestFailureModels:
 class TestMaskedMixing:
     def test_all_alive_is_plain_mh(self):
         g = regular_neighbors(10, 3, seed=0)
-        from repro.topology import metropolis_hastings_weights
-
         w = masked_mixing(g, np.ones(10, dtype=bool))
         expected = metropolis_hastings_weights(g)
         np.testing.assert_array_equal(w.toarray(), expected.toarray())
@@ -99,12 +98,14 @@ class TestMaskedMixing:
             assert is_doubly_stochastic(w)
 
     def test_cache_used(self):
-        g = ring_neighbors(6)
-        cache = {}
+        """The engine's memo hands back one matrix per (matrix, mask)."""
+        w = metropolis_hastings_weights(ring_neighbors(6))
+        masks = MaskedMixing()
         alive = np.array([True] * 5 + [False])
-        w1 = masked_mixing(g, alive, cache)
-        w2 = masked_mixing(g, alive, cache)
-        assert w1 is w2
+        assert masks(w, alive) is masks(w, alive.copy())
+        other = metropolis_hastings_weights(ring_neighbors(6))
+        assert masks(other, alive) is not masks(w, alive)
+        assert len(masks._masks) == 2
 
     def test_mask_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -136,7 +137,7 @@ class TestEngineUnderChurn:
         model = small_mlp(16, 4, hidden=8, rng=rngs.stream("model"))
         meter = EnergyMeter(build_trace(n, CIFAR10_WORKLOAD, 0.1))
         return SimulationEngine(
-            model, nodes, failure_mixing_provider(graph, failure_model),
+            model, nodes, metropolis_hastings_weights(graph),
             cfg, test, meter=meter, failure_model=failure_model,
         )
 
@@ -169,24 +170,28 @@ class TestEngineUnderChurn:
 
 class TestFailureProviderBounds:
     def test_mask_memo_bounded_under_random_crashes(self):
-        import numpy as np
+        """An rng-backed failure model draws a fresh alive mask nearly
+        every round; the engine keeps at most MASK_MEMO masked matrices."""
+        from repro.simulation.engine import MASK_MEMO
 
-        from repro.topology import regular_neighbors
-
-        graph = regular_neighbors(8, 3, seed=0)
         model = IndependentCrashes(8, 0.4, rng=np.random.default_rng(0),
                                    cache_size=512)
-        provider = failure_mixing_provider(graph, model, cache_size=16)
+        eng = TestEngineUnderChurn().make_engine(model, regular_neighbors(8, 3, seed=0))
         for t in range(1, 300):
-            provider(t)
-        idx = provider.__code__.co_freevars.index("cache")
-        assert len(provider.__closure__[idx].cell_contents) <= 16
+            eng._mixing_for_round(t)
+        assert len(eng._masked._masks) == MASK_MEMO
 
-    def test_cache_size_validated(self):
-        import pytest
 
-        from repro.topology import regular_neighbors
-
-        graph = regular_neighbors(8, 3, seed=0)
-        with pytest.raises(ValueError):
-            failure_mixing_provider(graph, NoFailures(8), cache_size=0)
+class TestEngineMasking:
+    def test_masked_static_matrix_is_masked_graph(self, rng):
+        """Masking a Metropolis–Hastings matrix through its off-diagonal
+        graph gives the bytes masking the graph itself gives."""
+        g = regular_neighbors(12, 4, seed=1)
+        w = metropolis_hastings_weights(g)
+        masks = MaskedMixing()
+        for _ in range(5):
+            alive = rng.random(12) > 0.3
+            got, want = masks(w, alive), masked_mixing(g, alive)
+            for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                         (got.data, want.data)):
+                np.testing.assert_array_equal(a, b)

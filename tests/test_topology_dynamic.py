@@ -6,17 +6,15 @@ import pytest
 
 from repro.core import DPSGD
 from repro.topology import (
-    PeriodicRewiring,
     RandomRegularEachRound,
     barbell_graph,
     is_doubly_stochastic,
     metropolis_hastings_weights,
     regular_neighbors,
-    ring_neighbors,
     small_world_graph,
     spectral_gap,
-    static_provider,
 )
+from repro.topology.dynamic import EPOCH_CACHE
 
 
 class TestNewGraphs:
@@ -57,11 +55,6 @@ class TestNewGraphs:
 
 
 class TestDynamicProviders:
-    def test_static_provider_constant(self):
-        w = metropolis_hastings_weights(ring_neighbors(8))
-        provider = static_provider(w)
-        assert provider(1) is provider(99)
-
     def test_random_regular_each_round(self):
         provider = RandomRegularEachRound(12, 4, seed=0)
         w1, w2 = provider(1), provider(2)
@@ -71,23 +64,22 @@ class TestDynamicProviders:
         assert is_doubly_stochastic(w2)
 
     def test_cache_eviction(self):
-        provider = RandomRegularEachRound(12, 4, seed=0, cache_size=2)
-        provider(1)
-        provider(2)
-        provider(3)
-        assert len(provider._cache) == 2
+        """The most recent epochs stay; the oldest go first."""
+        provider = RandomRegularEachRound(8, 3, seed=0)
+        for t in range(1, EPOCH_CACHE + 3):
+            provider(t)
+        assert len(provider._cache) == EPOCH_CACHE
+        assert min(provider._cache) == 3
 
     def test_periodic_rewiring(self):
-        provider = PeriodicRewiring(12, 4, period=5, seed=0)
+        provider = RandomRegularEachRound(12, 4, seed=0, period=5)
         assert provider(1) is provider(5)
         assert provider(5) is not provider(6)
         assert provider(6) is provider(10)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PeriodicRewiring(12, 4, period=0)
-        with pytest.raises(ValueError):
-            RandomRegularEachRound(12, 4, cache_size=0)
+            RandomRegularEachRound(12, 4, period=0)
 
 
 class TestEngineWithDynamicTopology:
@@ -145,40 +137,37 @@ class TestEngineWithDynamicTopology:
         assert consensus_distance(x_dyn) < consensus_distance(x_static)
 
 
-class TestRegularGraphEachRound:
-    """The graph-level provider scenario compilation masks over."""
+class TestEpochSchedule:
+    """Epoch ``e`` of a provider draws ``regular_neighbors`` with seed
+    ``seed + 7919 * e``, whatever its period."""
 
     def test_graph_sequence_matches_weight_provider(self):
-        from repro.topology.dynamic import RegularGraphEachRound
-
-        graphs = RegularGraphEachRound(16, 3, seed=5)
-        weights = RandomRegularEachRound(16, 3, seed=5)
+        provider = RandomRegularEachRound(16, 3, seed=5)
         for t in (1, 2, 7):
-            np.testing.assert_allclose(
-                metropolis_hastings_weights(graphs(t)).toarray(),
-                weights(t).toarray(),
-            )
+            expected = metropolis_hastings_weights(
+                regular_neighbors(16, 3, seed=5 + 7919 * t))
+            for got, want in zip(
+                (provider(t).indptr, provider(t).indices, provider(t).data),
+                (expected.indptr, expected.indices, expected.data),
+            ):
+                np.testing.assert_array_equal(got, want)
 
     def test_period_holds_graph_constant(self):
-        from repro.topology.dynamic import RegularGraphEachRound
-
-        graphs = RegularGraphEachRound(16, 3, seed=5, period=4)
-        assert set(graphs(1).edges) == set(graphs(4).edges)
-        assert set(graphs(4).edges) != set(graphs(5).edges)
-        assert graphs.epoch(4) == 1 and graphs.epoch(5) == 2
+        provider = RandomRegularEachRound(16, 3, seed=5, period=4)
+        every_round = RandomRegularEachRound(16, 3, seed=5)
+        assert provider(1) is provider(4)
+        np.testing.assert_array_equal(provider(4).indices, every_round(1).indices)
+        np.testing.assert_array_equal(provider(5).indices, every_round(2).indices)
+        assert not np.array_equal(provider(4).indices, provider(5).indices)
 
     def test_cache_bounded(self):
-        from repro.topology.dynamic import RegularGraphEachRound
-
-        graphs = RegularGraphEachRound(8, 3, seed=0, cache_size=2)
-        for t in range(1, 10):
-            graphs(t)
-        assert len(graphs._cache) <= 2
+        """The cache counts epochs, not rounds."""
+        provider = RandomRegularEachRound(8, 3, seed=0, period=4)
+        for t in range(1, 4 * (EPOCH_CACHE + 2) + 1):
+            provider(t)
+        assert len(provider._cache) == EPOCH_CACHE
+        assert min(provider._cache) == 3
 
     def test_validation(self):
-        from repro.topology.dynamic import RegularGraphEachRound
-
-        with pytest.raises(ValueError):
-            RegularGraphEachRound(8, 3, period=0)
-        with pytest.raises(ValueError):
-            RegularGraphEachRound(8, 3, cache_size=0)
+        with pytest.raises(ValueError, match="period"):
+            RandomRegularEachRound(8, 3, period=-4)
