@@ -12,8 +12,6 @@ hold round by round).
 Run:  python examples/unreliable_network.py
 """
 
-import numpy as np
-
 from repro.core import RoundSchedule, SkipTrain
 from repro.data import make_classification_images, shard_partition
 from repro.data.synthetic import SyntheticSpec
@@ -69,7 +67,7 @@ def main() -> None:
           f"{TOTAL_ROUNDS} rounds\n")
     run(NoFailures(N_NODES), "no failures")
     run(
-        IndependentCrashes(N_NODES, 0.15, np.random.default_rng(SEED)),
+        IndependentCrashes(N_NODES, 0.15, SEED),
         "15% independent churn per round",
     )
     run(

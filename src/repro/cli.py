@@ -652,7 +652,7 @@ def _cmd_sweep_scenario(args: argparse.Namespace) -> int:
     over ``--seeds`` through the same shard/jobs/checkpoint pipeline."""
     from .experiments import parse_shard
     from .scenarios import get_scenario
-    from .scenarios.compile import build_scenario_plan, validate_composition
+    from .scenarios.compile import build_scenario_plan
 
     conflicting = {
         "--preset": args.preset is not None,
@@ -676,17 +676,7 @@ def _cmd_sweep_scenario(args: argparse.Namespace) -> int:
         print(f"error: scenario {spec.name!r} compiles to kind "
               f"{spec.kind!r}; drop --kind {args.kind}", file=sys.stderr)
         return 2
-    if args.checkpoint_every > 0 and spec.failures.kind == "independent":
-        print(f"error: scenario {spec.name!r} uses rng-backed "
-              f'"independent" failures, which run checkpoints cannot '
-              f"capture; drop --checkpoint-every or use a scenario with "
-              f'a deterministic "window" failure model', file=sys.stderr)
-        return 2
     try:
-        # full composition rules (kind, churn × allreduce, ...) checked
-        # before any cell starts, mirroring the plain sweep path's
-        # fail-fast validation
-        validate_composition(spec)
         shard = parse_shard(args.shard)
         plan = build_scenario_plan(
             spec, seeds=tuple(args.seeds), total_rounds=args.rounds
@@ -745,11 +735,10 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         return 0
 
     # scenario run
-    from .scenarios.compile import build_scenario_plan, validate_composition
+    from .scenarios.compile import build_scenario_plan
 
     seed = args.seed if args.seed is not None else spec.seed
     try:
-        validate_composition(spec)
         cell = build_scenario_plan(spec, seeds=(seed,),
                                    total_rounds=args.rounds)[0]
     except ValueError as exc:

@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from ...algorithm_names import algorithm_kind
-from ...scenarios.compile import build_scenario_plan, validate_composition
+from ...scenarios.compile import build_scenario_plan
 from ...scenarios.spec import ScenarioSpec
 from ..artifacts import PlanCell, build_plan
 
@@ -222,7 +222,6 @@ def parse_job_request(
                 f"inline spec name {spec.name!r} was already served "
                 f"with a different definition; artifacts would collide"
             )
-        validate_composition(spec)
         cells = build_scenario_plan(
             spec, seeds=seeds, total_rounds=rounds,
             preset=preset_lookup(spec.preset),

@@ -153,14 +153,14 @@ def run_cell(
     partial history are restored from it and the run continues from the
     checkpointed round — bit-identical to an uninterrupted run. With
     ``checkpoint_every > 0``, a fresh checkpoint is written at the
-    first point at least that many rounds after the last one where the
-    engine's hook says a run resumes exactly (``resumable_at == at``):
-    an evaluation round for a sync cell (see
-    :meth:`SimulationEngine.run`), any event boundary for an async one.
-    The checkpoint is deleted once the artifact is safely on disk.
+    first hook call at least that many rounds after the last one:
+    every round of a sync cell and every event window of an async one
+    resumes exactly. The checkpoint is deleted once the artifact is
+    safely on disk.
 
-    ``round_hook(engine, at, history, resumable_at)`` is the engines'
-    one hook, called after every round (sync) or event window (async).
+    ``round_hook(engine, at, history, last_eval)`` is the engines'
+    one hook, called after every round (sync) or event window (async)
+    with the last evaluation point.
     For ``kind="async"`` cells ``at`` counts events and
     ``checkpoint_every`` stays in the cell's round-equivalent unit
     (expected activations per node — ``checkpoint_every × n`` events).
@@ -199,10 +199,8 @@ def run_cell(
             f"got {preset.name!r}"
         )
     if cell.scenario:
-        compiled = _compile_scenario_cell(
-            preset, cell, prepared, checkpoint_every=checkpoint_every,
-            scenario_lookup=scenario_lookup,
-        )
+        compiled = _compile_scenario_cell(preset, cell, prepared,
+                                          scenario_lookup=scenario_lookup)
         engine, algo = compiled.engine, compiled.algorithm
         prepared = compiled.prepared
     else:
@@ -227,7 +225,6 @@ def _compile_scenario_cell(
     cell: PlanCell,
     prepared,
     *,
-    checkpoint_every: int,
     scenario_lookup: Callable | None,
 ):
     """The ``cell.scenario`` half of :func:`run_cell`: compile the
@@ -241,16 +238,6 @@ def _compile_scenario_cell(
     from ..scenarios.compile import compile_run
 
     spec = _scenario_spec(cell, scenario_lookup)
-    if checkpoint_every > 0 and spec.failures.kind == "independent":
-        # fail before any training, not rounds in at the first
-        # checkpoint save (the rng-backed failure model cannot
-        # round-trip through checkpoints)
-        raise ValueError(
-            f"scenario {spec.name!r} uses rng-backed "
-            f'"independent" failures, which run checkpoints cannot '
-            f"capture; drop checkpoint_every or switch the scenario to "
-            f'a deterministic "window" failure model'
-        )
     if spec.preset != cell.preset or spec.algorithm.name != cell.algorithm:
         raise ValueError(
             f"cell {cell.cell_id} records preset/algorithm "
@@ -293,11 +280,10 @@ def _execute_cell(
     checkpointing, write the artifact, drop the checkpoint. Nothing
     here asks which kind the cell is.
 
-    A checkpoint is written where the engine's hook says a run resumes
-    exactly, ``resumable_at == at``: a sync engine names its last
-    evaluation round, an async one every event boundary. The async
-    hook fires at evaluation boundaries, so checkpoints land on those,
-    while resume stays boundary-free.
+    A checkpoint is written on cadence alone: a sync run resumes
+    exactly from any round and an async one from any event boundary.
+    The async hook fires at evaluation boundaries, so its checkpoints
+    land on those.
     """
     unit = cell.units_per_round(engine.n_nodes)
     total, interval = cell.total_rounds * unit, checkpoint_every * unit
@@ -308,19 +294,14 @@ def _execute_cell(
         start, history = load_run_checkpoint(engine, algo, ckpt)
     last_ckpt = start
 
-    def hook(eng, at, hist, resumable_at):
+    def hook(eng, at, hist, last_eval):
         nonlocal last_ckpt
-        if (
-            checkpoint_every > 0
-            and at == resumable_at
-            and at < total
-            and at - last_ckpt >= interval
-        ):
+        if checkpoint_every > 0 and at < total and at - last_ckpt >= interval:
             ckpt.parent.mkdir(parents=True, exist_ok=True)
             save_run_checkpoint(eng, algo, hist, at, ckpt)
             last_ckpt = at
         if round_hook is not None:
-            round_hook(eng, at, hist, resumable_at)
+            round_hook(eng, at, hist, last_eval)
         if progress is not None:
             progress(at, total)
 

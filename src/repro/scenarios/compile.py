@@ -15,8 +15,8 @@ sweep orchestrator rebuilds a killed scenario cell by re-compiling and
 restoring the mid-run checkpoint into the fresh engine, and the
 resumed run is bit-for-bit equal to an uninterrupted one.
 
-Composition rules enforced here (fail at compile time, not rounds into
-a run):
+How the axes compose (the one refusal, a kind that contradicts the
+algorithm's, fails at compile time, not rounds into a run):
 
 * churn and failures need no mixing of their own — compilation hands
   the engine the scenario's static matrix or its dynamic provider, and
@@ -24,10 +24,12 @@ a run):
   departed and dead nodes never enter the gossip product (sync) or a
   partner draw (async); dynamic topologies reach both engines the same
   way;
+* exact all-reduce averages the round's eligible rows only, so it
+  composes with churn and failures the same way;
 * ``enforce_budgets`` is the async engine's battery gate (validated by
   the spec itself);
-* churn cannot compose with exact all-reduce (the consensus average
-  has no subgraph analogue for absent members).
+* every failure model and churn schedule is a pure function of the
+  round index, so every composition checkpoints and resumes exactly.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from ..experiments.runner import (
     prepare,
 )
 from ..simulation.failures import CrashWindow, FailureModel, IndependentCrashes
-from ..simulation.rng import RngFactory
 from ..topology.dynamic import RandomRegularEachRound
 from .churn import ChurnSchedule
 from .spec import ScenarioSpec
@@ -74,11 +75,9 @@ TRACE_SCHEMA = "repro/scenario-trace/v1"
 
 
 def validate_composition(spec: ScenarioSpec, kind: str = "auto") -> str:
-    """The compile-time composition rules that need no preset lookup:
-    kind consistency and churn × all-reduce.
-    Returns the resolved kind. :func:`compile_run` calls this first; the CLI calls it up
-    front so an invalid registered scenario fails with a clean error
-    before any cell starts."""
+    """The one compile-time composition rule that needs no preset
+    lookup, kind consistency. Returns the resolved kind;
+    :func:`compile_run` calls this first."""
     if kind not in ("auto", "sync", "async"):
         raise ValueError(f'kind must be "auto", "sync" or "async", got {kind!r}')
     resolved_kind = spec.kind
@@ -86,12 +85,6 @@ def validate_composition(spec: ScenarioSpec, kind: str = "auto") -> str:
         raise ValueError(
             f"scenario {spec.name!r} compiles to kind {resolved_kind!r} "
             f"(algorithm {spec.algorithm.name!r}), got kind={kind!r}"
-        )
-    if spec.churn.active and spec.algorithm.name.lower().endswith("allreduce"):
-        raise ValueError(
-            f"scenario {spec.name!r}: exact all-reduce averages every "
-            f"node's state and has no membership-masked analogue; churn "
-            f"composes with gossip algorithms only"
         )
     return resolved_kind
 
@@ -135,11 +128,9 @@ def _build_failure_model(
                 f"{n_nodes} nodes"
             )
         return CrashWindow(n_nodes, list(f.nodes), f.start, f.end)
-    # rng-backed churn: its own named stream off the cell seed, so the
-    # crash pattern never perturbs event/batch/eval randomness
-    return IndependentCrashes(
-        n_nodes, f.p, rng=RngFactory(seed).stream("failures")
-    )
+    # its own named streams off the cell seed, so the crash pattern
+    # never perturbs event/batch/eval randomness
+    return IndependentCrashes(n_nodes, f.p, seed)
 
 
 @dataclass

@@ -140,9 +140,10 @@ class ChurnSpec:
 @dataclass(frozen=True)
 class FailureSpec:
     """Transient-outage model: ``window`` freezes ``nodes`` during
-    rounds ``[start, end]`` (deterministic, checkpoint-safe);
-    ``independent`` crashes each node with probability ``p`` per round
-    (rng-backed — rejected by run checkpoints)."""
+    rounds ``[start, end]``; ``independent`` crashes each node with
+    probability ``p`` per round, drawn from the cell seed's
+    ``"failures"`` stream of that round. Both are pure functions of the
+    round index, so either checkpoints and resumes exactly."""
 
     kind: str = "none"
     nodes: tuple[int, ...] = ()

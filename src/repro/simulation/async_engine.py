@@ -408,8 +408,9 @@ class AsyncGossipEngine(SimulationEngine):
         """Simulate events ``start+1 .. total_events`` under the policy
         ``algorithm`` — the sync engine's contract, counted in events.
         Each window is planned, its batches executed and the state
-        evaluated; then ``hook(engine, at, history, resumable_at)`` runs
-        with ``at`` the window's final event and ``resumable_at == at``.
+        evaluated; then ``hook(engine, at, history, last_eval)`` runs
+        with ``at`` the window's final event, which is also the last
+        evaluation point, ``last_eval == at``.
         Non-zero ``start`` resumes a run restored by
         :meth:`load_state_dict` from any event boundary, appending to
         ``history``.

@@ -22,10 +22,10 @@ holds:
 A fresh engine + algorithm, built exactly as for the original run and
 restored through this pair, continues bit-for-bit: history and final
 state equal an uninterrupted run's. A synchronous run resumes exactly
-from evaluation rounds only (see :meth:`SimulationEngine.run`); an
-async run from any event boundary, even one inside an event window,
-because its evaluation cadence is absolute in the event
-index and batching never reorders a captured stream.
+from any round, because its evaluation cadence continues from the
+history's last record; an async run from any event boundary, even one
+inside an event window, because its evaluation cadence is absolute in
+the event index and batching never reorders a captured stream.
 
 The loader checks the stamp, the algorithm name and every shape before
 it touches engine, algorithm or node bank, and then reads the ``state``
@@ -35,14 +35,15 @@ matrix straight into the engine's own, so a resume never holds a second
 per-cell scratch, so the remedy is to delete the file and rerun the
 cell; finished artifacts are unaffected.
 
-What a snapshot cannot capture is refused at save time, by the engine's
-``state_dict`` and before anything is written, rather than resumed
-divergently: stochastic compressors and rng-backed failure models
-(``IndependentCrashes``), which hold rng state of their own. The
-engines train with plain SGD, so there is no optimizer state to save.
-Deterministic compressors (their error-feedback public copies are part
-of the snapshot), window failure models and churn schedules are pure
-functions of the round index and checkpoint fine.
+What a checkpoint captures, beside the history and the algorithm's
+state: the state matrix, every node's batch-stream position, the
+evaluation rng, the energy meter's accumulators, a compressor's
+error-feedback public copies and a stochastic compressor's rng, and for
+the async engine its counters, event heap, event rng and churn cursor.
+Nothing else carries run state: the engines train with plain SGD, so
+there is no optimizer state, and failure models (``CrashWindow`` and
+``IndependentCrashes``, which draws round ``t`` from its own seeded
+stream) and churn schedules are pure functions of the round index.
 """
 
 from __future__ import annotations
@@ -133,9 +134,8 @@ def save_run_checkpoint(
 ) -> None:
     """Persist a complete mid-run snapshot after ``at`` completed rounds
     (sync) or events (async): the engine's ``state_dict``, the
-    algorithm's or policy's state, and the history so far. Engine state
-    that cannot round-trip is rejected by the engine before anything is
-    written (see the module docstring)."""
+    algorithm's or policy's state, and the history so far (see the
+    module docstring for what the engine's part holds)."""
     if at < 0:
         raise ValueError("checkpoint index must be non-negative")
     kind, _, record_cls, label = _kind_of(engine)

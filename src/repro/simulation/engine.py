@@ -309,30 +309,16 @@ class SimulationEngine:
     def state_dict(self) -> dict:
         """Everything a run mutates: the state matrix, the meter's
         accumulators, every node's batch-stream position, the evaluation
-        rng and, under a compressor, the error-feedback public copies.
-        Restoring it into a freshly constructed engine and continuing
-        with ``run(start=...)`` from an evaluation round is
-        bit-identical to an uninterrupted run.
+        rng and, under a compressor, the error-feedback public copies
+        and a stochastic compressor's rng. Restoring it into a freshly
+        constructed engine and continuing with ``run(start=...)`` from
+        any round is bit-identical to an uninterrupted run.
 
         ``state`` (and ``public``) are the engine's own arrays, not
         copies: write the snapshot out before the run goes on.
 
-        State this snapshot cannot capture is refused rather than
-        resumed divergently: stochastic compressors and rng-backed
-        failure models (each holds its own rng). Their deterministic
-        counterparts, and churn schedules, are pure functions of the
+        Failure models and churn schedules are pure functions of the
         round index and need no entry."""
-        if getattr(self.failure_model, "rng", None) is not None:
-            raise ValueError(
-                "run checkpoints do not capture stochastic failure-model rng "
-                "state; use a deterministic failure model (CrashWindow) for "
-                "checkpointed runs"
-            )
-        if getattr(self.compressor, "rng", None) is not None:
-            raise ValueError(
-                "run checkpoints do not capture stochastic compressor rng "
-                "state; use a deterministic compressor"
-            )
         sd = {
             "state": self.state,
             **self.nodes.state_dict(),
@@ -342,12 +328,15 @@ class SimulationEngine:
             sd.update(self.meter.state_dict())
         if self._public is not None:
             sd["public"] = self._public
+        if getattr(self.compressor, "rng", None) is not None:
+            sd["compressor_rng"] = generator_state(self.compressor.rng)
         return sd
 
     def load_state_dict(self, sd: dict) -> None:
         """Restore a :meth:`state_dict` snapshot in place. The engine
         must have been constructed exactly as for the original run; a
-        snapshot of another shape, without the meter's arrays or (the
+        snapshot of another shape, without the meter's arrays, with or
+        without a stochastic compressor's rng unlike the engine, or (the
         bank's own check) taken under another seed is refused before
         anything is touched."""
         state = np.asarray(sd["state"])
@@ -361,6 +350,10 @@ class SimulationEngine:
         if self.meter is not None and "train_wh" not in sd:
             raise ValueError("snapshot lacks energy-meter arrays")
         eval_rng = restore_generator(sd["eval_rng"])
+        stochastic = getattr(self.compressor, "rng", None) is not None
+        if stochastic != ("compressor_rng" in sd):
+            raise ValueError("snapshot and engine disagree on a stochastic compressor")
+        compressor_rng = restore_generator(sd["compressor_rng"]) if stochastic else None
         # first to move, because it can still refuse (a snapshot taken
         # under another seed) and checks before it moves a cursor
         self.nodes.load_state_dict(sd)
@@ -369,6 +362,8 @@ class SimulationEngine:
         self.state[...] = state
         self.eval_rng = eval_rng
         self._public = None if public is None else np.array(public)
+        if stochastic:
+            self.compressor.rng = compressor_rng
 
     # -- internals ------------------------------------------------------------
 
@@ -390,7 +385,9 @@ class SimulationEngine:
 
     def _aggregate(self, use_allreduce: bool, t: int = 1) -> None:
         """Share + aggregate: one sparse product ``W @ X`` through the
-        engine's :class:`GossipBuffers` (or an exact average).
+        engine's :class:`GossipBuffers`, or an exact average over the
+        round's eligible rows; a node :meth:`_eligible` excludes keeps
+        its row either way.
 
         With a compressor, communication uses error-feedback compressed
         gossip (the CHOCO-SGD scheme): every node maintains a *public
@@ -405,7 +402,11 @@ class SimulationEngine:
         keeps anyway; it does not go through the buffers.
         """
         if use_allreduce:
-            self.state[:] = self.state.mean(axis=0, keepdims=True)
+            eligible = self._eligible(t)
+            if eligible is None or eligible.all():
+                self.state[:] = self.state.mean(axis=0, keepdims=True)
+            elif eligible.any():
+                self.state[eligible] = self.state[eligible].mean(axis=0)
             return
         w = self._mixing_for_round(t)
         if self.compressor is None:
@@ -514,12 +515,11 @@ class SimulationEngine:
 
         ``history`` appends to an existing record list (a resumed run
         continues the interrupted history); ``hook(engine, at, history,
-        resumable_at)`` is called after every completed round ``at`` —
-        the sweep orchestrator checkpoints from it. ``resumable_at`` is
-        the last evaluation round, because resuming is exact only from
-        an evaluation point: ``run`` re-seeds its evaluation cadence
-        from ``start``, so a checkpoint taken between evaluations would
-        shift later evaluation rounds.
+        last_eval)`` is called after every completed round ``at`` — the
+        sweep orchestrator checkpoints from it — with ``last_eval`` the
+        last evaluation round (0 before the first). A run resumes
+        exactly from any round: the evaluation cadence continues from
+        the history's last record, not from ``start``.
         """
         if algorithm.n_nodes != self.n_nodes:
             raise ValueError("algorithm node count mismatch")
@@ -528,7 +528,7 @@ class SimulationEngine:
         if history is None:
             history = RunHistory(algorithm=algorithm.name)
         cfg = self.config
-        last_eval = start
+        last_eval = history.records[-1].round if history.records else 0
         for t in range(start + 1, cfg.total_rounds + 1):
             mask = np.asarray(algorithm.train_mask(t), dtype=bool)
             if mask.shape != (self.n_nodes,):

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .rng import RngFactory
+
 __all__ = ["FailureModel", "NoFailures", "IndependentCrashes", "CrashWindow"]
 
 
@@ -38,33 +40,28 @@ class NoFailures(FailureModel):
 
 class IndependentCrashes(FailureModel):
     """Each node is independently down with probability ``p`` each round
-    (memoryless churn). Draws are memoized per round so repeated queries
-    within a round are consistent; the memo is bounded to the most
-    recent ``cache_size`` rounds (oldest round out) so a million-round
-    run cannot grow one bool array per round forever. The engine bounds
-    the masked matrices it derives from these draws on its own
-    (:data:`~repro.simulation.engine.MASK_MEMO`)."""
+    (memoryless churn). Round ``t``'s draw comes from its own stream,
+    ``RngFactory(seed).node_stream("failures", t)``, so ``alive(t)`` is
+    a pure function of ``(seed, t)`` like :class:`CrashWindow`'s: any
+    query order gives the same masks and a checkpoint needs no entry.
+    The last round's mask is kept, for the async engine's per-event
+    queries."""
 
-    def __init__(self, n_nodes: int, p: float, rng: np.random.Generator,
-                 cache_size: int = 64) -> None:
+    def __init__(self, n_nodes: int, p: float, seed: int) -> None:
         if n_nodes <= 0:
             raise ValueError("n_nodes must be positive")
         if not 0.0 <= p < 1.0:
             raise ValueError("p must be in [0, 1)")
-        if cache_size <= 0:
-            raise ValueError("cache_size must be positive")
         self.n_nodes = n_nodes
         self.p = p
-        self.rng = rng
-        self.cache_size = cache_size
-        self._cache: dict[int, np.ndarray] = {}
+        self._streams = RngFactory(seed)
+        self._last: tuple[int, np.ndarray] | None = None
 
     def alive(self, t: int) -> np.ndarray:
-        if t not in self._cache:
-            if len(self._cache) >= self.cache_size:
-                self._cache.pop(min(self._cache))
-            self._cache[t] = self.rng.random(self.n_nodes) >= self.p
-        return self._cache[t]
+        if self._last is None or self._last[0] != t:
+            draw = self._streams.node_stream("failures", t).random(self.n_nodes)
+            self._last = (t, draw >= self.p)
+        return self._last[1]
 
 
 class CrashWindow(FailureModel):

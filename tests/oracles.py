@@ -182,10 +182,11 @@ def gossip(engine, i, eligible=None, t=1):
 
 def run_events(engine, algorithm, *, start=0, history=None, hook=None):
     """``engine.run``'s contract, one event at a time: the hook fires
-    after every event (``resumable_at == at``), evaluations land on the
-    same absolute cadence."""
+    after every event with the last evaluation point, evaluations land
+    on the same absolute cadence."""
     history = engine._begin(algorithm, start, history)
     total, eval_every = engine.total_events, engine.eval_every
+    last_eval = history.records[-1].activations if history.records else 0
     for event in range(start + 1, total + 1):
         time, i = heapq.heappop(engine._queue)
         t = int(time) + 1
@@ -209,8 +210,9 @@ def run_events(engine, algorithm, *, start=0, history=None, hook=None):
         heapq.heappush(engine._queue, (time + float(engine.rng.exponential()), i))
         if event % eval_every == 0 or event == total:
             history.records.append(engine._evaluate_at(time, event))
+            last_eval = event
         if hook is not None:
-            hook(engine, event, history, event)
+            hook(engine, event, history, last_eval)
     return history
 
 

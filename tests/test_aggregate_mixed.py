@@ -140,12 +140,13 @@ class TestMixedAggregation:
         write_summary_csv(rb, b / "summary.csv")
         assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
 
-    def test_rng_failures_with_checkpointing_fail_before_training(
+    def test_rng_failures_killed_and_resumed_equal_straight(
         self, sync_preset, tmp_path
     ):
-        """A scenario whose rng-backed failure model cannot round-trip
-        through checkpoints is rejected before any rounds run, not at
-        the first checkpoint save."""
+        """A scenario with ``independent`` failures, killed past a
+        mid-cycle checkpoint and resumed, writes the uninterrupted
+        cell's artifact bytes."""
+        from repro.experiments.artifacts import artifact_path
         from repro.scenarios import FailureSpec
 
         spec = ScenarioSpec(
@@ -157,12 +158,26 @@ class TestMixedAggregation:
             algorithm=AlgorithmSpec(name="skiptrain"),
         )
         cell = build_scenario_plan(spec, seeds=(0,), preset=sync_preset)[0]
-        with pytest.raises(ValueError, match="independent"):
-            run_cell(sync_preset, cell, tmp_path, checkpoint_every=2,
-                     scenario_lookup=lambda name: spec)
-        # without checkpointing the same scenario runs fine
-        run_cell(sync_preset, cell, tmp_path,
-                 scenario_lookup=lambda name: spec)
+        lookup = {spec.name: spec}.__getitem__
+        run_cell(sync_preset, cell, tmp_path / "straight",
+                 scenario_lookup=lookup)
+
+        class Kill(Exception):
+            pass
+
+        def killer(engine, at, history, last_eval):
+            if at == 4:
+                raise Kill
+
+        killed = tmp_path / "killed"
+        with pytest.raises(Kill):
+            run_cell(sync_preset, cell, killed, checkpoint_every=3,
+                     round_hook=killer, scenario_lookup=lookup)
+        _, resumed = run_cell(sync_preset, cell, killed,
+                              scenario_lookup=lookup)
+        assert resumed
+        assert (artifact_path(killed, cell).read_bytes()
+                == artifact_path(tmp_path / "straight", cell).read_bytes())
 
     def test_run_sweep_handles_scenario_cells(
         self, sync_preset, scenario_spec, tmp_path

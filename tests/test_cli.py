@@ -524,12 +524,14 @@ class TestScenarioCommands:
                      "--kind", "sync"]) == 2
         assert "kind 'async'" in capsys.readouterr().err
 
-    def test_invalid_composition_fails_cleanly_everywhere(
-        self, monkeypatch, capsys
+    def test_churn_with_allreduce_runs_everywhere(
+        self, tiny_preset, monkeypatch, capsys, tmp_path
     ):
-        """A registered scenario whose composition only compile_run can
-        reject (churn × exact all-reduce) exits 2 with a clean error
-        from run, trace, and sweep — never a traceback."""
+        """Churn × exact all-reduce, once refused at compile time, runs
+        from run, trace and a checkpointed sweep."""
+        import dataclasses
+
+        from repro.experiments.presets import PRESETS
         from repro.scenarios import (
             AlgorithmSpec,
             ChurnEventSpec,
@@ -538,21 +540,29 @@ class TestScenarioCommands:
         )
         from repro.scenarios.registry import _REGISTRY
 
+        preset = dataclasses.replace(tiny_preset, name="micro-cli",
+                                     total_rounds=8, eval_every=2)
+        monkeypatch.setitem(PRESETS, "micro-cli", lambda: preset)
         spec = ScenarioSpec(
-            name="bad-combo", preset="cifar10-bench",
+            name="churn-allreduce", preset="micro-cli", total_rounds=8,
             churn=ChurnSpec(events=(ChurnEventSpec(2, 0, "leave"),)),
             algorithm=AlgorithmSpec(name="d-psgd-allreduce"),
         )
-        monkeypatch.setitem(_REGISTRY, "bad-combo", lambda: spec)
-        for argv in (["scenario", "run", "bad-combo"],
-                     ["scenario", "trace", "bad-combo"],
-                     ["sweep", "--scenario", "bad-combo", "--seeds", "0"]):
-            assert main(argv) == 2, argv
-            assert "all-reduce" in capsys.readouterr().err
+        monkeypatch.setitem(_REGISTRY, "churn-allreduce", lambda: spec)
+        monkeypatch.chdir(tmp_path)
+        for argv in (["scenario", "run", "churn-allreduce"],
+                     ["scenario", "trace", "churn-allreduce"],
+                     ["sweep", "--scenario", "churn-allreduce", "--seeds", "0",
+                      "--results-dir", "swept", "--checkpoint-every", "2"]):
+            assert main(argv) == 0, argv
+            assert "error" not in capsys.readouterr().err
 
-    def test_sweep_scenario_rng_failures_reject_checkpointing(
-        self, tiny_preset, monkeypatch, capsys
+    def test_sweep_scenario_rng_failures_checkpoint(
+        self, tiny_preset, monkeypatch, capsys, tmp_path
     ):
+        """``independent`` failures checkpoint like any other axis: a
+        sweep that checkpoints every 2 rounds writes the artifact bytes
+        of one that never does."""
         import dataclasses
 
         from repro.experiments.presets import PRESETS
@@ -568,6 +578,13 @@ class TestScenarioCommands:
             algorithm=AlgorithmSpec(name="skiptrain"),
         )
         monkeypatch.setitem(_REGISTRY, "micro-rng-fail", lambda: spec)
-        assert main(["sweep", "--scenario", "micro-rng-fail",
-                     "--checkpoint-every", "2"]) == 2
-        assert "independent" in capsys.readouterr().err
+        for every in ("2", "0"):
+            assert main(["sweep", "--scenario", "micro-rng-fail",
+                         "--results-dir", str(tmp_path / every),
+                         "--checkpoint-every", every]) == 0
+            assert "ran 3" in capsys.readouterr().out
+        raw = sorted((tmp_path / "2" / "raw").glob("*.json"))
+        assert len(raw) == 3
+        for path in raw:
+            twin = tmp_path / "0" / "raw" / path.name
+            assert path.read_bytes() == twin.read_bytes()

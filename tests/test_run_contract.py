@@ -2,11 +2,11 @@
 
 ``SimulationEngine.run`` and ``AsyncGossipEngine.run`` take the same
 parameters — ``run(algorithm, *, start=0, history=None, hook=None)`` —
-and call the same hook, ``hook(engine, at, history, resumable_at)``.
+and call the same hook, ``hook(engine, at, history, last_eval)``.
 Both hold their horizon from construction, :func:`build_run` builds
 either kind from one algorithm name, and one name table decides which
 kind a name is. The kill-and-resume case below is the oracle a
-random-kill fuzzer drives: killed at any resumable point ≡
+random-kill fuzzer drives: killed at any round or event boundary ≡
 uninterrupted, byte for byte.
 """
 
@@ -38,6 +38,10 @@ CELLS = {
     "async": ("async-skiptrain-constrained", 6, 1, 5),
 }
 
+#: a sync kill between evaluations: round 6, one round before the
+#: (2, 2) cycle's evaluation at round 7, nearer than the cadence
+MID_CYCLE = 6
+
 
 class Kill(Exception):
     pass
@@ -64,13 +68,18 @@ class TestOneContract:
 
     @pytest.mark.parametrize("oracle", [True, False],
                              ids=["oracle", "product"])
-    @pytest.mark.parametrize("kind", ["sync", "async"])
+    @pytest.mark.parametrize("kind", ["sync", "async", "sync-mid-cycle"])
     def test_killed_and_resumed_equals_straight(
         self, tiny_preset, tmp_path, kind, oracle
     ):
-        """The oracle's async hook fires after every event, the
-        product's once per event window; both name resumable points."""
-        name, horizon, cadence, kill_from = CELLS[kind]
+        """Killed at an evaluation point, or a sync run between two,
+        the resumed run ends in the straight run's bytes. The oracle's
+        async hook fires after every event, the product's once per
+        event window, so the product's every call is an evaluation."""
+        mid_cycle = kind == "sync-mid-cycle"
+        name, horizon, cadence, kill_from = CELLS[kind.partition("-")[0]]
+        if mid_cycle:
+            kill_from = MID_CYCLE
         prepared = prepare(tiny_preset, 3, seed=4)
 
         def fresh():
@@ -85,17 +94,18 @@ class TestOneContract:
         path = tmp_path / "run.npz"
         seen = []
 
-        def hook(engine, at, history, resumable_at):
-            seen.append((at, resumable_at))
-            if at >= kill_from and resumable_at == at:
+        def hook(engine, at, history, last_eval):
+            seen.append((at, last_eval))
+            if at >= kill_from and (last_eval < at) == mid_cycle:
                 save_run_checkpoint(engine, doomed_algo, history, at, path)
                 raise Kill
 
         with pytest.raises(Kill):
             doomed.run(doomed_algo, hook=hook)
-        if kind == "async":
-            # every event boundary resumes an async run
-            assert all(at == resumable for at, resumable in seen)
+        if kind == "async" and not oracle:
+            assert all(at == last_eval for at, last_eval in seen)
+        if mid_cycle:
+            assert seen[-1][0] == MID_CYCLE
 
         engine, algo = fresh()
         at, history = load_run_checkpoint(engine, algo, path)

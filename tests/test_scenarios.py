@@ -327,13 +327,21 @@ class TestCompile:
         compiled = compile_run(spec, preset=scn_preset)
         assert isinstance(compiled.engine.local_trainer.stacked, BatchedTrainer)
 
-    def test_churn_with_allreduce_rejected(self):
+    def test_churn_with_allreduce_freezes_departed_rows(self, scn_preset):
+        """Churn composes with exact all-reduce: the departed node's
+        row stays as it left while the members average exactly."""
         spec = tiny_scenario(
             algorithm=AlgorithmSpec(name="d-psgd-allreduce"),
-            churn=ChurnSpec(events=(ChurnEventSpec(2, 0, "leave"),)),
+            churn=ChurnSpec(events=(ChurnEventSpec(3, 0, "leave"),)),
         )
-        with pytest.raises(ValueError, match="all-reduce"):
-            compile_run(spec)
+        compiled = compile_run(spec, preset=scn_preset)
+        rows = {}
+        compiled.execute(lambda eng, at, hist, last_eval:
+                         rows.setdefault(at, eng.state.copy()))
+        for t in range(3, 11):
+            np.testing.assert_array_equal(rows[t][0], rows[2][0])
+            assert np.all(rows[t][1:] == rows[t][1])
+        assert not np.array_equal(rows[10][1], rows[2][1])
 
     def test_failure_node_out_of_range(self, scn_preset):
         spec = tiny_scenario(
@@ -509,7 +517,7 @@ class TestEngineChurnBehavior:
         init_row2 = engine.state[2].copy()
         snap = {}
 
-        def hook(eng, event, hist, resumable_at):
+        def hook(eng, event, hist, last_eval):
             if eng._churn_round < 4:
                 # node 2 has not joined: row must still be the init
                 np.testing.assert_array_equal(eng.state[2], init_row2)

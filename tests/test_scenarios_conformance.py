@@ -315,7 +315,7 @@ class TestDeadJoinerRule:
         engine, policy = compiled.engine, compiled.algorithm
         init_row = engine.state[3].copy()
 
-        def hook(eng, event, hist, resumable_at):
+        def hook(eng, event, hist, last_eval):
             if eng._churn_round <= 7:
                 np.testing.assert_array_equal(eng.state[3], init_row)
 
@@ -403,7 +403,7 @@ class TestPartnerExclusion:
         n = grid_preset.n_nodes
         snapshots = {}
 
-        def hook(eng, event, hist, resumable_at):
+        def hook(eng, event, hist, last_eval):
             t = eng._churn_round if eng.churn is not None else 0
             mask = self._eligible(spec, n, max(t, 1))
             for i in np.nonzero(~mask)[0]:

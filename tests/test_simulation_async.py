@@ -292,8 +292,8 @@ class TestAsyncStateDict:
         class Stop(Exception):
             pass
 
-        def snapshot(eng, event, history, resumable_at):
-            assert resumable_at == event  # every event boundary resumes
+        def snapshot(eng, event, history, last_eval):
+            assert last_eval == event - event % eng.eval_every
             if event == 37:  # deliberately not on the eval cadence
                 snap["sd"] = eng.state_dict()
                 snap["records"] = list(history.records)
@@ -479,8 +479,8 @@ class TestVectorizedEventBatching:
     def test_hook_fires_once_per_window(self):
         events = []
         eng = make_engine(seed=0, activations_per_node=6, eval_every=2)
-        eng.run(AsyncDPSGD(), hook=lambda e, at, h, resumable_at:
-                events.append((at, resumable_at)))
+        eng.run(AsyncDPSGD(), hook=lambda e, at, h, last_eval:
+                events.append((at, last_eval)))
         assert events == [(16, 16), (32, 32), (48, 48)]
 
     def test_resume_inside_batch_window_crosses_engine_flavors(self):
@@ -498,7 +498,7 @@ class TestVectorizedEventBatching:
         donor = oracles.serial(make_engine(**horizon))
         captured = {}
 
-        def stopper(engine, event, history, resumable_at):
+        def stopper(engine, event, history, last_eval):
             if event == 21:  # mid-window, off the eval cadence
                 captured["history"] = history
                 raise Stop

@@ -32,7 +32,7 @@ SPEC = SyntheticSpec(num_classes=4, channels=1, image_size=4,
                      noise_std=1.0, jitter_std=0.3, prototype_resolution=2)
 
 
-def make_engine(seed=0, total_rounds=16):
+def make_engine(seed=0, total_rounds=16, **extra):
     rngs = RngFactory(seed)
     train, protos = make_classification_images(SPEC, 400, rngs.stream("data"))
     test, _ = make_classification_images(SPEC, 100, rngs.stream("test"),
@@ -45,7 +45,7 @@ def make_engine(seed=0, total_rounds=16):
     model = small_mlp(16, 4, hidden=8, rng=rngs.stream("model"))
     meter = EnergyMeter(build_trace(N, CIFAR10_WORKLOAD, 0.1))
     return SimulationEngine(model, nodes, w, cfg, test, meter=meter,
-                            eval_rng=rngs.stream("eval"))
+                            eval_rng=rngs.stream("eval"), **extra)
 
 
 def assert_untouched(engine, fresh):
@@ -214,8 +214,8 @@ class TestRunCheckpoint:
         algo = make_constrained()
         h_straight = straight.run(algo)
 
-        # the doomed process: checkpoint at round 7 (the (2,2)
-        # schedule's first eval round under eval_every=4), die at 10.
+        # the doomed process: checkpoint at round 9 (between the (2,2)
+        # schedule's eval rounds under eval_every=4), die at 10.
         doomed = make_engine(seed=5, total_rounds=16)
         doomed_algo = make_constrained()
         path = tmp_path / "run.npz"
@@ -223,9 +223,9 @@ class TestRunCheckpoint:
         class Die(Exception):
             pass
 
-        def hook(engine, t, history, resumable_at):
-            if t == 7:
-                assert resumable_at == t  # only eval rounds resume exactly
+        def hook(engine, t, history, last_eval):
+            if t == 9:
+                assert last_eval < t  # any round resumes exactly
                 save_run_checkpoint(engine, doomed_algo, history, t, path)
             if t == 10:
                 raise Die
@@ -237,7 +237,7 @@ class TestRunCheckpoint:
         fresh = make_engine(seed=5, total_rounds=16)
         fresh_algo = make_constrained()
         start, history = load_run_checkpoint(fresh, fresh_algo, path)
-        assert start == 7
+        assert start == 9
         h_resumed = fresh.run(fresh_algo, start=start, history=history)
 
         np.testing.assert_array_equal(fresh.state, straight.state)
@@ -271,22 +271,48 @@ class TestRunCheckpoint:
         assert_untouched(victim, make_engine())
 
     @pytest.mark.parametrize("part", ["compressor", "failure_model"])
-    def test_rejects_uncapturable_engine_state(self, tmp_path, part):
-        """A stochastic compressor and ``IndependentCrashes`` each hold
-        an rng the snapshot does not capture — saving must fail fast,
-        before a file exists, not resume divergently."""
-        eng = make_engine()
-        rng = np.random.default_rng(0)
-        if part == "compressor":
-            eng.compressor = RandomKCompressor(0.5, rng)
-        else:
-            eng.failure_model = IndependentCrashes(N, 0.2, rng)
-        algo = DPSGD(N)
+    def test_rng_backed_parts_resume_exactly(self, tmp_path, part):
+        """A stochastic compressor's rng is one more snapshot entry and
+        ``IndependentCrashes`` draws each round from (seed, t): an engine
+        holding either, killed between evaluations and resumed, ends
+        bit-equal to an uninterrupted one."""
+
+        def build_engine():
+            if part == "compressor":
+                rng = np.random.default_rng(0)
+                return make_engine(compressor=RandomKCompressor(0.5, rng))
+            return make_engine(failure_model=IndependentCrashes(N, 0.2, seed=0))
+
+        straight = build_engine()
+        want = straight.run(DPSGD(N))
         path = tmp_path / "x.npz"
-        with pytest.raises(ValueError, match="rng"):
-            save_run_checkpoint(eng, algo, RunHistory(algorithm=algo.name),
-                                4, path)
-        assert not path.exists()
+
+        def hook(engine, at, history, last_eval):
+            if at == 6:
+                save_run_checkpoint(engine, DPSGD(N), history, at, path)
+                raise Kill
+
+        with pytest.raises(Kill):
+            build_engine().run(DPSGD(N), hook=hook)
+        fresh = build_engine()
+        start, history = load_run_checkpoint(fresh, DPSGD(N), path)
+        got = fresh.run(DPSGD(N), start=start, history=history)
+        np.testing.assert_array_equal(fresh.state, straight.state)
+        assert_histories_equal(got, want)
+
+    def test_compressor_rng_mismatch_refused_untouched(self, tmp_path):
+        """A snapshot with a stochastic compressor's rng does not load
+        into an engine without one, nor the other way round."""
+        def randomk():
+            return RandomKCompressor(0.5, np.random.default_rng(0))
+
+        for donor, victim in ((make_engine(compressor=randomk()), make_engine()),
+                              (make_engine(), make_engine(compressor=randomk()))):
+            path = tmp_path / "x.npz"
+            save_run_checkpoint(donor, DPSGD(N), donor.run(DPSGD(N)), 16, path)
+            with pytest.raises(ValueError, match="stochastic compressor"):
+                load_run_checkpoint(victim, DPSGD(N), path)
+            assert_untouched(victim, make_engine())
 
     def test_stateless_algorithm_rejects_foreign_state(self):
         with pytest.raises(ValueError, match="no checkpointable state"):
@@ -311,13 +337,26 @@ class Kill(Exception):
 
 def build(prepared, kind, layout="product"):
     """A wired (engine, algorithm) pair of ``kind``, on the product's
-    stacked path or the serial ``oracle`` loops."""
+    stacked path or the serial ``oracle`` loops. A ``-crashes`` kind
+    adds ``IndependentCrashes``, ``sync-randomk`` a ``RandomKCompressor``:
+    the two parts that hold randomness of their own."""
+    kind, _, part = kind.partition("-")
+    crashes = (IndependentCrashes(prepared.preset.n_nodes, 0.3, seed=2)
+               if part == "crashes" else None)
     if kind == "async":
         engine, algo = build_run(prepared, "async-skiptrain-constrained",
-                                 total_rounds=6, eval_every=1)
+                                 total_rounds=6, eval_every=1,
+                                 failure_model=crashes)
     else:
         engine, algo = build_run(prepared, "skiptrain-constrained",
-                                 total_rounds=12, eval_every=2)
+                                 total_rounds=12, eval_every=2,
+                                 failure_model=crashes)
+    if part == "randomk":
+        engine = SimulationEngine(
+            engine.model, engine.nodes, engine.mixing, engine.config,
+            engine.test_set, meter=engine.meter, eval_rng=engine.eval_rng,
+            compressor=RandomKCompressor(0.5, RngFactory(2).stream("compress")),
+        )
     return (oracles.serial(engine) if layout == "oracle" else engine), algo
 
 
@@ -329,7 +368,8 @@ class TestOnePairBothEngines:
     """The same two functions checkpoint a sync and an async run."""
 
     @pytest.mark.parametrize("layout", ["oracle", "product"])
-    @pytest.mark.parametrize("kind", ["sync", "async"])
+    @pytest.mark.parametrize("kind", ["sync", "async", "sync-crashes",
+                                      "async-crashes", "sync-randomk"])
     def test_kill_and_resume(self, tiny_preset, tmp_path, kind, layout):
         prepared = prepare(tiny_preset, 3, seed=2)
         path = tmp_path / "run.npz"
@@ -339,9 +379,9 @@ class TestOnePairBothEngines:
         doomed = build(prepared, kind, layout)
         saved = []
 
-        def hook(engine, at, history, resumable_at):
-            # sync resumes exactly from evaluation rounds only
-            if not saved and at >= 4 and resumable_at == at:
+        def hook(engine, at, history, last_eval):
+            # every round or event boundary resumes exactly
+            if not saved and at >= 7:
                 save_run_checkpoint(engine, doomed[1], history, at, path)
                 saved.append(at)
                 raise Kill
@@ -358,7 +398,7 @@ class TestOnePairBothEngines:
         assert_histories_equal(got.history, want.history)
         assert type(got.history) is type(want.history)
         with np.load(path) as archive:
-            assert str(archive["kind"]) == kind
+            assert str(archive["kind"]) == kind.partition("-")[0]
 
     @pytest.mark.parametrize("saved_kind,offered", [("sync", "async"),
                                                     ("async", "sync")])

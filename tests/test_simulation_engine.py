@@ -4,7 +4,7 @@ satisfy regardless of algorithm or data."""
 import numpy as np
 import pytest
 
-from repro.core import DPSGD, RoundSchedule, SkipTrain
+from repro.core import DPSGD, AllReduceDPSGD, RoundSchedule, SkipTrain
 from repro.data import make_classification_images, shard_partition
 from repro.data.synthetic import SyntheticSpec
 from repro.energy import CIFAR10_WORKLOAD, EnergyMeter, build_trace
@@ -204,13 +204,33 @@ class TestIneligibleNodesStayOutOfGossip:
         assert eng.meter.train_rounds[2] == 0
         assert not np.array_equal(eng.state[0], init_row)
 
+    def test_crashed_node_row_frozen_under_allreduce(self):
+        """Exact all-reduce averages the round's eligible rows only: a
+        node crashed in rounds 2-5 keeps its row through them, as under
+        gossip, while the rest agree exactly; it rejoins the average at
+        round 6."""
+        eng = make_engine(failure_model=CrashWindow(N, [0], start=2, end=5))
+        rows = {}
+
+        def hook(engine, at, history, last_eval):
+            rows[at] = engine.state.copy()
+
+        eng.run(AllReduceDPSGD(N), hook=hook)
+        for t in range(2, 6):
+            np.testing.assert_array_equal(rows[t][0], rows[1][0])
+            assert np.all(rows[t][1:] == rows[t][1])
+            assert not np.array_equal(rows[t][1], rows[1][1])
+        assert not np.array_equal(rows[6][0], rows[5][0])
+        assert np.all(rows[6] == rows[6][0])
+        assert eng.meter.train_rounds[0] == eng.meter.train_rounds[1] - 4
+
     def test_churn_over_static_matrix_freezes_departed_rows(self):
         churn = ChurnSchedule(N, [(5, 1, "leave")], initially_absent=(3,))
         eng = make_engine(churn=churn)
         init_row = eng.state[3].copy()
         at_leave = {}
 
-        def hook(engine, at, history, resumable_at):
+        def hook(engine, at, history, last_eval):
             if at == 4:
                 at_leave["row"] = engine.state[1].copy()
 

@@ -27,14 +27,15 @@ class TestFailureModels:
         assert model.alive(1).all()
         assert model.alive(99).all()
 
-    def test_independent_crashes_memoized(self):
-        model = IndependentCrashes(20, 0.3, np.random.default_rng(0))
-        a = model.alive(7)
-        b = model.alive(7)
-        np.testing.assert_array_equal(a, b)
+    def test_independent_crashes_consistent_within_a_round(self):
+        model = IndependentCrashes(20, 0.3, seed=0)
+        a = model.alive(7).copy()
+        model.alive(8)
+        np.testing.assert_array_equal(model.alive(7), a)
+        np.testing.assert_array_equal(model.alive(7), a)
 
     def test_independent_crash_rate(self):
-        model = IndependentCrashes(50, 0.3, np.random.default_rng(1))
+        model = IndependentCrashes(50, 0.3, seed=1)
         rates = [1.0 - model.alive(t).mean() for t in range(1, 101)]
         assert np.mean(rates) == pytest.approx(0.3, abs=0.05)
 
@@ -45,27 +46,24 @@ class TestFailureModels:
                                       [True, False, True, True, False, True])
         assert model.alive(6).all()
 
-    def test_independent_crashes_cache_bounded(self):
-        """Regression: the per-round memo used to grow one bool array
-        per round forever; it now keeps only the most recent rounds
-        (oldest-key eviction, as RandomRegularEachRound does)."""
-        model = IndependentCrashes(10, 0.3, np.random.default_rng(2),
-                                   cache_size=8)
-        for t in range(1, 1001):
-            model.alive(t)
-        assert len(model._cache) == 8
-        # most recent rounds survive; intra-round queries stay consistent
-        assert min(model._cache) == 993
-        np.testing.assert_array_equal(model.alive(1000), model.alive(1000))
-
-    def test_independent_crashes_cache_size_validated(self):
-        with pytest.raises(ValueError):
-            IndependentCrashes(5, 0.3, np.random.default_rng(0),
-                               cache_size=0)
+    def test_independent_crashes_pure_in_seed_and_round(self):
+        """Round t's mask is a function of (seed, t) alone: a fresh
+        instance queried in reverse order returns the same masks, and
+        it holds one round's mask, not a memo of every round."""
+        forward = IndependentCrashes(10, 0.3, seed=2)
+        want = [forward.alive(t).copy() for t in range(1, 201)]
+        backward = IndependentCrashes(10, 0.3, seed=2)
+        got = [backward.alive(t).copy() for t in range(200, 0, -1)][::-1]
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert not all(np.array_equal(want[0], m) for m in want[1:])
+        other = IndependentCrashes(10, 0.3, seed=3)
+        assert any(not np.array_equal(other.alive(t), want[t - 1])
+                   for t in range(1, 201))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            IndependentCrashes(5, 1.0, np.random.default_rng(0))
+            IndependentCrashes(5, 1.0, seed=0)
         with pytest.raises(ValueError):
             CrashWindow(5, [9], 1, 2)
         with pytest.raises(ValueError):
@@ -153,7 +151,7 @@ class TestEngineUnderChurn:
 
     def test_training_survives_moderate_churn(self):
         g = regular_neighbors(8, 4, seed=0)
-        model = IndependentCrashes(8, 0.2, np.random.default_rng(5))
+        model = IndependentCrashes(8, 0.2, seed=5)
         eng = self.make_engine(model, g)
         h = eng.run(DPSGD(8))
         assert h.final_accuracy() > 0.4  # chance = 0.25
@@ -162,7 +160,7 @@ class TestEngineUnderChurn:
         g = regular_neighbors(8, 4, seed=0)
         accs = []
         for _ in range(2):
-            model = IndependentCrashes(8, 0.2, np.random.default_rng(5))
+            model = IndependentCrashes(8, 0.2, seed=5)
             eng = self.make_engine(model, g)
             accs.append(eng.run(DPSGD(8)).final_accuracy())
         assert accs[0] == accs[1]
@@ -170,12 +168,11 @@ class TestEngineUnderChurn:
 
 class TestFailureProviderBounds:
     def test_mask_memo_bounded_under_random_crashes(self):
-        """An rng-backed failure model draws a fresh alive mask nearly
-        every round; the engine keeps at most MASK_MEMO masked matrices."""
+        """A random failure model draws a fresh alive mask nearly every
+        round; the engine keeps at most MASK_MEMO masked matrices."""
         from repro.simulation.engine import MASK_MEMO
 
-        model = IndependentCrashes(8, 0.4, rng=np.random.default_rng(0),
-                                   cache_size=512)
+        model = IndependentCrashes(8, 0.4, seed=0)
         eng = TestEngineUnderChurn().make_engine(model, regular_neighbors(8, 3, seed=0))
         for t in range(1, 300):
             eng._mixing_for_round(t)

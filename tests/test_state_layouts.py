@@ -89,9 +89,10 @@ class TestLayoutBitIdentity:
         doomed, algo_d = build()
         saved = {}
 
-        def hook(engine, t, history, resumable_at):
-            # resume is exact only from an evaluation round
-            if not saved and resumable_at == t and t < 12:
+        def hook(engine, t, history, last_eval):
+            # between evaluations: every round resumes exactly
+            if t == 7:
+                assert last_eval < t
                 save_run_checkpoint(engine, algo_d, history, t, path)
                 saved["t"] = t
                 raise KeyboardInterrupt
@@ -129,7 +130,7 @@ class TestLayoutBitIdentity:
         doomed, policy_d = build()
         oracles.serial(doomed)
 
-        def hook(engine, event, history, resumable_at):
+        def hook(engine, event, history, last_eval):
             if event == 13:  # off the evaluation cadence
                 save_run_checkpoint(engine, policy_d, history, event, path)
                 raise KeyboardInterrupt
