@@ -5,8 +5,7 @@ Usage examples::
 
     python -m repro table 1
     python -m repro run --preset cifar10-bench --algorithm skiptrain --degree 3
-    python -m repro async-run --preset cifar10-bench-async \\
-        --algorithm async-skiptrain --degree 3
+    python -m repro run --preset cifar10-bench --algorithm async-skiptrain
     python -m repro figure 1 --preset cifar10-bench
     python -m repro gridsearch --preset cifar10-bench --degree 3 --rounds 64
     python -m repro presets
@@ -15,11 +14,13 @@ Every paper output (``table 3|4``, ``figure 1|4``, ``gridsearch``,
 ``convergence``) is a plan: its cells run into ``results/`` (a rerun
 skips the finished ones) and it renders from their artifacts;
 ``--from-artifacts DIR`` only renders, from DIR. The run verbs
-(``run``, ``async-run``, ``scenario run``) are one-cell plans: each
-runs its cell into ``results/`` and prints from the artifact, so a
-rerun prints without running. ``fairness`` and ``scenario trace`` run
-in process: they read the final state matrix, which no artifact
-carries.
+(``run``, ``scenario run``) are one-cell plans: each runs its cell
+into ``results/`` and prints from the artifact, so a rerun prints
+without running. The algorithm's name decides the engine: the
+``async-*`` algorithms run on the event-driven gossip engine and read
+``--rounds`` as expected activations per node. ``fairness`` and
+``scenario trace`` run in process: they read the final state matrix,
+which no artifact carries.
 
 The artifact pipeline (T1 run → T2 aggregate → T3 render)::
 
@@ -38,12 +39,13 @@ The artifact pipeline (T1 run → T2 aggregate → T3 render)::
     python -m repro table 3 --from-artifacts results
     python -m repro figure 1 --from-artifacts results
 
-Async cells ride the same pipeline (``--kind async``; artifacts keyed
-by simulated time, resumable/shardable/parallel exactly like sync)::
+Async cells ride the same pipeline (artifacts keyed by simulated
+time, resumable/shardable/parallel exactly like sync), and one plan
+may mix both kinds::
 
-    python -m repro sweep --kind async --preset cifar10-bench-async \\
-        --algorithms async-skiptrain async-d-psgd --degrees 3 --seeds 0 1 2 \\
-        --results-dir results --checkpoint-every 16 --jobs 2
+    python -m repro sweep --preset cifar10-bench \\
+        --algorithms skiptrain async-skiptrain async-d-psgd --degrees 3 \\
+        --seeds 0 1 2 --results-dir results --checkpoint-every 16 --jobs 2
     python -m repro aggregate --results-dir results
 
 Declarative scenarios (named compositions of topology, churn,
@@ -64,7 +66,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .algorithm_names import algorithm_kind, algorithms_of_kind
+from .algorithm_names import ALGORITHM_KINDS
 
 __all__ = ["main", "build_parser"]
 
@@ -95,41 +97,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("presets", help="list experiment presets")
 
-    p_run = sub.add_parser("run", help="run one algorithm on one preset")
-    p_run.add_argument("--preset", default="cifar10-bench")
-    p_run.add_argument(
-        "--algorithm",
-        default="skiptrain",
-        choices=algorithms_of_kind("sync"),
+    p_run = sub.add_parser(
+        "run",
+        help="run one algorithm on one preset (async-* algorithms on "
+             "the event-driven gossip engine)",
     )
+    p_run.add_argument("--preset", default="cifar10-bench")
+    p_run.add_argument("--algorithm", default="skiptrain",
+                       choices=list(ALGORITHM_KINDS))
     p_run.add_argument("--degree", type=int, default=None)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--rounds", type=int, default=None,
-                       help="override the preset's total rounds")
+                       help="override the preset's total rounds (async: "
+                            "expected activations per node)")
+    p_run.add_argument("--eval-every", type=int, default=None,
+                       help="evaluate after every k-th round (async: "
+                            "expected activations per node), fair point "
+                            "or not (default: the preset's cadence)")
     p_run.add_argument("--gamma-train", type=int, default=None)
     p_run.add_argument("--gamma-sync", type=int, default=None)
-
-    p_arun = sub.add_parser(
-        "async-run",
-        help="run one async gossip policy on one preset (event-driven, "
-             "no global rounds)",
-    )
-    p_arun.add_argument("--preset", default="cifar10-bench-async")
-    p_arun.add_argument(
-        "--algorithm",
-        default="async-skiptrain",
-        choices=algorithms_of_kind("async"),
-    )
-    p_arun.add_argument("--degree", type=int, default=None)
-    p_arun.add_argument("--seed", type=int, default=0)
-    p_arun.add_argument("--activations", type=int, default=None,
-                        help="expected activations per node (default: the "
-                             "preset's total_rounds)")
-    p_arun.add_argument("--eval-every", type=int, default=None,
-                        help="evaluation cadence in expected "
-                             "activations-per-node units")
-    p_arun.add_argument("--gamma-train", type=int, default=None)
-    p_arun.add_argument("--gamma-sync", type=int, default=None)
 
     p_table = sub.add_parser("table", help="regenerate a paper table")
     p_table.add_argument("number", type=int, choices=[1, 2, 3, 4])
@@ -204,13 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "mutually exclusive with --scenario)")
     p_sweep.add_argument("--scenario", default=None, metavar="NAME",
                          help="sweep a registered scenario over --seeds "
-                              "(preset/algorithm/degree/kind come from "
-                              "the spec)")
-    p_sweep.add_argument("--kind", choices=["sync", "async"], default=None,
-                         help="execution backend: synchronous rounds or "
-                              "the event-driven async gossip engine "
-                              "(default: sync, or the spec's kind with "
-                              "--scenario)")
+                              "(preset/algorithm/degree come from the "
+                              "spec)")
     p_sweep.add_argument("--degree", type=int, default=None,
                          help="single degree (alias for --degrees D)")
     p_sweep.add_argument("--degrees", type=int, nargs="+", default=None,
@@ -218,12 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     p_sweep.add_argument(
         "--algorithms", nargs="+", default=None,
-        help="default: skiptrain d-psgd (sync) or async-skiptrain "
-             "async-d-psgd (async)",
+        help="default: skiptrain d-psgd; async-* algorithms run on the "
+             "event-driven gossip engine, and one plan may mix both",
     )
     p_sweep.add_argument("--rounds", type=int, default=None,
-                         help="override the preset's total rounds (for "
-                              "--kind async: expected activations per node)")
+                         help="override the preset's total rounds (async "
+                              "cells: expected activations per node)")
     p_sweep.add_argument("--results-dir", default=RESULTS_DIR,
                          help="artifact root (raw/ and checkpoints/ inside)")
     p_sweep.add_argument("--shard", default="1/1", metavar="I/N",
@@ -409,10 +390,9 @@ def _run_cell(cell, header: str) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace, total_rounds: int | None,
-             eval_every: int | None = None) -> int:
-    """``repro run`` and ``repro async-run``: the one cell of the
-    algorithm's kind, with the Γ pair as its schedule."""
+def _cmd_run(args: argparse.Namespace) -> int:
+    """``repro run``: the one cell of the algorithm, with the Γ pair as
+    its schedule and ``--eval-every`` as its cadence."""
     from .experiments import PlanCell, get_preset
 
     preset = get_preset(args.preset)
@@ -425,9 +405,8 @@ def _cmd_run(args: argparse.Namespace, total_rounds: int | None,
             preset.name, args.algorithm,
             args.degree if args.degree is not None else preset.degrees[0],
             args.seed,
-            total_rounds if total_rounds is not None else preset.total_rounds,
-            kind=algorithm_kind(args.algorithm), schedule=schedule,
-            eval_every=eval_every or 0,
+            args.rounds if args.rounds is not None else preset.total_rounds,
+            schedule=schedule, eval_every=args.eval_every or 0,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -525,43 +504,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.scenario is not None:
         return _cmd_sweep_scenario(args)
-    preset_name = args.preset if args.preset is not None else "cifar10-bench"
-    kind = args.kind if args.kind is not None else "sync"
-    preset = get_preset(preset_name)
+    preset = get_preset(args.preset if args.preset is not None
+                        else "cifar10-bench")
     degrees = args.degrees
     if degrees is None and args.degree is not None:
         degrees = [args.degree]
-    algorithms = args.algorithms
-    if algorithms is None:
-        algorithms = (
-            ["async-skiptrain", "async-d-psgd"] if kind == "async"
-            else ["skiptrain", "d-psgd"]
-        )
-    # fail fast on kind/preset/algorithm mismatches and unknown names,
-    # before any dataset is prepared, instead of deep inside the first
-    # cell (possibly in a pool worker)
-    from .experiments import ASYNC_PRESETS
-
-    if kind == "async" and not preset_name.endswith("-async"):
-        print(f"error: --kind async expects an -async preset so sync and "
-              f"async artifacts never share a summary group; built-in "
-              f"async presets: {list(ASYNC_PRESETS)}", file=sys.stderr)
-        return 2
-    if kind == "sync" and preset_name.endswith("-async"):
-        print(f"error: preset {preset_name!r} is an async preset; add "
-              f"--kind async", file=sys.stderr)
-        return 2
-    try:
-        other = [a for a in algorithms if algorithm_kind(a) != kind]
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if other:
-        other_kind = "sync" if kind == "async" else "async"
-        print(f"error: --kind {kind} supports algorithms "
-              f"{algorithms_of_kind(kind)}, got {other}, which run under "
-              f"--kind {other_kind}", file=sys.stderr)
-        return 2
+    algorithms = args.algorithms or ["skiptrain", "d-psgd"]
+    # an unknown algorithm is a PlanCell ValueError: it exits here,
+    # before any dataset is prepared
     try:
         shard = parse_shard(args.shard)
         plan = build_plan(
@@ -570,7 +520,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             degrees=degrees,
             seeds=tuple(args.seeds),
             total_rounds=args.rounds,
-            kind=kind,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -669,12 +618,6 @@ def _cmd_sweep_scenario(args: argparse.Namespace) -> int:
         spec = get_scenario(args.scenario)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    if args.kind is not None and args.kind != spec.kind:
-        # --kind defaults to None under --scenario (the spec decides);
-        # any explicit contradictory value — sync or async — errors
-        print(f"error: scenario {spec.name!r} compiles to kind "
-              f"{spec.kind!r}; drop --kind {args.kind}", file=sys.stderr)
         return 2
     try:
         shard = parse_shard(args.shard)
@@ -933,19 +876,19 @@ def _unknown_preset(args: argparse.Namespace) -> bool:
 
 #: the commands that would meet a bad one of these values only once a
 #: cell runs (``sweep`` checks its own through ``build_plan``)
-_VALUE_CHECKED = ("run", "async-run", "gridsearch", "fairness", "convergence")
+_VALUE_CHECKED = ("run", "gridsearch", "fairness", "convergence")
 
 
 def _check_values(args: argparse.Namespace) -> None:
     """Refuse a ``--degree`` no regular graph on the preset's nodes has,
-    and a nonpositive ``--rounds``/``--activations``/``--max-gamma``/
-    ``--eval-every`` (``ValueError``), before any cell runs."""
+    and a nonpositive ``--rounds``/``--max-gamma``/``--eval-every``
+    (``ValueError``), before any cell runs."""
     if args.degree is not None:
         from .experiments.presets import get_preset
         from .topology.sparse import validate_regular_params
 
         validate_regular_params(get_preset(args.preset).n_nodes, args.degree)
-    for flag in ("rounds", "activations", "max_gamma", "eval_every"):
+    for flag in ("rounds", "max_gamma", "eval_every"):
         value = getattr(args, flag, None)
         if value is not None and value <= 0:
             raise ValueError(f"--{flag.replace('_', '-')} must be positive")
@@ -965,9 +908,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "presets":
         return _cmd_presets()
     if args.command == "run":
-        return _cmd_run(args, args.rounds)
-    if args.command == "async-run":
-        return _cmd_run(args, args.activations, args.eval_every)
+        return _cmd_run(args)
     if args.command == "table":
         return _cmd_table(args)
     if args.command == "figure":

@@ -14,7 +14,7 @@ reproduction repos (T1 run → T2 aggregate → T3 render):
   ``vectorized`` stamp from the time a serial engine also wrote cells;
   the two are bit-compatible, so only that stamp can differ.
 * :func:`aggregate_results` folds ``raw/*.json`` into mean±std rows per
-  (preset, algorithm, degree) — tolerant of partial sweeps, with
+  (preset, algorithm, scenario, degree) — tolerant of partial sweeps, with
   explicit per-group seed lists — and :func:`write_summary_csv` emits
   them as a deterministic ``summary.csv``.
 * Every paper output renders from these artifacts: it plans its cells
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from ..algorithm_names import algorithm_kind
 from ..analysis.aggregate import group_by, mean_std, missing_seeds
 from ..simulation.async_engine import AsyncHistory, AsyncRecord
 from ..simulation.metrics import RoundRecord, RunHistory
@@ -74,9 +75,6 @@ __all__ = [
 ARTIFACT_SCHEMA = "repro/cell-artifact/v1"
 ASYNC_ARTIFACT_SCHEMA = "repro/async-cell-artifact/v1"
 
-#: Valid :attr:`PlanCell.kind` values and the schema each one emits.
-_KIND_SCHEMAS = {"sync": ARTIFACT_SCHEMA, "async": ASYNC_ARTIFACT_SCHEMA}
-
 
 # --------------------------------------------------------------------------
 # Plan: deterministic cell enumeration and sharding
@@ -88,9 +86,11 @@ class PlanCell:
     """One executable sweep cell. ``cell_id`` names its artifact file,
     so two cells differing in any field never collide on disk.
 
-    ``kind`` selects the execution backend: ``"sync"`` cells run the
-    round-based :class:`~repro.simulation.engine.SimulationEngine`,
-    ``"async"`` cells the event-driven
+    The algorithm decides the execution backend (:attr:`kind`, read
+    from :data:`~repro.algorithm_names.ALGORITHM_KINDS`): a sync
+    algorithm runs on the round-based
+    :class:`~repro.simulation.engine.SimulationEngine`, an async one on
+    the event-driven
     :class:`~repro.simulation.async_engine.AsyncGossipEngine` — for
     async cells ``total_rounds`` means *expected activations per node*
     and the artifact's records are keyed by simulated time.
@@ -118,18 +118,16 @@ class PlanCell:
     degree: int
     seed: int
     total_rounds: int
-    kind: str = "sync"
     scenario: str = ""
     schedule: tuple[int, ...] = ()
     eval_on: str = "test"
     eval_every: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_SCHEMAS:
-            raise ValueError(
-                f"kind must be one of {sorted(_KIND_SCHEMAS)}, "
-                f"got {self.kind!r}"
-            )
+        try:
+            algorithm_kind(self.algorithm)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
         if "__" in self.scenario or "/" in self.scenario:
             raise ValueError(
                 f'scenario names may not contain "__" or "/", '
@@ -149,6 +147,12 @@ class PlanCell:
             raise ValueError("eval_every must be 0 (the preset's) or positive")
         if self.scenario and self.settings:
             raise ValueError("a scenario cell takes its run settings from its spec")
+
+    @property
+    def kind(self) -> str:
+        """``"sync"`` or ``"async"``: the engine the cell's algorithm
+        runs on."""
+        return algorithm_kind(self.algorithm)
 
     @property
     def settings(self) -> dict:
@@ -186,14 +190,12 @@ def build_plan(
     degrees: Sequence[int] | None = None,
     seeds: Sequence[int] = (0, 1, 2),
     total_rounds: int | None = None,
-    kind: str = "sync",
 ) -> tuple[PlanCell, ...]:
     """Enumerate the plan's cells in deterministic order (degree-major,
     then seed, then algorithm — cells sharing a prepared dataset/graph
-    stay adjacent, so the runner's preparation cache hits). ``kind``
-    stamps every cell (``"sync"`` or ``"async"``). A degree no regular
-    graph on the preset's nodes has is refused here, before any cell
-    runs."""
+    stay adjacent, so the runner's preparation cache hits). The
+    algorithms may be of either kind. A degree no regular graph on the
+    preset's nodes has is refused here, before any cell runs."""
     if not algorithms:
         raise ValueError("need at least one algorithm")
     if not seeds:
@@ -213,7 +215,6 @@ def build_plan(
             degree=int(degree),
             seed=int(seed),
             total_rounds=int(rounds),
-            kind=kind,
         )
         for degree in degs
         for seed in seeds
@@ -278,6 +279,20 @@ def _cell_to_json(cell: PlanCell) -> dict:
     }
 
 
+def _cell_from_json(block: dict) -> PlanCell:
+    """The cell an artifact's ``cell`` block records. Its ``"kind"`` is
+    derived from the algorithm, so a block read from disk whose kind
+    disagrees with its algorithm is refused rather than trusted."""
+    fields = {key: value for key, value in block.items() if key != "kind"}
+    cell = PlanCell(**fields)
+    if block.get("kind", cell.kind) != cell.kind:
+        raise ValueError(
+            f"cell block for {cell.algorithm!r} records kind "
+            f"{block['kind']!r}, but the algorithm runs {cell.kind!r}"
+        )
+    return cell
+
+
 def _atomic_write(
     path: str | os.PathLike, write: Callable[[Path], None]
 ) -> Path:
@@ -330,24 +345,19 @@ def write_cell_artifact(
     and history blocks are bit-identical either way."""
     history = result.history
     if isinstance(result, AsyncExperimentResult):
-        kind = "async"
+        schema = ASYNC_ARTIFACT_SCHEMA
         events = cell.total_rounds * cell.units_per_round(result.trace.n_nodes)
         engine = {"events": events, "vectorized": vectorized}
         train_wh, comm_wh = result.train_energy_wh, 0.0
         label = ("policy", result.history.policy)
     else:
-        kind = "sync"
+        schema = ARTIFACT_SCHEMA
         engine = {"vectorized": vectorized}
         train_wh = result.meter.total_train_wh
         comm_wh = result.meter.total_comm_wh
         label = ("algorithm", result.history.algorithm)
-    if kind != cell.kind:
-        raise ValueError(
-            f"cell {cell.cell_id} has kind {cell.kind!r} but was handed "
-            f"the result of a {kind} run"
-        )
     payload = {
-        "schema": _KIND_SCHEMAS[kind],
+        "schema": schema,
         "cell": _cell_to_json(cell),
         "engine": engine,
         "results": {
@@ -418,7 +428,7 @@ def result_from_artifact(payload: dict) -> ArtifactResult:
             "async artifacts carry time-keyed records; rebuild their "
             "history via async_history_from_artifact"
         )
-    cell = PlanCell(**payload["cell"])
+    cell = _cell_from_json(payload["cell"])
     history = RunHistory(
         algorithm=payload["history"]["algorithm"],
         records=[
@@ -522,8 +532,9 @@ def aggregate_results(
     Returns ``(rows, gaps)`` where ``gaps`` maps group keys to seeds
     missing relative to the union over all groups — partial sweeps
     aggregate fine, but ragged seed coverage is reported rather than
-    hidden. Rows are sorted by (preset, algorithm, degree, rounds), so
-    the CSV is byte-identical however the shards were executed.
+    hidden. Rows are sorted by (preset, algorithm, scenario, degree,
+    rounds), so the CSV is byte-identical however the shards were
+    executed.
 
     A cell with run settings (:attr:`PlanCell.settings`) belongs to the
     paper output that planned it and never enters a row, so a grid
@@ -531,7 +542,7 @@ def aggregate_results(
     """
     artifacts = [
         a for a in list_cell_artifacts(results_dir)
-        if not PlanCell(**a["cell"]).settings
+        if not _cell_from_json(a["cell"]).settings
     ]
     groups = group_by(
         artifacts,

@@ -15,7 +15,6 @@ phenomena depend on at ~1/40 the FLOPs:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,8 +33,6 @@ __all__ = [
     "cifar10_paper",
     "femnist_paper",
     "fleet_preset",
-    "async_variant",
-    "ASYNC_PRESETS",
     "FLEET_SIZES",
     "PRESETS",
     "get_preset",
@@ -45,7 +42,11 @@ __all__ = [
 @dataclass(frozen=True)
 class ExperimentPreset:
     """Everything needed to instantiate one dataset/topology/training
-    configuration of the paper's evaluation."""
+    configuration of the paper's evaluation. Sync and async algorithms
+    share a preset: an async cell reads ``total_rounds`` as *expected
+    activations per node* (unit-rate Poisson clocks make one expected
+    activation the async analogue of one round) and ``eval_every`` in
+    the same unit."""
 
     name: str
     n_nodes: int
@@ -243,36 +244,16 @@ def fleet_preset(n_nodes: int) -> ExperimentPreset:
     )
 
 
-def async_variant(base: ExperimentPreset) -> ExperimentPreset:
-    """The asynchronous twin of a synchronous preset: same data,
-    partition, model, topology densities, and energy trace, renamed
-    ``<name>-async``. For async cells ``total_rounds`` is reinterpreted
-    as the *expected activations per node* (unit-rate Poisson clocks
-    make one expected activation the async analogue of one round) and
-    ``eval_every`` as the evaluation cadence in expected
-    activations-per-node units."""
-    return dataclasses.replace(base, name=base.name + "-async")
-
-
 PRESETS: dict[str, Callable[[], ExperimentPreset]] = {
     "cifar10-bench": cifar10_bench,
     "femnist-bench": femnist_bench,
     "cifar10-paper": cifar10_paper,
     "femnist-paper": femnist_paper,
-    "cifar10-bench-async": lambda: async_variant(cifar10_bench()),
-    "femnist-bench-async": lambda: async_variant(femnist_bench()),
-    "cifar10-paper-async": lambda: async_variant(cifar10_paper()),
-    "femnist-paper-async": lambda: async_variant(femnist_paper()),
     **{
         f"n{size}-fleet": (lambda size=size: fleet_preset(size))
         for size in FLEET_SIZES
     },
 }
-
-#: Preset names whose cells run on the asynchronous gossip engine.
-ASYNC_PRESETS: tuple[str, ...] = tuple(
-    name for name in PRESETS if name.endswith("-async")
-)
 
 
 def get_preset(name: str) -> ExperimentPreset:

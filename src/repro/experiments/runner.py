@@ -6,7 +6,7 @@ sweep cell (and so every paper output and run verb) and every example
 goes through the same code path. :func:`build_run` exposes the
 wired-but-not-yet-run (engine, algorithm) pair so the sweep
 orchestrator can restore a mid-cell checkpoint before running.
-``repro run``, ``async-run`` and ``scenario run`` are one-cell plans:
+``repro run`` and ``scenario run`` are one-cell plans:
 they run their cell into ``results/`` through the sweep and print from
 its artifact. ``fairness_study`` and ``scenario trace`` run a wired
 pair in process, because they read the final state matrix, which no

@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ...algorithm_names import algorithm_kind
 from ...scenarios.compile import build_scenario_plan
 from ...scenarios.spec import ScenarioSpec
 from ..artifacts import PlanCell, build_plan
@@ -121,8 +120,7 @@ class Job:
 
 
 _REQUEST_KEYS = frozenset(
-    {"scenario", "spec", "preset", "algorithm", "degree", "kind",
-     "seeds", "rounds"}
+    {"scenario", "spec", "preset", "algorithm", "degree", "seeds", "rounds"}
 )
 
 
@@ -167,9 +165,9 @@ def parse_job_request(
       ``ScenarioSpec`` document. Its name must not shadow a registered
       scenario (the artifact's ``cell.scenario`` field would become
       ambiguous between two different specs).
-    * ``{"preset": name, "algorithm": name, "degree"?: d, "kind"?:
-      "sync"|"async", "seeds": [...], "rounds"?: N}`` — a plain preset
-      cell, exactly the batch ``repro sweep`` coordinate.
+    * ``{"preset": name, "algorithm": name, "degree"?: d, "seeds":
+      [...], "rounds"?: N}`` — a plain preset cell, exactly the batch
+      ``repro sweep`` coordinate; the algorithm decides its engine.
     """
     if not isinstance(obj, dict):
         raise ValueError("job request must be a JSON object")
@@ -239,16 +237,8 @@ def parse_job_request(
         raise ValueError('"algorithm" is required with "preset"')
     try:
         preset = preset_lookup(preset_name)
-        algorithm_runs_on = algorithm_kind(algorithm)
     except KeyError as exc:
         raise ValueError(exc.args[0]) from exc
-    kind = obj.get("kind", algorithm_runs_on)
-    if kind not in ("sync", "async"):
-        raise ValueError('"kind" must be "sync" or "async"')
-    if kind != algorithm_runs_on:
-        raise ValueError(
-            f"algorithm {algorithm!r} does not run under kind={kind!r}"
-        )
     degree = obj.get("degree", preset.degrees[0])
     if not isinstance(degree, int) or isinstance(degree, bool):
         raise ValueError('"degree" must be an integer')
@@ -263,13 +253,11 @@ def parse_job_request(
         degrees=(degree,),
         seeds=seeds,
         total_rounds=rounds if rounds is not None else preset.total_rounds,
-        kind=kind,
     )
     normalized = {
         "preset": preset_name,
         "algorithm": algorithm,
         "degree": degree,
-        "kind": kind,
         "seeds": list(seeds),
     }
     if rounds is not None:

@@ -160,8 +160,8 @@ def run_cell(
 
     ``round_hook(engine, at, history, last_eval)`` is the engines'
     one hook, called after every round (sync) or event window (async)
-    with the last evaluation point.
-    For ``kind="async"`` cells ``at`` counts events and
+    with the last evaluation point. For an async cell (its algorithm
+    is an ``async-*`` name) ``at`` counts events and
     ``checkpoint_every`` stays in the cell's round-equivalent unit
     (expected activations per node — ``checkpoint_every × n`` events).
 
@@ -248,7 +248,6 @@ def _compile_scenario_cell(
         )
     compiled = compile_run(
         spec,
-        kind=cell.kind,
         seed=cell.seed,
         total_rounds=cell.total_rounds,
         preset=preset,

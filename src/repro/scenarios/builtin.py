@@ -3,10 +3,9 @@
 Two families are registered at import time:
 
 * **The preset zoo as scenarios** — every experiment preset is exposed
-  as a scenario of the same name (default algorithm: ``skiptrain``, or
-  ``async-skiptrain`` for the ``-async`` presets), so the scenario
-  surface covers everything the preset surface did without breaking any
-  preset name.
+  as a scenario of the same name (algorithm ``skiptrain``), so the
+  scenario surface covers everything the preset surface did without
+  breaking any preset name.
 * **Churn scenarios** — named compositions of churn, failures, and
   battery constraints used by the golden-trace regression tests
   (``tests/test_scenarios_golden.py``), the conformance suite and the
@@ -32,16 +31,13 @@ __all__ = ["churn_ramp", "churn_crash", "churn_async"]
 
 
 def _preset_scenario(preset_name: str) -> ScenarioSpec:
-    algorithm = (
-        "async-skiptrain" if preset_name.endswith("-async") else "skiptrain"
-    )
     return ScenarioSpec(
         name=preset_name,
         preset=preset_name,
-        algorithm=AlgorithmSpec(name=algorithm),
+        algorithm=AlgorithmSpec(name="skiptrain"),
         description=(
             f"the {preset_name!r} preset as a scenario (default "
-            f"algorithm {algorithm})"
+            f"algorithm skiptrain)"
         ),
     )
 
@@ -110,7 +106,7 @@ def churn_async() -> ScenarioSpec:
     all active at once."""
     return ScenarioSpec(
         name="churn-async",
-        preset="cifar10-bench-async",
+        preset="cifar10-bench",
         total_rounds=24,
         eval_every=6,
         churn=ChurnSpec(

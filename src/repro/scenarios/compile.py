@@ -15,8 +15,7 @@ sweep orchestrator rebuilds a killed scenario cell by re-compiling and
 restoring the mid-run checkpoint into the fresh engine, and the
 resumed run is bit-for-bit equal to an uninterrupted one.
 
-How the axes compose (the one refusal, a kind that contradicts the
-algorithm's, fails at compile time, not rounds into a run):
+How the axes compose (every combination runs; none is refused):
 
 * churn and failures need no mixing of their own — compilation hands
   the engine the scenario's static matrix or its dynamic provider, and
@@ -66,27 +65,11 @@ __all__ = [
     "CompiledRun",
     "compile_run",
     "scenario_base",
-    "validate_composition",
     "build_scenario_plan",
     "scenario_trace",
 ]
 
 TRACE_SCHEMA = "repro/scenario-trace/v1"
-
-
-def validate_composition(spec: ScenarioSpec, kind: str = "auto") -> str:
-    """The one compile-time composition rule that needs no preset
-    lookup, kind consistency. Returns the resolved kind;
-    :func:`compile_run` calls this first."""
-    if kind not in ("auto", "sync", "async"):
-        raise ValueError(f'kind must be "auto", "sync" or "async", got {kind!r}')
-    resolved_kind = spec.kind
-    if kind != "auto" and kind != resolved_kind:
-        raise ValueError(
-            f"scenario {spec.name!r} compiles to kind {resolved_kind!r} "
-            f"(algorithm {spec.algorithm.name!r}), got kind={kind!r}"
-        )
-    return resolved_kind
 
 
 def scenario_base(
@@ -146,7 +129,6 @@ class CompiledRun:
     """
 
     spec: ScenarioSpec
-    kind: str
     preset: ExperimentPreset
     prepared: PreparedExperiment
     engine: "SimulationEngine | AsyncGossipEngine"
@@ -155,6 +137,11 @@ class CompiledRun:
     total_rounds: int
     churn: ChurnSchedule | None
     failure_model: FailureModel | None
+
+    @property
+    def kind(self) -> str:
+        """``"sync"`` or ``"async"``, decided by the spec's algorithm."""
+        return self.spec.kind
 
     def execute(
         self, round_hook: Callable | None = None
@@ -166,7 +153,6 @@ class CompiledRun:
 
 def compile_run(
     spec: ScenarioSpec,
-    kind: str = "auto",
     *,
     seed: int | None = None,
     total_rounds: int | None = None,
@@ -174,17 +160,13 @@ def compile_run(
     prepared: PreparedExperiment | None = None,
     eval_on: str = "test",
 ) -> CompiledRun:
-    """Resolve and wire one scenario into a runnable cell.
-
-    ``kind`` is normally ``"auto"`` (derived from the algorithm name);
-    passing ``"sync"``/``"async"`` explicitly asserts the expectation
-    and fails loudly on mismatch. ``seed``/``total_rounds`` override
+    """Resolve and wire one scenario into a runnable cell; the spec's
+    algorithm decides the engine. ``seed``/``total_rounds`` override
     the spec's defaults (the sweep orchestrator passes the cell's).
     ``preset`` injects a preset object directly (tests); ``prepared``
     skips data synthesis when the caller already holds the cell's
     prepared experiment.
     """
-    resolved_kind = validate_composition(spec, kind)
     base, degree = scenario_base(spec, preset)
     n = base.n_nodes
     run_seed = seed if seed is not None else spec.seed
@@ -227,7 +209,6 @@ def compile_run(
     )
     return CompiledRun(
         spec=spec,
-        kind=resolved_kind,
         preset=base,
         prepared=prepared,
         engine=engine,
@@ -288,7 +269,6 @@ def build_scenario_plan(
             degree=int(degree),
             seed=int(s),
             total_rounds=int(rounds),
-            kind=spec.kind,
             scenario=spec.name,
         )
         for s in seeds

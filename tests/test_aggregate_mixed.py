@@ -13,7 +13,6 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import async_variant
 from repro.experiments.artifacts import (
     SUMMARY_COLUMNS,
     aggregate_results,
@@ -33,11 +32,6 @@ def sync_preset(tiny_preset):
 
 
 @pytest.fixture
-def async_preset(sync_preset):
-    return async_variant(sync_preset)
-
-
-@pytest.fixture
 def scenario_spec():
     return ScenarioSpec(
         name="mix-churn",
@@ -50,17 +44,16 @@ def scenario_spec():
 
 
 @pytest.fixture
-def mixed_results(sync_preset, async_preset, scenario_spec, tmp_path):
+def mixed_results(sync_preset, scenario_spec, tmp_path):
     """A results directory holding one sync cell (2 seeds), one async
     cell (1 seed — a deliberate coverage gap), and one scenario cell."""
     res = tmp_path / "results"
     sync_cells = build_plan(sync_preset, ("skiptrain",), seeds=(0, 1))
     for cell in sync_cells:
         run_cell(sync_preset, cell, res)
-    async_cells = build_plan(async_preset, ("async-skiptrain",), seeds=(0,),
-                             kind="async")
+    async_cells = build_plan(sync_preset, ("async-skiptrain",), seeds=(0,))
     for cell in async_cells:
-        run_cell(async_preset, cell, res)
+        run_cell(sync_preset, cell, res)
     scn_cells = build_scenario_plan(scenario_spec, seeds=(0, 1),
                                     preset=sync_preset)
     for cell in scn_cells:
@@ -75,7 +68,7 @@ class TestMixedAggregation:
         assert len(rows) == 3
         by_key = {(r.preset, r.algorithm, r.scenario): r for r in rows}
         plain = by_key[("tiny", "skiptrain", "")]
-        asynch = by_key[("tiny-async", "async-skiptrain", "")]
+        asynch = by_key[("tiny", "async-skiptrain", "")]
         scenario = by_key[("tiny", "skiptrain", "mix-churn")]
         assert plain.seeds == (0, 1)
         assert asynch.seeds == (0,)
@@ -95,7 +88,7 @@ class TestMixedAggregation:
         with the plain sync cells; only the scenario key keeps their
         means apart."""
         rows, _ = aggregate_results(mixed_results)
-        plain = [r for r in rows if not r.scenario and r.preset == "tiny"]
+        plain = [r for r in rows if not r.scenario and r.algorithm == "skiptrain"]
         scn = [r for r in rows if r.scenario == "mix-churn"]
         assert len(plain) == 1 and len(scn) == 1
         assert (plain[0].preset, plain[0].algorithm, plain[0].degree,
@@ -110,7 +103,7 @@ class TestMixedAggregation:
         _, gaps = aggregate_results(mixed_results)
         # seed union is {0, 1}; the async group only ran seed 0
         assert gaps == {
-            ("tiny-async", "async-skiptrain", "", 3, 6): [1],
+            ("tiny", "async-skiptrain", "", 3, 6): [1],
         }
 
     def test_csv_round_trips_losslessly(self, mixed_results, tmp_path):

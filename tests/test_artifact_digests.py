@@ -64,12 +64,19 @@ started writing into lent buffers and picking through one flat index —
 the async engine's event batches (1–3 scattered rows per call) reach
 the trainer's small-block paths no sync cell does:
 
-* ``ragged-async-vectorized`` — the ragged preset's async twin: event
-  batches of scattered ids whose widths are 12 and 13, so the width
-  split *and* the gather/scatter path run under the async engine;
-* ``femnist-async-vectorized`` — ``femnist-bench-async`` (16-class
-  head, ``local_steps=7``, writer partition) cut to 8 activations per
-  node.
+* ``ragged-async-vectorized`` — an ``async-skiptrain`` cell of the
+  ragged preset: event batches of scattered ids whose widths are 12 and
+  13, so the width split *and* the gather/scatter path run under the
+  async engine;
+* ``femnist-async-vectorized`` — an ``async-skiptrain`` cell of
+  ``femnist-bench`` (16-class head, ``local_steps=7``, writer
+  partition) cut to 8 activations per node.
+
+The four async pins (these two, ``churn-async-vectorized`` and
+``dynamic-periodic-async-vectorized``) were re-recorded once when the
+``-async`` preset aliases were deleted: each cell now names the sync
+preset it always ran on, and its artifact differs from the old one in
+``cell.preset`` alone.
 
 Two more were recorded from the tree *before* the gossip product and
 the bank's read-ahead were cut into row tiles — cells large enough for
@@ -159,7 +166,6 @@ from repro.core.dpsgd import DPSGD
 from repro.energy.accounting import EnergyMeter
 from repro.experiments import (
     artifact_path,
-    async_variant,
     build_plan,
     get_preset,
     run_cell,
@@ -412,18 +418,18 @@ def _ragged(results_dir, run=oracle_run_cell):
 
 
 def _async(results_dir, preset, **plan_kwargs):
-    cell = build_plan(preset, ("async-skiptrain",), seeds=(0,), kind="async",
+    cell = build_plan(preset, ("async-skiptrain",), seeds=(0,),
                       **plan_kwargs)[0]
     run_cell(preset, cell, results_dir)
     return artifact_path(results_dir, cell)
 
 
 def _ragged_async(results_dir):
-    return _async(results_dir, async_variant(ragged_preset()))
+    return _async(results_dir, ragged_preset())
 
 
 def _femnist_async(results_dir):
-    return _async(results_dir, get_preset("femnist-bench-async"),
+    return _async(results_dir, get_preset("femnist-bench"),
                   degrees=(3,), total_rounds=8)
 
 

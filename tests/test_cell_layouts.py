@@ -21,7 +21,6 @@ import pytest
 
 from repro.experiments import (
     artifact_path,
-    async_variant,
     build_plan,
     run_cell,
     run_sweep,
@@ -112,12 +111,10 @@ class TestLayoutArtifacts:
                                               layout):
         """Async cells take every layout a sync cell does, to the same
         bytes as the oracle's in-memory per-event run."""
-        micro_async = async_variant(micro_preset)
-        cell = build_plan(micro_async, ("async-skiptrain",), seeds=(0,),
-                          kind="async")[0]
+        cell = build_plan(micro_preset, ("async-skiptrain",), seeds=(0,))[0]
         ref, out = tmp_path / "ref", tmp_path / layout
-        run_layout("oracle", micro_async, cell, ref)
-        run_layout(layout, micro_async, cell, out)
+        run_layout("oracle", micro_preset, cell, ref)
+        run_layout(layout, micro_preset, cell, out)
         assert_same_run(artifact_path(out, cell), artifact_path(ref, cell),
                         layout)
 
@@ -190,22 +187,21 @@ class TestCrossResume:
         the product's [16, 32) window, where the product's hook never
         fires. The product resumes from it to the bytes of its own
         uninterrupted run."""
-        micro_async = async_variant(micro_preset)
-        cell = build_plan(micro_async, ("async-skiptrain-constrained",),
-                          seeds=(0,), kind="async")[0]
+        cell = build_plan(micro_preset, ("async-skiptrain-constrained",),
+                          seeds=(0,))[0]
         ref, killed = tmp_path / "ref", tmp_path / "killed"
         fired = []
-        run_cell(micro_async, cell, ref, checkpoint_every=1,
+        run_cell(micro_preset, cell, ref, checkpoint_every=1,
                  round_hook=lambda engine, at, history, last: fired.append(at))
         assert 24 not in fired and 27 not in fired and 16 in fired
 
         with pytest.raises(TestCrossResume.Kill):
-            oracles.run_cell(micro_async, cell, killed, checkpoint_every=1,
+            oracles.run_cell(micro_preset, cell, killed, checkpoint_every=1,
                              round_hook=self._killer(27))
         with np.load(checkpoint_path(killed, cell)) as archive:
             assert int(archive["at"]) == 24
 
-        _, resumed = run_cell(micro_async, cell, killed, checkpoint_every=1)
+        _, resumed = run_cell(micro_preset, cell, killed, checkpoint_every=1)
         assert resumed
         assert (artifact_path(killed, cell).read_bytes()
                 == artifact_path(ref, cell).read_bytes())
@@ -245,9 +241,9 @@ class TestStaysDeleted:
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--dry-run"],
-        ["async-run"],
+        ["run", "--algorithm", "async-skiptrain"],
         ["scenario", "run", "churn-async"],
-    ], ids=["sweep", "async-run", "scenario-run"])
+    ], ids=["sweep", "run-async", "scenario-run"])
     def test_cli_verbs_reject_vectorized(self, argv, tmp_path, capsys):
         from repro.cli import main
 

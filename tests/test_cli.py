@@ -78,9 +78,10 @@ class TestCommands:
         ["run", "--rounds", "0"],
         ["gridsearch", "--rounds", "0"],
         ["gridsearch", "--max-gamma", "0"],
-        ["async-run", "--eval-every", "0"],
+        ["run", "--eval-every", "0"],
         ["run", "--gamma-train", "0", "--gamma-sync", "2"],
-        ["async-run", "--gamma-train", "0", "--gamma-sync", "2"],
+        ["run", "--algorithm", "async-skiptrain", "--gamma-train", "0",
+         "--gamma-sync", "2"],
     ], ids=" ".join)
     def test_bad_values_exit_2_before_any_cell(self, argv, capsys, tmp_path,
                                                monkeypatch):
@@ -120,34 +121,34 @@ class TestCommands:
         args = build_parser().parse_args(["figure", "1", "--from-artifacts", "r"])
         assert args.from_artifacts == "r"
 
-    def test_async_run_parses_with_defaults(self):
-        args = build_parser().parse_args(["async-run"])
-        assert args.preset == "cifar10-bench-async"
-        assert args.algorithm == "async-skiptrain"
+    def test_run_takes_an_algorithm_of_either_kind(self):
+        """One run verb: the algorithm's name picks the engine, and
+        ``async-run`` is not a command."""
+        args = build_parser().parse_args(
+            ["run", "--algorithm", "async-skiptrain", "--eval-every", "2"])
+        assert args.preset == "cifar10-bench"
+        assert args.algorithm == "async-skiptrain" and args.eval_every == 2
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["async-run", "--algorithm", "skiptrain"])
+            build_parser().parse_args(["async-run"])
 
-    def test_sweep_kind_flag(self):
-        args = build_parser().parse_args(["sweep", "--kind", "async"])
-        assert args.kind == "async"
-        # default is None so --scenario can tell "explicit sync" from
-        # "unspecified" (plain sweeps resolve None to sync)
-        assert build_parser().parse_args(["sweep"]).kind is None
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--kind", "quantum"])
+    def test_sweep_has_no_kind_flag(self):
+        assert not hasattr(build_parser().parse_args(["sweep"]), "kind")
+        for kind in ("sync", "async"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["sweep", "--kind", kind])
 
     def test_async_sweep_dry_run(self, capsys):
-        assert main(["sweep", "--kind", "async",
-                     "--preset", "cifar10-bench-async", "--dry-run"]) == 0
-        assert "pending" in capsys.readouterr().out
+        assert main(["sweep", "--algorithms", "async-skiptrain",
+                     "async-d-psgd", "--dry-run"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("__async  [pending]") == 6
 
-    def test_async_run_vectorized_flag(self):
-        """Every async run batches its events: the flag that chose it
-        is gone."""
-        assert not hasattr(build_parser().parse_args(["async-run"]),
-                           "vectorized")
+    def test_run_has_no_vectorized_flag(self):
+        """Every run batches its rows and events: the flag that chose
+        it is gone."""
+        assert not hasattr(build_parser().parse_args(["run"]), "vectorized")
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["async-run", "--vectorized"])
+            build_parser().parse_args(["run", "--vectorized"])
 
     def test_jobs_auto_parses(self, capsys):
         assert build_parser().parse_args(["sweep", "--jobs", "auto"]).jobs \
@@ -158,14 +159,16 @@ class TestCommands:
         assert main(["sweep", "--jobs", "0"]) == 2
         assert "--jobs" in capsys.readouterr().err
 
-    def test_sweep_kind_algorithm_mismatch_fails_fast(self, capsys):
-        assert main(["sweep", "--kind", "async",
-                     "--preset", "cifar10-bench-async",
-                     "--algorithms", "skiptrain", "--dry-run"]) == 2
-        assert "--kind async supports" in capsys.readouterr().err
-        assert main(["sweep", "--algorithms", "async-skiptrain",
-                     "--dry-run"]) == 2
-        assert "--kind async" in capsys.readouterr().err
+    def test_sweep_mixed_kind_plan_lists_both_kinds(self, capsys):
+        """A plan may mix sync and async algorithms on one preset."""
+        assert main(["sweep", "--algorithms", "skiptrain", "async-skiptrain",
+                     "--seeds", "0", "--dry-run"]) == 0
+        out = capsys.readouterr().out
+        assert ("cifar10-bench__skiptrain__deg3__seed0__r120  [pending]"
+                in out)
+        assert ("cifar10-bench__async-skiptrain__deg3__seed0__r120__async"
+                "  [pending]" in out)
+        assert "2 of 2 cells" in out
 
     def test_sweep_unknown_algorithm_exits_before_any_preparation(
         self, capsys, monkeypatch, tmp_path
@@ -178,26 +181,29 @@ class TestCommands:
         monkeypatch.setattr(sweep, "prepare_data", no_prep)
         for argv in (["--algorithms", "skiptrain", "nope"],
                      ["--algorithms", "SkipTrain"],
-                     ["--kind", "async", "--preset", "cifar10-bench-async",
-                      "--algorithms", "nope"]):
+                     ["--algorithms", "async-skiptrain", "Async-D-PSGD"]):
             assert main(["sweep", *argv, "--rounds", "2",
                          "--results-dir", str(tmp_path)]) == 2
             assert "unknown algorithm" in capsys.readouterr().err
         assert not (tmp_path / "raw").exists()
 
-    def test_sweep_kind_preset_mismatch_fails_fast(self, capsys):
-        assert main(["sweep", "--kind", "async", "--dry-run"]) == 2
-        assert "-async preset" in capsys.readouterr().err
+    def test_sweep_kind_is_not_an_argument(self, capsys):
+        """Neither ``--kind`` nor an ``-async`` preset alias is left to
+        contradict the algorithm: both exit 2 before any cell."""
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--kind", "async", "--dry-run"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kind" in capsys.readouterr().err
         assert main(["sweep", "--preset", "cifar10-bench-async",
                      "--dry-run"]) == 2
-        assert "--kind async" in capsys.readouterr().err
+        assert "unknown preset" in capsys.readouterr().err
 
     def test_async_run_small(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = main([
-            "async-run", "--preset", "cifar10-bench-async", "--degree", "3",
-            "--activations", "4", "--eval-every", "2",
-            "--gamma-train", "2", "--gamma-sync", "2",
+            "run", "--algorithm", "async-skiptrain", "--preset",
+            "cifar10-bench", "--degree", "3", "--rounds", "4",
+            "--eval-every", "2", "--gamma-train", "2", "--gamma-sync", "2",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -206,7 +212,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv", [
         ["run", "--preset", "nope"],
-        ["async-run", "--preset", "nope"],
+        ["run", "--algorithm", "async-skiptrain", "--preset", "nope"],
         ["table", "3", "--preset", "nope"],
         ["figure", "1", "--preset", "nope"],
         ["figure", "7", "--femnist-preset", "nope"],
@@ -376,21 +382,22 @@ class TestArtifactPipeline:
     def test_async_sweep_aggregate(self, tiny_preset, monkeypatch,
                                    tmp_path, capsys):
         """The async T1→T2 pipeline through the CLI: resumable sweep,
-        default async algorithms, aggregation over time-keyed cells."""
+        async algorithms on a plain preset, aggregation over time-keyed
+        cells."""
         import dataclasses
 
-        from repro.experiments import async_variant
         from repro.experiments.presets import PRESETS
 
-        preset = async_variant(dataclasses.replace(
-            tiny_preset, name="micro-cli", total_rounds=8, eval_every=2))
-        monkeypatch.setitem(PRESETS, "micro-cli-async", lambda: preset)
+        preset = dataclasses.replace(
+            tiny_preset, name="micro-cli", total_rounds=8, eval_every=2)
+        monkeypatch.setitem(PRESETS, "micro-cli", lambda: preset)
         res = str(tmp_path / "results")
-        argv = ["sweep", "--kind", "async", "--preset", "micro-cli-async",
+        argv = ["sweep", "--preset", "micro-cli",
+                "--algorithms", "async-skiptrain", "async-d-psgd",
                 "--seeds", "0", "--results-dir", res,
                 "--checkpoint-every", "2"]
         assert main(argv) == 0
-        assert "ran 2" in capsys.readouterr().out  # default async algos
+        assert "ran 2" in capsys.readouterr().out
 
         assert main(argv) == 0
         assert "skipped 2" in capsys.readouterr().out
@@ -399,6 +406,31 @@ class TestArtifactPipeline:
         out = capsys.readouterr().out
         assert "async-skiptrain" in out and "async-d-psgd" in out
         assert (tmp_path / "results" / "summary.csv").is_file()
+
+    def test_mixed_kind_sweep_shares_one_dataset(self, tmp_path, capsys):
+        """One plan mixes a sync and an async algorithm on one preset:
+        both cells share the (preset, seed) dataset, so it is prepared
+        once, and aggregation keeps them in two rows."""
+        import json
+
+        res = str(tmp_path / "results")
+        assert main(["sweep", "--preset", "cifar10-bench", "--algorithms",
+                     "skiptrain", "async-skiptrain", "--seeds", "0",
+                     "--rounds", "4", "--results-dir", res]) == 0
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines()
+                if line.startswith("prep ")] == [
+            "prep cifar10-bench seed=0"]
+        kinds = sorted(
+            json.loads(path.read_text())["cell"]["kind"]
+            for path in (tmp_path / "results" / "raw").glob("*.json"))
+        assert kinds == ["async", "sync"]
+        assert main(["aggregate", "--results-dir", res]) == 0
+        summary = (tmp_path / "results" / "summary.csv").read_text()
+        rows = summary.splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["cifar10-bench", "async-skiptrain"],
+            ["cifar10-bench", "skiptrain"]]
 
     def test_missing_artifacts_reported(self, tmp_path, capsys):
         empty = str(tmp_path)
@@ -514,15 +546,16 @@ class TestScenarioCommands:
         assert main(["sweep", "--scenario", "nope"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
-    def test_sweep_scenario_kind_contradiction(self, capsys):
-        assert main(["sweep", "--scenario", "churn-ramp",
-                     "--kind", "async"]) == 2
-        assert "kind" in capsys.readouterr().err
-        # the inverse contradiction errors too: an explicit --kind sync
-        # on an async scenario is not silently overridden
-        assert main(["sweep", "--scenario", "churn-async",
-                     "--kind", "sync"]) == 2
-        assert "kind 'async'" in capsys.readouterr().err
+    def test_sweep_scenario_takes_its_kind_from_the_spec(self, capsys):
+        """No ``--kind`` can contradict a scenario: the spec's
+        algorithm decides, and the flag is not an argument."""
+        assert main(["sweep", "--scenario", "churn-async", "--seeds", "0",
+                     "--dry-run"]) == 0
+        assert ("cifar10-bench__async-skiptrain__deg3__seed0__r24"
+                "__scn-churn-async__async  [pending]"
+                in capsys.readouterr().out)
+        with pytest.raises(SystemExit):
+            main(["sweep", "--scenario", "churn-ramp", "--kind", "sync"])
 
     def test_churn_with_allreduce_runs_everywhere(
         self, tiny_preset, monkeypatch, capsys, tmp_path

@@ -32,22 +32,21 @@ class TestPresets:
             "cifar10-bench", "femnist-bench", "cifar10-paper", "femnist-paper"
         }
         fleet = {f"n{size}-fleet" for size in FLEET_SIZES}
-        assert set(PRESETS) == (
-            sync | {f"{name}-async" for name in sync} | fleet
-        )
+        assert set(PRESETS) == sync | fleet
 
-    def test_async_variants_share_sync_configuration(self):
-        import dataclasses
+    def test_sync_and_async_cells_share_one_preset_and_dataset(self):
+        """No preset names a kind: a sync and an async cell of the same
+        (preset, seed) train on the same dataset."""
+        from repro.experiments import build_plan, cell_data_coords
 
         for name in ("cifar10-bench", "femnist-paper"):
-            sync, async_ = get_preset(name), get_preset(f"{name}-async")
-            assert async_.name == f"{name}-async"
-            for field in dataclasses.fields(sync):
-                if field.name in ("name", "model_factory"):
-                    continue  # factories are fresh callables per call
-                assert getattr(async_, field.name) == getattr(
-                    sync, field.name
-                ), field.name
+            sync, async_ = build_plan(
+                get_preset(name), ("skiptrain", "async-skiptrain"),
+                seeds=(0,))
+            assert (sync.kind, async_.kind) == ("sync", "async")
+            keys = {cell_data_coords(cell, preset_lookup=get_preset)[0]
+                    for cell in (sync, async_)}
+            assert keys == {(name, 0, None, None)}
 
     def test_get_preset_unknown(self):
         with pytest.raises(KeyError):

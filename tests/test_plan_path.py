@@ -8,7 +8,7 @@ renders exactly those numbers. Plus the codec of the per-cell run
 settings (schedule, evaluation split, cadence) and the aggregation
 rule that keeps cells with settings out of the baseline rows.
 
-The run verbs (``repro run``, ``async-run``, ``scenario run``) are
+The run verbs (``repro run`` of either kind, ``scenario run``) are
 one-cell plans on the same path: each verb's artifact is the one the
 in-process run of its cell writes, and its stdout is that run's.
 """
@@ -36,6 +36,7 @@ from repro.experiments import (
     table4,
     write_summary_csv,
 )
+from repro.experiments.artifacts import result_from_artifact
 
 SEED, DEGREE = 0, 3
 
@@ -187,9 +188,10 @@ class TestSettingsCodec:
         assert cell.cell_id != default.cell_id
         run_sweep((default, cell), tmp_path,
                   preset_lookup=lambda name: tiny_preset)
-        block = json.loads(artifact_path(tmp_path, cell).read_text())["cell"]
+        payload = json.loads(artifact_path(tmp_path, cell).read_text())
+        block = payload["cell"]
         header = json.loads(artifact_path(tmp_path, default).read_text())["cell"]
-        assert PlanCell(**block) == cell
+        assert result_from_artifact(payload).cell == cell
         assert set(block) - set(header) == set(setting)
         assert set(header) == {
             "preset", "algorithm", "degree", "seed", "total_rounds", "kind",
@@ -231,15 +233,14 @@ def test_outputs_share_one_results_dir(tiny_preset, tmp_path):
 
 
 # --------------------------------------------------------------------------
-# The run verbs: `repro run`, `repro async-run` and `repro scenario run`
+# The run verbs: `repro run` (sync or async algorithm) and `repro scenario run`
 # --------------------------------------------------------------------------
 
 
 @pytest.fixture
 def micro_verbs(tiny_preset, monkeypatch):
-    """A sync and an async tiny preset, and a sync and an async churn
-    scenario over them, patched into the registries the CLI reads."""
-    from repro.experiments import async_variant
+    """A tiny preset, and a sync and an async churn scenario over it,
+    patched into the registries the CLI reads."""
     from repro.experiments.presets import PRESETS
     from repro.scenarios import (
         AlgorithmSpec,
@@ -252,14 +253,13 @@ def micro_verbs(tiny_preset, monkeypatch):
 
     sync = dataclasses.replace(tiny_preset, name="micro-verbs",
                                total_rounds=8, eval_every=2)
-    for preset in (sync, async_variant(sync)):
-        monkeypatch.setitem(PRESETS, preset.name, lambda preset=preset: preset)
+    monkeypatch.setitem(PRESETS, sync.name, lambda: sync)
     churn = ChurnSpec(events=(ChurnEventSpec(3, 1, "leave"),))
     for spec in (
         ScenarioSpec(name="micro-verbs-churn", preset="micro-verbs",
                      total_rounds=8, eval_every=2, churn=churn,
                      algorithm=AlgorithmSpec(name="skiptrain")),
-        ScenarioSpec(name="micro-verbs-async", preset="micro-verbs-async",
+        ScenarioSpec(name="micro-verbs-async", preset="micro-verbs",
                      total_rounds=4, eval_every=2, churn=churn,
                      energy=EnergySpec(enforce_budgets=True),
                      algorithm=AlgorithmSpec(name="async-skiptrain")),
@@ -329,12 +329,13 @@ VERBS = {
         lambda: _direct_run("micro-verbs", "skiptrain",
                             schedule=RoundSchedule(2, 1)),
     ),
-    "async-run": (
-        ["async-run", "--preset", "micro-verbs-async", "--activations", "4",
-         "--eval-every", "2", "--gamma-train", "2", "--gamma-sync", "2"],
-        PlanCell("micro-verbs-async", "async-skiptrain", DEGREE, SEED, 4,
-                 kind="async", schedule=(2, 2), eval_every=2),
-        lambda: _direct_run("micro-verbs-async", "async-skiptrain",
+    "run-async": (
+        ["run", "--algorithm", "async-skiptrain", "--preset", "micro-verbs",
+         "--rounds", "4", "--eval-every", "2", "--gamma-train", "2",
+         "--gamma-sync", "2"],
+        PlanCell("micro-verbs", "async-skiptrain", DEGREE, SEED, 4,
+                 schedule=(2, 2), eval_every=2),
+        lambda: _direct_run("micro-verbs", "async-skiptrain",
                             schedule=RoundSchedule(2, 2), total_rounds=4,
                             eval_every=2),
     ),
@@ -346,8 +347,8 @@ VERBS = {
     ),
     "scenario-async": (
         ["scenario", "run", "micro-verbs-async"],
-        PlanCell("micro-verbs-async", "async-skiptrain", DEGREE, SEED, 4,
-                 kind="async", scenario="micro-verbs-async"),
+        PlanCell("micro-verbs", "async-skiptrain", DEGREE, SEED, 4,
+                 scenario="micro-verbs-async"),
         lambda: _direct_scenario("micro-verbs-async"),
     ),
 }
@@ -377,11 +378,9 @@ def test_run_verb_is_its_one_cell(micro_verbs, verb, tmp_path, monkeypatch,
     assert second.out == first.out and " ran " not in second.err
 
 
-@pytest.mark.parametrize("verb, sweep", [
-    (["run"], ["--algorithms", "skiptrain"]),
-    (["async-run"], ["--kind", "async", "--algorithms", "async-skiptrain"]),
-], ids=["run", "async-run"])
-def test_default_run_cell_is_the_sweep_cell(micro_verbs, verb, sweep,
+@pytest.mark.parametrize("algorithm", ["skiptrain", "async-skiptrain"],
+                         ids=["run", "run-async"])
+def test_default_run_cell_is_the_sweep_cell(micro_verbs, algorithm,
                                             tmp_path, monkeypatch, capsys):
     """A run verb at its defaults makes the cell ``repro sweep`` makes,
     with the same id and the same bytes, so the two share
@@ -389,11 +388,11 @@ def test_default_run_cell_is_the_sweep_cell(micro_verbs, verb, sweep,
     from repro.cli import main
 
     monkeypatch.chdir(tmp_path)
-    preset = "micro-verbs" + ("-async" if "--kind" in sweep else "")
-    assert main([*verb, "--preset", preset]) == 0
+    assert main(["run", "--preset", "micro-verbs",
+                 "--algorithm", algorithm]) == 0
     capsys.readouterr()
-    argv = ["sweep", "--preset", preset, *sweep, "--degrees", "3",
-            "--seeds", "0"]
+    argv = ["sweep", "--preset", "micro-verbs", "--algorithms", algorithm,
+            "--degrees", "3", "--seeds", "0"]
     assert main([*argv, "--results-dir", "swept"]) == 0
     assert "ran 1" in capsys.readouterr().out
     (swept,) = (tmp_path / "swept" / "raw").iterdir()

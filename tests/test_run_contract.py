@@ -23,7 +23,7 @@ from repro.algorithm_names import (
     algorithm_kind,
     algorithms_of_kind,
 )
-from repro.experiments import runner
+from repro.experiments import PlanCell, runner
 from repro.experiments.runner import build_run, execute_run, prepare
 from repro.simulation import (
     AsyncGossipEngine,
@@ -199,14 +199,9 @@ class TestOneNameTable:
         parser = build_parser()
         for name, kind in ALGORITHM_KINDS.items():
             assert AlgorithmSpec(name=name).is_async == (kind == "async")
-            for command, command_kind in (("run", "sync"),
-                                          ("async-run", "async")):
-                argv = [command, "--algorithm", name]
-                if kind == command_kind:
-                    assert parser.parse_args(argv).algorithm == name
-                else:
-                    with pytest.raises(SystemExit):
-                        parser.parse_args(argv)
+            assert PlanCell("tiny", name, 3, 0, 2).kind == kind
+            argv = ["run", "--algorithm", name]
+            assert parser.parse_args(argv).algorithm == name
 
     @pytest.mark.parametrize("name", sorted(ALGORITHM_KINDS))
     def test_builder_builds_the_named_kind(self, tiny_preset, name):
@@ -219,17 +214,16 @@ class TestOneNameTable:
     @pytest.mark.parametrize("bad", ["nope", "Async-D-PSGD", "SkipTrain"])
     def test_unknown_names_refused_everywhere(self, tiny_preset, bad):
         from repro.experiments.serve.jobs import parse_job_request
-        from repro.scenarios import AlgorithmSpec, ScenarioSpec
-        from repro.scenarios.compile import validate_composition
+        from repro.scenarios import AlgorithmSpec
 
         with pytest.raises(KeyError, match="unknown algorithm"):
             algorithm_kind(bad)
         with pytest.raises(KeyError, match="unknown algorithm"):
             build_run(prepare(tiny_preset, 3, seed=0), bad)
         with pytest.raises(ValueError, match="unknown algorithm"):
-            validate_composition(
-                ScenarioSpec(name="bad", algorithm=AlgorithmSpec(name=bad))
-            )
+            AlgorithmSpec(name=bad)
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            PlanCell("tiny", bad, 3, 0, 2)
         with pytest.raises(ValueError, match="unknown algorithm"):
             parse_job_request(
                 {"preset": "tiny", "algorithm": bad, "seeds": [0]},

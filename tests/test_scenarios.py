@@ -290,14 +290,24 @@ class TestCompile:
             compiled.engine.state.shape, ref_engine.state.shape
         )
 
-    def test_kind_mismatch_rejected(self):
-        spec = tiny_scenario(algorithm=AlgorithmSpec(name="async-skiptrain"))
-        with pytest.raises(ValueError, match="kind"):
-            compile_run(spec, kind="sync")
-        with pytest.raises(ValueError, match="kind"):
-            compile_run(tiny_scenario(), kind="async")
-        with pytest.raises(ValueError, match="kind"):
-            compile_run(tiny_scenario(), kind="turbo")
+    @pytest.mark.parametrize("algorithm", ["skiptrain", "async-skiptrain"])
+    def test_kind_follows_the_algorithm(self, scn_preset, algorithm):
+        """The spec's algorithm decides the kind, its engine and its
+        cells'; ``compile_run`` takes no ``kind`` to contradict it."""
+        from repro.algorithm_names import algorithm_kind
+        from repro.scenarios.compile import build_scenario_plan
+        from repro.simulation import AsyncGossipEngine
+
+        spec = tiny_scenario(algorithm=AlgorithmSpec(name=algorithm))
+        assert spec.kind == algorithm_kind(algorithm)
+        compiled = compile_run(spec, preset=scn_preset, total_rounds=1)
+        assert compiled.kind == spec.kind
+        assert isinstance(compiled.engine, AsyncGossipEngine) == (
+            spec.kind == "async")
+        [cell] = build_scenario_plan(spec, seeds=(0,), preset=scn_preset)
+        assert cell.kind == spec.kind
+        with pytest.raises(TypeError, match="kind"):
+            compile_run(spec, kind=spec.kind, preset=scn_preset)
 
     def test_async_dynamic_topology_compiles_and_matches_oracle(
         self, scn_preset

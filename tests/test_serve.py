@@ -213,10 +213,11 @@ class TestValidation:
         {"preset": "nope", "algorithm": "d-psgd", "degree": 3, "seeds": [0]},
         {"preset": "servetiny", "algorithm": "d-psgd", "degree": 7,
          "seeds": [0]},  # degree not in preset
+        # "kind" is not a request key: the algorithm decides the engine
         {"preset": "servetiny", "algorithm": "async-skiptrain", "degree": 3,
-         "kind": "sync", "seeds": [0]},  # async algorithm forced sync
+         "kind": "sync", "seeds": [0]},
         {"preset": "servetiny", "algorithm": "d-psgd", "degree": 3,
-         "kind": "async", "seeds": [0]},  # sync algorithm forced async
+         "kind": "sync", "seeds": [0]},
         {"scenario": "nope", "seeds": [0]},
         {"scenario": "servesc", "preset": "servetiny", "algorithm": "d-psgd",
          "degree": 3, "seeds": [0]},  # two modes at once
@@ -236,6 +237,8 @@ class TestValidation:
         status, body = http(f"{server.url}/jobs", bad)
         assert status == 400, (bad, body)
         assert body["error"]
+        if "kind" in bad:
+            assert "unknown job request keys: ['kind']" in body["error"]
 
     def test_duplicate_in_flight_cell_is_409(self, server):
         server.pause_dispatch.set()
@@ -310,7 +313,7 @@ class TestJobStoreCounters:
 
         return [
             PlanCell(preset="servetiny", algorithm="d-psgd", degree=3,
-                     seed=seed, total_rounds=1, kind="sync")
+                     seed=seed, total_rounds=1)
             for seed in seeds
         ]
 

@@ -43,15 +43,6 @@ def micro_preset(tiny_preset):
     )
 
 
-@pytest.fixture
-def micro_async(micro_preset):
-    """Async twin of the micro preset (12 expected activations per
-    node, sampled evaluation so resume exercises the eval rng)."""
-    from repro.experiments import async_variant
-
-    return async_variant(micro_preset)
-
-
 def lookup_for(preset):
     def lookup(name):
         assert name == preset.name
@@ -311,7 +302,7 @@ class TestOneExecutor:
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_kill_and_resume_leaves_only_the_artifact(
-        self, micro_preset, micro_async, tmp_path, case
+        self, micro_preset, tmp_path, case
     ):
         from repro.scenarios import (
             AlgorithmSpec, ChurnEventSpec, ChurnSpec, ScenarioSpec,
@@ -332,13 +323,10 @@ class TestOneExecutor:
             )
             [cell] = build_scenario_plan(spec, seeds=(0,), preset=preset)
             options["scenario_lookup"] = {spec.name: spec}.__getitem__
-        elif kind == "async":
-            preset = micro_async
-            [cell] = build_plan(preset, ("async-skiptrain",), seeds=(0,),
-                                kind="async")
         else:
             preset = micro_preset
-            [cell] = build_plan(preset, ("skiptrain",), seeds=(0,))
+            algorithm = "async-skiptrain" if kind == "async" else "skiptrain"
+            [cell] = build_plan(preset, (algorithm,), seeds=(0,))
         assert cell.kind == kind
         ref, killed = tmp_path / "ref", tmp_path / "killed"
         run_cell(preset, cell, ref, checkpoint_every=2, **options)
@@ -457,7 +445,7 @@ def _record_case(record_cls):
             return AsyncExperimentResult(
                 history=AsyncHistory("p", [record]), train_energy_wh=0.0,
                 trace=SimpleNamespace(n_nodes=8))
-        cell = PlanCell("micro-async", "async-d-psgd", 3, 0, 12, kind="async")
+        cell = PlanCell("micro", "async-d-psgd", 3, 0, 12)
     else:
         def result(record):
             return ExperimentResult(
@@ -519,15 +507,28 @@ class TestRecordCodec:
                     write_cell_artifact(tmp_path / "bad", cell, result(broken))
         assert not (tmp_path / "bad").exists()
 
-    def test_writer_refuses_a_result_of_the_other_kind(self, record_cls, tmp_path):
-        from repro.experiments.artifacts import write_cell_artifact
+    def test_a_cell_block_contradicting_its_algorithm_is_refused(
+        self, record_cls, tmp_path
+    ):
+        """The artifact's ``"kind"`` is derived from the algorithm; a
+        block read from disk that disagrees with it is refused by every
+        reader instead of trusted."""
+        from repro.experiments.artifacts import (
+            result_from_artifact,
+            write_cell_artifact,
+        )
 
         record, result, cell = _record_case(record_cls)
-        other = "sync" if cell.kind == "async" else "async"
-        with pytest.raises(ValueError, match=f"{cell.kind} run"):
-            write_cell_artifact(tmp_path, dataclasses.replace(cell, kind=other),
-                                result(record))
-        assert not list(tmp_path.iterdir())
+        path = write_cell_artifact(tmp_path, cell, result(record))
+        payload = load_cell_artifact(path)
+        assert payload["cell"]["kind"] == cell.kind
+        payload["cell"]["kind"] = "sync" if cell.kind == "async" else "async"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"runs {cell.kind!r}"):
+            aggregate_results(tmp_path)
+        if cell.kind == "sync":
+            with pytest.raises(ValueError, match="runs 'sync'"):
+                result_from_artifact(payload)
 
 
 class TestAsyncOrchestration:
@@ -538,42 +539,50 @@ class TestAsyncOrchestration:
     ASYNC_ALGOS = ("async-skiptrain", "async-d-psgd",
                    "async-skiptrain-constrained")
 
-    def test_async_plan_cells_are_marked_and_distinct(self, micro_async):
-        plan = build_plan(micro_async, self.ASYNC_ALGOS, seeds=(0,),
-                          kind="async")
-        assert all(c.kind == "async" for c in plan)
-        assert all(c.cell_id.endswith("__async") for c in plan)
-        sync_twin = build_plan(micro_async, self.ASYNC_ALGOS, seeds=(0,))
-        assert not set(c.cell_id for c in plan) & set(
-            c.cell_id for c in sync_twin
-        )
+    def test_async_plan_cells_are_marked_and_distinct(self, micro_preset):
+        """The algorithm decides each cell's kind, so one plan may mix
+        them; an async cell's id carries the ``__async`` mark."""
+        plan = build_plan(micro_preset, ("skiptrain", *self.ASYNC_ALGOS),
+                          seeds=(0,))
+        assert [c.kind for c in plan] == ["sync", "async", "async", "async"]
+        assert [c.cell_id.endswith("__async") for c in plan] == [
+            False, True, True, True]
+        assert len({c.cell_id for c in plan}) == len(plan)
 
-    def test_bad_kind_rejected(self, micro_async):
-        with pytest.raises(ValueError, match="kind"):
-            build_plan(micro_async, ("async-d-psgd",), seeds=(0,),
-                       kind="quantum")
+    def test_unknown_algorithm_rejected_at_construction(self, micro_preset):
+        """A cell's kind is its algorithm's: an unknown name is refused
+        when the cell is built, and no ``kind`` can be passed."""
+        from repro.experiments.artifacts import PlanCell
+
+        with pytest.raises(ValueError, match="unknown algorithm 'quantum'"):
+            PlanCell("micro", "quantum", 3, 0, 12)
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            build_plan(micro_preset, ("async-d-psgd", "Async-D-PSGD"),
+                       seeds=(0,))
+        with pytest.raises(TypeError, match="kind"):
+            PlanCell("micro", "async-d-psgd", 3, 0, 12, kind="async")
 
     def test_async_sweep_skip_shard_jobs_byte_identical(
-        self, micro_async, tmp_path
+        self, micro_preset, tmp_path
     ):
-        plan = build_plan(micro_async, ("async-skiptrain", "async-d-psgd"),
-                          seeds=(0, 1), kind="async")
+        plan = build_plan(micro_preset, ("async-skiptrain", "async-d-psgd"),
+                          seeds=(0, 1))
         solo, split, pooled = (tmp_path / d for d in ("solo", "split", "pooled"))
-        run_sweep(plan, solo, preset_lookup=lookup_for(micro_async))
+        run_sweep(plan, solo, preset_lookup=lookup_for(micro_preset))
         for index in (1, 2):
             run_sweep(plan, split, shard=(index, 2),
-                      preset_lookup=lookup_for(micro_async))
-        run_sweep(plan, pooled, jobs=2, preset_lookup=lookup_for(micro_async))
+                      preset_lookup=lookup_for(micro_preset))
+        run_sweep(plan, pooled, jobs=2, preset_lookup=lookup_for(micro_preset))
         for cell in plan:
             ref = artifact_path(solo, cell).read_bytes()
             assert artifact_path(split, cell).read_bytes() == ref
             assert artifact_path(pooled, cell).read_bytes() == ref
-        again = run_sweep(plan, solo, preset_lookup=lookup_for(micro_async))
+        again = run_sweep(plan, solo, preset_lookup=lookup_for(micro_preset))
         assert not again.ran and len(again.skipped) == len(plan)
 
     @pytest.mark.parametrize("algorithm", list(ASYNC_ALGOS))
     def test_async_mid_cell_kill_resumes_bit_identical(
-        self, micro_async, tmp_path, algorithm
+        self, micro_preset, tmp_path, algorithm
     ):
         """Kill an async cell at an arbitrary event (not aligned with
         the eval cadence), rerun, and the final artifact equals an
@@ -581,10 +590,9 @@ class TestAsyncOrchestration:
         policy state, and every rng stream survive the restart. The
         oracle is killed (its hook fires after every event), the
         product resumes."""
-        cell = build_plan(micro_async, (algorithm,), seeds=(0,),
-                          kind="async")[0]
+        cell = build_plan(micro_preset, (algorithm,), seeds=(0,))[0]
         ref, killed = tmp_path / "ref", tmp_path / "killed"
-        run_cell(micro_async, cell, ref, checkpoint_every=2)
+        run_cell(micro_preset, cell, ref, checkpoint_every=2)
         assert not checkpoint_path(ref, cell).exists()
 
         class Kill(Exception):
@@ -595,25 +603,24 @@ class TestAsyncOrchestration:
                 raise Kill
 
         with pytest.raises(Kill):
-            oracles.run_cell(micro_async, cell, killed, checkpoint_every=2,
+            oracles.run_cell(micro_preset, cell, killed, checkpoint_every=2,
                              round_hook=killer)
         assert checkpoint_path(killed, cell).is_file()
         assert not artifact_path(killed, cell).exists()
 
-        _, resumed = run_cell(micro_async, cell, killed, checkpoint_every=2)
+        _, resumed = run_cell(micro_preset, cell, killed, checkpoint_every=2)
         assert resumed
         assert not checkpoint_path(killed, cell).exists()
         assert (artifact_path(killed, cell).read_bytes()
                 == artifact_path(ref, cell).read_bytes())
 
-    def test_async_artifact_is_self_describing(self, micro_async, tmp_path):
-        cell = build_plan(micro_async, ("async-skiptrain",), seeds=(0,),
-                          kind="async")[0]
-        run_cell(micro_async, cell, tmp_path)
+    def test_async_artifact_is_self_describing(self, micro_preset, tmp_path):
+        cell = build_plan(micro_preset, ("async-skiptrain",), seeds=(0,))[0]
+        run_cell(micro_preset, cell, tmp_path)
         payload = load_cell_artifact(artifact_path(tmp_path, cell))
         assert payload["schema"] == "repro/async-cell-artifact/v1"
         assert payload["cell"] == {
-            "preset": "micro-async", "algorithm": "async-skiptrain",
+            "preset": "micro", "algorithm": "async-skiptrain",
             "degree": 3, "seed": 0, "total_rounds": 12, "kind": "async",
             "scenario": "",
         }
@@ -628,32 +635,32 @@ class TestAsyncOrchestration:
         assert 0.0 <= payload["results"]["final_accuracy"] <= 1.0
         assert payload["results"]["total_comm_wh"] == 0.0
         assert payload["engine"] == {
-            "events": 12 * micro_async.n_nodes, "vectorized": True,
+            "events": 12 * micro_preset.n_nodes, "vectorized": True,
         }
 
     def test_async_cells_aggregate_alongside_sync(
-        self, micro_preset, micro_async, tmp_path
+        self, micro_preset, tmp_path
     ):
         sync_plan = build_plan(micro_preset, ("skiptrain",), seeds=(0, 1))
-        async_plan = build_plan(micro_async, ("async-skiptrain",),
-                                seeds=(0, 1), kind="async")
+        async_plan = build_plan(micro_preset, ("async-skiptrain",),
+                                seeds=(0, 1))
         run_sweep(sync_plan, tmp_path, preset_lookup=lookup_for(micro_preset))
-        run_sweep(async_plan, tmp_path, preset_lookup=lookup_for(micro_async))
+        run_sweep(async_plan, tmp_path, preset_lookup=lookup_for(micro_preset))
         rows, gaps = aggregate_results(tmp_path)
         assert [(r.preset, r.algorithm, r.n_seeds) for r in rows] == [
+            ("micro", "async-skiptrain", 2),
             ("micro", "skiptrain", 2),
-            ("micro-async", "async-skiptrain", 2),
         ]
         assert not gaps
         csv_path = write_summary_csv(rows, tmp_path / "summary.csv")
         from repro.experiments import read_summary_csv
 
         assert [r.algorithm for r in read_summary_csv(csv_path)] == [
-            "skiptrain", "async-skiptrain",
+            "async-skiptrain", "skiptrain",
         ]
 
     def test_async_eval_cadence_does_not_change_results(
-        self, micro_async, tmp_path
+        self, micro_preset, tmp_path
     ):
         """Orchestration-level regression for the eval/event rng split:
         the same async cell run at a different evaluation cadence ends
@@ -662,10 +669,9 @@ class TestAsyncOrchestration:
         different node subset, but the trajectory itself — engine state
         and energy — is cadence-independent either way; the engine-level
         test pins the state)."""
-        full_eval = dataclasses.replace(micro_async, eval_node_sample=None)
+        full_eval = dataclasses.replace(micro_preset, eval_node_sample=None)
         dense = dataclasses.replace(full_eval, eval_every=1)
-        cell = build_plan(full_eval, ("async-d-psgd",), seeds=(0,),
-                          kind="async")[0]
+        cell = build_plan(full_eval, ("async-d-psgd",), seeds=(0,))[0]
         run_cell(full_eval, cell, tmp_path / "sparse")
         run_cell(dense, cell, tmp_path / "dense")
         a = load_cell_artifact(artifact_path(tmp_path / "sparse", cell))
@@ -674,16 +680,15 @@ class TestAsyncOrchestration:
         assert len(b["history"]["records"]) > len(a["history"]["records"])
 
     def test_async_vectorized_cell_results_match_serial(
-        self, micro_async, tmp_path
+        self, micro_preset, tmp_path
     ):
         """The async analogue of the sync bit-compatibility test: a
         product (disjoint-event-batched) async cell's artifact is
         identical to the oracle's up to the engine provenance flag."""
-        cell = build_plan(micro_async, ("async-skiptrain",), seeds=(0,),
-                          kind="async")[0]
+        cell = build_plan(micro_preset, ("async-skiptrain",), seeds=(0,))[0]
         serial, vector = tmp_path / "serial", tmp_path / "vector"
-        oracles.run_cell(micro_async, cell, serial)
-        run_cell(micro_async, cell, vector)
+        oracles.run_cell(micro_preset, cell, serial)
+        run_cell(micro_preset, cell, vector)
         a = load_cell_artifact(artifact_path(serial, cell))
         b = load_cell_artifact(artifact_path(vector, cell))
         assert a["engine"]["vectorized"] is False
@@ -693,14 +698,13 @@ class TestAsyncOrchestration:
         assert a == b  # bit-compatibility: every result field identical
 
     def test_result_from_artifact_guards_async_schema(
-        self, micro_async, tmp_path
+        self, micro_preset, tmp_path
     ):
         from repro.experiments import async_history_from_artifact
         from repro.experiments.artifacts import result_from_artifact
 
-        cell = build_plan(micro_async, ("async-skiptrain",), seeds=(0,),
-                          kind="async")[0]
-        run_cell(micro_async, cell, tmp_path)
+        cell = build_plan(micro_preset, ("async-skiptrain",), seeds=(0,))[0]
+        run_cell(micro_preset, cell, tmp_path)
         payload = load_cell_artifact(artifact_path(tmp_path, cell))
         with pytest.raises(ValueError, match="async"):
             result_from_artifact(payload)

@@ -30,7 +30,6 @@ from repro.experiments import (
     PoolWorkerError,
     aggregate_results,
     artifact_path,
-    async_variant,
     build_plan,
     cell_dataset,
     run_cell_from_data,
@@ -79,11 +78,6 @@ def micro_preset(tiny_preset):
     )
 
 
-@pytest.fixture
-def micro_async(micro_preset):
-    return async_variant(micro_preset)
-
-
 SCENARIO = ScenarioSpec(
     name="pool-churn-skew",
     preset="micro",
@@ -116,12 +110,12 @@ def lookup_for(*presets):
     return table.__getitem__
 
 
-def mixed_plan(micro_preset, micro_async):
+def mixed_plan(micro_preset):
     """Sync + async + scenario cells in one plan."""
     plan = build_plan(micro_preset, ("skiptrain", "d-psgd"), degrees=(3,),
                       seeds=(0, 1))
-    plan += build_plan(micro_async, ("async-skiptrain",), degrees=(3,),
-                       seeds=(0,), kind="async")
+    plan += build_plan(micro_preset, ("async-skiptrain",), degrees=(3,),
+                       seeds=(0,))
     plan += build_scenario_plan(SCENARIO, seeds=(0,), preset=micro_preset)
     return plan
 
@@ -140,13 +134,13 @@ def assert_trees_identical(plan, ref_dir, got_dir):
 
 class TestByteIdentity:
     def test_jobs4_identical_to_serial_across_kinds(
-        self, micro_preset, micro_async, tmp_path
+        self, micro_preset, tmp_path
     ):
         """Sync, async, and scenario cells through 4 persistent workers
         produce the same bytes as a serial run — and every /dev/shm
         segment is gone afterwards."""
-        plan = mixed_plan(micro_preset, micro_async)
-        lookup = lookup_for(micro_preset, micro_async)
+        plan = mixed_plan(micro_preset)
+        lookup = lookup_for(micro_preset)
         serial, pooled = tmp_path / "serial", tmp_path / "pooled"
         run_sweep(plan, serial, preset_lookup=lookup,
                   scenario_lookup=SPECS.__getitem__)
@@ -224,15 +218,15 @@ def drain(pool):
 
 class TestQueueOrderProperty:
     def test_shuffled_dispatch_orders_byte_identical(
-        self, micro_preset, micro_async, tmp_path
+        self, micro_preset, tmp_path
     ):
         """Property: whatever order cells are queued (and whatever order
         workers finish them), every artifact and the summary CSV are
         byte-identical — the streaming sweep on the plan as built and on
         a shuffled one, and the two functions it is made of fed by hand
         in shuffled order, all against ``jobs=1``."""
-        plan = mixed_plan(micro_preset, micro_async)
-        lookup = lookup_for(micro_preset, micro_async)
+        plan = mixed_plan(micro_preset)
+        lookup = lookup_for(micro_preset)
         lookups = dict(preset_lookup=lookup,
                        scenario_lookup=SPECS.__getitem__)
         serial = tmp_path / "serial"
@@ -673,7 +667,7 @@ class TestKilledWorkerLiveness:
 
         return [
             PlanCell(preset="micro", algorithm="d-psgd", degree=3,
-                     seed=seed, total_rounds=1, kind="sync")
+                     seed=seed, total_rounds=1)
             for seed in range(n)
         ]
 
