@@ -13,14 +13,15 @@ through its process sentinel. Either way the parent raises
 :class:`PoolWorkerError` naming the cell at once.
 
 A worker is a cell runtime: ``run_one`` prepares the cell's dataset
-itself, into a cache private to the worker
+itself, into a one-slot cache private to the worker
 (:class:`~repro.experiments.sweep.DatasetCache`), so the parent never
-synthesizes, copies or holds one. What the pool knows of datasets is
-each task's data key: an idle worker gets a task of the key it last
-ran first, then one of a key no worker holds, then the oldest, so a
-key is prepared at most once per worker and no worker idles while
-tasks wait. Log lines a worker's cell emits (the ``prep`` line) travel
-over the worker's pipe to the parent.
+synthesizes, copies or holds one, and a worker holds one at a time.
+What the pool knows of datasets is each task's data key: an idle
+worker gets a task of the key it last ran first, then one of a key no
+worker holds, then the oldest, so consecutive cells of a key share one
+preparation, a key queued at once is prepared at most once per worker,
+and no worker idles while tasks wait. Log lines a worker's cell emits
+(the ``prep`` line) travel over the worker's pipe to the parent.
 
 Platform constraint: the pool requires the ``fork`` start method
 (Linux); on other platforms run ``jobs=1`` per shard and split work

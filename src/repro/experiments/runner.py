@@ -117,8 +117,8 @@ class PreparedData:
     Everything here depends only on (preset, seed, partition override,
     Dirichlet α) — never on the topology degree — so one
     :class:`PreparedData` can back every degree of a sweep group. The
-    sweep exploits exactly this: each process that runs cells keeps
-    the datasets it prepared by data key and reuses them across the
+    sweep exploits exactly this: each process that runs cells holds the
+    one it prepared last, by data key, and reuses it across consecutive
     cells of that key (see :class:`~repro.experiments.sweep.
     DatasetCache`).
     """
@@ -129,13 +129,6 @@ class PreparedData:
     test: ArrayDataset
     validation: ArrayDataset
     partition: Partition
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of every array held: what keeping it costs."""
-        arrays = (self.train.x, self.train.y, self.test.x, self.test.y, self.validation.x,
-                  self.validation.y, self.partition.offsets, self.partition.indices)
-        return sum(array.nbytes for array in arrays)
 
 
 @dataclass

@@ -22,10 +22,11 @@ One :class:`ScenarioServer` owns four moving parts:
   everything ``run_one`` closes over is frozen then, and inline
   scenario specs (which arrive *after* the fork) travel to workers
   with each task instead. Each worker prepares its cells' datasets
-  into its own :class:`~repro.experiments.sweep.DatasetCache` and
-  keeps idle ones up to :data:`IDLE_DATASET_BUDGET` bytes, so a
-  resubmitted seed starts without a ``prepare_data``; the pool hands a
-  cell to the worker that last ran its key first.
+  into its own :class:`~repro.experiments.sweep.DatasetCache`, which
+  holds one: the latest cell's, dropped before the next key is
+  prepared. The pool hands a cell to the worker that last ran its key
+  first, so consecutive cells of one seed share one ``prepare_data``;
+  a seed that comes back after another one is prepared again.
 
 A served cell runs :func:`~repro.experiments.sweep.run_cell_from_data`
 — the very function ``repro sweep``'s workers (and its ``--jobs 1``
@@ -73,13 +74,6 @@ __all__ = ["DrainingError", "ServeConfig", "ScenarioServer"]
 
 #: largest ``POST /jobs`` body read (413 past it); specs are a few KiB
 MAX_BODY_BYTES = 1 << 20
-
-#: Bytes of idle datasets each serve worker keeps beside the one its
-#: latest cell trained on, least recently used first out, so a
-#: resubmitted seed starts without a ``prepare_data``. Eight
-#: ``cifar10-bench`` datasets; a paper-scale dataset (~1.2 GB) exceeds
-#: it on its own and is dropped at the worker's next preparation.
-IDLE_DATASET_BUDGET = 32 << 20
 
 
 class DrainingError(RuntimeError):
@@ -278,7 +272,7 @@ class ScenarioServer:
             on_log=lambda cell_id, line: self._say(line),
         )
         #: filled only inside the workers, each in its own copy
-        self._datasets = DatasetCache(IDLE_DATASET_BUDGET)
+        self._datasets = DatasetCache()
         #: test hook — while set, the dispatcher claims no new queued
         #: jobs (completions still flow), making 429 tests deterministic
         self.pause_dispatch = _PauseHook(self._pool.wake)

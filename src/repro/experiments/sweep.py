@@ -15,12 +15,12 @@ There is one backend and one cell path, with three front doors:
 :mod:`repro.experiments.pool`, and ``repro serve`` feeds the same pool
 from its HTTP job queue. In all three the process that runs a cell
 gets its dataset from :func:`cell_dataset`, against that process's own
-:class:`DatasetCache` — keyed by (preset, seed, partition-override,
-α), degree-free, so the cells a process runs on the same data share
-one preparation — and executes it with :func:`run_cell_from_data`, which
-binds the cell's topology onto that data and hands over to
-:func:`run_cell`. Served ≡ swept ≡ serial holds because it is the same
-function each time, not three that agree.
+:class:`DatasetCache` — one dataset, keyed by (preset, seed,
+partition-override, α), degree-free, so consecutive cells a process
+runs on the same data share one preparation — and executes it with
+:func:`run_cell_from_data`, which binds the cell's topology onto that
+data and hands over to :func:`run_cell`. Served ≡ swept ≡ serial holds
+because it is the same function each time, not three that agree.
 
 :func:`run_cell` wires the engine with
 :func:`~repro.experiments.runner.build_run` (a scenario cell through
@@ -419,40 +419,30 @@ def run_cell_from_data(
 
 
 class DatasetCache:
-    """The prepared datasets of one process that runs cells, by data
-    key: the latest cell's, plus older ones up to ``idle_budget`` bytes,
-    least recently used first out. A miss drops what is over the budget
-    *before* the caller prepares, so with the default budget of 0 two
-    datasets are never alive together.
+    """The prepared dataset of one process that runs cells: the latest
+    cell's, with its data key. A miss drops it *before* the caller
+    prepares the next key, so two datasets are never alive together.
 
     Every process that runs cells owns one — the ``jobs=1`` loop, each
-    sweep worker (budget 0) and each serve worker (the daemon's
-    ``IDLE_DATASET_BUDGET``, so a resubmitted seed starts without a
-    ``prepare_data``). A pool parent builds one before the fork and
-    never fills it, so each worker starts from an empty copy of its
-    own."""
+    sweep worker and each serve worker. A pool parent builds one before
+    the fork and never fills it, so each worker starts from an empty
+    copy of its own. A key that comes back after another one is
+    prepared again."""
 
-    def __init__(self, idle_budget: int = 0) -> None:
-        self._budget = idle_budget
-        #: least recently used first
-        self._held: dict[tuple, PreparedData] = {}
+    def __init__(self) -> None:
+        self._held: tuple[tuple, PreparedData] | None = None
 
     def get(self, key: tuple) -> PreparedData | None:
-        """``key``'s dataset, now the most recently used; on a miss,
-        ``None`` once what is over the budget is dropped."""
-        data = self._held.pop(key, None)
-        if data is not None:
-            self._held[key] = data
-            return data
-        while self._held and sum(
-            held.nbytes for held in self._held.values()
-        ) > self._budget:
-            del self._held[next(iter(self._held))]
+        """``key``'s dataset; on a miss, ``None`` once the held one is
+        dropped."""
+        if self._held is not None and self._held[0] == key:
+            return self._held[1]
+        self._held = None
         return None
 
     def keep(self, key: tuple, data: PreparedData) -> PreparedData:
-        """Hold ``data`` as ``key``'s, the most recently used."""
-        self._held[key] = data
+        """Hold ``data`` as ``key``'s."""
+        self._held = (key, data)
         return data
 
 

@@ -38,6 +38,9 @@ node at a time, before the partition became one CSR
 * :func:`build_trace` — ``per_round_energy_wh`` and
   ``communication_energy_wh`` called once per node.
 
+And the byte count the dataset-residency tests bound a process by:
+:func:`dataset_bytes`, every array of one prepared dataset.
+
 The seam is an attribute, not a knob: :func:`serial` swaps a product
 engine's ``local_trainer`` for the serial one (and an async engine's
 ``run`` for :func:`run_events`).
@@ -74,6 +77,7 @@ __all__ = [
     "as_scipy",
     "build_trace",
     "cells",
+    "dataset_bytes",
     "dirichlet_partition",
     "gossip",
     "iid_partition",
@@ -367,3 +371,12 @@ def build_trace(n_nodes, workload, battery_fraction, degree=6, devices=None):
                        / train).astype(np.int64)
     return EnergyTrace(devices=assigned, train_energy_wh=train,
                        comm_energy_wh=comm, budget_rounds=budgets)
+
+
+def dataset_bytes(data):
+    """Bytes of every array a :class:`~repro.experiments.runner.
+    PreparedData` holds: what keeping it alive costs."""
+    arrays = (data.train.x, data.train.y, data.test.x, data.test.y,
+              data.validation.x, data.validation.y,
+              data.partition.offsets, data.partition.indices)
+    return sum(array.nbytes for array in arrays)

@@ -28,6 +28,7 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
+import oracles
 import pytest
 
 from repro.experiments import build_plan, run_sweep
@@ -115,6 +116,14 @@ PRESET_JOB = {
     "preset": "servetiny", "algorithm": "d-psgd", "degree": 3,
     "seeds": [0, 1], "rounds": 8,
 }
+
+
+def _peak_rss(pid):
+    """``pid``'s peak resident set (``VmHWM``) in bytes."""
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return int(line.split()[1]) << 10
+    raise AssertionError(f"no VmHWM for pid {pid}")
 
 
 def _children(pid):
@@ -461,7 +470,7 @@ class TestByteIdentity:
 class TestDatasetResidency:
     """The daemon's half of the dataset lifecycle: its dispatcher never
     prepares or holds a dataset; each worker prepares its cells' own
-    and keeps idle ones least recently used inside a byte budget."""
+    and holds one, dropped before it prepares the next key."""
 
     def test_the_dispatcher_never_prepares(
         self, serve_preset, serve_scenario, tmp_path, monkeypatch
@@ -496,25 +505,18 @@ class TestDatasetResidency:
         pids = {int(path.name.split("-")[0]) for path in spool.iterdir()}
         assert pids and os.getpid() not in pids
 
-    def test_idle_datasets_are_kept_to_the_budget_and_reused(
-        self, serve_preset, serve_scenario, tmp_path, monkeypatch
+    def test_consecutive_jobs_of_a_seed_share_one_preparation(
+        self, serve_preset, serve_scenario, tmp_path
     ):
-        from repro.experiments.runner import prepare_data
-        from repro.experiments.serve import server as server_module
-
-        one = prepare_data(serve_preset, seed=0).nbytes
-        # room for two idle datasets beside the latest one, not three
-        monkeypatch.setattr(server_module, "IDLE_DATASET_BUDGET", 2 * one + 1)
         lines: list[str] = []
         srv = ScenarioServer(
             ServeConfig(results_dir=str(tmp_path / "served"), port=0,
                         jobs=1, log=lines.append),
             preset_lookup={serve_preset.name: serve_preset}.__getitem__,
             scenario_lookup={serve_scenario.name: serve_scenario}.__getitem__,
-        )
-        srv.start()
+        ).start()
 
-        def run(seed, algorithm="d-psgd"):
+        def run(seed, algorithm):
             _, job = http(f"{srv.url}/jobs", {
                 **PRESET_JOB, "seeds": [seed], "algorithm": algorithm})
             assert wait_for_job(srv.url, job["job_id"])["state"] == "done"
@@ -523,23 +525,48 @@ class TestDatasetResidency:
             return [line for line in lines if line.startswith("prep")]
 
         try:
-            for seed in range(6):
-                run(seed)
-            # the worker's prep lines reach the daemon's log, one a seed
-            assert preps() == [f"prep servetiny seed={seed}" for seed in range(6)]
-            # a resubmitted seed within the budget relays no prep line ...
-            run(3, algorithm="skiptrain")
-            assert len(preps()) == 6
-            # ... one past it is prepared again, and the dataset that
-            # goes is the least recently used one (4), not the oldest (3)
-            run(0, algorithm="skiptrain")
-            assert len(preps()) == 7
-            run(4, algorithm="skiptrain")
-            assert preps()[-1] == "prep servetiny seed=4"
-            assert len(preps()) == 8
+            # the worker's prep line reaches the daemon's log once for
+            # back-to-back jobs of one seed ...
+            for algorithm in ("d-psgd", "skiptrain", "greedy"):
+                run(0, algorithm)
+            assert preps() == ["prep servetiny seed=0"]
+            # ... and a seed that comes back after another is prepared again
+            run(1, "d-psgd")
+            run(0, "skiptrain-constrained")
+            assert preps() == [f"prep servetiny seed={seed}" for seed in (0, 1, 0)]
         finally:
             srv.begin_drain()
             srv.close()
+
+    def test_worker_peak_rss_stays_flat_over_fresh_seeds(self, tmp_path):
+        """Twelve ``cifar10-bench`` jobs, each on a seed never sent
+        before, through one worker: its ``VmHWM`` after job 12 exceeds
+        the one after job 2 by less than one dataset, so no dataset
+        outlives the job that prepared it."""
+        from repro.experiments.presets import get_preset
+        from repro.experiments.runner import prepare_data
+
+        preset = get_preset("cifar10-bench")
+        before = set(_children(os.getpid()))
+        srv = ScenarioServer(
+            ServeConfig(results_dir=str(tmp_path / "served"), port=0, jobs=1)
+        ).start()
+        peaks = []
+        try:
+            [worker] = set(_children(os.getpid())) - before
+            for seed in range(12):
+                _, job = http(f"{srv.url}/jobs", {
+                    "preset": "cifar10-bench", "algorithm": "d-psgd",
+                    "degree": preset.degrees[0], "seeds": [seed], "rounds": 2,
+                })
+                assert wait_for_job(srv.url, job["job_id"])["state"] == "done"
+                peaks.append(_peak_rss(worker))
+        finally:
+            srv.begin_drain()
+            srv.close()
+        one = oracles.dataset_bytes(prepare_data(preset, seed=0))
+        grown = peaks[11] - peaks[1]
+        assert grown < one, f"worker peak grew {grown} B >= one dataset {one} B"
 
 
 SAMPLE = re.compile(

@@ -23,6 +23,7 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
+import oracles
 import pytest
 
 from repro.experiments import (
@@ -392,7 +393,7 @@ class TestResidency:
         from repro.experiments import get_preset
 
         preset = get_preset("cifar10-bench")
-        one = prepare_data(preset, seed=0).nbytes
+        one = oracles.dataset_bytes(prepare_data(preset, seed=0))
         plan = build_plan(preset, ("d-psgd",), degrees=(3,), seeds=(0, 1),
                           total_rounds=2)
         # a warm-up sweep loads every module the measured one touches
@@ -446,26 +447,22 @@ class TestResidency:
             blocks = [k for at, k in enumerate(run) if at == 0 or run[at - 1] != k]
             assert len(blocks) == len(set(blocks)), run
 
-    def test_dataset_cache_keeps_the_latest_plus_idle_ones_to_budget(
+    def test_dataset_cache_holds_the_latest_key_and_releases_it_on_a_miss(
         self, micro_preset
     ):
-        datasets = [prepare_data(micro_preset, seed=seed) for seed in range(4)]
-        one = datasets[0].nbytes
-        resident = DatasetCache()
-        for seed in (0, 1):
-            assert resident.get(seed) is None
-            resident.keep(seed, datasets[seed])
-            assert list(resident._held) == [seed]  # the miss dropped the other
-        assert resident.get(1) is datasets[1]
-        kept = DatasetCache(idle_budget=2 * one)
-        for seed in range(3):
-            assert kept.get(seed) is None
-            kept.keep(seed, datasets[seed])
-        assert list(kept._held) == [0, 1, 2]
-        assert kept.get(0) is datasets[0]  # a hit: now the most recent
-        assert kept.get(3) is None  # a miss drops the least recent, 1
-        kept.keep(3, datasets[3])
-        assert list(kept._held) == [2, 0, 3]
+        """One slot: a hit returns the held dataset, a miss drops it
+        before the caller prepares, so the next key's preparation never
+        runs beside it."""
+        cache = DatasetCache()
+        first = cache.keep(0, prepare_data(micro_preset, seed=0))
+        assert cache.get(0) is first
+        released = weakref.ref(first)
+        del first
+        assert cache.get(1) is None  # the miss: nothing is held now
+        assert released() is None
+        second = cache.keep(1, prepare_data(micro_preset, seed=1))
+        assert cache.get(1) is second
+        assert cache.get(0) is None  # a key that comes back is prepared again
 
 
 class TestFailureAndTeardown:
