@@ -38,12 +38,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from tests import oracles
+from tests import oracle_nn, oracles
 
 from repro.core import DPSGD
 from repro.data import make_classification_images
 from repro.data.synthetic import SyntheticSpec
-from repro.nn import CrossEntropyLoss, SGD, gn_lenet_cifar10, small_mlp
+from repro.nn import gn_lenet_cifar10, small_mlp
 from repro.nn.batched import BatchedEvaluator
 from repro.nn.serialization import parameter_vector, set_parameter_vector
 from repro.simulation import EngineConfig, build_engine
@@ -63,37 +63,41 @@ def batch():
 
 
 def test_local_sgd_step_small_mlp(benchmark, batch):
-    """One local training step of the bench model (forward+backward+update)."""
+    """One serial local training step of the bench model
+    (forward+backward+update) on the oracle's layers (``tests/oracle_nn.py``)."""
     model = small_mlp(64, 10, hidden=24, rng=np.random.default_rng(0))
-    loss = CrossEntropyLoss()
-    opt = SGD(model.parameters(), lr=0.1)
+    net = oracle_nn.serial(model)
+    loss = oracle_nn.CrossEntropyLoss()
+    opt = oracle_nn.SGD(model.parameters(), lr=0.1)
     x, y = batch
 
     def step():
-        logits = model(x)
+        logits = net.forward(x)
         loss.forward(logits, y)
         model.zero_grad()
-        model.backward(loss.backward())
+        net.backward(loss.backward())
         opt.step()
 
     benchmark(step)
 
 
 def test_local_sgd_step_paper_cnn(benchmark):
-    """One local step of the paper's 89 834-param GN-LeNet on a real
-    32-sample CIFAR-shaped batch — the paper-scale per-step cost."""
+    """One serial local step of the paper's 89 834-param GN-LeNet on a
+    real 32-sample CIFAR-shaped batch — the paper-scale per-step cost on
+    the oracle's layers."""
     rng = np.random.default_rng(0)
     model = gn_lenet_cifar10(rng=rng)
-    loss = CrossEntropyLoss()
-    opt = SGD(model.parameters(), lr=0.1)
+    net = oracle_nn.serial(model)
+    loss = oracle_nn.CrossEntropyLoss()
+    opt = oracle_nn.SGD(model.parameters(), lr=0.1)
     x = rng.normal(size=(32, 3, 32, 32))
     y = rng.integers(0, 10, size=32)
 
     def step():
-        logits = model(x)
+        logits = net.forward(x)
         loss.forward(logits, y)
         model.zero_grad()
-        model.backward(loss.backward())
+        net.backward(loss.backward())
         opt.step()
 
     benchmark(step)

@@ -1,8 +1,13 @@
 """``repro.nn`` — a from-scratch vectorized NumPy neural-network engine.
 
-This package substitutes for PyTorch (unavailable offline): explicit
-forward/backward layers, SGD, cross-entropy, and flat-vector parameter
-serialization — everything the decentralized-learning simulator needs.
+This package substitutes for PyTorch (unavailable offline). It holds
+what the simulator runs: the layer and model constructors (parameter
+shapes and init draws), parameter discovery and flat-vector
+serialization, and the stacked mirror (:mod:`repro.nn.batched`) that
+trains and evaluates a block of nodes at once with its kernels
+(:mod:`repro.nn.functional`) and :class:`BatchedSGD`. The serial
+per-sample layers, losses, SGD and schedules that mirror is checked
+against bit for bit are the test suite's oracle, ``tests/oracle_nn.py``.
 """
 
 from . import functional
@@ -27,7 +32,6 @@ from .layers import (
     Sigmoid,
     Tanh,
 )
-from .losses import CrossEntropyLoss, MSELoss
 from .models import (
     PAPER_CIFAR10_PARAMS,
     PAPER_FEMNIST_PARAMS,
@@ -39,7 +43,7 @@ from .models import (
 )
 from .io import load_model, save_model
 from .module import Module, Sequential
-from .optim import SGD, BatchedSGD, ConstantLR, CosineLR, StepLR
+from .optim import BatchedSGD
 from .optim_adaptive import Adam, AdamW
 from .parameter import Parameter
 from .serialization import (
@@ -67,9 +71,6 @@ __all__ = [
     "Dropout",
     "GroupNorm",
     "BatchNorm2d",
-    "CrossEntropyLoss",
-    "MSELoss",
-    "SGD",
     "BatchedSGD",
     "BatchedEvaluator",
     "BatchedModel",
@@ -78,9 +79,6 @@ __all__ = [
     "vectorize_module",
     "Adam",
     "AdamW",
-    "ConstantLR",
-    "StepLR",
-    "CosineLR",
     "save_model",
     "load_model",
     "parameter_vector",

@@ -13,9 +13,12 @@ Bit-compatibility contract
 the 2-D call, and all other kernels are elementwise or reduce along the
 same (contiguous, trailing) axes as their serial counterparts. Slice
 ``i`` of every batched kernel is therefore *bit-identical* to running
-the serial layer on node ``i`` alone. The engines rely on this: both
-train with plain SGD, so the stacked path reproduces the serial
-trajectory exactly, not just approximately. Where a kernel writes —
+the serial layer on node ``i`` alone. This module is the one
+implementation of every layer the product runs; the serial layers,
+loss and SGD it is checked against are the test suite's oracle
+(``tests/oracle_nn.py``). The engines rely on the contract: both train
+with plain SGD, so the stacked path reproduces the serial trajectory
+exactly, not just approximately. Where a kernel writes —
 a fresh array, a reused buffer, a strided view — is not part of that
 arithmetic; everything below that saves memory traffic moves only
 destinations, never an operation or a reduction order.
@@ -590,34 +593,84 @@ class BatchedFlatten(BatchedLayer):
         return grad_out.reshape(self._shape)
 
 
+def _window_view(x: np.ndarray, k: int, s: int) -> np.ndarray:
+    """A strided ``(..., oh, ow, k, k)`` window view of ``x`` (any number
+    of leading axes before ``H, W``).
+
+    A zero-copy view (``as_strided``) keeps pooling allocation-free; only
+    the reduction output is materialized. Leading axes keep their
+    strides, so a stacked ``(nodes, N, C, H, W)`` input is pooled where
+    it lies: the window mean's summation order follows the memory
+    layout, and each node's slice is then reduced exactly as the same
+    ``(N, C, H, W)`` array alone.
+    """
+    *lead, h, w = x.shape
+    oh = F.conv_output_size(h, k, s, 0)
+    ow = F.conv_output_size(w, k, s, 0)
+    *lead_strides, sh, sw = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x,
+        shape=(*lead, oh, ow, k, k),
+        strides=(*lead_strides, sh * s, sw * s, sh, sw),
+        writeable=False,
+    )
+
+
 class BatchedPool2d(BatchedLayer):
-    """Pooling is parameter-free and per-sample, and the serial layers
-    treat every axis before the spatial two as a batch axis, so a fresh
-    serial pooling layer runs unchanged on the ``(k, B, C, H, W)``
-    stack. The stack is pooled where it lies: folding the node axis into
+    """Max or average pooling of a ``(k, B, C, H, W)`` stack.
+
+    Pooling is parameter-free and per-sample, so every axis before the
+    spatial two is a batch axis and the node axis needs no special
+    case. The stack is pooled where it lies: folding the node axis into
     the batch axis would copy a strided input (a conv's transposed
     output) into C order, and the window mean sums in memory order."""
 
     node_independent = True
 
     def __init__(self, template: MaxPool2d | AvgPool2d) -> None:
-        self.pool = type(template)(template.kernel_size, template.stride)
+        self.kernel_size = template.kernel_size
+        self.stride = template.stride
+        self.max = isinstance(template, MaxPool2d)
+        self._argmax: np.ndarray | None = None
+        self._x_shape: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.pool.forward(x)
+        k, s = self.kernel_size, self.stride
+        windows = _window_view(x, k, s)
+        self._x_shape = x.shape
+        if not self.max:
+            return windows.mean(axis=(-2, -1))
+        flat = windows.reshape(*windows.shape[:-2], k * k)
+        self._argmax = np.argmax(flat, axis=-1)
+        return np.take_along_axis(flat, self._argmax[..., None], axis=-1)[..., 0]
 
     forward_shared = forward
 
     def plan(self, shape: Shape, contiguous: bool) -> tuple[int, Shape, bool]:
         *lead, h, w = shape
-        ks, s = self.pool.kernel_size, self.pool.stride
+        ks, s = self.kernel_size, self.stride
         out = (*lead, F.conv_output_size(h, ks, s, 0), F.conv_output_size(w, ks, s, 0))
         # max pooling gathers into a fresh array; a window mean keeps
         # its input's layout
-        return 0, out, contiguous or isinstance(self.pool, MaxPool2d)
+        return 0, out, contiguous or self.max
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return self.pool.backward(grad_out)
+        if self._x_shape is None:
+            raise RuntimeError("backward called before forward")
+        k, s = self.kernel_size, self.stride
+        grad_in = np.zeros(self._x_shape, dtype=grad_out.dtype)
+        *lead, oi, oj = np.indices(grad_out.shape, sparse=True)
+        if self.max:
+            # each window's gradient goes to its argmax; windows overlap
+            # when stride < kernel, so accumulate with np.add.at
+            ky, kx = np.unravel_index(self._argmax, (k, k))
+            np.add.at(grad_in, (*lead, oi * s + ky, oj * s + kx), grad_out)
+            return grad_in
+        share = grad_out / (k * k)
+        for dy in range(k):
+            for dx in range(k):
+                np.add.at(grad_in, (*lead, oi * s + dy, oj * s + dx), share)
+        return grad_in
 
 
 def _relu(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
@@ -633,14 +686,26 @@ def _relu(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     return out
 
 
-class BatchedElementwise(BatchedLayer):
-    """Activations are shape-agnostic elementwise maps; a fresh instance
-    of the serial layer runs unchanged on ``(k, B, ...)`` stacks.
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function, stable for large ``|x|``: the
+    output takes ``x``'s memory layout."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
-    The rectifier — the one activation every preset uses — trains here
-    instead, on reused buffers: the output is the serial layer's
-    ``np.where(x > 0, x, 0.0)`` bit for bit (:func:`_relu`), the mask is
-    kept for backward.
+
+class BatchedElementwise(BatchedLayer):
+    """An activation — ReLU, LeakyReLU, Sigmoid or Tanh — over a
+    ``(k, B, ...)`` stack. Every one is a shape-agnostic elementwise
+    map, so the stack is one array to it: LeakyReLU keeps its
+    ``x > 0`` mask for backward, Sigmoid and Tanh their output.
+
+    The rectifier — the one activation every preset uses — trains on
+    reused buffers: the output is ``np.where(x > 0, x, 0.0)`` bit for
+    bit (:func:`_relu`), the mask is kept for backward.
 
     Inference skips the training forward's backward bookkeeping: the
     rectifiers drop the cached mask and the ``np.where`` select in
@@ -657,50 +722,59 @@ class BatchedElementwise(BatchedLayer):
 
     def __init__(self, layer: Module) -> None:
         self.layer = layer
+        self.relu = isinstance(layer, ReLU)
         self._mask: np.ndarray | None = None
+        self._out: np.ndarray | None = None
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """A LeakyReLU, Sigmoid or Tanh map of ``x``, keeping no state
+        for backward."""
+        if isinstance(self.layer, LeakyReLU):
+            return np.where(x > 0.0, x, self.layer.alpha * x)
+        return _sigmoid(x) if isinstance(self.layer, Sigmoid) else np.tanh(x)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if not isinstance(self.layer, ReLU):
-            return self.layer.forward(x)
-        self._mask = np.greater(x, 0.0, out=self.scratch_like("mask", x, np.bool_))
-        return _relu(x, out=self.scratch_like("out", x))
+        if self.relu:
+            self._mask = np.greater(x, 0.0, out=self.scratch_like("mask", x, np.bool_))
+            return _relu(x, out=self.scratch_like("out", x))
+        if isinstance(self.layer, LeakyReLU):
+            self._mask = x > 0.0
+            return np.where(self._mask, x, self.layer.alpha * x)
+        self._out = self._apply(x)
+        return self._out
 
     def plan(self, shape: Shape, contiguous: bool) -> tuple[int, Shape, bool]:
-        if not isinstance(self.layer, ReLU) or not contiguous:
+        if not self.relu or not contiguous:
             return 0, shape, contiguous
         return 9 * math.prod(shape), shape, True  # mask and output
 
     def plan_backward(
         self, shape: Shape, contiguous: bool, grad_contiguous: bool
     ) -> tuple[int, bool]:
-        if not isinstance(self.layer, ReLU):
+        if not self.relu:
             return 0, grad_contiguous
         lent = contiguous and grad_contiguous  # as backward decides
         return (8 * math.prod(shape) if lent else 0), lent
 
     def forward_shared(self, x: np.ndarray) -> np.ndarray:
-        if isinstance(self.layer, ReLU):
-            return np.fmax(x, 0.0)
-        if isinstance(self.layer, LeakyReLU):
-            return np.where(x > 0.0, x, self.layer.alpha * x)
-        return self.layer.forward(x)
+        return np.fmax(x, 0.0) if self.relu else self._apply(x)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        if isinstance(self.layer, ReLU):
-            return np.fmax(x, 0.0, out=x)
-        if isinstance(self.layer, LeakyReLU):
-            return np.where(x > 0.0, x, self.layer.alpha * x)
-        return self.layer.forward(x)
+        return np.fmax(x, 0.0, out=x) if self.relu else self._apply(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if not isinstance(self.layer, ReLU):
-            return self.layer.backward(grad_out)
-        if self._mask is None:
+        if self._mask is None and self._out is None:
             raise RuntimeError("backward called before forward")
-        out = None
-        if self._mask.flags.c_contiguous:
-            out = self.scratch_like("grad_x", grad_out)
-        return np.multiply(grad_out, self._mask, out=out)
+        if self.relu:
+            out = None
+            if self._mask.flags.c_contiguous:
+                out = self.scratch_like("grad_x", grad_out)
+            return np.multiply(grad_out, self._mask, out=out)
+        if isinstance(self.layer, LeakyReLU):
+            return grad_out * np.where(self._mask, 1.0, self.layer.alpha)
+        if isinstance(self.layer, Sigmoid):
+            return grad_out * self._out * (1.0 - self._out)
+        return grad_out * (1.0 - self._out**2)
 
 
 def _vectorize_layer(layer: Module) -> BatchedLayer:
@@ -714,14 +788,8 @@ def _vectorize_layer(layer: Module) -> BatchedLayer:
         return BatchedFlatten()
     if isinstance(layer, (MaxPool2d, AvgPool2d)):
         return BatchedPool2d(layer)
-    if isinstance(layer, ReLU):
-        return BatchedElementwise(ReLU())
-    if isinstance(layer, LeakyReLU):
-        return BatchedElementwise(LeakyReLU(layer.alpha))
-    if isinstance(layer, Sigmoid):
-        return BatchedElementwise(Sigmoid())
-    if isinstance(layer, Tanh):
-        return BatchedElementwise(Tanh())
+    if isinstance(layer, (ReLU, LeakyReLU, Sigmoid, Tanh)):
+        return BatchedElementwise(layer)
     raise UnsupportedLayerError(
         f"no batched mirror for layer type {type(layer).__name__}; "
         "the engines train every block of nodes stacked, so this model "
@@ -732,7 +800,7 @@ def _vectorize_layer(layer: Module) -> BatchedLayer:
 class BatchedModel:
     """A stack of batched layers bound to a ``(k, dim)`` parameter block.
 
-    Built from a serial template by :func:`vectorize_module`. Call
+    Built from a model spec by :func:`vectorize_module`. Call
     :meth:`bind` with the block of node parameter rows before
     forward/backward; parameter views alias the block, so optimizer
     updates mutate the rows in place. Training additionally binds a
@@ -875,8 +943,8 @@ class BatchedEvaluator:
     Bit-compatibility: every stacked kernel is slice-for-slice
     bit-identical to its serial counterpart (module docstring), so the
     logits — and therefore the argmax predictions and per-node correct
-    counts — equal :func:`repro.simulation.metrics.evaluate_model_vector`
-    run on each row separately. The returned accuracies are exactly
+    counts — equal the serial per-row evaluation of the test suite's
+    oracle. The returned accuracies are exactly
     equal, not merely close.
 
     Rows are evaluated in chunks cut by the row plan's byte budget
@@ -906,9 +974,7 @@ class BatchedEvaluator:
                 continue
             if isinstance(layer, (BatchedLinear, BatchedConv2d)):
                 total += nbytes  # its workspace requests, allocated here
-            elif not (
-                isinstance(layer, BatchedElementwise) and isinstance(layer.layer, ReLU)
-            ):
+            elif not (isinstance(layer, BatchedElementwise) and layer.relu):
                 total += 8 * math.prod(shape)
         return total
 

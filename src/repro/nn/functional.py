@@ -1,9 +1,11 @@
-"""Stateless numerical primitives used by the neural-network layers.
+"""Stateless numerical kernels of the stacked mirror (:mod:`repro.nn.batched`).
 
-Everything here is pure NumPy, vectorized over the batch dimension, and
-allocation-conscious per the hpc-parallel guidance: we favour views and
-in-place updates over copies, and express convolution via im2col so the
-inner loop is a single GEMM.
+Everything here is pure NumPy, vectorized over the node and batch
+dimensions, and allocation-conscious per the hpc-parallel guidance: we
+favour views and in-place updates over copies, and express convolution
+via im2col so the inner loop is a single GEMM. The serial helpers these
+kernels are checked against (``softmax``, ``im2col``, ``col2im``, ...)
+live with the test suite's serial oracle, ``tests/oracle_nn.py``.
 """
 
 from __future__ import annotations
@@ -11,18 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "softmax",
-    "log_softmax",
-    "one_hot",
-    "relu",
-    "relu_grad",
-    "sigmoid",
-    "tanh",
     "im2col_indices",
-    "im2col",
-    "col2im",
     "conv_output_size",
-    "accuracy",
     "batched_linear_forward",
     "batched_linear_backward",
     "batched_cross_entropy",
@@ -31,64 +23,6 @@ __all__ = [
     "batched_im2col",
     "batched_col2im",
 ]
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax along ``axis``.
-
-    Subtracting the running maximum keeps ``exp`` in range for large
-    logits; the subtraction broadcasts without copying ``x``.
-    """
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    np.exp(shifted, out=shifted)
-    shifted /= np.sum(shifted, axis=axis, keepdims=True)
-    return shifted
-
-
-def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable ``log(softmax(x))`` along ``axis``."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def one_hot(labels: np.ndarray, num_classes: int, dtype=np.float64) -> np.ndarray:
-    """Encode integer ``labels`` of shape ``(N,)`` as ``(N, num_classes)``."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(
-            f"labels out of range [0, {num_classes}): "
-            f"min={labels.min()}, max={labels.max()}"
-        )
-    out = np.zeros((labels.shape[0], num_classes), dtype=dtype)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise rectifier ``max(x, 0)``."""
-    return np.maximum(x, 0.0)
-
-
-def relu_grad(x: np.ndarray) -> np.ndarray:
-    """Derivative of :func:`relu` evaluated at the pre-activation ``x``."""
-    return (x > 0.0).astype(x.dtype)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, stable for large ``|x|``."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    """Elementwise hyperbolic tangent."""
-    return np.tanh(x)
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -124,50 +58,6 @@ def im2col_indices(
     return k, i, j
 
 
-def im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int = 1, padding: int = 0
-) -> np.ndarray:
-    """Unfold ``x`` of shape ``(N, C, H, W)`` into ``(C*kh*kw, N*out_h*out_w)``.
-
-    The column layout turns convolution into a single matrix product,
-    which is the standard GEMM formulation used by BLAS-backed frameworks.
-    """
-    n, c, h, w = x.shape
-    if padding > 0:
-        x = np.pad(
-            x,
-            ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-            mode="constant",
-        )
-    k, i, j = im2col_indices(c, h, w, kh, kw, stride, padding)
-    cols = x[:, k, i, j]  # (N, C*kh*kw, out_h*out_w)
-    return cols.transpose(1, 2, 0).reshape(c * kh * kw, -1)
-
-
-def col2im(
-    cols: np.ndarray,
-    x_shape: tuple[int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int = 1,
-    padding: int = 0,
-) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter-add columns back to image shape.
-
-    Overlapping windows accumulate, which is exactly the gradient of the
-    unfold operation.
-    """
-    n, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    x_padded = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    k, i, j = im2col_indices(c, h, w, kh, kw, stride, padding)
-    cols_reshaped = cols.reshape(c * kh * kw, -1, n).transpose(2, 0, 1)
-    np.add.at(x_padded, (slice(None), k, i, j), cols_reshaped)
-    if padding == 0:
-        return x_padded
-    return x_padded[:, :, padding:-padding, padding:-padding]
-
-
 # -- batched (leading node-axis) kernels --------------------------------------
 #
 # The decentralized simulator trains many node models per round. These
@@ -175,8 +65,9 @@ def col2im(
 # nodes' local steps collapse into stacked GEMMs instead of a Python
 # loop. ``np.matmul`` on 3-D operands dispatches the same BLAS GEMM per
 # slice as the 2-D call, so every slice is bit-identical to running the
-# serial kernel on that node alone — the property the engines'
-# oracle ≡ product bit-compatibility contract relies on.
+# serial kernel (``tests/oracle_nn.py``) on that node alone — the
+# property the engines' oracle ≡ product bit-compatibility contract
+# relies on.
 
 
 def batched_linear_forward(
@@ -298,8 +189,8 @@ def batched_cross_entropy(
     ``[0, K)`` (``IndexError`` otherwise). Returns ``(losses, grad)``
     where ``losses`` is ``(k,)`` (each node's mean loss over its batch)
     and ``grad`` is ``dL/dlogits`` already divided by ``B`` — the same
-    contract as :class:`~repro.nn.losses.CrossEntropyLoss` applied slice
-    by slice.
+    contract as the serial oracle's cross-entropy loss applied slice by
+    slice.
     """
     if logits.ndim != 3:
         raise ValueError(f"logits must be (k, B, K), got {logits.shape}")
@@ -323,9 +214,10 @@ def batched_im2col(
     """Unfold ``(k, B, C, H, W)`` into ``(k, C*kh*kw, B*oh*ow)`` columns
     (into ``out`` when given).
 
-    Per-slice layout matches :func:`im2col` applied to one node's
-    ``(B, C, H, W)`` batch, so a stacked ``(k, out_c, C*kh*kw)`` weight
-    matmul reproduces the serial convolution node by node.
+    Per-slice layout matches the serial oracle's ``im2col`` applied to
+    one node's ``(B, C, H, W)`` batch, ``(C*kh*kw, oh*ow*B)``, so a
+    stacked ``(k, out_c, C*kh*kw)`` weight matmul reproduces the serial
+    convolution node by node.
     """
     k_nodes, n, c, h, w = x.shape
     if padding > 0:
@@ -336,7 +228,7 @@ def batched_im2col(
         )
     k, i, j = im2col_indices(c, h, w, kh, kw, stride, padding)
     cols = x[:, :, k, i, j]  # (k, B, C*kh*kw, oh*ow)
-    # match im2col's (ckk, ohow, B) -> (ckk, ohow*B) column ordering
+    # the serial (ckk, ohow, B) -> (ckk, ohow*B) column ordering
     cols = cols.transpose(0, 2, 3, 1)
     if out is None:
         return cols.reshape(k_nodes, c * kh * kw, -1)
@@ -362,11 +254,3 @@ def batched_col2im(
     if padding == 0:
         return x_padded
     return x_padded[:, :, :, padding:-padding, padding:-padding]
-
-
-def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy of ``logits`` ``(N, K)`` against integer ``labels``."""
-    if logits.shape[0] == 0:
-        return 0.0
-    preds = np.argmax(logits, axis=1)
-    return float(np.mean(preds == labels))

@@ -1,4 +1,7 @@
-"""Layer implementations for the NumPy NN engine."""
+"""The layers a model is built from: constructors, hyperparameters,
+parameter shapes and init draws. The stacked mirror
+(:mod:`repro.nn.batched`) computes them; only ``BatchNorm2d`` and
+``Dropout``, which it refuses, compute themselves."""
 
 from .activation import LeakyReLU, ReLU, Sigmoid, Tanh
 from .batchnorm import BatchNorm2d

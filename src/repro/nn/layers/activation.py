@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from .. import functional as F
 from ..module import Module
 
 __all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh"]
@@ -12,18 +9,6 @@ __all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh"]
 
 class ReLU(Module):
     """Rectified linear unit."""
-
-    def __init__(self) -> None:
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0.0
-        return np.where(self._mask, x, 0.0)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * self._mask
 
 
 class LeakyReLU(Module):
@@ -33,45 +18,11 @@ class LeakyReLU(Module):
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
         self.alpha = alpha
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0.0
-        return np.where(self._mask, x, self.alpha * x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * np.where(self._mask, 1.0, self.alpha)
 
 
 class Sigmoid(Module):
-    """Logistic activation; caches the output for the backward pass."""
-
-    def __init__(self) -> None:
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = F.sigmoid(x)
-        return self._out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * self._out * (1.0 - self._out)
+    """Logistic activation."""
 
 
 class Tanh(Module):
-    """Hyperbolic-tangent activation; caches the output for backward."""
-
-    def __init__(self) -> None:
-        self._out: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._out is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * (1.0 - self._out**2)
+    """Hyperbolic-tangent activation."""

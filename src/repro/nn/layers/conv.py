@@ -1,11 +1,10 @@
-"""2-D convolution implemented with im2col + GEMM."""
+"""2-D convolution."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .. import init
-from ..functional import col2im, conv_output_size, im2col
 from ..module import Module
 from ..parameter import Parameter
 
@@ -15,10 +14,10 @@ __all__ = ["Conv2d"]
 class Conv2d(Module):
     """Cross-correlation layer over ``(N, C, H, W)`` inputs.
 
-    The input is unfolded once per forward pass into a column matrix and
-    the convolution becomes a single ``(out_channels, C*kh*kw) @
-    (C*kh*kw, N*out_h*out_w)`` product, so nearly all time is spent in
-    BLAS rather than Python loops.
+    The stacked mirror unfolds the input into a column matrix and the
+    convolution becomes a single ``(out_channels, C*kh*kw) @
+    (C*kh*kw, N*out_h*out_w)`` product per node, so nearly all time is
+    spent in BLAS rather than Python loops.
     """
 
     def __init__(
@@ -46,43 +45,3 @@ class Conv2d(Module):
             name="weight",
         )
         self.bias = Parameter(init.zeros((out_channels,)), name="bias") if bias else None
-        self._cols: np.ndarray | None = None
-        self._x_shape: tuple[int, int, int, int] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ValueError(
-                f"Conv2d expects (N, {self.in_channels}, H, W), got {x.shape}"
-            )
-        n, _, h, w = x.shape
-        k, s, p = self.kernel_size, self.stride, self.padding
-        out_h = conv_output_size(h, k, s, p)
-        out_w = conv_output_size(w, k, s, p)
-
-        cols = im2col(x, k, k, s, p)  # (C*k*k, N*out_h*out_w)
-        self._cols = cols
-        self._x_shape = x.shape
-
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
-        out = w_mat @ cols  # (out_channels, N*out_h*out_w)
-        if self.bias is not None:
-            out += self.bias.data[:, None]
-        out = out.reshape(self.out_channels, out_h, out_w, n)
-        return out.transpose(3, 0, 1, 2)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._x_shape is None:
-            raise RuntimeError("backward called before forward")
-        n, _, h, w = self._x_shape
-        k, s, p = self.kernel_size, self.stride, self.padding
-
-        # (N, O, oh, ow) -> (O, N*oh*ow) matching the forward column layout
-        grad_mat = grad_out.transpose(1, 2, 3, 0).reshape(self.out_channels, -1)
-
-        self.weight.grad += (grad_mat @ self._cols.T).reshape(self.weight.data.shape)
-        if self.bias is not None:
-            self.bias.grad += grad_mat.sum(axis=1)
-
-        w_mat = self.weight.data.reshape(self.out_channels, -1)
-        grad_cols = w_mat.T @ grad_mat  # (C*k*k, N*oh*ow)
-        return col2im(grad_cols, self._x_shape, k, k, s, p)

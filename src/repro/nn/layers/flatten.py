@@ -2,24 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..module import Module
 
 __all__ = ["Flatten"]
 
 
 class Flatten(Module):
-    """Reshape ``(N, ...)`` to ``(N, prod(...))`` and back in backward."""
-
-    def __init__(self) -> None:
-        self._shape: tuple[int, ...] | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._shape is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out.reshape(self._shape)
+    """Reshape ``(N, ...)`` to ``(N, prod(...))``."""

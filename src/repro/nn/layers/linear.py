@@ -35,26 +35,3 @@ class Linear(Module):
             init.kaiming_uniform((in_features, out_features), rng), name="weight"
         )
         self.bias = Parameter(init.zeros((out_features,)), name="bias") if bias else None
-        self._x: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2:
-            raise ValueError(f"Linear expects (N, {self.in_features}), got {x.shape}")
-        if x.shape[1] != self.in_features:
-            raise ValueError(
-                f"Linear expects {self.in_features} input features, got {x.shape[1]}"
-            )
-        self._x = x
-        out = x @ self.weight.data
-        if self.bias is not None:
-            out += self.bias.data
-        return out
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called before forward")
-        x = self._x
-        self.weight.grad += x.T @ grad_out
-        if self.bias is not None:
-            self.bias.grad += grad_out.sum(axis=0)
-        return grad_out @ self.weight.data.T

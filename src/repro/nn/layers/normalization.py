@@ -34,45 +34,3 @@ class GroupNorm(Module):
         self.eps = eps
         self.gamma = Parameter(np.ones(num_channels), name="gamma")
         self.beta = Parameter(np.zeros(num_channels), name="beta")
-        self._cache: tuple | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.num_channels:
-            raise ValueError(
-                f"GroupNorm expects (N, {self.num_channels}, H, W), got {x.shape}"
-            )
-        n, c, h, w = x.shape
-        g = self.num_groups
-        xg = x.reshape(n, g, c // g * h * w)
-        mean = xg.mean(axis=2, keepdims=True)
-        var = xg.var(axis=2, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (xg - mean) * inv_std
-        xhat = xhat.reshape(n, c, h, w)
-        self._cache = (xhat, inv_std, x.shape)
-        return xhat * self.gamma.data[None, :, None, None] + self.beta.data[
-            None, :, None, None
-        ]
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        xhat, inv_std, shape = self._cache
-        n, c, h, w = shape
-        g = self.num_groups
-
-        self.gamma.grad += (grad_out * xhat).sum(axis=(0, 2, 3))
-        self.beta.grad += grad_out.sum(axis=(0, 2, 3))
-
-        # dL/dxhat, grouped
-        dxhat = (grad_out * self.gamma.data[None, :, None, None]).reshape(
-            n, g, c // g * h * w
-        )
-        xhat_g = xhat.reshape(n, g, c // g * h * w)
-        m = dxhat.shape[2]
-        # Standard normalization backward within each group:
-        # dx = inv_std/m * (m*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat))
-        sum_dxhat = dxhat.sum(axis=2, keepdims=True)
-        sum_dxhat_xhat = (dxhat * xhat_g).sum(axis=2, keepdims=True)
-        dx = (inv_std / m) * (m * dxhat - sum_dxhat - xhat_g * sum_dxhat_xhat)
-        return dx.reshape(n, c, h, w)

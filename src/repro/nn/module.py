@@ -1,17 +1,16 @@
 """Module base class and Sequential container.
 
-The engine uses explicit ``forward``/``backward`` methods rather than a
-tape-based autograd: every layer caches what it needs during ``forward``
-and consumes it in ``backward``. For the feed-forward CNN/MLP models in
-the paper this is simpler, faster, and easier to test than a graph
-recorder.
+A module is a model *spec*: its constructor draws the parameters, and
+:meth:`Module.parameters` fixes their order in the flat vector a node's
+state row holds. The engines compute with the stacked mirror of
+:mod:`repro.nn.batched`; the serial per-sample ``forward``/``backward``
+of each layer, which that mirror reproduces bit for bit, is the test
+suite's oracle (``tests/oracle_nn.py``).
 """
 
 from __future__ import annotations
 
 from typing import Iterator
-
-import numpy as np
 
 from .parameter import Parameter
 
@@ -21,23 +20,12 @@ __all__ = ["Module", "Sequential"]
 class Module:
     """Base class for all layers and models.
 
-    Subclasses implement :meth:`forward` and :meth:`backward`; parameters
-    are discovered automatically by scanning instance attributes (direct
-    :class:`Parameter` attributes and nested :class:`Module` instances).
+    Parameters are discovered automatically by scanning instance
+    attributes (direct :class:`Parameter` attributes and nested
+    :class:`Module` instances).
     """
 
     training: bool = True
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        """Propagate ``dL/d(output)`` to ``dL/d(input)``, accumulating
-        parameter gradients along the way."""
-        raise NotImplementedError
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
 
     # -- parameter discovery -------------------------------------------------
 
@@ -103,24 +91,13 @@ class Module:
 
 
 class Sequential(Module):
-    """Chain layers so ``forward`` composes left-to-right and ``backward``
-    right-to-left."""
+    """Layers applied left to right."""
 
     def __init__(self, *layers: Module) -> None:
         self.layers = list(layers)
 
     def append(self, layer: Module) -> None:
         self.layers.append(layer)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.forward(x)
-        return x
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
-        return grad_out
 
     def __len__(self) -> int:
         return len(self.layers)

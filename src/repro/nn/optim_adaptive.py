@@ -2,8 +2,8 @@
 
 The paper trains with plain SGD, but a reusable DL library needs the
 adaptive family for downstream workloads; they also serve the
-optimizer-sensitivity ablations. API matches :class:`repro.nn.optim.SGD`
-(explicit ``step``/``zero_grad`` on parameter objects).
+optimizer-sensitivity ablations. Explicit ``step``/``zero_grad`` on
+parameter objects.
 """
 
 from __future__ import annotations

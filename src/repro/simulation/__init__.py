@@ -1,7 +1,7 @@
 """``repro.simulation`` — the decentralized-learning simulators
 (substitute for the paper's DecentralizePy cluster deployment):
 synchronous round engine, asynchronous gossip engine, the columnar node data plane both train
-from, message-level network, failure injection and fairness metrics."""
+from, failure injection and fairness metrics."""
 
 from ..topology.mixing import masked_mixing
 from .async_engine import (
@@ -36,7 +36,6 @@ from .metrics import (
     evaluate_model_vector,
     evaluate_state,
 )
-from .network import MessagePassingNetwork, TrafficStats
 from .node_bank import NodeBank
 from .rng import RngFactory, generator_state, restore_generator
 
@@ -59,8 +58,6 @@ __all__ = [
     "AsyncSkipTrainConstrained",
     "AsyncRecord",
     "AsyncHistory",
-    "MessagePassingNetwork",
-    "TrafficStats",
     "FailureModel",
     "NoFailures",
     "IndependentCrashes",

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.dataset import ArrayDataset
-from ..nn.batched import BatchedEvaluator, UnsupportedLayerError
+from ..nn.batched import BatchedEvaluator
 from ..nn.module import Module
-from .metrics import evaluate_model_vector
 
 __all__ = [
     "per_node_accuracy",
@@ -29,20 +28,11 @@ __all__ = [
 def per_node_accuracy(
     model: Module, state: np.ndarray, test_set: ArrayDataset
 ) -> np.ndarray:
-    """Accuracy of every node's model on the common test set.
-
-    Runs the stacked cross-node evaluator when the model has a batched
-    mirror (bit-identical to the loop, one forward pass per test batch
-    for all nodes) and falls back to the serial per-node loop otherwise.
-    """
-    try:
-        evaluator = BatchedEvaluator(model)
-    except UnsupportedLayerError:
-        return np.array(
-            [evaluate_model_vector(model, state[i], test_set)
-             for i in range(state.shape[0])]
-        )
-    return evaluator.evaluate(state, test_set)
+    """Accuracy of every node's model on the common test set, from the
+    stacked cross-node evaluator (one forward pass per test batch for
+    all nodes). A model the engines cannot run raises
+    :class:`~repro.nn.batched.UnsupportedLayerError`, as they do."""
+    return BatchedEvaluator(model).evaluate(state, test_set)
 
 
 def local_test_sets(
@@ -124,14 +114,15 @@ def device_group_report(
     n = state.shape[0]
     if len(devices) != n or train_rounds.shape != (n,) or len(local_tests) != n:
         raise ValueError("per-node inputs must all have length n")
-    consensus = state.mean(axis=0)
+    consensus = state.mean(axis=0)[None, :]
+    evaluator = BatchedEvaluator(model)
     names = sorted(set(d.name for d in devices))
     rounds_out, acc_out = [], []
     for name in names:
         ids = [i for i in range(n) if devices[i].name == name]
         rounds_out.append(float(np.mean([train_rounds[i] for i in ids])))
         accs = [
-            evaluate_model_vector(model, consensus, local_tests[i])
+            float(evaluator.evaluate(consensus, local_tests[i])[0])
             for i in ids
         ]
         acc_out.append(float(np.mean(accs)))

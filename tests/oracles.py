@@ -8,7 +8,8 @@ bit-identical to the product — the oracle ≡ product contract the
 batteries assert:
 
 * :class:`SerialTrainer` — E plain-SGD steps per row on one workspace
-  model, and an ``evaluator`` that evaluates node by node;
+  model through the serial layers of :mod:`tests.oracle_nn`, and an
+  ``evaluator`` that evaluates node by node;
 * :func:`run_events` — the async engine's per-event loop, whose hook
   fires after every event;
 * :func:`run_cell` / :func:`cells` — sweep cells run through both loops,
@@ -64,12 +65,10 @@ from repro.energy.traces import (
     per_round_energy_wh,
 )
 from repro.experiments import artifacts, runner, sweep
-from repro.nn.losses import CrossEntropyLoss
-from repro.nn.optim import SGD
 from repro.nn.serialization import parameter_vector, set_parameter_vector
 from repro.simulation import AsyncGossipEngine
 from repro.simulation import engine as engine_module
-from repro.simulation.metrics import evaluate_model_vector
+from tests.oracle_nn import SGD, CrossEntropyLoss, evaluate_vector, serial as serial_nn
 
 __all__ = [
     "NodeByNodeEvaluator",
@@ -95,7 +94,7 @@ __all__ = [
 
 class NodeByNodeEvaluator:
     """The per-node evaluation loop: each row loaded into ``model`` and
-    evaluated alone. Same interface as
+    evaluated alone through the serial layers. Same interface as
     :class:`~repro.nn.batched.BatchedEvaluator`."""
 
     def __init__(self, model) -> None:
@@ -104,7 +103,7 @@ class NodeByNodeEvaluator:
     def evaluate(self, state, dataset, node_ids=None, batch_size=256):
         ids = np.arange(state.shape[0]) if node_ids is None else node_ids
         return np.array([
-            evaluate_model_vector(self.model, state[i], dataset, batch_size)
+            evaluate_vector(self.model, state[i], dataset, batch_size)
             for i in ids
         ])
 
@@ -117,6 +116,7 @@ class SerialTrainer:
 
     def __init__(self, model, nodes, local_steps, lr, weight_decay=0.0):
         self.model = model
+        self.net = serial_nn(model)
         self.nodes = nodes
         self.local_steps = local_steps
         self.loss = CrossEntropyLoss()
@@ -146,10 +146,10 @@ class SerialTrainer:
         set_parameter_vector(self.model, row)
         total_loss = 0.0
         for sel in idx:
-            logits = self.model(x[sel])
+            logits = self.net.forward(x[sel])
             total_loss += self.loss.forward(logits, y[sel])
             self.model.zero_grad()
-            self.model.backward(self.loss.backward())
+            self.net.backward(self.loss.backward())
             self.optimizer.step()
         parameter_vector(self.model, out=row)
         return total_loss / self.local_steps

@@ -1,13 +1,15 @@
-"""Every example script must at least compile and expose a main()."""
+"""Every example script compiles, exposes a main() and runs to the end."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-EXAMPLES = sorted(
-    (pathlib.Path(__file__).parent.parent / "examples").glob("*.py")
-)
+ROOT = pathlib.Path(__file__).parent.parent
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 
 def test_examples_exist():
@@ -34,3 +36,19 @@ def test_example_has_docstring(path):
     tree = ast.parse(path.read_text())
     doc = ast.get_docstring(tree)
     assert doc and len(doc) > 40, f"{path.name} needs a real module docstring"
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+def test_example_runs_end_to_end(path, tmp_path):
+    """Run as a user would, in a fresh interpreter from an empty
+    directory (an example that writes ``results/`` writes it there): a
+    moved or renamed import fails here, not only at the user's."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    done = subprocess.run(
+        [sys.executable, str(path)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr[-4000:]

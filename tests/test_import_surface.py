@@ -5,10 +5,13 @@ before any work, so packages no cell executes must not load with the
 program — and nothing a cell *does* need may hide behind a lazy import,
 where its cost would move out of the measured set-up into the first
 cell. Each case runs in a fresh interpreter: ``sys.modules`` of the
-test process proves nothing. One case reads the source instead: which
-module may import the thread pool and bind scipy's private kernels.
+test process proves nothing. Three cases read the source instead: which
+module may import the thread pool and bind scipy's private kernels,
+that the product never imports the test suite's oracles, and that
+``repro.nn`` holds one implementation of every layer it trains.
 """
 
+import ast
 import json
 import os
 import re
@@ -110,6 +113,59 @@ def test_one_lane_module_and_one_private_scipy_binding():
     bindings = re.findall(r"^_sparsetools = _bind_sparsetools\(\)$",
                           sources["repro/topology/sparse.py"], re.MULTILINE)
     assert len(bindings) == 1
+
+
+def _src_trees():
+    src = REPO_ROOT / "src"
+    return {
+        path.relative_to(src).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+        for path in src.rglob("*.py")
+    }
+
+
+def test_no_product_module_imports_the_oracles():
+    """The serial oracles (``tests/oracle_nn.py``, ``tests/oracles.py``)
+    check the product; a product module that imported one would run the
+    code it is checked against."""
+    imports = []
+    for name, tree in _src_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            imports.extend(
+                f"{name}: {module}" for module in modules
+                if {"tests", "oracle_nn", "oracles"} & set(module.split("."))
+            )
+    assert imports == []
+
+
+#: the ``repro.nn`` classes that compute a forward/backward: the stacked
+#: mirror, and the two layers it refuses (``UnsupportedLayerError``)
+COMPUTING_LAYERS = {"BatchNorm2d", "Dropout"}
+
+
+def test_one_implementation_of_every_trained_layer():
+    """A layer or model class under ``repro.nn`` is a spec (shapes, init
+    draws, parameter order); only the ``Batched*`` mirror computes. The
+    serial forms are the oracle's, ``tests/oracle_nn.py``."""
+    classes = [
+        (name, node)
+        for name, tree in _src_trees().items() if name.startswith("repro/nn/")
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    computing = sorted(
+        f"{name}: {node.name}" for name, node in classes
+        if not node.name.startswith("Batched") and node.name not in COMPUTING_LAYERS
+        and any(isinstance(item, ast.FunctionDef) and item.name in ("forward", "backward")
+                for item in node.body)
+    )
+    assert computing == []
+    # the exemption names classes that exist
+    assert COMPUTING_LAYERS <= {node.name for _, node in classes}
 
 
 def test_repro_check_runs_without_numpy():

@@ -1,7 +1,8 @@
 """Message-level integration: a full training run where aggregation
 goes through explicit per-edge messages must be numerically identical
 to the matrix-form engine — the justification for simulating at matrix
-level (DESIGN.md §2)."""
+level (DESIGN.md §2). The message-level network is the oracle's
+(``tests/oracle_nn.py``)."""
 
 import numpy as np
 
@@ -9,14 +10,9 @@ from repro.core import RoundSchedule, SkipTrain
 from repro.data import make_classification_images, shard_partition
 from repro.data.synthetic import SyntheticSpec
 from repro.nn import small_mlp
-from repro.simulation import (
-    EngineConfig,
-    MessagePassingNetwork,
-    RngFactory,
-    SimulationEngine,
-    build_nodes,
-)
+from repro.simulation import EngineConfig, RngFactory, SimulationEngine, build_nodes
 from repro.topology import metropolis_hastings_weights, neighbor_lists, regular_neighbors
+from tests.oracle_nn import MessagePassingNetwork
 
 N = 8
 SPEC = SyntheticSpec(num_classes=4, channels=1, image_size=4,

@@ -36,6 +36,7 @@ from repro.nn.serialization import parameter_vector
 from repro.simulation import EngineConfig, build_engine
 from repro.simulation.fairness import per_node_accuracy
 from repro.simulation.metrics import evaluate_model_vector, evaluate_state
+from tests.oracle_nn import evaluate_vector
 
 SPEC = SyntheticSpec(num_classes=4, channels=1, image_size=4,
                      noise_std=1.0, jitter_std=0.3, prototype_resolution=2)
@@ -50,7 +51,7 @@ def _state_for(model, n_nodes, rng):
 
 def _serial_accuracies(model, state, ds, batch_size=256):
     return np.array(
-        [evaluate_model_vector(model, state[i], ds, batch_size)
+        [evaluate_vector(model, state[i], ds, batch_size)
          for i in range(state.shape[0])]
     )
 
@@ -80,6 +81,8 @@ class TestModelZooEquality:
         serial = _serial_accuracies(model, state, ds, batch_size=16)
         batched = BatchedEvaluator(model).evaluate(state, ds, batch_size=16)
         np.testing.assert_array_equal(serial, batched)
+        one_row = [evaluate_model_vector(model, row, ds, 16) for row in state]
+        np.testing.assert_array_equal(serial, one_row)
 
     def test_evaluate_state_mean_std_exactly_equal(self):
         rng = np.random.default_rng(0)
@@ -99,7 +102,7 @@ class TestModelZooEquality:
         state = _state_for(model, 10, rng)
         ids = np.array([7, 2, 9, 0])
         serial = np.array(
-            [evaluate_model_vector(model, state[i], ds) for i in ids]
+            [evaluate_vector(model, state[i], ds) for i in ids]
         )
         batched = BatchedEvaluator(model).evaluate(state, ds, node_ids=ids)
         np.testing.assert_array_equal(serial, batched)
@@ -185,9 +188,9 @@ class TestModelZooEquality:
 
 
 class TestPerNodeAccuracyModes:
-    """``per_node_accuracy`` takes the stacked evaluator whenever the
-    model has a batched mirror and the per-node loop otherwise; no
-    keyword chooses."""
+    """``per_node_accuracy`` is the stacked evaluator's: a model without
+    a batched mirror is refused, as the engines refuse it; no keyword
+    chooses."""
 
     def _setup(self):
         rng = np.random.default_rng(4)
@@ -202,17 +205,15 @@ class TestPerNodeAccuracyModes:
             per_node_accuracy(model, state, ds),
         )
 
-    def test_auto_falls_back_for_unsupported(self):
+    def test_unsupported_model_is_refused_as_the_engines_refuse_it(self):
         rng = np.random.default_rng(4)
         model = Sequential(Flatten(), Linear(16, 4, rng=rng), Dropout(0.0))
         ds, _ = make_classification_images(SPEC, 40, rng)
         state = _state_for(model, 4, rng)
         with pytest.raises(UnsupportedLayerError):
             BatchedEvaluator(model)
-        np.testing.assert_array_equal(
-            per_node_accuracy(model, state, ds),
-            _serial_accuracies(model, state, ds),
-        )
+        with pytest.raises(UnsupportedLayerError):
+            per_node_accuracy(model, state, ds)
 
     def test_bad_mode_rejected(self):
         model, state, ds = self._setup()
@@ -285,12 +286,16 @@ class TestEngineEvalModes:
                          eval_mode="batched")
 
     def test_global_average_accuracy_unchanged(self):
-        """The consensus-model evaluation stays on the (single-vector)
-        serial path whichever evaluator the rounds use."""
+        """The consensus model is one row through the stacked evaluator,
+        whichever evaluator the rounds use, and scores what the serial
+        forward scores."""
         a = _engine(node_by_node=True)
         b = _engine()
         a.run(DPSGD(N)), b.run(DPSGD(N))
         assert a.global_average_accuracy() == b.global_average_accuracy()
+        assert b.global_average_accuracy() == evaluate_vector(
+            b.model, b.state.mean(axis=0), b.test_set
+        )
 
 
 class TestEvalModeStaysDeleted:

@@ -22,15 +22,9 @@ from hypothesis import strategies as st
 
 from repro import lanes as lanes_module
 from repro.data.dataset import ArrayDataset
-from repro.nn import (
-    CrossEntropyLoss,
-    SGD,
-    small_cnn,
-    small_mlp,
-)
+from repro.nn import small_cnn, small_mlp
 from repro.nn import functional as F
 from repro.nn.batched import (
-    BatchedElementwise,
     BatchedEvaluator,
     BatchedTrainer,
     UnsupportedLayerError,
@@ -53,6 +47,7 @@ from repro.nn.layers.normalization import GroupNorm
 from repro.nn.models import gn_lenet_cifar10
 from repro.nn.module import Sequential
 from repro.nn.serialization import parameter_vector, set_parameter_vector
+from tests.oracle_nn import SGD, CrossEntropyLoss, im2col, serial
 
 #: The stacked step writes gradients with ``matmul(out=)`` / ``sum(out=)``
 #: into strided views: a numpy that changes ``out=`` dispatch or starts
@@ -80,6 +75,7 @@ def _rows_for(model, k, jitter=0.01):
 def _serial_reference(model, rows, batch_lists, lr, weight_decay=0.0):
     """Per-node loop with the serial layers: the ground truth."""
     out = rows.copy()
+    net = serial(model)
     loss = CrossEntropyLoss()
     opt = SGD(model.parameters(), lr=lr, weight_decay=weight_decay)
     losses = np.empty(len(batch_lists))
@@ -87,10 +83,10 @@ def _serial_reference(model, rows, batch_lists, lr, weight_decay=0.0):
         set_parameter_vector(model, out[r])
         total = 0.0
         for xb, yb in batches:
-            logits = model(xb)
+            logits = net.forward(xb)
             total += loss.forward(logits, yb)
             model.zero_grad()
-            model.backward(loss.backward())
+            net.backward(loss.backward())
             opt.step()
         parameter_vector(model, out=out[r])
         losses[r] = total / len(batches)
@@ -174,7 +170,7 @@ class TestBatchedKernels:
         cols = F.batched_im2col(x, 3, 3, stride=1, padding=1)
         for s in range(k):
             np.testing.assert_array_equal(
-                cols[s], F.im2col(x[s], 3, 3, stride=1, padding=1)
+                cols[s], im2col(x[s], 3, 3, stride=1, padding=1)
             )
 
 
@@ -469,6 +465,7 @@ def _serial_train_rows(model, state, ids, x, y, idx, k, lr, weight_decay=0.0):
     """``train_rows``'s contract spelled as the serial per-node loop:
     returns ``(expected state, per-row mean losses)``."""
     out = state.copy()
+    net = serial(model)
     loss = CrossEntropyLoss()
     opt = SGD(model.parameters(), lr=lr, weight_decay=weight_decay)
     losses = np.empty(len(ids))
@@ -477,9 +474,9 @@ def _serial_train_rows(model, state, ids, x, y, idx, k, lr, weight_decay=0.0):
         total = 0.0
         for step in range(idx.shape[1]):
             sel = idx[pos, step, : k[pos]]
-            total += loss.forward(model(x[sel]), y[sel])
+            total += loss.forward(net.forward(x[sel]), y[sel])
             model.zero_grad()
-            model.backward(loss.backward())
+            net.backward(loss.backward())
             opt.step()
         parameter_vector(model, out=out[row])
         losses[pos] = total / idx.shape[1]
@@ -922,37 +919,56 @@ class TestLanes:
         assert lanes_module.tile_bounds(256, 1810 * 8) == [0, 85, 170, 256]
 
 
-class TestReluKernel:
+class TestLayerKernels:
+    """The stacked activations and pooling against the serial oracle's
+    layers, node slice by node slice."""
+
     SPECIALS = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.5, -2.5]
+    LAYERS = {
+        "relu": ReLU(), "leaky-relu": LeakyReLU(0.1), "sigmoid": Sigmoid(),
+        "tanh": Tanh(), "max-pool": MaxPool2d(2), "avg-pool": AvgPool2d(2),
+        "avg-pool-overlapping": AvgPool2d(3, 1),
+    }
 
     @pytest.mark.parametrize("lent", [False, True], ids=["allocating", "workspace"])
     @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
-    def test_bitwise_the_serial_where_with_the_serial_layout(self, lent, layout):
-        """Values, zero signs, NaN handling *and* memory layout of the
-        training rectifier match the serial layer: a strided input (a
-        conv's output) must come out strided the same way."""
-        x = RNG.normal(size=(3, 4, 5, 2))
+    @pytest.mark.parametrize("layer", sorted(LAYERS))
+    def test_bitwise_the_serial_layer_with_the_serial_layout(self, layer, layout, lent):
+        """Values, zero signs, NaN and ±inf handling *and* memory layout
+        of each node's slice match the serial layer run on that node's
+        ``(B, C, H, W)`` batch alone, for a C-contiguous stack and for a
+        conv's output (a transposed view, the batch axis innermost): a
+        strided input must come out strided the same way, and a window
+        mean sums in memory order."""
+        shape = (3, 4, 2, 4, 6) if layout == "contiguous" else (3, 2, 4, 6, 4)
+        x = RNG.normal(size=shape)
         x.flat[: len(self.SPECIALS)] = self.SPECIALS
         if layout == "transposed":
-            x = x.transpose(0, 3, 1, 2)
-        grad = RNG.normal(size=x.shape)
-        serial, batched = ReLU(), BatchedElementwise(ReLU())
+            x = x.transpose(0, 4, 1, 2, 3)
+        template = self.LAYERS[layer]
+        batched = vectorize_module(Sequential(template)).layers[0]
         if lent:
             batched.workspace = Workspace()
-        for _ in range(2):  # second pass reuses the buffers
-            want, got = serial.forward(x), batched.forward(x)
-            assert got.tobytes() == want.tobytes()
-            assert got.strides == want.strides
-            want, got = serial.backward(grad), batched.backward(grad)
-            assert got.tobytes() == want.tobytes()
-            assert got.strides == want.strides
+        with np.errstate(all="ignore"):
+            for _ in range(2):  # second pass reuses the buffers
+                got = batched.forward(x)
+                grad = RNG.normal(size=got.shape)
+                got_grad = batched.backward(grad)
+                for s in range(x.shape[0]):
+                    twin = serial(template)
+                    want = twin.forward(x[s])
+                    assert got[s].tobytes() == want.tobytes()
+                    assert got[s].strides == want.strides
+                    want = twin.backward(grad[s])
+                    assert got_grad[s].tobytes() == want.tobytes()
+                    assert got_grad[s].strides == want.strides
 
 
 class TestLossKernel:
-    """:func:`F.batched_cross_entropy_into` against the serial
+    """:func:`F.batched_cross_entropy_into` against the serial oracle's
     :class:`CrossEntropyLoss`, bit for bit, slice by slice."""
 
-    SPECIALS = TestReluKernel.SPECIALS + [1e308, -1e308, 1.5, 1.5]
+    SPECIALS = TestLayerKernels.SPECIALS + [1e308, -1e308, 1.5, 1.5]
 
     @staticmethod
     def _logits(k, b, classes, values, layout):

@@ -1,8 +1,10 @@
 """Layer tests: shape contracts and numerical gradient checks.
 
-Every layer's backward pass is verified against central finite
-differences, both for input gradients and parameter gradients — the
-strongest correctness guarantee a hand-written backprop engine can get.
+Every serial layer's backward pass (the oracle the stacked mirror is
+checked against, ``tests/oracle_nn.py``) is verified against central
+finite differences, both for input gradients and parameter gradients —
+the strongest correctness guarantee a hand-written backprop engine can
+get.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from repro.nn import (
     Tanh,
 )
 from repro.nn.serialization import gradient_vector, parameter_vector, set_parameter_vector
+from tests.oracle_nn import serial
 
 
 def numeric_input_grad(layer, x, grad_out, eps=1e-6):
@@ -75,7 +78,7 @@ def check_param_grad(layer, x, tol=1e-6):
 
 class TestLinear:
     def test_forward_shape_and_value(self, rng):
-        layer = Linear(3, 2, rng=rng)
+        layer = serial(Linear(3, 2, rng=rng))
         x = np.ones((4, 3))
         out = layer.forward(x)
         assert out.shape == (4, 2)
@@ -83,7 +86,7 @@ class TestLinear:
         np.testing.assert_allclose(out, expected)
 
     def test_rejects_bad_shapes(self, rng):
-        layer = Linear(3, 2, rng=rng)
+        layer = serial(Linear(3, 2, rng=rng))
         with pytest.raises(ValueError):
             layer.forward(np.ones((4, 5)))
         with pytest.raises(ValueError):
@@ -92,11 +95,11 @@ class TestLinear:
             Linear(0, 2)
 
     def test_input_grad(self, rng):
-        layer = Linear(5, 4, rng=rng)
+        layer = serial(Linear(5, 4, rng=rng))
         check_input_grad(layer, rng.normal(size=(3, 5)))
 
     def test_param_grad(self, rng):
-        layer = Linear(4, 3, rng=rng)
+        layer = serial(Linear(4, 3, rng=rng))
         check_param_grad(layer, rng.normal(size=(2, 4)))
 
     def test_no_bias(self, rng):
@@ -105,25 +108,25 @@ class TestLinear:
         assert layer.num_parameters() == 6
 
     def test_backward_before_forward_raises(self, rng):
-        layer = Linear(3, 2, rng=rng)
+        layer = serial(Linear(3, 2, rng=rng))
         with pytest.raises(RuntimeError):
             layer.backward(np.ones((1, 2)))
 
 
 class TestConv2d:
     def test_forward_shape(self, rng):
-        layer = Conv2d(3, 8, 5, padding=2, rng=rng)
+        layer = serial(Conv2d(3, 8, 5, padding=2, rng=rng))
         out = layer.forward(rng.normal(size=(2, 3, 16, 16)))
         assert out.shape == (2, 8, 16, 16)
 
     def test_stride_shape(self, rng):
-        layer = Conv2d(1, 4, 3, stride=2, padding=1, rng=rng)
+        layer = serial(Conv2d(1, 4, 3, stride=2, padding=1, rng=rng))
         out = layer.forward(rng.normal(size=(2, 1, 8, 8)))
         assert out.shape == (2, 4, 4, 4)
 
     def test_matches_direct_convolution(self, rng):
         """im2col path equals a naive loop implementation."""
-        layer = Conv2d(2, 3, 3, padding=1, rng=rng)
+        layer = serial(Conv2d(2, 3, 3, padding=1, rng=rng))
         x = rng.normal(size=(2, 2, 5, 5))
         out = layer.forward(x)
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
@@ -139,15 +142,15 @@ class TestConv2d:
         np.testing.assert_allclose(out, naive, atol=1e-10)
 
     def test_input_grad(self, rng):
-        layer = Conv2d(2, 3, 3, padding=1, rng=rng)
+        layer = serial(Conv2d(2, 3, 3, padding=1, rng=rng))
         check_input_grad(layer, rng.normal(size=(2, 2, 4, 4)))
 
     def test_param_grad(self, rng):
-        layer = Conv2d(1, 2, 3, padding=1, rng=rng)
+        layer = serial(Conv2d(1, 2, 3, padding=1, rng=rng))
         check_param_grad(layer, rng.normal(size=(2, 1, 4, 4)))
 
     def test_rejects_wrong_channels(self, rng):
-        layer = Conv2d(3, 4, 3, rng=rng)
+        layer = serial(Conv2d(3, 4, 3, rng=rng))
         with pytest.raises(ValueError):
             layer.forward(np.ones((1, 2, 8, 8)))
 
@@ -155,25 +158,25 @@ class TestConv2d:
 class TestPooling:
     def test_maxpool_known_values(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out = MaxPool2d(2).forward(x)
+        out = serial(MaxPool2d(2)).forward(x)
         np.testing.assert_array_equal(out[0, 0], [[5, 7], [13, 15]])
 
     def test_avgpool_known_values(self):
         x = np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4)
-        out = AvgPool2d(2).forward(x)
+        out = serial(AvgPool2d(2)).forward(x)
         np.testing.assert_array_equal(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
 
     def test_maxpool_input_grad(self, rng):
         # distinct values so argmax is unambiguous for finite differences
         x = rng.permutation(64).astype(np.float64).reshape(1, 1, 8, 8)
-        check_input_grad(MaxPool2d(2), x)
+        check_input_grad(serial(MaxPool2d(2)), x)
 
     def test_avgpool_input_grad(self, rng):
-        check_input_grad(AvgPool2d(2), rng.normal(size=(2, 2, 4, 4)))
+        check_input_grad(serial(AvgPool2d(2)), rng.normal(size=(2, 2, 4, 4)))
 
     def test_maxpool_overlapping_stride_grad(self, rng):
         x = rng.permutation(36).astype(np.float64).reshape(1, 1, 6, 6)
-        check_input_grad(MaxPool2d(3, stride=1), x)
+        check_input_grad(serial(MaxPool2d(3, stride=1)), x)
 
     def test_invalid_kernel(self):
         with pytest.raises(ValueError):
@@ -186,20 +189,20 @@ class TestActivations:
         # offset away from 0 so ReLU's kink doesn't hit finite differences
         x = rng.normal(size=(3, 5)) + 0.05 * np.sign(rng.normal(size=(3, 5)))
         x[np.abs(x) < 1e-3] = 0.1
-        check_input_grad(layer_cls(), x)
+        check_input_grad(serial(layer_cls()), x)
 
     def test_relu_zeroes_negatives(self):
-        out = ReLU().forward(np.array([[-1.0, 2.0]]))
+        out = serial(ReLU()).forward(np.array([[-1.0, 2.0]]))
         np.testing.assert_array_equal(out, [[0.0, 2.0]])
 
     def test_leaky_relu_slope(self):
-        out = LeakyReLU(0.1).forward(np.array([[-10.0]]))
+        out = serial(LeakyReLU(0.1)).forward(np.array([[-10.0]]))
         assert out[0, 0] == pytest.approx(-1.0)
 
 
 class TestGroupNorm:
     def test_normalizes_groups(self, rng):
-        gn = GroupNorm(2, 4)
+        gn = serial(GroupNorm(2, 4))
         x = rng.normal(loc=5.0, scale=3.0, size=(2, 4, 3, 3))
         out = gn.forward(x)
         grouped = out.reshape(2, 2, -1)
@@ -207,11 +210,11 @@ class TestGroupNorm:
         np.testing.assert_allclose(grouped.std(axis=2), 1.0, atol=1e-4)
 
     def test_input_grad(self, rng):
-        gn = GroupNorm(2, 4)
+        gn = serial(GroupNorm(2, 4))
         check_input_grad(gn, rng.normal(size=(2, 4, 3, 3)), tol=1e-5)
 
     def test_param_grad(self, rng):
-        gn = GroupNorm(2, 4)
+        gn = serial(GroupNorm(2, 4))
         check_param_grad(gn, rng.normal(size=(2, 4, 2, 2)), tol=1e-5)
 
     def test_channels_divisible(self):
@@ -224,7 +227,7 @@ class TestGroupNorm:
 
 class TestFlattenDropout:
     def test_flatten_roundtrip(self, rng):
-        f = Flatten()
+        f = serial(Flatten())
         x = rng.normal(size=(2, 3, 4, 4))
         out = f.forward(x)
         assert out.shape == (2, 48)
@@ -254,14 +257,14 @@ class TestFlattenDropout:
 class TestSequentialGradient:
     def test_full_stack_gradient(self, rng):
         """End-to-end gradient check through a conv+GN+pool+linear stack."""
-        model = Sequential(
+        model = serial(Sequential(
             Conv2d(1, 3, 3, padding=1, rng=rng),
             GroupNorm(3, 3),
             Tanh(),
             AvgPool2d(2),
             Flatten(),
             Linear(3 * 2 * 2, 4, rng=rng),
-        )
+        ))
         x = rng.normal(size=(2, 1, 4, 4))
         out = model.forward(x)
         grad_out = rng.normal(size=out.shape)

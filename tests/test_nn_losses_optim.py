@@ -1,4 +1,5 @@
-"""Tests for losses, SGD and learning-rate schedules."""
+"""Tests for the serial oracle's losses, SGD and learning-rate schedules
+(``tests/oracle_nn.py``)."""
 
 import numpy as np
 import pytest
@@ -6,8 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.nn import SGD, ConstantLR, CosineLR, CrossEntropyLoss, Linear, MSELoss, StepLR
+from repro.nn import Linear
 from repro.nn.parameter import Parameter
+from tests.oracle_nn import (
+    SGD,
+    ConstantLR,
+    CosineLR,
+    CrossEntropyLoss,
+    MSELoss,
+    StepLR,
+    one_hot,
+    serial,
+    softmax,
+)
 
 
 class TestCrossEntropy:
@@ -36,8 +48,6 @@ class TestCrossEntropy:
         targets = np.array([0, 1, 2, 0])
         loss(logits, targets)
         grad = loss.backward()
-        from repro.nn.functional import one_hot, softmax
-
         expected = (softmax(logits, axis=1) - one_hot(targets, 3)) / 4
         np.testing.assert_allclose(grad, expected, atol=1e-10)
 
@@ -130,7 +140,7 @@ class TestSGD:
     def test_converges_on_quadratic(self):
         """SGD minimizes a simple least-squares problem."""
         rng = np.random.default_rng(0)
-        layer = Linear(3, 1, rng=rng)
+        layer = serial(Linear(3, 1, rng=rng))
         x = rng.normal(size=(64, 3))
         true_w = np.array([[1.0], [-2.0], [0.5]])
         y = x @ true_w

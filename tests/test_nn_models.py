@@ -6,14 +6,13 @@ import pytest
 from repro.nn import (
     PAPER_CIFAR10_PARAMS,
     PAPER_FEMNIST_PARAMS,
-    CrossEntropyLoss,
-    SGD,
     cnn_femnist,
     gn_lenet_cifar10,
     logistic_regression,
     small_cnn,
     small_mlp,
 )
+from tests.oracle_nn import SGD, CrossEntropyLoss, serial
 
 
 class TestPaperParamCounts:
@@ -25,28 +24,30 @@ class TestPaperParamCounts:
 
 
 class TestForwardShapes:
+    """The serial forward of each model, the oracle's (``tests/oracle_nn.py``)."""
+
     def test_cifar_model_output(self, rng):
-        model = gn_lenet_cifar10(rng=rng)
+        model = serial(gn_lenet_cifar10(rng=rng))
         out = model.forward(rng.normal(size=(2, 3, 32, 32)))
         assert out.shape == (2, 10)
 
     def test_femnist_model_output(self, rng):
-        model = cnn_femnist(rng=rng)
+        model = serial(cnn_femnist(rng=rng))
         out = model.forward(rng.normal(size=(2, 1, 28, 28)))
         assert out.shape == (2, 62)
 
     def test_small_cnn_output(self, rng):
-        model = small_cnn(in_channels=1, image_size=8, num_classes=5, rng=rng)
+        model = serial(small_cnn(in_channels=1, image_size=8, num_classes=5, rng=rng))
         out = model.forward(rng.normal(size=(3, 1, 8, 8)))
         assert out.shape == (3, 5)
 
     def test_small_mlp_output(self, rng):
-        model = small_mlp(64, 10, rng=rng)
+        model = serial(small_mlp(64, 10, rng=rng))
         out = model.forward(rng.normal(size=(3, 1, 8, 8)))
         assert out.shape == (3, 10)
 
     def test_logistic_regression_output(self, rng):
-        model = logistic_regression(16, 4, rng=rng)
+        model = serial(logistic_regression(16, 4, rng=rng))
         assert model.forward(rng.normal(size=(5, 16))).shape == (5, 4)
 
 
@@ -60,7 +61,7 @@ class TestModelsLearn:
         ],
     )
     def test_loss_decreases_on_separable_data(self, factory, rng):
-        model = factory(rng)
+        model = serial(factory(rng))
         n = 90
         labels = np.arange(n) % 3
         x = rng.normal(size=(n, 1, 4, 4)) * 0.3

@@ -17,6 +17,7 @@ from repro.nn import (
     vector_size,
 )
 from repro.nn.serialization import gradient_vector
+from tests.oracle_nn import serial
 
 
 class TestParameterDiscovery:
@@ -101,9 +102,10 @@ class TestSerialization:
     def test_gradient_vector_layout_matches(self, rng):
         model = Sequential(Linear(3, 2, rng=rng))
         x = rng.normal(size=(4, 3))
-        out = model.forward(x)
+        net = serial(model)
+        out = net.forward(x)
         model.zero_grad()
-        model.backward(np.ones_like(out))
+        net.backward(np.ones_like(out))
         g = gradient_vector(model)
         lin = model.layers[0]
         np.testing.assert_array_equal(
@@ -115,8 +117,8 @@ class TestSerialization:
     def test_setting_vector_affects_forward(self, rng):
         model = small_mlp(8, 3, hidden=4, rng=rng)
         x = rng.normal(size=(2, 8))
-        out1 = model.forward(x)
+        out1 = serial(model).forward(x)
         set_parameter_vector(model, np.zeros(vector_size(model)))
-        out2 = model.forward(x)
+        out2 = serial(model).forward(x)
         np.testing.assert_array_equal(out2, 0.0)
         assert not np.allclose(out1, 0.0)

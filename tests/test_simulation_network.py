@@ -1,9 +1,9 @@
-"""Message-passing network tests: literal exchange ≡ matrix product."""
+"""Message-passing network tests: the oracle's literal exchange
+(``tests/oracle_nn.py``) ≡ matrix product."""
 
 import numpy as np
 import pytest
 
-from repro.simulation import MessagePassingNetwork
 from repro.topology import (
     metropolis_hastings_weights,
     neighbor_lists,
@@ -11,6 +11,7 @@ from repro.topology import (
     ring_neighbors,
     star_graph,
 )
+from tests.oracle_nn import MessagePassingNetwork
 
 
 def make_network(graph):
